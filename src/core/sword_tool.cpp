@@ -148,14 +148,17 @@ SwordTool::ThreadState& SwordTool::State() {
   if (tls_handle.owner_id == instance_id_) {
     return *static_cast<ThreadState*>(tls_handle.state);
   }
-  auto state = std::make_unique<ThreadState>();
-  ThreadState* raw = state.get();
+  // Reserve the tid under the lock, but publish the state only once its
+  // writer exists: the stat accessors and Finalize walk states_ under the
+  // same lock and dereference every writer they find. The writer is built
+  // outside the lock because its constructor does file I/O.
   uint32_t tid;
   {
     std::lock_guard lock(states_mutex_);
-    tid = static_cast<uint32_t>(states_.size());
-    states_.push_back(std::move(state));
+    tid = next_tid_++;
   }
+  auto state = std::make_unique<ThreadState>();
+  ThreadState* raw = state.get();
   trace::WriterConfig wc;
   wc.log_path = config_.out_dir + "/sword_t" + std::to_string(tid) + ".log";
   wc.meta_path = config_.out_dir + "/sword_t" + std::to_string(tid) + ".meta";
@@ -170,6 +173,10 @@ SwordTool::ThreadState& SwordTool::State() {
   wc.governor = governor_.get();
   wc.crash_seal = config_.crash_seal;
   raw->writer = std::make_unique<trace::ThreadTraceWriter>(tid, wc);
+  {
+    std::lock_guard lock(states_mutex_);
+    states_.push_back(std::move(state));
+  }
   // The modeled fixed auxiliary overhead (OMPT + thread-local state).
   (void)memory_.Charge(kAuxBytesPerThread);
 
@@ -380,8 +387,9 @@ Status SwordTool::Finalize() {
 std::vector<std::string> SwordTool::LogPaths() const {
   std::lock_guard lock(states_mutex_);
   std::vector<std::string> paths;
-  for (size_t i = 0; i < states_.size(); i++) {
-    paths.push_back(config_.out_dir + "/sword_t" + std::to_string(i) + ".log");
+  for (const auto& ts : states_) {
+    paths.push_back(config_.out_dir + "/sword_t" +
+                    std::to_string(ts->writer->thread_id()) + ".log");
   }
   return paths;
 }
@@ -389,8 +397,9 @@ std::vector<std::string> SwordTool::LogPaths() const {
 std::vector<std::string> SwordTool::MetaPaths() const {
   std::lock_guard lock(states_mutex_);
   std::vector<std::string> paths;
-  for (size_t i = 0; i < states_.size(); i++) {
-    paths.push_back(config_.out_dir + "/sword_t" + std::to_string(i) + ".meta");
+  for (const auto& ts : states_) {
+    paths.push_back(config_.out_dir + "/sword_t" +
+                    std::to_string(ts->writer->thread_id()) + ".meta");
   }
   return paths;
 }

@@ -194,7 +194,11 @@ class SwordTool final : public somp::Tool {
   trace::Flusher flusher_;
 
   mutable std::mutex states_mutex_;
+  // Published states, each with its writer built; tids are handed out by
+  // next_tid_ before publication, so publication order may differ from tid
+  // order while threads start concurrently.
   std::vector<std::unique_ptr<ThreadState>> states_;
+  uint32_t next_tid_ = 0;
   const uint64_t instance_id_;
   bool finalized_ = false;
   Status status_;

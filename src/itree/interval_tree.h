@@ -74,8 +74,9 @@ inline uint64_t HashAccess(uint64_t addr, const AccessKey& key) {
   return h;
 }
 
-/// (key, address) lookup key for the summarization indexes, shared by the
-/// RB-tree builder and the streaming builder (itree/streaming_builder.h).
+/// (key, address) lookup key for the RB-tree builder's summarization
+/// indexes. The streaming builder (itree/streaming_builder.h) keeps its own
+/// flat tables and shares only HashAccess.
 struct ContKey {
   uint64_t addr;
   AccessKey key;

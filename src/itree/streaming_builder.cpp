@@ -6,84 +6,168 @@ namespace sword::itree {
 
 namespace {
 
-/// Erases map[key] only when it currently maps to `id` (the summarization
-/// indexes use best-effort emplace, so a slot may belong to another node).
-/// Mirrors interval_tree.cpp's helper - the two builders must keep their
-/// index discipline identical.
-template <typename Map, typename Key>
-void EraseIfMapsTo(Map& map, const Key& key, uint32_t id) {
-  auto it = map.find(key);
-  if (it != map.end() && it->second == id) map.erase(it);
+uint32_t KeyHash(const AccessKey& key) {
+  return static_cast<uint32_t>(HashAccess(0, key));
+}
+
+uint32_t AddrHash(uint64_t addr, const AccessKey& key) {
+  return static_cast<uint32_t>(HashAccess(addr, key));
+}
+
+/// The interval's most recent element, where its last-address entry lives.
+uint64_t LastAddr(const ilp::StridedInterval& iv) {
+  return iv.base + iv.stride * (iv.count - 1);
+}
+
+/// The address that continues the interval, where its continuation entry
+/// lives: a single continues as a unit element walk, a run at its stride.
+uint64_t NextAddr(const ilp::StridedInterval& iv) {
+  return iv.count == 1 ? iv.base + iv.size : iv.base + iv.stride * iv.count;
+}
+
+/// Erases the (addr, key) entry only when it maps to `id`: emplace never
+/// overwrites, so a slot may belong to another node. An entry naming `id` is
+/// necessarily keyed by nodes_[id].key, so matching (addr, id) is enough.
+template <typename Table>
+void EraseIfMapsTo(Table& table, uint64_t addr, const AccessKey& key, uint32_t id) {
+  auto* slot = table.Find(AddrHash(addr, key), [&](const auto& s) {
+    return s.addr == addr && s.id == id;
+  });
+  if (slot != nullptr) table.Erase(slot);
 }
 
 }  // namespace
 
-// The branch structure below is IntervalTree::AddAccess verbatim, minus the
-// tree maintenance: an extension never changes a node's first byte, so the
-// sorted-order bookkeeping only happens in NewNode. Any change here must be
-// mirrored there (and vice versa); the equivalence property tests fail loudly
-// on divergence.
+StreamingSetBuilder::KeySlot* StreamingSetBuilder::FindKey(const AccessKey& key) {
+  return keys_.Find(KeyHash(key),
+                    [&](const KeySlot& s) { return nodes_[s.id].key == key; });
+}
+
+void StreamingSetBuilder::EmplaceAddr(ProbeTable<AddrSlot>& table, uint64_t addr,
+                                      const AccessKey& key, uint32_t id) {
+  table.Emplace(AddrSlot{addr, id, AddrHash(addr, key)}, [&](const AddrSlot& s) {
+    return s.addr == addr && nodes_[s.id].key == key;
+  });
+}
+
 uint32_t StreamingSetBuilder::AddAccess(uint64_t addr, const AccessKey& key) {
   total_accesses_++;
-
-  // 1. Repeated access to a run's most recent address: fold without growing.
-  if (auto dup = last_addr_.find(ContKey{addr, key}); dup != last_addr_.end()) {
-    nodes_[dup->second].hits++;
-    return dup->second;
+  KeySlot* ks = FindKey(key);
+  if (ks == nullptr) {
+    // First node of a new key: solo, so no index entry is stored.
+    const uint32_t id = NewNode(addr, key);
+      keys_.Insert(KeySlot{id, KeyHash(key)});
+    return id;
   }
+  return ks->shared ? AddShared(addr, key, *ks) : AddSolo(addr, key, *ks);
+}
 
-  // 2. Continuation of an established run: addr is exactly the next element.
-  if (auto it = continuations_.find(ContKey{addr, key}); it != continuations_.end()) {
-    const uint32_t id = it->second;
-    AccessNode& n = nodes_[id];
-    auto& iv = n.interval;
-    EraseIfMapsTo(last_addr_, ContKey{iv.base + iv.stride * (iv.count - 1), key}, id);
+// The tree's four branches, evaluated on the solo node's implied entries.
+uint32_t StreamingSetBuilder::AddSolo(uint64_t addr, const AccessKey& key,
+                                      KeySlot& ks) {
+  const uint32_t id = ks.id;
+  AccessNode& n = nodes_[id];
+  auto& iv = n.interval;
+
+  // 1. Repeated access to the run's most recent address.
+  if (addr == LastAddr(iv)) {
+    n.hits++;
+    return id;
+  }
+  // 2. Continuation. 3. A single (the key's open single) adopts any
+  // ascending stride.
+  const bool continues = addr == NextAddr(iv);
+  if (continues || (iv.count == 1 && addr > iv.base)) {
     if (iv.count == 1) {
-      // This continuation was registered at base+size (unit element walk).
       iv.stride = addr - iv.base;
       iv.count = 2;
-      open_single_.erase(key);
     } else {
       iv.count++;
     }
     n.hits++;
-    continuations_.erase(it);
-    continuations_.emplace(ContKey{iv.base + iv.stride * iv.count, key}, id);
-    last_addr_.emplace(ContKey{addr, key}, id);
+    return id;
+  }
+
+  // 4. The key's second node. The solo node's entries go in first, so the
+  // new node's emplaces lose any collision with them, as in the tree. A solo
+  // single stops being the open single here (the tree erases it in branch 3).
+  ks.shared = true;
+  const uint64_t next = NextAddr(iv);
+  const uint64_t last = LastAddr(iv);
+  continuations_.Insert(AddrSlot{next, id, AddrHash(next, key)});
+  last_addr_.Insert(AddrSlot{last, id, AddrHash(last, key)});
+  return NewSharedNode(addr, key, ks);
+}
+
+uint32_t StreamingSetBuilder::AddShared(uint64_t addr, const AccessKey& key,
+                                        KeySlot& ks) {
+  const uint32_t h = AddrHash(addr, key);
+  auto at_addr = [&](const AddrSlot& s) {
+    return s.addr == addr && nodes_[s.id].key == key;
+  };
+
+  // 1. Repeated access to a run's most recent address: fold without growing.
+  if (AddrSlot* dup = last_addr_.Find(h, at_addr)) {
+    nodes_[dup->id].hits++;
+    return dup->id;
+  }
+
+  // 2. Continuation of an established run: addr is exactly the next element.
+  if (AddrSlot* cont = continuations_.Find(h, at_addr)) {
+    const uint32_t id = cont->id;
+    continuations_.Erase(cont);
+    AccessNode& n = nodes_[id];
+    auto& iv = n.interval;
+    EraseIfMapsTo(last_addr_, LastAddr(iv), key, id);
+    if (iv.count == 1) {
+      // This continuation was registered at base+size (unit element walk).
+      // Like the tree, this clears the key's open single whichever node it
+      // names.
+      iv.stride = addr - iv.base;
+      iv.count = 2;
+      ks.open = kNil;
+    } else {
+      iv.count++;
+    }
+    n.hits++;
+    EmplaceAddr(continuations_, NextAddr(iv), key, id);
+    EmplaceAddr(last_addr_, addr, key, id);
     return id;
   }
 
   // 3. Second element of an arbitrary-stride ascending walk: the most recent
-  // single-access node with this key adopts stride = addr - base.
-  if (auto os = open_single_.find(key); os != open_single_.end()) {
-    const uint32_t id = os->second;
+  // single-access node with this key adopts stride = addr - base. A
+  // descending access leaves it single and starts a new node.
+  if (ks.open != kNil) {
+    const uint32_t id = ks.open;
+    ks.open = kNil;
     AccessNode& n = nodes_[id];
     auto& iv = n.interval;
     if (addr > iv.base) {
-      EraseIfMapsTo(continuations_, ContKey{iv.base + key.size, key}, id);
-      EraseIfMapsTo(last_addr_, ContKey{iv.base, key}, id);
+      EraseIfMapsTo(continuations_, NextAddr(iv), key, id);
+      EraseIfMapsTo(last_addr_, iv.base, key, id);
       iv.stride = addr - iv.base;
       iv.count = 2;
       n.hits++;
-      open_single_.erase(os);
-      continuations_.emplace(ContKey{iv.base + iv.stride * 2, key}, id);
-      last_addr_.emplace(ContKey{addr, key}, id);
+      EmplaceAddr(continuations_, NextAddr(iv), key, id);
+      EmplaceAddr(last_addr_, addr, key, id);
       return id;
     }
-    // Descending access: leave the old node single and start a new one.
-    open_single_.erase(os);
   }
 
   // 4. Fresh node.
-  const uint32_t id = NewNode(ilp::StridedInterval{addr, 0, 1, key.size}, key);
-  nodes_[id].hits = 1;
-  continuations_.emplace(ContKey{addr + key.size, key}, id);
-  last_addr_.emplace(ContKey{addr, key}, id);
-  open_single_[key] = id;
+  return NewSharedNode(addr, key, ks);
+}
+
+uint32_t StreamingSetBuilder::NewSharedNode(uint64_t addr, const AccessKey& key,
+                                            KeySlot& ks) {
+  const uint32_t id = NewNode(addr, key);
+  EmplaceAddr(continuations_, addr + key.size, key, id);
+  EmplaceAddr(last_addr_, addr, key, id);
+  ks.open = id;
   return id;
 }
 
-// IntervalTree::AddRun verbatim, dispatching to this builder's AddAccess.
 uint32_t StreamingSetBuilder::AddRun(uint64_t base, uint64_t stride,
                                      uint64_t count, const AccessKey& key) {
   // Degenerate shapes are defined by the element loop.
@@ -100,22 +184,16 @@ uint32_t StreamingSetBuilder::AddRun(uint64_t base, uint64_t stride,
   if (count == 2) return id;
 
   // Bulk fast path: the first two elements merged into one fresh-looking run
-  // node and no other node shares the key, so every remaining element would
-  // take the continuation branch on this exact node. Apply the loop's net
-  // effect in O(1).
-  const auto& iv = nodes_[id].interval;
-  const auto kn = key_nodes_.find(key);
-  if (id == first && iv.base == base && iv.stride == stride && iv.count == 2 &&
-      kn != key_nodes_.end() && kn->second == 1) {
+  // node and the key is solo, so every remaining element would take the
+  // continuation branch on this exact node, and its index entries are
+  // implied by the interval. Apply the loop's net effect in O(1).
+  AccessNode& run = nodes_[id];
+  if (id == first && run.interval.base == base && run.interval.stride == stride &&
+      run.interval.count == 2 && !FindKey(key)->shared) {
     const uint64_t extra = count - 2;
-    EraseIfMapsTo(continuations_, ContKey{base + 2 * stride, key}, id);
-    EraseIfMapsTo(last_addr_, ContKey{base + stride, key}, id);
-    AccessNode& run = nodes_[id];
     run.interval.count = count;
     run.hits += extra;
     total_accesses_ += extra;
-    continuations_.emplace(ContKey{base + stride * count, key}, id);
-    last_addr_.emplace(ContKey{base + stride * (count - 1), key}, id);
     return id;
   }
 
@@ -124,19 +202,17 @@ uint32_t StreamingSetBuilder::AddRun(uint64_t base, uint64_t stride,
   return id;
 }
 
-uint32_t StreamingSetBuilder::NewNode(const ilp::StridedInterval& interval,
-                                      const AccessKey& key) {
+uint32_t StreamingSetBuilder::NewNode(uint64_t addr, const AccessKey& key) {
   const uint32_t id = static_cast<uint32_t>(nodes_.size());
   AccessNode node;
-  node.interval = interval;
+  node.interval = ilp::StridedInterval{addr, 0, 1, key.size};
   node.key = key;
+  node.hits = 1;
   nodes_.push_back(node);
-  key_nodes_[key]++;
   // Sorted-append or spill. A node's first byte is immutable, so comparing
   // against the LAST in-order node is enough: program-order address walks
   // keep extending the main sequence; only genuine back-jumps spill.
-  if (order_.empty() ||
-      interval.lo() >= nodes_[order_.back()].interval.lo()) {
+  if (order_.empty() || addr >= nodes_[order_.back()].interval.lo()) {
     order_.push_back(id);
   } else {
     spill_.push_back(id);
@@ -147,7 +223,8 @@ uint32_t StreamingSetBuilder::NewNode(const ilp::StridedInterval& interval,
 uint64_t StreamingSetBuilder::MemoryBytes() const {
   return nodes_.capacity() * sizeof(AccessNode) +
          (order_.capacity() + spill_.capacity()) * sizeof(uint32_t) +
-         continuations_.size() * (sizeof(ContKey) + sizeof(uint32_t) + 16);
+         keys_.size() * sizeof(KeySlot) +
+         (continuations_.size() + last_addr_.size()) * sizeof(AddrSlot);
 }
 
 FrozenIntervalSet StreamingSetBuilder::Freeze() const {
@@ -186,10 +263,9 @@ void StreamingSetBuilder::Reset() {
   spill_.clear();
   spill_.shrink_to_fit();
   total_accesses_ = 0;
-  continuations_.clear();
-  last_addr_.clear();
-  open_single_.clear();
-  key_nodes_.clear();
+  keys_.Clear();
+  continuations_.Clear();
+  last_addr_.Clear();
 }
 
 }  // namespace sword::itree

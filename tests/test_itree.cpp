@@ -520,6 +520,168 @@ TEST(StreamingSetBuilder, SymbolicRunMemoryIsSublinearInElements) {
   EXPECT_EQ(large.TotalAccesses(), 1000000u);
 }
 
+// --- Solo-to-shared transitions. While one node carries a key the builder
+// stores none of that key's index entries and derives them from the node's
+// interval; the second node writes them out. These streams aim at that
+// boundary and compare every returned node id as well as the frozen forms.
+
+/// Feeds a StreamingSetBuilder and an IntervalTree the same stream.
+struct Twin {
+  StreamingSetBuilder builder;
+  IntervalTree tree;
+
+  void Access(uint64_t addr, const AccessKey& key) {
+    EXPECT_EQ(builder.AddAccess(addr, key), tree.AddAccess(addr, key))
+        << "access at " << addr;
+  }
+  void Run(uint64_t base, uint64_t stride, uint64_t count, const AccessKey& key) {
+    EXPECT_EQ(builder.AddRun(base, stride, count, key),
+              tree.AddRun(base, stride, count, key))
+        << "run at " << base;
+  }
+  void ExpectSame() {
+    ASSERT_EQ(builder.NodeCount(), tree.NodeCount());
+    EXPECT_EQ(builder.TotalAccesses(), tree.TotalAccesses());
+    ExpectFrozenEqual(builder.Freeze(), FrozenIntervalSet(tree));
+  }
+};
+
+TEST(StreamingSetBuilder, SoloSingleSecondAccessBelowBaseSpills) {
+  Twin t;
+  const AccessKey key = Key(1);
+  t.Access(0x1000, key);
+  t.Access(0x0ff0, key);  // below base: second node, spilled
+  EXPECT_EQ(t.builder.NodeCount(), 2u);
+  EXPECT_EQ(t.builder.SpillCount(), 1u);
+  // The first node's unit-walk continuation was written out at the
+  // transition. Taking it clears the key's open single, which names the
+  // SECOND node, so the ascending access after it starts a third node
+  // instead of fixing the second node's stride.
+  t.Access(0x1008, key);
+  t.Access(0x1010, key);
+  t.Access(0x0ff0 + 0x40, key);
+  EXPECT_EQ(t.builder.NodeCount(), 3u);
+  t.ExpectSame();
+}
+
+TEST(StreamingSetBuilder, SoloSingleAdoptsStrideOrFoldsSameAddress) {
+  Twin t;
+  const AccessKey adopt = Key(2);
+  t.Access(0x1000, adopt);
+  t.Access(0x1040, adopt);  // above base, not adjacent: stride 0x40
+  t.Access(0x1080, adopt);
+  t.Access(0x1080, adopt);  // repeat of the last element
+  t.Access(0x10c0, adopt);
+  EXPECT_EQ(t.builder.NodeCount(), 1u);
+
+  const AccessKey fold = Key(3);
+  t.Access(0x8000, fold);
+  t.Access(0x8000, fold);  // same address: hits++, still a single
+  t.Access(0x8000, fold);
+  t.Access(0x8010, fold);  // the single still adopts a stride afterwards
+  t.Access(0x8020, fold);
+  EXPECT_EQ(t.builder.NodeCount(), 2u);
+  t.ExpectSame();
+}
+
+TEST(StreamingSetBuilder, SoloRunInterruptedByJumpResumesAtContinuation) {
+  Twin t;
+  const AccessKey key = Key(4);
+  for (uint64_t i = 0; i < 8; i++) t.Access(0x1000 + i * 8, key);
+  t.Access(0x5000, key);  // jump: the key's second node
+  for (uint64_t i = 8; i < 16; i++) t.Access(0x1000 + i * 8, key);  // resume
+  t.Access(0x5008, key);  // and the jump's own unit walk continues too
+  EXPECT_EQ(t.builder.NodeCount(), 2u);
+
+  // The new node's continuation collides with the solo run's: the run's
+  // entry was written first and keeps the slot, so 0x2040 extends the run.
+  const AccessKey clash = Key(5);
+  for (uint64_t i = 0; i < 4; i++) t.Access(0x2000 + i * 16, clash);
+  t.Access(0x2038, clash);
+  t.Access(0x2040, clash);
+  t.Access(0x2050, clash);
+  t.ExpectSame();
+}
+
+TEST(StreamingSetBuilder, SoloBulkRunThenAliasingRun) {
+  Twin t;
+  const AccessKey key = Key(6);
+  t.Run(0x1000, 8, 100, key);  // bulk path on a solo key
+  EXPECT_EQ(t.builder.NodeCount(), 1u);
+  t.Run(0x1000 + 8 * 50, 8, 100, key);  // overlaps the run: replayed
+  t.Run(0x1000 + 8 * 150, 8, 30, key);  // starts at the old end
+  t.Run(0x1000 + 8 * 100, 8, 10, key);
+  t.Run(0x9000, 24, 40, key);           // shared now: no bulk path
+  t.Access(0x9000 + 24 * 40, key);
+
+  const AccessKey other = Key(7);
+  t.Run(0x3000, 16, 20, other);
+  t.Run(0x3000 + 16 * 20, 16, 20, other);  // continues the solo run
+  t.Run(0x3000 + 16 * 40, 8, 5, other);    // different stride
+  t.ExpectSame();
+}
+
+TEST(StreamingSetBuilder, AddressesWrappingNear2To64) {
+  Twin t;
+  const uint64_t top = ~uint64_t{0};
+  const AccessKey unit = Key(8);
+  t.Access(top - 7, unit);  // its unit-walk continuation wraps to 0
+  t.Access(0, unit);
+  t.Access(8, unit);
+  t.Access(top - 7, unit);  // back below: shared from here on
+  t.Access(0, unit);
+  t.Access(top - 15, unit);
+
+  const AccessKey run = Key(9);
+  t.Run(top - 31, 8, 10, run);  // bulk run across the wrap
+  t.Access(top - 31 + 8 * 10, run);
+  t.Run(top - 63, 8, 6, run);
+  t.Access(top - 31 + 8 * 11, run);
+
+  const AccessKey stride = Key(10);
+  t.Access(top - 0x100, stride);
+  t.Access(top - 0x10, stride);  // adopts stride 0xf0; next wraps
+  t.Access(top - 0x10 + 0xf0, stride);
+  t.ExpectSame();
+}
+
+TEST(StreamingSetBuilder, RandomizedLongSoloRunsWithRareJumps) {
+  // The generic randomized test mostly makes short runs over many keys;
+  // this one makes long runs of one or two keys with rare jumps, repeats
+  // and bulk runs, so most events fold into solo keys and every transition
+  // happens in the middle of a long run.
+  for (uint64_t seed = 1; seed <= 20; seed++) {
+    Rng rng(seed);
+    Twin t;
+    const uint32_t keys = 1 + static_cast<uint32_t>(rng.Below(2));
+    std::vector<uint64_t> cursor(keys), step(keys);
+    for (uint32_t k = 0; k < keys; k++) {
+      cursor[k] = 0x100000 * (k + 1);
+      step[k] = 8 * (1 + rng.Below(4));
+    }
+    for (int i = 0; i < 5000; i++) {
+      const uint32_t k = rng.Chance(0.05) ? static_cast<uint32_t>(rng.Below(keys)) : 0;
+      const AccessKey key = Key(20 + k);
+      if (rng.Chance(0.01)) {
+        cursor[k] = 0x100000 * (k + 1) + 8 * rng.Below(0x4000);  // jump
+      } else if (rng.Chance(0.05)) {
+        t.Access(cursor[k] - step[k], key);  // repeat the last element
+        continue;
+      }
+      if (rng.Chance(0.05)) {
+        const uint64_t count = rng.Below(200);
+        t.Run(cursor[k], step[k], count, key);
+        cursor[k] += step[k] * count;
+      } else {
+        t.Access(cursor[k], key);
+        cursor[k] += step[k];
+      }
+    }
+    SCOPED_TRACE(seed);
+    t.ExpectSame();
+  }
+}
+
 TEST(HashAccess, MutexSetReachesLow32Bits) {
   // The pre-fix hash mixed the mutex set in as `mutexset << 32`, which a
   // 32-bit size_t truncation would discard entirely. After finalization,

@@ -790,28 +790,46 @@ TEST(Analysis, MemoryCapAbandonsBucketHonestly) {
 
 TEST(Analysis, DeadlineWatchdogAbortsOnlyThatBucket) {
   SyntheticTrace t;
-  // Region 0: three heavyweight groups (200k events each) whose build alone
-  // takes far longer than the deadline. Region 1: a two-event race that
-  // finishes far inside it.
-  std::vector<std::pair<trace::IntervalMeta, std::vector<trace::RawEvent>>> segs[3];
+  // Region 0: three heavyweight groups whose build alone takes far longer
+  // than the deadline. Every event walks DOWN one element, so each one
+  // starts a new node (descending accesses never extend a run): the build
+  // costs a node arena slot, two index entries and a spill entry per event,
+  // however cheap the summarizer's fold of a run continuation is. Run to
+  // completion it takes about 1.3s on one 2.0 GHz Xeon core, over 25x the
+  // 50ms deadline. The events come in 80 segments per group because the
+  // builder polls the watchdog between segments: the breached build stops
+  // within a segment of the deadline instead of finishing. Region 1: a
+  // two-event race that finishes far inside the deadline.
+  constexpr uint64_t kSegments = 80;
+  constexpr uint64_t kEventsPerSegment = 10000;
   for (uint32_t tid = 0; tid < 3; tid++) {
+    trace::WriterConfig wc;
+    wc.log_path = t.dir.path() + "/sword_t" + std::to_string(tid) + ".log";
+    wc.meta_path = t.dir.path() + "/sword_t" + std::to_string(tid) + ".meta";
+    wc.flusher = &t.flusher;
+    wc.format = t.format;
+    trace::ThreadTraceWriter writer(tid, wc);
     trace::IntervalMeta heavy = Meta(tid, 3);
     heavy.label = osl::Label({osl::Pair{0, 1, 0}, osl::Pair{tid, 3, 0}});
-    std::vector<trace::RawEvent> events;
-    events.reserve(200000);
-    for (uint64_t i = 0; i < 200000; i++) {
-      events.push_back(trace::RawEvent::Access(0x10000 + i * 8, 8, 1, 10 + tid));
+    uint64_t addr = 0x10000 + kSegments * kEventsPerSegment * 8;
+    for (uint64_t s = 0; s < kSegments; s++) {
+      writer.BeginSegment(heavy);
+      for (uint64_t i = 0; i < kEventsPerSegment; i++) {
+        addr -= 8;
+        writer.Append(trace::RawEvent::Access(addr, 8, 1, 10 + tid));
+      }
+      writer.EndSegment();
     }
-    segs[tid].push_back({heavy, events});
+    if (tid < 2) {
+      trace::IntervalMeta light = Meta(tid, 3);
+      light.region = 1;
+      light.label = osl::Label({osl::Pair{1, 1, 0}, osl::Pair{tid, 3, 0}});
+      writer.BeginSegment(light);
+      writer.Append(trace::RawEvent::Access(0x9000, 8, 1, 50 + tid));
+      writer.EndSegment();
+    }
+    ASSERT_TRUE(writer.Finish().ok());
   }
-  for (uint32_t tid = 0; tid < 2; tid++) {
-    trace::IntervalMeta light = Meta(tid, 3);
-    light.region = 1;
-    light.label = osl::Label({osl::Pair{1, 1, 0}, osl::Pair{tid, 3, 0}});
-    segs[tid].push_back(
-        {light, {trace::RawEvent::Access(0x9000, 8, 1, 50 + tid)}});
-  }
-  for (uint32_t tid = 0; tid < 3; tid++) t.WriteThread(tid, segs[tid]);
 
   AnalysisConfig config;
   // The heavy bucket's build takes hundreds of milliseconds, so any
