@@ -53,9 +53,12 @@ uint64_t NaiveCompare(const std::vector<itree::AccessNode>& a,
 
 /// The paper's dense-stride shape: two big same-bucket trees whose nodes are
 /// stride-8 runs laid out so each a-node range-touches a couple of b-nodes -
-/// the hot path of a real array-heavy trace. Mostly reads (decision exits
-/// early) so the measurement is dominated by pair ENUMERATION, with a few
-/// writes so the race path is exercised too.
+/// the hot path of a real array-heavy trace. Mostly reads, with a few writes
+/// so the race path is exercised too. Both back ends count the same pairs,
+/// but they spend them differently: the legacy path decides every pair (a
+/// read-read one exits at the first filter), while the frozen sweep decides
+/// only the write pairs and counts the read-read majority in a callback-free
+/// pass - so frozen pairs/s here mostly measures that pass.
 void BuildDenseStridePair(uint64_t nodes, itree::IntervalTree* a,
                           itree::IntervalTree* b) {
   for (uint64_t i = 0; i < nodes; i++) {

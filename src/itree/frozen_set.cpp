@@ -1,6 +1,7 @@
 #include "itree/frozen_set.h"
 
 #include <algorithm>
+#include <memory>
 
 namespace sword::itree {
 
@@ -78,49 +79,141 @@ uint64_t FrozenIntervalSet::MemoryBytes() const {
                                nodes_.capacity() * sizeof(AccessNode));
 }
 
-bool SweepMatchingPairs(const FrozenIntervalSet& a, const FrozenIntervalSet& b,
-                        FunctionRef<bool(uint32_t, uint32_t)> fn) {
-  const size_t na = a.size();
-  const size_t nb = b.size();
-  size_t i = 0;
-  size_t j = 0;
-  // Indices whose interval started already and may still touch a later start
-  // on the other side. Entries are expired lazily (hi < current start) the
-  // next time the list is scanned; each entry is appended once and removed
-  // once, and every scan of a surviving entry emits a pair, so the whole
-  // sweep is O(na + nb + matches).
-  std::vector<uint32_t> active_a;
-  std::vector<uint32_t> active_b;
+namespace {
+
+/// Active lists of one side of the sweep: indices whose interval started
+/// already and may still touch a later start on the other side, split by
+/// access kind so a read's start can skip deciding its read-read pairs.
+/// Both lists share one buffer sized to the side - writes grow up from the
+/// front, reads down from the back - so they never reallocate and together
+/// never exceed the side's node count. The buffer is not zero-filled: a
+/// list only ever reads back what it wrote.
+class ActiveLists {
+ public:
+  explicit ActiveLists(size_t nodes)
+      : buffer_(std::make_unique_for_overwrite<uint32_t[]>(nodes)),
+        writes_end_(buffer_.get()),
+        reads_begin_(buffer_.get() + nodes),
+        end_(reads_begin_) {}
+
+  bool empty() const {
+    return writes_end_ == buffer_.get() && reads_begin_ == end_;
+  }
+  void Add(uint32_t idx, bool write) {
+    if (write) *writes_end_++ = idx;
+    else *--reads_begin_ = idx;
+  }
+
+  /// Drops the writes that end before `start` (they can never match again)
+  /// and calls emit(idx) for every survivor. Returns false as soon as emit
+  /// does.
+  template <typename Emit>
+  bool EmitWrites(const FrozenIntervalSet& set, uint64_t start, Emit& emit) {
+    uint32_t* keep = buffer_.get();
+    for (uint32_t* p = buffer_.get(); p != writes_end_; ++p) {
+      if (set.hi(*p) < start) continue;
+      *keep++ = *p;
+      if (!emit(*p)) return false;
+    }
+    writes_end_ = keep;
+    return true;
+  }
+
+  /// EmitWrites over the reads, compacting toward the back.
+  template <typename Emit>
+  bool EmitReads(const FrozenIntervalSet& set, uint64_t start, Emit& emit) {
+    uint32_t* keep = end_;
+    for (uint32_t* p = end_; p != reads_begin_;) {
+      const uint32_t idx = *--p;
+      if (set.hi(idx) < start) continue;
+      *--keep = idx;
+      if (!emit(idx)) return false;
+    }
+    reads_begin_ = keep;
+    return true;
+  }
+
+  /// Count-only twin of EmitReads: same expiry, no callback; returns the
+  /// number of survivors, each one a range-touching pair with `start`'s node.
+  uint64_t CountReads(const FrozenIntervalSet& set, uint64_t start) {
+    uint32_t* keep = end_;
+    for (uint32_t* p = end_; p != reads_begin_;) {
+      const uint32_t idx = *--p;
+      keep[-1] = idx;
+      keep -= set.hi(idx) >= start ? 1 : 0;
+    }
+    reads_begin_ = keep;
+    return static_cast<uint64_t>(end_ - keep);
+  }
+
+ private:
+  std::unique_ptr<uint32_t[]> buffer_;
+  uint32_t* writes_end_;   // writes: [buffer_, writes_end_)
+  uint32_t* reads_begin_;  // reads: [reads_begin_, end_)
+  uint32_t* end_;
+};
+
+/// One start event: node `idx` of `self` begins. Every live write of the
+/// other side is emitted; its live reads are emitted only when `idx` is a
+/// write, and merely counted into `read_read` when it is a read. Then `idx`
+/// joins its own side's active lists.
+template <typename Emit>
+bool Start(const FrozenIntervalSet& self, uint32_t idx, ActiveLists& self_active,
+           const FrozenIntervalSet& other, ActiveLists& other_active,
+           uint64_t& read_read, Emit emit) {
+  const uint64_t start = self.lo(idx);
+  if (!other_active.EmitWrites(other, start, emit)) return false;
+  const bool write = self.node(idx).key.is_write();
+  if (write) {
+    if (!other_active.EmitReads(other, start, emit)) return false;
+  } else {
+    read_read += other_active.CountReads(other, start);
+  }
+  self_active.Add(idx, write);
+  return true;
+}
+
+}  // namespace
+
+SweepResult SweepMatchingPairs(const FrozenIntervalSet& a,
+                               const FrozenIntervalSet& b,
+                               FunctionRef<bool(uint32_t, uint32_t)> fn,
+                               const std::atomic<bool>* cancel) {
+  SweepResult result;
+  const uint32_t na = static_cast<uint32_t>(a.size());
+  const uint32_t nb = static_cast<uint32_t>(b.size());
+  uint32_t i = 0;
+  uint32_t j = 0;
+  // Entries are expired lazily (hi < current start) the next time their list
+  // is scanned; each is appended once and removed once, and every scan of a
+  // surviving entry emits or counts a pair, so the whole sweep is
+  // O(na + nb + emitted + counted).
+  ActiveLists active_a(na);
+  ActiveLists active_b(nb);
   while (i < na || j < nb) {
+    // Polled per start event, so read-only stretches (which never call fn)
+    // stay interruptible.
+    if (cancel && cancel->load(std::memory_order_relaxed)) return result;
     if (i >= na && active_a.empty()) break;  // nothing left for b to match
     if (j >= nb && active_b.empty()) break;  // nothing left for a to match
     // Tie-break lo(a) == lo(b) toward a: b's turn then finds a in its active
-    // list (hi >= lo always), so the pair is still emitted exactly once.
+    // lists (hi >= lo always), so the pair is still visited exactly once.
     if (j >= nb || (i < na && a.lo(i) <= b.lo(j))) {
-      const uint64_t start = a.lo(i);
-      size_t keep = 0;
-      for (const uint32_t bi : active_b) {
-        if (b.hi(bi) < start) continue;  // expired: can never match again
-        active_b[keep++] = bi;
-        if (!fn(static_cast<uint32_t>(i), bi)) return false;
+      if (!Start(a, i, active_a, b, active_b, result.read_read_pairs,
+                 [&](uint32_t bi) { return fn(i, bi); })) {
+        return result;
       }
-      active_b.resize(keep);
-      active_a.push_back(static_cast<uint32_t>(i));
       ++i;
     } else {
-      const uint64_t start = b.lo(j);
-      size_t keep = 0;
-      for (const uint32_t ai : active_a) {
-        if (a.hi(ai) < start) continue;
-        active_a[keep++] = ai;
-        if (!fn(ai, static_cast<uint32_t>(j))) return false;
+      if (!Start(b, j, active_b, a, active_a, result.read_read_pairs,
+                 [&](uint32_t ai) { return fn(ai, j); })) {
+        return result;
       }
-      active_a.resize(keep);
-      active_b.push_back(static_cast<uint32_t>(j));
       ++j;
     }
   }
-  return true;
+  result.completed = true;
+  return result;
 }
 
 }  // namespace sword::itree

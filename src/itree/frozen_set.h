@@ -13,7 +13,8 @@
 // Two enumeration primitives cover the comparison shapes:
 //   - SweepMatchingPairs: a sort-merge sweep over two frozen sets that
 //     visits every range-touching pair in O(M + M' + matches) with purely
-//     sequential memory access - the analyzer's default.
+//     sequential memory access - the analyzer's default. Pairs with a write
+//     go to a callback; read-read pairs are only counted.
 //   - QueryRange: an implicit-balanced-BST search over the sorted arrays
 //     (midpoint recursion + a subtree-max-hi column), O(log M + answer) per
 //     query - the fallback when one set is much smaller than the other, so
@@ -21,6 +22,7 @@
 //     full linear merge.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -77,14 +79,32 @@ class FrozenIntervalSet {
   std::vector<AccessNode> nodes_;
 };
 
-/// Enumerates every range-touching pair (ai, bi) between two frozen sets via
-/// a sort-merge sweep: both sets are walked once in ascending lo order; each
-/// start event scans the other side's active list, expiring dead intervals
-/// (amortized O(1) each) and emitting a pair for every survivor. Total cost
-/// O(|a| + |b| + matches), sequential. Pair emission order is deterministic
-/// but NOT grouped by either side - callers that need a canonical order must
-/// sort what they collect. Stops early and returns false if fn returns false.
-bool SweepMatchingPairs(const FrozenIntervalSet& a, const FrozenIntervalSet& b,
-                        FunctionRef<bool(uint32_t, uint32_t)> fn);
+/// Outcome of one SweepMatchingPairs call.
+struct SweepResult {
+  /// False when the sweep stopped early: fn returned false or `cancel` was
+  /// raised.
+  bool completed = false;
+  /// Range-touching read-read pairs: counted, never handed to fn. Partial
+  /// when the sweep did not complete.
+  uint64_t read_read_pairs = 0;
+};
+
+/// Sort-merge sweep over the range-touching pairs (ai, bi) of two frozen
+/// sets. Both sets are walked once in ascending lo order; each start event
+/// scans the other side's active lists, expiring dead intervals (amortized
+/// O(1) each). Every pair with at least one write (AccessKey::is_write) is
+/// emitted through fn exactly once; a read-read pair is never emitted - two
+/// reads cannot race - only counted into read_read_pairs. Each side keeps
+/// its writes and reads in separate active lists, so a read's start counts
+/// the other side's live reads in a tight pass with no callback. Total cost
+/// O(|a| + |b| + emitted + counted), sequential. Emission order is
+/// deterministic but NOT grouped by either side - callers that need a
+/// canonical order must sort what they collect. Stops early when fn returns
+/// false, or when `cancel` (if non-null) is found set; it is polled once per
+/// start event, so long read-only stretches stay interruptible.
+SweepResult SweepMatchingPairs(const FrozenIntervalSet& a,
+                               const FrozenIntervalSet& b,
+                               FunctionRef<bool(uint32_t, uint32_t)> fn,
+                               const std::atomic<bool>* cancel = nullptr);
 
 }  // namespace sword::itree

@@ -172,13 +172,21 @@ void CheckFrozenPair(const itree::FrozenIntervalSet& a,
     }
   } else {
     // Sweep: sort-merge both sets once; every range-touching pair surfaces
-    // in O(size(a) + size(b) + matches) with sequential access.
-    itree::SweepMatchingPairs(
-        outer, inner, [&](uint32_t outer_idx, uint32_t inner_idx) {
+    // in O(size(a) + size(b) + matches) with sequential access. Only pairs
+    // with a write reach Decide; read-read pairs, which Decide would drop at
+    // its first filter, are just counted - and only when the sweep ran to
+    // the end, so a stopped bucket never reports a partial count.
+    const itree::SweepResult sweep = itree::SweepMatchingPairs(
+        outer, inner,
+        [&](uint32_t outer_idx, uint32_t inner_idx) {
           if (Cancelled(limits)) return false;
           decider.Decide(outer.node(outer_idx), inner.node(inner_idx));
           return true;
-        });
+        },
+        limits.cancel);
+    if (stats && sweep.completed) {
+      stats->node_pairs_ranged += sweep.read_read_pairs;
+    }
   }
   decider.Emit(on_race);
 }

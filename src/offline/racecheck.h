@@ -16,6 +16,10 @@
 //   - CheckFrozenPair: the default path, a sort-merge sweep over two frozen
 //     flat sets (O(M + M' + matches), sequential memory), switching to
 //     galloping per-node queries when one set is much smaller.
+// The tree and gallop paths hand every range-touching pair to filter 1. The
+// sweep hands over only pairs with at least one write and merely counts the
+// read-read ones, which filter 1 would drop anyway; the count goes into
+// node_pairs_ranged, so the stats match the other paths exactly.
 // Both buffer each pair's reports and emit them in one canonical order with
 // exact duplicates suppressed, so the confirmed-race output is byte-for-byte
 // independent of which back end enumerated the pairs.
@@ -34,7 +38,7 @@
 namespace sword::offline {
 
 struct CheckStats {
-  uint64_t node_pairs_ranged = 0;   // pairs surviving the tree range query
+  uint64_t node_pairs_ranged = 0;   // range-touching pairs, read-read included
   uint64_t solver_calls = 0;        // general-engine intersection decisions
   uint64_t fastpath_hits = 0;       // closed-form intersection decisions
   uint64_t solver_bailouts = 0;     // queries whose step budget ran out
@@ -48,8 +52,11 @@ struct CheckLimits {
   /// query reports the node pair as an UNPROVEN race (sound: never dropped).
   uint64_t solver_step_budget = 0;
   /// When non-null and set (by the watchdog on a deadline/memory breach),
-  /// the comparison stops at the next node pair. Races already reported
-  /// stand; the bucket is accounted as governed in AnalysisStats.
+  /// the comparison stops at the next node pair (the sweep also polls it
+  /// per start event, so read-only stretches stop too). Races already
+  /// reported stand; read-read pairs a stopped sweep counted are not added
+  /// to node_pairs_ranged. The bucket is accounted as governed in
+  /// AnalysisStats.
   const std::atomic<bool>* cancel = nullptr;
   /// Try the closed-form fast paths before the general engine (exact; the
   /// verdicts and witnesses are engine-identical). Off by default so that
@@ -71,7 +78,8 @@ void CheckTreePair(const itree::IntervalTree& a, const itree::IntervalTree& b,
                    CheckStats* stats = nullptr, const CheckLimits& limits = {});
 
 /// Same contract as CheckTreePair, over frozen flat sets: the sort-merge
-/// sweep enumerates range-touching pairs in O(M + M' + matches); when one
+/// sweep enumerates range-touching pairs in O(M + M' + matches), deciding
+/// only those with a write and counting the read-read ones; when one
 /// set is >= 8x smaller it instead gallops - per-node O(log M) queries into
 /// the big set - so tiny-vs-huge comparisons don't pay a full linear merge.
 void CheckFrozenPair(const itree::FrozenIntervalSet& a,

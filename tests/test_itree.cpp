@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "common/rng.h"
 #include "itree/frozen_set.h"
@@ -373,9 +374,139 @@ TEST(SweepMatchingPairs, EarlyExitStopsEnumeration) {
   const bool completed = SweepMatchingPairs(a, b, [&](uint32_t, uint32_t) {
     pairs++;
     return pairs < 5;
-  });
+  }).completed;
   EXPECT_FALSE(completed);
   EXPECT_EQ(pairs, 5);
+}
+
+// --- The sweep over mixed access kinds: pairs with a write are emitted,
+// read-read pairs only counted. The nested loop over all index pairs is the
+// oracle for both.
+
+/// Like RandomTree, but each node is a write with probability `write_p`
+/// (plain or atomic, at random) and a read otherwise (plain or atomic).
+/// `lo_slots` > 0 draws bases from that many 8-byte slots, forcing lo ties.
+IntervalTree RandomMixedTree(Rng& rng, int nodes, uint64_t base_lo,
+                             uint64_t spread, double write_p,
+                             uint64_t lo_slots = 0, uint32_t first_pc = 0) {
+  IntervalTree tree;
+  for (int i = 0; i < nodes; i++) {
+    ilp::StridedInterval iv;
+    iv.base = base_lo + (lo_slots > 0 ? 8 * rng.Below(lo_slots)
+                                      : rng.Below(spread));
+    iv.stride = 8 * (1 + rng.Below(3));
+    iv.count = 1 + rng.Below(20);
+    iv.size = 1 + rng.Below(8);
+    uint8_t flags = rng.Chance(write_p) ? kWrite : kRead;
+    if (rng.Chance(0.25)) flags |= kAtomic;
+    tree.AddInterval(iv, Key(first_pc + static_cast<uint32_t>(i), flags));
+  }
+  return tree;
+}
+
+using IndexPairs = std::multiset<std::pair<uint32_t, uint32_t>>;
+
+/// Runs the sweep to completion and checks it against the nested loop:
+/// emitted pairs == touching pairs with a write, each exactly once, and the
+/// returned count == touching read-read pairs.
+void ExpectSweepMatchesOracle(const FrozenIntervalSet& a,
+                              const FrozenIntervalSet& b,
+                              const std::string& what) {
+  IndexPairs expected;
+  uint64_t expected_read_read = 0;
+  for (uint32_t i = 0; i < a.size(); i++) {
+    for (uint32_t j = 0; j < b.size(); j++) {
+      if (a.lo(i) > b.hi(j) || a.hi(i) < b.lo(j)) continue;
+      if (a.node(i).key.is_write() || b.node(j).key.is_write()) {
+        expected.insert({i, j});
+      } else {
+        expected_read_read++;
+      }
+    }
+  }
+  IndexPairs emitted;
+  const SweepResult result = SweepMatchingPairs(a, b, [&](uint32_t i, uint32_t j) {
+    emitted.insert({i, j});
+    return true;
+  });
+  EXPECT_TRUE(result.completed) << what;
+  EXPECT_EQ(emitted, expected) << what;
+  EXPECT_EQ(result.read_read_pairs, expected_read_read) << what;
+}
+
+TEST(SweepMatchingPairs, MixedKindsMatchNestedLoopOracle) {
+  Rng rng(717);
+  // Write probabilities per side, covering all-read and all-write sides.
+  const std::pair<double, double> mixes[] = {
+      {0.0, 0.0}, {1.0, 1.0}, {0.0, 1.0}, {1.0, 0.0},
+      {0.1, 0.1}, {0.5, 0.5}, {0.9, 0.2}, {0.0, 0.3}};
+  for (const auto& [pa, pb] : mixes) {
+    for (int trial = 0; trial < 6; trial++) {
+      const int na = 1 + static_cast<int>(rng.Below(120));
+      const int nb = 1 + static_cast<int>(rng.Below(120));
+      const uint64_t spread = 200 + rng.Below(20000);
+      const FrozenIntervalSet a(RandomMixedTree(rng, na, 100000, spread, pa));
+      const FrozenIntervalSet b(
+          RandomMixedTree(rng, nb, 100000 + rng.Below(spread), spread, pb));
+      ExpectSweepMatchesOracle(a, b, "write_p " + std::to_string(pa) + "/" +
+                                         std::to_string(pb) + " trial " +
+                                         std::to_string(trial));
+    }
+  }
+}
+
+TEST(SweepMatchingPairs, LoTiesBetweenReadsAndWrites) {
+  // Handcrafted: at every shared lo, each side has both a read and a write,
+  // in both insertion orders, with different lengths.
+  IntervalTree ta, tb;
+  uint32_t pc = 0;
+  for (uint64_t lo : {1000u, 1016u, 1032u}) {
+    ta.AddInterval({lo, 8, 2, 8}, Key(pc++, kRead));
+    ta.AddInterval({lo, 8, 4, 8}, Key(pc++, kWrite));
+    tb.AddInterval({lo, 8, 3, 8}, Key(pc++, kWrite));
+    tb.AddInterval({lo, 8, 1, 8}, Key(pc++, kRead));
+  }
+  ExpectSweepMatchesOracle(FrozenIntervalSet(ta), FrozenIntervalSet(tb),
+                           "handcrafted ties");
+  // Randomized: bases drawn from a few slots, so most los tie across and
+  // within sides.
+  Rng rng(818);
+  for (int trial = 0; trial < 30; trial++) {
+    const int na = 1 + static_cast<int>(rng.Below(60));
+    const int nb = 1 + static_cast<int>(rng.Below(60));
+    const FrozenIntervalSet a(
+        RandomMixedTree(rng, na, 5000, 0, 0.4, 1 + rng.Below(6)));
+    const FrozenIntervalSet b(
+        RandomMixedTree(rng, nb, 5000, 0, 0.4, 1 + rng.Below(6), 1000));
+    ExpectSweepMatchesOracle(a, b, "tie trial " + std::to_string(trial));
+  }
+}
+
+TEST(SweepMatchingPairs, LongIntervalSpanningTheOtherSide) {
+  Rng rng(919);
+  const IntervalTree others = RandomMixedTree(rng, 200, 100000, 50000, 0.3);
+  for (const uint8_t flags : {kRead, kWrite}) {
+    IntervalTree one;
+    one.AddInterval({99000, 0, 1, 60000}, Key(9999, flags));
+    const FrozenIntervalSet spanning(one), rest(others);
+    const std::string kind = flags == kWrite ? "write" : "read";
+    ExpectSweepMatchesOracle(spanning, rest, "long " + kind + " on a");
+    ExpectSweepMatchesOracle(rest, spanning, "long " + kind + " on b");
+  }
+}
+
+TEST(SweepMatchingPairs, MixedEarlyExitStopsAndEmitsOnlyWritePairs) {
+  Rng rng(1010);
+  const FrozenIntervalSet a(RandomMixedTree(rng, 150, 100000, 2000, 0.3));
+  const FrozenIntervalSet b(RandomMixedTree(rng, 150, 100000, 2000, 0.3));
+  int emitted = 0;
+  const SweepResult result = SweepMatchingPairs(a, b, [&](uint32_t i, uint32_t j) {
+    EXPECT_TRUE(a.node(i).key.is_write() || b.node(j).key.is_write());
+    emitted++;
+    return emitted < 7;
+  });
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(emitted, 7);
 }
 
 // --- StreamingSetBuilder: the decode-to-frozen path must reproduce

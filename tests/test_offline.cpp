@@ -1136,6 +1136,102 @@ TEST(CheckFrozenPair, CancelFlagStopsComparison) {
   EXPECT_EQ(emitted, 0u);
 }
 
+/// Two all-read sides of `n` nodes each in which every node overlaps every
+/// other: n*n read-read pairs, all of which the sweep only counts.
+void OverlappingReads(uint32_t n, IntervalTree* a, IntervalTree* b) {
+  for (uint32_t i = 0; i < n; i++) {
+    a->AddInterval({1000 + i * 8, 8, 4 * n, 8}, Key(1 + i, itree::kRead));
+    b->AddInterval({1004 + i * 8, 8, 4 * n, 8}, Key(1 + n + i, itree::kRead));
+  }
+}
+
+TEST(CheckFrozenPair, ReadReadPairsAreCountedNotDecided) {
+  MutexSetTable mutexes;
+  IntervalTree a, b;
+  OverlappingReads(200, &a, &b);
+  const itree::FrozenIntervalSet fa(a), fb(b);
+  CheckStats stats;
+  size_t emitted = 0;
+  CheckFrozenPair(fa, fb, mutexes, ilp::OverlapEngine::kDiophantine,
+                  [&](const RaceReport&) { emitted++; }, &stats);
+  EXPECT_EQ(stats.node_pairs_ranged, 200u * 200u);
+  EXPECT_EQ(stats.solver_calls + stats.fastpath_hits, 0u);
+  EXPECT_EQ(emitted, 0u);
+}
+
+TEST(CheckFrozenPair, CancelFlagStopsReadOnlyComparison) {
+  MutexSetTable mutexes;
+  IntervalTree a, b;
+  OverlappingReads(500, &a, &b);
+  const itree::FrozenIntervalSet fa(a), fb(b);
+  std::atomic<bool> cancel{true};  // cancelled before the first start event
+  CheckLimits limits;
+  limits.cancel = &cancel;
+  CheckStats stats;
+  size_t emitted = 0;
+  CheckFrozenPair(fa, fb, mutexes, ilp::OverlapEngine::kDiophantine,
+                  [&](const RaceReport&) { emitted++; }, &stats, limits);
+  EXPECT_EQ(stats.node_pairs_ranged, 0u);
+  EXPECT_EQ(emitted, 0u);
+}
+
+TEST(CheckFrozenPair, BreachFromWritePairCallbackStopsSweep) {
+  // A write pair at the front, then a long read-only stretch. The breach is
+  // raised from the first write-pair callback exactly as CheckFrozenPair's
+  // own callback would see it; the sweep must stop at its next start event
+  // and report itself incomplete, which is what keeps CheckFrozenPair from
+  // adding the partial read-read count.
+  IntervalTree a, b;
+  a.AddInterval({0, 0, 1, 8}, Key(1, itree::kWrite));
+  b.AddInterval({0, 0, 1, 8}, Key(2, itree::kWrite));
+  for (uint32_t i = 0; i < 100; i++) {
+    a.AddInterval({64 + i * 8, 8, 400, 8}, Key(10 + i, itree::kRead));
+    b.AddInterval({68 + i * 8, 8, 400, 8}, Key(200 + i, itree::kRead));
+  }
+  const itree::FrozenIntervalSet fa(a), fb(b);
+  std::atomic<bool> cancel{false};
+  size_t emitted = 0;
+  const itree::SweepResult sweep = itree::SweepMatchingPairs(
+      fa, fb,
+      [&](uint32_t, uint32_t) {
+        if (cancel.load()) return false;
+        emitted++;
+        cancel.store(true);
+        return true;
+      },
+      &cancel);
+  EXPECT_FALSE(sweep.completed);
+  EXPECT_EQ(emitted, 1u);
+  EXPECT_EQ(sweep.read_read_pairs, 0u);
+}
+
+TEST(CheckFrozenPair, BreachDuringReadOnlyStretchDropsPartialCount) {
+  // One write pair, then n*n read-read pairs - seconds of counting if the
+  // breach were ignored. A watchdog thread raises the breach as the
+  // comparison starts; whenever it lands, at most the write pair may have
+  // been decided and no partial read-read count may be added.
+  MutexSetTable mutexes;
+  IntervalTree a, b;
+  a.AddInterval({0, 0, 1, 8}, Key(100000, itree::kWrite));
+  b.AddInterval({0, 0, 1, 8}, Key(100001, itree::kWrite));
+  OverlappingReads(40000, &a, &b);
+  const itree::FrozenIntervalSet fa(a), fb(b);
+  std::atomic<bool> cancel{false};
+  std::atomic<bool> started{false};
+  std::thread watchdog([&] {
+    while (!started.load()) std::this_thread::yield();
+    cancel.store(true);
+  });
+  CheckLimits limits;
+  limits.cancel = &cancel;
+  CheckStats stats;
+  started.store(true);
+  CheckFrozenPair(fa, fb, mutexes, ilp::OverlapEngine::kDiophantine,
+                  [](const RaceReport&) {}, &stats, limits);
+  watchdog.join();
+  EXPECT_LE(stats.node_pairs_ranged, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // The persistent work-stealing pool.
 
