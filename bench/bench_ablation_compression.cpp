@@ -1,11 +1,13 @@
 // Reproduces SIII-A's codec comparison: the paper tried LZO, Snappy, and
 // LZ4, found "similar performance and compression ratios", and shipped LZO.
-// Here the raw / rle / lzs codecs compress real trace corpora (collected
-// from representative workloads) and a synthetic worst case; the bench
-// reports throughput and ratio per codec, plus end-to-end collection time
-// per codec on a live workload.
+// Here the raw / rle / lzs / lzf codecs compress a real trace corpus
+// (collected from a representative workload) and a synthetic worst case
+// (seeded random bytes); the bench reports throughput, codec ratio and
+// on-disk ratio (through WriteFrame's raw fallback) per codec, plus
+// end-to-end collection time per codec on the live workload.
 #include "bench/bench_util.h"
 #include "common/fsutil.h"
+#include "common/rng.h"
 #include "compress/compressor.h"
 #include "compress/frame.h"
 #include "osl/label.h"
@@ -46,38 +48,73 @@ int main() {
       corpus.insert(corpus.end(), view.data.begin(), view.data.end());
     }
   }
-  std::printf("trace corpus: %s of raw events from %s\n\n",
+  std::printf("trace corpus: %s of raw events from %s\n",
               FormatBytes(corpus.size()).c_str(), w.name.c_str());
 
-  TextTable table({"codec", "ratio", "compress MB/s", "decompress MB/s",
-                   "end-to-end collection"});
+  // The synthetic worst case: seeded random bytes no codec can shrink.
+  Rng rng(0x5eed);
+  Bytes noise(1 << 20);
+  for (auto& b : noise) b = static_cast<uint8_t>(rng.Next());
+  std::printf("incompressible corpus: %s of seeded random bytes\n\n",
+              FormatBytes(noise.size()).c_str());
+
+  // On-disk bytes when `data` is flushed as 2 MB buffers (the trace
+  // writer's default) through WriteFrame, which stores raw what the codec
+  // cannot shrink.
+  auto framed_bytes = [](const Compressor& codec, const Bytes& data) {
+    constexpr size_t kBuffer = 2 << 20;
+    uint64_t total = 0;
+    Bytes frame;
+    for (size_t at = 0; at < data.size(); at += kBuffer) {
+      frame.clear();
+      (void)WriteFrame(codec, data.data() + at, std::min(kBuffer, data.size() - at),
+                       &frame);
+      total += frame.size();
+    }
+    return total;
+  };
+
+  TextTable table({"corpus", "codec", "codec ratio", "on-disk ratio", "compress MB/s",
+                   "decompress MB/s", "end-to-end collection"});
   double best_ratio = 1.0;
+  bool frames_bounded = true;
 
-  for (const auto& name : CompressorNames()) {
-    const Compressor* codec = FindCompressor(name);
-    Bytes compressed;
-    Timer ct;
-    (void)codec->Compress(corpus.data(), corpus.size(), &compressed);
-    const double compress_s = ct.ElapsedSeconds();
-    Bytes out;
-    Timer dt;
-    (void)codec->Decompress(compressed.data(), compressed.size(), corpus.size(), &out);
-    const double decompress_s = dt.ElapsedSeconds();
+  for (const bool synthetic : {false, true}) {
+    const Bytes& data = synthetic ? noise : corpus;
+    const uint64_t raw_framed = framed_bytes(*FindCompressor("raw"), data);
+    for (const auto& name : CompressorNames()) {
+      const Compressor* codec = FindCompressor(name);
+      Bytes compressed;
+      Timer ct;
+      (void)codec->Compress(data.data(), data.size(), &compressed);
+      const double compress_s = ct.ElapsedSeconds();
+      Bytes out;
+      Timer dt;
+      (void)codec->Decompress(compressed.data(), compressed.size(), data.size(), &out);
+      const double decompress_s = dt.ElapsedSeconds();
 
-    const double mb = static_cast<double>(corpus.size()) / (1 << 20);
-    const double ratio = static_cast<double>(corpus.size()) /
-                         std::max<size_t>(1, compressed.size());
-    best_ratio = std::max(best_ratio, ratio);
+      const double mb = static_cast<double>(data.size()) / (1 << 20);
+      const double ratio = static_cast<double>(data.size()) /
+                           std::max<size_t>(1, compressed.size());
+      const uint64_t framed = framed_bytes(*codec, data);
+      frames_bounded = frames_bounded && framed <= raw_framed;
+      if (!synthetic) best_ratio = std::max(best_ratio, ratio);
 
-    // End-to-end: collection time with this codec on the live workload.
-    harness::RunConfig config = base_config;
-    config.codec = name;
-    config.trace_dir = "";
-    const auto r = harness::RunWorkload(w, config);
+      // End-to-end: collection time with this codec on the live workload.
+      std::string collection = "-";
+      if (!synthetic) {
+        harness::RunConfig config = base_config;
+        config.codec = name;
+        config.trace_dir = "";
+        collection = FormatSeconds(harness::RunWorkload(w, config).dynamic_seconds);
+      }
 
-    table.AddRow({name, FmtX(ratio, 1), Fmt(mb / std::max(compress_s, 1e-9), 0),
-                  Fmt(mb / std::max(decompress_s, 1e-9), 0),
-                  FormatSeconds(r.dynamic_seconds)});
+      const double disk_ratio =
+          static_cast<double>(data.size()) / static_cast<double>(framed);
+      table.AddRow({synthetic ? "random" : w.name, name, FmtX(ratio, 2),
+                    FmtX(disk_ratio, 2), Fmt(mb / std::max(compress_s, 1e-9), 0),
+                    Fmt(mb / std::max(decompress_s, 1e-9), 0), collection});
+    }
   }
 
   table.Print();
@@ -143,6 +180,9 @@ int main() {
   std::printf("\n");
 
   Check(best_ratio > 2.0, "the LZ-class codec compresses trace data > 2x");
+  Check(frames_bounded,
+        "no codec's frames exceed raw size plus the frame header, random bytes "
+        "included (WriteFrame stores what a codec cannot shrink as raw)");
   Check(v3_bytes_per_event * 2 < v2_bytes_per_event,
         "v3 coalescing+filtering halves bytes/event before the codec (" +
             Fmt(v3_bytes_per_event, 3) + " vs " + Fmt(v2_bytes_per_event, 3) + ")");

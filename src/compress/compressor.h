@@ -2,12 +2,16 @@
 //
 // The paper flushes each thread's full trace buffer through a compressor
 // before writing it to the log file, and reports that LZO, Snappy, and LZ4
-// performed interchangeably (SWORD shipped LZO). This repo substitutes three
+// performed interchangeably (SWORD shipped LZO). This repo substitutes four
 // from-scratch codecs behind the same interface:
 //   raw  - identity (the "compression off" baseline)
 //   rle  - byte-level run-length encoding
-//   lzs  - LZ77-style with a hash-chain match finder (the default, standing
-//          in for LZO-class codecs)
+//   lzs  - LZ77-style with a hash-chain match finder (standing in for
+//          LZO-class codecs)
+//   lzf  - greedy single-probe LZ emitting lzs's token stream (the default,
+//          standing in for LZ4/Snappy-class codecs)
+// Whatever the configured codec, WriteFrame (compress/frame.h) stores a
+// buffer the codec cannot shrink as a raw frame.
 // bench_ablation_compression reproduces the paper's codec comparison.
 #pragma once
 
@@ -37,7 +41,7 @@ class Compressor {
  public:
   virtual ~Compressor() = default;
 
-  /// Stable codec name used in the frame header ("raw", "rle", "lzs").
+  /// Stable codec name used in the frame header ("raw", "rle", "lzs", "lzf").
   virtual const char* Name() const = 0;
 
   /// Compresses `input` appending to `out` (which is not cleared). `scratch`
@@ -45,7 +49,8 @@ class Compressor {
   virtual Status Compress(const uint8_t* input, size_t n, Bytes* out,
                           CompressScratch* scratch = nullptr) const = 0;
 
-  /// Decompresses exactly `decompressed_size` bytes into `out`.
+  /// Decompresses exactly `decompressed_size` bytes, appending them to `out`
+  /// (which is not cleared). Malformed input returns kCorruptData.
   virtual Status Decompress(const uint8_t* input, size_t n, size_t decompressed_size,
                             Bytes* out) const = 0;
 };

@@ -1,5 +1,7 @@
 #include "compress/frame.h"
 
+#include "compress/codecs.h"
+
 namespace sword {
 namespace {
 
@@ -72,16 +74,22 @@ Status WriteFrame(const Compressor& codec, const uint8_t* data, size_t n, Bytes*
   Bytes& payload = scratch ? scratch->payload : local_payload;
   payload.clear();
   SWORD_RETURN_IF_ERROR(codec.Compress(data, n, &payload, scratch));
+  // A payload the codec could not shrink is worth less than the input
+  // itself: store the input under the identity codec instead.
+  const bool stored = payload.size() >= n;
+  const char* name = stored ? GetRawCompressor()->Name() : codec.Name();
+  const uint8_t* bytes = stored ? data : payload.data();
+  const size_t size = stored ? n : payload.size();
 
   ByteWriter w(out);
   w.PutU32(payload_format == 1   ? kFrameMagic
            : payload_format == 2 ? kFrameMagicV2
                                  : kFrameMagicV3);
-  w.PutString(codec.Name());
+  w.PutString(name);
   w.PutVarU64(n);
-  w.PutVarU64(payload.size());
-  w.PutU64(Fnv1a64(payload.data(), payload.size()));
-  w.PutRaw(payload.data(), payload.size());
+  w.PutVarU64(size);
+  w.PutU64(Fnv1a64(bytes, size));
+  w.PutRaw(bytes, size);
   return Status::Ok();
 }
 

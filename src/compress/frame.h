@@ -50,10 +50,12 @@ constexpr uint32_t kFrameMagicCrash = 0x53574352;
 constexpr uint64_t kMaxFrameRawBytes = 64ull << 20;
 
 /// Compresses `data` with `codec` and appends a complete frame to `out`.
-/// `payload_format` selects the magic (1, 2, or 3). `scratch` optionally
-/// provides reusable compression staging (see CompressScratch): the
-/// compressed payload is built in scratch->payload instead of a fresh
-/// allocation.
+/// When the codec's payload is not smaller than `n`, the frame stores `data`
+/// under the "raw" codec instead, so a frame never costs more than the input
+/// plus its header. `payload_format` selects the magic (1, 2, or 3).
+/// `scratch` optionally provides reusable compression staging (see
+/// CompressScratch): the compressed payload is built in scratch->payload
+/// instead of a fresh allocation.
 Status WriteFrame(const Compressor& codec, const uint8_t* data, size_t n, Bytes* out,
                   uint8_t payload_format = 1, CompressScratch* scratch = nullptr);
 

@@ -11,12 +11,21 @@ namespace {
 // lzs, so the two share a decoder:
 //   literal token:  0x00 | varint(len) | bytes
 //   match token:    0x01 | varint(len) varint(dist)
-// Trace buffers (16-byte periodic records) compress ~3-4x at several
-// hundred MB/s, which is what keeps SWORD's flush cost below the HB
-// baseline's per-access checking cost.
+// How far it shrinks a trace depends on the workload: regular kernels'
+// buffers compress by orders of magnitude, irregular ones (graph searches)
+// barely at all.
+//
+// Give-up rule: every kGiveUpStride input bytes the encoder compares what the
+// stream costs so far (tokens written plus the pending literal run) with the
+// input consumed. If the stream has grown larger, the rest of the input goes
+// out as one literal token and encoding stops, so incompressible buffers cost
+// one stride of matching plus a memcpy. The rule depends only on the input,
+// so re-encoding a buffer reproduces its stream byte for byte; WriteFrame
+// then stores such a buffer as a raw frame.
 class LzfCompressor final : public Compressor {
  public:
   static constexpr size_t kMinMatch = 4;
+  static constexpr size_t kGiveUpStride = 16 << 10;
   static constexpr size_t kHashBits = 13;
   static constexpr size_t kHashSize = 1u << kHashBits;
   static constexpr uint32_t kNoPos = 0xffffffffu;
@@ -29,6 +38,8 @@ class LzfCompressor final : public Compressor {
     ByteWriter w(out);
     if (n == 0) return Status::Ok();
     out->reserve(out->size() + n / 2 + 64);
+    const size_t out_start = out->size();
+    size_t next_check = kGiveUpStride;
 
     uint32_t table[kHashSize];
     std::memset(table, 0xff, sizeof(table));
@@ -46,6 +57,13 @@ class LzfCompressor final : public Compressor {
     };
 
     while (i + kMinMatch <= n) {
+      if (i >= next_check) {
+        // The tokens written cover input [0, literal_start) and the pending
+        // literals will cost at least their own length, so written bytes
+        // beyond literal_start mean the stream already outgrew the input.
+        if (out->size() - out_start > literal_start) break;
+        next_check = i + kGiveUpStride;
+      }
       const uint32_t h = Hash(input + i);
       const uint32_t cand = table[h];
       table[h] = static_cast<uint32_t>(i);

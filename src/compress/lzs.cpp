@@ -5,8 +5,10 @@
 namespace sword {
 namespace {
 
-// LZ77-style codec with a hash-chain match finder; this is the default trace
-// codec, standing in for the LZO-class libraries the paper evaluated.
+// LZ77-style codec with a hash-chain match finder, standing in for the
+// LZO-class libraries the paper evaluated. It trades encode speed for ratio;
+// the default trace codec is lzf, which emits the same token stream and
+// decodes through this class's decoder.
 //
 // Token stream format:
 //   literal token:  0x00 | varint(len)        then `len` literal bytes
@@ -98,44 +100,88 @@ class LzsCompressor final : public Compressor {
 
   Status Decompress(const uint8_t* input, size_t n, size_t decompressed_size,
                     Bytes* out) const override {
+    // The output is sized once; literals and matches are then copied with
+    // memcpy through raw pointers. On error `out` is restored to its size on
+    // entry, so a failed decode never leaves partial bytes behind.
     const size_t start = out->size();
-    ByteReader r(input, n);
-    while (!r.AtEnd()) {
-      uint8_t tag;
-      SWORD_RETURN_IF_ERROR(r.GetU8(&tag));
-      if (tag == 0x00) {
-        uint64_t len;
-        SWORD_RETURN_IF_ERROR(r.GetVarU64(&len));
-        if (r.remaining() < len) return Status::Corrupt("lzs: truncated literals");
-        if (out->size() - start + len > decompressed_size) {
-          return Status::Corrupt("lzs: literal overruns declared size");
-        }
-        out->insert(out->end(), r.cursor(), r.cursor() + len);
-        SWORD_RETURN_IF_ERROR(r.Skip(len));
-      } else if (tag == 0x01) {
-        uint64_t len, dist;
-        SWORD_RETURN_IF_ERROR(r.GetVarU64(&len));
-        SWORD_RETURN_IF_ERROR(r.GetVarU64(&dist));
-        const size_t produced = out->size() - start;
-        if (dist == 0 || dist > produced) return Status::Corrupt("lzs: bad distance");
-        if (produced + len > decompressed_size) {
-          return Status::Corrupt("lzs: match overruns declared size");
-        }
-        // Byte-by-byte copy: overlapping matches (dist < len) replicate, which
-        // is the RLE-like case.
-        size_t src = out->size() - dist;
-        for (uint64_t k = 0; k < len; k++) out->push_back((*out)[src + k]);
-      } else {
-        return Status::Corrupt("lzs: unknown token tag");
-      }
-    }
-    if (out->size() - start != decompressed_size) {
-      return Status::Corrupt("lzs: output size mismatch");
-    }
-    return Status::Ok();
+    out->resize(start + decompressed_size);
+    const Status status = DecodeTokens(input, n, out->data() + start, decompressed_size);
+    if (!status.ok()) out->resize(start);
+    return status;
   }
 
  private:
+  /// Decodes the token stream into exactly `size` bytes at `base`.
+  static Status DecodeTokens(const uint8_t* ip, size_t n, uint8_t* base, size_t size) {
+    const uint8_t* const iend = ip + n;
+    uint8_t* op = base;
+    uint8_t* const oend = base + size;
+    while (ip < iend) {
+      const uint8_t tag = *ip++;
+      if (tag != 0x00 && tag != 0x01) return Status::Corrupt("lzs: unknown token tag");
+      uint64_t len;
+      if (!ReadVarint(&ip, iend, &len)) return Status::Corrupt("lzs: truncated varint");
+      if (tag == 0x00) {
+        if (len > static_cast<size_t>(iend - ip)) {
+          return Status::Corrupt("lzs: truncated literals");
+        }
+        if (len > static_cast<size_t>(oend - op)) {
+          return Status::Corrupt("lzs: literal overruns declared size");
+        }
+        if (len != 0) std::memcpy(op, ip, len);
+        op += len;
+        ip += len;
+      } else {
+        uint64_t dist;
+        if (!ReadVarint(&ip, iend, &dist)) {
+          return Status::Corrupt("lzs: truncated varint");
+        }
+        if (dist == 0 || dist > static_cast<size_t>(op - base)) {
+          return Status::Corrupt("lzs: bad distance");
+        }
+        if (len > static_cast<size_t>(oend - op)) {
+          return Status::Corrupt("lzs: match overruns declared size");
+        }
+        CopyMatch(op, dist, len);
+        op += len;
+      }
+    }
+    if (op != oend) return Status::Corrupt("lzs: output size mismatch");
+    return Status::Ok();
+  }
+
+  /// LEB128 varint, same rules as ByteReader::GetVarU64: at most 64 bits of
+  /// shift, fails when the input ends mid-varint.
+  static bool ReadVarint(const uint8_t** ip, const uint8_t* iend, uint64_t* v) {
+    uint64_t r = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      if (*ip == iend) return false;
+      const uint8_t byte = *(*ip)++;
+      r |= static_cast<uint64_t>(byte & 0x7f) << shift;
+      if (!(byte & 0x80)) {
+        *v = r;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Copies `len` bytes from `dist` bytes back. When the source overlaps the
+  /// destination (dist < len) the match repeats a period of `dist` bytes;
+  /// each memcpy then copies everything produced so far since the source
+  /// start, which doubles the period, so no single copy overlaps itself.
+  static void CopyMatch(uint8_t* op, size_t dist, size_t len) {
+    const uint8_t* src = op - dist;
+    size_t chunk = dist;
+    while (len > chunk) {
+      std::memcpy(op, src, chunk);
+      op += chunk;
+      len -= chunk;
+      chunk = static_cast<size_t>(op - src);
+    }
+    std::memcpy(op, src, len);
+  }
+
   static uint32_t Hash(const uint8_t* p) {
     uint32_t v;
     std::memcpy(&v, p, 4);
