@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the performance-critical components:
-// per-access costs (trace append, shadow check), interval-tree operations,
-// OSL judgments, Diophantine/ILP solves, codec throughput, and vector-clock
-// joins. These are the constants behind every macro number in the tables.
+// per-access costs (trace append, shadow check), summary operations
+// (StreamingSetBuilder appends, frozen-set queries), OSL judgments,
+// Diophantine/ILP solves, codec throughput, and vector-clock joins. These are the constants behind every macro number in the tables.
 //
 // Three modes:
 //   (default)            the google-benchmark suite below
@@ -36,7 +36,8 @@
 #include "hb/vectorclock.h"
 #include "ilp/diophantine.h"
 #include "ilp/overlap.h"
-#include "itree/interval_tree.h"
+#include "itree/frozen_set.h"
+#include "itree/streaming_builder.h"
 #include "osl/label.h"
 #include "somp/instr.h"
 #include "somp/runtime.h"
@@ -300,14 +301,14 @@ void BM_ShadowProcessAccess(benchmark::State& state) {
 BENCHMARK(BM_ShadowProcessAccess);
 
 void BM_ItreeAddAccessSummarizing(benchmark::State& state) {
-  itree::IntervalTree tree;
+  itree::StreamingSetBuilder builder;
   itree::AccessKey key;
   key.pc = 1;
   key.flags = itree::kWrite;
   key.size = 8;
   uint64_t addr = 0x100000;
   for (auto _ : state) {
-    tree.AddAccess(addr, key);
+    builder.AddAccess(addr, key);
     addr += 8;
   }
   state.SetItemsProcessed(state.iterations());
@@ -315,31 +316,39 @@ void BM_ItreeAddAccessSummarizing(benchmark::State& state) {
 BENCHMARK(BM_ItreeAddAccessSummarizing);
 
 void BM_ItreeAddAccessScattered(benchmark::State& state) {
-  itree::IntervalTree tree;
+  itree::StreamingSetBuilder builder;
   Rng rng(3);
   for (auto _ : state) {
     itree::AccessKey key;
     key.pc = static_cast<uint32_t>(rng.Below(64));
     key.flags = itree::kWrite;
     key.size = 8;
-    tree.AddAccess(0x100000 + rng.Below(1 << 24) * 8, key);
+    builder.AddAccess(0x100000 + rng.Below(1 << 24) * 8, key);
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ItreeAddAccessScattered);
 
 void BM_ItreeQuery(benchmark::State& state) {
-  itree::IntervalTree tree;
   Rng rng(5);
   itree::AccessKey key;
   key.pc = 1;
+  std::vector<itree::AccessNode> nodes;
   for (int i = 0; i < 100000; i++) {
-    tree.AddInterval({0x100000 + rng.Below(1 << 24), 8, 1 + rng.Below(16), 8}, key);
+    const ilp::StridedInterval iv{0x100000 + rng.Below(1 << 24), 8,
+                                  1 + rng.Below(16), 8};
+    nodes.push_back({iv, key, iv.count});
   }
+  std::stable_sort(nodes.begin(), nodes.end(),
+                   [](const itree::AccessNode& l, const itree::AccessNode& r) {
+                     return l.interval.lo() < r.interval.lo();
+                   });
+  const itree::FrozenIntervalSet set =
+      itree::FrozenIntervalSet::FromSorted(std::move(nodes));
   for (auto _ : state) {
     const uint64_t lo = 0x100000 + rng.Below(1 << 24);
     uint64_t found = 0;
-    tree.QueryRange(lo, lo + 256, [&](const itree::AccessNode&) {
+    set.QueryRange(lo, lo + 256, [&](uint32_t) {
       found++;
       return true;
     });

@@ -11,6 +11,9 @@ per bench:
                (tolerance 0.75 == the ">25% regression" gate)
   exact_min    machine-independent metrics (ratios, coverage); fail when
                current < floor, no tolerance
+  exact_max    machine-independent metrics that must not grow (exactly
+               accounted byte peaks); fail when current > ceiling, no
+               tolerance
   require_true booleans that must be true (e.g. byte-identical race sets)
 
 Exit status 0 when every gate passes, 1 otherwise. Stdlib only."""
@@ -58,6 +61,14 @@ def main(argv):
                 failures.append(f"{name}.{metric}: {cur} < {floor:g}")
             else:
                 print(f"ok {name}.{metric}: {cur:g} >= {floor:g}")
+
+        for metric, ceiling in gates.get("exact_max", {}).items():
+            cur = result.get(metric)
+            checked += 1
+            if cur is None or cur > ceiling:
+                failures.append(f"{name}.{metric}: {cur} > {ceiling:g}")
+            else:
+                print(f"ok {name}.{metric}: {cur:g} <= {ceiling:g}")
 
         for metric in gates.get("require_true", []):
             cur = result.get(metric)

@@ -3,7 +3,7 @@
 // FunctionRef<R(Args...)> is a two-word (object pointer + trampoline) view of
 // any callable. Unlike std::function it never allocates and never copies the
 // target, which makes it suitable for per-event / per-pair hot loops such as
-// offline::CheckTreePair and trace::LogReader::StreamRange where a capturing
+// itree::SweepMatchingPairs and trace::LogReader::StreamRange where a capturing
 // lambda is invoked millions of times: the callee receives the caller's
 // lambda by reference at zero setup cost.
 //

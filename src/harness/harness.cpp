@@ -185,8 +185,6 @@ RunResult RunWorkload(const workloads::Workload& workload, const RunConfig& conf
         offline::AnalysisConfig ac;
         ac.engine = config.engine;
         ac.threads = config.offline_threads;
-        ac.use_stream = config.stream_offline;
-        ac.use_symbolic = config.symbolic_offline;
         ac.use_dedup = config.dedup_offline;
         if (config.journal_offline) {
           ac.journal_path = dir + "/sword_analysis_0of1.journal";

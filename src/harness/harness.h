@@ -51,8 +51,6 @@ struct RunConfig {
   uint32_t offline_threads = 1;
   ilp::OverlapEngine engine = ilp::OverlapEngine::kDiophantine;
   bool journal_offline = false;        // checkpoint each analysis bucket
-  bool stream_offline = true;          // decoder-to-frozen streaming build
-  bool symbolic_offline = true;        // symbolic strided-run intervals
   bool dedup_offline = true;           // repeated-subtrace memoization
   std::string trace_dir;               // empty = fresh temp dir per run
 

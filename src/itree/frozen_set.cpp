@@ -5,22 +5,6 @@
 
 namespace sword::itree {
 
-FrozenIntervalSet::FrozenIntervalSet(const IntervalTree& tree) {
-  const size_t n = tree.NodeCount();
-  lo_.reserve(n);
-  hi_.reserve(n);
-  nodes_.reserve(n);
-  // ForEach is the tree's in-order walk: ascending lo, insertion-stable on
-  // ties. The columns come out sorted for free - no sort pass needed.
-  tree.ForEach([this](const AccessNode& node) {
-    lo_.push_back(node.interval.lo());
-    hi_.push_back(node.interval.hi());
-    nodes_.push_back(node);
-  });
-  max_hi_.resize(nodes_.size());
-  if (!nodes_.empty()) BuildMaxHi(0, nodes_.size());
-}
-
 FrozenIntervalSet FrozenIntervalSet::FromSorted(std::vector<AccessNode> sorted) {
   FrozenIntervalSet set;
   const size_t n = sorted.size();
@@ -58,8 +42,8 @@ bool FrozenIntervalSet::QueryRecurse(size_t l, size_t r, uint64_t query_lo,
                                      FunctionRef<bool(uint32_t)>& fn) const {
   if (l >= r) return true;
   const size_t mid = l + (r - l) / 2;
-  // Same pruning rule as the pointer tree: if nothing in this subtree ends
-  // at or after query_lo, no interval here can touch the query.
+  // Interval-tree pruning: if nothing in this subtree ends at or after
+  // query_lo, no interval here can touch the query.
   if (max_hi_[mid] < query_lo) return true;
   if (!QueryRecurse(l, mid, query_lo, query_hi, fn)) return false;
   if (lo_[mid] <= query_hi) {

@@ -1,14 +1,14 @@
 // Frozen flat interval sets: the immutable, cache-resident comparison form
-// of a summarized interval tree.
+// of one (thread, label) group's summarized accesses.
 //
 // Construction and comparison have opposite access patterns. Building wants
-// O(log N) insertion with stable handles, which the red-black IntervalTree
-// provides; comparison wants sequential scans over sorted data, which a
-// pointer-linked tree cannot. So once a (thread, label) tree is fully built,
-// the analyzer freezes it: one in-order walk copies the nodes into sorted
-// flat arrays (structure-of-arrays: a `lo` column, a `hi` column, and the
-// payload column), and every subsequent tree-vs-tree comparison runs on the
-// frozen form only. The RB-tree is never touched again.
+// cheap appends with stable node ids, which itree::StreamingSetBuilder
+// provides; comparison wants sequential scans over sorted data. So once a
+// group's summary is final, the analyzer freezes it (StreamingSetBuilder::
+// Freeze, which hands its merged node order to FromSorted) into sorted flat
+// arrays - structure-of-arrays: a `lo` column, a `hi` column, and the
+// payload column - and every subsequent summary-vs-summary comparison runs
+// on the frozen form only.
 //
 // Two enumeration primitives cover the comparison shapes:
 //   - SweepMatchingPairs: a sort-merge sweep over two frozen sets that
@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "common/function_ref.h"
-#include "itree/interval_tree.h"
+#include "itree/access.h"
 
 namespace sword::itree {
 
@@ -35,21 +35,16 @@ class FrozenIntervalSet {
  public:
   FrozenIntervalSet() = default;
 
-  /// Freezes `tree`: one in-order walk, O(M) time and memory. The frozen set
-  /// is an independent copy - the tree may be discarded afterwards.
-  explicit FrozenIntervalSet(const IntervalTree& tree);
-
-  /// Builds directly from nodes already in frozen order (ascending first
-  /// byte, creation-stable on ties) - the streaming builder's Freeze() path,
-  /// which never materializes a tree. Byte-identical (columns, capacities,
-  /// MemoryBytes) to freezing the equivalent tree.
+  /// Builds from nodes already in frozen order (ascending first byte,
+  /// creation-stable on ties) - the streaming builder's Freeze() path. Every
+  /// column is reserved to exactly `sorted.size()`, so MemoryBytes depends
+  /// on the node count alone.
   static FrozenIntervalSet FromSorted(std::vector<AccessNode> sorted);
 
   size_t size() const { return nodes_.size(); }
   bool Empty() const { return nodes_.empty(); }
 
-  /// Nodes are indexed in ascending `lo` order (ties keep the tree's stable
-  /// in-order position).
+  /// Nodes are indexed in ascending `lo` order (ties keep creation order).
   const AccessNode& node(size_t i) const { return nodes_[i]; }
   uint64_t lo(size_t i) const { return lo_[i]; }
   uint64_t hi(size_t i) const { return hi_[i]; }
@@ -58,8 +53,8 @@ class FrozenIntervalSet {
   /// [query_lo, query_hi], in ascending index (= lo) order. Stops early and
   /// returns false if fn returns false. O(log M + answer) via the implicit
   /// balanced-BST layout: node = midpoint of its index range, augmented with
-  /// the subtree max-hi, exactly the IntervalTree's pruning rule but over
-  /// flat arrays instead of pointer-linked nodes.
+  /// the subtree max-hi, the classic augmented interval-tree pruning rule
+  /// over flat arrays instead of pointer-linked nodes.
   bool QueryRange(uint64_t query_lo, uint64_t query_hi,
                   FunctionRef<bool(uint32_t)> fn) const;
 

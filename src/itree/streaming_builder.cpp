@@ -62,7 +62,8 @@ uint32_t StreamingSetBuilder::AddAccess(uint64_t addr, const AccessKey& key) {
   return ks->shared ? AddShared(addr, key, *ks) : AddSolo(addr, key, *ks);
 }
 
-// The tree's four branches, evaluated on the solo node's implied entries.
+// The four summarization branches, evaluated on the solo node's implied
+// entries.
 uint32_t StreamingSetBuilder::AddSolo(uint64_t addr, const AccessKey& key,
                                       KeySlot& ks) {
   const uint32_t id = ks.id;
@@ -89,8 +90,9 @@ uint32_t StreamingSetBuilder::AddSolo(uint64_t addr, const AccessKey& key,
   }
 
   // 4. The key's second node. The solo node's entries go in first, so the
-  // new node's emplaces lose any collision with them, as in the tree. A solo
-  // single stops being the open single here (the tree erases it in branch 3).
+  // new node's emplaces lose any collision with them, as if they had been
+  // stored all along. A solo single stops being the open single here (a
+  // descending access clears the open single in branch 3).
   ks.shared = true;
   const uint64_t next = NextAddr(iv);
   const uint64_t last = LastAddr(iv);
@@ -121,8 +123,7 @@ uint32_t StreamingSetBuilder::AddShared(uint64_t addr, const AccessKey& key,
     EraseIfMapsTo(last_addr_, LastAddr(iv), key, id);
     if (iv.count == 1) {
       // This continuation was registered at base+size (unit element walk).
-      // Like the tree, this clears the key's open single whichever node it
-      // names.
+      // This clears the key's open single whichever node it names.
       iv.stride = addr - iv.base;
       iv.count = 2;
       ks.open = kNil;
@@ -230,9 +231,9 @@ uint64_t StreamingSetBuilder::MemoryBytes() const {
 FrozenIntervalSet StreamingSetBuilder::Freeze() const {
   // Sort the spill by (first byte, creation id) and merge with the main
   // sequence, which is already sorted by that pair (first bytes are
-  // non-decreasing by construction, ids by append order). The merged order
-  // equals the RB-tree's in-order walk: the tree keys on first byte, breaks
-  // ties to the right (= creation order), and first bytes never change.
+  // non-decreasing by construction, ids by append order). First bytes never
+  // change after creation, so the merge is sorted by (first byte, creation
+  // order) - a balanced tree's in-order walk with ties broken to the right.
   std::vector<uint32_t> sorted_spill = spill_;
   auto less = [this](uint32_t a, uint32_t b) {
     const uint64_t la = nodes_[a].interval.lo();

@@ -1,15 +1,22 @@
-// Streaming decode-to-frozen builder: FrozenIntervalSet construction
-// directly from decoder output, skipping the red-black tree entirely.
+// Streaming decode-to-frozen builder: the analyzer's summarizer. It turns a
+// (thread, label) group's decoded events into the group's
+// FrozenIntervalSet (paper SIII-B: the per-interval interval tree).
 //
-// The offline analyzer only ever compares FROZEN sets; the RB-tree's one
-// remaining job on the hot path would be to hand the freeze a sorted node
-// sequence. But segments close at barriers, and once a segment is finished
-// its node set is final - so the sort can be had far cheaper than O(log N)
-// balanced insertion per node. This builder summarizes exactly as
-// IntervalTree::AddAccess/AddRun do (same branch order: last-address fold,
-// continuation, open-single stride adoption, fresh node; same node ids, hit
-// counts and interval shapes) over a flat creation-ordered arena, and tracks
-// sortedness instead of maintaining it:
+// Summarization. Each access is folded by the first branch that applies:
+//   1. it repeats the most recent address of a run with its key: hits++;
+//   2. it is exactly the next element of a run with its key: the run grows;
+//   3. the key's most recent single-access node (its "open single") lies
+//      below it: that node adopts stride = addr - base and becomes a run;
+//   4. otherwise a fresh single-access node is created.
+// These are the rules of the paper's red-black interval tree; the reference
+// implementation in tests/oracle/interval_tree.h applies them with balanced
+// insertion, and the property tests require the two to produce the same
+// node ids, hit counts and interval shapes.
+//
+// Segments close at barriers, and once a segment is finished its node set is
+// final - so the sorted order the comparison needs can be had far cheaper
+// than O(log N) balanced insertion per node. The builder keeps a flat
+// creation-ordered arena and tracks sortedness instead of maintaining it:
 //
 //   - a node whose first byte is >= the previous appended node's first byte
 //     extends the sorted main sequence in O(1) (the overwhelmingly common
@@ -17,11 +24,10 @@
 //   - an out-of-order node goes to a small spill buffer.
 //
 // Freeze() sorts the spill (typically tiny) and merges it with the main
-// sequence by (first byte, creation id) - provably the tree's in-order
-// sequence, because a node's first byte NEVER changes after creation
-// (continuations extend stride/count/hi only; a descending access starts a
-// new node) and the tree breaks first-byte ties toward the right, i.e. in
-// creation order.
+// sequence by (first byte, creation id) - the in-order walk of a tree keyed
+// on first byte that breaks ties toward the right, because a node's first
+// byte NEVER changes after creation (continuations extend stride/count/hi
+// only; a descending access starts a new node).
 //
 // Indexes. Folding an event allocates nothing. All three indexes are flat
 // open-addressing tables (linear probing, backward-shift delete, so no
@@ -34,7 +40,7 @@
 //   - continuations_: (key, next expected addr) -> node;
 //   - last_addr_: (key, last recorded addr) -> node.
 //
-// Lookups keep the tree's find / emplace-without-overwrite / erase semantics.
+// Lookups keep map find / emplace-without-overwrite / erase semantics.
 //
 // Solo keys. While exactly one node carries a key, no other node can occupy
 // or divert that key's entries, so they follow from the node's interval and
@@ -46,18 +52,18 @@
 // tree's emplace-without-overwrite order; from then on the key's entries are
 // stored explicitly.
 //
-// The code does not mirror the tree's line by line. Equivalence rests on the
-// property tests (tests/test_itree.cpp, tests/test_property_racecheck.cpp),
-// which drive both summarizers with the same streams - including solo-to-
-// shared transitions, address wrap-around and long runs with rare jumps -
-// and require FrozenIntervalSet(tree) and Freeze() to agree field by field.
+// The code does not mirror the reference tree's line by line. Equivalence
+// rests on the property tests in tests/test_itree.cpp, which drive both
+// summarizers with the same streams - including solo-to-shared transitions,
+// address wrap-around and long runs with rare jumps - and require the tree's
+// in-order walk and Freeze() to agree field by field.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "itree/access.h"
 #include "itree/frozen_set.h"
-#include "itree/interval_tree.h"
 
 namespace sword::itree {
 
@@ -65,12 +71,15 @@ class StreamingSetBuilder {
  public:
   StreamingSetBuilder() { nodes_.reserve(64); }
 
-  /// Records one access. Identical summarization semantics (node ids, hit
-  /// counts, interval shapes) to IntervalTree::AddAccess.
+  /// Records one access under the four summarization branches above.
+  /// Returns the id of the node it folded into.
   uint32_t AddAccess(uint64_t addr, const AccessKey& key);
 
-  /// Records a coalesced strided run; identical to IntervalTree::AddRun,
-  /// including the O(1) bulk extension for the fresh-run common case.
+  /// Records a coalesced strided run: `count` accesses at base,
+  /// base+stride, ..., base+(count-1)*stride. EXACTLY equivalent to that
+  /// many AddAccess calls in ascending order (nodes, hit counts and index
+  /// state), with an O(1) bulk extension for the common case of a key that
+  /// no other node carries. Returns the node id of the last element.
   uint32_t AddRun(uint64_t base, uint64_t stride, uint64_t count,
                   const AccessKey& key);
 
@@ -82,14 +91,12 @@ class StreamingSetBuilder {
   size_t SpillCount() const { return spill_.size(); }
   uint64_t SpillBytes() const { return spill_.capacity() * sizeof(uint32_t); }
 
-  /// Approximate heap footprint, in the same shape as
-  /// IntervalTree::MemoryBytes so the memory governor treats both builds
-  /// uniformly: the node arena and order/spill capacity, plus one 16-byte
-  /// slot per LIVE index entry (key records, stored continuation and
-  /// last-address entries; empty probe slots are not counted, as the tree
-  /// counts map entries rather than buckets). That is at most 40 bytes of
-  /// index per node - two entries plus half a key record for a shared key,
-  /// one key record for a solo key - against the tree's 44 per continuation.
+  /// Approximate heap footprint, which the memory governor caps: the node
+  /// arena and order/spill capacity, plus one 16-byte slot per LIVE index
+  /// entry (key records, stored continuation and last-address entries;
+  /// empty probe slots are not counted). That is at most 40 bytes of index
+  /// per node - two entries plus half a key record for a shared key, one
+  /// key record for a solo key.
   uint64_t MemoryBytes() const;
 
   /// Produces the frozen comparison form: sorts the spill, merges by
@@ -214,7 +221,7 @@ class StreamingSetBuilder {
   /// Appends a single-access node (one hit) and files it in order_/spill_.
   uint32_t NewNode(uint64_t addr, const AccessKey& key);
 
-  std::vector<AccessNode> nodes_;  // creation order; ids match the tree's
+  std::vector<AccessNode> nodes_;  // creation order; index = node id
   std::vector<uint32_t> order_;    // ids in non-decreasing first-byte order
   std::vector<uint32_t> spill_;    // out-of-order ids, sorted at Freeze()
   uint64_t total_accesses_ = 0;

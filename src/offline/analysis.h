@@ -8,15 +8,17 @@
 //      orders them, OSL case 2), so only intra-bucket pairs are candidates;
 //   3. per bucket: stream each interval's events from the log files
 //      (decompressing one frame at a time), recover locksets from the
-//      acquire/release events, and build one summarizing red-black interval
-//      tree per (thread, label);
+//      acquire/release events, and summarize each (thread, label) group's
+//      accesses into strided intervals (itree::StreamingSetBuilder), frozen
+//      into one sorted flat interval set per group - the paper's interval
+//      tree, built by sorted append instead of balanced insertion;
 //   4. for every CONCURRENT label pair (OSL judgment - no happens-before,
-//      hence no Fig. 1 masking), compare the two trees with the exact
-//      ILP-backed overlap check;
+//      hence no Fig. 1 masking), compare the two frozen sets (sweep or
+//      gallop) with the exact ILP-backed overlap check;
 //   5. deduplicate races by source-location pair.
 //
 // Buckets are processed one at a time so resident memory is bounded by the
-// largest top-level region, not the whole execution; within a bucket, tree
+// largest top-level region, not the whole execution; within a bucket, set
 // comparisons fan out across `threads` checker threads (the paper's
 // distributed mode - Table III's MT column is the per-bucket maximum).
 #pragma once
@@ -38,28 +40,12 @@ namespace sword::offline {
 
 struct AnalysisConfig {
   ilp::OverlapEngine engine = ilp::OverlapEngine::kDiophantine;
-  uint32_t threads = 1;  // checker threads for tree-pair comparisons
+  uint32_t threads = 1;  // checker threads for summary-pair comparisons
 
-  /// Compare frozen flat interval sets with the sort-merge sweep (or the
-  /// galloping fallback) instead of per-node QueryRange on the pointer
-  /// trees. Off = the legacy path (--no-sweep), kept for A/B comparison;
-  /// the confirmed-race output is byte-identical either way.
-  bool use_sweep = true;
   /// Decide the dominant access shapes with the closed-form fast paths and
   /// keep the general engine for the rest. Off = every surviving pair goes
   /// to the engine (--no-fastpath); output is byte-identical either way.
   bool use_fastpath = true;
-  /// Build each (thread, label) group's frozen flat set directly from the
-  /// decoder's event stream (sorted-append + out-of-order spill buffer),
-  /// never materializing the red-black tree. Off = the legacy tree build
-  /// (--no-stream), kept for A/B ablation; the confirmed-race output is
-  /// byte-identical either way.
-  bool use_stream = true;
-  /// Carry v3 kAccessRun events as symbolic (base, stride, count) intervals
-  /// end to end - one summarized node per run, closed-form overlap checks.
-  /// Off = runs are expanded element by element at decode time
-  /// (--no-symbolic); output is byte-identical either way.
-  bool use_symbolic = true;
   /// Share one frozen set among same-bucket groups whose canonical decoded
   /// event streams are identical (fingerprint match), and replay pair
   /// verdicts for already-checked fingerprint pairs by reference. Off =
@@ -123,7 +109,7 @@ struct AnalysisStats {
   /// merge (summarized runs re-colliding across node pairs).
   uint64_t duplicates_suppressed = 0;
   double build_seconds = 0;
-  double freeze_seconds = 0;  // building frozen flat sets from the trees
+  double freeze_seconds = 0;  // freezing the builders into flat sets
   double compare_seconds = 0;
   double total_seconds = 0;
   /// Longest single-bucket time: the paper's distributed-analysis (MT)
@@ -190,11 +176,10 @@ struct AnalyzerEnv {
   /// Monotonic nanosecond clock for the stats timers. Null = steady_clock.
   std::function<uint64_t()> now_ns;
   /// Optional ledger charged with each bucket's summarization footprint
-  /// (builder or tree bytes plus frozen-set bytes) and released at bucket
-  /// close. Null = no external accounting. Lets benchmarks compare the
-  /// legacy and streaming paths' peaks apples-to-apples; charging NEVER
-  /// changes what races are found (cap failures are ignored here - the
-  /// analysis governor is `max_tree_bytes`).
+  /// (builder bytes plus frozen-set bytes) and released at bucket close.
+  /// Null = no external accounting. Lets benchmarks pin the per-bucket
+  /// summarization peak; charging NEVER changes what races are found (cap
+  /// failures are ignored here - the analysis governor is `max_tree_bytes`).
   MemoryScope* mem = nullptr;
 };
 

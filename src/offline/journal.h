@@ -44,16 +44,18 @@ namespace sword::offline {
 
 constexpr uint32_t kJournalHeaderMagic = 0x53574148;  // "SWAH"
 constexpr uint32_t kJournalBucketMagic = 0x53574142;  // "SWAB"
-// v2: header binds use_sweep/use_fastpath; bucket records carry
-// fastpath_hits and duplicates_suppressed. v3: header binds the store's
-// salvage policy - a salvage analysis skips damaged segments with
-// accounting, so replaying its buckets under a strict open (or vice versa)
-// would silently diverge. v4: header binds the streaming-pipeline knobs
-// (use_stream/use_symbolic/use_dedup) - their race output is byte-identical
-// but their stats are not, so replaying across modes would fold the wrong
-// deltas; bucket records carry dedup_hits/dedup_bytes_saved. Older journals
-// are refused (their stats cannot be folded faithfully into a current run).
-constexpr uint8_t kJournalVersion = 4;
+// v2: header binds use_fastpath; bucket records carry fastpath_hits and
+// duplicates_suppressed. v3: header binds the store's salvage policy - a
+// salvage analysis skips damaged segments with accounting, so replaying its
+// buckets under a strict open (or vice versa) would silently diverge. v4:
+// header binds use_dedup - its race output is byte-identical but its stats
+// are not, so replaying across modes would fold the wrong deltas; bucket
+// records carry dedup_hits/dedup_bytes_saved. v5: the header drops the bytes
+// of the retired offline ablations (tree compare, tree build, run
+// expansion), leaving use_fastpath, use_dedup and salvage after the engine.
+// Older journals are refused (their stats cannot be folded faithfully into a
+// current run).
+constexpr uint8_t kJournalVersion = 5;
 
 /// Identifies what a journal belongs to: shard key + the analysis knobs
 /// that change results + a cheap fingerprint of the trace itself. Resume
@@ -63,10 +65,7 @@ struct JournalHeader {
   uint32_t shard_index = 0;
   uint32_t shard_count = 1;
   uint8_t engine = 0;                 // ilp::OverlapEngine as int
-  uint8_t use_sweep = 1;              // frozen-sweep comparison path
   uint8_t use_fastpath = 1;           // closed-form overlap fast paths
-  uint8_t use_stream = 1;             // decoder-to-frozen streaming build
-  uint8_t use_symbolic = 1;           // symbolic strided-run intervals
   uint8_t use_dedup = 1;              // repeated-subtrace memoization
   uint8_t salvage = 0;                // store opened with salvage policy
   uint64_t solver_step_budget = 0;

@@ -7,10 +7,10 @@
 namespace sword::offline {
 namespace {
 
-/// Canonical total order over reports. Both enumeration back ends sort what
-/// they collected under this order before emitting, which makes the emitted
-/// stream - and therefore the downstream deterministic merge - independent
-/// of pair enumeration order (tree DFS vs frozen sweep vs gallop).
+/// Canonical total order over reports. Collected reports are sorted under
+/// this order before emitting, which makes the emitted stream - and
+/// therefore the downstream deterministic merge - independent of pair
+/// enumeration order (sweep vs gallop).
 auto ReportKey(const RaceReport& r) {
   return std::make_tuple(r.pc1, r.pc2, r.address, r.size1, r.size2, r.write1,
                          r.write2, static_cast<uint8_t>(r.confidence));
@@ -113,37 +113,6 @@ inline bool Cancelled(const CheckLimits& limits) {
 constexpr size_t kGallopRatio = 8;
 
 }  // namespace
-
-void CheckTreePair(const itree::IntervalTree& a, const itree::IntervalTree& b,
-                   const itree::MutexSetTable& mutexes, ilp::OverlapEngine engine,
-                   FunctionRef<void(const RaceReport&)> on_race,
-                   CheckStats* stats, const CheckLimits& limits) {
-  if (a.Empty() || b.Empty()) return;
-  // Iterate the smaller tree, range-query the larger: O(M log M') with
-  // M <= M' (the paper's comparison bound).
-  const bool a_smaller = a.NodeCount() <= b.NodeCount();
-  const itree::IntervalTree& outer = a_smaller ? a : b;
-  const itree::IntervalTree& inner = a_smaller ? b : a;
-
-  PairDecider decider(mutexes, engine, a_smaller, stats, limits);
-  bool cancelled = false;
-  outer.ForEach([&](const itree::AccessNode& x) {
-    if (cancelled || Cancelled(limits)) {
-      cancelled = true;
-      return;
-    }
-    inner.QueryRange(x.interval.lo(), x.interval.hi(),
-                     [&](const itree::AccessNode& y) {
-      if (Cancelled(limits)) {
-        cancelled = true;
-        return false;
-      }
-      decider.Decide(x, y);
-      return true;
-    });
-  });
-  decider.Emit(on_race);
-}
 
 void CheckFrozenPair(const itree::FrozenIntervalSet& a,
                      const itree::FrozenIntervalSet& b,

@@ -1,8 +1,7 @@
-// Tree-vs-tree race checking (paper SIII-B, Fig. 5).
+// Summary-vs-summary race checking (paper SIII-B, Fig. 5).
 //
-// Given the interval summaries of two CONCURRENT barrier intervals, every
-// node of one side is checked against the range-overlapping nodes of the
-// other:
+// Given the frozen interval summaries of two CONCURRENT barrier intervals,
+// every range-touching node pair is checked:
 //   1. cheap filters: read-read pairs and atomic-atomic pairs cannot race;
 //      intersecting mutex sets mean common lock protection;
 //   2. exact strided-address intersection - range overlap alone is NOT
@@ -10,19 +9,15 @@
 //      paths (when enabled) with the ILP/Diophantine engine as fallback;
 //   3. surviving pairs are data races, reported at the two source locations.
 //
-// Two enumeration back ends produce the identical candidate-pair set:
-//   - CheckTreePair: the legacy path, per-node QueryRange on the pointer
-//     red-black tree (kept as the A/B baseline, reachable via --no-sweep);
-//   - CheckFrozenPair: the default path, a sort-merge sweep over two frozen
-//     flat sets (O(M + M' + matches), sequential memory), switching to
-//     galloping per-node queries when one set is much smaller.
-// The tree and gallop paths hand every range-touching pair to filter 1. The
+// CheckFrozenPair enumerates the range-touching pairs with a sort-merge
+// sweep over the two sets (O(M + M' + matches), sequential memory), or,
+// when one set is much smaller, with galloping per-node queries into the
+// bigger one. The gallop hands every range-touching pair to filter 1; the
 // sweep hands over only pairs with at least one write and merely counts the
-// read-read ones, which filter 1 would drop anyway; the count goes into
-// node_pairs_ranged, so the stats match the other paths exactly.
-// Both buffer each pair's reports and emit them in one canonical order with
-// exact duplicates suppressed, so the confirmed-race output is byte-for-byte
-// independent of which back end enumerated the pairs.
+// read-read ones, which filter 1 would drop anyway. Both counts go into
+// node_pairs_ranged, so the stats do not depend on the enumeration. Each
+// pair's reports are buffered and emitted in one canonical order with exact
+// duplicates suppressed, so the output does not depend on it either.
 #pragma once
 
 #include <atomic>
@@ -32,7 +27,6 @@
 #include "common/race_report.h"
 #include "ilp/overlap.h"
 #include "itree/frozen_set.h"
-#include "itree/interval_tree.h"
 #include "itree/mutexset.h"
 
 namespace sword::offline {
@@ -46,7 +40,7 @@ struct CheckStats {
   uint64_t duplicates_suppressed = 0;  // identical reports dropped pre-merge
 };
 
-/// Caps the resource governor imposes on one tree-pair comparison.
+/// Caps the resource governor imposes on one summary-pair comparison.
 struct CheckLimits {
   /// Per-overlap-query solver step budget; 0 = unlimited. An exhausted
   /// query reports the node pair as an UNPROVEN race (sound: never dropped).
@@ -65,23 +59,16 @@ struct CheckLimits {
   bool use_fastpath = false;
 };
 
-/// Compares two interval trees from concurrent barrier intervals; reports
-/// every racing node pair through `on_race` (a non-owning view). Thread-safe
-/// for concurrent calls on distinct tree pairs (the mutex table is shared
-/// and thread-safe). Reports are emitted in a canonical sorted order with
-/// exact duplicates suppressed, so the output is deterministic and identical
-/// to CheckFrozenPair on the frozen forms of the same trees.
-void CheckTreePair(const itree::IntervalTree& a, const itree::IntervalTree& b,
-                   const itree::MutexSetTable& mutexes,
-                   ilp::OverlapEngine engine,
-                   FunctionRef<void(const RaceReport&)> on_race,
-                   CheckStats* stats = nullptr, const CheckLimits& limits = {});
-
-/// Same contract as CheckTreePair, over frozen flat sets: the sort-merge
-/// sweep enumerates range-touching pairs in O(M + M' + matches), deciding
-/// only those with a write and counting the read-read ones; when one
-/// set is >= 8x smaller it instead gallops - per-node O(log M) queries into
-/// the big set - so tiny-vs-huge comparisons don't pay a full linear merge.
+/// Compares the frozen summaries of two concurrent barrier intervals;
+/// reports every racing node pair through `on_race` (a non-owning view).
+/// Thread-safe for concurrent calls on distinct set pairs (the mutex table
+/// is shared and thread-safe). The sort-merge sweep enumerates range-touching
+/// pairs in O(M + M' + matches), deciding only those with a write and
+/// counting the read-read ones; when one set is >= 8x smaller it instead
+/// gallops - per-node O(log M) queries into the big set - so tiny-vs-huge
+/// comparisons don't pay a full linear merge. Reports are emitted in a
+/// canonical sorted order with exact duplicates suppressed, so the output is
+/// deterministic.
 void CheckFrozenPair(const itree::FrozenIntervalSet& a,
                      const itree::FrozenIntervalSet& b,
                      const itree::MutexSetTable& mutexes,

@@ -1,4 +1,4 @@
-#include "itree/interval_tree.h"
+#include "oracle/interval_tree.h"
 
 #include <algorithm>
 #include <string>
@@ -368,6 +368,13 @@ bool IntervalTree::Validate(std::string* why) const {
   }
   if (visited != nodes_.size()) return fail("unreachable nodes");
   return true;
+}
+
+FrozenIntervalSet FreezeTree(const IntervalTree& tree) {
+  std::vector<AccessNode> sorted;
+  sorted.reserve(tree.NodeCount());
+  tree.ForEach([&](const AccessNode& node) { sorted.push_back(node); });
+  return FrozenIntervalSet::FromSorted(std::move(sorted));
 }
 
 }  // namespace sword::itree

@@ -1,16 +1,17 @@
-// Augmented red-black interval tree over summarized strided access runs
-// (paper SIII-B, Fig. 5).
+// Test-only reference summarizer: the augmented red-black interval tree of
+// the paper (SIII-B, Fig. 5), over summarized strided access runs.
 //
-// The offline analyzer builds one tree per (thread, barrier interval). Each
-// node summarizes a run of accesses sharing the same program counter,
-// operation, access size, and mutex set, whose addresses form an arithmetic
-// progression (base, base+stride, ...). Raw accesses stream in in program
-// order; an access that continues a run extends the corresponding node in
-// O(1) via a continuation index, otherwise a new node is inserted in
-// O(log N). Nodes are kept in a red-black tree ordered by first byte, each
-// augmented with the maximum last-byte in its subtree, so all nodes whose
-// [lo,hi] byte range touches a query range are enumerable in
-// O(log N + answer) - the paper's O(M log M) tree-vs-tree comparison.
+// The analyzer summarizes with itree::StreamingSetBuilder and compares frozen
+// flat sets; this tree is the independent reference both are checked
+// against. Raw accesses stream in in program order; an access that continues
+// a run extends the corresponding node in O(1) via a continuation index,
+// otherwise a new node is inserted in O(log N). Nodes are kept in a
+// red-black tree ordered by first byte, each augmented with the maximum
+// last-byte in its subtree, so all nodes whose [lo,hi] byte range touches a
+// query range are enumerable in O(log N + answer). The in-order walk
+// (ForEach) is the node sequence a frozen set must hold: feed it to
+// itree::FrozenIntervalSet::FromSorted to compare against a builder's
+// Freeze().
 //
 // Nodes live in a flat arena (indices, not pointers): rotations relink
 // indices and never move nodes, so continuation handles stay valid.
@@ -23,60 +24,14 @@
 
 #include "common/function_ref.h"
 #include "ilp/overlap.h"
-#include "itree/mutexset.h"
+#include "itree/access.h"
+#include "itree/frozen_set.h"
 
 namespace sword::itree {
 
-/// Operation bits for an access node.
-enum AccessFlags : uint8_t {
-  kRead = 0,
-  kWrite = 1 << 0,
-  kAtomic = 1 << 1,
-};
-
-/// Merge-compatibility key: accesses summarize into one node only if these
-/// all match (the paper stores op type, size, stride, pc, mutex set per node).
-struct AccessKey {
-  uint32_t pc = 0;           // source-location id
-  uint8_t flags = kRead;     // AccessFlags
-  uint8_t size = 1;          // bytes per access
-  MutexSetId mutexset = kEmptyMutexSet;
-
-  friend bool operator==(const AccessKey&, const AccessKey&) = default;
-
-  bool is_write() const { return flags & kWrite; }
-  bool is_atomic() const { return flags & kAtomic; }
-};
-
-struct AccessNode {
-  ilp::StridedInterval interval;
-  AccessKey key;
-  uint64_t hits = 0;  // raw accesses summarized into this node (>= count)
-};
-
-/// Mixes (addr, key) into a well-distributed 64-bit hash. All entropy reaches
-/// the low 32 bits, so the value survives truncation to a 32-bit size_t.
-/// Exposed (rather than kept inside the hasher functors) so tests can check
-/// the distribution directly.
-inline uint64_t HashAccess(uint64_t addr, const AccessKey& key) {
-  uint64_t h = addr * 0x9e3779b97f4a7c15ULL;
-  h ^= (static_cast<uint64_t>(key.pc) << 16) ^ key.flags ^
-       (static_cast<uint64_t>(key.size) << 8) ^
-       (static_cast<uint64_t>(key.mutexset) << 32);
-  // splitmix64 finalizer: without it, the high-half XOR above (notably the
-  // mutex-set bits at position 32+) never influences the low bits, and a
-  // 32-bit size_t target collides every mutex set sharing its low bits.
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
-}
-
-/// (key, address) lookup key for the RB-tree builder's summarization
-/// indexes. The streaming builder (itree/streaming_builder.h) keeps its own
-/// flat tables and shares only HashAccess.
+/// (key, address) lookup key for the tree's summarization indexes. The
+/// streaming builder (itree/streaming_builder.h) keeps its own flat tables
+/// and shares only HashAccess.
 struct ContKey {
   uint64_t addr;
   AccessKey key;
@@ -175,5 +130,10 @@ class IntervalTree {
   // step, so the O(1) bulk extension provably equals the element loop.
   std::unordered_map<AccessKey, uint32_t, AccessKeyHash> key_nodes_;
 };
+
+/// The frozen form of `tree`: its in-order walk handed to
+/// FrozenIntervalSet::FromSorted - what a StreamingSetBuilder fed the same
+/// stream must Freeze() to, column for column.
+FrozenIntervalSet FreezeTree(const IntervalTree& tree);
 
 }  // namespace sword::itree

@@ -1,5 +1,5 @@
 // Online access fast path: format-v3 codec (strided run events), the
-// writer's duplicate-access filter and run coalescer, the interval tree's
+// writer's duplicate-access filter and run coalescer, the summarizer's
 // bulk AddRun, and the end-to-end property the whole design rests on:
 // race reports are BYTE-IDENTICAL with the fast path on or off.
 #include <gtest/gtest.h>
@@ -13,7 +13,8 @@
 #include "common/rng.h"
 #include "compress/compressor.h"
 #include "core/sword_tool.h"
-#include "itree/interval_tree.h"
+#include "itree/frozen_set.h"
+#include "itree/streaming_builder.h"
 #include "offline/analysis.h"
 #include "offline/tracestore.h"
 #include "somp/instr.h"
@@ -262,31 +263,34 @@ TEST(WriterFastPath, OutOfSegmentAccessesCountedAndDropped) {
   EXPECT_EQ(meta.accesses_dropped, 5u);
 }
 
-/// Structural fingerprint of a tree, ignoring hit counters: the duplicate
-/// filter elides hits-only folds, so structure (not hits) is the invariant.
+/// Structural fingerprint of a frozen summary, ignoring hit counters: the
+/// duplicate filter elides hits-only folds, so structure (not hits) is the
+/// invariant.
 using Shape = std::vector<std::tuple<uint64_t, uint64_t, uint64_t, uint32_t,
                                      uint32_t, uint8_t, uint8_t>>;
 
-Shape TreeShape(const itree::IntervalTree& tree) {
+Shape SummaryShape(const itree::FrozenIntervalSet& set) {
   Shape shape;
-  tree.ForEach([&](const itree::AccessNode& n) {
+  for (size_t i = 0; i < set.size(); i++) {
+    const itree::AccessNode& n = set.node(i);
     shape.emplace_back(n.interval.base, n.interval.stride, n.interval.count,
                        n.interval.size, n.key.pc, n.key.flags, n.key.size);
-  });
+  }
   return shape;
 }
 
-itree::IntervalTree Replay(const std::vector<trace::RawEvent>& events) {
-  itree::IntervalTree tree;
+/// Summarizes a decoded event stream the way the analyzer does.
+itree::FrozenIntervalSet Replay(const std::vector<trace::RawEvent>& events) {
+  itree::StreamingSetBuilder builder;
   for (const auto& e : events) {
     const itree::AccessKey key{e.pc, e.flags, e.size, itree::kEmptyMutexSet};
     if (e.kind == trace::EventKind::kAccess) {
-      tree.AddAccess(e.addr, key);
+      builder.AddAccess(e.addr, key);
     } else if (e.kind == trace::EventKind::kAccessRun) {
-      tree.AddRun(e.addr, e.stride, e.count, key);
+      builder.AddRun(e.addr, e.stride, e.count, key);
     }
   }
-  return tree;
+  return builder.Freeze();
 }
 
 TEST(WriterFastPath, FilteredStreamReplaysToSameTreeShape) {
@@ -322,16 +326,16 @@ TEST(WriterFastPath, FilteredStreamReplaysToSameTreeShape) {
   EXPECT_EQ(fast.writer->events_suppressed() + fast.writer->events_coalesced() +
                 fast.writer->events_logged(),
             plain.writer->events_logged());
-  EXPECT_EQ(TreeShape(Replay(fast_events)), TreeShape(Replay(plain_events)));
+  EXPECT_EQ(SummaryShape(Replay(fast_events)), SummaryShape(Replay(plain_events)));
 }
 
-// --- IntervalTree::AddRun ---------------------------------------------------
+// --- StreamingSetBuilder::AddRun ---------------------------------------------
 
 class AddRunProperty : public testing::TestWithParam<int> {};
 
 TEST_P(AddRunProperty, EqualsElementLoop) {
   Rng rng(7000 + static_cast<uint64_t>(GetParam()));
-  itree::IntervalTree bulk, loop;
+  itree::StreamingSetBuilder bulk, loop;
   for (int op = 0; op < 300; op++) {
     itree::AccessKey key;
     key.pc = static_cast<uint32_t>(rng.Below(3));
@@ -349,24 +353,28 @@ TEST_P(AddRunProperty, EqualsElementLoop) {
     }
   }
 
-  std::string why;
-  EXPECT_TRUE(bulk.Validate(&why)) << why;
   EXPECT_EQ(bulk.NodeCount(), loop.NodeCount());
   EXPECT_EQ(bulk.TotalAccesses(), loop.TotalAccesses());
-  // Full payload equality including hit counters: AddRun promises EXACT
-  // equivalence with the element loop, not just equal shapes.
-  std::vector<std::tuple<uint64_t, uint64_t, uint64_t, uint32_t, uint32_t,
-                         uint8_t, uint8_t, uint64_t>>
-      a, b;
-  bulk.ForEach([&](const itree::AccessNode& n) {
-    a.emplace_back(n.interval.base, n.interval.stride, n.interval.count,
-                   n.interval.size, n.key.pc, n.key.flags, n.key.size, n.hits);
-  });
-  loop.ForEach([&](const itree::AccessNode& n) {
-    b.emplace_back(n.interval.base, n.interval.stride, n.interval.count,
-                   n.interval.size, n.key.pc, n.key.flags, n.key.size, n.hits);
-  });
-  EXPECT_EQ(a, b) << "seed " << GetParam();
+  EXPECT_EQ(bulk.SpillCount(), loop.SpillCount());
+  // Full frozen payload equality including hit counters: AddRun promises
+  // EXACT equivalence with the element loop, not just equal shapes.
+  const itree::FrozenIntervalSet a = bulk.Freeze();
+  const itree::FrozenIntervalSet b = loop.Freeze();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); i++) {
+    const itree::AccessNode& x = a.node(i);
+    const itree::AccessNode& y = b.node(i);
+    EXPECT_EQ(std::make_tuple(x.interval.base, x.interval.stride,
+                              x.interval.count, x.interval.size, x.key.pc,
+                              x.key.flags, x.key.size, x.key.mutexset, x.hits),
+              std::make_tuple(y.interval.base, y.interval.stride,
+                              y.interval.count, y.interval.size, y.key.pc,
+                              y.key.flags, y.key.size, y.key.mutexset, y.hits))
+        << "seed " << GetParam() << " node " << i;
+    EXPECT_EQ(a.lo(i), b.lo(i));
+    EXPECT_EQ(a.hi(i), b.hi(i));
+  }
+  EXPECT_EQ(a.MemoryBytes(), b.MemoryBytes());
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomOps, AddRunProperty, testing::Range(0, 20));

@@ -1,6 +1,7 @@
-// Tests for src/itree: mutex-set interning, red-black interval tree
-// invariants under randomized insertion, strided-run summarization, and
-// range-query correctness against a naive oracle.
+// Tests for src/itree: mutex-set interning, the frozen set's queries and
+// sweep against naive oracles, and StreamingSetBuilder against the reference
+// red-black interval tree (tests/oracle), whose own invariants under
+// randomized insertion are checked here too.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -8,9 +9,9 @@
 
 #include "common/rng.h"
 #include "itree/frozen_set.h"
-#include "itree/interval_tree.h"
 #include "itree/mutexset.h"
 #include "itree/streaming_builder.h"
+#include "oracle/interval_tree.h"
 
 namespace sword::itree {
 namespace {
@@ -271,7 +272,7 @@ IntervalTree RandomTree(Rng& rng, int nodes, uint64_t base_lo = 100000,
 TEST(FrozenIntervalSet, FreezePreservesEveryNodeInLoOrder) {
   Rng rng(4242);
   const IntervalTree tree = RandomTree(rng, 300);
-  const FrozenIntervalSet frozen(tree);
+  const FrozenIntervalSet frozen = FreezeTree(tree);
   ASSERT_EQ(frozen.size(), tree.NodeCount());
 
   std::vector<const AccessNode*> in_order;
@@ -290,7 +291,7 @@ TEST(FrozenIntervalSet, FreezePreservesEveryNodeInLoOrder) {
 TEST(FrozenIntervalSet, QueryRangeMatchesTreeQueryRange) {
   Rng rng(515);
   const IntervalTree tree = RandomTree(rng, 400);
-  const FrozenIntervalSet frozen(tree);
+  const FrozenIntervalSet frozen = FreezeTree(tree);
   for (int q = 0; q < 300; q++) {
     const uint64_t lo = 100000 + rng.Below(11000);
     const uint64_t hi = lo + rng.Below(600);
@@ -312,7 +313,7 @@ TEST(FrozenIntervalSet, QueryEarlyExit) {
   for (uint64_t i = 0; i < 50; i++) {
     tree.AddInterval({1000 + i, 0, 1, 1}, Key(static_cast<uint32_t>(i)));
   }
-  const FrozenIntervalSet frozen(tree);
+  const FrozenIntervalSet frozen = FreezeTree(tree);
   int visits = 0;
   const bool completed = frozen.QueryRange(0, 1 << 20, [&](uint32_t) {
     visits++;
@@ -324,7 +325,7 @@ TEST(FrozenIntervalSet, QueryEarlyExit) {
 
 TEST(FrozenIntervalSet, EmptyTreeFreezesEmpty) {
   const IntervalTree tree;
-  const FrozenIntervalSet frozen(tree);
+  const FrozenIntervalSet frozen = FreezeTree(tree);
   EXPECT_TRUE(frozen.Empty());
   int visits = 0;
   EXPECT_TRUE(frozen.QueryRange(0, ~0ull, [&](uint32_t) {
@@ -344,7 +345,7 @@ TEST(SweepMatchingPairs, MatchesNestedLoopOracle) {
     const uint64_t spread = 200 + rng.Below(20000);
     IntervalTree ta = RandomTree(rng, na, 100000, spread);
     IntervalTree tb = RandomTree(rng, nb, 100000 + rng.Below(spread), spread);
-    const FrozenIntervalSet a(ta), b(tb);
+    const FrozenIntervalSet a = FreezeTree(ta), b = FreezeTree(tb);
 
     std::multiset<std::pair<uint64_t, uint64_t>> expected;
     for (uint32_t i = 0; i < a.size(); i++) {
@@ -369,7 +370,7 @@ TEST(SweepMatchingPairs, EarlyExitStopsEnumeration) {
     ta.AddInterval({1000, 0, 1, 100}, Key(static_cast<uint32_t>(i)));
     tb.AddInterval({1050, 0, 1, 100}, Key(static_cast<uint32_t>(i)));
   }
-  const FrozenIntervalSet a(ta), b(tb);
+  const FrozenIntervalSet a = FreezeTree(ta), b = FreezeTree(tb);
   int pairs = 0;
   const bool completed = SweepMatchingPairs(a, b, [&](uint32_t, uint32_t) {
     pairs++;
@@ -445,8 +446,9 @@ TEST(SweepMatchingPairs, MixedKindsMatchNestedLoopOracle) {
       const int na = 1 + static_cast<int>(rng.Below(120));
       const int nb = 1 + static_cast<int>(rng.Below(120));
       const uint64_t spread = 200 + rng.Below(20000);
-      const FrozenIntervalSet a(RandomMixedTree(rng, na, 100000, spread, pa));
-      const FrozenIntervalSet b(
+      const FrozenIntervalSet a =
+          FreezeTree(RandomMixedTree(rng, na, 100000, spread, pa));
+      const FrozenIntervalSet b = FreezeTree(
           RandomMixedTree(rng, nb, 100000 + rng.Below(spread), spread, pb));
       ExpectSweepMatchesOracle(a, b, "write_p " + std::to_string(pa) + "/" +
                                          std::to_string(pb) + " trial " +
@@ -466,7 +468,7 @@ TEST(SweepMatchingPairs, LoTiesBetweenReadsAndWrites) {
     tb.AddInterval({lo, 8, 3, 8}, Key(pc++, kWrite));
     tb.AddInterval({lo, 8, 1, 8}, Key(pc++, kRead));
   }
-  ExpectSweepMatchesOracle(FrozenIntervalSet(ta), FrozenIntervalSet(tb),
+  ExpectSweepMatchesOracle(FreezeTree(ta), FreezeTree(tb),
                            "handcrafted ties");
   // Randomized: bases drawn from a few slots, so most los tie across and
   // within sides.
@@ -474,9 +476,9 @@ TEST(SweepMatchingPairs, LoTiesBetweenReadsAndWrites) {
   for (int trial = 0; trial < 30; trial++) {
     const int na = 1 + static_cast<int>(rng.Below(60));
     const int nb = 1 + static_cast<int>(rng.Below(60));
-    const FrozenIntervalSet a(
-        RandomMixedTree(rng, na, 5000, 0, 0.4, 1 + rng.Below(6)));
-    const FrozenIntervalSet b(
+    const FrozenIntervalSet a =
+        FreezeTree(RandomMixedTree(rng, na, 5000, 0, 0.4, 1 + rng.Below(6)));
+    const FrozenIntervalSet b = FreezeTree(
         RandomMixedTree(rng, nb, 5000, 0, 0.4, 1 + rng.Below(6), 1000));
     ExpectSweepMatchesOracle(a, b, "tie trial " + std::to_string(trial));
   }
@@ -488,7 +490,8 @@ TEST(SweepMatchingPairs, LongIntervalSpanningTheOtherSide) {
   for (const uint8_t flags : {kRead, kWrite}) {
     IntervalTree one;
     one.AddInterval({99000, 0, 1, 60000}, Key(9999, flags));
-    const FrozenIntervalSet spanning(one), rest(others);
+    const FrozenIntervalSet spanning = FreezeTree(one);
+    const FrozenIntervalSet rest = FreezeTree(others);
     const std::string kind = flags == kWrite ? "write" : "read";
     ExpectSweepMatchesOracle(spanning, rest, "long " + kind + " on a");
     ExpectSweepMatchesOracle(rest, spanning, "long " + kind + " on b");
@@ -497,8 +500,10 @@ TEST(SweepMatchingPairs, LongIntervalSpanningTheOtherSide) {
 
 TEST(SweepMatchingPairs, MixedEarlyExitStopsAndEmitsOnlyWritePairs) {
   Rng rng(1010);
-  const FrozenIntervalSet a(RandomMixedTree(rng, 150, 100000, 2000, 0.3));
-  const FrozenIntervalSet b(RandomMixedTree(rng, 150, 100000, 2000, 0.3));
+  const FrozenIntervalSet a =
+      FreezeTree(RandomMixedTree(rng, 150, 100000, 2000, 0.3));
+  const FrozenIntervalSet b =
+      FreezeTree(RandomMixedTree(rng, 150, 100000, 2000, 0.3));
   int emitted = 0;
   const SweepResult result = SweepMatchingPairs(a, b, [&](uint32_t i, uint32_t j) {
     EXPECT_TRUE(a.node(i).key.is_write() || b.node(j).key.is_write());
@@ -509,9 +514,10 @@ TEST(SweepMatchingPairs, MixedEarlyExitStopsAndEmitsOnlyWritePairs) {
   EXPECT_EQ(emitted, 7);
 }
 
-// --- StreamingSetBuilder: the decode-to-frozen path must reproduce
-// FrozenIntervalSet(tree) EXACTLY - same columns, same node payloads, same
-// order, same capacities (hence MemoryBytes) - for any event sequence.
+// --- StreamingSetBuilder: the decode-to-frozen path must reproduce the
+// reference tree's frozen form, FreezeTree(tree), EXACTLY - same columns,
+// same node payloads, same order, same capacities (hence MemoryBytes) - for
+// any event sequence.
 // These tests drive both summarizers with identical streams and compare
 // the frozen forms field by field.
 
@@ -547,7 +553,7 @@ TEST(StreamingSetBuilder, AscendingWalkMatchesTreeNoSpill) {
   EXPECT_EQ(builder.NodeCount(), 1u);  // summarized to one run, like the tree
   EXPECT_EQ(builder.SpillCount(), 0u);
   EXPECT_EQ(builder.TotalAccesses(), tree.TotalAccesses());
-  ExpectFrozenEqual(builder.Freeze(), FrozenIntervalSet(tree));
+  ExpectFrozenEqual(builder.Freeze(), FreezeTree(tree));
 }
 
 TEST(StreamingSetBuilder, DescendingWalkSpillsAndMergesInOrder) {
@@ -562,7 +568,7 @@ TEST(StreamingSetBuilder, DescendingWalkSpillsAndMergesInOrder) {
   }
   EXPECT_EQ(builder.NodeCount(), 50u);
   EXPECT_EQ(builder.SpillCount(), 49u);
-  ExpectFrozenEqual(builder.Freeze(), FrozenIntervalSet(tree));
+  ExpectFrozenEqual(builder.Freeze(), FreezeTree(tree));
 }
 
 TEST(StreamingSetBuilder, RunShapesMatchTree) {
@@ -585,7 +591,7 @@ TEST(StreamingSetBuilder, RunShapesMatchTree) {
     tree.AddRun(r.base, r.stride, r.count, key);
   }
   EXPECT_EQ(builder.TotalAccesses(), tree.TotalAccesses());
-  ExpectFrozenEqual(builder.Freeze(), FrozenIntervalSet(tree));
+  ExpectFrozenEqual(builder.Freeze(), FreezeTree(tree));
 }
 
 TEST(StreamingSetBuilder, RandomizedStreamsMatchTreeExactly) {
@@ -614,7 +620,7 @@ TEST(StreamingSetBuilder, RandomizedStreamsMatchTreeExactly) {
     }
     ASSERT_EQ(builder.NodeCount(), tree.NodeCount()) << "seed " << seed;
     ASSERT_EQ(builder.TotalAccesses(), tree.TotalAccesses()) << "seed " << seed;
-    ExpectFrozenEqual(builder.Freeze(), FrozenIntervalSet(tree));
+    ExpectFrozenEqual(builder.Freeze(), FreezeTree(tree));
   }
 }
 
@@ -635,7 +641,7 @@ TEST(StreamingSetBuilder, ResetMatchesFreshBuilder) {
     tree.AddAccess(0x2000 + i * 4, key);
   }
   EXPECT_EQ(reused.MemoryBytes(), fresh.MemoryBytes());
-  ExpectFrozenEqual(reused.Freeze(), FrozenIntervalSet(tree));
+  ExpectFrozenEqual(reused.Freeze(), FreezeTree(tree));
 }
 
 TEST(StreamingSetBuilder, SymbolicRunMemoryIsSublinearInElements) {
@@ -673,7 +679,7 @@ struct Twin {
   void ExpectSame() {
     ASSERT_EQ(builder.NodeCount(), tree.NodeCount());
     EXPECT_EQ(builder.TotalAccesses(), tree.TotalAccesses());
-    ExpectFrozenEqual(builder.Freeze(), FrozenIntervalSet(tree));
+    ExpectFrozenEqual(builder.Freeze(), FreezeTree(tree));
   }
 };
 

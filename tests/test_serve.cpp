@@ -18,7 +18,9 @@
 #include "common/fsutil.h"
 #include "harness/harness.h"
 #include "offline/analysis.h"
+#include "offline/journal.h"
 #include "offline/tracestore.h"
+#include "oracle/journal_v4.h"
 #include "serve/admission.h"
 #include "serve/aggregate.h"
 #include "serve/control.h"
@@ -597,6 +599,33 @@ TEST(Service, CorruptJournalResetOnceThenRunSucceeds) {
   EXPECT_EQ(stats.runs_done, 1u);
   EXPECT_EQ(stats.runs_quarantined, 0u);
   EXPECT_EQ(stats.journal_resets, 1u);
+}
+
+TEST(Service, Version4JournalResetOnceThenRunSucceeds) {
+  // A journal left by a build with the v4 header is refused as Unsupported;
+  // the service treats that like any failed resume: drop it once, analyze
+  // fresh, and leave a current-version journal behind.
+  TempDir traces;
+  TempDir state;
+  const std::string run = traces.path() + "/run1";
+  ASSERT_TRUE(MakeDirs(run).ok());
+  MakeTrace(run);
+
+  serve::AnalysisService service(FastService(state.path()));
+  ASSERT_TRUE(service.Recover().ok());
+  const std::string journal = state.path() + "/journal_run1.journal";
+  ASSERT_TRUE(
+      WriteFile(journal, oracle::JournalV4File(offline::JournalHeader{})).ok());
+  ASSERT_EQ(offline::LoadJournal(journal).status().code(),
+            ErrorCode::kUnsupported);
+  ASSERT_TRUE(service.AddRun(run).ok());
+  service.Drain(1000);
+
+  const auto stats = service.Stats();
+  EXPECT_EQ(stats.runs_done, 1u);
+  EXPECT_EQ(stats.runs_quarantined, 0u);
+  EXPECT_EQ(stats.journal_resets, 1u);
+  EXPECT_TRUE(offline::LoadJournal(journal).ok());
 }
 
 TEST(Service, LedgerEnospcDegradesNeverBlocksVerdicts) {

@@ -12,6 +12,7 @@
 #include "offline/analysis.h"
 #include "offline/report.h"
 #include "offline/tracestore.h"
+#include "oracle/journal_v4.h"
 #include "somp/instr.h"
 #include "somp/runtime.h"
 
@@ -192,23 +193,51 @@ TEST_F(ToolsTest, OfflineToolRefusesResumeAcrossSalvageModes) {
   EXPECT_EQ(rc_ok, 2) << out_ok;
 }
 
-TEST_F(ToolsTest, OfflineToolRefusesResumeAcrossStreamingModes) {
-  // Journal v4 binds the streaming-pipeline knobs the same way it binds the
-  // salvage policy: a journal written with the streaming defaults must not
-  // replay under --no-stream/--no-symbolic/--no-dedup (or the reverse).
+TEST_F(ToolsTest, OfflineToolRefusesResumeAcrossDedupModes) {
+  // The journal binds --no-dedup the same way it binds the salvage policy:
+  // a journal written with dedup on must not replay under --no-dedup, nor
+  // the reverse.
   const std::string base = ToolPath("sword-offline") + " " + dir_.path();
   const auto [rc_j, out_j] = RunCommand(base + " --journal");
   EXPECT_EQ(rc_j, 2) << out_j;
 
-  for (const char* flag : {"--no-stream", "--no-symbolic", "--no-dedup"}) {
-    const auto [rc, out] = RunCommand(base + " --resume " + flag);
-    EXPECT_EQ(rc, 1) << flag << ": " << out;
-    EXPECT_NE(out.find("mismatched statistics"), std::string::npos)
-        << flag << ": " << out;
-  }
+  const auto [rc, out] = RunCommand(base + " --resume --no-dedup");
+  EXPECT_EQ(rc, 1) << out;
+  EXPECT_NE(out.find("mismatched statistics"), std::string::npos) << out;
 
   const auto [rc_ok, out_ok] = RunCommand(base + " --resume");
   EXPECT_EQ(rc_ok, 2) << out_ok;
+
+  const auto [rc_nd, out_nd] = RunCommand(base + " --journal --no-dedup");
+  EXPECT_EQ(rc_nd, 2) << out_nd;
+  const auto [rc_rev, out_rev] = RunCommand(base + " --resume");
+  EXPECT_EQ(rc_rev, 1) << out_rev;
+  EXPECT_NE(out_rev.find("mismatched statistics"), std::string::npos)
+      << out_rev;
+}
+
+TEST_F(ToolsTest, OfflineToolRefusesVersion4Journal) {
+  // A journal from before the v5 header (which dropped three retired knob
+  // bytes) is an analysis failure naming the version, not a usage error.
+  ASSERT_TRUE(WriteFile(dir_.path() + "/sword_analysis_0of1.journal",
+                        oracle::JournalV4File(offline::JournalHeader{}))
+                  .ok());
+  const auto [rc, out] = RunCommand(ToolPath("sword-offline") + " " +
+                                    dir_.path() + " --resume");
+  EXPECT_EQ(rc, 4) << out;
+  EXPECT_NE(out.find("journal version 4"), std::string::npos) << out;
+}
+
+TEST_F(ToolsTest, OfflineToolRejectsRetiredAblationFlags) {
+  // No option answers to these names: they fail as unknown flags (exit 1),
+  // before the trace is touched.
+  for (const char* flag : {"--no-stream", "--no-sweep", "--no-symbolic"}) {
+    const auto [rc, out] = RunCommand(ToolPath("sword-offline") + " " +
+                                      dir_.path() + " " + flag);
+    EXPECT_EQ(rc, 1) << flag << ": " << out;
+    EXPECT_NE(out.find(std::string("unknown flag ") + flag), std::string::npos)
+        << flag << ": " << out;
+  }
 }
 
 TEST_F(ToolsTest, RunToolListsAndRuns) {
