@@ -664,13 +664,12 @@ int RunFastPathQuick(const ArgParser& args) {
 }
 
 // ---------------------------------------------------------------------------
-// --contention mode: the trace-plane coordination sweep behind the lock-free
-// tentpole. N producer threads cycle pool-acquired buffers through
-// AppendFrame as fast as they can; the raw codec and small frames keep the
-// worker side to a memcpy+append so the measured quantity is the
-// coordination plane (ring/credits/freelist vs mutex/condvar/deque), not
-// compression or disk. Aggregate appends/sec and ns/append per thread count,
-// lock-free vs the --no-lockfree ablation.
+// --contention mode: the trace-plane coordination sweep. N producer threads
+// cycle pool-acquired buffers through AppendFrame as fast as they can; the
+// raw codec and small frames keep the worker side to a memcpy+append so the
+// measured quantity is the coordination plane (ring lanes, credits, buffer
+// free list), not compression or disk. Aggregate appends/sec and ns/append
+// per thread count.
 
 struct ContentionPoint {
   double ops_per_sec = 0;
@@ -678,8 +677,7 @@ struct ContentionPoint {
   uint64_t producer_blocks = 0;
 };
 
-ContentionPoint MeasureContention(bool lockfree, uint32_t threads,
-                                  uint64_t total_frames) {
+ContentionPoint MeasureContention(uint32_t threads, uint64_t total_frames) {
   constexpr size_t kFrameBytes = 4096;
   const Compressor* codec = FindCompressor("raw");
   const uint64_t per_thread = std::max<uint64_t>(1, total_frames / threads);
@@ -690,7 +688,6 @@ ContentionPoint MeasureContention(bool lockfree, uint32_t threads,
     TempDir dir("bm-contention");
     trace::FlusherConfig fc;
     fc.async = true;
-    fc.lockfree = lockfree;
     fc.workers = 2;
     fc.max_queued_jobs = 64;
     trace::Flusher flusher(fc);
@@ -735,70 +732,54 @@ int RunContention(const ArgParser& args) {
   const uint64_t total_frames = 1920;
 
   sword::bench::Banner(
-      "Trace-plane contention - lock-free lanes/pool vs mutex ablation",
+      "Trace-plane contention - lock-free lanes and buffer pool",
       "lock-free coordination keeps aggregate append throughput from "
-      "collapsing as producers scale, and beats the mutex plane under "
-      "contention on multi-core hosts");
+      "collapsing as producers scale");
   std::printf("hardware threads: %u\n\n", hw);
 
-  std::vector<ContentionPoint> lf, mx;
-  TextTable table({"producers", "lockfree ops/s", "ns/op", "stalls",
-                   "mutex ops/s", "ns/op", "stalls", "speedup"});
+  std::vector<ContentionPoint> points;
+  TextTable table({"producers", "ops/s", "ns/op", "stalls"});
   for (uint32_t threads : sweep) {
-    lf.push_back(MeasureContention(true, threads, total_frames));
-    mx.push_back(MeasureContention(false, threads, total_frames));
-    const ContentionPoint& a = lf.back();
-    const ContentionPoint& b = mx.back();
+    points.push_back(MeasureContention(threads, total_frames));
+    const ContentionPoint& a = points.back();
     table.AddRow({std::to_string(threads),
                   std::to_string(static_cast<uint64_t>(a.ops_per_sec)),
-                  Fmt(a.ns_per_op), std::to_string(a.producer_blocks),
-                  std::to_string(static_cast<uint64_t>(b.ops_per_sec)),
-                  Fmt(b.ns_per_op), std::to_string(b.producer_blocks),
-                  FmtX(a.ops_per_sec / std::max(b.ops_per_sec, 1e-9), 2)});
+                  Fmt(a.ns_per_op), std::to_string(a.producer_blocks)});
   }
   table.Print();
   std::printf("\n");
 
   // Gate metrics. Indexes into the sweep: 8 -> [2], 16 -> [3], 24 -> [4].
-  const double speedup_16 = lf[3].ops_per_sec / std::max(mx[3].ops_per_sec, 1e-9);
+  // The absolute throughput at 16 producers is gated by perf_baseline.json
+  // (lockfree_ops_per_sec_16); the ratio below needs no reference box.
   const double flatness_8_24 =
-      lf[4].ops_per_sec / std::max(lf[2].ops_per_sec, 1e-9);
-  // On hosts with fewer than 4 cores there is no real parallelism to win
-  // back: both planes serialize on the scheduler and the ratios are noise,
-  // so the booleans pass vacuously there (CI runners have >= 4).
-  const bool contention_ok = speedup_16 >= 2.0 || hw < 4;
+      points[4].ops_per_sec / std::max(points[2].ops_per_sec, 1e-9);
+  // On hosts with fewer than 4 cores there is no real parallelism: the
+  // producers serialize on the scheduler and the ratio is noise, so the
+  // boolean passes vacuously there (CI runners have >= 4).
   const bool scaling_ok = flatness_8_24 >= 0.5 || hw < 4;
 
-  Check(contention_ok,
-        "lock-free >= 2x mutex aggregate append throughput at 16 producers (" +
-            FmtX(speedup_16, 2) + (hw < 4 ? ", waived: <4 hw threads)" : ")"));
   Check(scaling_ok,
         "aggregate throughput holds 8 -> 24 producers (" +
             FmtX(flatness_8_24, 2) + (hw < 4 ? ", waived: <4 hw threads)" : ")"));
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
-    auto list = [&out](const std::vector<ContentionPoint>& pts, bool ns) {
-      for (size_t i = 0; i < pts.size(); i++) {
-        out << (i ? "," : "") << (ns ? pts[i].ns_per_op : pts[i].ops_per_sec);
+    auto list = [&out, &points](bool ns) {
+      for (size_t i = 0; i < points.size(); i++) {
+        out << (i ? "," : "") << (ns ? points[i].ns_per_op : points[i].ops_per_sec);
       }
     };
     out << "{\"bench\":\"micro_contention\",\"hw_threads\":" << hw
         << ",\"threads\":[2,4,8,16,24],\"lockfree_ops_per_sec\":[";
-    list(lf, false);
-    out << "],\"mutex_ops_per_sec\":[";
-    list(mx, false);
+    list(false);
     out << "],\"lockfree_ns_per_op\":[";
-    list(lf, true);
-    out << "],\"mutex_ns_per_op\":[";
-    list(mx, true);
-    out << "],\"lockfree_ops_per_sec_16\":" << lf[3].ops_per_sec
-        << ",\"speedup_16\":" << speedup_16
+    list(true);
+    out << "],\"lockfree_ops_per_sec_16\":" << points[3].ops_per_sec
         << ",\"flatness_8_24\":" << flatness_8_24
-        << ",\"contention_ok\":" << (contention_ok ? "true" : "false")
         << ",\"scaling_ok\":" << (scaling_ok ? "true" : "false") << "}\n";
   }
-  return (contention_ok && scaling_ok) ? 0 : 1;
+  return scaling_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -121,7 +121,6 @@ SwordTool::SwordTool(SwordConfig config)
                                .solver_budget = config_.prefilter_budget})
                      : nullptr),
       flusher_(trace::FlusherConfig{.async = config_.async_flush,
-                                    .lockfree = config_.lockfree,
                                     .workers = config_.flush_workers,
                                     .max_queued_jobs = config_.flush_queue_depth,
                                     .memory = &memory_,
@@ -166,8 +165,6 @@ SwordTool::ThreadState& SwordTool::State() {
   wc.codec = FindCompressor(config_.codec);
   wc.flusher = &flusher_;
   wc.format = config_.trace_format;
-  wc.access_filter = config_.access_filter;
-  wc.coalesce = config_.coalesce;
   wc.meta_checkpoint_interval = config_.meta_checkpoint_interval;
   wc.backend = config_.backend;
   wc.governor = governor_.get();
@@ -342,14 +339,10 @@ Status SwordTool::Finalize() {
   // one. Normally (Finalize outside parallel regions) every thread already
   // cleared its sink at a barrier or task end and the QSBR grace passes
   // immediately - no epoch bump, parked threads keep their fast path warm.
-  // A failed grace (crash drain mid-region) or the --no-lockfree ablation
-  // falls back to the stop-the-world epoch bump; stale sinks then fail the
-  // per-access epoch check and take the virtual path.
-  if (config_.lockfree) {
-    (void)somp::RetireSinks();
-  } else {
-    somp::InvalidateSinks();
-  }
+  // A failed grace (crash drain mid-region) falls back to the stop-the-world
+  // epoch bump inside RetireSinks; stale sinks then fail the per-access
+  // epoch check and take the virtual path.
+  (void)somp::RetireSinks();
   // A normal Finalize runs outside parallel regions, where no episode is
   // live. The crash-drain path can arrive mid-loop: flush each episode's
   // receipts (best-effort, same data-race caveat as the drain itself) so

@@ -40,18 +40,9 @@ struct SwordConfig {
   uint64_t buffer_bytes = 2 * 1024 * 1024;   // per-thread trace buffer
   std::string codec = "lzf";                 // "raw", "rle", "lzs", or "lzf"
   bool async_flush = true;
-  /// Lock-free trace plane (ring-buffer flush lanes, lock-free buffer pool,
-  /// QSBR sink retirement). Ablation: race reports are byte-identical with
-  /// it on or off (`--no-lockfree`); only cross-thread coordination differs.
-  bool lockfree = true;
   uint32_t flush_workers = 0;                // 0 = min(4, hw_concurrency)
   size_t flush_queue_depth = trace::Flusher::kDefaultMaxQueuedJobs;
   uint8_t trace_format = trace::kTraceFormatV3;  // event encoding version
-  /// Online fast-path knobs (effective for trace format v3 only; see
-  /// WriterConfig). Both are ablations: race reports are byte-identical
-  /// with them on or off.
-  bool access_filter = true;
-  bool coalesce = true;
   /// Meta checkpoint cadence in closed segments (0 = only at Finalize); see
   /// WriterConfig::meta_checkpoint_interval.
   uint32_t meta_checkpoint_interval = 1;

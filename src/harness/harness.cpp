@@ -123,9 +123,6 @@ RunResult RunWorkload(const workloads::Workload& workload, const RunConfig& conf
       sc.async_flush = config.async_flush;
       sc.flush_workers = config.flush_workers;
       sc.trace_format = config.trace_format;
-      sc.access_filter = config.access_filter;
-      sc.coalesce = config.coalesce;
-      sc.lockfree = config.lockfree;
       sc.prefilter = config.prefilter;
       sc.prefilter_budget = config.prefilter_budget;
       sc.crash_seal = config.crash_seal;

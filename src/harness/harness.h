@@ -42,9 +42,6 @@ struct RunConfig {
   bool async_flush = true;
   uint32_t flush_workers = 0;          // flusher pool size; 0 = auto
   uint8_t trace_format = trace::kTraceFormatV3;
-  bool access_filter = true;           // duplicate-access filter (v3 only)
-  bool coalesce = true;                // strided-run coalescing (v3 only)
-  bool lockfree = true;                // lock-free trace plane (ablation)
   bool prefilter = false;              // static pre-filter elision (v3 only)
   uint64_t prefilter_budget = 4096;    // solver step budget per overlap query
   bool run_offline = true;             // run the offline analysis afterwards

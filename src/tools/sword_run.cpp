@@ -4,7 +4,6 @@
 //   sword-run --suite drb --name nowait-orig-yes --tool sword [--threads 8]
 //             [--size N] [--trace-dir DIR] [--buffer-kb K] [--codec C]
 //             [--cap-mb M] [--flush-workers W] [--format 1|2|3]
-//             [--no-access-filter] [--no-coalesce] [--no-lockfree]
 //             [--no-prefilter] [--prefilter-budget N]
 //             [--fault-plan SPEC] [--watchdog-ms N] [--adaptive]
 //             [--no-crash-seal] [--salvage]
@@ -76,12 +75,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   config.trace_format = static_cast<uint8_t>(format);
-  // Fast-path ablations (report-identical by construction; see FORMAT.md).
-  config.access_filter = !args.GetBool("no-access-filter");
-  config.coalesce = !args.GetBool("no-coalesce");
-  // Trace-plane coordination ablation: mutex/condvar lanes + epoch-bump
-  // sink invalidation instead of the lock-free rings/pool/QSBR.
-  config.lockfree = !args.GetBool("no-lockfree");
   // Static pre-filter: on by default here (ablation via --no-prefilter).
   // Race output is identical either way - elision only suppresses accesses
   // at sites proven disjoint, and footprint receipts keep the decoded
@@ -100,6 +93,12 @@ int main(int argc, char** argv) {
   config.adaptive_degradation = args.GetBool("adaptive");
   config.watchdog_ms = static_cast<uint64_t>(args.GetInt("watchdog-ms", 0));
   config.salvage_offline = args.GetBool("salvage");
+  // A flag nothing above read is a typo or a retired ablation; running the
+  // default configuration under its name would mislabel the measurement.
+  for (const auto& flag : args.UnknownFlags()) {
+    std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
+    return 1;
+  }
 
   auto result = harness::RunByName(suite, name, config);
   if (!result.ok()) {

@@ -12,15 +12,10 @@ namespace sword::trace {
 // ----------------------------------------------------------------- BufferPool
 
 BufferPool::~BufferPool() {
-  if (lockfree_) {
-    Bytes b;
-    while (freelist_.TryGet(&b)) {
-      if (memory_) memory_->Release(b.capacity());
-    }
-    return;
+  Bytes b;
+  while (freelist_.TryGet(&b)) {
+    if (memory_) memory_->Release(b.capacity());
   }
-  if (!memory_) return;
-  for (const Bytes& b : free_) memory_->Release(b.capacity());
 }
 
 void BufferPool::InjectAcquireFailures(uint64_t from_call, uint64_t count) {
@@ -40,18 +35,7 @@ Bytes BufferPool::Acquire(size_t capacity) {
     return Bytes();
   }
   Bytes b;
-  bool recycled = false;
-  if (lockfree_) {
-    recycled = freelist_.TryGet(&b);
-  } else {
-    std::lock_guard lock(mutex_);
-    if (!free_.empty()) {
-      b = std::move(free_.back());
-      free_.pop_back();
-      recycled = true;
-    }
-  }
-  if (recycled) {
+  if (freelist_.TryGet(&b)) {
     recycles_.fetch_add(1, std::memory_order_relaxed);
     b.clear();
     if (b.capacity() < capacity) {
@@ -70,28 +54,13 @@ Bytes BufferPool::Acquire(size_t capacity) {
 void BufferPool::Release(Bytes buffer) {
   if (buffer.capacity() == 0) return;
   const size_t capacity = buffer.capacity();
-  if (lockfree_) {
-    if (freelist_.TryPut(std::move(buffer))) {
-      releases_kept_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-  } else {
-    std::lock_guard lock(mutex_);
-    if (free_.size() < max_free_) {
-      free_.push_back(std::move(buffer));
-      releases_kept_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+  if (freelist_.TryPut(std::move(buffer))) {
+    releases_kept_.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
   // Free list full: let the buffer die and un-charge it.
   releases_freed_.fetch_add(1, std::memory_order_relaxed);
   if (memory_) memory_->Release(capacity);
-}
-
-size_t BufferPool::free_count() const {
-  if (lockfree_) return freelist_.ApproxSize();
-  std::lock_guard lock(mutex_);
-  return free_.size();
 }
 
 BufferPool::Stats BufferPool::ReadStatsOnce() const {
@@ -129,7 +98,6 @@ uint32_t DefaultWorkers() {
 
 Flusher::Flusher(const FlusherConfig& config)
     : async_(config.async),
-      lockfree_(config.lockfree),
       max_queued_jobs_(std::max<size_t>(1, config.max_queued_jobs)),
       backend_(config.backend ? config.backend : &RealFileBackend()),
       retry_policy_{/*max_attempts=*/config.max_io_retries + 1,
@@ -137,7 +105,7 @@ Flusher::Flusher(const FlusherConfig& config)
                     /*max_backoff_us=*/10 * 1000},
       watchdog_deadline_ms_(config.watchdog_deadline_ms),
       governor_(config.governor),
-      pool_(config.max_pooled_buffers, config.memory, config.lockfree) {
+      pool_(config.max_pooled_buffers, config.memory) {
   if (!async_) return;
   credits_.store(static_cast<int64_t>(max_queued_jobs_),
                  std::memory_order_relaxed);
@@ -145,38 +113,27 @@ Flusher::Flusher(const FlusherConfig& config)
   workers_.reserve(n);
   for (uint32_t i = 0; i < n; i++) {
     auto w = std::make_unique<Worker>();
-    if (lockfree_) {
-      // A lane ring sized to hold EVERY credit can never overflow: jobs in
-      // rings never exceed outstanding credits <= max_queued_jobs, even if
-      // the hash sends them all to one lane.
-      w->ring = std::make_unique<lockfree::MpmcRing<Job>>(max_queued_jobs_);
-    }
+    // A lane ring sized to hold EVERY credit can never overflow: jobs in
+    // rings never exceed outstanding credits <= max_queued_jobs, even if
+    // the hash sends them all to one lane.
+    w->ring = std::make_unique<lockfree::MpmcRing<Job>>(max_queued_jobs_);
     workers_.push_back(std::move(w));
   }
   // Threads start only after the vector is fully built: Run() indexes it.
   for (uint32_t i = 0; i < n; i++) {
-    workers_[i]->thread = std::thread(
-        [this, i] { lockfree_ ? RunLockfree(i) : Run(i); });
+    workers_[i]->thread = std::thread([this, i] { Run(i); });
   }
 }
 
 Flusher::~Flusher() {
   if (!async_) return;
-  {
-    // Taken for the mutex lanes' wait predicate; harmless for lock-free.
-    std::lock_guard lock(mutex_);
-    stop_.store(true, std::memory_order_seq_cst);
-  }
+  stop_.store(true, std::memory_order_seq_cst);
   for (auto& w : workers_) {
-    if (lockfree_) {
-      // Pairs with the worker's check-then-wait under doorbell_mutex: once
-      // we hold the mutex the worker is either before its stop_ re-check
-      // (sees it) or parked (gets the notify).
-      std::lock_guard doorbell(w->doorbell_mutex);
-      w->doorbell.notify_all();
-    } else {
-      w->cv.notify_all();
-    }
+    // Pairs with the worker's check-then-wait under doorbell_mutex: once we
+    // hold the mutex the worker is either before its stop_ re-check (sees
+    // it) or parked (gets the notify).
+    std::lock_guard doorbell(w->doorbell_mutex);
+    w->doorbell.notify_all();
   }
   for (auto& w : workers_) w->thread.join();
 }
@@ -208,26 +165,15 @@ size_t Flusher::LaneFor(const std::string& path) const {
 
 void Flusher::Enqueue(Job job) {
   const size_t raw_bytes = job.data.size();
+  job.ticket = jobs_enqueued_.fetch_add(1, std::memory_order_relaxed);
+  bytes_in_.fetch_add(raw_bytes, std::memory_order_relaxed);
   if (!async_) {
     DoJob(job, nullptr);
     if (job.recycle) pool_.Release(std::move(job.data));
-    jobs_enqueued_.fetch_add(1, std::memory_order_relaxed);
     jobs_completed_.fetch_add(1, std::memory_order_relaxed);
-    bytes_in_.fetch_add(raw_bytes, std::memory_order_relaxed);
     if (governor_) governor_->Evaluate();
     return;
   }
-  const size_t lane = LaneFor(job.path);
-  jobs_enqueued_.fetch_add(1, std::memory_order_relaxed);
-  bytes_in_.fetch_add(raw_bytes, std::memory_order_relaxed);
-  if (lockfree_) {
-    EnqueueLockfree(std::move(job), lane);
-  } else {
-    EnqueueLocked(std::move(job), lane);
-  }
-}
-
-void Flusher::EnqueueLockfree(Job job, size_t lane) {
   // Backpressure: acquire one credit. The CAS loop is the entire fast path
   // - no mutex, no condvar - and degrades to yield/sleep backoff only when
   // the pipeline is genuinely full. With a watchdog deadline configured the
@@ -278,7 +224,7 @@ void Flusher::EnqueueLockfree(Job job, size_t lane) {
   // Holding a credit guarantees ring space (ring capacity >= total
   // credits); the spin only covers a consumer mid-pop on the target slot.
   in_flight_.fetch_add(1, std::memory_order_relaxed);
-  Worker& w = *workers_[lane];
+  Worker& w = *workers_[LaneFor(job.path)];
   while (!w.ring->TryPush(std::move(job))) std::this_thread::yield();
   // Doorbell, Dekker-paired with the worker's sleep sequence: our push
   // then fence then sleeping-load vs. its sleeping-store then fence then
@@ -288,42 +234,6 @@ void Flusher::EnqueueLockfree(Job job, size_t lane) {
     std::lock_guard doorbell(w.doorbell_mutex);
     w.doorbell.notify_one();
   }
-}
-
-void Flusher::EnqueueLocked(Job job, size_t lane) {
-  {
-    std::unique_lock lock(mutex_);
-    if (queued_ >= max_queued_jobs_) {
-      producer_blocks_.fetch_add(1, std::memory_order_relaxed);
-      if (governor_) governor_->NoteCreditStall();
-      const auto t0 = std::chrono::steady_clock::now();
-      bool have_space;
-      if (watchdog_deadline_ms_ > 0) {
-        have_space = space_cv_.wait_for(
-            lock, std::chrono::milliseconds(watchdog_deadline_ms_),
-            [&] { return queued_ < max_queued_jobs_; });
-      } else {
-        space_cv_.wait(lock, [&] { return queued_ < max_queued_jobs_; });
-        have_space = true;
-      }
-      const uint64_t waited = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-      blocked_nanos_.fetch_add(waited, std::memory_order_relaxed);
-      if (governor_) governor_->NoteBlockedNanos(waited);
-      if (!have_space) {
-        // RecordDrop takes mutex_, so drop outside the lock.
-        lock.unlock();
-        WatchdogDrop(std::move(job));
-        return;
-      }
-    }
-    workers_[lane]->lane.push_back(std::move(job));
-    queued_++;
-    in_flight_.fetch_add(1, std::memory_order_relaxed);
-  }
-  workers_[lane]->cv.notify_one();
 }
 
 void Flusher::WatchdogDrop(Job job) {
@@ -340,22 +250,16 @@ void Flusher::WatchdogDrop(Job job) {
 
 void Flusher::Drain() {
   if (!async_) return;
-  if (lockfree_) {
-    // Poll with backoff: Drain is the cold path (finalize, tests), and a
-    // condvar here would put a mutex back on every job completion.
-    uint32_t spins = 0;
-    while (in_flight_.load(std::memory_order_acquire) != 0) {
-      if (spins++ < 128) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
+  // Poll with backoff: Drain is the cold path (finalize, tests), and a
+  // condvar here would put a mutex back on every job completion.
+  uint32_t spins = 0;
+  while (in_flight_.load(std::memory_order_acquire) != 0) {
+    if (spins++ < 128) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
-    return;
   }
-  std::unique_lock lock(mutex_);
-  drained_cv_.wait(
-      lock, [&] { return in_flight_.load(std::memory_order_acquire) == 0; });
 }
 
 Status Flusher::status() const {
@@ -386,48 +290,12 @@ void Flusher::CompleteJob(Job job, Worker* worker) {
 
 void Flusher::Run(uint32_t index) {
   Worker& me = *workers_[index];
-  std::unique_lock lock(mutex_);
-  while (true) {
-    const auto ready = [&] {
-      return stop_.load(std::memory_order_relaxed) || !me.lane.empty();
-    };
-    if (governor_) {
-      // Bounded waits so recovery (calm-streak) evaluations keep ticking
-      // while the pipeline is idle; Evaluate never touches mutex_.
-      while (!ready()) {
-        me.cv.wait_for(lock, std::chrono::milliseconds(50));
-        governor_->Evaluate();
-      }
-    } else {
-      me.cv.wait(lock, ready);
-    }
-    if (me.lane.empty()) {
-      if (stop_.load(std::memory_order_relaxed)) return;
-      continue;
-    }
-    Job job = std::move(me.lane.front());
-    me.lane.pop_front();
-    queued_--;
-    space_cv_.notify_one();
-    lock.unlock();
-
-    CompleteJob(std::move(job), &me);
-
-    lock.lock();
-    if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      drained_cv_.notify_all();
-    }
-  }
-}
-
-void Flusher::RunLockfree(uint32_t index) {
-  Worker& me = *workers_[index];
   for (;;) {
     Job job;
     if (me.ring->TryPop(&job)) {
-      // Release the credit at dequeue (the job left the queue), matching
-      // the mutex path's queued_-- semantics; the release pairs with
-      // producers' acquire CAS so a freed ring slot is visible to them.
+      // Release the credit at dequeue (the job left the queue); the release
+      // pairs with producers' acquire CAS so a freed ring slot is visible
+      // to them.
       credits_.fetch_add(1, std::memory_order_release);
       CompleteJob(std::move(job), &me);
       // Release-ordered so Drain's acquire load also orders the job's
@@ -442,7 +310,7 @@ void Flusher::RunLockfree(uint32_t index) {
       continue;
     }
     // Park: announce, re-check, then wait. The seq_cst fence pairs with the
-    // producer's post-push fence (see EnqueueLockfree).
+    // producer's post-push fence (see Enqueue).
     std::unique_lock doorbell(me.doorbell_mutex);
     me.sleeping.store(1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -487,17 +355,26 @@ Status Flusher::WritePathData(const Job& job, const uint8_t* data, size_t n) {
   // If earlier frames for this path were dropped, their gap marker must land
   // before this frame - otherwise every logical offset after the hole would
   // silently shift and the analyzer would attribute events to the wrong
-  // intervals. Per-path jobs are serialized (one FIFO lane per path), so
-  // this read-then-erase is race-free; the counter guard keeps the mutex
-  // off the no-drops steady state entirely (the path's own drops were
-  // recorded by this same worker, so program order makes the nonzero count
-  // visible here).
+  // intervals. A watchdog drop is booked by the producer while older frames
+  // of the same path may still sit in the lane, so only drops with an older
+  // ticket belong before this frame; the rest wait for a later one. Every
+  // older drop was booked before this job was dequeued (I/O drops by this
+  // worker, watchdog drops by the producer before it enqueued this job), and
+  // a newer one cannot match, so the read-then-erase below is race-free.
+  // The counter guard keeps the mutex off the no-drops steady state.
+  const auto before_job = [&](const PendingGap& p) {
+    return p.ticket < job.ticket;
+  };
   if (pending_gap_paths_.load(std::memory_order_acquire) > 0) {
     DropRecord gap;
     {
       std::lock_guard lock(mutex_);
       auto it = pending_gaps_.find(job.path);
-      if (it != pending_gaps_.end()) gap = it->second;
+      if (it != pending_gaps_.end()) {
+        for (const PendingGap& p : it->second) {
+          if (before_job(p)) gap.Add(p.drop);
+        }
+      }
     }
     if (gap.frames > 0) {
       Bytes gap_frame;
@@ -516,8 +393,12 @@ Status Flusher::WritePathData(const Job& job, const uint8_t* data, size_t n) {
         sync_retries_.fetch_add(sync.retries, std::memory_order_relaxed);
       }
       std::lock_guard lock(mutex_);
-      pending_gaps_.erase(job.path);
-      pending_gap_paths_.fetch_sub(1, std::memory_order_release);
+      auto it = pending_gaps_.find(job.path);
+      std::erase_if(it->second, before_job);
+      if (it->second.empty()) {
+        pending_gaps_.erase(it);
+        pending_gap_paths_.fetch_sub(1, std::memory_order_release);
+      }
     }
   }
   return AppendChecked(job.path, data, n);
@@ -527,17 +408,13 @@ void Flusher::RecordDrop(const Job& job, const Status& status) {
   frames_dropped_.fetch_add(1);
   events_dropped_.fetch_add(job.event_count);
   bytes_dropped_.fetch_add(job.data.size());
+  const DropRecord drop{job.data.size(), job.event_count, 1};
   std::lock_guard lock(mutex_);
   if (status_.ok()) status_ = status;
-  for (auto* map : {&pending_gaps_, &dropped_}) {
-    DropRecord& rec = (*map)[job.path];
-    if (map == &pending_gaps_ && rec.frames == 0) {
-      pending_gap_paths_.fetch_add(1, std::memory_order_release);
-    }
-    rec.raw_bytes += job.data.size();
-    rec.events += job.event_count;
-    rec.frames += 1;
-  }
+  std::vector<PendingGap>& pending = pending_gaps_[job.path];
+  if (pending.empty()) pending_gap_paths_.fetch_add(1, std::memory_order_release);
+  pending.push_back({job.ticket, drop});
+  dropped_[job.path].Add(drop);
 }
 
 void Flusher::DoJob(const Job& job, Worker* worker) {
@@ -575,14 +452,10 @@ FlusherStats Flusher::stats() const {
   s.watchdog_drops = watchdog_drops_.load(std::memory_order_relaxed);
   s.syncs = syncs_.load(std::memory_order_relaxed);
   s.sync_retries = sync_retries_.load(std::memory_order_relaxed);
-  s.lockfree = lockfree_;
-  if (async_ && lockfree_) {
+  if (async_) {
     const int64_t credits = credits_.load(std::memory_order_relaxed);
     const int64_t held = static_cast<int64_t>(max_queued_jobs_) - credits;
     s.queued_now = held > 0 ? static_cast<size_t>(held) : 0;
-  } else {
-    std::lock_guard lock(mutex_);
-    s.queued_now = queued_;
   }
   s.worker_bytes_in.reserve(workers_.size());
   for (const auto& w : workers_) {

@@ -12,23 +12,23 @@
 // FIFO lane), so appends to any single log file happen in submission order
 // while different threads' files compress and write in parallel.
 //
-// Cross-thread coordination comes in two selectable flavors:
-//  - lock-free (default): each lane is a bounded MPMC ring with per-slot
-//    sequence numbers (lockfree::MpmcRing; used MPSC here), backpressure is
-//    a lock-free credit counter (one credit = one queued job, CAS-acquired
-//    by producers, released at dequeue), and a worker that finds its ring
-//    empty parks on a per-worker doorbell (Dekker-paired sleeping flag +
-//    condvar, so producers touch no mutex unless the worker is actually
-//    asleep). Enqueue is wait-free when credits are available.
-//  - mutex (FlusherConfig::lockfree = false, the `--no-lockfree` ablation):
-//    the historical global-mutex + condvar lanes, preserved for
-//    byte-identical report comparison.
+// Coordination is lock-free on the hot path: each lane is a bounded MPMC
+// ring with per-slot sequence numbers (lockfree::MpmcRing; used MPSC here),
+// backpressure is a credit counter (one credit = one queued job,
+// CAS-acquired by producers, released at dequeue), and a worker that finds
+// its ring empty parks on a per-worker doorbell (Dekker-paired sleeping flag
+// + condvar, so producers touch no mutex unless the worker is actually
+// asleep). Enqueue is wait-free when credits are available. Besides the
+// doorbells, one mutex guards the cold state: per-path drop records and the
+// sticky status.
 //
 // Memory is bounded end to end:
 //  - global backpressure: at most `max_queued_jobs` buffers may be queued
 //    across all lanes; producers block once the queue is full, which bounds
 //    trace memory to ~queue_depth x buffer_size instead of growing without
-//    limit. Block count and blocked time are surfaced in FlusherStats.
+//    limit. Block count and blocked time are surfaced in FlusherStats. An
+//    optional watchdog deadline turns a wait that outlives it into an
+//    accounted drop.
 //  - a BufferPool recycles event buffers: writers swap their full buffer in
 //    and take a recycled one back, so steady-state flushing performs no
 //    2 MB allocations; every pooled buffer is charged to the configured
@@ -44,7 +44,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -66,9 +65,8 @@ class DegradationGovernor;
 /// Recycles byte buffers between trace writers and flusher workers. All
 /// buffers that exist because of the pool (handed out or free-listed) are
 /// charged to `memory`, so the bounded-memory accounting sees the real
-/// buffer population, not just the writers' nominal capacity. Thread-safe;
-/// lock-free by default (a bounded lockfree::FreeList), with the historical
-/// mutex free list behind `lockfree = false`.
+/// buffer population, not just the writers' nominal capacity. Thread-safe
+/// and lock-free: the free list is a bounded lockfree::FreeList.
 class BufferPool {
  public:
   static constexpr size_t kDefaultMaxFree = 16;
@@ -89,11 +87,8 @@ class BufferPool {
   };
 
   explicit BufferPool(size_t max_free = kDefaultMaxFree,
-                      MemoryScope* memory = nullptr, bool lockfree = true)
-      : max_free_(max_free),
-        memory_(memory),
-        lockfree_(lockfree),
-        freelist_(lockfree ? max_free : 0) {}
+                      MemoryScope* memory = nullptr)
+      : memory_(memory), freelist_(max_free) {}
   ~BufferPool();
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -112,16 +107,14 @@ class BufferPool {
   uint64_t recycles() const {
     return recycles_.load(std::memory_order_relaxed);
   }
-  size_t free_count() const;
+  size_t free_count() const { return freelist_.ApproxSize(); }
 
-  /// All counters in one mutually consistent snapshot: the historical
-  /// accessors raced against each other (atomics bumped outside the free
-  /// list's critical section), so `allocations() - recycles()` could be
-  /// transiently nonsensical. This re-reads until two consecutive snapshots
-  /// agree - exact at quiescence, best-effort under churn.
+  /// All counters in one mutually consistent snapshot: the individual
+  /// accessors race against each other (each counter is bumped on its own),
+  /// so `allocations() - recycles()` can be transiently nonsensical. This
+  /// re-reads until two consecutive snapshots agree - exact at quiescence,
+  /// best-effort under churn.
   Stats stats() const;
-
-  bool lockfree() const { return lockfree_; }
 
   /// Deterministic chaos knob: Acquire() calls numbered [from, from+count)
   /// (1-based) fail, returning a zero-capacity buffer — the out-of-memory
@@ -137,19 +130,11 @@ class BufferPool {
  private:
   Stats ReadStatsOnce() const;
 
-  const size_t max_free_;
   MemoryScope* const memory_;
-  const bool lockfree_;
+  lockfree::FreeList<Bytes> freelist_;  // bounded: capacity = max_free
 
-  // Lock-free path: bounded free list (capacity = max_free_).
-  lockfree::FreeList<Bytes> freelist_;
-
-  // Mutex path (--no-lockfree).
-  mutable std::mutex mutex_;
-  std::vector<Bytes> free_;
-
-  // Counters are relaxed atomics in both modes; stats() makes them
-  // coherent. Producer/consumer-shared, so keep them off other hot lines.
+  // Counters are relaxed atomics; stats() makes them coherent.
+  // Producer/consumer-shared, so keep them off other hot lines.
   alignas(lockfree::kCacheLine) std::atomic<uint64_t> allocations_{0};
   std::atomic<uint64_t> recycles_{0};
   std::atomic<uint64_t> releases_kept_{0};
@@ -164,10 +149,6 @@ class BufferPool {
 
 struct FlusherConfig {
   bool async = true;
-  /// Lock-free lanes/pool/backpressure (default); false = the historical
-  /// mutex+condvar coordination (`--no-lockfree` ablation). Race reports
-  /// are byte-identical either way; only contention behavior differs.
-  bool lockfree = true;
   /// Worker threads; 0 = min(4, hardware_concurrency). Ignored in sync mode.
   uint32_t workers = 0;
   /// Global backpressure bound across all lanes.
@@ -215,7 +196,6 @@ struct FlusherStats {
   uint64_t syncs = 0;            // fsync passes issued (after gap frames)
   uint64_t sync_retries = 0;     // transient-sync retries that happened
   size_t queued_now = 0;               // snapshot: jobs waiting in lanes
-  bool lockfree = false;               // which coordination plane ran
   std::vector<uint64_t> worker_bytes_in;  // raw bytes compressed per worker
 };
 
@@ -224,6 +204,12 @@ struct DropRecord {
   uint64_t raw_bytes = 0;  // logical bytes that never reached the log
   uint64_t events = 0;
   uint64_t frames = 0;
+
+  void Add(const DropRecord& o) {
+    raw_bytes += o.raw_bytes;
+    events += o.events;
+    frames += o.frames;
+  }
 };
 
 class Flusher {
@@ -265,7 +251,6 @@ class Flusher {
   DropRecord DroppedFor(const std::string& path) const;
 
   bool async() const { return async_; }
-  bool lockfree() const { return lockfree_; }
   uint32_t workers() const { return static_cast<uint32_t>(workers_.size()); }
   BufferPool& pool() { return pool_; }
 
@@ -283,20 +268,28 @@ class Flusher {
     uint8_t payload_format = 1;
     uint64_t event_count = 0;  // events encoded in `data` (framed jobs)
     bool recycle = false;  // return `data` to the pool afterwards
+    /// Submission order across all paths (taken at Enqueue). One writer
+    /// feeds each path, so per path it is the order of the frames in the
+    /// log's logical stream.
+    uint64_t ticket = 0;
+  };
+
+  /// A dropped frame whose gap marker is not on disk yet.
+  struct PendingGap {
+    uint64_t ticket;  // the dropped job's ticket: where the hole belongs
+    DropRecord drop;
   };
 
   struct Worker {
     std::thread thread;
-    // Lock-free lane: bounded MPSC ring + Dekker-paired doorbell. The
-    // `sleeping` flag keeps producers off `doorbell_mutex` unless the
-    // worker is actually parked (see EnqueueLockfree/RunLockfree).
+    // Lane: bounded MPSC ring + Dekker-paired doorbell. The `sleeping`
+    // flag keeps producers off `doorbell_mutex` unless the worker is
+    // actually parked (see Enqueue/Run). FIFO per worker: per-path order
+    // is preserved.
     std::unique_ptr<lockfree::MpmcRing<Job>> ring;
     std::mutex doorbell_mutex;
     std::condition_variable doorbell;
     alignas(lockfree::kCacheLine) std::atomic<uint32_t> sleeping{0};
-    // Mutex lane (--no-lockfree): guarded by the flusher's mutex_.
-    std::condition_variable cv;
-    std::deque<Job> lane;  // FIFO per worker: per-path order is preserved
     // Job scratch: touched only by this worker's thread.
     CompressScratch scratch;
     Bytes frame;  // reusable frame staging
@@ -306,10 +299,7 @@ class Flusher {
   };
 
   void Enqueue(Job job);
-  void EnqueueLockfree(Job job, size_t lane);
-  void EnqueueLocked(Job job, size_t lane);
-  void Run(uint32_t index);          // mutex lanes
-  void RunLockfree(uint32_t index);  // ring lanes
+  void Run(uint32_t index);
   /// Process one dequeued job end to end and bump completion counters.
   void CompleteJob(Job job, Worker* worker);
   /// Compress+write one job. `worker` supplies reusable scratch (null in
@@ -319,7 +309,8 @@ class Flusher {
   /// Appends with retry; rolls the file back to its pre-append size when the
   /// append ultimately fails, so a torn frame never reaches the log.
   Status AppendChecked(const std::string& path, const uint8_t* data, size_t n);
-  /// Writes any pending gap marker for `path`, then the frame itself.
+  /// Writes the gap marker for every pending drop of `job.path` that comes
+  /// before `job` in submission order, then the frame itself.
   Status WritePathData(const Job& job, const uint8_t* data, size_t n);
   /// Books a discarded frame: sticky status + exact drop accounting, and a
   /// pending gap marker so later frames keep their logical offsets.
@@ -329,7 +320,6 @@ class Flusher {
   void WatchdogDrop(Job job);
 
   const bool async_;
-  const bool lockfree_;
   const size_t max_queued_jobs_;
   FileBackend* const backend_;
   const RetryPolicy retry_policy_;
@@ -369,16 +359,12 @@ class Flusher {
   /// the no-drops steady state.
   std::atomic<uint32_t> pending_gap_paths_{0};
 
-  // Mutex plane: lane state for --no-lockfree, and the always-cold maps
-  // (drop records, sticky status). Guarded by mutex_.
+  // The always-cold state (drop records, sticky status). Guarded by mutex_.
   mutable std::mutex mutex_;
-  std::condition_variable drained_cv_;
-  std::condition_variable space_cv_;
-  size_t queued_ = 0;  // jobs waiting in lanes (gates producers; mutex mode)
   Status status_;
-  // pending_: drops not yet covered by an on-disk gap marker; dropped_:
-  // cumulative per-path totals for DroppedFor().
-  std::unordered_map<std::string, DropRecord> pending_gaps_;
+  // pending_gaps_: drops not yet covered by an on-disk gap marker;
+  // dropped_: cumulative per-path totals for DroppedFor().
+  std::unordered_map<std::string, std::vector<PendingGap>> pending_gaps_;
   std::unordered_map<std::string, DropRecord> dropped_;
 };
 

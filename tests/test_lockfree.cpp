@@ -1,9 +1,11 @@
 // Lock-free trace-plane structures (common/lockfree.h) and their
-// integration: MPMC ring lanes, the lock-free buffer pool, QSBR sink
-// retirement, and the end-to-end property the tentpole rests on - race
-// reports identical between the lock-free plane and the `--no-lockfree`
-// mutex plane. Designed to run under TSan: every cross-thread interaction
-// in the structures is atomics-only, so any TSan report here is a real bug.
+// integration: MPMC ring lanes, the lock-free buffer pool, the flusher's
+// drop accounting (I/O failures and the enqueue watchdog), QSBR sink
+// retirement, and the end-to-end property the plane rests on - traces and
+// race reports identical between the asynchronous flusher and the
+// synchronous one, which writes inline and coordinates no threads at all.
+// Designed to run under TSan: every cross-thread interaction in the
+// structures is atomics-only, so any TSan report here is a real bug.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -375,41 +377,7 @@ TEST(QsbrStress, NoUseAfterRetire) {
   delete current.load();
 }
 
-// --- BufferPool (lock-free mode) --------------------------------------------
-
-TEST(LockfreeBufferPool, RecyclesAndChargesScopeLikeMutexPool) {
-  MemoryScope mem{"lf-pool"};
-  trace::BufferPool pool(/*max_free=*/1, &mem, /*lockfree=*/true);
-  Bytes a = pool.Acquire(100);
-  Bytes b = pool.Acquire(200);
-  EXPECT_EQ(pool.allocations(), 2u);
-  const uint64_t both = mem.current();
-  EXPECT_GE(both, 300u);
-
-  pool.Release(std::move(a));  // kept, still charged
-  EXPECT_EQ(pool.free_count(), 1u);
-  EXPECT_EQ(mem.current(), both);
-
-  pool.Release(std::move(b));  // list full: freed and un-charged
-  EXPECT_EQ(pool.free_count(), 1u);
-  EXPECT_LT(mem.current(), both);
-
-  Bytes c = pool.Acquire(50);
-  EXPECT_EQ(pool.recycles(), 1u);
-  EXPECT_EQ(pool.allocations(), 2u);
-  EXPECT_TRUE(c.empty());
-  pool.Release(std::move(c));
-}
-
-TEST(LockfreeBufferPool, DestructorReleasesFreeListCharges) {
-  MemoryScope mem{"lf-pool-dtor"};
-  {
-    trace::BufferPool pool(/*max_free=*/4, &mem, /*lockfree=*/true);
-    for (int i = 0; i < 3; i++) pool.Release(pool.Acquire(1024));
-    EXPECT_GT(mem.current(), 0u);
-  }
-  EXPECT_EQ(mem.current(), 0u);
-}
+// --- BufferPool ------------------------------------------------------------
 
 TEST(LockfreeBufferPool, StatsSnapshotCoherentAtQuiescence) {
   // The satellite fix: the historical accessors could be read mid-update
@@ -417,7 +385,7 @@ TEST(LockfreeBufferPool, StatsSnapshotCoherentAtQuiescence) {
   // return one mutually consistent snapshot; at quiescence the invariant
   // free_count == releases_kept - recycles holds exactly.
   MemoryScope mem{"lf-pool-stats"};
-  trace::BufferPool pool(/*max_free=*/8, &mem, /*lockfree=*/true);
+  trace::BufferPool pool(/*max_free=*/8, &mem);
   std::vector<std::thread> threads;
   for (int t = 0; t < kStressProducers; t++) {
     threads.emplace_back([&, t] {
@@ -444,91 +412,13 @@ TEST(LockfreeBufferPool, StatsSnapshotCoherentAtQuiescence) {
   EXPECT_LE(s.free_count, size_t{8});
 }
 
-// --- Flusher: both coordination planes --------------------------------------
+// --- Flusher: drop accounting -----------------------------------------------
 
-class FlusherPlane : public ::testing::TestWithParam<bool> {};
-
-TEST_P(FlusherPlane, PerFileFrameOrderUnderContention) {
-  const bool lockfree = GetParam();
-  TempDir dir("lane-order");
-  MemoryScope mem{"lane-order"};
-  trace::FlusherConfig fc;
-  fc.async = true;
-  fc.lockfree = lockfree;
-  fc.workers = 3;
-  fc.max_queued_jobs = 2;  // force backpressure
-  fc.memory = &mem;
-  trace::Flusher flusher(fc);
-  EXPECT_EQ(flusher.lockfree(), lockfree);
-
-  constexpr int kProducers = 4;
-  constexpr int kFrames = 40;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; p++) {
-    producers.emplace_back([&, p] {
-      const std::string path = dir.File("p" + std::to_string(p) + ".log");
-      for (int seq = 0; seq < kFrames; seq++) {
-        Bytes payload = flusher.pool().Acquire(128);
-        payload.assign(128, static_cast<uint8_t>(seq));
-        flusher.AppendFrame(path, std::move(payload), nullptr);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  flusher.Drain();
-  ASSERT_TRUE(flusher.status().ok()) << flusher.status().ToString();
-
-  const trace::FlusherStats stats = flusher.stats();
-  EXPECT_EQ(stats.lockfree, lockfree);
-  EXPECT_EQ(stats.jobs_enqueued, uint64_t(kProducers) * kFrames);
-  EXPECT_EQ(stats.jobs_completed, stats.jobs_enqueued);
-  EXPECT_EQ(stats.queued_now, 0u);
-  uint64_t worker_total = 0;
-  for (uint64_t b : stats.worker_bytes_in) worker_total += b;
-  EXPECT_EQ(worker_total, stats.bytes_in);
-
-  for (int p = 0; p < kProducers; p++) {
-    auto data = ReadFileBytes(dir.File("p" + std::to_string(p) + ".log"));
-    ASSERT_TRUE(data.ok());
-    ByteReader r(data.value());
-    for (int seq = 0; seq < kFrames; seq++) {
-      FrameView view;
-      ASSERT_TRUE(ReadFrame(r, &view).ok()) << "frame " << seq;
-      ASSERT_EQ(view.data.size(), 128u);
-      EXPECT_EQ(view.data[0], static_cast<uint8_t>(seq))
-          << "p" << p << ": frame order violated";
-    }
-    EXPECT_TRUE(r.AtEnd());
-  }
-}
-
-TEST_P(FlusherPlane, BackpressureBoundsQueueAndCountsStalls) {
-  const bool lockfree = GetParam();
-  TempDir dir("lane-bp");
-  trace::FlusherConfig fc;
-  fc.async = true;
-  fc.lockfree = lockfree;
-  fc.workers = 1;
-  fc.max_queued_jobs = 2;
-  trace::Flusher flusher(fc);
-  for (int i = 0; i < 48; i++) {
-    flusher.AppendFrame(dir.File("bp.log"), Bytes(64 * 1024, 0xab), nullptr);
-  }
-  flusher.Drain();
-  ASSERT_TRUE(flusher.status().ok());
-  const trace::FlusherStats stats = flusher.stats();
-  EXPECT_GT(stats.producer_blocks, 0u);
-  EXPECT_GT(stats.blocked_nanos, 0u);
-  EXPECT_EQ(stats.jobs_completed, 48u);
-}
-
-TEST_P(FlusherPlane, DropAccountingAndGapFramesUnderEnospc) {
-  const bool lockfree = GetParam();
+TEST(FlusherDrop, DropAccountingAndGapFramesUnderEnospc) {
   TempDir dir("lane-drop");
   testing::FaultFile ff;
   trace::FlusherConfig fc;
   fc.async = true;
-  fc.lockfree = lockfree;
   fc.workers = 1;
   fc.backend = &ff;
   fc.retry_backoff_us = 0;
@@ -559,10 +449,76 @@ TEST_P(FlusherPlane, DropAccountingAndGapFramesUnderEnospc) {
   EXPECT_EQ(rec.events, 16u);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothPlanes, FlusherPlane, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Lockfree" : "Mutex";
-                         });
+TEST(FlusherDrop, WatchdogDropsAreCountedExactlyAndGapFollowsQueuedFrames) {
+  // One worker stuck in a 200 ms append, one credit, a 20 ms deadline:
+  // frame A occupies the worker, frame B takes the only credit, and frame C
+  // starves past the deadline. C must become an exactly accounted drop, and
+  // its gap marker must land after B (which was queued before C) and before
+  // D, the next frame written - never before B, which would shift B's
+  // logical offset by C's size.
+  TempDir dir("watchdog");
+  testing::FaultFile ff;
+  ff.SlowAppends(/*usec=*/200 * 1000, /*from_call=*/1, /*count=*/1);
+  trace::FlusherConfig fc;
+  fc.async = true;
+  fc.workers = 1;
+  fc.max_queued_jobs = 1;
+  fc.backend = &ff;
+  fc.retry_backoff_us = 0;
+  fc.watchdog_deadline_ms = 20;
+  trace::Flusher flusher(fc);
+  const std::string path = dir.File("watchdog.log");
+  const auto frame = [](uint8_t tag, size_t bytes) {
+    return Bytes(bytes, tag);
+  };
+
+  flusher.AppendFrame(path, frame(0xa, 100), nullptr, 1, /*event_count=*/10);
+  // Wait until the worker has dequeued A (returning its credit) and sits
+  // in the slow append.
+  while (ff.append_calls() == 0) std::this_thread::yield();
+  flusher.AppendFrame(path, frame(0xb, 200), nullptr, 1, /*event_count=*/20);
+  flusher.AppendFrame(path, frame(0xc, 300), nullptr, 1, /*event_count=*/30);
+  flusher.Drain();
+  flusher.AppendFrame(path, frame(0xd, 400), nullptr, 1, /*event_count=*/40);
+  flusher.Drain();
+
+  const trace::FlusherStats stats = flusher.stats();
+  EXPECT_EQ(stats.watchdog_drops, 1u) << "only C may starve past the deadline";
+  EXPECT_EQ(stats.frames_dropped, 1u);
+  EXPECT_EQ(stats.events_dropped, 30u);
+  EXPECT_EQ(stats.bytes_dropped, 300u);
+  EXPECT_EQ(stats.gap_frames, 1u);
+  EXPECT_GT(stats.producer_blocks, 0u);
+  EXPECT_EQ(stats.queued_now, 0u);
+  const trace::DropRecord rec = flusher.DroppedFor(path);
+  EXPECT_EQ(rec.frames, 1u);
+  EXPECT_EQ(rec.events, 30u);
+  EXPECT_EQ(rec.raw_bytes, 300u);
+  EXPECT_EQ(flusher.status().code(), ErrorCode::kUnavailable)
+      << "the sticky status must record the watchdog loss";
+
+  auto data = ReadFileBytes(path);
+  ASSERT_TRUE(data.ok());
+  ByteReader r(data.value());
+  for (uint8_t tag : {0xa, 0xb}) {
+    FrameView view;
+    ASSERT_TRUE(ReadFrame(r, &view).ok());
+    ASSERT_FALSE(view.is_gap) << "frame " << int{tag};
+    ASSERT_FALSE(view.data.empty());
+    EXPECT_EQ(view.data[0], tag);
+  }
+  FrameView gap;
+  ASSERT_TRUE(ReadFrame(r, &gap).ok());
+  ASSERT_TRUE(gap.is_gap) << "D must be preceded by C's gap marker";
+  EXPECT_EQ(gap.raw_size, 300u);
+  EXPECT_EQ(gap.dropped_events, 30u);
+  FrameView last;
+  ASSERT_TRUE(ReadFrame(r, &last).ok());
+  ASSERT_FALSE(last.is_gap);
+  ASSERT_EQ(last.data.size(), 400u);
+  EXPECT_EQ(last.data[0], 0xd);
+  EXPECT_TRUE(r.AtEnd());
+}
 
 // --- QSBR sink retirement ---------------------------------------------------
 
@@ -595,29 +551,6 @@ TEST(SinkQsbrIntegration, QuiescentFinalizeSkipsEpochBump) {
             32u);
 }
 
-TEST(SinkQsbrIntegration, NoLockfreeFinalizeStillBumpsEpoch) {
-  std::vector<uint64_t> pool(64);
-  TempDir dir("qsbr-bump");
-  core::SwordConfig sc;
-  sc.out_dir = dir.path();
-  sc.lockfree = false;
-  core::SwordTool tool(sc);
-  somp::RuntimeConfig rc;
-  rc.tool = &tool;
-  somp::Runtime::Get().ResetIds();
-  somp::Runtime::Get().Configure(rc);
-  somp::Parallel(2, [&](somp::Ctx& ctx) {
-    for (int i = 0; i < 16; i++) {
-      instr::store(pool[ctx.thread_num() * 16 + i], uint64_t{1});
-    }
-  });
-  const uint64_t epoch_before = somp::CurrentSinkEpoch();
-  ASSERT_TRUE(tool.Finalize().ok());
-  somp::Runtime::Get().Configure({});
-  EXPECT_GT(somp::CurrentSinkEpoch(), epoch_before)
-      << "--no-lockfree keeps the historical stop-the-world invalidation";
-}
-
 TEST(SinkQsbrIntegration, OnlineParticipantForcesFallback) {
   auto& domain = somp::SinkQsbr();
   const uint32_t slot = domain.Register();
@@ -632,7 +565,7 @@ TEST(SinkQsbrIntegration, OnlineParticipantForcesFallback) {
   EXPECT_TRUE(somp::RetireSinks());
 }
 
-// --- report identity: lock-free vs mutex plane ------------------------------
+// --- report identity: asynchronous vs synchronous flusher -------------------
 
 struct SweepOp {
   uint64_t offset;
@@ -709,18 +642,18 @@ void RunSweepOp(std::vector<uint64_t>& pool, const SweepOp& op) {
   }
 }
 
-/// Runs the program under SWORD with the given trace format and plane and
-/// returns the race pc-pair SET (lane -> tid scheduling order varies across
+/// Runs the program under SWORD with the given trace format and flush mode
+/// and returns the race pc-pair SET (lane -> tid scheduling order varies across
 /// runs, so ordered reports are not comparable here; byte identity is
 /// asserted by ScriptedPlaneIdentity below with fixed lane ids).
 std::set<std::pair<uint32_t, uint32_t>> CollectRacePairs(
     const SweepProgram& p, std::vector<uint64_t>& pool, uint8_t format,
-    bool lockfree) {
+    bool async_flush) {
   TempDir dir("plane-sweep");
   core::SwordConfig sc;
   sc.out_dir = dir.path();
   sc.trace_format = format;
-  sc.lockfree = lockfree;
+  sc.async_flush = async_flush;
   {
     core::SwordTool tool(sc);
     somp::RuntimeConfig rc;
@@ -762,26 +695,27 @@ TEST_P(PlaneAblation, RaceSetsIdenticalAcrossPlanesAndFormats) {
   std::vector<uint64_t> pool(16 + 40);
   for (uint8_t format = trace::kTraceFormatV1; format <= trace::kTraceFormatV3;
        format++) {
-    const auto lf = CollectRacePairs(p, pool, format, /*lockfree=*/true);
-    const auto mx = CollectRacePairs(p, pool, format, /*lockfree=*/false);
-    EXPECT_EQ(lf, mx) << "seed " << GetParam() << " format " << int{format}
-                      << ": the coordination plane changed the race set";
+    const auto async = CollectRacePairs(p, pool, format, /*async_flush=*/true);
+    const auto sync = CollectRacePairs(p, pool, format, /*async_flush=*/false);
+    EXPECT_EQ(async, sync) << "seed " << GetParam() << " format " << int{format}
+                           << ": the flush plane changed the race set";
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSweeps, PlaneAblation, ::testing::Range(0, 6));
 
 /// Byte identity: per-lane scripted writers (tid == lane, so scheduling
-/// cannot reorder anything) pushed through an ASYNC flusher on each plane.
-/// Per-path frame FIFO plus deterministic input means every produced file -
-/// logs and metas - must be byte-for-byte identical between the planes.
+/// cannot reorder anything) pushed once through the asynchronous flusher
+/// (ring lanes, credits, pooled buffers, per-worker codec scratch) and once
+/// through the synchronous one (inline, no coordination). Per-path frame
+/// FIFO plus deterministic input means every produced file - logs and
+/// metas - must be byte-for-byte identical between the two.
 TEST(ScriptedPlaneIdentity, TraceFilesByteIdenticalAcrossPlanes) {
   Rng rng(75000);
   const SweepProgram p = GenerateSweepProgram(rng);
-  auto produce = [&](bool lockfree, const std::string& dir_path) {
+  auto produce = [&](bool async, const std::string& dir_path) {
     trace::FlusherConfig fc;
-    fc.async = true;
-    fc.lockfree = lockfree;
+    fc.async = async;
     fc.workers = 2;
     fc.max_queued_jobs = 4;
     trace::Flusher flusher(fc);
@@ -820,17 +754,17 @@ TEST(ScriptedPlaneIdentity, TraceFilesByteIdenticalAcrossPlanes) {
     flusher.Drain();
     EXPECT_TRUE(flusher.status().ok());
   };
-  TempDir lf_dir("plane-lf"), mx_dir("plane-mx");
-  produce(true, lf_dir.path());
-  produce(false, mx_dir.path());
+  TempDir async_dir("plane-async"), sync_dir("plane-sync");
+  produce(true, async_dir.path());
+  produce(false, sync_dir.path());
   for (uint32_t lane = 0; lane < p.lanes; lane++) {
     for (const char* ext : {".log", ".meta"}) {
       const std::string name = "sword_t" + std::to_string(lane) + ext;
-      auto lf = ReadFileBytes(lf_dir.path() + "/" + name);
-      auto mx = ReadFileBytes(mx_dir.path() + "/" + name);
-      ASSERT_TRUE(lf.ok() && mx.ok()) << name;
-      EXPECT_EQ(lf.value(), mx.value())
-          << name << " differs between the lock-free and mutex planes";
+      auto async = ReadFileBytes(async_dir.path() + "/" + name);
+      auto sync = ReadFileBytes(sync_dir.path() + "/" + name);
+      ASSERT_TRUE(async.ok() && sync.ok()) << name;
+      EXPECT_EQ(async.value(), sync.value())
+          << name << " differs between the async and sync flushers";
     }
   }
 }

@@ -240,6 +240,19 @@ TEST_F(ToolsTest, OfflineToolRejectsRetiredAblationFlags) {
   }
 }
 
+TEST_F(ToolsTest, RunToolRejectsRetiredAblationFlags) {
+  // The per-tool fast-path switches are gone; a run must not silently
+  // measure the default configuration under their names.
+  for (const char* flag : {"--no-access-filter", "--no-coalesce"}) {
+    const auto [rc, out] = RunCommand(
+        ToolPath("sword-run") +
+        " --suite drb --name truedep1-orig-yes --threads 2 " + flag);
+    EXPECT_EQ(rc, 1) << flag << ": " << out;
+    EXPECT_NE(out.find(std::string("unknown flag ") + flag), std::string::npos)
+        << flag << ": " << out;
+  }
+}
+
 TEST_F(ToolsTest, RunToolListsAndRuns) {
   const auto [rc, out] = RunCommand(ToolPath("sword-run") + " --list");
   EXPECT_EQ(rc, 0);
