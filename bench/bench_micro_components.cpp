@@ -495,8 +495,11 @@ BENCHMARK(BM_VectorClockJoin);
 //   reduction loop  a[i] load + accumulator load + accumulator store per
 //                   iteration - the accumulator re-accesses are duplicate-
 //                   filter territory, and suppressing them is also what
-//                   keeps the a[i] run unbroken.
-// Each shape runs under format v3 default, v3 with filter+coalescer ablated,
+//                   keeps the a[i] run unbroken;
+//   interleaved     a loop body of 2 or 4 strided store sites, one access
+//                   each per iteration - per-site coalescer territory (each
+//                   site folds into one run). Reported only, not gated.
+// Each gated shape runs under format v3 default, v3 with filter+coalescer ablated,
 // and v2, so the JSON carries both the speedup ratio (machine-independent)
 // and absolute accesses/sec (floor-gated with tolerance).
 
@@ -511,10 +514,11 @@ struct SweepMetrics {
   uint64_t log_bytes = 0;
 };
 
-enum class SweepShape { kStrided, kReduction };
+enum class SweepShape { kStrided, kReduction, kInterleaved };
 
 SweepMetrics MeasureSweep(SweepShape shape, uint8_t format, bool filter,
-                          bool coalesce, uint64_t sweeps, uint64_t elems) {
+                          bool coalesce, uint64_t sweeps, uint64_t elems,
+                          uint32_t sites = 1) {
   TempDir dir("bm-fastpath");
   trace::Flusher flusher(/*async=*/false);
   trace::WriterConfig wc;
@@ -541,6 +545,16 @@ SweepMetrics MeasureSweep(SweepShape shape, uint8_t format, bool filter,
         }
       }
       m.accesses = sweeps * elems;
+    } else if (shape == SweepShape::kInterleaved) {
+      for (uint64_t s = 0; s < sweeps; s++) {
+        for (uint64_t i = 0; i < elems; i++) {
+          for (uint32_t site = 0; site < sites; site++) {
+            writer.AppendAccess(kBase + site * 0x100000 + i * 8, 8,
+                                /*flags=*/1, /*pc=*/20 + site);
+          }
+        }
+      }
+      m.accesses = sweeps * elems * sites;
     } else {
       for (uint64_t s = 0; s < sweeps; s++) {
         for (uint64_t i = 0; i < elems; i++) {
@@ -617,6 +631,36 @@ int RunFastPathQuick(const ArgParser& args) {
     std::printf("\n");
   }
 
+  // Interleaved sites: a per-access cost and how many events each access
+  // costs in the log, for the v3 default (each site folds into one run per
+  // sweep) and the ablated writer (one event per access).
+  SweepMetrics interleaved[2];
+  {
+    TextTable table({"interleaved sites", "per-access ns", "accesses/s",
+                     "events logged", "events/access", "runs", "log bytes"});
+    const uint32_t kSiteCounts[2] = {2, 4};
+    for (int k = 0; k < 2; k++) {
+      const uint32_t sites = kSiteCounts[k];
+      for (const bool ablated : {false, true}) {
+        const SweepMetrics m =
+            MeasureSweep(SweepShape::kInterleaved, trace::kTraceFormatV3,
+                         !ablated, !ablated, sweeps / sites, elems, sites);
+        if (!ablated) interleaved[k] = m;
+        table.AddRow({std::to_string(sites) + " sites, v3 " +
+                          (ablated ? "ablated" : "default"),
+                      Fmt(m.ns_per_access),
+                      std::to_string(static_cast<uint64_t>(m.accesses_per_sec)),
+                      std::to_string(m.logged),
+                      Fmt(static_cast<double>(m.logged) /
+                              std::max<uint64_t>(1, m.accesses),
+                          6),
+                      std::to_string(m.runs), std::to_string(m.log_bytes)});
+      }
+    }
+    table.Print();
+    std::printf("\n");
+  }
+
   const double strided_speedup =
       strided_ablated.ns_per_access / std::max(strided_default.ns_per_access, 1e-9);
   const double reduction_speedup = reduction_ablated.ns_per_access /
@@ -658,7 +702,16 @@ int RunFastPathQuick(const ArgParser& args) {
         << ",\"events_coalesced\":" << strided_default.coalesced
         << ",\"runs_emitted\":" << strided_default.runs
         << ",\"bytes_per_access_default\":" << bytes_default
-        << ",\"bytes_per_access_ablated\":" << bytes_ablated << "}\n";
+        << ",\"bytes_per_access_ablated\":" << bytes_ablated
+        << ",\"interleaved2_ns\":" << interleaved[0].ns_per_access
+        << ",\"interleaved4_ns\":" << interleaved[1].ns_per_access
+        << ",\"interleaved2_events_per_access\":"
+        << static_cast<double>(interleaved[0].logged) /
+               std::max<uint64_t>(1, interleaved[0].accesses)
+        << ",\"interleaved4_events_per_access\":"
+        << static_cast<double>(interleaved[1].logged) /
+               std::max<uint64_t>(1, interleaved[1].accesses)
+        << "}\n";
   }
   return (strided_speedup >= 2.0 && reduction_speedup >= 2.0) ? 0 : 1;
 }

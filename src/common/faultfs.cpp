@@ -85,6 +85,7 @@ void FaultFile::Reset() {
   bytes_lost_ = 0;
   append_calls_ = 0;
   sync_calls_ = 0;
+  fired_ = 0;
 }
 
 uint64_t FaultFile::bytes_written() const {
@@ -107,6 +108,11 @@ uint64_t FaultFile::sync_calls() const {
   return sync_calls_;
 }
 
+uint32_t FaultFile::fired() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return fired_;
+}
+
 Status FaultFile::Append(const std::string& path, const uint8_t* data,
                          size_t n, size_t* written) {
   uint32_t sleep_usec = 0;
@@ -119,10 +125,12 @@ Status FaultFile::Append(const std::string& path, const uint8_t* data,
     const uint64_t call = ++append_calls_;
     if (slow_count_ > 0 && call >= slow_from_ && call < slow_from_ + slow_count_) {
       sleep_usec = slow_usec_;
+      fired_ |= kFaultSlow;
     }
     if (raise_signo_ != 0 && call == raise_at_call_) {
       raise_signo = raise_signo_;
       raise_signo_ = 0;
+      fired_ |= kFaultRaise;
     }
   }
   if (sleep_usec > 0) ::usleep(sleep_usec);
@@ -133,10 +141,12 @@ Status FaultFile::Append(const std::string& path, const uint8_t* data,
 
   if (transient_left_ > 0) {
     --transient_left_;
+    fired_ |= kFaultTransient;
     return Status::Unavailable("injected transient error: " + path);
   }
   if (storm_count_ > 0 && append_calls_ >= storm_from_ &&
       append_calls_ < storm_from_ + storm_count_) {
+    fired_ |= kFaultEnospcStorm;
     return Status::NoSpace("injected ENOSPC storm: " + path);
   }
 
@@ -148,11 +158,13 @@ Status FaultFile::Append(const std::string& path, const uint8_t* data,
                 ? static_cast<size_t>(fail_at_ - bytes_written_)
                 : 0;
     fail_after = true;
+    fired_ |= kFaultFailAtBytes;
   }
   bool short_after = false;
   if (short_write_max_ > 0 && allow > short_write_max_) {
     allow = short_write_max_;
     short_after = true;
+    fired_ |= kFaultShortWrite;
   }
 
   // Apply bit flips inside the window, then split around the truncation
@@ -162,6 +174,7 @@ Status FaultFile::Append(const std::string& path, const uint8_t* data,
   for (const BitFlip& f : flips_) {
     if (f.offset >= bytes_written_ && f.offset < bytes_written_ + allow) {
       chunk[static_cast<size_t>(f.offset - bytes_written_)] ^= f.mask;
+      fired_ |= kFaultFlip;
     }
   }
   size_t forward = chunk.size();
@@ -180,6 +193,7 @@ Status FaultFile::Append(const std::string& path, const uint8_t* data,
   }
   // Swallowed tail: pretend it was written.
   const size_t swallowed = chunk.size() - forward;
+  if (swallowed > 0) fired_ |= kFaultTruncate;
   *written += swallowed;
   bytes_written_ += swallowed;
   bytes_lost_ += swallowed;
@@ -202,6 +216,7 @@ Status FaultFile::WriteWhole(const std::string& path, const Bytes& data) {
     std::lock_guard<std::mutex> lock(mu_);
     if (transient_left_ > 0) {
       --transient_left_;
+      fired_ |= kFaultTransient;
       return Status::Unavailable("injected transient error: " + path);
     }
   }
@@ -225,6 +240,7 @@ Status FaultFile::Sync(const std::string& path) {
     ++sync_calls_;
     if (sync_transient_left_ > 0) {
       --sync_transient_left_;
+      fired_ |= kFaultSyncTransient;
       return Status::Unavailable("injected fsync EINTR: " + path);
     }
   }
@@ -248,6 +264,23 @@ void FaultPlan::ApplyTo(FaultFile& file) const {
   if (flip_offset != UINT64_MAX) file.FlipBit(flip_offset, flip_mask);
   if (slow_count) file.SlowAppends(slow_usec, slow_from, slow_count);
   if (raise_signo) file.RaiseAtAppend(raise_signo, raise_at_call);
+}
+
+uint32_t FaultPlan::kinds() const {
+  uint32_t k = 0;
+  if (transient) k |= kFaultTransient;
+  if (sync_transient) k |= kFaultSyncTransient;
+  if (short_writes) k |= kFaultShortWrite;
+  if (enospc_after_bytes != UINT64_MAX || io_fail_after_bytes != UINT64_MAX) {
+    k |= kFaultFailAtBytes;
+  }
+  if (storm_count) k |= kFaultEnospcStorm;
+  if (truncate_after_bytes != UINT64_MAX) k |= kFaultTruncate;
+  if (flip_offset != UINT64_MAX) k |= kFaultFlip;
+  if (slow_count) k |= kFaultSlow;
+  if (raise_signo) k |= kFaultRaise;
+  if (alloc_fail_count) k |= kFaultAllocFail;
+  return k;
 }
 
 namespace {

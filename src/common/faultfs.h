@@ -57,6 +57,22 @@
 namespace sword {
 namespace testing {
 
+/// One bit per kind of write-path fault, for FaultFile::fired() and
+/// FaultPlan::kinds(): a chaos run can check that every fault its plan names
+/// took effect, instead of passing on a trace too small to reach it.
+enum FaultKind : uint32_t {
+  kFaultTransient = 1u << 0,
+  kFaultShortWrite = 1u << 1,
+  kFaultFailAtBytes = 1u << 2,  // EnospcAfterBytes and FailAfterBytes
+  kFaultEnospcStorm = 1u << 3,
+  kFaultTruncate = 1u << 4,
+  kFaultFlip = 1u << 5,
+  kFaultSlow = 1u << 6,
+  kFaultSyncTransient = 1u << 7,
+  kFaultRaise = 1u << 8,
+  kFaultAllocFail = 1u << 9,  // delivered by the BufferPool, not FaultFile
+};
+
 class FaultFile final : public FileBackend {
  public:
   explicit FaultFile(FileBackend* base = nullptr)
@@ -84,6 +100,8 @@ class FaultFile final : public FileBackend {
   uint64_t append_calls() const;
   /// Sync calls observed (successful or not).
   uint64_t sync_calls() const;
+  /// FaultKind bits of the faults that took effect at least once.
+  uint32_t fired() const;
 
   // --- FileBackend ---
   Status Append(const std::string& path, const uint8_t* data, size_t n,
@@ -119,6 +137,7 @@ class FaultFile final : public FileBackend {
   uint64_t bytes_lost_ = 0;
   uint64_t append_calls_ = 0;
   uint64_t sync_calls_ = 0;
+  uint32_t fired_ = 0;
 };
 
 /// A parsed `--fault-plan`. Backend faults apply to a FaultFile; the pool
@@ -156,6 +175,8 @@ struct FaultPlan {
 
   /// Applies every backend-level fault to `file`.
   void ApplyTo(FaultFile& file) const;
+  /// FaultKind bits of the write-path faults this plan injects.
+  uint32_t kinds() const;
 
   bool empty() const { return spec.empty(); }
 };

@@ -154,6 +154,10 @@ RunResult RunWorkload(const workloads::Workload& workload, const RunConfig& conf
         result.flushes = tool.Flushes();
         result.trace_threads = tool.ThreadCount();
         result.flusher = tool.FlushStats();
+        result.faults_fired = fault_backend.fired();
+        if (tool.buffer_pool().acquire_failures() > 0) {
+          result.faults_fired |= testing::kFaultAllocFail;
+        }
         // Under an injected fault plan (or explicit salvage) an I/O failure
         // is the EXPECTED outcome, already booked as drops and gap frames;
         // the run continues into salvage-mode analysis instead of aborting.

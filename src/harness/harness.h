@@ -94,6 +94,7 @@ struct RunResult {
   uint64_t flushes = 0;             // buffer flushes (sword)
   uint64_t trace_threads = 0;       // sword threads (for N*(B+C))
   trace::FlusherStats flusher;      // flush-pipeline counters (sword)
+  uint32_t faults_fired = 0;        // FaultKind bits that took effect
 
   offline::AnalysisStats analysis;  // populated for sword runs
 

@@ -1,5 +1,7 @@
 #include "trace/writer.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
 
 #include "common/fsutil.h"
@@ -10,21 +12,30 @@
 namespace sword::trace {
 namespace {
 
-/// Direct-mapped filter slot index for an access site. The address is left
-/// out on purpose: one site always maps to one slot, so a slot hit proves
-/// the site's most recent recorded access - which is exactly the filter's
-/// soundness requirement.
-size_t FilterIndex(uint32_t pc, uint8_t flags, uint8_t size) {
-  uint64_t h = (static_cast<uint64_t>(pc) << 16) ^
-               (static_cast<uint64_t>(flags) << 8) ^ size;
-  h *= 0x9e3779b97f4a7c15ull;  // splitmix64 finalizer
+/// A site's (pc, flags, size) packed into one word, so a slot's site is
+/// checked with one compare.
+uint64_t SiteKey(uint32_t pc, uint8_t flags, uint8_t size) {
+  return (static_cast<uint64_t>(pc) << 16) |
+         (static_cast<uint64_t>(flags) << 8) | size;
+}
+
+size_t SlotOfKey(uint64_t key) {
+  // The address is left out on purpose: one site always maps to one slot, so
+  // a filter slot hit proves the site's most recent recorded access - which
+  // is exactly the filter's soundness requirement - and a site never has two
+  // pending runs.
+  uint64_t h = key * 0x9e3779b97f4a7c15ull;  // splitmix64 finalizer
   h ^= h >> 29;
   h *= 0xbf58476d1ce4e5b9ull;
   h ^= h >> 32;
-  return static_cast<size_t>(h) & 0xff;
+  return static_cast<size_t>(h) & (ThreadTraceWriter::kSiteSlots - 1);
 }
 
 }  // namespace
+
+size_t ThreadTraceWriter::SiteSlot(uint32_t pc, uint8_t flags, uint8_t size) {
+  return SlotOfKey(SiteKey(pc, flags, size));
+}
 
 ThreadTraceWriter::ThreadTraceWriter(uint32_t thread_id, const WriterConfig& config)
     : thread_id_(thread_id),
@@ -33,8 +44,7 @@ ThreadTraceWriter::ThreadTraceWriter(uint32_t thread_id, const WriterConfig& con
       capacity_bytes_(capacity_events_ * kEventBytes),
       max_event_bytes_(config.format >= kTraceFormatV3 ? kMaxEventBytesV3
                                                        : kMaxEventBytesV2),
-      fastpath_(config.format >= kTraceFormatV3),
-      coalesce_(fastpath_ && config.coalesce) {
+      fastpath_(config.format >= kTraceFormatV3) {
   assert(config_.flusher && "a Flusher is required");
   assert(capacity_events_ > 0 && "buffer too small for a single event");
   assert((config_.format >= kTraceFormatV1 && config_.format <= kTraceFormatV3) &&
@@ -42,9 +52,13 @@ ThreadTraceWriter::ThreadTraceWriter(uint32_t thread_id, const WriterConfig& con
   assert((config_.format == kTraceFormatV1 || capacity_bytes_ >= max_event_bytes_) &&
          "buffer too small for one encoded event");
   if (fastpath_ && config_.access_filter) {
-    filter_ = std::make_unique<FilterSlot[]>(kFilterSlots);
+    filter_ = std::make_unique<FilterSlot[]>(kSiteSlots);
   }
-  if (config_.governor) shed_ = std::make_unique<ShedSlot[]>(kFilterSlots);
+  if (fastpath_ && config_.coalesce) {
+    runs_ = std::make_unique<PendingRun[]>(kSiteSlots);
+    live_ = std::make_unique<uint8_t[]>(kSiteSlots);
+  }
+  if (config_.governor) shed_ = std::make_unique<ShedSlot[]>(kSiteSlots);
   if (!config_.codec) config_.codec = DefaultCompressor();
   if (!config_.backend) config_.backend = &RealFileBackend();
   // The bounded charge: one fixed buffer, owned by the flusher's pool so the
@@ -72,10 +86,10 @@ ThreadTraceWriter::ThreadTraceWriter(uint32_t thread_id, const WriterConfig& con
 ThreadTraceWriter::~ThreadTraceWriter() { (void)Finish(); }
 
 void ThreadTraceWriter::Append(const RawEvent& event) {
-  // Out-of-band events must keep their position relative to the coalesced
-  // access stream, and anything appended around the filter invalidates its
-  // "most recent recorded access" knowledge.
-  MaterializePending();
+  // Out-of-band events are fences: every access before one must be encoded
+  // before it. Anything appended around the filter invalidates its "most
+  // recent recorded access" knowledge.
+  MaterializeAll();
   ResetFilter();
   EncodeToBuffer(event);
 }
@@ -170,24 +184,89 @@ void ThreadTraceWriter::EncodeToBuffer(const RawEvent& event) {
   events_logged_.Add(1);
 }
 
-void ThreadTraceWriter::MaterializePending() {
-  if (pending_.count == 0) return;
-  if (pending_.count == 1) {
-    EncodeToBuffer(RawEvent::Access(pending_.base, pending_.size,
-                                    pending_.flags, pending_.pc));
+void ThreadTraceWriter::Materialize(const PendingRun& run) {
+  assert(run.count != 0 && "materializing an empty run");
+  if (run.count == 1) {
+    EncodeToBuffer(RawEvent::Access(run.base, run.size(), run.flags(), run.pc()));
   } else {
-    EncodeToBuffer(RawEvent::Run(pending_.base, pending_.stride, pending_.count,
-                                 pending_.size, pending_.flags, pending_.pc));
+    EncodeToBuffer(RawEvent::Run(run.base, run.stride, run.count, run.size(),
+                                 run.flags(), run.pc()));
     runs_emitted_.Add(1);
-    events_coalesced_.Add(pending_.count - 1);
+    events_coalesced_.Add(run.count - 1);
   }
-  pending_.count = 0;
+}
+
+// The crash drain (Finalize from a signal handler) can run MaterializeAll in
+// the middle of CoalesceRun on the owning thread. The two are ordered so that
+// it never encodes a half-written run or a 0-count run, and never indexes
+// past the table: a run's count is written after its other fields and before
+// its slot is listed, an evicted run leaves its slot empty before it is
+// encoded, MaterializeAll skips empty slots, and the list length is read
+// once and bounded.
+
+void ThreadTraceWriter::MaterializeAll() {
+  const size_t n = std::min(live_count_, kSiteSlots);
+  for (size_t i = 0; i < n; i++) {
+    const size_t slot = live_[i];
+    listed_[slot / 64] &= ~(uint64_t{1} << (slot % 64));
+    PendingRun& run = runs_[slot];
+    if (run.count == 0) continue;  // emptied by an interrupted eviction
+    const PendingRun pending = run;
+    run.count = 0;
+    Materialize(pending);
+  }
+  live_count_ = 0;
+}
+
+void ThreadTraceWriter::CoalesceRun(size_t slot, uint64_t key, uint64_t base,
+                                    uint64_t stride, uint64_t count) {
+  PendingRun& run = runs_[slot];
+  const uint64_t last = base + stride * (count - 1);
+  if (run.count != 0) {
+    if (run.key == key && base > run.last) {
+      // The elements continue the run when the step into `base` is the
+      // run's stride (a single adopts it) and, for several elements, the
+      // elements keep stepping by it.
+      const uint64_t step = base - run.last;
+      if ((run.count == 1 || step == run.stride) &&
+          (count == 1 || stride == step)) {
+        run.stride = step;
+        run.count += count;
+        run.last = last;
+        return;
+      }
+    }
+    // Another site, or a step the run cannot take: the resident run is
+    // final. Emit it and let the new elements take the slot.
+    const PendingRun resident = run;
+    run.count = 0;
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+    Materialize(resident);
+  }
+  // The count goes in last: an evicted slot is still listed while it refills.
+  run.base = base;
+  run.stride = count == 1 ? 0 : stride;
+  run.last = last;
+  run.key = key;
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  run.count = count;
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  const uint64_t bit = uint64_t{1} << (slot % 64);
+  if ((listed_[slot / 64] & bit) == 0) {
+    // Mark first, then append: a drain between the two finds the slot
+    // unlisted and leaves its mark, so the append below stays the one entry.
+    listed_[slot / 64] |= bit;
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+    const size_t n = std::min(live_count_, kSiteSlots - 1);
+    live_[n] = static_cast<uint8_t>(slot);
+    live_count_ = n + 1;
+  }
 }
 
 void ThreadTraceWriter::ResetFilter() {
   if (!filter_) return;
   if (++filter_gen_ == 0) {  // generation wrap: actually clear the slots
-    for (size_t i = 0; i < kFilterSlots; i++) filter_[i] = FilterSlot{};
+    for (size_t i = 0; i < kSiteSlots; i++) filter_[i] = FilterSlot{};
     filter_gen_ = 1;
   }
 }
@@ -211,7 +290,7 @@ void ThreadTraceWriter::PollGovernor() {
 }
 
 bool ThreadTraceWriter::ShedAccess(uint32_t pc, uint8_t flags, uint8_t size) {
-  ShedSlot& slot = shed_[FilterIndex(pc, flags, size)];
+  ShedSlot& slot = shed_[SiteSlot(pc, flags, size)];
   if (slot.gen != shed_gen_ || slot.pc != pc || slot.flags != flags ||
       slot.size != size) {
     // New site (or a direct-map collision evicted the old one): restart its
@@ -258,10 +337,13 @@ void ThreadTraceWriter::AppendAccess(uint64_t addr, uint8_t size, uint8_t flags,
     EncodeToBuffer(RawEvent::Access(addr, size, flags, pc));
     return;
   }
+  // One key and one hash per access serve both the filter and the
+  // coalescer.
+  const uint64_t key = SiteKey(pc, flags, size);
+  const size_t index = SlotOfKey(key);
   if (filter_) {
-    FilterSlot& slot = filter_[FilterIndex(pc, flags, size)];
-    if (slot.gen == filter_gen_ && slot.addr == addr && slot.pc == pc &&
-        slot.flags == flags && slot.size == size) {
+    FilterSlot& slot = filter_[index];
+    if (slot.gen == filter_gen_ && slot.addr == addr && slot.key == key) {
       // The most recent recorded access from this site in this segment was
       // this exact access: the replayed tree would fold it into the existing
       // node (a hit-count bump, no structural change), so dropping it cannot
@@ -270,36 +352,33 @@ void ThreadTraceWriter::AppendAccess(uint64_t addr, uint8_t size, uint8_t flags,
       return;
     }
     slot.addr = addr;
-    slot.pc = pc;
-    slot.flags = flags;
-    slot.size = size;
+    slot.key = key;
     slot.gen = filter_gen_;
   }
-  if (!coalesce_) {
+  if (!runs_) {
     EncodeToBuffer(RawEvent::Access(addr, size, flags, pc));
     return;
   }
-  // Strided-run coalescer. The extension rules mirror the interval tree's
-  // continuation logic: a fresh single adopts the first ascending step as
-  // its stride; an established run extends only on an exact stride match.
-  if (pending_.count != 0 && pending_.pc == pc && pending_.flags == flags &&
-      pending_.size == size) {
-    if (pending_.count == 1) {
-      if (addr > pending_.last) {
-        pending_.stride = addr - pending_.last;
-        pending_.count = 2;
-        pending_.last = addr;
-        return;
-      }
-    } else if (addr > pending_.last &&
-               addr - pending_.last == pending_.stride) {
-      pending_.count++;
-      pending_.last = addr;
+  // Strided-run coalescer, extend check inline. The extension rules mirror
+  // the interval tree's continuation logic: a fresh single adopts the first
+  // ascending step as its stride; an established run extends only on an
+  // exact stride match. A new site, a broken run or an eviction goes out of
+  // line.
+  PendingRun& run = runs_[index];
+  if (run.count != 0 && run.key == key && addr > run.last) {
+    if (run.count == 1) {
+      run.stride = addr - run.last;
+      run.count = 2;
+      run.last = addr;
+      return;
+    }
+    if (addr - run.last == run.stride) {
+      run.count++;
+      run.last = addr;
       return;
     }
   }
-  MaterializePending();
-  pending_ = PendingRun{addr, 0, 1, addr, pc, flags, size};
+  CoalesceRun(index, key, addr, 0, 1);
 }
 
 void ThreadTraceWriter::AppendRange(uint64_t addr, uint64_t bytes,
@@ -335,10 +414,22 @@ void ThreadTraceWriter::AppendRange(uint64_t addr, uint64_t bytes,
     }
     return;
   }
-  MaterializePending();
   // A range's chunks can extend same-key tree nodes past addresses the
   // filter remembers; drop its knowledge rather than reason about overlap.
   ResetFilter();
+  if (runs_) {
+    // The chunk run and the tail are two sites; each joins its own pending
+    // run, so a loop of small ranges folds like a loop of accesses.
+    if (chunks != 0) {
+      const uint64_t key = SiteKey(pc, flags, kChunk);
+      CoalesceRun(SlotOfKey(key), key, addr, kChunk, chunks);
+    }
+    if (tail) {
+      const uint64_t key = SiteKey(pc, flags, static_cast<uint8_t>(tail));
+      CoalesceRun(SlotOfKey(key), key, addr + chunks * kChunk, 0, 1);
+    }
+    return;
+  }
   if (chunks == 1) {
     EncodeToBuffer(RawEvent::Access(addr, kChunk, flags, pc));
   } else if (chunks >= 2) {
@@ -371,9 +462,9 @@ void ThreadTraceWriter::FlushBuffer(bool reacquire) {
 
 void ThreadTraceWriter::FlushEvents() {
   if (finished_) return;
-  // A pending coalescer run is not in the buffer yet; a drain (crash
-  // handler, Finalize) must not lose it.
-  MaterializePending();
+  // Pending coalescer runs are not in the buffer yet; a drain (crash
+  // handler, Finalize) must not lose them.
+  MaterializeAll();
   // No reacquire: this is the drain path (Finalize, the crash handler),
   // where grabbing a fresh buffer while the flushed one is still in flight
   // would transiently double the pool charge. If the thread does log again,
@@ -410,7 +501,7 @@ void ThreadTraceWriter::PublishSealImage() {
 
 void ThreadTraceWriter::BeginSegment(const IntervalMeta& meta) {
   assert(!open_segment_ && "close the previous segment first");
-  assert(pending_.count == 0 && "coalescer pending outside a segment");
+  assert(live_count_ == 0 && "coalescer pending outside a segment");
   ResetFilter();  // nothing recorded in the new segment yet
   meta_.intervals.push_back(meta);
   meta_.intervals.back().data_begin = logical_offset_;
@@ -423,7 +514,7 @@ void ThreadTraceWriter::BeginSegment(const IntervalMeta& meta) {
   segment_max_level_ = 0;
   if (config_.governor) {
     if (++shed_gen_ == 0) {  // generation wrap: actually clear the slots
-      for (size_t i = 0; i < kFilterSlots; i++) shed_[i] = ShedSlot{};
+      for (size_t i = 0; i < kSiteSlots; i++) shed_[i] = ShedSlot{};
       shed_gen_ = 1;
     }
     PollGovernor();  // folds in transitions; seeds segment_max_level_
@@ -432,7 +523,7 @@ void ThreadTraceWriter::BeginSegment(const IntervalMeta& meta) {
 
 void ThreadTraceWriter::EndSegment() {
   assert(open_segment_);
-  MaterializePending();  // the run belongs to this segment's byte span
+  MaterializeAll();  // the runs belong to this segment's byte span
   if (config_.governor) PollGovernor();  // capture a mid-segment transition
   ResetFilter();
   IntervalMeta& m = meta_.intervals.back();

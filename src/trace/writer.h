@@ -17,8 +17,11 @@
 // encoding the same event count occupies far fewer bytes, which is the
 // point: fewer flushes, smaller logs. Format v3 adds the per-access fast
 // path on top: AppendAccess routes instrumented accesses through a
-// duplicate filter and a strided-run coalescer, so hot sweep loops log one
-// kAccessRun event instead of thousands of access events.
+// duplicate filter and a per-site strided-run coalescer, so the
+// interleaved sweeps of a loop body each log one kAccessRun event instead
+// of thousands of access events. Events of one site keep their program
+// order; only the interleaving BETWEEN sites inside a fence-free stretch
+// changes, and the offline summarizer only ever looks within a site.
 //
 // Thread-compatibility: a writer is driven by exactly one OS thread; only
 // the Flusher is shared.
@@ -98,13 +101,22 @@ class ThreadTraceWriter {
   ThreadTraceWriter(const ThreadTraceWriter&) = delete;
   ThreadTraceWriter& operator=(const ThreadTraceWriter&) = delete;
 
+  /// Slots in each per-site table (duplicate filter, coalescer, shed
+  /// counters).
+  static constexpr size_t kSiteSlots = 256;
+  /// The direct-mapped slot of an access site (pc, flags, size) in every
+  /// per-site table. AppendAccess computes it once for the filter and the
+  /// coalescer.
+  static size_t SiteSlot(uint32_t pc, uint8_t flags, uint8_t size);
+
   uint32_t thread_id() const { return thread_id_; }
   uint8_t format() const { return config_.format; }
 
   /// Appends one event, flushing the buffer to the log file first if full.
-  /// Out-of-band events (mutex ops) materialize any pending coalescer run
-  /// first, so the encoded stream preserves program order, and reset the
-  /// duplicate filter (the effective lockset changed).
+  /// Out-of-band events (mutex ops, receipts) are ordering fences: every
+  /// pending coalescer run is materialized first, so each access lands on
+  /// its side of the fence, and the duplicate filter is reset (the
+  /// effective lockset changed).
   void Append(const RawEvent& event);
 
   /// The per-access fast path: appends one instrumented load/store through
@@ -113,10 +125,10 @@ class ThreadTraceWriter {
   /// dropped - see accesses_dropped().
   void AppendAccess(uint64_t addr, uint8_t size, uint8_t flags, uint32_t pc);
 
-  /// Appends a bulk access over [addr, addr+bytes): one run event of
-  /// 128-byte chunks plus a tail access (format v3), or the historical
-  /// per-chunk event loop (v1/v2). Equivalent to the chunk loop by
-  /// construction.
+  /// Appends a bulk access over [addr, addr+bytes): a run of 128-byte
+  /// chunks plus a tail access, each folded into its own site's pending
+  /// run (format v3), or the historical per-chunk event loop (v1/v2).
+  /// Equivalent to the chunk loop by construction.
   void AppendRange(uint64_t addr, uint64_t bytes, uint8_t flags, uint32_t pc);
 
   /// Appends a pre-filter footprint receipt into the open segment: one run
@@ -165,6 +177,9 @@ class ThreadTraceWriter {
   uint64_t events_coalesced() const { return events_coalesced_.Get(); }
   /// kAccessRun events emitted.
   uint64_t runs_emitted() const { return runs_emitted_.Get(); }
+  /// Sites with a pending (not yet encoded) coalescer run; 0 after every
+  /// fence.
+  size_t pending_runs() const { return live_count_; }
   /// Accesses observed outside any open segment: counted and dropped
   /// (release builds previously corrupted the segment accounting silently).
   uint64_t accesses_dropped() const { return accesses_dropped_.Get(); }
@@ -184,6 +199,8 @@ class ThreadTraceWriter {
   int seal_slot() const { return seal_slot_; }
 
  private:
+  struct PendingRun;
+
   void FlushBuffer(bool reacquire);
   /// Current meta file image: v5 header (with the flusher's drop totals for
   /// this log so far) + the incrementally serialized interval records.
@@ -204,9 +221,17 @@ class ThreadTraceWriter {
   /// Encodes one event into the buffer (flushing first if full) and bumps
   /// the logical offset and event counters. Bypasses filter and coalescer.
   void EncodeToBuffer(const RawEvent& event);
-  /// Flushes the coalescer's pending run into the buffer, as a kAccessRun
-  /// if it grew to count >= 2 or a plain access otherwise.
-  void MaterializePending();
+  /// Folds `count` accesses of site `key` at base, base+stride, ... into
+  /// the pending run of slot `slot`: extends it when the elements continue
+  /// it, otherwise materializes the resident run (any site) and starts a
+  /// new one.
+  void CoalesceRun(size_t slot, uint64_t key, uint64_t base, uint64_t stride,
+                   uint64_t count);
+  /// Encodes one pending run as a kAccessRun (count >= 2) or a plain
+  /// access (count 1).
+  void Materialize(const PendingRun& run);
+  /// Flushes every live pending run into the buffer, in first-touch order.
+  void MaterializeAll();
   /// Invalidates every duplicate-filter entry (generation bump).
   void ResetFilter();
 
@@ -236,32 +261,43 @@ class ThreadTraceWriter {
   // remembering the last address each site logged. A hit with an identical
   // address means the replayed tree would only bump a hit counter, so the
   // event is suppressed. Reset (generation bump) on segment begin/end,
-  // mutex acquire/release, and range appends.
+  // every out-of-band append (mutex ops, receipts), and range appends.
   struct FilterSlot {
     uint64_t addr = 0;
-    uint32_t pc = 0;
+    uint64_t key = 0;  // the site: (pc << 16) | (flags << 8) | size
     uint32_t gen = 0;  // live iff == filter_gen_
-    uint8_t flags = 0;
-    uint8_t size = 0;
   };
-  static constexpr size_t kFilterSlots = 256;
   std::unique_ptr<FilterSlot[]> filter_;  // null when disabled
   uint32_t filter_gen_ = 1;
 
-  // Strided-run coalescer: ONE pending run, so every materialized event
-  // occupies exactly its original position in the stream (replay order is
-  // byte-for-byte the raw order; a multi-slot table could reorder).
+  // Strided-run coalescer: one pending run per site, direct-mapped by the
+  // filter's slot index (a colliding site evicts the resident: its run is
+  // materialized first). A site has at most one pending run and emits it
+  // before starting the next, so each site's events stay in program order;
+  // runs of different sites may leave in a different interleaving. Every
+  // fence (out-of-band Append, EndSegment, FlushEvents) materializes all
+  // live runs, so no access crosses a lockset change or a segment end.
   struct PendingRun {
     uint64_t base = 0;
     uint64_t stride = 0;
     uint64_t count = 0;  // 0 = empty
     uint64_t last = 0;   // address of the most recent element
-    uint32_t pc = 0;
-    uint8_t flags = 0;
-    uint8_t size = 0;
+    uint64_t key = 0;    // the site, packed like FilterSlot::key
+
+    uint32_t pc() const { return static_cast<uint32_t>(key >> 16); }
+    uint8_t flags() const { return static_cast<uint8_t>(key >> 8); }
+    uint8_t size() const { return static_cast<uint8_t>(key); }
   };
-  PendingRun pending_;  // only ever non-empty inside an open segment
-  const bool coalesce_;
+  std::unique_ptr<PendingRun[]> runs_;  // null when coalescing is off
+  // Occupied run slots in first-touch order, so a fence visits only them.
+  // Non-empty only inside an open segment. `listed_` has one bit per slot
+  // that is in `live_`, so a slot is listed once however often it is
+  // evicted and refilled.
+  std::unique_ptr<uint8_t[]> live_;
+  static_assert(kSiteSlots <= 256, "live_ holds slot indices as uint8_t");
+  static_assert((kSiteSlots & (kSiteSlots - 1)) == 0, "SiteSlot masks");
+  size_t live_count_ = 0;
+  uint64_t listed_[kSiteSlots / 64] = {};
 
   // --- adaptive degradation (config_.governor != null) ---
   // Per-site event counters for the reduced-fidelity levels, direct-mapped

@@ -18,13 +18,6 @@ done
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 
-# 1. Trace LULESH to completion: ~360 top-level regions = 360 checkpoint
-#    units, and an offline analysis long enough to kill mid-flight.
-"$RUN" --suite hpc --name LULESH --tool sword --threads 4 \
-       --trace-dir "$DIR" >/dev/null 2>&1 \
-  || { echo "FAIL: tracing run did not complete"; exit 1; }
-[ -s "$DIR/sword_t0.log" ] || { echo "FAIL: no trace produced"; exit 1; }
-
 # kill_and_resume <journal-file> <ref-report> <resumed-report> [shard flags...]
 kill_and_resume() {
   journal="$1" ref="$2" resumed="$3"
@@ -63,15 +56,33 @@ kill_and_resume() {
   fi
 }
 
-# 2. Whole-trace analysis.
-kill_and_resume sword_analysis_0of1.journal "$DIR/ref.txt" "$DIR/resumed.txt"
+# check_format <format>: trace LULESH to completion in that format, then
+# kill and resume the whole-trace analysis and each of two shards. LULESH
+# has ~360 top-level regions = 360 checkpoint units. The default format
+# (v3) is what production writes; its coalesced trace analyzes in tens of
+# milliseconds, so the kill may land after the analysis ended. Format 2 logs
+# one event per access, so its analysis runs long enough to be killed
+# mid-flight and resumed from a partial journal.
+check_format() {
+  rm -rf "${DIR:?}"/*
+  "$RUN" --suite hpc --name LULESH --tool sword --threads 4 \
+         --trace-dir "$DIR" --format "$1" >/dev/null 2>&1 \
+    || { echo "FAIL: format $1 tracing run did not complete"; exit 1; }
+  [ -s "$DIR/sword_t0.log" ] || { echo "FAIL: format $1: no trace produced"; exit 1; }
 
-# 3. Composed with sharding: each shard keeps - and resumes from - its own
-#    journal, keyed into the filename.
-for shard in 0 1; do
-  kill_and_resume "sword_analysis_${shard}of2.journal" \
-                  "$DIR/ref_s$shard.txt" "$DIR/resumed_s$shard.txt" \
-                  --shard "$shard" --shards 2
-done
+  # Whole-trace analysis.
+  kill_and_resume sword_analysis_0of1.journal "$DIR/ref.txt" "$DIR/resumed.txt"
+
+  # Composed with sharding: each shard keeps - and resumes from - its own
+  # journal, keyed into the filename.
+  for shard in 0 1; do
+    kill_and_resume "sword_analysis_${shard}of2.journal" \
+                    "$DIR/ref_s$shard.txt" "$DIR/resumed_s$shard.txt" \
+                    --shard "$shard" --shards 2
+  done
+}
+
+check_format 3
+check_format 2
 
 echo "e2e kill+resume: OK"

@@ -22,9 +22,12 @@ trap 'rm -rf "$DIR"' EXIT
 
 # 1. Start a tracing run with small buffers (frequent flushes) and kill -9 it
 #    as soon as trace files exist. If the workload finishes before the signal
-#    lands, that is fine - step 2 guarantees damage either way.
-"$RUN" --suite hpc --name AMG2013_40 --tool sword --threads 4 \
-       --trace-dir "$DIR" --buffer-kb 4 >/dev/null 2>&1 &
+#    lands, that is fine - step 2 guarantees damage either way. The trace is
+#    in the default format (v3); the large --size keeps HPCCG running for
+#    seconds and 1 KB buffers flush its coalesced runs early, so the kill
+#    lands mid-trace.
+"$RUN" --suite hpc --name HPCCG --size 800000 --tool sword --threads 4 \
+       --trace-dir "$DIR" --buffer-kb 1 >/dev/null 2>&1 &
 PID=$!
 for _ in $(seq 1 200); do
   [ -s "$DIR/sword_t0.log" ] && [ -f "$DIR/sword_t0.meta" ] && break

@@ -72,6 +72,27 @@ TEST(FaultPlanParser, ParsesEveryOp) {
   EXPECT_EQ(p.raise_at_call, 5u);
   EXPECT_EQ(p.alloc_fail_from, 3u);
   EXPECT_EQ(p.alloc_fail_count, 2u);
+  EXPECT_EQ(p.kinds(), testing::kFaultTransient | testing::kFaultSyncTransient |
+                           testing::kFaultShortWrite | testing::kFaultFailAtBytes |
+                           testing::kFaultEnospcStorm | testing::kFaultTruncate |
+                           testing::kFaultFlip | testing::kFaultSlow |
+                           testing::kFaultRaise | testing::kFaultAllocFail);
+}
+
+TEST(FaultFileFired, ByteOffsetFaultsFireOnlyOnceReached) {
+  TempDir dir;
+  FaultFile fault;
+  fault.EnospcAfterBytes(300);
+  fault.FlipBit(/*stream_offset=*/250, /*mask=*/1);
+  const std::string path = dir.path() + "/f";
+  const Bytes chunk(200, 0);
+  size_t written = 0;
+  ASSERT_TRUE(fault.Append(path, chunk.data(), chunk.size(), &written).ok());
+  EXPECT_EQ(fault.fired(), 0u);  // neither offset reached yet
+  EXPECT_FALSE(fault.Append(path, chunk.data(), chunk.size(), &written).ok());
+  EXPECT_EQ(fault.fired(), testing::kFaultFailAtBytes | testing::kFaultFlip);
+  fault.Reset();
+  EXPECT_EQ(fault.fired(), 0u);
 }
 
 TEST(FaultPlanParser, SeedExpansionIsDeterministic) {
@@ -510,7 +531,7 @@ TEST(SealDeath, FatalSignalSealsLiveTrace) {
 // job sweeps these same strings across all three event formats.
 const char* const kChaosPlans[] = {
     "transient=3",                        // EINTR/EAGAIN retries
-    "sync_fail=2",                        // fsync EINTR (unified retry)
+    "sync_fail=2;enospc_calls@3+1",       // fsync EINTR on the gap frame
     "short=256",                          // short writes
     "enospc@6000",                        // disk fills and STAYS full
     "enospc_calls@2+4",                   // ENOSPC storm that clears
@@ -538,7 +559,11 @@ TEST_P(ChaosMatrix, TracerSurvivesAndAccountingReconciles) {
   harness::RunConfig config;
   config.tool = harness::ToolKind::kSword;
   config.params.threads = 4;
-  config.params.size = 4000;        // enough accesses that flushes happen
+  // c_GraphSearch's random neighbour reads stay one event each in every
+  // format, so even the v3 trace runs to ~180 KB in ~30 flushes: past every
+  // byte offset and append call the plans name. (A strided kernel's v2/v3
+  // trace compresses to a few hundred bytes and would reach none of them.)
+  config.params.size = 2000;
   config.buffer_bytes = 16 * 1024;  // small buffers so the faults hit
   config.trace_format = format;
   config.trace_dir = dir.path();
@@ -548,9 +573,18 @@ TEST_P(ChaosMatrix, TracerSurvivesAndAccountingReconciles) {
 
   // Invariant 1: the run COMPLETES - the tracer neither deadlocks nor
   // crashes the traced application, whatever the backend does.
-  const auto result = harness::RunByName("drb", "truedep1-orig-yes", config);
+  const auto result = harness::RunByName("ompscr", "c_GraphSearch", config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const harness::RunResult& r = result.value();
+
+  // Every fault the plan names took effect: a trace too small to reach a
+  // byte offset or a call number would pass the invariants below vacuously.
+  const auto parsed = ParseFaultPlan(plan);
+  ASSERT_TRUE(parsed.ok());
+  const uint32_t wanted = parsed.value().kinds();
+  EXPECT_EQ(r.faults_fired & wanted, wanted)
+      << "fault kinds that never fired: 0x" << std::hex
+      << (wanted & ~r.faults_fired);
 
   // Invariant 2: whatever hit the disk salvages and analyzes.
   EXPECT_TRUE(r.status.ok()) << r.status.ToString();
@@ -602,9 +636,19 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- governor end-to-end: ENOSPC storm + slow I/O steps down and back up --
 
-TEST(GovernorIntegration, EnospcAndSlowIoStepDownThenRecover) {
+struct GovernorWorkload {
+  uint8_t format;
+  const char* suite;
+  const char* name;
+  uint64_t size;
+};
+
+class GovernorIntegration : public ::testing::TestWithParam<GovernorWorkload> {};
+
+TEST_P(GovernorIntegration, EnospcAndSlowIoStepDownThenRecover) {
+  const GovernorWorkload& gw = GetParam();
   const workloads::Workload* w =
-      workloads::WorkloadRegistry::Get().Find("drb", "truedep1-orig-yes");
+      workloads::WorkloadRegistry::Get().Find(gw.suite, gw.name);
   ASSERT_NE(w, nullptr);
 
   TempDir dir;
@@ -623,6 +667,7 @@ TEST(GovernorIntegration, EnospcAndSlowIoStepDownThenRecover) {
   // flushes them, which is what feeds the latency EWMA the fast appends it
   // needs to decay (recovery is driven by OBSERVED I/O, not wall clock).
   sc.buffer_bytes = 256;
+  sc.trace_format = gw.format;
   sc.async_flush = false;  // inline flush: fully deterministic Evaluate cadence
   sc.backend = &fault;
   sc.adaptive_degradation = true;
@@ -642,7 +687,7 @@ TEST(GovernorIntegration, EnospcAndSlowIoStepDownThenRecover) {
 
   workloads::WorkloadParams params;
   params.threads = 4;
-  params.size = 2'000;  // ~1k accesses per thread: many flushes mid-run
+  params.size = gw.size;  // many flushes mid-run
   w->run(params);  // pressure phase: slow + ENOSPC appends
 
   ASSERT_NE(tool.governor(), nullptr);
@@ -702,6 +747,20 @@ TEST(GovernorIntegration, EnospcAndSlowIoStepDownThenRecover) {
   EXPECT_TRUE(meta_up) << "no writer recorded the recovery in its meta";
   EXPECT_GT(store.value().integrity().degradation_transitions, 0u);
 }
+
+// Each workload must fill the 16-event buffers many times per run in its
+// format. truedep1 at v2 logs ~1k accesses per thread; at v3 the per-site
+// coalescer folds its alternating a[i-1]/a[i] sweeps into two runs per
+// segment, so the v3 row runs c_GraphSearch, whose random neighbour reads
+// stay one event each.
+INSTANTIATE_TEST_SUITE_P(
+    Formats, GovernorIntegration,
+    ::testing::Values(
+        GovernorWorkload{trace::kTraceFormatV2, "drb", "truedep1-orig-yes", 2'000},
+        GovernorWorkload{trace::kTraceFormatV3, "ompscr", "c_GraphSearch", 2'000}),
+    [](const ::testing::TestParamInfo<GovernorWorkload>& info) {
+      return "V" + std::to_string(info.param.format);
+    });
 
 // --- satellite (a): unified fsync retry path is counted -------------------
 

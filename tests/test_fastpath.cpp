@@ -4,8 +4,13 @@
 // race reports are BYTE-IDENTICAL with the fast path on or off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdlib>
+#include <iterator>
+#include <map>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -263,9 +268,11 @@ TEST(WriterFastPath, OutOfSegmentAccessesCountedAndDropped) {
   EXPECT_EQ(meta.accesses_dropped, 5u);
 }
 
-/// Structural fingerprint of a frozen summary, ignoring hit counters: the
-/// duplicate filter elides hits-only folds, so structure (not hits) is the
-/// invariant.
+/// Structural fingerprint of a frozen summary as a node multiset, ignoring
+/// hit counters: the duplicate filter elides hits-only folds, so structure
+/// (not hits) is the invariant. Sorted, because frozen order breaks
+/// first-byte ties by creation id, and the per-site coalescer changes the
+/// order in which different sites' nodes are created.
 using Shape = std::vector<std::tuple<uint64_t, uint64_t, uint64_t, uint32_t,
                                      uint32_t, uint8_t, uint8_t>>;
 
@@ -276,6 +283,7 @@ Shape SummaryShape(const itree::FrozenIntervalSet& set) {
     shape.emplace_back(n.interval.base, n.interval.stride, n.interval.count,
                        n.interval.size, n.key.pc, n.key.flags, n.key.size);
   }
+  std::sort(shape.begin(), shape.end());
   return shape;
 }
 
@@ -329,6 +337,326 @@ TEST(WriterFastPath, FilteredStreamReplaysToSameTreeShape) {
   EXPECT_EQ(SummaryShape(Replay(fast_events)), SummaryShape(Replay(plain_events)));
 }
 
+// --- per-site run coalescer --------------------------------------------------
+
+/// `n` pcs whose (pc, flags, size) sites occupy distinct coalescer slots.
+std::vector<uint32_t> DistinctSlotPcs(size_t n, uint8_t flags, uint8_t size) {
+  std::vector<uint32_t> pcs;
+  std::set<size_t> slots;
+  for (uint32_t pc = 1; pcs.size() < n; pc++) {
+    if (slots.insert(trace::ThreadTraceWriter::SiteSlot(pc, flags, size)).second) {
+      pcs.push_back(pc);
+    }
+  }
+  return pcs;
+}
+
+/// Every access a decoded stream stands for, per (pc, flags, size) site, in
+/// stream order.
+std::map<std::tuple<uint32_t, uint8_t, uint8_t>, std::vector<uint64_t>>
+PerSiteAddresses(const std::vector<trace::RawEvent>& events) {
+  std::map<std::tuple<uint32_t, uint8_t, uint8_t>, std::vector<uint64_t>> out;
+  for (const auto& e : events) {
+    if (e.kind == trace::EventKind::kAccess) {
+      out[{e.pc, e.flags, e.size}].push_back(e.addr);
+    } else if (e.kind == trace::EventKind::kAccessRun) {
+      auto& site = out[{e.pc, e.flags, e.size}];
+      for (uint64_t k = 0; k < e.count; k++) site.push_back(e.addr + k * e.stride);
+    }
+  }
+  return out;
+}
+
+TEST(WriterCoalescer, InterleavedSitesFoldToOneRunEach) {
+  constexpr uint64_t kIters = 500;
+  for (const size_t sites : {2u, 4u, 8u}) {
+    const std::vector<uint32_t> pcs = DistinctSlotPcs(sites, 1, 8);
+    WriterRig rig;
+    rig.writer->BeginSegment(SegMeta());
+    for (uint64_t i = 0; i < kIters; i++) {
+      for (size_t s = 0; s < sites; s++) {
+        rig.writer->AppendAccess(0x100000 * (s + 1) + i * 8, 8, 1, pcs[s]);
+      }
+    }
+    EXPECT_EQ(rig.writer->pending_runs(), sites);
+    rig.writer->EndSegment();
+    EXPECT_EQ(rig.writer->events_logged(), sites);
+    EXPECT_EQ(rig.writer->runs_emitted(), sites);
+    EXPECT_EQ(rig.writer->events_coalesced(), sites * (kIters - 1));
+
+    // Fences emit live runs in first-touch order.
+    const auto events = rig.FinishAndRead();
+    ASSERT_EQ(events.size(), sites);
+    for (size_t s = 0; s < sites; s++) {
+      EXPECT_EQ(events[s],
+                trace::RawEvent::Run(0x100000 * (s + 1), 8, kIters, 8, 1, pcs[s]))
+          << sites << " sites, site " << s;
+    }
+  }
+}
+
+TEST(WriterCoalescer, FencesKeepAccessesOnTheirSide) {
+  const std::vector<uint32_t> pcs = DistinctSlotPcs(2, 0, 8);
+  WriterRig rig;
+  auto body = [&](uint64_t from, uint64_t to) {
+    for (uint64_t i = from; i < to; i++) {
+      rig.writer->AppendAccess(0x1000 + i * 8, 8, 0, pcs[0]);
+      rig.writer->AppendAccess(0x9000 + i * 8, 8, 0, pcs[1]);
+    }
+  };
+  const auto receipt = trace::RawEvent::Run(0x20000, 8, 4, 8, 1, 99);
+  rig.writer->BeginSegment(SegMeta());
+  body(0, 10);
+  rig.writer->Append(trace::RawEvent::MutexAcquire(1));
+  EXPECT_EQ(rig.writer->pending_runs(), 0u);
+  body(10, 20);
+  rig.writer->Append(trace::RawEvent::MutexRelease(1));
+  EXPECT_EQ(rig.writer->pending_runs(), 0u);
+  body(20, 30);
+  ASSERT_TRUE(rig.writer->AppendReceipt(receipt));
+  EXPECT_EQ(rig.writer->pending_runs(), 0u);
+  body(30, 40);
+  rig.writer->EndSegment();
+
+  std::vector<trace::RawEvent> want;
+  auto runs = [&](uint64_t from) {
+    want.push_back(trace::RawEvent::Run(0x1000 + from * 8, 8, 10, 8, 0, pcs[0]));
+    want.push_back(trace::RawEvent::Run(0x9000 + from * 8, 8, 10, 8, 0, pcs[1]));
+  };
+  runs(0);
+  want.push_back(trace::RawEvent::MutexAcquire(1));
+  runs(10);
+  want.push_back(trace::RawEvent::MutexRelease(1));
+  runs(20);
+  want.push_back(receipt);
+  runs(30);
+  EXPECT_EQ(rig.FinishAndRead(), want);
+}
+
+TEST(WriterCoalescer, EndSegmentAndFlushEventsLeaveNoPendingRun) {
+  const std::vector<uint32_t> pcs = DistinctSlotPcs(3, 1, 8);
+  WriterRig rig;
+  auto body = [&](uint64_t from, uint64_t to) {
+    for (uint64_t i = from; i < to; i++) {
+      for (size_t s = 0; s < pcs.size(); s++) {
+        rig.writer->AppendAccess(0x100000 * (s + 1) + i * 8, 8, 1, pcs[s]);
+      }
+    }
+  };
+  rig.writer->BeginSegment(SegMeta());
+  body(0, 100);
+  EXPECT_EQ(rig.writer->pending_runs(), 3u);
+  rig.writer->FlushEvents();
+  EXPECT_EQ(rig.writer->pending_runs(), 0u);
+  EXPECT_EQ(rig.writer->events_logged(), 3u);
+  {
+    // A drain puts every run on disk before the trace is finished.
+    auto reader = trace::LogReader::Open(rig.dir.File("t0.log"));
+    ASSERT_TRUE(reader.ok());
+    size_t on_disk = 0;
+    ASSERT_TRUE(reader.value()
+                    .StreamRange(0, reader.value().total_logical_bytes(),
+                                 [&](const trace::RawEvent&) { on_disk++; })
+                    .ok());
+    EXPECT_EQ(on_disk, 3u);
+  }
+  body(100, 200);
+  EXPECT_EQ(rig.writer->pending_runs(), 3u);
+  rig.writer->EndSegment();
+  EXPECT_EQ(rig.writer->pending_runs(), 0u);
+  EXPECT_EQ(rig.writer->events_logged(), 6u);
+  EXPECT_EQ(rig.FinishAndRead().size(), 6u);
+
+  // The closed segment's record counts the runs the fence emitted.
+  auto bytes = ReadFileBytes(rig.dir.File("t0.meta"));
+  ASSERT_TRUE(bytes.ok());
+  trace::MetaFile meta;
+  ASSERT_TRUE(trace::MetaFile::Decode(bytes.value(), &meta).ok());
+  ASSERT_EQ(meta.intervals.size(), 1u);
+  EXPECT_EQ(meta.intervals[0].event_count, 6u);
+}
+
+TEST(WriterCoalescer, CollidingSitesKeepPerSiteOrder) {
+  // Two sites sharing one slot: each evicts the other.
+  const uint32_t pc_a = 1;
+  const size_t slot = trace::ThreadTraceWriter::SiteSlot(pc_a, 1, 8);
+  uint32_t pc_b = pc_a + 1;
+  while (trace::ThreadTraceWriter::SiteSlot(pc_b, 1, 8) != slot) pc_b++;
+
+  // Bursts of five strided accesses per site, with repeats and a descent.
+  std::vector<std::pair<uint64_t, uint32_t>> script;
+  for (uint64_t burst = 0; burst < 40; burst++) {
+    for (uint64_t k = 0; k < 5; k++) {
+      script.emplace_back(0x1000 + (burst * 5 + k) * 8, pc_a);
+    }
+    for (uint64_t k = 0; k < 5; k++) {
+      const uint64_t addr = burst % 7 == 3 ? 0x9000 : 0x9000 + (burst * 5 + k) * 16;
+      script.emplace_back(addr, pc_b);
+    }
+  }
+
+  WriterRig unfiltered(/*filter=*/false, /*coalesce=*/true);
+  WriterRig fast(true, true);
+  WriterRig plain(false, false);
+  for (auto* rig : {&unfiltered, &fast, &plain}) {
+    rig->writer->BeginSegment(SegMeta());
+    for (const auto& [addr, pc] : script) rig->writer->AppendAccess(addr, 8, 1, pc);
+    rig->writer->EndSegment();
+  }
+  // However often the slot changed hands, it was listed once, and the fence
+  // emptied it. Single accesses that evict each other at every step list the
+  // slot once too.
+  EXPECT_EQ(unfiltered.writer->pending_runs(), 0u);
+  for (auto* rig : {&unfiltered, &fast, &plain}) {
+    rig->writer->BeginSegment(SegMeta());
+    for (uint64_t i = 0; i < 30; i++) {
+      rig->writer->AppendAccess(0x20000 + i * 8, 8, 1, i % 2 ? pc_a : pc_b);
+    }
+    if (rig != &plain) {
+      EXPECT_EQ(rig->writer->pending_runs(), 1u);
+    }
+    rig->writer->EndSegment();
+  }
+  const auto unfiltered_events = unfiltered.FinishAndRead();
+  const auto fast_events = fast.FinishAndRead();
+  const auto plain_events = plain.FinishAndRead();
+  EXPECT_GT(unfiltered.writer->runs_emitted(), 0u);
+  EXPECT_EQ(PerSiteAddresses(unfiltered_events), PerSiteAddresses(plain_events));
+  EXPECT_EQ(SummaryShape(Replay(unfiltered_events)),
+            SummaryShape(Replay(plain_events)));
+  EXPECT_EQ(SummaryShape(Replay(fast_events)), SummaryShape(Replay(plain_events)));
+}
+
+TEST(WriterCoalescer, SmallRangesFoldIntoOneRun) {
+  // GraphSearch's shape: one 16-byte range per vertex into each of two
+  // arrays, plus a 200-byte range whose chunk and tail are separate sites.
+  constexpr uint64_t kVertices = 1000;
+  WriterRig rig;
+  rig.writer->BeginSegment(SegMeta());
+  for (uint64_t v = 0; v < kVertices; v++) {
+    rig.writer->AppendRange(0x100000 + v * 16, 16, 0, 5);
+    rig.writer->AppendRange(0x200000 + v * 16, 16, 1, 6);
+    rig.writer->AppendRange(0x400000 + v * 200, 200, 0, 7);
+  }
+  rig.writer->EndSegment();
+  EXPECT_EQ(rig.writer->events_logged() + rig.writer->events_coalesced(),
+            4 * kVertices);
+
+  const auto events = rig.FinishAndRead();
+  const std::vector<trace::RawEvent> want = {
+      trace::RawEvent::Run(0x100000, 16, kVertices, 16, 0, 5),
+      trace::RawEvent::Run(0x200000, 16, kVertices, 16, 1, 6),
+      trace::RawEvent::Run(0x400000, 200, kVertices, 128, 0, 7),
+      trace::RawEvent::Run(0x400000 + 128, 200, kVertices, 72, 0, 7),
+  };
+  EXPECT_EQ(events, want);
+}
+
+TEST(WriterCoalescer, AccountingHoldsAtEveryFence) {
+  Rng rng(4242);
+  WriterRig rig;
+  uint64_t accesses = 0;
+  uint64_t out_of_band = 0;
+  auto check = [&](const char* where) {
+    EXPECT_EQ(rig.writer->pending_runs(), 0u) << where;
+    EXPECT_EQ(rig.writer->events_logged() - out_of_band +
+                  rig.writer->events_coalesced() +
+                  rig.writer->events_suppressed(),
+              accesses)
+        << where;
+  };
+  for (int seg = 0; seg < 6; seg++) {
+    rig.writer->BeginSegment(SegMeta());
+    std::array<uint64_t, 6> cursor{};
+    for (int op = 0; op < 400; op++) {
+      const uint32_t pc = 1 + static_cast<uint32_t>(rng.Below(6));
+      const uint8_t flags = static_cast<uint8_t>(pc & 1);
+      uint64_t& at = cursor[pc - 1];
+      const double pick = rng.NextDouble();
+      if (pick < 0.8) {
+        if (rng.Chance(0.7)) at += 8;         // stride
+        else if (rng.Chance(0.5)) at -= 8;    // descent
+        rig.writer->AppendAccess(0x100000 * pc + 0x8000 + at, 8, flags, pc);
+        accesses++;
+      } else if (pick < 0.9) {
+        const uint64_t bytes = 8 + rng.Below(300);
+        rig.writer->AppendRange(0x100000 * pc + 0x8000 + at, bytes, flags, pc);
+        accesses += bytes / 128 + (bytes % 128 ? 1 : 0);
+      } else if (pick < 0.95) {
+        rig.writer->Append(trace::RawEvent::MutexAcquire(pc));
+        out_of_band++;
+        check("mutex acquire");
+        rig.writer->Append(trace::RawEvent::MutexRelease(pc));
+        out_of_band++;
+        check("mutex release");
+      } else {
+        rig.writer->FlushEvents();
+        check("flush");
+      }
+    }
+    rig.writer->EndSegment();
+    check("segment end");
+  }
+  EXPECT_GT(rig.writer->events_coalesced(), 0u);
+  EXPECT_GT(rig.writer->events_suppressed(), 0u);
+}
+
+class CoalescerProperty : public testing::TestWithParam<int> {};
+
+// The coalescer's whole contract: per site, a trace stands for exactly the
+// accesses made, in the order made. Covers ranges of mixed widths from one
+// pc (their chunk runs meet pending runs of any stride), colliding sites,
+// descents, re-touches and fences.
+TEST_P(CoalescerProperty, PerSiteSequencesMatchPlainWriter) {
+  Rng rng(9100 + static_cast<uint64_t>(GetParam()));
+  std::vector<uint32_t> pcs = {1, 2, 3, 4};
+  uint32_t collider = 5;
+  while (trace::ThreadTraceWriter::SiteSlot(collider, 0, 8) !=
+         trace::ThreadTraceWriter::SiteSlot(1, 0, 8)) {
+    collider++;
+  }
+  pcs.push_back(collider);
+  static constexpr int64_t kSteps[] = {8, 8, 16, 128, 136, 200, 384, -8, 0};
+  static constexpr uint64_t kWidths[] = {16, 128, 200, 256, 300, 520};
+
+  WriterRig coalesced(/*filter=*/false, /*coalesce=*/true);
+  WriterRig plain(false, false);
+  std::vector<uint64_t> cursor(pcs.size(), 0x10000);
+  for (auto* rig : {&coalesced, &plain}) rig->writer->BeginSegment(SegMeta());
+  for (int op = 0; op < 800; op++) {
+    const size_t which = rng.Below(pcs.size());
+    const uint32_t pc = pcs[which];
+    const uint8_t flags = rng.Chance(0.8) ? 0 : 1;
+    cursor[which] += kSteps[rng.Below(std::size(kSteps))];
+    const uint64_t addr = 0x1000000 * (which + 1) + cursor[which];
+    const double pick = rng.NextDouble();
+    const uint64_t width = kWidths[rng.Below(std::size(kWidths))];
+    for (auto* rig : {&coalesced, &plain}) {
+      if (pick < 0.65) {
+        rig->writer->AppendAccess(addr, 8, flags, pc);
+      } else if (pick < 0.95) {
+        rig->writer->AppendRange(addr, width, flags, pc);
+      } else if (pick < 0.98) {
+        rig->writer->Append(trace::RawEvent::MutexAcquire(1));
+      } else {
+        rig->writer->FlushEvents();
+      }
+    }
+  }
+  for (auto* rig : {&coalesced, &plain}) rig->writer->EndSegment();
+
+  const auto coalesced_events = coalesced.FinishAndRead();
+  const auto plain_events = plain.FinishAndRead();
+  EXPECT_LT(coalesced_events.size(), plain_events.size());
+  EXPECT_EQ(PerSiteAddresses(coalesced_events), PerSiteAddresses(plain_events))
+      << "seed " << GetParam();
+  EXPECT_EQ(SummaryShape(Replay(coalesced_events)),
+            SummaryShape(Replay(plain_events)))
+      << "seed " << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomScripts, CoalescerProperty, testing::Range(0, 10));
+
 // --- StreamingSetBuilder::AddRun ---------------------------------------------
 
 class AddRunProperty : public testing::TestWithParam<int> {};
@@ -381,15 +709,28 @@ INSTANTIATE_TEST_SUITE_P(RandomOps, AddRunProperty, testing::Range(0, 20));
 
 // --- end-to-end: reports identical with the fast path on or off -------------
 
+/// One access stream of a loop body: iteration i touches the pool at byte
+/// `offset + i * step`. A negative step walks down, a zero step re-touches
+/// one cell every iteration.
+struct SweepStream {
+  uint64_t offset = 0;  // byte offset of iteration 0
+  int64_t step = 0;     // bytes per iteration, a multiple of 8
+  uint64_t width = 0;   // 0 = one 8-byte access; else a range of this many bytes
+  bool write = false;
+  bool atomic = false;
+  uint32_t site = 0;
+  uint32_t lock = ~0u;  // taken around every touch; ~0u = none
+};
+
+/// One loop: `count` iterations of a body touching every stream once, the
+/// whole loop repeated `reps` times, optionally under one lock. A one-stream
+/// body is a single-site sweep; 2-6 streams interleave sites the way real
+/// loop bodies do, which is what the per-site coalescer reorders.
 struct SweepOp {
-  uint64_t offset;  // into the shared byte pool
-  uint64_t count;   // 1 = single access, else strided sweep
-  uint64_t reps;    // duplicate repetitions of the whole op
-  bool write;
-  bool atomic;
-  bool range;       // use write_range/read_range instead of per-element ops
-  uint32_t site;
-  uint32_t lock;    // ~0u = none
+  std::vector<SweepStream> streams;
+  uint64_t count = 1;
+  uint64_t reps = 1;
+  uint32_t lock = ~0u;
 };
 
 struct SweepProgram {
@@ -397,6 +738,25 @@ struct SweepProgram {
   uint32_t phases;
   std::vector<std::vector<std::vector<SweepOp>>> ops;  // [lane][phase]
 };
+
+constexpr uint64_t kSweepPoolCells = 192;
+
+SweepStream GenerateSweepStream(Rng& rng, uint64_t count, bool may_lock) {
+  static constexpr int64_t kSteps[] = {8, 8, 8, 16, 24, -8, -16, 0};
+  SweepStream s;
+  s.step = kSteps[rng.Below(std::size(kSteps))];
+  if (rng.Chance(0.2)) s.width = rng.Chance(0.5) ? 16 : 8 * (2 + rng.Below(34));
+  s.write = rng.Chance(0.6);
+  s.atomic = s.width == 0 && rng.Chance(0.15);
+  s.site = static_cast<uint32_t>(rng.Below(8));
+  s.lock = may_lock && rng.Chance(0.1) ? static_cast<uint32_t>(rng.Below(2)) : ~0u;
+  // Place the whole walk inside the pool, descending walks from the top.
+  const uint64_t span = (count - 1) * static_cast<uint64_t>(std::abs(s.step));
+  const uint64_t extent = span + std::max<uint64_t>(8, s.width);
+  s.offset = rng.Below((kSweepPoolCells * 8 - extent) / 8 + 1) * 8;
+  if (s.step < 0) s.offset += span;
+  return s;
+}
 
 SweepProgram GenerateSweepProgram(Rng& rng) {
   SweepProgram p;
@@ -409,19 +769,34 @@ SweepProgram GenerateSweepProgram(Rng& rng) {
       const uint32_t n = 1 + static_cast<uint32_t>(rng.Below(4));
       for (uint32_t k = 0; k < n; k++) {
         SweepOp op;
-        op.offset = rng.Below(16) * 8;
-        op.count = rng.Chance(0.6) ? 2 + rng.Below(32) : 1;
+        const bool interleaved = rng.Chance(0.5);
+        op.count = interleaved ? 2 + rng.Below(24)
+                               : (rng.Chance(0.6) ? 2 + rng.Below(32) : 1);
         op.reps = rng.Chance(0.4) ? 2 + rng.Below(3) : 1;
-        op.write = rng.Chance(0.6);
-        op.atomic = rng.Chance(0.15);
-        op.range = rng.Chance(0.2);
-        op.site = static_cast<uint32_t>(rng.Below(8));
         op.lock = rng.Chance(0.25) ? static_cast<uint32_t>(rng.Below(2)) : ~0u;
+        const uint64_t streams = interleaved ? 2 + rng.Below(5) : 1;
+        for (uint64_t i = 0; i < streams; i++) {
+          // Per-touch locks only outside a loop-wide one (no nesting).
+          op.streams.push_back(GenerateSweepStream(rng, op.count, op.lock == ~0u));
+        }
         p.ops[lane][phase].push_back(op);
       }
     }
   }
   return p;
+}
+
+/// Byte offset of stream `s` in iteration `i`.
+uint64_t StreamOffset(const SweepStream& s, uint64_t i) {
+  return s.offset + static_cast<uint64_t>(static_cast<int64_t>(i) * s.step);
+}
+
+uint8_t StreamFlags(const SweepStream& s) {
+  return static_cast<uint8_t>((s.write ? 1 : 0) | (s.atomic ? 2 : 0));
+}
+
+std::string SweepLockName(uint32_t lock) {
+  return "sweep-lock-" + std::to_string(lock);
 }
 
 const std::array<std::source_location, 8>& SweepSites() {
@@ -434,23 +809,35 @@ const std::array<std::source_location, 8>& SweepSites() {
   return kSites;
 }
 
-void RunSweepOp(std::vector<uint64_t>& pool, const SweepOp& op) {
-  const std::source_location& loc = SweepSites()[op.site];
+void TouchStream(std::vector<uint64_t>& pool, const SweepStream& s,
+                 uint64_t i) {
+  const std::source_location& loc = SweepSites()[s.site];
+  const uint64_t off = StreamOffset(s, i);
+  if (s.width != 0) {
+    uint8_t* base = reinterpret_cast<uint8_t*>(pool.data()) + off;
+    if (s.write) instr::write_range(base, s.width, 0, loc);
+    else instr::read_range(base, s.width, loc);
+    return;
+  }
+  uint64_t& cell = pool[off / 8];
+  if (s.atomic) {
+    if (s.write) instr::atomic_store(cell, uint64_t{1}, loc);
+    else (void)instr::atomic_load(cell, loc);
+  } else {
+    if (s.write) instr::store(cell, uint64_t{1}, loc);
+    else (void)instr::load(cell, loc);
+  }
+}
+
+void RunSweepOp(somp::Ctx& ctx, std::vector<uint64_t>& pool, const SweepOp& op) {
   for (uint64_t rep = 0; rep < op.reps; rep++) {
-    if (op.range && op.count > 1) {
-      uint8_t* base = reinterpret_cast<uint8_t*>(pool.data()) + op.offset;
-      if (op.write) instr::write_range(base, op.count * 8, 0, loc);
-      else instr::read_range(base, op.count * 8, loc);
-      continue;
-    }
     for (uint64_t i = 0; i < op.count; i++) {
-      uint64_t& cell = pool[op.offset / 8 + i];
-      if (op.atomic) {
-        if (op.write) instr::atomic_store(cell, uint64_t{1}, loc);
-        else (void)instr::atomic_load(cell, loc);
-      } else {
-        if (op.write) instr::store(cell, uint64_t{1}, loc);
-        else (void)instr::load(cell, loc);
+      for (const SweepStream& s : op.streams) {
+        if (s.lock != ~0u) {
+          ctx.Critical(SweepLockName(s.lock), [&] { TouchStream(pool, s, i); });
+        } else {
+          TouchStream(pool, s, i);
+        }
       }
     }
   }
@@ -461,10 +848,10 @@ void RunSweepProgram(const SweepProgram& p, std::vector<uint64_t>& pool) {
     for (uint32_t phase = 0; phase < p.phases; phase++) {
       for (const SweepOp& op : p.ops[ctx.thread_num()][phase]) {
         if (op.lock != ~0u) {
-          ctx.Critical("sweep-lock-" + std::to_string(op.lock),
-                       [&] { RunSweepOp(pool, op); });
+          ctx.Critical(SweepLockName(op.lock),
+                       [&] { RunSweepOp(ctx, pool, op); });
         } else {
-          RunSweepOp(pool, op);
+          RunSweepOp(ctx, pool, op);
         }
       }
       if (phase + 1 < p.phases) ctx.Barrier();
@@ -511,7 +898,7 @@ class AblationProperty : public testing::TestWithParam<int> {};
 TEST_P(AblationProperty, RaceSetsIdenticalAcrossFastPathConfigs) {
   Rng rng(31000 + static_cast<uint64_t>(GetParam()));
   const SweepProgram p = GenerateSweepProgram(rng);
-  std::vector<uint64_t> pool(16 + 40);  // sweeps stay in bounds
+  std::vector<uint64_t> pool(kSweepPoolCells);
 
   EXPECT_EQ(CollectRacePairs(p, pool, trace::kTraceFormatV3),
             CollectRacePairs(p, pool, trace::kTraceFormatV2))
@@ -553,18 +940,24 @@ AnalyzeScripted(const SweepProgram& p, uint8_t format, bool filter,
       m.lane = lane;
       writer.BeginSegment(m);
       for (const SweepOp& op : p.ops[lane][phase]) {
-        const uint64_t addr = 0x10000 + op.offset;
-        const uint8_t flags =
-            static_cast<uint8_t>((op.write ? 1 : 0) | (op.atomic ? 2 : 0));
         if (op.lock != ~0u) {
           writer.Append(trace::RawEvent::MutexAcquire(op.lock));
         }
         for (uint64_t rep = 0; rep < op.reps; rep++) {
-          if (op.range && op.count > 1) {
-            writer.AppendRange(addr, op.count * 8, flags, op.site + 1);
-          } else {
-            for (uint64_t i = 0; i < op.count; i++) {
-              writer.AppendAccess(addr + i * 8, 8, flags, op.site + 1);
+          for (uint64_t i = 0; i < op.count; i++) {
+            for (const SweepStream& s : op.streams) {
+              const uint64_t addr = 0x10000 + StreamOffset(s, i);
+              if (s.lock != ~0u) {
+                writer.Append(trace::RawEvent::MutexAcquire(s.lock));
+              }
+              if (s.width != 0) {
+                writer.AppendRange(addr, s.width, StreamFlags(s), s.site + 1);
+              } else {
+                writer.AppendAccess(addr, 8, StreamFlags(s), s.site + 1);
+              }
+              if (s.lock != ~0u) {
+                writer.Append(trace::RawEvent::MutexRelease(s.lock));
+              }
             }
           }
         }

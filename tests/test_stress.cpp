@@ -20,19 +20,25 @@ using harness::ToolKind;
 using workloads::Workload;
 using workloads::WorkloadRegistry;
 
-TEST(Stress, MillionEventTraceThroughTinyBuffer) {
-  const Workload* w = WorkloadRegistry::Get().Find("hpc", "HPCCG");
+// Traces `suite/name` at 4 threads through 64 KB buffers (4096 events per
+// flush) and checks the million-event volume, the flush count, the race
+// count and the memory bound.
+void ExpectMillionEventsThroughTinyBuffer(const char* suite, const char* name,
+                                          uint64_t size, uint8_t format,
+                                          uint64_t races) {
+  const Workload* w = WorkloadRegistry::Get().Find(suite, name);
   ASSERT_NE(w, nullptr);
   RunConfig config;
   config.tool = ToolKind::kSword;
   config.params.threads = 4;
-  config.params.size = 12000;        // ~3M instrumented events
-  config.buffer_bytes = 64 * 1024;   // 4096 events per flush
+  config.params.size = size;
+  config.buffer_bytes = 64 * 1024;
+  config.trace_format = format;
   const RunResult r = RunWorkload(*w, config);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_GT(r.events, 1000000u);
   EXPECT_GT(r.flushes, 200u);
-  EXPECT_EQ(r.races, 1u);  // detection unaffected by flush pressure
+  EXPECT_EQ(r.races, races);  // detection unaffected by flush pressure
   // Memory stayed bounded despite millions of events: N x (64 KB + aux) for
   // the writers, plus at most queue_depth + N extra buffers for frames that
   // are in flight through the async pipeline (the pool recycles them, so the
@@ -44,6 +50,21 @@ TEST(Stress, MillionEventTraceThroughTinyBuffer) {
   EXPECT_GE(r.tool_peak_bytes, base);
   EXPECT_LE(r.tool_peak_bytes,
             base + (trace::Flusher::kDefaultMaxQueuedJobs + 4) * buffer);
+}
+
+TEST(Stress, MillionEventTraceThroughTinyBuffer) {
+  // Format v2 logs one event per access: HPCCG at size 12000 is ~3M events.
+  // (The v3 coalescer folds HPCCG's strided sweeps into a few hundred runs.)
+  ExpectMillionEventsThroughTinyBuffer("hpc", "HPCCG", 12000,
+                                       trace::kTraceFormatV2, /*races=*/1);
+}
+
+TEST(Stress, MillionEventCoalescedTraceThroughTinyBuffer) {
+  // The default format v3: c_GraphSearch's random neighbour reads stay one
+  // event each, so size 72000 logs ~1.1M events next to ~635k coalesced
+  // runs of its sweeps.
+  ExpectMillionEventsThroughTinyBuffer("ompscr", "c_GraphSearch", 72000,
+                                       trace::kTraceFormatV3, /*races=*/0);
 }
 
 TEST(Stress, NoFalsePositivesAtAnyThreadWidth) {
