@@ -51,6 +51,7 @@ int main(int argc, char** argv) {
     // property of the suite, so it also serves as the per-access
     // denominator for the other tools' columns.
     uint64_t accesses = 0, suppressed = 0, coalesced = 0;
+    TextTable per_workload({"workload", "accesses", "sword ns/acc"});
 
     // The OmpSCR kernels are sub-millisecond at quick scale, so one run is
     // scheduler noise; take the best of a few repetitions (the counters are
@@ -70,8 +71,12 @@ int main(int argc, char** argv) {
           baseline_time = std::max(r.dynamic_seconds, 1e-6);
         }
         if (tool == harness::ToolKind::kSword) {
+          const uint64_t n = r.events + r.events_suppressed + r.events_coalesced;
+          per_workload.AddRow({w->name, std::to_string(n),
+                               Fmt(r.dynamic_seconds * 1e9 /
+                                   std::max<uint64_t>(1, n))});
           Accumulate(&flush, r.flusher);
-          accesses += r.events + r.events_suppressed + r.events_coalesced;
+          accesses += n;
           suppressed += r.events_suppressed;
           coalesced += r.events_coalesced;
         }
@@ -83,6 +88,7 @@ int main(int argc, char** argv) {
       }
     }
 
+    per_workload.Print();
     TextTable table({"tool (" + std::to_string(threads) + " threads)",
                      "geo-mean slowdown", "geo-mean total memory",
                      "per-access ns", "suppressed", "coalesced"});
@@ -164,90 +170,21 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // --- Static pre-filter A/B: per-workload elision and per-access cost with
-  // the pre-filter on vs off, interleaved rep-by-rep. The per-access
-  // denominator is the workload's instrumented access count (identical in
-  // both arms: elided accesses still execute, they just skip the sink), so
-  // the ns/access ratio isolates what elision saves. The speedup claim is
-  // restricted to the affine workloads (those where anything elided) - the
-  // pre-filter is designed to be a single predictable branch elsewhere.
-  double pf_on_ns = 0, pf_off_ns = 0, pf_speedup = 1.0;
-  double pf_max_elision = 0;  // fraction of instrumented accesses elided
-  uint64_t pf_elided_total = 0;
-  bool pf_identity_ok = true, pf_soundness_ok = true;
+  // Race-set identity and soundness sweep over both ground-truth suites at
+  // 8 threads. format_identity_ok: the race REPORT SET of the default v3
+  // trace (per-site coalesced runs) equals that of the v2 trace of the
+  // same workload (one event per access, no runs). soundness_ok: no
+  // workload reports fewer races than its manifest ground truth under the
+  // default writer.
+  bool format_identity_ok = true, soundness_ok = true;
   {
-    const uint32_t threads = thread_counts.front();
-    const int reps = quick ? 7 : 3;
-    double affine_on_s = 0, affine_off_s = 0;
-    uint64_t affine_accesses = 0;
-    std::string best_workload = "-";
-    TextTable table({"workload", "accesses", "elided", "elision", "off ns/acc",
-                     "on ns/acc"});
-    for (const auto* w : workloads::WorkloadRegistry::Get().BySuite("ompscr")) {
-      harness::RunConfig config;
-      config.tool = harness::ToolKind::kSword;
-      config.params.threads = threads;
-      config.run_offline = false;
-      uint64_t elided = 0, total = 0;
-      const auto [best_off, best_on] = BestOfInterleavedReps(
-          reps,
-          [&] {
-            config.prefilter = false;
-            const auto r = harness::RunWorkload(*w, config);
-            total = r.events + r.events_suppressed + r.events_coalesced;
-            return r.dynamic_seconds;
-          },
-          [&] {
-            config.prefilter = true;
-            const auto r = harness::RunWorkload(*w, config);
-            elided = r.events_elided;
-            return r.dynamic_seconds;
-          });
-      const double frac =
-          static_cast<double>(elided) / std::max<uint64_t>(1, total);
-      if (frac > pf_max_elision) {
-        pf_max_elision = frac;
-        best_workload = w->name;
-      }
-      pf_elided_total += elided;
-      if (elided > 0) {
-        affine_on_s += best_on;
-        affine_off_s += best_off;
-        affine_accesses += total;
-      }
-      char pct[16];
-      std::snprintf(pct, sizeof(pct), "%.1f%%", 100.0 * frac);
-      table.AddRow({w->name, std::to_string(total), std::to_string(elided),
-                    pct, Fmt(best_off * 1e9 / std::max<uint64_t>(1, total)),
-                    Fmt(best_on * 1e9 / std::max<uint64_t>(1, total))});
-    }
-    table.Print();
-    pf_off_ns = affine_off_s * 1e9 / std::max<uint64_t>(1, affine_accesses);
-    pf_on_ns = affine_on_s * 1e9 / std::max<uint64_t>(1, affine_accesses);
-    pf_speedup = pf_on_ns > 0 ? pf_off_ns / pf_on_ns : 1.0;
-    std::printf("pre-filter on affine workloads: %s per access with, %s "
-                "without (%s; best elision %.1f%% on %s)\n",
-                Fmt(pf_on_ns).c_str(), Fmt(pf_off_ns).c_str(),
-                FmtX(pf_speedup).c_str(), 100.0 * pf_max_elision,
-                best_workload.c_str());
-    Check(pf_max_elision >= 0.5,
-          ">= 50% of instrumented accesses elided on at least one workload (" +
-              best_workload + ")");
-    Check(pf_speedup > 1.0,
-          "pre-filter lowers the per-access cost on affine workloads");
-
-    // Identity + soundness sweep over both ground-truth suites: the race
-    // REPORT SET must be invariant under elision (same code pairs, same
-    // access kinds), and no workload's manifest ground-truth races may
-    // disappear. This is the bench-level form of the missed-not-false
-    // invariant; test_prefilter checks the same property per configuration.
     // Canonical race-set key: the unordered code pair plus the unordered
     // pair of access attributes. The WITNESS is order-sensitive (a pair of
     // read-modify-write statements can be caught as read@A/write@B or
     // write@A/read@B depending on which conflict the checker meets first,
-    // and elision receipts legally reorder events within a segment), so the
-    // invariant the pre-filter guarantees - and this key compares - is the
-    // set of racing code pairs, not the orientation of the first witness.
+    // and the coalescer legally reorders sites within a segment), so the
+    // invariant compared here is the set of racing code pairs, not the
+    // orientation of the first witness.
     offline::Analyzer analyzer(8);
     const auto race_key = [](const offline::AnalysisResult& res) {
       std::vector<std::string> lines;
@@ -269,47 +206,48 @@ int main(int argc, char** argv) {
     };
     for (const char* suite : {"drb", "ompscr"}) {
       for (const auto* w : workloads::WorkloadRegistry::Get().BySuite(suite)) {
-        uint64_t races_on = 0;
+        uint64_t races_v3 = 0;
         std::string keys[2];
+        const uint8_t formats[2] = {trace::kTraceFormatV2, trace::kTraceFormatV3};
         for (int arm = 0; arm < 2; arm++) {
-          TempDir dir("f6-pf");
+          TempDir dir("f6-fmt");
           harness::RunConfig tc;
           tc.tool = harness::ToolKind::kSword;
           tc.params.threads = 8;
           tc.run_offline = false;
           tc.trace_dir = dir.path();
-          tc.prefilter = arm == 1;
+          tc.trace_format = formats[arm];
           harness::RunWorkload(*w, tc);
           auto store = offline::TraceStore::OpenDir(dir.path());
           if (!store.ok()) {
-            pf_identity_ok = false;
+            format_identity_ok = false;
             keys[arm] = "open-failed:" + std::to_string(arm);
             continue;
           }
           const auto res = analyzer.Analyze(store.value(), {});
           keys[arm] = race_key(res);
-          if (arm == 1) races_on = res.races.size();
+          if (formats[arm] == trace::kTraceFormatV3) races_v3 = res.races.size();
         }
         if (keys[0] != keys[1]) {
-          std::fprintf(stderr, "pre-filter identity MISMATCH on %s/%s\n",
-                       suite, w->name.c_str());
-          pf_identity_ok = false;
+          std::fprintf(stderr, "v2/v3 race-set MISMATCH on %s/%s\n", suite,
+                       w->name.c_str());
+          format_identity_ok = false;
         }
-        if (races_on < w->total_races) {
+        if (races_v3 < static_cast<uint64_t>(w->total_races)) {
           std::fprintf(stderr,
-                       "pre-filter SOUNDNESS failure on %s/%s: %llu < %llu "
-                       "ground-truth race(s)\n",
+                       "SOUNDNESS failure on %s/%s: %llu < %llu ground-truth "
+                       "race(s)\n",
                        suite, w->name.c_str(),
-                       static_cast<unsigned long long>(races_on),
+                       static_cast<unsigned long long>(races_v3),
                        static_cast<unsigned long long>(w->total_races));
-          pf_soundness_ok = false;
+          soundness_ok = false;
         }
       }
     }
-    Check(pf_identity_ok,
-          "race sets identical with and without the pre-filter (drb + ompscr)");
-    Check(pf_soundness_ok,
-          "no ground-truth race elided away (drb + ompscr sweep)");
+    Check(format_identity_ok,
+          "race sets identical for trace formats v2 and v3 (drb + ompscr)");
+    Check(soundness_ok,
+          "every workload reports its ground-truth races (drb + ompscr sweep)");
     std::printf("\n");
   }
 
@@ -329,15 +267,9 @@ int main(int argc, char** argv) {
         << ",\"handler_installed_slowdown\":" << handler_slowdown
         << ",\"handler_overhead_ok\":"
         << (handler_slowdown <= 1.02 ? "true" : "false")
-        << ",\"events_elided\":" << pf_elided_total
-        << ",\"prefilter_max_elision_pct\":" << pf_max_elision
-        << ",\"prefilter_on_per_access_ns\":" << pf_on_ns
-        << ",\"prefilter_off_per_access_ns\":" << pf_off_ns
-        << ",\"prefilter_speedup\":" << pf_speedup
-        << ",\"prefilter_identity_ok\":"
-        << (pf_identity_ok ? "true" : "false")
-        << ",\"prefilter_soundness_ok\":"
-        << (pf_soundness_ok ? "true" : "false") << "}\n";
+        << ",\"format_identity_ok\":"
+        << (format_identity_ok ? "true" : "false")
+        << ",\"soundness_ok\":" << (soundness_ok ? "true" : "false") << "}\n";
   }
   return 0;
 }

@@ -34,8 +34,7 @@ int main() {
     const auto& w = Find("hpc", app.name);
     trace::FlusherStats flush;  // sword pipeline work across the sweep
     TextTable table({std::string(app.name) + " threads", "baseline", "archer",
-                     "archer-low", "sword(dyn)", "archer mem", "sword mem",
-                     "elision"});
+                     "archer-low", "sword(dyn)", "archer mem", "sword mem"});
 
     for (const uint32_t threads : thread_counts) {
       std::map<harness::ToolKind, harness::RunResult> results;
@@ -45,10 +44,6 @@ int main() {
         config.params.threads = threads;
         config.params.size = app.size;
         config.run_offline = false;
-        // The sword arm runs the production configuration, which includes
-        // the static pre-filter; the elision column shows how much of each
-        // app's instrumented traffic it proves away.
-        config.prefilter = tool == harness::ToolKind::kSword;
         results[tool] = harness::RunWorkload(w, config);
       }
       const double base =
@@ -56,21 +51,13 @@ int main() {
       auto slow = [&](harness::ToolKind t) {
         return FmtX(results[t].dynamic_seconds / base);
       };
-      const harness::RunResult& sw = results[harness::ToolKind::kSword];
-      const uint64_t sw_accesses = sw.events + sw.events_suppressed +
-                                   sw.events_coalesced + sw.events_elided;
-      char elision[16];
-      std::snprintf(elision, sizeof(elision), "%.1f%%",
-                    100.0 * static_cast<double>(sw.events_elided) /
-                        static_cast<double>(std::max<uint64_t>(1, sw_accesses)));
       table.AddRow({std::to_string(threads),
                     FormatSeconds(base),
                     slow(harness::ToolKind::kArcher),
                     slow(harness::ToolKind::kArcherLow),
                     slow(harness::ToolKind::kSword),
                     FormatBytes(results[harness::ToolKind::kArcher].tool_peak_bytes),
-                    FormatBytes(results[harness::ToolKind::kSword].tool_peak_bytes),
-                    elision});
+                    FormatBytes(results[harness::ToolKind::kSword].tool_peak_bytes)});
 
       // Shape checks: sword tool memory ~= threads * 3.3 MB plus at most
       // queue_depth + threads in-flight pipeline buffers (2 MB each, charged

@@ -114,12 +114,6 @@ SwordTool::SwordTool(SwordConfig config)
                     ? std::make_unique<trace::DegradationGovernor>(
                           config_.governor_config)
                     : nullptr),
-      prefilter_(config_.prefilter &&
-                         config_.trace_format >= trace::kTraceFormatV3
-                     ? std::make_unique<prefilter::Prefilter>(
-                           prefilter::PrefilterConfig{
-                               .solver_budget = config_.prefilter_budget})
-                     : nullptr),
       flusher_(trace::FlusherConfig{.async = config_.async_flush,
                                     .workers = config_.flush_workers,
                                     .max_queued_jobs = config_.flush_queue_depth,
@@ -188,50 +182,12 @@ void SwordTool::BeginSegmentFor(ThreadState& ts, somp::Ctx& ctx) {
   // install stamps the current epoch and marks the thread online in the
   // sink QSBR domain; Configure/Finalize retire via that domain (or bump
   // the epoch as the fallback).
-  //
-  // With the pre-filter off the ORIGINAL writer-state thunks go in - the
-  // ablation baseline pays zero extra cost. With it on, the thunks carry the
-  // ThreadState so they can consult the thread's live episode first.
-  if (prefilter_) {
-    somp::InstallThreadSink(somp::ThreadEventSink{
-        &PfAccessThunk, &PfRangeThunk, &ts, &ctx, 0});
-  } else {
-    somp::InstallThreadSink(somp::ThreadEventSink{
-        &SinkAccessThunk, &SinkRangeThunk, ts.writer.get(), &ctx, 0});
-  }
-}
-
-void SwordTool::PfAccessThunk(void* state, uint64_t addr, uint8_t size,
-                              uint8_t flags, somp::PcId pc) {
-  auto* ts = static_cast<ThreadState*>(state);
-  if (ts->episode != nullptr &&
-      prefilter::Prefilter::HandleAccess(ts->episode, addr, size, flags, pc,
-                                         ts->writer.get())) {
-    return;  // elided under proof; the receipt covers it
-  }
-  ts->writer->AppendAccess(addr, size, flags, pc);
-}
-
-void SwordTool::PfRangeThunk(void* state, uint64_t addr, uint64_t bytes,
-                             uint8_t flags, somp::PcId pc) {
-  auto* ts = static_cast<ThreadState*>(state);
-  if (ts->episode != nullptr) {
-    prefilter::Prefilter::HandleRange(ts->episode, ts->writer.get());
-  }
-  ts->writer->AppendRange(addr, bytes, flags, pc);
-}
-
-void SwordTool::SuspendEpisodeOf(ThreadState& ts) {
-  if (ts.episode != nullptr) {
-    prefilter_->SuspendEpisode(ts.episode, ts.writer.get());
-  }
+  somp::InstallThreadSink(somp::ThreadEventSink{
+      &SinkAccessThunk, &SinkRangeThunk, ts.writer.get(), &ctx, 0});
 }
 
 void SwordTool::OnImplicitTaskBegin(somp::Ctx& ctx) {
   ThreadState& ts = State();
-  // A nested region starting inside a tracked loop body interrupts the
-  // episode; its receipts must land before the parent's segment closes.
-  if (prefilter_) SuspendEpisodeOf(ts);
   // Pause the parent's segment when a nested region starts on this thread.
   if (ts.writer->HasOpenSegment()) ts.writer->EndSegment();
   ts.ctx_stack.push_back(&ctx);
@@ -253,7 +209,6 @@ void SwordTool::OnBarrierEnter(somp::Ctx& ctx, uint64_t phase, somp::BarrierKind
   (void)phase;
   (void)kind;
   ThreadState& ts = State();
-  if (prefilter_) SuspendEpisodeOf(ts);  // receipts before the segment closes
   if (ts.writer->HasOpenSegment()) ts.writer->EndSegment();
   somp::ClearThreadSink();  // no segment is open while waiting at the barrier
 }
@@ -264,38 +219,9 @@ void SwordTool::OnBarrierExit(somp::Ctx& ctx, uint64_t phase) {
   BeginSegmentFor(ts, ctx);  // ctx's label/phase already advanced
 }
 
-void SwordTool::OnWorkshareBegin(somp::Ctx& ctx, const somp::WorkshareInfo& ws) {
-  if (!prefilter_) return;
-  ThreadState& ts = State();
-  if (ts.pf_depth++ == 0) {
-    ts.episode = prefilter_->BeginEpisode(ws, ctx.region(), ctx.thread_num(),
-                                          ctx.num_threads(), ctx.level());
-    if (ts.episode != nullptr) ts.episode->iter = &ctx.workshare()->iter;
-  } else {
-    // A workshare nested in a tracked loop body: park the outer episode.
-    SuspendEpisodeOf(ts);
-  }
-}
-
-void SwordTool::OnWorkshareEnd(somp::Ctx& ctx, const somp::WorkshareInfo& ws) {
-  (void)ctx;
-  (void)ws;
-  if (!prefilter_) return;
-  ThreadState& ts = State();
-  if (ts.pf_depth > 0 && --ts.pf_depth == 0 && ts.episode != nullptr) {
-    // Before the loop's implicit barrier: receipts join the open segment.
-    prefilter_->EndEpisode(ts.episode, ts.writer.get());
-    ts.episode = nullptr;
-  }
-}
-
 void SwordTool::OnMutexAcquired(somp::Ctx& ctx, somp::MutexId mutex) {
   (void)ctx;
   ThreadState& ts = State();
-  // Lock acquisition inside a tracked loop body: flush receipts first so the
-  // elided prefix sits BEFORE the acquire event in the stream (lockset
-  // tracking depends on that order), then stop eliding.
-  if (prefilter_) SuspendEpisodeOf(ts);
   ts.writer->Append(trace::RawEvent::MutexAcquire(mutex));
 }
 
@@ -311,11 +237,6 @@ void SwordTool::OnAccess(somp::Ctx& ctx, uint64_t addr, uint8_t size, uint8_t fl
   // as the sink thunk, so the logged stream is identical either way.
   (void)ctx;
   ThreadState& ts = State();
-  if (prefilter_ && ts.episode != nullptr &&
-      prefilter::Prefilter::HandleAccess(ts.episode, addr, size, flags, pc,
-                                         ts.writer.get())) {
-    return;
-  }
   ts.writer->AppendAccess(addr, size, flags, pc);
 }
 
@@ -323,9 +244,6 @@ void SwordTool::OnRangeAccess(somp::Ctx& ctx, uint64_t addr, uint64_t bytes,
                               uint8_t flags, somp::PcId pc) {
   (void)ctx;
   ThreadState& ts = State();
-  if (prefilter_ && ts.episode != nullptr) {
-    prefilter::Prefilter::HandleRange(ts.episode, ts.writer.get());
-  }
   ts.writer->AppendRange(addr, bytes, flags, pc);
 }
 
@@ -343,17 +261,6 @@ Status SwordTool::Finalize() {
   // epoch bump inside RetireSinks; stale sinks then fail the per-access
   // epoch check and take the virtual path.
   (void)somp::RetireSinks();
-  // A normal Finalize runs outside parallel regions, where no episode is
-  // live. The crash-drain path can arrive mid-loop: flush each episode's
-  // receipts (best-effort, same data-race caveat as the drain itself) so
-  // the sealed trace stays address-equivalent up to the seal point. The
-  // episode structs are deliberately leaked - the owning thread may still
-  // hold the pointer.
-  if (prefilter_) {
-    for (auto& ts : states_) {
-      if (ts->episode != nullptr) prefilter_->SuspendEpisode(ts->episode, ts->writer.get());
-    }
-  }
   // Order matters: push every writer's buffered events into the pipeline,
   // wait for the pipeline to hit the disk (or give up and account drops),
   // and only THEN write the final metas - whose v3 headers fold in the
@@ -367,13 +274,6 @@ Status SwordTool::Finalize() {
   flusher_.Drain();  // Finish can flush a tail frame; settle it too
   const Status fs = flusher_.status();
   if (!fs.ok() && status_.ok()) status_ = fs;
-  // The pre-filter's verdict dossier, for sword-dump --prefilter and the
-  // tests. Best-effort like the meta checkpoints.
-  if (prefilter_) {
-    const std::string json = prefilter_->StateJson();
-    (void)WriteFileAtomic(config_.out_dir + "/prefilter.json",
-                          Bytes(json.begin(), json.end()), config_.backend);
-  }
   return status_;
 }
 
@@ -448,20 +348,6 @@ uint64_t SwordTool::DegradedDropped() const {
   std::lock_guard lock(states_mutex_);
   uint64_t total = 0;
   for (const auto& ts : states_) total += ts->writer->degraded_dropped();
-  return total;
-}
-
-uint64_t SwordTool::EventsElided() const {
-  std::lock_guard lock(states_mutex_);
-  uint64_t total = 0;
-  for (const auto& ts : states_) total += ts->writer->events_elided();
-  return total;
-}
-
-uint64_t SwordTool::ElidedLost() const {
-  std::lock_guard lock(states_mutex_);
-  uint64_t total = 0;
-  for (const auto& ts : states_) total += ts->writer->elided_lost();
   return total;
 }
 

@@ -26,7 +26,6 @@
 
 #include "common/memtrack.h"
 #include "common/status.h"
-#include "prefilter/prefilter.h"
 #include "somp/runtime.h"
 #include "somp/tool.h"
 #include "trace/flusher.h"
@@ -64,15 +63,8 @@ struct SwordConfig {
   /// Flusher I/O watchdog deadline in ms (0 = producers may block without
   /// bound, the historical behavior). sword-run sets this for production.
   uint64_t watchdog_ms = 0;
-  /// Static pre-filter (src/prefilter): prove worksharing sites race-free
-  /// ahead of time and elide their per-access logging, appending exact
-  /// footprint receipts instead. Requires trace_format v3 (receipts are
-  /// strided-run events); silently stays off on older formats. Off by
-  /// default for library embedders; sword-run turns it on
-  /// (`--no-prefilter` is the ablation).
+  /// Ignored; e2ebench is its only reader.
   bool prefilter = false;
-  /// Solver step budget per model-pair disjointness proof.
-  uint64_t prefilter_budget = 4096;
 };
 
 /// The paper's measured per-thread auxiliary overhead (thread-local state +
@@ -90,8 +82,6 @@ class SwordTool final : public somp::Tool {
   void OnImplicitTaskEnd(somp::Ctx& ctx) override;
   void OnBarrierEnter(somp::Ctx& ctx, uint64_t phase, somp::BarrierKind kind) override;
   void OnBarrierExit(somp::Ctx& ctx, uint64_t phase) override;
-  void OnWorkshareBegin(somp::Ctx& ctx, const somp::WorkshareInfo& ws) override;
-  void OnWorkshareEnd(somp::Ctx& ctx, const somp::WorkshareInfo& ws) override;
   void OnMutexAcquired(somp::Ctx& ctx, somp::MutexId mutex) override;
   void OnMutexReleased(somp::Ctx& ctx, somp::MutexId mutex) override;
   void OnAccess(somp::Ctx& ctx, uint64_t addr, uint8_t size, uint8_t flags,
@@ -129,16 +119,10 @@ class SwordTool final : public somp::Tool {
   /// Accesses shed on the degradation governor's (or an exhausted buffer
   /// pool's) orders, summed over writers. Exact; also in each meta file.
   uint64_t DegradedDropped() const;
-  /// Accesses the static pre-filter elided under a disjointness proof, each
-  /// covered by an exact footprint receipt (the kElided channel - never
-  /// mixed with the dropped/degraded counters above).
-  uint64_t EventsElided() const;
-  /// Elided accesses whose receipt could not land in a segment (loss).
-  uint64_t ElidedLost() const;
-
-  /// The pre-filter, or null when SwordConfig::prefilter is off (or the
-  /// trace format predates v3). Exposed for sword-dump and the tests.
-  prefilter::Prefilter* prefilter() { return prefilter_.get(); }
+  /// Always 0; e2ebench is its only reader.
+  uint64_t EventsElided() const { return 0; }
+  /// Always 0; e2ebench is its only reader.
+  uint64_t ElidedLost() const { return 0; }
   uint64_t BytesWritten() const { return flusher_.bytes_written(); }
   uint64_t Flushes() const;
 
@@ -159,29 +143,14 @@ class SwordTool final : public somp::Tool {
     // Stack of contexts whose segments this OS thread has open/paused;
     // the nested-parallelism case pauses the parent's segment.
     std::vector<somp::Ctx*> ctx_stack;
-    // Pre-filter state: the innermost tracked workshare episode on this OS
-    // thread (null outside worksharing loops or when the site is rejected)
-    // and the workshare nesting depth. Only the outermost loop is tracked;
-    // nested constructs suspend the episode.
-    prefilter::LaneEpisode* episode = nullptr;
-    uint32_t pf_depth = 0;
   };
 
   ThreadState& State();
   void BeginSegmentFor(ThreadState& ts, somp::Ctx& ctx);
-  /// Flushes the episode's receipts and parks it (call BEFORE appending the
-  /// interrupting event or closing the segment).
-  void SuspendEpisodeOf(ThreadState& ts);
-
-  static void PfAccessThunk(void* state, uint64_t addr, uint8_t size,
-                            uint8_t flags, somp::PcId pc);
-  static void PfRangeThunk(void* state, uint64_t addr, uint64_t bytes,
-                           uint8_t flags, somp::PcId pc);
 
   SwordConfig config_;
   MemoryScope memory_;
   std::unique_ptr<trace::DegradationGovernor> governor_;  // before flusher_
-  std::unique_ptr<prefilter::Prefilter> prefilter_;       // null = off
   trace::Flusher flusher_;
 
   mutable std::mutex states_mutex_;

@@ -123,8 +123,6 @@ RunResult RunWorkload(const workloads::Workload& workload, const RunConfig& conf
       sc.async_flush = config.async_flush;
       sc.flush_workers = config.flush_workers;
       sc.trace_format = config.trace_format;
-      sc.prefilter = config.prefilter;
-      sc.prefilter_budget = config.prefilter_budget;
       sc.crash_seal = config.crash_seal;
       sc.adaptive_degradation = config.adaptive_degradation;
       sc.governor_config = config.governor_config;
@@ -149,8 +147,6 @@ RunResult RunWorkload(const workloads::Workload& workload, const RunConfig& conf
         result.runs_emitted = tool.RunsEmitted();
         result.accesses_dropped = tool.AccessesDropped();
         result.degraded_dropped = tool.DegradedDropped();
-        result.events_elided = tool.EventsElided();
-        result.elided_lost = tool.ElidedLost();
         result.flushes = tool.Flushes();
         result.trace_threads = tool.ThreadCount();
         result.flusher = tool.FlushStats();

@@ -42,8 +42,6 @@ struct RunConfig {
   bool async_flush = true;
   uint32_t flush_workers = 0;          // flusher pool size; 0 = auto
   uint8_t trace_format = trace::kTraceFormatV3;
-  bool prefilter = false;              // static pre-filter elision (v3 only)
-  uint64_t prefilter_budget = 4096;    // solver step budget per overlap query
   bool run_offline = true;             // run the offline analysis afterwards
   uint32_t offline_threads = 1;
   ilp::OverlapEngine engine = ilp::OverlapEngine::kDiophantine;
@@ -89,8 +87,6 @@ struct RunResult {
   uint64_t runs_emitted = 0;        // strided run events written (sword)
   uint64_t accesses_dropped = 0;    // accesses seen outside a segment (sword)
   uint64_t degraded_dropped = 0;    // accesses shed by the governor (sword)
-  uint64_t events_elided = 0;       // accesses elided at proven-safe sites
-  uint64_t elided_lost = 0;         // elided accesses whose receipts were lost
   uint64_t flushes = 0;             // buffer flushes (sword)
   uint64_t trace_threads = 0;       // sword threads (for N*(B+C))
   trace::FlusherStats flusher;      // flush-pipeline counters (sword)

@@ -74,8 +74,9 @@ std::string RenderText(const AnalysisResult& result, const PcNamer& pc_namer) {
            std::to_string(in.degradation_transitions) +
            " level change(s)); races found are real, absence is not proof\n";
   }
-  // Pre-filter elision is informational, never damage: receipts keep the
-  // decoded stream address-equivalent, so nothing is missing from analysis.
+  // Pre-filter elision (traces from versions that had one) is
+  // informational, never damage: receipts keep the decoded stream
+  // address-equivalent, so nothing is missing from analysis.
   if (in.elided_accesses > 0) {
     out += "static pre-filter: " + std::to_string(in.elided_accesses) +
            " access(es) elided at proven-safe sites (receipts in stream)\n";

@@ -64,12 +64,13 @@ struct TraceIntegrity {
   // invented) - so it participates in clean().
   uint64_t degraded_dropped = 0;         // accesses shed by the governor
   uint64_t degradation_transitions = 0;  // recorded level changes
-  // Static pre-filter accounting (sums over threads' v6 metas). Elided
-  // accesses are NOT loss: the writer appended compact footprint receipts
-  // that make the decoded stream address-equivalent to the uninstrumented
-  // one, so elision never participates in clean(). elided_lost counts
-  // elided accesses whose receipts could NOT be written (no open segment at
-  // flush time) - that IS loss and is folded into clean().
+  // Static pre-filter accounting (sums over threads' v6 metas), nonzero
+  // only in traces from versions that had a pre-filter. Elided accesses
+  // are NOT loss: that writer appended compact footprint receipts that
+  // make the decoded stream address-equivalent to the uninstrumented one,
+  // so elision never participates in clean(). elided_lost counts elided
+  // accesses whose receipts could NOT be written (no open segment at flush
+  // time) - that IS loss and is folded into clean().
   uint64_t elided_accesses = 0;
   uint64_t elided_lost = 0;
 

@@ -68,6 +68,9 @@ void Label::Serialize(ByteWriter& w) const {
 Status Label::Deserialize(ByteReader& r, Label* out) {
   uint64_t n;
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&n));
+  // Each pair takes at least three bytes; a larger count is damage, and
+  // reserving it would throw instead of failing cleanly.
+  if (n > r.remaining() / 3) return Status::Corrupt("osl: implausible label length");
   std::vector<Pair> pairs;
   pairs.reserve(n);
   for (uint64_t i = 0; i < n; i++) {
@@ -75,6 +78,9 @@ Status Label::Deserialize(ByteReader& r, Label* out) {
     SWORD_RETURN_IF_ERROR(r.GetVarU64(&offset));
     SWORD_RETURN_IF_ERROR(r.GetVarU64(&span));
     SWORD_RETURN_IF_ERROR(r.GetVarU64(&phase));
+    if (offset > UINT32_MAX || span > UINT32_MAX || phase > UINT32_MAX) {
+      return Status::Corrupt("osl: label field out of range");
+    }
     if (span == 0) return Status::Corrupt("osl: zero span");
     pairs.push_back(Pair{static_cast<uint32_t>(offset), static_cast<uint32_t>(span),
                          static_cast<uint32_t>(phase)});

@@ -12,7 +12,6 @@
 #include "common/log.h"
 #include "somp/pool.h"
 #include "somp/sink.h"
-#include "somp/srcloc.h"
 
 namespace sword::somp {
 
@@ -358,37 +357,10 @@ void Ctx::BarrierImpl(BarrierKind kind) {
 void Ctx::Barrier() { BarrierImpl(BarrierKind::kExplicit); }
 
 void Ctx::For(int64_t begin, int64_t end, const std::function<void(int64_t)>& body,
-              ForOpts opts, const std::source_location& site) {
+              ForOpts opts) {
   const uint64_t seq = ws_seq_++;
   const int64_t n = end - begin;
   const uint32_t span = team_->span();
-  Tool* const tool = Runtime::Get().tool();
-
-  // Frame lives on this stack for the duration of the loop; tools read the
-  // current iteration through ctx.workshare()->iter. Baseline runs (no
-  // tool) skip the frame entirely - the only per-iteration cost they could
-  // see is the frame.iter store, which stays because it is one stack store
-  // against an indirect std::function call.
-  WorkshareFrame frame;
-  if (tool) {
-    frame.info.site = InternSrcLoc(site);
-    frame.info.seq = seq;
-    frame.info.begin = begin;
-    frame.info.end = end;
-    frame.info.schedule = opts.schedule;
-    frame.info.chunk = opts.chunk;
-    frame.info.nowait = opts.nowait;
-    if (opts.schedule == Schedule::kStatic && opts.chunk <= 0 && n > 0) {
-      const int64_t block = (n + span - 1) / span;
-      const int64_t lo =
-          std::min(end, begin + static_cast<int64_t>(lane_) * block);
-      frame.info.lane_begin = lo;
-      frame.info.lane_end = std::min(end, lo + block);
-    }
-    frame.parent = ws_frame_;
-    ws_frame_ = &frame;
-    tool->OnWorkshareBegin(*this, frame.info);
-  }
 
   if (n > 0) {
     switch (opts.schedule) {
@@ -398,20 +370,14 @@ void Ctx::For(int64_t begin, int64_t end, const std::function<void(int64_t)>& bo
           const int64_t block = (n + span - 1) / span;
           const int64_t lo = begin + static_cast<int64_t>(lane_) * block;
           const int64_t hi = std::min(end, lo + block);
-          for (int64_t i = lo; i < hi; i++) {
-            frame.iter = i;
-            body(i);
-          }
+          for (int64_t i = lo; i < hi; i++) body(i);
         } else {
           // Round-robin chunks of the given size (static,chunk).
           const int64_t chunk = opts.chunk;
           for (int64_t base = begin + static_cast<int64_t>(lane_) * chunk; base < end;
                base += chunk * span) {
             const int64_t hi = std::min(end, base + chunk);
-            for (int64_t i = base; i < hi; i++) {
-              frame.iter = i;
-              body(i);
-            }
+            for (int64_t i = base; i < hi; i++) body(i);
           }
         }
         break;
@@ -423,10 +389,7 @@ void Ctx::For(int64_t begin, int64_t end, const std::function<void(int64_t)>& bo
           const int64_t lo = ws.next.fetch_add(chunk, std::memory_order_relaxed);
           if (lo >= end) break;
           const int64_t hi = std::min(end, lo + chunk);
-          for (int64_t i = lo; i < hi; i++) {
-            frame.iter = i;
-            body(i);
-          }
+          for (int64_t i = lo; i < hi; i++) body(i);
         }
         break;
       }
@@ -447,20 +410,13 @@ void Ctx::For(int64_t begin, int64_t end, const std::function<void(int64_t)>& bo
             hi = std::min(end, cur + take);
           } while (!ws.next.compare_exchange_weak(cur, hi, std::memory_order_relaxed));
           if (drained) break;
-          for (int64_t i = cur; i < hi; i++) {
-            frame.iter = i;
-            body(i);
-          }
+          for (int64_t i = cur; i < hi; i++) body(i);
         }
         break;
       }
     }
   }
 
-  if (tool) {
-    tool->OnWorkshareEnd(*this, frame.info);
-    ws_frame_ = frame.parent;
-  }
   BarrierIfNeeded(opts.nowait);
 }
 

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <source_location>
 #include <string>
 #include <vector>
 
@@ -79,7 +78,7 @@ class Runtime {
   RuntimeConfig config_;
 };
 
-// Schedule lives in tool.h (WorkshareInfo carries it to tools).
+enum class Schedule : uint8_t { kStatic, kDynamic, kGuided };
 
 struct ForOpts {
   Schedule schedule = Schedule::kStatic;
@@ -91,16 +90,6 @@ struct ForOpts {
 /// bodies; never stored beyond the region.
 class Ctx {
  public:
-  /// Live state of the innermost worksharing loop executing on this lane.
-  /// The frame lives on For's stack; `iter` is updated before each body
-  /// call, so a tool callback or sink thunk running inside the loop can
-  /// read the current iteration through the pointer returned by
-  /// workshare(). Valid only between OnWorkshareBegin and OnWorkshareEnd.
-  struct WorkshareFrame {
-    WorkshareInfo info;
-    int64_t iter = 0;                  // iteration currently executing
-    WorkshareFrame* parent = nullptr;  // enclosing loop's frame, if nested
-  };
   uint32_t thread_num() const { return lane_; }
   uint32_t num_threads() const;
   RegionId region() const;
@@ -112,19 +101,14 @@ class Ctx {
   uint64_t barrier_phase() const { return phase_; }
   const osl::Label& label() const { return label_; }
   const std::vector<MutexId>& held_mutexes() const { return held_; }
-  /// The innermost active worksharing loop's frame, or null outside one.
-  /// Only maintained while a tool is registered (baseline runs skip it).
-  const WorkshareFrame* workshare() const { return ws_frame_; }
 
   /// Explicit barrier (#pragma omp barrier).
   void Barrier();
 
   /// Worksharing loop over [begin, end). Implicit barrier at the end unless
-  /// opts.nowait. The defaulted source_location interns the callsite as the
-  /// loop's stable identity (WorkshareInfo::site) for tools.
+  /// opts.nowait.
   void For(int64_t begin, int64_t end, const std::function<void(int64_t)>& body,
-           ForOpts opts = {},
-           const std::source_location& site = std::source_location::current());
+           ForOpts opts = {});
 
   /// Named critical section (#pragma omp critical(name)).
   void Critical(const std::string& name, const std::function<void()>& body);
@@ -179,7 +163,6 @@ class Ctx {
   Ctx* parent_;
   uint64_t phase_ = 0;     // barriers crossed
   uint64_t ws_seq_ = 0;    // worksharing instances encountered
-  WorkshareFrame* ws_frame_ = nullptr;  // innermost live For frame
   std::vector<MutexId> held_;
 };
 

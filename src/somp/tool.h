@@ -45,28 +45,6 @@ enum class BarrierKind : uint8_t {
   kRegionEnd,  // implicit barrier ending the parallel region
 };
 
-enum class Schedule : uint8_t { kStatic, kDynamic, kGuided };
-
-/// Everything a tool can know about one execution of a worksharing loop on
-/// one lane, reported at OnWorkshareBegin/OnWorkshareEnd. `site` interns the
-/// Ctx::For callsite, so the same textual loop keeps one identity across
-/// regions and episodes - the key the static pre-filter (src/prefilter)
-/// indexes its per-site state by.
-struct WorkshareInfo {
-  PcId site = 0;       // interned For callsite (srcloc table)
-  uint64_t seq = 0;    // worksharing ordinal within the region
-  int64_t begin = 0;   // loop bounds: [begin, end)
-  int64_t end = 0;
-  Schedule schedule = Schedule::kStatic;
-  int64_t chunk = 0;
-  bool nowait = false;
-  /// This lane's contiguous iteration block [lane_begin, lane_end) - only
-  /// meaningful for static no-chunk scheduling (both 0 otherwise, and for
-  /// lanes with no iterations).
-  int64_t lane_begin = 0;
-  int64_t lane_end = 0;
-};
-
 class Tool {
  public:
   virtual ~Tool() = default;
@@ -101,19 +79,6 @@ class Tool {
   virtual void OnBarrierExit(Ctx& ctx, uint64_t phase) {
     (void)ctx;
     (void)phase;
-  }
-
-  /// A worksharing loop starts/finishes on this lane. Begin is called after
-  /// the lane's block is computed and before any iteration runs; End is
-  /// called after the lane's last iteration and BEFORE the loop's implicit
-  /// barrier (so a tool can still append to the open barrier interval).
-  virtual void OnWorkshareBegin(Ctx& ctx, const WorkshareInfo& ws) {
-    (void)ctx;
-    (void)ws;
-  }
-  virtual void OnWorkshareEnd(Ctx& ctx, const WorkshareInfo& ws) {
-    (void)ctx;
-    (void)ws;
   }
 
   virtual void OnMutexAcquired(Ctx& ctx, MutexId mutex) {

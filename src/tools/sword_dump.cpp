@@ -3,7 +3,6 @@
 //   sword-dump <trace-dir> [--events] [--thread N] [--limit K]
 //   sword-dump <trace-dir> --segments
 //   sword-dump <trace-dir> --verify
-//   sword-dump <trace-dir> --prefilter
 //
 // Prints each thread's meta file as a Table-I-style listing (pid, ppid,
 // bid, offset, span, level, data offsets, offset-span label) and, with
@@ -16,18 +15,14 @@
 // byte sizes. This is the triage view for "why did dedup (not) fire" and
 // "which segments dominate the log".
 //
-// --prefilter renders the static pre-filter's state for the run that left
-// this trace behind: per-site prover verdicts, the per-PC affine access
-// descriptors (models) the proofs were discharged over, and the per-thread
-// elision accounting from the v6 metas. The suppression "mask" is exactly
-// the set of sites listed as proven-safe. Requires the prefilter.json the
-// tool writes at finalize; runs without the pre-filter have no such file.
-//
 // --verify walks every sword_t*.log frame by frame, validating each header
 // and payload checksum, and prints a per-frame table plus an OK/CORRUPT
 // summary. It never needs the meta files and works on damaged logs - this
 // is the triage tool for a trace a crashed or I/O-starved run left behind.
 // Exit: 0 = every frame intact, 2 = damage found, 1 = usage error.
+//
+// A flag the tool does not read (a typo, or a retired option) is a usage
+// error: exit 1 with "unknown flag --X".
 #include <cstdio>
 
 #include "common/args.h"
@@ -166,42 +161,6 @@ int DumpSegments(const offline::TraceStore& store, int64_t only_thread) {
   return 0;
 }
 
-/// Render the pre-filter's finalize-time state plus the per-thread elision
-/// accounting folded from the v6 metas.
-int DumpPrefilter(const std::string& dir) {
-  const std::string path = dir + "/prefilter.json";
-  auto json = ReadFileBytes(path);
-  if (!json.ok()) {
-    std::fprintf(stderr,
-                 "error: %s: %s (was the trace recorded with the pre-filter "
-                 "enabled?)\n",
-                 path.c_str(), json.status().ToString().c_str());
-    return 1;
-  }
-  std::fwrite(json.value().data(), 1, json.value().size(), stdout);
-  if (!json.value().empty() && json.value().back() != '\n') std::printf("\n");
-
-  auto store = offline::TraceStore::OpenDir(dir);
-  if (!store.ok()) {
-    std::fprintf(stderr, "error: %s\n", store.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("per-thread elision (from v6 metas):\n");
-  std::printf("  %6s %12s %12s %10s\n", "thread", "elided", "lost", "segments");
-  for (const auto& thread : store.value().threads()) {
-    std::printf("  %6u %12llu %12llu %10zu\n", thread.tid,
-                static_cast<unsigned long long>(thread.meta.elided_accesses),
-                static_cast<unsigned long long>(thread.meta.elided_lost),
-                thread.meta.intervals.size());
-  }
-  const auto& in = store.value().integrity();
-  std::printf("total: %llu elided, %llu receipt(s) lost%s\n",
-              static_cast<unsigned long long>(in.elided_accesses),
-              static_cast<unsigned long long>(in.elided_lost),
-              in.elided_lost > 0 ? "  ** LOSS **" : "");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -209,7 +168,6 @@ int main(int argc, char** argv) {
   const bool dump_events = args.GetBool("events");
   const bool verify = args.GetBool("verify");
   const bool segments = args.GetBool("segments");
-  const bool prefilter = args.GetBool("prefilter");
   const int64_t only_thread = args.GetInt("thread", -1);
   const int64_t limit = args.GetInt("limit", 32);
 
@@ -218,13 +176,15 @@ int main(int argc, char** argv) {
                  "usage: sword-dump <trace-dir> [--events] [--thread N] "
                  "[--limit K]\n"
                  "       sword-dump <trace-dir> --segments [--thread N]\n"
-                 "       sword-dump <trace-dir> --verify\n"
-                 "       sword-dump <trace-dir> --prefilter\n");
+                 "       sword-dump <trace-dir> --verify\n");
+    return 1;
+  }
+  for (const auto& flag : args.UnknownFlags()) {
+    std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
     return 1;
   }
 
   if (verify) return VerifyDir(args.positional()[0]);
-  if (prefilter) return DumpPrefilter(args.positional()[0]);
 
   auto store = offline::TraceStore::OpenDir(args.positional()[0]);
   if (!store.ok()) {

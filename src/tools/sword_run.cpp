@@ -4,7 +4,6 @@
 //   sword-run --suite drb --name nowait-orig-yes --tool sword [--threads 8]
 //             [--size N] [--trace-dir DIR] [--buffer-kb K] [--codec C]
 //             [--cap-mb M] [--flush-workers W] [--format 1|2|3]
-//             [--no-prefilter] [--prefilter-budget N]
 //             [--fault-plan SPEC] [--watchdog-ms N] [--adaptive]
 //             [--no-crash-seal] [--salvage]
 //
@@ -75,13 +74,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   config.trace_format = static_cast<uint8_t>(format);
-  // Static pre-filter: on by default here (ablation via --no-prefilter).
-  // Race output is identical either way - elision only suppresses accesses
-  // at sites proven disjoint, and footprint receipts keep the decoded
-  // stream address-equivalent. Needs the v3 format; silently off on v1/v2.
-  config.prefilter = !args.GetBool("no-prefilter");
-  config.prefilter_budget =
-      static_cast<uint64_t>(args.GetInt("prefilter-budget", 4096));
   config.archer_memory_cap =
       static_cast<uint64_t>(args.GetInt("cap-mb", 0)) * 1024 * 1024;
   config.offline_threads = static_cast<uint32_t>(args.GetInt("offline-threads", 1));
@@ -124,12 +116,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.events_coalesced),
                 static_cast<unsigned long long>(r.runs_emitted),
                 static_cast<unsigned long long>(r.accesses_dropped));
-    if (r.events_elided > 0 || r.elided_lost > 0) {
-      std::printf("  pre-filter:      %llu access(es) elided at proven-safe "
-                  "sites%s\n",
-                  static_cast<unsigned long long>(r.events_elided),
-                  r.elided_lost > 0 ? "  ** RECEIPTS LOST **" : "");
-    }
     std::printf("  flush pipeline:  %zu worker(s), %llu job(s), %s in, "
                 "%llu stall(s) (%s blocked)\n",
                 r.flusher.worker_bytes_in.size(),

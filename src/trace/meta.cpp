@@ -1,5 +1,7 @@
 #include "trace/meta.h"
 
+#include <algorithm>
+
 namespace sword::trace {
 
 void IntervalMeta::Serialize(ByteWriter& w, uint8_t version) const {
@@ -37,6 +39,9 @@ Status IntervalMeta::Deserialize(ByteReader& r, IntervalMeta* out, uint8_t versi
   if (version >= 2) SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->event_count));
   uint64_t n;
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&n));
+  // Each lockset entry takes at least one byte; a larger count is damage,
+  // and reserving it would throw instead of failing cleanly.
+  if (n > r.remaining()) return Status::Corrupt("implausible lockset size in meta record");
   out->lockset.clear();
   out->lockset.reserve(n);
   for (uint64_t i = 0; i < n; i++) {
@@ -84,7 +89,8 @@ void EncodeMetaHeader(ByteWriter& w, const MetaHeaderInfo& info) {
   // v3 additions: record-time drop totals, before the interval records so a
   // torn tail cannot hide them. v4 adds the outside-segment access drops,
   // v5 the degradation-governor sheds and the transition history, v6 the
-  // pre-filter elision totals.
+  // pre-filter elision totals (0 from the current writer, kept so the
+  // layout stays SWM6).
   w.PutVarU64(info.events_dropped);
   w.PutVarU64(info.bytes_dropped);
   w.PutVarU64(info.accesses_dropped);
@@ -205,7 +211,9 @@ Status MetaFile::Decode(const Bytes& data, MetaFile* out, bool salvage,
   }
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&n));
   out->intervals.clear();
-  out->intervals.reserve(n);
+  // A torn file may claim more records than it holds (salvage keeps the
+  // prefix), so the count only bounds the reservation.
+  out->intervals.reserve(std::min<uint64_t>(n, r.remaining()));
   const uint8_t record_version =
       version >= 6 ? 4 : version >= 5 ? 3 : version >= 2 ? 2 : 1;
   for (uint64_t i = 0; i < n; i++) {

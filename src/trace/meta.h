@@ -46,11 +46,10 @@ struct IntervalMeta {
   /// (sampling / summary-only), record v3. Exact count, so offline
   /// accounting can reconcile observed + dropped totals.
   uint64_t degraded_dropped = 0;
-  /// Accesses the static pre-filter elided from THIS segment under a
-  /// disjointness proof (record v4). Unlike degraded_dropped this is NOT
-  /// loss: every elided access is covered by an exact footprint receipt
-  /// appended into the segment's event data, so the decoded stream is
-  /// address-equivalent to the unfiltered one.
+  /// Accesses a static pre-filter elided from THIS segment (record v4).
+  /// Traces written by earlier versions covered each elided access with an
+  /// exact footprint receipt in the segment's event data, so this is not
+  /// loss. The current writer has no pre-filter and always writes 0.
   uint64_t elided = 0;
   std::vector<uint32_t> lockset;  // mutexes held when the segment opened
 
@@ -114,12 +113,14 @@ struct MetaFile {
   /// (v5 metas). Sum over intervals[i].degraded_dropped plus any shed while
   /// no segment was open.
   uint64_t degraded_dropped = 0;
-  /// Accesses the static pre-filter elided under a disjointness proof
-  /// (v6 metas). Sum over intervals[i].elided. Informational, not loss:
-  /// each elided access has an exact footprint receipt in the log.
+  /// Accesses a static pre-filter elided (v6 metas). Sum over
+  /// intervals[i].elided. Informational, not loss: each elided access has
+  /// an exact footprint receipt in the log. Read for traces from earlier
+  /// versions; the current writer always writes 0.
   uint64_t elided_accesses = 0;
   /// Elided accesses whose receipt could not be emitted (v6 metas). This IS
-  /// potential loss and is accounted like degradation for soundness.
+  /// potential loss and is accounted like degradation for soundness. Always
+  /// 0 from the current writer.
   uint64_t elided_lost = 0;
   /// Governor level changes, in order (v5 metas).
   std::vector<DegradationTransition> transitions;

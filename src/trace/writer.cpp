@@ -94,32 +94,6 @@ void ThreadTraceWriter::Append(const RawEvent& event) {
   EncodeToBuffer(event);
 }
 
-bool ThreadTraceWriter::AppendReceipt(const RawEvent& event) {
-  if (!open_segment_) return false;
-  // Receipts take the out-of-band path on purpose: they are exact summaries
-  // the prefilter already committed to, so the governor and the dup filter
-  // must not touch them. (Pool exhaustion can still shed the encode; that is
-  // booked as degradation, which marks the segment lossy - sound.)
-  Append(event);
-  return true;
-}
-
-void ThreadTraceWriter::NoteElided(uint64_t n) {
-  if (n == 0) return;
-  if (open_segment_) {
-    segment_elided_ += n;
-    events_elided_.Add(n);
-  } else {
-    // No open segment means no receipt could have been appended either:
-    // account the whole batch as potentially missed information.
-    elided_lost_.Add(n);
-  }
-}
-
-void ThreadTraceWriter::NoteElidedLost(uint64_t n) {
-  if (n != 0) elided_lost_.Add(n);
-}
-
 void ThreadTraceWriter::PoolExhaustedShed() {
   // The pool returned no memory (exhausted allocator, or deterministic
   // injection). Shed the event WITH accounting — logical_offset_ and
@@ -483,8 +457,6 @@ Bytes ThreadTraceWriter::EncodeMetaSnapshot(bool sealed) const {
   info.bytes_dropped = dropped.raw_bytes;
   info.accesses_dropped = accesses_dropped_.Get();
   info.degraded_dropped = degraded_dropped_.Get();
-  info.elided_accesses = events_elided_.Get();
-  info.elided_lost = elided_lost_.Get();
   info.transitions = &meta_.transitions;
   info.record_count = serialized_count_;
   ByteWriter w;
@@ -510,7 +482,6 @@ void ThreadTraceWriter::BeginSegment(const IntervalMeta& meta) {
   segment_begin_events_ = events_logged_.Get();
   open_segment_ = true;
   segment_degraded_ = 0;
-  segment_elided_ = 0;
   segment_max_level_ = 0;
   if (config_.governor) {
     if (++shed_gen_ == 0) {  // generation wrap: actually clear the slots
@@ -531,15 +502,12 @@ void ThreadTraceWriter::EndSegment() {
   m.event_count = events_logged_.Get() - segment_begin_events_;
   m.degradation_level = segment_max_level_;
   m.degraded_dropped = segment_degraded_;
-  m.elided = segment_elided_;
   open_segment_ = false;
   segment_degraded_ = 0;
-  segment_elided_ = 0;
   // Empty segments carry no accesses and cannot participate in a race;
   // dropping them keeps meta files proportional to useful data. A segment
   // whose events were ALL shed by degradation is kept: its record is the
-  // only per-interval evidence of the loss. (Elided > 0 with data_size == 0
-  // cannot happen - every elision batch comes with a receipt append.)
+  // only per-interval evidence of the loss.
   if (m.data_size == 0 && m.degraded_dropped == 0) {
     meta_.intervals.pop_back();
     return;

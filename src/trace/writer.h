@@ -113,7 +113,7 @@ class ThreadTraceWriter {
   uint8_t format() const { return config_.format; }
 
   /// Appends one event, flushing the buffer to the log file first if full.
-  /// Out-of-band events (mutex ops, receipts) are ordering fences: every
+  /// Out-of-band events (mutex ops) are ordering fences: every
   /// pending coalescer run is materialized first, so each access lands on
   /// its side of the fence, and the duplicate filter is reset (the
   /// effective lockset changed).
@@ -130,23 +130,6 @@ class ThreadTraceWriter {
   /// run (format v3), or the historical per-chunk event loop (v1/v2).
   /// Equivalent to the chunk loop by construction.
   void AppendRange(uint64_t addr, uint64_t bytes, uint8_t flags, uint32_t pc);
-
-  /// Appends a pre-filter footprint receipt into the open segment: one run
-  /// event standing for accesses the prefilter elided (src/prefilter). The
-  /// receipt bypasses filter/coalescer/governor - it is already an exact
-  /// summary and must never be shed, or elision would lose information.
-  /// Returns false (and appends nothing) when no segment is open; the
-  /// caller must then book the covered accesses as elided_lost.
-  bool AppendReceipt(const RawEvent& event);
-
-  /// Books `n` accesses elided by the prefilter under a proof + an emitted
-  /// receipt: counted in the open segment's record and the meta totals.
-  void NoteElided(uint64_t n);
-
-  /// Books `n` elided accesses whose receipt could NOT be emitted (no open
-  /// segment). These are potential missed information, accounted like
-  /// degradation loss - never silently absorbed.
-  void NoteElidedLost(uint64_t n);
 
   /// Opens a new barrier-interval segment; data_begin is captured from the
   /// current logical offset. Any open segment must be closed first.
@@ -189,12 +172,6 @@ class ThreadTraceWriter {
   /// Events the writer shed because the buffer pool returned no memory
   /// (deterministic injection or a genuinely exhausted allocator).
   uint64_t pool_shed() const { return pool_shed_.Get(); }
-  /// Accesses elided by the static pre-filter under a disjointness proof,
-  /// each covered by an exact footprint receipt (kElided channel - distinct
-  /// from every "dropped" counter above by construction).
-  uint64_t events_elided() const { return events_elided_.Get(); }
-  /// Elided accesses whose receipt could not be emitted (information loss).
-  uint64_t elided_lost() const { return elided_lost_.Get(); }
   /// The SealRegistry slot, or SealRegistry::kNoSlot (testing).
   int seal_slot() const { return seal_slot_; }
 
@@ -261,7 +238,7 @@ class ThreadTraceWriter {
   // remembering the last address each site logged. A hit with an identical
   // address means the replayed tree would only bump a hit counter, so the
   // event is suppressed. Reset (generation bump) on segment begin/end,
-  // every out-of-band append (mutex ops, receipts), and range appends.
+  // every out-of-band append (mutex ops), and range appends.
   struct FilterSlot {
     uint64_t addr = 0;
     uint64_t key = 0;  // the site: (pc << 16) | (flags << 8) | size
@@ -316,7 +293,6 @@ class ThreadTraceWriter {
   uint8_t current_level_ = 0;        // cached from the last poll
   uint8_t segment_max_level_ = 0;    // highest level while segment open
   uint64_t segment_degraded_ = 0;    // shed from the open segment
-  uint64_t segment_elided_ = 0;      // prefilter-elided from the open segment
 
   int seal_slot_ = -1;  // SealRegistry slot (kNoSlot when not sealing)
 
@@ -328,8 +304,6 @@ class ThreadTraceWriter {
   OwnerCounter accesses_dropped_;
   OwnerCounter degraded_dropped_;
   OwnerCounter pool_shed_;
-  OwnerCounter events_elided_;
-  OwnerCounter elided_lost_;
 };
 
 }  // namespace sword::trace

@@ -113,10 +113,10 @@ void Jacobi(const WorkloadParams& p) {
 
 // c_jacobi02: the same relaxation with an explicit copy-back sweep instead
 // of the buffer swap; race-free. Every loop site touches the SAME arrays
-// with the SAME bounds on every sweep, so the static pre-filter can prove
-// both sites disjoint after one observed sweep and elide the rest - this is
-// the regular-stencil shape the pre-filter is built for (c_jacobi01's
-// base swap deliberately defeats it).
+// with the SAME bounds on every sweep: the regular-stencil shape. Each
+// lane's row sweeps reach the v3 writer as interleaved strided streams,
+// one per access site, and the per-site coalescer logs each stream as a
+// few runs per barrier interval instead of one event per access.
 void JacobiCopyback(const WorkloadParams& p) {
   const uint64_t dim = p.size ? p.size : 48;
   const int sweeps = 10;
@@ -171,7 +171,7 @@ void RegisterOmpscrLoops(WorkloadRegistry& r) {
             },
             48);
   AddOmpscr(r, "c_jacobi02",
-            "Jacobi with copy-back sweep; race-free, pre-filter showcase",
+            "Jacobi with copy-back sweep; race-free",
             0, 0, 0, JacobiCopyback,
             [](const WorkloadParams& p) {
               const uint64_t d = p.size ? p.size : 48;

@@ -404,7 +404,6 @@ TEST(WriterCoalescer, FencesKeepAccessesOnTheirSide) {
       rig.writer->AppendAccess(0x9000 + i * 8, 8, 0, pcs[1]);
     }
   };
-  const auto receipt = trace::RawEvent::Run(0x20000, 8, 4, 8, 1, 99);
   rig.writer->BeginSegment(SegMeta());
   body(0, 10);
   rig.writer->Append(trace::RawEvent::MutexAcquire(1));
@@ -413,7 +412,7 @@ TEST(WriterCoalescer, FencesKeepAccessesOnTheirSide) {
   rig.writer->Append(trace::RawEvent::MutexRelease(1));
   EXPECT_EQ(rig.writer->pending_runs(), 0u);
   body(20, 30);
-  ASSERT_TRUE(rig.writer->AppendReceipt(receipt));
+  rig.writer->Append(trace::RawEvent::MutexAcquire(2));
   EXPECT_EQ(rig.writer->pending_runs(), 0u);
   body(30, 40);
   rig.writer->EndSegment();
@@ -428,7 +427,7 @@ TEST(WriterCoalescer, FencesKeepAccessesOnTheirSide) {
   runs(10);
   want.push_back(trace::RawEvent::MutexRelease(1));
   runs(20);
-  want.push_back(receipt);
+  want.push_back(trace::RawEvent::MutexAcquire(2));
   runs(30);
   EXPECT_EQ(rig.FinishAndRead(), want);
 }

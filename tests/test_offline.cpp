@@ -3,9 +3,11 @@
 // parallel-analysis determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <set>
 #include <thread>
 
 #include "common/fsutil.h"
@@ -13,6 +15,7 @@
 #include "offline/checker_pool.h"
 #include "offline/journal.h"
 #include "offline/racecheck.h"
+#include "offline/report.h"
 #include "offline/tracestore.h"
 #include "oracle/brute_force_check.h"
 #include "oracle/interval_tree.h"
@@ -977,6 +980,108 @@ TEST(TraceStoreTest, OpenDirFindsAllThreads) {
 
 TEST(TraceStoreTest, MissingDirErrors) {
   EXPECT_FALSE(TraceStore::OpenDir("/nonexistent-sword-dir").ok());
+}
+
+// Traces recorded by versions that had a static pre-filter carry elision
+// counters in their SWM6 metas (IntervalMeta::elided per record,
+// elided_accesses / elided_lost per file). The current writer writes them
+// as 0; old traces must still be read, summed and reported, with only
+// elided_lost counting as damage.
+TEST(TraceStoreTest, ElisionCountersOfOlderTracesAreReadAndReported) {
+  SyntheticTrace t;
+  t.format = trace::kTraceFormatV3;
+  t.WriteThread(0, {{Meta(0, 2), {trace::RawEvent::Run(0x1000, 8, 16, 8, 1, 11),
+                                  trace::RawEvent::Access(0x8000, 8, 0, 12)}},
+                    {Meta(0, 2, 1), {trace::RawEvent::Access(0x9000, 8, 1, 13)}}});
+  t.WriteThread(1, {{Meta(1, 2), {trace::RawEvent::Access(0x1040, 8, 0, 21)}},
+                    {Meta(1, 2, 1), {trace::RawEvent::Access(0x9000, 8, 0, 22)}}});
+
+  // A fresh trace's metas carry zeros everywhere.
+  std::vector<trace::MetaFile> pristine;
+  for (uint32_t tid = 0; tid < 2; tid++) {
+    auto bytes = ReadFileBytes(t.dir.path() + "/sword_t" + std::to_string(tid) + ".meta");
+    ASSERT_TRUE(bytes.ok());
+    trace::MetaFile meta;
+    ASSERT_TRUE(trace::MetaFile::Decode(bytes.value(), &meta).ok());
+    EXPECT_EQ(meta.elided_accesses, 0u);
+    EXPECT_EQ(meta.elided_lost, 0u);
+    ASSERT_EQ(meta.intervals.size(), 2u);
+    for (const auto& m : meta.intervals) EXPECT_EQ(m.elided, 0u);
+    pristine.push_back(std::move(meta));
+  }
+  auto race_set = [](const AnalysisResult& r) {
+    std::set<std::pair<uint32_t, uint32_t>> out;
+    for (const RaceReport& race : r.races.reports()) {
+      out.insert({std::min(race.pc1, race.pc2), std::max(race.pc1, race.pc2)});
+    }
+    return out;
+  };
+  auto namer = [](uint32_t pc) { return "pc" + std::to_string(pc); };
+  const AnalysisResult fresh = t.Analyze();
+  ASSERT_TRUE(fresh.status.ok()) << fresh.status.ToString();
+  const auto fresh_races = race_set(fresh);
+  ASSERT_EQ(fresh_races, (std::set<std::pair<uint32_t, uint32_t>>{{11, 21}, {13, 22}}));
+  EXPECT_TRUE(fresh.stats.integrity.clean());
+  EXPECT_EQ(RenderText(fresh, namer).find("static pre-filter"), std::string::npos);
+
+  // Re-encode the metas as an older pre-filtering writer would have left
+  // them: `elided` on every record, the per-file total in the header.
+  auto rewrite = [&](uint64_t lost_per_thread) {
+    for (uint32_t tid = 0; tid < 2; tid++) {
+      trace::MetaFile meta = pristine[tid];
+      meta.elided_accesses = 0;
+      for (auto& m : meta.intervals) {
+        m.elided = 10 * (tid + 1);
+        meta.elided_accesses += m.elided;
+      }
+      meta.elided_lost = lost_per_thread;
+      ASSERT_TRUE(WriteFile(t.dir.path() + "/sword_t" + std::to_string(tid) + ".meta",
+                            meta.Encode())
+                      .ok());
+    }
+  };
+  constexpr uint64_t kElided = 2 * 10 + 2 * 20;
+
+  rewrite(/*lost_per_thread=*/0);
+  {
+    auto store = TraceStore::OpenDir(t.dir.path());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ(store.value().integrity().elided_accesses, kElided);
+    EXPECT_EQ(store.value().integrity().elided_lost, 0u);
+    EXPECT_TRUE(store.value().integrity().clean());  // elision is not loss
+    const AnalysisResult r = offline::Analyze(store.value());
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(race_set(r), fresh_races);
+    const std::string text = RenderText(r, namer);
+    EXPECT_NE(text.find("static pre-filter: 60 access(es) elided"), std::string::npos)
+        << text;
+    EXPECT_EQ(text.find("lost their receipts"), std::string::npos) << text;
+    EXPECT_EQ(text.find("DAMAGED"), std::string::npos) << text;
+    const std::string json = RenderJson(r, namer);
+    EXPECT_NE(json.find("\"elided_accesses\":60"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"elided_lost\":0"), std::string::npos) << json;
+  }
+
+  rewrite(/*lost_per_thread=*/3);
+  {
+    auto store = TraceStore::OpenDir(t.dir.path());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ(store.value().integrity().elided_accesses, kElided);
+    EXPECT_EQ(store.value().integrity().elided_lost, 6u);
+    EXPECT_FALSE(store.value().integrity().clean());  // lost receipts are loss
+    const AnalysisResult r = offline::Analyze(store.value());
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(race_set(r), fresh_races);
+    const std::string text = RenderText(r, namer);
+    EXPECT_NE(text.find("static pre-filter: 60 access(es) elided"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("6 elided access(es) lost their receipts"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("trace integrity: DAMAGED"), std::string::npos) << text;
+    const std::string json = RenderJson(r, namer);
+    EXPECT_NE(json.find("\"elided_accesses\":60"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"elided_lost\":6"), std::string::npos) << json;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -241,15 +241,30 @@ TEST_F(ToolsTest, OfflineToolRejectsRetiredAblationFlags) {
 }
 
 TEST_F(ToolsTest, RunToolRejectsRetiredAblationFlags) {
-  // The per-tool fast-path switches are gone; a run must not silently
-  // measure the default configuration under their names.
-  for (const char* flag : {"--no-access-filter", "--no-coalesce"}) {
+  // The per-tool fast-path switches and the static pre-filter's options are
+  // gone; a run must not silently measure the default configuration under
+  // their names.
+  for (const char* flag : {"--no-access-filter", "--no-coalesce",
+                           "--no-prefilter", "--prefilter-budget"}) {
     const auto [rc, out] = RunCommand(
         ToolPath("sword-run") +
         " --suite drb --name truedep1-orig-yes --threads 2 " + flag);
     EXPECT_EQ(rc, 1) << flag << ": " << out;
     EXPECT_NE(out.find(std::string("unknown flag ") + flag), std::string::npos)
         << flag << ": " << out;
+  }
+}
+
+TEST_F(ToolsTest, DumpToolRejectsUnknownFlags) {
+  // A retired view (--prefilter) or a misspelt one (--verfy) must not fall
+  // through to the default event dump and exit 0.
+  for (const char* flag : {"--prefilter", "--verfy"}) {
+    const auto [rc, out] =
+        RunCommand(ToolPath("sword-dump") + " " + dir_.path() + " " + flag);
+    EXPECT_EQ(rc, 1) << flag << ": " << out;
+    EXPECT_NE(out.find(std::string("unknown flag ") + flag), std::string::npos)
+        << flag << ": " << out;
+    EXPECT_EQ(out.find("=== thread"), std::string::npos) << flag << ": " << out;
   }
 }
 

@@ -134,6 +134,128 @@ TEST(Meta, V1RecordsCrossReadWithDerivedEventCount) {
   EXPECT_TRUE(r.AtEnd());
 }
 
+// Fixed-seed fuzz target for the meta parser, SWMF (v1) through SWM6. Seeds
+// are a fully populated SWM6 file from MetaFile::Encode and v1/v2 files
+// built from the records of the two tests above; mutants are bit flips,
+// truncations and spliced varints. Strict and salvage decoding must either
+// fail cleanly or yield a MetaFile that survives Encode -> Decode unchanged
+// (compared through its encoding, which covers every field).
+Bytes LegacyMetaFile(uint8_t version, const std::vector<IntervalMeta>& records) {
+  ByteWriter w;
+  w.PutU32(version == 1 ? kMetaMagic : kMetaMagicV2);
+  w.PutVarU64(5);  // thread id
+  if (version >= 2) w.PutU8(kTraceFormatV2);
+  w.PutVarU64(records.size());
+  for (const auto& m : records) m.Serialize(w, version);
+  return std::move(w.buffer());
+}
+
+void SpliceVarint(Bytes& b, Rng& rng) {
+  static constexpr uint64_t kValues[] = {0,          1,          127,
+                                         128,        16383,      1ULL << 32,
+                                         1ULL << 62, ~0ULL - 1,  ~0ULL};
+  const uint64_t v = rng.Chance(0.5) ? kValues[rng.Below(std::size(kValues))]
+                                     : rng.Next() >> rng.Below(64);
+  ByteWriter w;
+  w.PutVarU64(v);
+  const Bytes& varint = w.buffer();
+  const size_t at = rng.Below(b.size() + 1);
+  if (rng.Chance(0.5)) {
+    b.insert(b.begin() + static_cast<ptrdiff_t>(at), varint.begin(), varint.end());
+  } else {
+    for (size_t i = 0; i < varint.size(); i++) {
+      if (at + i < b.size()) b[at + i] = varint[i];
+      else b.push_back(varint[i]);
+    }
+  }
+}
+
+TEST(Meta, FuzzedMetasFailCleanlyOrRoundTrip) {
+  IntervalMeta v1_record;  // as in V1RecordsCrossReadWithDerivedEventCount
+  v1_record.label = osl::Label::Initial().Fork(1, 4);
+  v1_record.data_begin = 32;
+  v1_record.data_size = 10 * kEventBytes;
+  IntervalMeta v2_record;  // as in V2RecordsEventCountAndLogFormat
+  v2_record.label = osl::Label::Initial().Fork(0, 2);
+  v2_record.data_size = 123;
+  v2_record.event_count = 40;
+  v2_record.lockset = {3, 300};
+
+  MetaFile v6;
+  v6.thread_id = 9;
+  v6.log_format = kTraceFormatV3;
+  v6.crash_sealed = true;
+  v6.seal_signo = 11;
+  v6.events_dropped = 4;
+  v6.bytes_dropped = 70;
+  v6.accesses_dropped = 2;
+  v6.degraded_dropped = 1000;
+  v6.elided_accesses = 77;
+  v6.elided_lost = 1;
+  v6.transitions = {{1, 2, 0}, {3, 1, 2}};
+  for (int i = 0; i < 3; i++) {
+    IntervalMeta m = v2_record;
+    m.region = static_cast<uint64_t>(i);
+    m.parent_region = i == 0 ? IntervalMeta::kNoParent : 0;
+    m.phase = static_cast<uint64_t>(i);
+    m.label = osl::Label::Initial().Fork(1, 4).Fork(0, 2).AfterBarrier();
+    m.level = 2;
+    m.lane = 1;
+    m.data_begin = 500 * static_cast<uint64_t>(i);
+    m.degradation_level = static_cast<uint32_t>(i);
+    m.degraded_dropped = 7;
+    m.elided = 25;
+    v6.intervals.push_back(m);
+  }
+
+  const std::vector<Bytes> seeds = {v6.Encode(),
+                                    LegacyMetaFile(1, {v1_record, v1_record}),
+                                    LegacyMetaFile(2, {v2_record, v1_record})};
+  for (const Bytes& seed : seeds) {
+    MetaFile out;
+    ASSERT_TRUE(MetaFile::Decode(seed, &out).ok());
+  }
+
+  Rng rng(20260419);
+  uint64_t decoded = 0, rejected = 0;
+  for (int trial = 0; trial < 3000; trial++) {
+    Bytes mutant = seeds[static_cast<size_t>(trial) % seeds.size()];
+    const int ops = 1 + static_cast<int>(rng.Below(3));
+    for (int op = 0; op < ops; op++) {
+      switch (rng.Below(3)) {
+        case 0:
+          if (!mutant.empty()) {
+            mutant[rng.Below(mutant.size())] ^= static_cast<uint8_t>(1u << rng.Below(8));
+          }
+          break;
+        case 1:
+          mutant.resize(rng.Below(mutant.size() + 1));
+          break;
+        default:
+          SpliceVarint(mutant, rng);
+      }
+    }
+    for (const bool salvage : {false, true}) {
+      MetaFile first;
+      uint64_t records_dropped = 0;
+      if (!MetaFile::Decode(mutant, &first, salvage, &records_dropped).ok()) {
+        rejected++;
+        continue;
+      }
+      decoded++;
+      const Bytes encoded = first.Encode();
+      MetaFile second;
+      const Status again = MetaFile::Decode(encoded, &second);
+      ASSERT_TRUE(again.ok()) << "trial " << trial << " salvage=" << salvage
+                              << ": " << again.ToString();
+      ASSERT_EQ(second.Encode(), encoded) << "trial " << trial << " salvage=" << salvage;
+    }
+  }
+  // The corpus exercises both outcomes.
+  EXPECT_GT(decoded, 100u);
+  EXPECT_GT(rejected, 100u);
+}
+
 // ---------------------------------------------------------------- format v2
 
 TEST(EventV2, RoundTripAllKinds) {
