@@ -7,8 +7,8 @@
 //   (default)            the google-benchmark suite below
 //   --quick [--json F]   the online fast-path microbench: per-access ns on
 //                        strided-sweep and reduction workloads, format v3
-//                        default vs ablation (no filter, no coalescer) vs
-//                        v2, with suppressed/coalesced counters. This is the
+//                        (coalescer) vs v2 (one event per access), with
+//                        suppressed/coalesced counters. This is the
 //                        perf-smoke gate's tracing-side metric source.
 //   --contention [--json F]
 //                        the trace-plane coordination sweep: N producers
@@ -203,20 +203,16 @@ BENCHMARK(BM_TraceAppend)
     ->Arg(trace::kTraceFormatV3);
 
 void BM_TraceAppendAccess(benchmark::State& state) {
-  // The instrumented-access fast path on a strided sweep: format v3 with the
-  // duplicate filter + coalescer (arg 1) vs the same format with both
-  // ablated (arg 0). The gap is the per-access win the online tentpole
-  // claims; the --quick mode gates it in CI.
-  const bool fast = state.range(0) != 0;
+  // The instrumented-access fast path on a strided sweep: format v3's run
+  // coalescer vs v2's one event per access (the arg is the format). The gap
+  // is the per-access win of the fast path; the --quick mode gates it in CI.
   TempDir dir("bm-appendaccess");
   trace::Flusher flusher(/*async=*/true);
   trace::WriterConfig wc;
   wc.log_path = dir.File("t.log");
   wc.meta_path = dir.File("t.meta");
   wc.flusher = &flusher;
-  wc.format = trace::kTraceFormatV3;
-  wc.access_filter = fast;
-  wc.coalesce = fast;
+  wc.format = static_cast<uint8_t>(state.range(0));
   trace::ThreadTraceWriter writer(0, wc);
   trace::IntervalMeta meta;
   meta.label = osl::Label::Initial().Fork(0, 2);
@@ -228,9 +224,11 @@ void BM_TraceAppendAccess(benchmark::State& state) {
   }
   writer.EndSegment();
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(fast ? "filter+coalesce" : "ablated");
+  state.SetLabel("v" + std::to_string(state.range(0)));
 }
-BENCHMARK(BM_TraceAppendAccess)->Arg(0)->Arg(1);
+BENCHMARK(BM_TraceAppendAccess)
+    ->Arg(trace::kTraceFormatV2)
+    ->Arg(trace::kTraceFormatV3);
 
 void BM_FlusherThroughput(benchmark::State& state) {
   // End-to-end pipeline throughput: 8 producers handing pool-acquired
@@ -493,15 +491,15 @@ BENCHMARK(BM_VectorClockJoin);
 //   strided sweep   repeated ascending stride-8 store sweeps - pure
 //                   coalescer territory (each sweep folds into one run);
 //   reduction loop  a[i] load + accumulator load + accumulator store per
-//                   iteration - the accumulator re-accesses are duplicate-
-//                   filter territory, and suppressing them is also what
-//                   keeps the a[i] run unbroken;
+//                   iteration - the accumulator re-accesses repeat their
+//                   site's pending run and are suppressed, while the a[i]
+//                   site folds into its own run;
 //   interleaved     a loop body of 2 or 4 strided store sites, one access
 //                   each per iteration - per-site coalescer territory (each
 //                   site folds into one run). Reported only, not gated.
-// Each gated shape runs under format v3 default, v3 with filter+coalescer ablated,
-// and v2, so the JSON carries both the speedup ratio (machine-independent)
-// and absolute accesses/sec (floor-gated with tolerance).
+// Each shape runs under format v3 and v2 (the plain writer), so the JSON
+// carries both the speedup ratio (machine-independent) and absolute
+// accesses/sec (floor-gated with tolerance).
 
 struct SweepMetrics {
   double ns_per_access = 0;
@@ -516,9 +514,8 @@ struct SweepMetrics {
 
 enum class SweepShape { kStrided, kReduction, kInterleaved };
 
-SweepMetrics MeasureSweep(SweepShape shape, uint8_t format, bool filter,
-                          bool coalesce, uint64_t sweeps, uint64_t elems,
-                          uint32_t sites = 1) {
+SweepMetrics MeasureSweep(SweepShape shape, uint8_t format, uint64_t sweeps,
+                          uint64_t elems, uint32_t sites = 1) {
   TempDir dir("bm-fastpath");
   trace::Flusher flusher(/*async=*/false);
   trace::WriterConfig wc;
@@ -527,8 +524,6 @@ SweepMetrics MeasureSweep(SweepShape shape, uint8_t format, bool filter,
   wc.flusher = &flusher;
   wc.codec = FindCompressor("raw");  // measure the format, not the codec
   wc.format = format;
-  wc.access_filter = filter;
-  wc.coalesce = coalesce;
   SweepMetrics m;
   {
     trace::ThreadTraceWriter writer(0, wc);
@@ -588,52 +583,36 @@ int RunFastPathQuick(const ArgParser& args) {
   const uint64_t elems = 4096;
 
   sword::bench::Banner(
-      "Online fast path - per-access cost, v3 default vs ablation",
-      "duplicate filtering + strided-run coalescing >= 2x per-access "
+      "Online fast path - per-access cost, v3 vs the plain v2 writer",
+      "duplicate suppression + strided-run coalescing >= 2x per-access "
       "throughput on sweep loops, at fewer logged bytes");
 
-  struct Row {
-    const char* name;
-    SweepMetrics m;
-  };
-  auto measure = [&](SweepShape shape) {
-    return std::vector<Row>{
-        {"v3 default", MeasureSweep(shape, trace::kTraceFormatV3, true, true,
-                                    sweeps, elems)},
-        {"v3 ablated", MeasureSweep(shape, trace::kTraceFormatV3, false, false,
-                                    sweeps, elems)},
-        {"v2", MeasureSweep(shape, trace::kTraceFormatV2, false, false, sweeps,
-                            elems)},
-    };
-  };
-
-  SweepMetrics strided_default, strided_ablated, reduction_default,
-      reduction_ablated;
+  SweepMetrics strided_v3, strided_v2, reduction_v3, reduction_v2;
   for (const SweepShape shape : {SweepShape::kStrided, SweepShape::kReduction}) {
     const bool is_strided = shape == SweepShape::kStrided;
+    SweepMetrics& v3 = is_strided ? strided_v3 : reduction_v3;
+    SweepMetrics& v2 = is_strided ? strided_v2 : reduction_v2;
+    v3 = MeasureSweep(shape, trace::kTraceFormatV3, sweeps, elems);
+    v2 = MeasureSweep(shape, trace::kTraceFormatV2, sweeps, elems);
     TextTable table({is_strided ? "strided sweep" : "reduction loop",
                      "per-access ns", "accesses/s", "events logged",
                      "suppressed", "coalesced", "runs", "log bytes"});
-    for (const Row& row : measure(shape)) {
-      table.AddRow({row.name, Fmt(row.m.ns_per_access),
-                    std::to_string(static_cast<uint64_t>(row.m.accesses_per_sec)),
-                    std::to_string(row.m.logged),
-                    std::to_string(row.m.suppressed),
-                    std::to_string(row.m.coalesced), std::to_string(row.m.runs),
-                    std::to_string(row.m.log_bytes)});
-      if (std::strcmp(row.name, "v3 default") == 0) {
-        (is_strided ? strided_default : reduction_default) = row.m;
-      } else if (std::strcmp(row.name, "v3 ablated") == 0) {
-        (is_strided ? strided_ablated : reduction_ablated) = row.m;
-      }
-    }
+    auto add_row = [&table](const char* name, const SweepMetrics& m) {
+      table.AddRow({name, Fmt(m.ns_per_access),
+                    std::to_string(static_cast<uint64_t>(m.accesses_per_sec)),
+                    std::to_string(m.logged), std::to_string(m.suppressed),
+                    std::to_string(m.coalesced), std::to_string(m.runs),
+                    std::to_string(m.log_bytes)});
+    };
+    add_row("v3", v3);
+    add_row("v2", v2);
     table.Print();
     std::printf("\n");
   }
 
   // Interleaved sites: a per-access cost and how many events each access
-  // costs in the log, for the v3 default (each site folds into one run per
-  // sweep) and the ablated writer (one event per access).
+  // costs in the log, for v3 (each site folds into one run per sweep) and
+  // v2 (one event per access).
   SweepMetrics interleaved[2];
   {
     TextTable table({"interleaved sites", "per-access ns", "accesses/s",
@@ -641,13 +620,11 @@ int RunFastPathQuick(const ArgParser& args) {
     const uint32_t kSiteCounts[2] = {2, 4};
     for (int k = 0; k < 2; k++) {
       const uint32_t sites = kSiteCounts[k];
-      for (const bool ablated : {false, true}) {
-        const SweepMetrics m =
-            MeasureSweep(SweepShape::kInterleaved, trace::kTraceFormatV3,
-                         !ablated, !ablated, sweeps / sites, elems, sites);
-        if (!ablated) interleaved[k] = m;
-        table.AddRow({std::to_string(sites) + " sites, v3 " +
-                          (ablated ? "ablated" : "default"),
+      for (const uint8_t format : {trace::kTraceFormatV3, trace::kTraceFormatV2}) {
+        const SweepMetrics m = MeasureSweep(SweepShape::kInterleaved, format,
+                                            sweeps / sites, elems, sites);
+        if (format == trace::kTraceFormatV3) interleaved[k] = m;
+        table.AddRow({std::to_string(sites) + " sites, v" + std::to_string(format),
                       Fmt(m.ns_per_access),
                       std::to_string(static_cast<uint64_t>(m.accesses_per_sec)),
                       std::to_string(m.logged),
@@ -662,47 +639,50 @@ int RunFastPathQuick(const ArgParser& args) {
   }
 
   const double strided_speedup =
-      strided_ablated.ns_per_access / std::max(strided_default.ns_per_access, 1e-9);
-  const double reduction_speedup = reduction_ablated.ns_per_access /
-                                   std::max(reduction_default.ns_per_access, 1e-9);
-  const double bytes_default =
-      static_cast<double>(strided_default.log_bytes) /
-      std::max<uint64_t>(1, strided_default.accesses);
-  const double bytes_ablated =
-      static_cast<double>(strided_ablated.log_bytes) /
-      std::max<uint64_t>(1, strided_ablated.accesses);
+      strided_v2.ns_per_access / std::max(strided_v3.ns_per_access, 1e-9);
+  const double reduction_speedup =
+      reduction_v2.ns_per_access / std::max(reduction_v3.ns_per_access, 1e-9);
+  const double bytes_v3 = static_cast<double>(strided_v3.log_bytes) /
+                          std::max<uint64_t>(1, strided_v3.accesses);
+  const double bytes_v2 = static_cast<double>(strided_v2.log_bytes) /
+                          std::max<uint64_t>(1, strided_v2.accesses);
 
-  Check(strided_speedup >= 2.0,
-        "strided sweep >= 2x per-access throughput (" +
-            FmtX(strided_speedup, 1) + ")");
-  Check(reduction_speedup >= 2.0,
-        "reduction loop >= 2x per-access throughput (" +
-            FmtX(reduction_speedup, 1) + ")");
-  Check(strided_default.log_bytes * 10 < strided_ablated.log_bytes,
-        "coalesced log >= 10x smaller on sweeps (" +
-            FormatBytes(strided_default.log_bytes) + " vs " +
-            FormatBytes(strided_ablated.log_bytes) + ")");
-  Check(reduction_default.suppressed > 0 && strided_default.coalesced > 0,
-        "both fast-path mechanisms engaged (suppressed=" +
-            std::to_string(reduction_default.suppressed) +
-            ", coalesced=" + std::to_string(strided_default.coalesced) + ")");
+  // Every check below is a gate: the exit code fails if any one fails.
+  bool ok = true;
+  auto gate = [&ok](bool pass, const std::string& what) {
+    Check(pass, what);
+    ok = ok && pass;
+  };
+  gate(strided_speedup >= 2.0, "strided sweep >= 2x per-access throughput (" +
+                                   FmtX(strided_speedup, 1) + ")");
+  gate(reduction_speedup >= 2.0,
+       "reduction loop >= 2x per-access throughput (" +
+           FmtX(reduction_speedup, 1) + ")");
+  gate(strided_v3.log_bytes * 10 < strided_v2.log_bytes,
+       "coalesced log >= 10x smaller on sweeps (" +
+           FormatBytes(strided_v3.log_bytes) + " vs " +
+           FormatBytes(strided_v2.log_bytes) + ")");
+  gate(reduction_v3.suppressed > 0 && strided_v3.coalesced > 0,
+       "both fast-path mechanisms engaged (suppressed=" +
+           std::to_string(reduction_v3.suppressed) +
+           ", coalesced=" + std::to_string(strided_v3.coalesced) + ")");
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\"bench\":\"micro_components\",\"quick\":"
         << (quick ? "true" : "false")
-        << ",\"strided_default_ns\":" << strided_default.ns_per_access
-        << ",\"strided_ablated_ns\":" << strided_ablated.ns_per_access
-        << ",\"reduction_default_ns\":" << reduction_default.ns_per_access
-        << ",\"reduction_ablated_ns\":" << reduction_ablated.ns_per_access
+        << ",\"strided_default_ns\":" << strided_v3.ns_per_access
+        << ",\"strided_v2_ns\":" << strided_v2.ns_per_access
+        << ",\"reduction_default_ns\":" << reduction_v3.ns_per_access
+        << ",\"reduction_v2_ns\":" << reduction_v2.ns_per_access
         << ",\"fast_path_speedup\":" << strided_speedup
         << ",\"reduction_speedup\":" << reduction_speedup
-        << ",\"default_accesses_per_sec\":" << strided_default.accesses_per_sec
-        << ",\"events_suppressed\":" << reduction_default.suppressed
-        << ",\"events_coalesced\":" << strided_default.coalesced
-        << ",\"runs_emitted\":" << strided_default.runs
-        << ",\"bytes_per_access_default\":" << bytes_default
-        << ",\"bytes_per_access_ablated\":" << bytes_ablated
+        << ",\"default_accesses_per_sec\":" << strided_v3.accesses_per_sec
+        << ",\"events_suppressed\":" << reduction_v3.suppressed
+        << ",\"events_coalesced\":" << strided_v3.coalesced
+        << ",\"runs_emitted\":" << strided_v3.runs
+        << ",\"bytes_per_access_default\":" << bytes_v3
+        << ",\"bytes_per_access_v2\":" << bytes_v2
         << ",\"interleaved2_ns\":" << interleaved[0].ns_per_access
         << ",\"interleaved4_ns\":" << interleaved[1].ns_per_access
         << ",\"interleaved2_events_per_access\":"
@@ -713,7 +693,7 @@ int RunFastPathQuick(const ArgParser& args) {
                std::max<uint64_t>(1, interleaved[1].accesses)
         << "}\n";
   }
-  return (strided_speedup >= 2.0 && reduction_speedup >= 2.0) ? 0 : 1;
+  return ok ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,25 @@
 #include "trace/meta.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 
 namespace sword::trace {
+namespace {
+
+/// Reads a varint that must fit 32 bits: a larger value is damage, not a
+/// value to truncate.
+Status GetVarU32(ByteReader& r, uint32_t* out, const char* what) {
+  uint64_t v;
+  SWORD_RETURN_IF_ERROR(r.GetVarU64(&v));
+  if (v > UINT32_MAX) {
+    return Status::Corrupt(std::string(what) + " out of range in meta file");
+  }
+  *out = static_cast<uint32_t>(v);
+  return Status::Ok();
+}
+
+}  // namespace
 
 void IntervalMeta::Serialize(ByteWriter& w, uint8_t version) const {
   w.PutVarU64(region);
@@ -28,11 +45,8 @@ Status IntervalMeta::Deserialize(ByteReader& r, IntervalMeta* out, uint8_t versi
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->parent_region));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->phase));
   SWORD_RETURN_IF_ERROR(osl::Label::Deserialize(r, &out->label));
-  uint64_t level, lane;
-  SWORD_RETURN_IF_ERROR(r.GetVarU64(&level));
-  SWORD_RETURN_IF_ERROR(r.GetVarU64(&lane));
-  out->level = static_cast<uint32_t>(level);
-  out->lane = static_cast<uint32_t>(lane);
+  SWORD_RETURN_IF_ERROR(GetVarU32(r, &out->level, "level"));
+  SWORD_RETURN_IF_ERROR(GetVarU32(r, &out->lane, "lane"));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->data_begin));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->data_size));
   out->event_count = 0;
@@ -45,16 +59,15 @@ Status IntervalMeta::Deserialize(ByteReader& r, IntervalMeta* out, uint8_t versi
   out->lockset.clear();
   out->lockset.reserve(n);
   for (uint64_t i = 0; i < n; i++) {
-    uint64_t m;
-    SWORD_RETURN_IF_ERROR(r.GetVarU64(&m));
-    out->lockset.push_back(static_cast<uint32_t>(m));
+    uint32_t m;
+    SWORD_RETURN_IF_ERROR(GetVarU32(r, &m, "lockset mutex id"));
+    out->lockset.push_back(m);
   }
   out->degradation_level = 0;
   out->degraded_dropped = 0;
   if (version >= 3) {
-    uint64_t level;
-    SWORD_RETURN_IF_ERROR(r.GetVarU64(&level));
-    out->degradation_level = static_cast<uint32_t>(level);
+    SWORD_RETURN_IF_ERROR(
+        GetVarU32(r, &out->degradation_level, "degradation level"));
     SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->degraded_dropped));
   }
   out->elided = 0;
@@ -162,9 +175,8 @@ Status MetaFile::Decode(const Bytes& data, MetaFile* out, bool salvage,
     out->crash_sealed = (flags & kMetaFlagCrashSealed) != 0;
     out->seal_signo = signo;
   }
-  uint64_t tid, n;
-  SWORD_RETURN_IF_ERROR(r.GetVarU64(&tid));
-  out->thread_id = static_cast<uint32_t>(tid);
+  uint64_t n;
+  SWORD_RETURN_IF_ERROR(GetVarU32(r, &out->thread_id, "thread id"));
   if (version >= 2) {
     SWORD_RETURN_IF_ERROR(r.GetU8(&out->log_format));
     if (out->log_format < kTraceFormatV1 || out->log_format > kTraceFormatV3) {

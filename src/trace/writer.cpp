@@ -21,9 +21,8 @@ uint64_t SiteKey(uint32_t pc, uint8_t flags, uint8_t size) {
 
 size_t SlotOfKey(uint64_t key) {
   // The address is left out on purpose: one site always maps to one slot, so
-  // a filter slot hit proves the site's most recent recorded access - which
-  // is exactly the filter's soundness requirement - and a site never has two
-  // pending runs.
+  // a site never has two pending runs, and a live run of the site holds its
+  // most recent access - which is what makes dropping a repeat sound.
   uint64_t h = key * 0x9e3779b97f4a7c15ull;  // splitmix64 finalizer
   h ^= h >> 29;
   h *= 0xbf58476d1ce4e5b9ull;
@@ -51,10 +50,7 @@ ThreadTraceWriter::ThreadTraceWriter(uint32_t thread_id, const WriterConfig& con
          "unknown trace format");
   assert((config_.format == kTraceFormatV1 || capacity_bytes_ >= max_event_bytes_) &&
          "buffer too small for one encoded event");
-  if (fastpath_ && config_.access_filter) {
-    filter_ = std::make_unique<FilterSlot[]>(kSiteSlots);
-  }
-  if (fastpath_ && config_.coalesce) {
+  if (fastpath_) {
     runs_ = std::make_unique<PendingRun[]>(kSiteSlots);
     live_ = std::make_unique<uint8_t[]>(kSiteSlots);
   }
@@ -87,10 +83,8 @@ ThreadTraceWriter::~ThreadTraceWriter() { (void)Finish(); }
 
 void ThreadTraceWriter::Append(const RawEvent& event) {
   // Out-of-band events are fences: every access before one must be encoded
-  // before it. Anything appended around the filter invalidates its "most
-  // recent recorded access" knowledge.
+  // before it.
   MaterializeAll();
-  ResetFilter();
   EncodeToBuffer(event);
 }
 
@@ -237,14 +231,6 @@ void ThreadTraceWriter::CoalesceRun(size_t slot, uint64_t key, uint64_t base,
   }
 }
 
-void ThreadTraceWriter::ResetFilter() {
-  if (!filter_) return;
-  if (++filter_gen_ == 0) {  // generation wrap: actually clear the slots
-    for (size_t i = 0; i < kSiteSlots; i++) filter_[i] = FilterSlot{};
-    filter_gen_ = 1;
-  }
-}
-
 void ThreadTraceWriter::PollGovernor() {
   // One atomic load per poll: the packed word carries (seq, reason, level)
   // together, so a transition is recorded with exactly the level/reason pair
@@ -263,14 +249,13 @@ void ThreadTraceWriter::PollGovernor() {
   }
 }
 
-bool ThreadTraceWriter::ShedAccess(uint32_t pc, uint8_t flags, uint8_t size) {
-  ShedSlot& slot = shed_[SiteSlot(pc, flags, size)];
-  if (slot.gen != shed_gen_ || slot.pc != pc || slot.flags != flags ||
-      slot.size != size) {
+bool ThreadTraceWriter::ShedAccess(uint64_t key) {
+  ShedSlot& slot = shed_[SlotOfKey(key)];
+  if (slot.gen != shed_gen_ || slot.key != key) {
     // New site (or a direct-map collision evicted the old one): restart its
     // per-segment count. The FIRST event from a site is always kept at
     // every level, so each active site stays visible in the trace.
-    slot = ShedSlot{pc, shed_gen_, 0, flags, size};
+    slot = ShedSlot{key, shed_gen_, 0};
   }
   slot.count++;
   const GovernorConfig& gc = config_.governor->config();
@@ -296,9 +281,10 @@ void ThreadTraceWriter::AppendAccess(uint64_t addr, uint8_t size, uint8_t flags,
     accesses_dropped_.Add(1);
     return;
   }
+  const uint64_t key = SiteKey(pc, flags, size);
   if (config_.governor) {
     PollGovernor();
-    if (current_level_ != 0 && ShedAccess(pc, flags, size)) {
+    if (current_level_ != 0 && ShedAccess(key)) {
       // Degradation only ever REMOVES events: a kept event is untouched, so
       // every race found in a degraded interval is real. The shed count is
       // exact (per segment and in the meta totals).
@@ -311,45 +297,33 @@ void ThreadTraceWriter::AppendAccess(uint64_t addr, uint8_t size, uint8_t flags,
     EncodeToBuffer(RawEvent::Access(addr, size, flags, pc));
     return;
   }
-  // One key and one hash per access serve both the filter and the
-  // coalescer.
-  const uint64_t key = SiteKey(pc, flags, size);
-  const size_t index = SlotOfKey(key);
-  if (filter_) {
-    FilterSlot& slot = filter_[index];
-    if (slot.gen == filter_gen_ && slot.addr == addr && slot.key == key) {
-      // The most recent recorded access from this site in this segment was
-      // this exact access: the replayed tree would fold it into the existing
-      // node (a hit-count bump, no structural change), so dropping it cannot
-      // change any race report.
-      events_suppressed_.Add(1);
-      return;
-    }
-    slot.addr = addr;
-    slot.key = key;
-    slot.gen = filter_gen_;
-  }
-  if (!runs_) {
-    EncodeToBuffer(RawEvent::Access(addr, size, flags, pc));
-    return;
-  }
   // Strided-run coalescer, extend check inline. The extension rules mirror
   // the interval tree's continuation logic: a fresh single adopts the first
   // ascending step as its stride; an established run extends only on an
   // exact stride match. A new site, a broken run or an eviction goes out of
   // line.
+  const size_t index = SlotOfKey(key);
   PendingRun& run = runs_[index];
-  if (run.count != 0 && run.key == key && addr > run.last) {
-    if (run.count == 1) {
-      run.stride = addr - run.last;
-      run.count = 2;
-      run.last = addr;
+  if (run.count != 0 && run.key == key) {
+    if (addr == run.last) {
+      // A live run holds its site's most recent access, with no fence since:
+      // the summarizer folds a repeat of it into the run's node as a hit
+      // (no structural change), so dropping it cannot change any report.
+      events_suppressed_.Add(1);
       return;
     }
-    if (addr - run.last == run.stride) {
-      run.count++;
-      run.last = addr;
-      return;
+    if (addr > run.last) {
+      if (run.count == 1) {
+        run.stride = addr - run.last;
+        run.count = 2;
+        run.last = addr;
+        return;
+      }
+      if (addr - run.last == run.stride) {
+        run.count++;
+        run.last = addr;
+        return;
+      }
     }
   }
   CoalesceRun(index, key, addr, 0, 1);
@@ -370,7 +344,7 @@ void ThreadTraceWriter::AppendRange(uint64_t addr, uint64_t bytes,
     // One shed decision for the whole range (it is one site); the count
     // shed matches what the v1/v2 chunk loop would have appended.
     if (current_level_ != 0 &&
-        ShedAccess(pc, flags, static_cast<uint8_t>(kChunk))) {
+        ShedAccess(SiteKey(pc, flags, static_cast<uint8_t>(kChunk)))) {
       const uint64_t shed = chunks + (tail ? 1 : 0);
       segment_degraded_ += shed;
       degraded_dropped_.Add(shed);
@@ -388,32 +362,15 @@ void ThreadTraceWriter::AppendRange(uint64_t addr, uint64_t bytes,
     }
     return;
   }
-  // A range's chunks can extend same-key tree nodes past addresses the
-  // filter remembers; drop its knowledge rather than reason about overlap.
-  ResetFilter();
-  if (runs_) {
-    // The chunk run and the tail are two sites; each joins its own pending
-    // run, so a loop of small ranges folds like a loop of accesses.
-    if (chunks != 0) {
-      const uint64_t key = SiteKey(pc, flags, kChunk);
-      CoalesceRun(SlotOfKey(key), key, addr, kChunk, chunks);
-    }
-    if (tail) {
-      const uint64_t key = SiteKey(pc, flags, static_cast<uint8_t>(tail));
-      CoalesceRun(SlotOfKey(key), key, addr + chunks * kChunk, 0, 1);
-    }
-    return;
-  }
-  if (chunks == 1) {
-    EncodeToBuffer(RawEvent::Access(addr, kChunk, flags, pc));
-  } else if (chunks >= 2) {
-    EncodeToBuffer(RawEvent::Run(addr, kChunk, chunks, kChunk, flags, pc));
-    runs_emitted_.Add(1);
-    events_coalesced_.Add(chunks - 1);
+  // The chunk run and the tail are two sites; each joins its own pending
+  // run, so a loop of small ranges folds like a loop of accesses.
+  if (chunks != 0) {
+    const uint64_t key = SiteKey(pc, flags, kChunk);
+    CoalesceRun(SlotOfKey(key), key, addr, kChunk, chunks);
   }
   if (tail) {
-    EncodeToBuffer(RawEvent::Access(addr + chunks * kChunk,
-                                    static_cast<uint8_t>(tail), flags, pc));
+    const uint64_t key = SiteKey(pc, flags, static_cast<uint8_t>(tail));
+    CoalesceRun(SlotOfKey(key), key, addr + chunks * kChunk, 0, 1);
   }
 }
 
@@ -474,7 +431,6 @@ void ThreadTraceWriter::PublishSealImage() {
 void ThreadTraceWriter::BeginSegment(const IntervalMeta& meta) {
   assert(!open_segment_ && "close the previous segment first");
   assert(live_count_ == 0 && "coalescer pending outside a segment");
-  ResetFilter();  // nothing recorded in the new segment yet
   meta_.intervals.push_back(meta);
   meta_.intervals.back().data_begin = logical_offset_;
   meta_.intervals.back().data_size = 0;
@@ -496,7 +452,6 @@ void ThreadTraceWriter::EndSegment() {
   assert(open_segment_);
   MaterializeAll();  // the runs belong to this segment's byte span
   if (config_.governor) PollGovernor();  // capture a mid-segment transition
-  ResetFilter();
   IntervalMeta& m = meta_.intervals.back();
   m.data_size = logical_offset_ - m.data_begin;
   m.event_count = events_logged_.Get() - segment_begin_events_;

@@ -16,12 +16,15 @@
 // = 128K events" knob means the same thing for every format. With the v2
 // encoding the same event count occupies far fewer bytes, which is the
 // point: fewer flushes, smaller logs. Format v3 adds the per-access fast
-// path on top: AppendAccess routes instrumented accesses through a
-// duplicate filter and a per-site strided-run coalescer, so the
-// interleaved sweeps of a loop body each log one kAccessRun event instead
-// of thousands of access events. Events of one site keep their program
-// order; only the interleaving BETWEEN sites inside a fence-free stretch
-// changes, and the offline summarizer only ever looks within a site.
+// path on top: AppendAccess folds each instrumented access into its site's
+// pending run in a per-site strided-run coalescer, so the interleaved sweeps
+// of a loop body each log one kAccessRun event instead of thousands of
+// access events. The same table is the duplicate filter: a site's pending
+// run holds its most recent access, so a repeat of that address before the
+// next fence is dropped (the summarizer would only count a hit). Events of
+// one site keep their program order; only the interleaving BETWEEN sites
+// inside a fence-free stretch changes, and the offline summarizer only ever
+// looks within a site.
 //
 // Thread-compatibility: a writer is driven by exactly one OS thread; only
 // the Flusher is shared.
@@ -65,15 +68,9 @@ struct WriterConfig {
   uint64_t buffer_bytes = 2 * 1024 * 1024;  // the paper's default bound
   const Compressor* codec = nullptr;        // null = DefaultCompressor()
   Flusher* flusher = nullptr;               // required
-  uint8_t format = kTraceFormatV3;          // event encoding (kTraceFormatV*)
-  /// Suppress re-logging of an access identical to the most recent one with
-  /// the same (pc, flags, size) in the current segment under the same
-  /// lockset. Effective for format v3 only; sound because the replayed tree
-  /// folds such a duplicate into the existing node without structural change.
-  bool access_filter = true;
-  /// Coalesce per-(pc, flags, size) arithmetic address runs into single
-  /// kAccessRun events. Effective for format v3 only.
-  bool coalesce = true;
+  /// Event encoding (kTraceFormatV*). v3 coalesces per-site runs and drops
+  /// repeats; v1/v2 log every access as it comes.
+  uint8_t format = kTraceFormatV3;
   /// Checkpoint the meta file (write-temp + atomic rename) every N closed
   /// segments, so a killed process leaves its trace analyzable up to the
   /// last checkpoint instead of losing the whole meta. 0 = only at Finish
@@ -101,12 +98,10 @@ class ThreadTraceWriter {
   ThreadTraceWriter(const ThreadTraceWriter&) = delete;
   ThreadTraceWriter& operator=(const ThreadTraceWriter&) = delete;
 
-  /// Slots in each per-site table (duplicate filter, coalescer, shed
-  /// counters).
+  /// Slots in each per-site table (coalescer, shed counters).
   static constexpr size_t kSiteSlots = 256;
   /// The direct-mapped slot of an access site (pc, flags, size) in every
-  /// per-site table. AppendAccess computes it once for the filter and the
-  /// coalescer.
+  /// per-site table.
   static size_t SiteSlot(uint32_t pc, uint8_t flags, uint8_t size);
 
   uint32_t thread_id() const { return thread_id_; }
@@ -115,14 +110,14 @@ class ThreadTraceWriter {
   /// Appends one event, flushing the buffer to the log file first if full.
   /// Out-of-band events (mutex ops) are ordering fences: every
   /// pending coalescer run is materialized first, so each access lands on
-  /// its side of the fence, and the duplicate filter is reset (the
-  /// effective lockset changed).
+  /// its side of the fence and no repeat is dropped across a lockset
+  /// change.
   void Append(const RawEvent& event);
 
-  /// The per-access fast path: appends one instrumented load/store through
-  /// the duplicate filter and the strided-run coalescer (format v3; plain
-  /// Append otherwise). Outside a segment the access is counted and
-  /// dropped - see accesses_dropped().
+  /// The per-access fast path: folds one instrumented load/store into its
+  /// site's pending run, dropping a repeat of the run's most recent address
+  /// (format v3; plain Append otherwise). Outside a segment the access is
+  /// counted and dropped - see accesses_dropped().
   void AppendAccess(uint64_t addr, uint8_t size, uint8_t flags, uint32_t pc);
 
   /// Appends a bulk access over [addr, addr+bytes): a run of 128-byte
@@ -154,7 +149,7 @@ class ThreadTraceWriter {
   uint64_t events_logged() const { return events_logged_.Get(); }
   uint64_t flushes() const { return flushes_.Get(); }
   uint64_t logical_bytes() const { return logical_offset_; }
-  /// Accesses suppressed by the duplicate filter.
+  /// Accesses dropped as repeats of their site's most recent address.
   uint64_t events_suppressed() const { return events_suppressed_.Get(); }
   /// Accesses absorbed into run events beyond the first (sum of count-1).
   uint64_t events_coalesced() const { return events_coalesced_.Get(); }
@@ -187,16 +182,17 @@ class ThreadTraceWriter {
   /// Re-reads the governor's packed state: records a meta transition when
   /// the sequence advanced, and tracks the open segment's max level.
   void PollGovernor();
-  /// True when the current degradation level says to shed this access.
-  /// Counts per-site events in a direct-mapped table reset per segment.
-  bool ShedAccess(uint32_t pc, uint8_t flags, uint8_t size);
+  /// True when the current degradation level says to shed this access of
+  /// site `key`. Counts per-site events in a direct-mapped table reset per
+  /// segment.
+  bool ShedAccess(uint64_t key);
   /// Publishes the sealed meta image to the SealRegistry (no-op without a
   /// slot) — called at construction, every checkpoint, and Finish.
   void PublishSealImage();
   /// Books one event shed because the buffer pool returned no memory.
   void PoolExhaustedShed();
   /// Encodes one event into the buffer (flushing first if full) and bumps
-  /// the logical offset and event counters. Bypasses filter and coalescer.
+  /// the logical offset and event counters. Bypasses the coalescer.
   void EncodeToBuffer(const RawEvent& event);
   /// Folds `count` accesses of site `key` at base, base+stride, ... into
   /// the pending run of slot `slot`: extends it when the elements continue
@@ -209,15 +205,13 @@ class ThreadTraceWriter {
   void Materialize(const PendingRun& run);
   /// Flushes every live pending run into the buffer, in first-touch order.
   void MaterializeAll();
-  /// Invalidates every duplicate-filter entry (generation bump).
-  void ResetFilter();
 
   const uint32_t thread_id_;
   WriterConfig config_;
   const uint64_t capacity_events_;  // logical capacity: buffer_bytes / 16
   const uint64_t capacity_bytes_;
   const uint64_t max_event_bytes_;  // headroom bound for the format
-  const bool fastpath_;             // format >= v3: filter/coalescer legal
+  const bool fastpath_;             // format >= v3: coalescer legal
 
   Bytes buffer_;                  // encoded events; acquired from the pool
   uint64_t buffer_events_ = 0;    // events currently in buffer_
@@ -234,38 +228,26 @@ class ThreadTraceWriter {
   uint64_t segment_begin_events_ = 0;
   bool finished_ = false;
 
-  // Duplicate-access filter: a direct-mapped cache over (pc, flags, size)
-  // remembering the last address each site logged. A hit with an identical
-  // address means the replayed tree would only bump a hit counter, so the
-  // event is suppressed. Reset (generation bump) on segment begin/end,
-  // every out-of-band append (mutex ops), and range appends.
-  struct FilterSlot {
-    uint64_t addr = 0;
-    uint64_t key = 0;  // the site: (pc << 16) | (flags << 8) | size
-    uint32_t gen = 0;  // live iff == filter_gen_
-  };
-  std::unique_ptr<FilterSlot[]> filter_;  // null when disabled
-  uint32_t filter_gen_ = 1;
-
-  // Strided-run coalescer: one pending run per site, direct-mapped by the
-  // filter's slot index (a colliding site evicts the resident: its run is
-  // materialized first). A site has at most one pending run and emits it
-  // before starting the next, so each site's events stay in program order;
-  // runs of different sites may leave in a different interleaving. Every
-  // fence (out-of-band Append, EndSegment, FlushEvents) materializes all
-  // live runs, so no access crosses a lockset change or a segment end.
+  // Strided-run coalescer: one pending run per site, direct-mapped by
+  // SiteSlot (a colliding site evicts the resident: its run is materialized
+  // first). A site has at most one pending run and emits it before starting
+  // the next, so each site's events stay in program order; runs of different
+  // sites may leave in a different interleaving. Every fence (out-of-band
+  // Append, EndSegment, FlushEvents) materializes all live runs, so no access
+  // crosses a lockset change or a segment end, and no repeat is dropped
+  // across one.
   struct PendingRun {
     uint64_t base = 0;
     uint64_t stride = 0;
     uint64_t count = 0;  // 0 = empty
     uint64_t last = 0;   // address of the most recent element
-    uint64_t key = 0;    // the site, packed like FilterSlot::key
+    uint64_t key = 0;    // the site: (pc << 16) | (flags << 8) | size
 
     uint32_t pc() const { return static_cast<uint32_t>(key >> 16); }
     uint8_t flags() const { return static_cast<uint8_t>(key >> 8); }
     uint8_t size() const { return static_cast<uint8_t>(key); }
   };
-  std::unique_ptr<PendingRun[]> runs_;  // null when coalescing is off
+  std::unique_ptr<PendingRun[]> runs_;  // null below format v3
   // Occupied run slots in first-touch order, so a fence visits only them.
   // Non-empty only inside an open segment. `listed_` has one bit per slot
   // that is in `live_`, so a slot is listed once however often it is
@@ -278,14 +260,12 @@ class ThreadTraceWriter {
 
   // --- adaptive degradation (config_.governor != null) ---
   // Per-site event counters for the reduced-fidelity levels, direct-mapped
-  // like the duplicate filter (collisions merely reset a site's count — the
-  // shed decision stays sound, only the shed VOLUME is approximate).
+  // like the coalescer (collisions merely reset a site's count — the shed
+  // decision stays sound, only the shed VOLUME is approximate).
   struct ShedSlot {
-    uint32_t pc = 0;
-    uint32_t gen = 0;   // live iff == shed_gen_
-    uint32_t count = 0; // accesses seen from this site this segment
-    uint8_t flags = 0;
-    uint8_t size = 0;
+    uint64_t key = 0;    // the site, packed like PendingRun::key
+    uint32_t gen = 0;    // live iff == shed_gen_
+    uint32_t count = 0;  // accesses seen from this site this segment
   };
   std::unique_ptr<ShedSlot[]> shed_;  // allocated iff governor present
   uint32_t shed_gen_ = 1;

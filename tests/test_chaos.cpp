@@ -272,9 +272,7 @@ TEST(GovernorWriter, SummaryLevelShedsWithExactMetaAccounting) {
   wc.log_path = dir.File("t.log");
   wc.meta_path = dir.File("t.meta");
   wc.flusher = &flusher;
-  wc.format = trace::kTraceFormatV3;
-  wc.access_filter = false;  // isolate the governor's shedding
-  wc.coalesce = false;
+  wc.format = trace::kTraceFormatV2;  // plain events isolate the shedding
   wc.governor = &gov;
   trace::ThreadTraceWriter writer(0, wc);
 
@@ -335,9 +333,7 @@ TEST(GovernorWriter, ShedResetsPerSegment) {
   wc.log_path = dir.File("t.log");
   wc.meta_path = dir.File("t.meta");
   wc.flusher = &flusher;
-  wc.format = trace::kTraceFormatV3;
-  wc.access_filter = false;
-  wc.coalesce = false;
+  wc.format = trace::kTraceFormatV2;
   wc.governor = &gov;
   trace::ThreadTraceWriter writer(0, wc);
 

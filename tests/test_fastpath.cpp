@@ -1,7 +1,8 @@
 // Online access fast path: format-v3 codec (strided run events), the
-// writer's duplicate-access filter and run coalescer, the summarizer's
-// bulk AddRun, and the end-to-end property the whole design rests on:
-// race reports are BYTE-IDENTICAL with the fast path on or off.
+// writer's per-site run coalescer and its repeat suppression, the
+// summarizer's bulk AddRun, and the end-to-end property the whole design
+// rests on: race reports are BYTE-IDENTICAL from the v3 writer and from the
+// plain v2/v1 writers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -151,15 +152,12 @@ struct WriterRig {
   TempDir dir{"fastpath"};
   std::unique_ptr<trace::ThreadTraceWriter> writer;
 
-  explicit WriterRig(bool filter = true, bool coalesce = true,
-                     uint8_t format = trace::kTraceFormatV3) {
+  explicit WriterRig(uint8_t format = trace::kTraceFormatV3) {
     trace::WriterConfig wc;
     wc.log_path = dir.File("t0.log");
     wc.meta_path = dir.File("t0.meta");
     wc.flusher = &flusher;
     wc.format = format;
-    wc.access_filter = filter;
-    wc.coalesce = coalesce;
     wc.codec = FindCompressor("raw");
     writer = std::make_unique<trace::ThreadTraceWriter>(0, wc);
   }
@@ -235,7 +233,7 @@ TEST(WriterFastPath, RangeAppendEmitsRunPlusTail) {
   EXPECT_EQ(events[1], trace::RawEvent::Access(0x4000 + 7 * 128, 104, 1, 3));
 
   // The pre-v3 formats must see the historical chunk loop.
-  WriterRig legacy(true, true, trace::kTraceFormatV2);
+  WriterRig legacy(trace::kTraceFormatV2);
   legacy.writer->BeginSegment(SegMeta());
   legacy.writer->AppendRange(0x4000, 1000, 1, 3);
   legacy.writer->EndSegment();
@@ -269,7 +267,7 @@ TEST(WriterFastPath, OutOfSegmentAccessesCountedAndDropped) {
 }
 
 /// Structural fingerprint of a frozen summary as a node multiset, ignoring
-/// hit counters: the duplicate filter elides hits-only folds, so structure
+/// hit counters: repeat suppression elides hits-only folds, so structure
 /// (not hits) is the invariant. Sorted, because frozen order breaks
 /// first-byte ties by creation id, and the per-site coalescer changes the
 /// order in which different sites' nodes are created.
@@ -318,8 +316,8 @@ TEST(WriterFastPath, FilteredStreamReplaysToSameTreeShape) {
     }
   }
 
-  WriterRig fast(true, true);
-  WriterRig plain(false, false);
+  WriterRig fast;
+  WriterRig plain(trace::kTraceFormatV2);
   for (auto* rig : {&fast, &plain}) {
     rig->writer->BeginSegment(SegMeta());
     for (const auto& [addr, flags, size, pc] : pattern) {
@@ -337,6 +335,64 @@ TEST(WriterFastPath, FilteredStreamReplaysToSameTreeShape) {
   EXPECT_EQ(SummaryShape(Replay(fast_events)), SummaryShape(Replay(plain_events)));
 }
 
+/// Runs `script` inside one segment on a v3 and a v2 writer, checks that both
+/// replay to the same summary shape, and returns how many accesses the v3
+/// writer suppressed.
+template <typename Script>
+uint64_t SuppressedVersusV2(const Script& script) {
+  WriterRig fast;
+  WriterRig plain(trace::kTraceFormatV2);
+  for (auto* rig : {&fast, &plain}) {
+    rig->writer->BeginSegment(SegMeta());
+    script(*rig->writer);
+    rig->writer->EndSegment();
+  }
+  const uint64_t suppressed = fast.writer->events_suppressed();
+  EXPECT_EQ(SummaryShape(Replay(fast.FinishAndRead())),
+            SummaryShape(Replay(plain.FinishAndRead())));
+  return suppressed;
+}
+
+TEST(WriterFastPath, RepeatAfterOtherSiteRangeIsSuppressed) {
+  // Another site's range feeds only its own sites' runs, so the access's
+  // pending run still holds its most recent address.
+  const size_t slot = trace::ThreadTraceWriter::SiteSlot(7, 1, 8);
+  uint32_t pc = 8;
+  while (trace::ThreadTraceWriter::SiteSlot(pc, 0, 128) == slot ||
+         trace::ThreadTraceWriter::SiteSlot(pc, 0, 44) == slot) {
+    pc++;
+  }
+  EXPECT_EQ(SuppressedVersusV2([&](trace::ThreadTraceWriter& w) {
+              w.AppendAccess(0x1000, 8, 1, 7);
+              w.AppendRange(0x8000, 300, 0, pc);  // 2 chunks + a 44-byte tail
+              w.AppendAccess(0x1000, 8, 1, 7);    // suppressed
+            }),
+            1u);
+}
+
+TEST(WriterFastPath, RepeatAfterSameKeyRangeIsKept) {
+  // The range's chunks share the access's site and move its run forward:
+  // the repeat is no longer the run's most recent address.
+  EXPECT_EQ(SuppressedVersusV2([](trace::ThreadTraceWriter& w) {
+              w.AppendAccess(0x4000, 128, 1, 3);
+              w.AppendRange(0x4080, 256, 1, 3);  // extends the run to 0x4100
+              w.AppendAccess(0x4000, 128, 1, 3);  // kept
+            }),
+            0u);
+}
+
+TEST(WriterFastPath, RepeatAfterFenceIsKept) {
+  EXPECT_EQ(SuppressedVersusV2([](trace::ThreadTraceWriter& w) {
+              w.AppendAccess(0x1000, 8, 1, 7);
+              w.Append(trace::RawEvent::MutexAcquire(1));
+              w.AppendAccess(0x1000, 8, 1, 7);  // kept: the lockset changed
+              w.FlushEvents();
+              w.AppendAccess(0x1000, 8, 1, 7);  // kept: the run was drained
+              w.Append(trace::RawEvent::MutexRelease(1));
+            }),
+            0u);
+}
+
 // --- per-site run coalescer --------------------------------------------------
 
 /// `n` pcs whose (pc, flags, size) sites occupy distinct coalescer slots.
@@ -351,11 +407,13 @@ std::vector<uint32_t> DistinctSlotPcs(size_t n, uint8_t flags, uint8_t size) {
   return pcs;
 }
 
-/// Every access a decoded stream stands for, per (pc, flags, size) site, in
-/// stream order.
-std::map<std::tuple<uint32_t, uint8_t, uint8_t>, std::vector<uint64_t>>
-PerSiteAddresses(const std::vector<trace::RawEvent>& events) {
-  std::map<std::tuple<uint32_t, uint8_t, uint8_t>, std::vector<uint64_t>> out;
+/// Addresses per (pc, flags, size) site, in order.
+using PerSite =
+    std::map<std::tuple<uint32_t, uint8_t, uint8_t>, std::vector<uint64_t>>;
+
+/// Every access a decoded stream stands for, per site, in stream order.
+PerSite PerSiteAddresses(const std::vector<trace::RawEvent>& events) {
+  PerSite out;
   for (const auto& e : events) {
     if (e.kind == trace::EventKind::kAccess) {
       out[{e.pc, e.flags, e.size}].push_back(e.addr);
@@ -365,6 +423,79 @@ PerSiteAddresses(const std::vector<trace::RawEvent>& events) {
     }
   }
   return out;
+}
+
+/// One writer call of a test script.
+struct ScriptOp {
+  enum class Kind { kAccess, kRange, kMutex, kFlush };
+  Kind kind = Kind::kAccess;
+  uint64_t addr = 0;
+  uint64_t bytes = 8;  // the access size, or the range width
+  uint8_t flags = 0;
+  uint32_t pc = 0;
+};
+
+void Play(trace::ThreadTraceWriter& w, const std::vector<ScriptOp>& script) {
+  for (const ScriptOp& op : script) {
+    switch (op.kind) {
+      case ScriptOp::Kind::kAccess:
+        w.AppendAccess(op.addr, static_cast<uint8_t>(op.bytes), op.flags, op.pc);
+        break;
+      case ScriptOp::Kind::kRange:
+        w.AppendRange(op.addr, op.bytes, op.flags, op.pc);
+        break;
+      case ScriptOp::Kind::kMutex:
+        w.Append(trace::RawEvent::MutexAcquire(1));
+        break;
+      case ScriptOp::Kind::kFlush:
+        w.FlushEvents();
+        break;
+    }
+  }
+}
+
+/// Appends to `expected` the per-site sequences a v3 writer must log for one
+/// segment's script: every access the script makes (ranges in their 128-byte
+/// pieces), minus each access equal to its site's previous address when
+/// neither a fence (mutex op, FlushEvents, the segment end) nor another site
+/// of the same slot came between them. Returns how many accesses that drops.
+uint64_t AddExpected(const std::vector<ScriptOp>& segment, PerSite& expected) {
+  struct Slot {
+    bool live = false;
+    std::tuple<uint32_t, uint8_t, uint8_t> site;
+    uint64_t last = 0;
+  };
+  std::vector<Slot> slots(trace::ThreadTraceWriter::kSiteSlots);
+  uint64_t dropped = 0;
+  auto touch = [&](const ScriptOp& op, uint64_t addr, uint8_t size, bool may_drop) {
+    Slot& slot = slots[trace::ThreadTraceWriter::SiteSlot(op.pc, op.flags, size)];
+    const auto site = std::make_tuple(op.pc, op.flags, size);
+    if (may_drop && slot.live && slot.site == site && slot.last == addr) {
+      dropped++;
+      return;
+    }
+    slot = Slot{true, site, addr};
+    expected[site].push_back(addr);
+  };
+  for (const ScriptOp& op : segment) {
+    switch (op.kind) {
+      case ScriptOp::Kind::kAccess:
+        touch(op, op.addr, static_cast<uint8_t>(op.bytes), /*may_drop=*/true);
+        break;
+      case ScriptOp::Kind::kRange:
+        for (uint64_t at = 0; at < op.bytes; at += 128) {
+          touch(op, op.addr + at,
+                static_cast<uint8_t>(std::min<uint64_t>(128, op.bytes - at)),
+                /*may_drop=*/false);
+        }
+        break;
+      case ScriptOp::Kind::kMutex:
+      case ScriptOp::Kind::kFlush:
+        for (Slot& slot : slots) slot.live = false;
+        break;
+    }
+  }
+  return dropped;
 }
 
 TEST(WriterCoalescer, InterleavedSitesFoldToOneRunEach) {
@@ -483,46 +614,50 @@ TEST(WriterCoalescer, CollidingSitesKeepPerSiteOrder) {
   while (trace::ThreadTraceWriter::SiteSlot(pc_b, 1, 8) != slot) pc_b++;
 
   // Bursts of five strided accesses per site, with repeats and a descent.
-  std::vector<std::pair<uint64_t, uint32_t>> script;
+  std::vector<ScriptOp> bursts;
   for (uint64_t burst = 0; burst < 40; burst++) {
     for (uint64_t k = 0; k < 5; k++) {
-      script.emplace_back(0x1000 + (burst * 5 + k) * 8, pc_a);
+      bursts.push_back({ScriptOp::Kind::kAccess, 0x1000 + (burst * 5 + k) * 8, 8,
+                        1, pc_a});
     }
     for (uint64_t k = 0; k < 5; k++) {
       const uint64_t addr = burst % 7 == 3 ? 0x9000 : 0x9000 + (burst * 5 + k) * 16;
-      script.emplace_back(addr, pc_b);
+      bursts.push_back({ScriptOp::Kind::kAccess, addr, 8, 1, pc_b});
     }
   }
+  // Single accesses that evict each other at every step.
+  std::vector<ScriptOp> alternating;
+  for (uint64_t i = 0; i < 30; i++) {
+    alternating.push_back(
+        {ScriptOp::Kind::kAccess, 0x20000 + i * 8, 8, 1, i % 2 ? pc_a : pc_b});
+  }
 
-  WriterRig unfiltered(/*filter=*/false, /*coalesce=*/true);
-  WriterRig fast(true, true);
-  WriterRig plain(false, false);
-  for (auto* rig : {&unfiltered, &fast, &plain}) {
+  WriterRig fast;
+  WriterRig plain(trace::kTraceFormatV2);
+  for (auto* rig : {&fast, &plain}) {
     rig->writer->BeginSegment(SegMeta());
-    for (const auto& [addr, pc] : script) rig->writer->AppendAccess(addr, 8, 1, pc);
+    Play(*rig->writer, bursts);
     rig->writer->EndSegment();
   }
   // However often the slot changed hands, it was listed once, and the fence
-  // emptied it. Single accesses that evict each other at every step list the
-  // slot once too.
-  EXPECT_EQ(unfiltered.writer->pending_runs(), 0u);
-  for (auto* rig : {&unfiltered, &fast, &plain}) {
+  // emptied it. Single accesses that evict each other list the slot once too.
+  EXPECT_EQ(fast.writer->pending_runs(), 0u);
+  for (auto* rig : {&fast, &plain}) {
     rig->writer->BeginSegment(SegMeta());
-    for (uint64_t i = 0; i < 30; i++) {
-      rig->writer->AppendAccess(0x20000 + i * 8, 8, 1, i % 2 ? pc_a : pc_b);
-    }
-    if (rig != &plain) {
-      EXPECT_EQ(rig->writer->pending_runs(), 1u);
-    }
-    rig->writer->EndSegment();
+    Play(*rig->writer, alternating);
   }
-  const auto unfiltered_events = unfiltered.FinishAndRead();
+  EXPECT_EQ(fast.writer->pending_runs(), 1u);
+  for (auto* rig : {&fast, &plain}) rig->writer->EndSegment();
+
+  PerSite expected;
+  const uint64_t dropped =
+      AddExpected(bursts, expected) + AddExpected(alternating, expected);
+  EXPECT_GT(dropped, 0u);
   const auto fast_events = fast.FinishAndRead();
   const auto plain_events = plain.FinishAndRead();
-  EXPECT_GT(unfiltered.writer->runs_emitted(), 0u);
-  EXPECT_EQ(PerSiteAddresses(unfiltered_events), PerSiteAddresses(plain_events));
-  EXPECT_EQ(SummaryShape(Replay(unfiltered_events)),
-            SummaryShape(Replay(plain_events)));
+  EXPECT_GT(fast.writer->runs_emitted(), 0u);
+  EXPECT_EQ(fast.writer->events_suppressed(), dropped);
+  EXPECT_EQ(PerSiteAddresses(fast_events), expected);
   EXPECT_EQ(SummaryShape(Replay(fast_events)), SummaryShape(Replay(plain_events)));
 }
 
@@ -603,10 +738,11 @@ TEST(WriterCoalescer, AccountingHoldsAtEveryFence) {
 class CoalescerProperty : public testing::TestWithParam<int> {};
 
 // The coalescer's whole contract: per site, a trace stands for exactly the
-// accesses made, in the order made. Covers ranges of mixed widths from one
-// pc (their chunk runs meet pending runs of any stride), colliding sites,
-// descents, re-touches and fences.
-TEST_P(CoalescerProperty, PerSiteSequencesMatchPlainWriter) {
+// accesses made, in the order made, less the repeats AddExpected drops.
+// Covers ranges of mixed widths from one pc (their chunk runs meet pending
+// runs of any stride; a 520-byte range's 8-byte tail shares the accesses'
+// site), colliding sites, descents, re-touches and fences.
+TEST_P(CoalescerProperty, PerSiteSequencesMatchScript) {
   Rng rng(9100 + static_cast<uint64_t>(GetParam()));
   std::vector<uint32_t> pcs = {1, 2, 3, 4};
   uint32_t collider = 5;
@@ -618,10 +754,8 @@ TEST_P(CoalescerProperty, PerSiteSequencesMatchPlainWriter) {
   static constexpr int64_t kSteps[] = {8, 8, 16, 128, 136, 200, 384, -8, 0};
   static constexpr uint64_t kWidths[] = {16, 128, 200, 256, 300, 520};
 
-  WriterRig coalesced(/*filter=*/false, /*coalesce=*/true);
-  WriterRig plain(false, false);
+  std::vector<ScriptOp> script;
   std::vector<uint64_t> cursor(pcs.size(), 0x10000);
-  for (auto* rig : {&coalesced, &plain}) rig->writer->BeginSegment(SegMeta());
   for (int op = 0; op < 800; op++) {
     const size_t which = rng.Below(pcs.size());
     const uint32_t pc = pcs[which];
@@ -630,25 +764,32 @@ TEST_P(CoalescerProperty, PerSiteSequencesMatchPlainWriter) {
     const uint64_t addr = 0x1000000 * (which + 1) + cursor[which];
     const double pick = rng.NextDouble();
     const uint64_t width = kWidths[rng.Below(std::size(kWidths))];
-    for (auto* rig : {&coalesced, &plain}) {
-      if (pick < 0.65) {
-        rig->writer->AppendAccess(addr, 8, flags, pc);
-      } else if (pick < 0.95) {
-        rig->writer->AppendRange(addr, width, flags, pc);
-      } else if (pick < 0.98) {
-        rig->writer->Append(trace::RawEvent::MutexAcquire(1));
-      } else {
-        rig->writer->FlushEvents();
-      }
+    if (pick < 0.65) {
+      script.push_back({ScriptOp::Kind::kAccess, addr, 8, flags, pc});
+    } else if (pick < 0.95) {
+      script.push_back({ScriptOp::Kind::kRange, addr, width, flags, pc});
+    } else if (pick < 0.98) {
+      script.push_back({ScriptOp::Kind::kMutex});
+    } else {
+      script.push_back({ScriptOp::Kind::kFlush});
     }
   }
-  for (auto* rig : {&coalesced, &plain}) rig->writer->EndSegment();
+
+  WriterRig coalesced;
+  WriterRig plain(trace::kTraceFormatV2);
+  for (auto* rig : {&coalesced, &plain}) {
+    rig->writer->BeginSegment(SegMeta());
+    Play(*rig->writer, script);
+    rig->writer->EndSegment();
+  }
+  PerSite expected;
+  const uint64_t dropped = AddExpected(script, expected);
 
   const auto coalesced_events = coalesced.FinishAndRead();
   const auto plain_events = plain.FinishAndRead();
   EXPECT_LT(coalesced_events.size(), plain_events.size());
-  EXPECT_EQ(PerSiteAddresses(coalesced_events), PerSiteAddresses(plain_events))
-      << "seed " << GetParam();
+  EXPECT_EQ(coalesced.writer->events_suppressed(), dropped) << "seed " << GetParam();
+  EXPECT_EQ(PerSiteAddresses(coalesced_events), expected) << "seed " << GetParam();
   EXPECT_EQ(SummaryShape(Replay(coalesced_events)),
             SummaryShape(Replay(plain_events)))
       << "seed " << GetParam();
@@ -891,9 +1032,8 @@ std::set<std::pair<uint32_t, uint32_t>> CollectRacePairs(
 
 class AblationProperty : public testing::TestWithParam<int> {};
 
-// The filter-off and coalesce-off arms live at the writer level, in
-// DeterministicAblation below; here the whole online stack (v3 fast path)
-// is checked against plain v2.
+// The writer-level arms live in DeterministicAblation below; here the whole
+// online stack (v3 fast path) is checked against plain v2.
 TEST_P(AblationProperty, RaceSetsIdenticalAcrossFastPathConfigs) {
   Rng rng(31000 + static_cast<uint64_t>(GetParam()));
   const SweepProgram p = GenerateSweepProgram(rng);
@@ -911,12 +1051,12 @@ INSTANTIATE_TEST_SUITE_P(RandomSweeps, AblationProperty, testing::Range(0, 15));
 /// One synthetic per-lane event script, replayed straight into per-lane
 /// ThreadTraceWriters (tid == lane), so every configuration produces its
 /// trace from EXACTLY the same writer-call sequence and the analysis input
-/// differs only by what the filter/coalescer did. Any report drift here is
-/// a soundness bug, so the comparison is full-field and order-sensitive.
+/// differs only by the format: what the v3 coalescer folded and suppressed,
+/// and how v2/v1 encode events. Any report drift here is a soundness bug, so
+/// the comparison is full-field and order-sensitive.
 std::vector<std::tuple<uint32_t, uint32_t, uint64_t, uint8_t, uint8_t, bool,
                        bool, int>>
-AnalyzeScripted(const SweepProgram& p, uint8_t format, bool filter,
-                bool coalesce) {
+AnalyzeScripted(const SweepProgram& p, uint8_t format) {
   TempDir dir("scripted");
   trace::Flusher flusher(/*async=*/false);
   for (uint32_t lane = 0; lane < p.lanes; lane++) {
@@ -925,8 +1065,6 @@ AnalyzeScripted(const SweepProgram& p, uint8_t format, bool filter,
     wc.meta_path = dir.path() + "/sword_t" + std::to_string(lane) + ".meta";
     wc.flusher = &flusher;
     wc.format = format;
-    wc.access_filter = filter;
-    wc.coalesce = coalesce;
     trace::ThreadTraceWriter writer(lane, wc);
     osl::Label label = osl::Label::Initial().Fork(lane, p.lanes);
     for (uint32_t phase = 0; phase < p.phases; phase++) {
@@ -990,16 +1128,10 @@ TEST_P(DeterministicAblation, ReportsByteIdenticalAcrossConfigs) {
   Rng rng(47000 + static_cast<uint64_t>(GetParam()));
   const SweepProgram p = GenerateSweepProgram(rng);
 
-  const auto def = AnalyzeScripted(p, trace::kTraceFormatV3, true, true);
-  EXPECT_EQ(def, AnalyzeScripted(p, trace::kTraceFormatV3, false, true))
+  const auto def = AnalyzeScripted(p, trace::kTraceFormatV3);
+  EXPECT_EQ(def, AnalyzeScripted(p, trace::kTraceFormatV2))
       << "seed " << GetParam();
-  EXPECT_EQ(def, AnalyzeScripted(p, trace::kTraceFormatV3, true, false))
-      << "seed " << GetParam();
-  EXPECT_EQ(def, AnalyzeScripted(p, trace::kTraceFormatV3, false, false))
-      << "seed " << GetParam();
-  EXPECT_EQ(def, AnalyzeScripted(p, trace::kTraceFormatV2, true, true))
-      << "seed " << GetParam();
-  EXPECT_EQ(def, AnalyzeScripted(p, trace::kTraceFormatV1, true, true))
+  EXPECT_EQ(def, AnalyzeScripted(p, trace::kTraceFormatV1))
       << "seed " << GetParam();
 }
 

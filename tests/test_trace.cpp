@@ -134,6 +134,67 @@ TEST(Meta, V1RecordsCrossReadWithDerivedEventCount) {
   EXPECT_TRUE(r.AtEnd());
 }
 
+/// A one-record SWM6 file, written field by field so that the 32-bit field
+/// named `wide` can carry 2^32 + 1 (the encoder cannot produce it).
+Bytes MetaWithWideField(const std::string& wide) {
+  auto field = [&](const char* name, uint64_t value) {
+    return wide == name ? (uint64_t{1} << 32) + 1 : value;
+  };
+  ByteWriter w;
+  w.PutU32(kMetaMagicV6);
+  w.PutU8(0);  // flags
+  w.PutU8(0);  // seal signo
+  w.PutVarU64(field("thread id", 1));
+  w.PutU8(kTraceFormatV3);
+  for (int i = 0; i < 6; i++) w.PutVarU64(0);  // drop and elision totals
+  w.PutVarU64(0);                              // transitions
+  w.PutVarU64(1);                              // records
+  w.PutVarU64(0);                              // region
+  w.PutVarU64(IntervalMeta::kNoParent);
+  w.PutVarU64(0);  // phase
+  osl::Label::Initial().Fork(1, 2).Serialize(w);
+  w.PutVarU64(field("level", 1));
+  w.PutVarU64(field("lane", 1));
+  w.PutVarU64(0);   // data_begin
+  w.PutVarU64(16);  // data_size
+  w.PutVarU64(1);   // event_count
+  w.PutVarU64(1);   // lockset size
+  w.PutVarU64(field("lockset", 4));
+  w.PutVarU64(field("degradation level", 0));
+  w.PutVarU64(0);  // degraded_dropped
+  w.PutVarU64(0);  // elided
+  return std::move(w.buffer());
+}
+
+TEST(Meta, WideThirtyTwoBitFieldsAreCorrupt) {
+  // Narrowing would read a lane of 2^32 + 1 as lane 1. A record field fails
+  // strict decoding and salvage drops the record as damaged; the header's
+  // thread id fails the file in both modes.
+  MetaFile out;
+  ASSERT_TRUE(MetaFile::Decode(MetaWithWideField(""), &out).ok());
+  ASSERT_EQ(out.intervals.size(), 1u);
+  EXPECT_EQ(out.thread_id, 1u);
+  EXPECT_EQ(out.intervals[0].lane, 1u);
+  EXPECT_EQ(out.intervals[0].lockset, std::vector<uint32_t>{4});
+
+  for (const char* name : {"level", "lane", "lockset", "degradation level"}) {
+    const Bytes bytes = MetaWithWideField(name);
+    EXPECT_EQ(MetaFile::Decode(bytes, &out).code(), ErrorCode::kCorruptData)
+        << name;
+    uint64_t dropped = 0;
+    ASSERT_TRUE(MetaFile::Decode(bytes, &out, /*salvage=*/true, &dropped).ok())
+        << name;
+    EXPECT_TRUE(out.intervals.empty()) << name;
+    EXPECT_EQ(dropped, 1u) << name;
+  }
+  for (const bool salvage : {false, true}) {
+    EXPECT_EQ(MetaFile::Decode(MetaWithWideField("thread id"), &out, salvage)
+                  .code(),
+              ErrorCode::kCorruptData)
+        << "salvage " << salvage;
+  }
+}
+
 // Fixed-seed fuzz target for the meta parser, SWMF (v1) through SWM6. Seeds
 // are a fully populated SWM6 file from MetaFile::Encode and v1/v2 files
 // built from the records of the two tests above; mutants are bit flips,
