@@ -5,9 +5,11 @@
 //     consecutive memory accesses in one node";
 //   - summary-vs-summary comparison (the frozen sets' sort-merge sweep)
 //     beats the naive all-pairs comparison by orders of magnitude;
-//   - the race-check hot path (CheckFrozenPair: sweep or gallop, plus
-//     closed-form overlap fast paths) in enumerated pairs per second on
-//     dense-stride and sparse workloads, which the perf-smoke gate floors.
+//   - the race-check hot path (CheckFrozenPair: sweep or gallop, plus the
+//     closed-form overlap decision) in enumerated pairs per second on
+//     dense-stride and sparse workloads, and the closed form's decisions per
+//     second on each overlap shape class - both floored by the perf-smoke
+//     gate.
 //
 // Flags: --quick (smaller sizes for CI), --json FILE (machine-readable
 // metrics for the perf-smoke regression gate).
@@ -94,14 +96,11 @@ PairBenchResult RunFrozen(std::vector<itree::AccessNode> a,
   const itree::FrozenIntervalSet fa = FreezeNodes(std::move(a));
   const itree::FrozenIntervalSet fb = FreezeNodes(std::move(b));
   *freeze_seconds = freeze_timer.ElapsedSeconds();
-  offline::CheckLimits limits;
-  limits.use_fastpath = true;
   Timer t;
   for (int rep = 0; rep < reps; rep++) {
     offline::CheckStats stats;
-    offline::CheckFrozenPair(fa, fb, mutexes, ilp::OverlapEngine::kDiophantine,
-                             [&](const RaceReport&) { r.races++; }, &stats,
-                             limits);
+    offline::CheckFrozenPair(fa, fb, mutexes,
+                             [&](const RaceReport&) { r.races++; }, &stats);
     r.pairs += stats.node_pairs_ranged;
   }
   r.pairs_per_sec = static_cast<double>(r.pairs) / std::max(t.ElapsedSeconds(), 1e-9);
@@ -115,9 +114,9 @@ int main(int argc, char** argv) {
   const bool quick = args.GetBool("quick");
   const std::string json_path = args.GetString("json", "");
 
-  Banner("SIII-B ablation - interval summaries, frozen sets, fast paths",
-         "summarization: M << N; summary comparison beats all-pairs; the "
-         "closed forms cover the dense/equal-stride shapes");
+  Banner("SIII-B ablation - interval summaries, frozen sets, closed form",
+         "summarization: M << N; summary comparison beats all-pairs; one "
+         "closed form decides every overlap shape");
 
   // --- Summarization: array-walk traces collapse.
   const uint64_t walk_n = quick ? 100000 : 1000000;
@@ -206,8 +205,8 @@ int main(int argc, char** argv) {
   compare.Print();
   std::printf("\n");
 
-  // --- The race-check hot path (CheckFrozenPair with fast paths), in
-  // enumerated pairs per second.
+  // --- The race-check hot path (CheckFrozenPair), in enumerated pairs per
+  // second.
   itree::MutexSetTable mutexes;
   const int reps = quick ? 3 : 10;
   TextTable hot({"workload", "nodes/side", "pairs/s", "races", "freeze"});
@@ -249,57 +248,39 @@ int main(int argc, char** argv) {
   hot.Print();
   std::printf("\n");
 
-  // --- Closed-form fast paths vs the general engine, per shape class.
-  TextTable fp({"overlap shape", "decisions", "engine", "fast path", "speedup",
-                "closed-form coverage"});
-  double fastpath_coverage_min = 1.0;
-  double fastpath_speedup_dense = 0;
+  // --- Closed-form overlap decisions per second, per shape class. Every
+  // shape is decided exactly by the one closed form; the perf-smoke gate
+  // floors each rate.
+  TextTable fp({"overlap shape", "decisions", "time", "decisions/s",
+                "overlaps"});
   struct Shape {
     const char* name;
+    const char* metric;
     ilp::StridedInterval a, b;
   };
   const Shape shapes[] = {
-      {"dense x dense", {0x1000, 8, 64, 8}, {0x1004, 8, 64, 8}},
-      {"dense x sparse", {0x1000, 8, 64, 8}, {0x1002, 48, 12, 4}},
-      {"equal-stride sparse", {0x1000, 48, 32, 4}, {0x1010, 48, 32, 4}},
+      {"dense x dense", "dense_dense", {0x1000, 8, 64, 8}, {0x1004, 8, 64, 8}},
+      {"dense x sparse", "dense_sparse", {0x1000, 8, 64, 8}, {0x1002, 48, 12, 4}},
+      {"equal-stride sparse", "equal_sparse", {0x1000, 48, 32, 4}, {0x1010, 48, 32, 4}},
+      {"unequal-stride sparse", "unequal_sparse", {0x1000, 48, 32, 4},
+       {0x1010, 40, 32, 4}},
   };
+  std::vector<std::pair<std::string, double>> shape_rates;
   const uint64_t decisions = quick ? 200000 : 1000000;
   for (const Shape& s : shapes) {
-    ilp::OverlapOptions engine_only;
-    engine_only.allow_fastpath = false;
-    uint64_t sink = 0;
-    Timer engine_timer;
+    uint64_t overlaps = 0;
+    Timer timer;
     for (uint64_t i = 0; i < decisions; i++) {
       ilp::StridedInterval a = s.a;
       a.base += (i % 7);  // defeat branch prediction on identical inputs
-      sink += ilp::IntersectBounded(a, s.b, engine_only).verdict ==
-              ilp::OverlapVerdict::kOverlap;
+      overlaps += ilp::Intersect(a, s.b).has_value();
     }
-    const double engine_s = engine_timer.ElapsedSeconds();
-
-    ilp::OverlapOptions with_fast;
-    uint64_t fast_hits = 0, fast_sink = 0;
-    Timer fast_timer;
-    for (uint64_t i = 0; i < decisions; i++) {
-      ilp::StridedInterval a = s.a;
-      a.base += (i % 7);
-      const auto r = ilp::IntersectBounded(a, s.b, with_fast);
-      fast_hits += r.via_fastpath;
-      fast_sink += r.verdict == ilp::OverlapVerdict::kOverlap;
-    }
-    const double fast_s = fast_timer.ElapsedSeconds();
-    if (sink != fast_sink) {
-      std::printf("DISAGREEMENT on %s: %llu vs %llu overlaps\n", s.name,
-                  (unsigned long long)sink, (unsigned long long)fast_sink);
-      return 1;
-    }
-    const double coverage = static_cast<double>(fast_hits) / decisions;
-    fastpath_coverage_min = std::min(fastpath_coverage_min, coverage);
-    const double speedup = engine_s / std::max(fast_s, 1e-9);
-    if (std::string(s.name) == "dense x dense") fastpath_speedup_dense = speedup;
-    fp.AddRow({s.name, std::to_string(decisions), FormatSeconds(engine_s),
-               FormatSeconds(fast_s), FmtX(speedup, 1),
-               std::to_string(static_cast<int>(coverage * 100)) + "%"});
+    const double seconds = timer.ElapsedSeconds();
+    const double rate = static_cast<double>(decisions) / std::max(seconds, 1e-9);
+    shape_rates.emplace_back(s.metric, rate);
+    fp.AddRow({s.name, std::to_string(decisions), FormatSeconds(seconds),
+               std::to_string(static_cast<uint64_t>(rate)),
+               std::to_string(overlaps)});
   }
   fp.Print();
   std::printf("\n");
@@ -308,15 +289,15 @@ int main(int argc, char** argv) {
         "summary comparison >5x faster than all-pairs at 2000+ nodes");
   Check(scattered_nodes > (quick ? 25000u : 100000u),
         "random scatter does not summarize (worst case honest)");
-  Check(fastpath_coverage_min == 1.0,
-        "closed forms fully cover the dense/equal-stride shape classes");
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\"bench\":\"ablation_itree\",\"quick\":" << (quick ? "true" : "false")
-        << ",\"dense_frozen_pairs_per_sec\":" << dense_frozen_pps
-        << ",\"fastpath_speedup_dense\":" << fastpath_speedup_dense
-        << ",\"fastpath_coverage_min\":" << fastpath_coverage_min << "}\n";
+        << ",\"dense_frozen_pairs_per_sec\":" << dense_frozen_pps;
+    for (const auto& [metric, rate] : shape_rates) {
+      out << ",\"decisions_per_sec_" << metric << "\":" << rate;
+    }
+    out << "}\n";
   }
   return 0;
 }

@@ -5,11 +5,9 @@
 // tree generation cannot be efficiently parallelized since it would require
 // the use of locks", and lists faster parallel offline algorithms as future
 // work. This reproduction parallelizes BOTH phases lock-free on a
-// persistent work-stealing checker pool, and decides the dominant overlap
-// shapes with closed-form fast paths (ablatable with --no-fastpath). The
-// bench checks that
-//   1. the race set is invariant under thread count AND under the fastpath
-//      ablation (byte-identical reports);
+// persistent work-stealing checker pool. The bench checks that
+//   1. the race set is invariant under thread count (byte-identical
+//      reports);
 //   2. the slowest-single-bucket time (the distributed MT latency bound)
 //      is much smaller than the single-node total;
 // and reports the default configuration's freeze+compare throughput in
@@ -31,15 +29,14 @@ using namespace sword::bench;
 
 namespace {
 
-using ReportTuple = std::tuple<uint32_t, uint32_t, uint64_t, uint8_t, uint8_t,
-                               bool, bool, uint8_t>;
+using ReportTuple =
+    std::tuple<uint32_t, uint32_t, uint64_t, uint8_t, uint8_t, bool, bool>;
 
 std::vector<ReportTuple> Tuples(const std::vector<RaceReport>& rs) {
   std::vector<ReportTuple> out;
   out.reserve(rs.size());
   for (const RaceReport& r : rs) {
-    out.push_back({r.pc1, r.pc2, r.address, r.size1, r.size2, r.write1,
-                   r.write2, static_cast<uint8_t>(r.confidence)});
+    out.push_back({r.pc1, r.pc2, r.address, r.size1, r.size2, r.write1, r.write2});
   }
   return out;
 }
@@ -55,8 +52,8 @@ int main(int argc, char** argv) {
   const bool quick = args.GetBool("quick");
   const std::string json_path = args.GetString("json", "");
 
-  Banner("offline-analysis parallelization + hot-path ablation",
-         "race set invariant under parallelism and the fastpath ablation; "
+  Banner("offline-analysis parallelization",
+         "race set invariant under parallelism; "
          "per-region max (MT) << single-node total (OA)");
 
   struct Case {
@@ -121,44 +118,35 @@ int main(int argc, char** argv) {
     table.Print();
     std::printf("\n");
 
-    // --- Fastpath ablation at a fixed thread count: identical reports.
-    // One ~1 ms freeze+compare sample is scheduler noise, so the default
-    // arm is timed as the best of reps (its counters and reports are
-    // deterministic across reps); the ablated row runs once.
-    TextTable ablation({std::string(c.name) + " configuration", "freeze+compare",
-                        "pairs/s", "fastpath hits", "solver calls", "races"});
-    auto analyze = [&](bool use_fastpath) {
-      offline::AnalysisConfig config;
-      config.threads = 4;
-      config.use_fastpath = use_fastpath;
-      return offline::Analyze(store.value(), config);
-    };
+    // --- Freeze+compare throughput at a fixed thread count. One ~1 ms
+    // sample is scheduler noise, so it is timed as the best of reps (the
+    // counters and reports are deterministic across reps).
+    TextTable hot({std::string(c.name) + " at 4 threads", "freeze+compare",
+                   "pairs/s", "overlap decisions", "races"});
     const offline::AnalysisResult default_run = BestOfReps(
-        quick ? 5 : 9, [&] { return analyze(true); },
+        quick ? 5 : 9,
+        [&] {
+          offline::AnalysisConfig config;
+          config.threads = 4;
+          return offline::Analyze(store.value(), config);
+        },
         [](const offline::AnalysisResult& r) {
           return FreezeCompareSeconds(r.stats);
         });
-    const offline::AnalysisResult engine_run = analyze(false);
-    for (const auto* result : {&default_run, &engine_run}) {
-      const double seconds = FreezeCompareSeconds(result->stats);
-      const double pps = static_cast<double>(result->stats.node_pairs_ranged) /
-                         std::max(seconds, 1e-9);
-      ablation.AddRow(
-          {result == &default_run ? "default" : "--no-fastpath",
-           FormatSeconds(seconds), std::to_string(static_cast<uint64_t>(pps)),
-           std::to_string(result->stats.fastpath_hits),
-           std::to_string(result->stats.solver_calls),
-           std::to_string(result->races.size())});
-      if (Tuples(result->races.reports()) != reference) invariant = false;
-      if (result == &default_run) default_pps += pps;
-    }
-    ablation.Print();
+    const double seconds = FreezeCompareSeconds(default_run.stats);
+    const double pps = static_cast<double>(default_run.stats.node_pairs_ranged) /
+                       std::max(seconds, 1e-9);
+    hot.AddRow({"default", FormatSeconds(seconds),
+                std::to_string(static_cast<uint64_t>(pps)),
+                std::to_string(default_run.stats.fastpath_hits),
+                std::to_string(default_run.races.size())});
+    if (Tuples(default_run.races.reports()) != reference) invariant = false;
+    default_pps += pps;
+    hot.Print();
     std::printf("\n");
   }
 
-  Check(invariant,
-        "race reports byte-identical under thread count and the fastpath "
-        "ablation");
+  Check(invariant, "race reports byte-identical under thread count");
   Check(mt_much_smaller,
         "slowest single region (MT) well below single-node total (OA) - the "
         "distributed-analysis headroom of Table V");

@@ -1,6 +1,6 @@
 // Figure 4 demonstration: interleaved strided accesses whose summarized
 // intervals OVERLAP AS RANGES but share no byte - a naive range check would
-// report a false race; the exact ILP/Diophantine check stays silent.
+// report a false race; the exact closed-form overlap check stays silent.
 //
 // Two threads update interleaved 4-byte lanes of a packed array (stride 8),
 // a classic SoA/red-black pattern. A third phase introduces one genuine
@@ -65,9 +65,9 @@ int main() {
   auto pc_name = [](uint32_t pc) { return somp::LookupSrcLoc(pc).ToString(); };
 
   std::printf("\noffline analysis: %llu candidate node pairs survived the range "
-              "query,\n%llu went to the exact solver, races reported: %zu\n",
+              "query,\n%llu got an exact overlap decision, races reported: %zu\n",
               (unsigned long long)result.stats.node_pairs_ranged,
-              (unsigned long long)result.stats.solver_calls, result.races.size());
+              (unsigned long long)result.stats.fastpath_hits, result.races.size());
   for (const RaceReport& race : result.races.reports()) {
     std::printf("  %s\n", race.ToString(pc_name).c_str());
   }

@@ -117,12 +117,13 @@ Status FaultFile::Append(const std::string& path, const uint8_t* data,
                          size_t n, size_t* written) {
   uint32_t sleep_usec = 0;
   int raise_signo = 0;
+  uint64_t call = 0;
   {
     // Decide call-numbered faults under the lock, act on them outside it: a
     // raised signal can run a handler (crash drain, sealer) that re-enters
     // this backend, and sleeping here would serialize unrelated lanes.
     std::lock_guard<std::mutex> lock(mu_);
-    const uint64_t call = ++append_calls_;
+    call = ++append_calls_;
     if (slow_count_ > 0 && call >= slow_from_ && call < slow_from_ + slow_count_) {
       sleep_usec = slow_usec_;
       fired_ |= kFaultSlow;
@@ -144,8 +145,11 @@ Status FaultFile::Append(const std::string& path, const uint8_t* data,
     fired_ |= kFaultTransient;
     return Status::Unavailable("injected transient error: " + path);
   }
-  if (storm_count_ > 0 && append_calls_ >= storm_from_ &&
-      append_calls_ < storm_from_ + storm_count_) {
+  // The storm window is tested against this call's own number: a
+  // concurrent append between the two locked sections has already bumped
+  // append_calls_, and reading it here would let both calls skip a
+  // one-call window.
+  if (storm_count_ > 0 && call >= storm_from_ && call < storm_from_ + storm_count_) {
     fired_ |= kFaultEnospcStorm;
     return Status::NoSpace("injected ENOSPC storm: " + path);
   }

@@ -9,18 +9,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 namespace sword {
-
-/// How solid the evidence behind a report is. kProven: the solver exhibited
-/// a concrete shared address. kUnproven: the solver's step budget ran out
-/// before the overlap query was decided, so the pair MAY race - reported
-/// conservatively (sound: a potential race is surfaced, never silently
-/// dropped) and tagged so consumers can triage it separately.
-enum class RaceConfidence : uint8_t { kProven = 0, kUnproven = 1 };
 
 struct RaceReport {
   uint32_t pc1 = 0;        // interned source location of the first access
@@ -30,7 +23,6 @@ struct RaceReport {
   uint8_t size2 = 0;
   bool write1 = false;
   bool write2 = false;
-  RaceConfidence confidence = RaceConfidence::kProven;
 
   /// Order-insensitive dedup key over the code pair.
   uint64_t Key() const {
@@ -52,50 +44,22 @@ struct RaceReport {
     std::snprintf(buf, sizeof(buf), "%llx", static_cast<unsigned long long>(address));
     out += buf;
     out += ")";
-    if (confidence == RaceConfidence::kUnproven) {
-      out += " [unproven: solver budget exhausted]";
-    }
     return out;
   }
 };
 
-/// Dedup accumulator: keeps the first report for each code pair. A proven
-/// report upgrades an earlier unproven one for the same pair in place (same
-/// position in the report list), so a pair first seen as a solver bail-out
-/// and later decided exactly ends up with the concrete witness.
+/// Dedup accumulator: keeps the first report for each code pair.
 class RaceReportSet {
  public:
-  enum class AddOutcome : uint8_t { kNew, kUpgraded, kDuplicate };
-
-  AddOutcome AddReport(const RaceReport& report) {
-    const auto [it, inserted] = keys_.try_emplace(report.Key(), reports_.size());
-    if (inserted) {
-      reports_.push_back(report);
-      return AddOutcome::kNew;
-    }
-    RaceReport& existing = reports_[it->second];
-    if (existing.confidence == RaceConfidence::kUnproven &&
-        report.confidence == RaceConfidence::kProven) {
-      existing = report;
-      return AddOutcome::kUpgraded;
-    }
-    return AddOutcome::kDuplicate;
-  }
-
   /// Returns true if this is a new code pair.
   bool Add(const RaceReport& report) {
-    return AddReport(report) == AddOutcome::kNew;
+    if (!keys_.insert(report.Key()).second) return false;
+    reports_.push_back(report);
+    return true;
   }
 
   const std::vector<RaceReport>& reports() const { return reports_; }
   size_t size() const { return reports_.size(); }
-  size_t unproven_count() const {
-    size_t n = 0;
-    for (const RaceReport& r : reports_) {
-      if (r.confidence == RaceConfidence::kUnproven) n++;
-    }
-    return n;
-  }
   bool Contains(uint32_t pc1, uint32_t pc2) const {
     RaceReport probe;
     probe.pc1 = pc1;
@@ -109,7 +73,7 @@ class RaceReportSet {
   }
 
  private:
-  std::map<uint64_t, size_t> keys_;  // dedup key -> index into reports_
+  std::set<uint64_t> keys_;  // dedup keys of reports_
   std::vector<RaceReport> reports_;
 };
 

@@ -180,7 +180,6 @@ RunResult RunWorkload(const workloads::Workload& workload, const RunConfig& conf
           return result;
         }
         offline::AnalysisConfig ac;
-        ac.engine = config.engine;
         ac.threads = config.offline_threads;
         ac.use_dedup = config.dedup_offline;
         if (config.journal_offline) {

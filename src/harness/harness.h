@@ -44,7 +44,6 @@ struct RunConfig {
   uint8_t trace_format = trace::kTraceFormatV3;
   bool run_offline = true;             // run the offline analysis afterwards
   uint32_t offline_threads = 1;
-  ilp::OverlapEngine engine = ilp::OverlapEngine::kDiophantine;
   bool journal_offline = false;        // checkpoint each analysis bucket
   bool dedup_offline = true;           // repeated-subtrace memoization
   std::string trace_dir;               // empty = fresh temp dir per run

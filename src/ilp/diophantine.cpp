@@ -52,17 +52,14 @@ ExtGcdResult ExtGcd(int64_t a, int64_t b) {
 
 std::optional<DioSolution> SolveBoundedDiophantine(int64_t A, int64_t B, int64_t C,
                                                    int64_t lo_x, int64_t hi_x,
-                                                   int64_t lo_y, int64_t hi_y,
-                                                   DioStats* stats) {
+                                                   int64_t lo_y, int64_t hi_y) {
   const ExtGcdResult e = (A != 0 && B != 0) ? ExtGcd(A, B) : ExtGcdResult{0, 0, 0};
-  return SolveBoundedDiophantineHoisted(A, B, C, e, lo_x, hi_x, lo_y, hi_y,
-                                        stats);
+  return SolveBoundedDiophantineHoisted(A, B, C, e, lo_x, hi_x, lo_y, hi_y);
 }
 
 std::optional<DioSolution> SolveBoundedDiophantineHoisted(
     int64_t A, int64_t B, int64_t C, const ExtGcdResult& e, int64_t lo_x,
-    int64_t hi_x, int64_t lo_y, int64_t hi_y, DioStats* stats) {
-  if (stats) stats->steps++;
+    int64_t hi_x, int64_t lo_y, int64_t hi_y) {
   if (lo_x > hi_x || lo_y > hi_y) return std::nullopt;
 
   // Degenerate axes reduce to one-variable divisibility checks.
@@ -83,7 +80,6 @@ std::optional<DioSolution> SolveBoundedDiophantineHoisted(
     return DioSolution{x, lo_y};
   }
 
-  if (stats) stats->steps++;  // the gcd + particular-solution stage
   if (C % e.g != 0) return std::nullopt;
 
   // Particular solution, then the general family

@@ -6,9 +6,7 @@
 // which, for each candidate byte offset, reduces to a two-variable bounded
 // linear Diophantine equation  A*x + B*y = C.  This module decides those
 // exactly with the extended Euclidean algorithm - no search, no floating
-// point - and is the default engine behind ilp/overlap.h. The branch&bound
-// ILP in ilp2.h is the alternative engine (closer to what GLPK does) used to
-// cross-check.
+// point - and is the solver behind the closed form in ilp/overlap.h.
 #pragma once
 
 #include <cstdint>
@@ -31,29 +29,20 @@ struct DioSolution {
   int64_t y;
 };
 
-/// Work accounting for budgeted callers (ilp/overlap.h): the solve is closed
-/// form, so steps count its constant-cost stages (entry, gcd + bound
-/// intersection), giving the overlap engine a concrete unit to charge its
-/// step budget against - one unit is roughly one equation considered.
-struct DioStats {
-  uint64_t steps = 0;
-};
-
 /// Finds any integer solution of A*x + B*y == C with lo_x<=x<=hi_x and
 /// lo_y<=y<=hi_y, or nullopt if none exists. Exact for all inputs whose
 /// intermediate products fit in 128 bits (true for any address arithmetic).
 std::optional<DioSolution> SolveBoundedDiophantine(int64_t A, int64_t B, int64_t C,
                                                    int64_t lo_x, int64_t hi_x,
-                                                   int64_t lo_y, int64_t hi_y,
-                                                   DioStats* stats = nullptr);
+                                                   int64_t lo_y, int64_t hi_y);
 
-/// Same contract, same solution selection, and same step accounting as
-/// SolveBoundedDiophantine, but with ExtGcd(A, B) precomputed by the caller.
-/// The closed-form overlap fast paths (ilp/overlap.h) solve a family of
-/// equations that differ only in C, so they hoist the gcd out of the loop.
+/// Same contract and same solution selection as SolveBoundedDiophantine, but
+/// with ExtGcd(A, B) precomputed by the caller. The closed-form overlap
+/// decision (ilp/overlap.h) solves a family of equations that differ only in
+/// C, so it hoists the gcd out of the loop.
 /// `e` is only read when A != 0 and B != 0; the degenerate axes never need it.
 std::optional<DioSolution> SolveBoundedDiophantineHoisted(
     int64_t A, int64_t B, int64_t C, const ExtGcdResult& e, int64_t lo_x,
-    int64_t hi_x, int64_t lo_y, int64_t hi_y, DioStats* stats = nullptr);
+    int64_t hi_x, int64_t lo_y, int64_t hi_y);
 
 }  // namespace sword::ilp

@@ -1,161 +1,21 @@
 #include "ilp/overlap.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "ilp/diophantine.h"
-#include "ilp/ilp2.h"
 
 namespace sword::ilp {
-namespace {
 
-OverlapResult IntersectDiophantine(const StridedInterval& a,
-                                   const StridedInterval& b,
-                                   const OverlapBudget& budget) {
-  OverlapResult result;
-  // Dense intervals (stride <= size) cover their whole [lo,hi] range;
-  // a range check is then exact and cheap.
-  const bool a_dense = a.count == 1 || a.stride <= a.size;
-  const bool b_dense = b.count == 1 || b.stride <= b.size;
-
-  const int64_t A = static_cast<int64_t>(a.stride);
-  const int64_t B = static_cast<int64_t>(b.stride);
-  const int64_t base_diff =
-      static_cast<int64_t>(b.base) - static_cast<int64_t>(a.base);
-
-  if (a_dense && b_dense) {
-    result.steps = 1;
-    if (!RangesTouch(a, b)) return result;  // kDisjoint
-    // Find a concrete witness address in the range intersection.
-    const uint64_t addr = std::max(a.lo(), b.lo());
-    auto index_of = [](const StridedInterval& iv, uint64_t ad) -> uint64_t {
-      if (iv.count == 1 || iv.stride == 0) return 0;
-      uint64_t x = (ad - iv.base) / iv.stride;
-      if (x >= iv.count) x = iv.count - 1;
-      return x;
-    };
-    result.verdict = OverlapVerdict::kOverlap;
-    result.witness = OverlapWitness{index_of(a, addr), index_of(b, addr), addr};
-    return result;
-  }
-
-  // General case: a.base + A*x0 + s0 == b.base + B*x1 + s1
-  //   =>  A*x0 - B*x1 == base_diff + (s1 - s0) == base_diff + d
-  // for some d in (-z0, z1). Solve one bounded Diophantine per d, charging
-  // each equation's work against the budget. Exhaustion mid-enumeration
-  // means the remaining offsets were never ruled out: kUnknown, not
-  // kDisjoint.
-  const int64_t z0 = a.size, z1 = b.size;
-  for (int64_t d = -(z0 - 1); d <= z1 - 1; d++) {
-    if (budget.max_steps > 0 && result.steps >= budget.max_steps) {
-      result.verdict = OverlapVerdict::kUnknown;
-      return result;
-    }
-    DioStats dio;
-    const auto sol = SolveBoundedDiophantine(
-        A, -B, base_diff + d, 0, static_cast<int64_t>(a.count) - 1, 0,
-        static_cast<int64_t>(b.count) - 1, &dio);
-    result.steps += dio.steps;
-    if (sol) {
-      // Shared address: a.base + A*x + s0 where s0 - s1 = -d; pick s0 so that
-      // both offsets are in range: s0 in [max(0,-d), min(z0-1, z1-1-d)].
-      const int64_t s0 = std::max<int64_t>(0, -d);
-      const uint64_t addr = a.base + a.stride * static_cast<uint64_t>(sol->x) +
-                            static_cast<uint64_t>(s0);
-      result.verdict = OverlapVerdict::kOverlap;
-      result.witness = OverlapWitness{static_cast<uint64_t>(sol->x),
-                                      static_cast<uint64_t>(sol->y), addr};
-      return result;
-    }
-  }
-  return result;  // every offset ruled out: kDisjoint
-}
-
-OverlapResult IntersectIlp(const StridedInterval& a, const StridedInterval& b,
-                           const OverlapBudget& budget) {
-  OverlapResult result;
-  // Mirror the paper's formulation as an inequality system per (s0, s1) pair:
-  //   A*x0 - B*x1 == base_diff + s1 - s0
-  // encoded as <= and >= halves. Access sizes are tiny (<= 16 bytes), so the
-  // (s0, s1) enumeration is bounded by 256 small ILP solves, each charged
-  // against the shared step budget by branch-and-bound nodes explored.
-  const int64_t A = static_cast<int64_t>(a.stride);
-  const int64_t B = static_cast<int64_t>(b.stride);
-  const int64_t base_diff =
-      static_cast<int64_t>(b.base) - static_cast<int64_t>(a.base);
-
-  // A subproblem cut off by the budget (or the solver's depth backstop)
-  // leaves its offset pair undecided; if no later pair proves overlap, the
-  // honest answer is kUnknown.
-  bool undecided = false;
-  for (int64_t s0 = 0; s0 < a.size; s0++) {
-    for (int64_t s1 = 0; s1 < b.size; s1++) {
-      if (budget.max_steps > 0 && result.steps >= budget.max_steps) {
-        result.verdict = OverlapVerdict::kUnknown;
-        return result;
-      }
-      const int64_t C = base_diff + s1 - s0;
-      Ilp2Problem prob;
-      prob.lo_x = 0;
-      prob.hi_x = static_cast<int64_t>(a.count) - 1;
-      prob.lo_y = 0;
-      prob.hi_y = static_cast<int64_t>(b.count) - 1;
-      prob.constraints.push_back({A, -B, C});    //  A*x - B*y <= C
-      prob.constraints.push_back({-A, B, -C});   //  A*x - B*y >= C
-      Ilp2Limits limits;
-      if (budget.max_steps > 0) {
-        limits.max_nodes = static_cast<int64_t>(budget.max_steps - result.steps);
-      }
-      Ilp2Stats stats;
-      const Ilp2Result sol = SolveIlp2Bounded(prob, limits, &stats);
-      result.steps += static_cast<uint64_t>(stats.nodes_explored);
-      if (sol.outcome == Ilp2Outcome::kFeasible) {
-        const uint64_t addr = a.base +
-                              a.stride * static_cast<uint64_t>(sol.point.x) +
-                              static_cast<uint64_t>(s0);
-        result.verdict = OverlapVerdict::kOverlap;
-        result.witness = OverlapWitness{static_cast<uint64_t>(sol.point.x),
-                                        static_cast<uint64_t>(sol.point.y), addr};
-        return result;
-      }
-      if (sol.outcome == Ilp2Outcome::kBudgetExhausted) undecided = true;
-    }
-  }
-  if (undecided) result.verdict = OverlapVerdict::kUnknown;
-  return result;
-}
-
-}  // namespace
-
-OverlapResult IntersectBounded(const StridedInterval& a, const StridedInterval& b,
-                               OverlapEngine engine, const OverlapBudget& budget) {
-  if (!RangesTouch(a, b)) return {};  // kDisjoint, exact and free
-  if (engine == OverlapEngine::kIlp) return IntersectIlp(a, b, budget);
-  return IntersectDiophantine(a, b, budget);
-}
-
-OverlapResult IntersectBounded(const StridedInterval& a, const StridedInterval& b,
-                               const OverlapOptions& options) {
-  if (!RangesTouch(a, b)) return {};  // kDisjoint, exact and free
-  if (options.allow_fastpath) {
-    if (const auto fast = IntersectClosedForm(a, b)) return *fast;
-  }
-  if (options.engine == OverlapEngine::kIlp) return IntersectIlp(a, b, options.budget);
-  return IntersectDiophantine(a, b, options.budget);
-}
-
-std::optional<OverlapResult> IntersectClosedForm(const StridedInterval& a,
-                                                 const StridedInterval& b) {
+std::optional<OverlapWitness> Intersect(const StridedInterval& a,
+                                        const StridedInterval& b) {
+  if (!RangesTouch(a, b)) return std::nullopt;
   const bool a_dense = a.count == 1 || a.stride <= a.size;
   const bool b_dense = b.count == 1 || b.stride <= b.size;
 
   if (a_dense && b_dense) {
     // Dense x dense (covers singleton x singleton): the intervals equal
-    // their byte ranges, so the range check is the whole decision. Same
-    // code as the kDiophantine dense branch, including witness selection.
-    OverlapResult result;
-    result.via_fastpath = true;
-    result.steps = 1;
-    if (!RangesTouch(a, b)) return result;  // kDisjoint
+    // their byte ranges, so the range check above is the whole decision.
     const uint64_t addr = std::max(a.lo(), b.lo());
     auto index_of = [](const StridedInterval& iv, uint64_t ad) -> uint64_t {
       if (iv.count == 1 || iv.stride == 0) return 0;
@@ -163,26 +23,16 @@ std::optional<OverlapResult> IntersectClosedForm(const StridedInterval& a,
       if (x >= iv.count) x = iv.count - 1;
       return x;
     };
-    result.verdict = OverlapVerdict::kOverlap;
-    result.witness = OverlapWitness{index_of(a, addr), index_of(b, addr), addr};
-    return result;
+    return OverlapWitness{index_of(a, addr), index_of(b, addr), addr};
   }
 
-  // Congruence walk, covering dense x sparse and equal-stride sparse pairs.
-  // The general engine tries every byte-offset difference d in the window
-  // (-z0, z1) and lets the solver reject the ones where base_diff + d is not
-  // divisible by g = gcd(stride_a, stride_b); here we enumerate only the
-  // divisible d (stepping by g) with the gcd hoisted, so an equal-stride-8
-  // pair solves at most 2 equations instead of 15. Candidate order is the
-  // engine's order restricted to solvable d, and each candidate runs the
-  // identical solver, so the first hit - and therefore the witness - matches
-  // the engine exactly.
-  if (!(a_dense != b_dense || a.stride == b.stride)) {
-    return std::nullopt;  // sparse x sparse, unequal strides: general engine
-  }
-
-  OverlapResult result;
-  result.via_fastpath = true;
+  // Congruence walk. A shared byte means
+  //   a.base + A*x0 + s0 == b.base + B*x1 + s1
+  //   =>  A*x0 - B*x1 == base_diff + d,   d = s1 - s0 in (-z0, z1).
+  // That equation has integer solutions only when g = gcd(A, B) divides
+  // base_diff + d, so only every g-th d is solved, with the gcd hoisted out
+  // of the loop. Candidates are tried in increasing d and the first bounded
+  // solution is the witness.
   const int64_t A = static_cast<int64_t>(a.stride);
   const int64_t B = static_cast<int64_t>(b.stride);
   const int64_t base_diff =
@@ -190,10 +40,9 @@ std::optional<OverlapResult> IntersectClosedForm(const StridedInterval& a,
   const int64_t z0 = a.size, z1 = b.size;
   const int64_t d_min = -(z0 - 1), d_max = z1 - 1;
 
-  // The sparse side of the gate has stride > size >= 1, so A and B are never
-  // both zero and g > 0. The degenerate one-zero-stride cases reduce to
-  // divisibility by the non-zero stride, matching the solver's A==0 / B==0
-  // branches.
+  // At least one side is sparse (stride > size >= 1), so A and B are never
+  // both zero and g > 0. The one-zero-stride cases reduce to divisibility by
+  // the non-zero stride, matching the solver's A==0 / B==0 branches.
   const ExtGcdResult e =
       (A != 0 && B != 0) ? ExtGcd(A, -B) : ExtGcdResult{0, 0, 0};
   const int64_t g = A == 0 ? std::abs(B) : (B == 0 ? std::abs(A) : e.g);
@@ -201,29 +50,20 @@ std::optional<OverlapResult> IntersectClosedForm(const StridedInterval& a,
   // Smallest d >= d_min with (base_diff + d) divisible by g.
   const int64_t rem = ((base_diff + d_min) % g + g) % g;
   for (int64_t d = d_min + (rem == 0 ? 0 : g - rem); d <= d_max; d += g) {
-    result.steps++;
     const auto sol = SolveBoundedDiophantineHoisted(
         A, -B, base_diff + d, e, 0, static_cast<int64_t>(a.count) - 1, 0,
         static_cast<int64_t>(b.count) - 1);
     if (sol) {
+      // Shared address: a.base + A*x + s0 where s0 - s1 = -d; the smallest
+      // s0 that keeps both offsets in range is max(0, -d).
       const int64_t s0 = std::max<int64_t>(0, -d);
       const uint64_t addr = a.base + a.stride * static_cast<uint64_t>(sol->x) +
                             static_cast<uint64_t>(s0);
-      result.verdict = OverlapVerdict::kOverlap;
-      result.witness = OverlapWitness{static_cast<uint64_t>(sol->x),
-                                      static_cast<uint64_t>(sol->y), addr};
-      return result;
+      return OverlapWitness{static_cast<uint64_t>(sol->x),
+                            static_cast<uint64_t>(sol->y), addr};
     }
   }
-  return result;  // every solvable offset ruled out: kDisjoint
-}
-
-std::optional<OverlapWitness> Intersect(const StridedInterval& a,
-                                        const StridedInterval& b,
-                                        OverlapEngine engine) {
-  const OverlapResult r = IntersectBounded(a, b, engine, {});
-  if (r.verdict == OverlapVerdict::kOverlap) return r.witness;
-  return std::nullopt;
+  return std::nullopt;  // every solvable offset ruled out: disjoint
 }
 
 }  // namespace sword::ilp

@@ -9,14 +9,12 @@
 // A plain [lo,hi] range check is necessary but NOT sufficient - interleaved
 // strided accesses (Fig. 4) overlap as ranges while touching disjoint bytes.
 //
-// Two exact engines decide the constraint:
-//   kDiophantine - closed form: for each byte-offset difference d = s1 - s0
-//                  (|d| < max(z0,z1), at most z0+z1-1 values) solve the
-//                  bounded Diophantine equation delta0*x0 - delta1*x1 = b1-b0+d.
-//   kIlp         - branch & bound ILP on the equivalent inequality system,
-//                  mirroring the paper's GLPK formulation.
-// Both return identical answers (property-tested); kDiophantine is the
-// default because it is allocation-free and O(z) per query.
+// The paper hands the constraint to GLPK. Intersect decides it in closed
+// form instead, exactly and for every shape: a range check when both
+// intervals are dense, otherwise one bounded Diophantine solve per byte-offset
+// difference that the stride gcd divides (at most z0+z1-1 solves of
+// O(log stride) each). tests/oracle keeps the per-offset Diophantine engine
+// and a branch & bound ILP (the GLPK stand-in) as reference deciders.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +35,6 @@ struct StridedInterval {
   uint64_t hi() const { return base + stride * (count - 1) + size - 1; }
 };
 
-enum class OverlapEngine { kDiophantine, kIlp };
-
 /// A witness conflict: element indices and the shared byte address.
 struct OverlapWitness {
   uint64_t x0 = 0;
@@ -46,70 +42,10 @@ struct OverlapWitness {
   uint64_t address = 0;
 };
 
-/// Per-query work cap. The analyzer's resource governor sets this so one
-/// pathological node pair cannot stall a production analysis; 0 = unlimited.
-/// A "step" is one solver stage: one Diophantine equation considered, or one
-/// branch-and-bound node.
-struct OverlapBudget {
-  uint64_t max_steps = 0;
-};
-
-/// kUnknown: the step budget ran out before the query could be decided.
-/// SOUNDNESS CONTRACT: kDisjoint is only ever returned for a fully decided
-/// query - a budget bail-out degrades to kUnknown ("may overlap"), so a
-/// potential race is surfaced (as unproven), never silently dropped.
-enum class OverlapVerdict : uint8_t { kDisjoint, kOverlap, kUnknown };
-
-struct OverlapResult {
-  OverlapVerdict verdict = OverlapVerdict::kDisjoint;
-  OverlapWitness witness;  // valid iff verdict == kOverlap
-  uint64_t steps = 0;      // solver work actually spent
-  bool via_fastpath = false;  // decided by a closed-form fast path, no engine
-};
-
-/// Budgeted form of Intersect: decides whether the two intervals share any
-/// byte address within `budget.max_steps` of solver work. This legacy
-/// overload never takes a closed-form fast path - it is the pure-engine
-/// baseline that budget tests and the fast-path property tests compare
-/// against.
-OverlapResult IntersectBounded(const StridedInterval& a, const StridedInterval& b,
-                               OverlapEngine engine, const OverlapBudget& budget);
-
-/// Knobs for the options overload of IntersectBounded.
-struct OverlapOptions {
-  OverlapEngine engine = OverlapEngine::kDiophantine;
-  OverlapBudget budget;
-  /// Try IntersectClosedForm before the general engine. The fast paths are
-  /// exact and budget-free; uncovered shapes fall through to `engine` under
-  /// `budget` as before.
-  bool allow_fastpath = true;
-};
-
-/// IntersectBounded with an optional closed-form fast-path stage in front of
-/// the general engine. With allow_fastpath == false this is exactly the
-/// legacy overload.
-OverlapResult IntersectBounded(const StridedInterval& a, const StridedInterval& b,
-                               const OverlapOptions& options);
-
-/// Closed-form fast paths for the access shapes that dominate real traces:
-///   - singleton x singleton and dense x dense (stride <= size: the interval
-///     covers its whole [lo,hi] range, so a range check is exact),
-///   - dense x anything and equal-stride sparse x sparse (a congruence walk
-///     that solves only the byte-offset differences divisible by the stride
-///     gcd, with the gcd hoisted out of the loop).
-/// Returns nullopt for shapes it does not cover (sparse x sparse with
-/// unequal strides) - the caller falls back to the general engine. When it
-/// does answer, the verdict AND the witness are identical to what the
-/// kDiophantine engine would produce for the same pair (property-tested);
-/// kUnknown is never returned.
-std::optional<OverlapResult> IntersectClosedForm(const StridedInterval& a,
-                                                 const StridedInterval& b);
-
 /// Decides whether the two intervals share any byte address; if so, returns
-/// a witness. Exact for all inputs (unlimited budget).
+/// a witness. Exact for all inputs, with no search and no budget.
 std::optional<OverlapWitness> Intersect(const StridedInterval& a,
-                                        const StridedInterval& b,
-                                        OverlapEngine engine = OverlapEngine::kDiophantine);
+                                        const StridedInterval& b);
 
 /// Cheap necessary condition used to pre-filter tree queries.
 inline bool RangesTouch(const StridedInterval& a, const StridedInterval& b) {

@@ -77,8 +77,7 @@ std::tuple<uint64_t, uint64_t, uint64_t> ReportIdentity(const RaceReport& r) {
   return std::make_tuple(
       (static_cast<uint64_t>(r.pc1) << 32) | r.pc2, r.address,
       (static_cast<uint64_t>(r.size1) << 24) | (static_cast<uint64_t>(r.size2) << 16) |
-          (static_cast<uint64_t>(r.write1) << 2) | (static_cast<uint64_t>(r.write2) << 1) |
-          static_cast<uint64_t>(r.confidence));
+          (static_cast<uint64_t>(r.write1) << 1) | static_cast<uint64_t>(r.write2));
 }
 
 /// The per-bucket wall-clock governor. One background thread sleeps until
@@ -156,12 +155,10 @@ void ApplyBucketRecord(const JournalBucketRecord& rec, AnalysisStats& stats) {
   stats.label_pairs_checked += rec.label_pairs_checked;
   stats.concurrent_pairs += rec.concurrent_pairs;
   stats.node_pairs_ranged += rec.node_pairs_ranged;
-  stats.solver_calls += rec.solver_calls;
   stats.fastpath_hits += rec.fastpath_hits;
   stats.dedup_hits += rec.dedup_hits;
   stats.dedup_bytes_saved += rec.dedup_bytes_saved;
   stats.duplicates_suppressed += rec.duplicates_suppressed;
-  stats.solver_bailouts += rec.solver_bailouts;
   stats.segments_skipped += rec.segments_skipped;
   stats.events_missing += rec.events_missing;
   stats.bytes_skipped_read += rec.bytes_skipped_read;
@@ -273,11 +270,8 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
   JournalHeader journal_header;
   journal_header.shard_index = config.shard_index;
   journal_header.shard_count = config.shard_count;
-  journal_header.engine = static_cast<uint8_t>(config.engine);
-  journal_header.use_fastpath = config.use_fastpath ? 1 : 0;
   journal_header.use_dedup = config.use_dedup ? 1 : 0;
   journal_header.salvage = salvage ? 1 : 0;
-  journal_header.solver_step_budget = config.solver_step_budget;
   journal_header.bucket_deadline_ms = config.bucket_deadline_ms;
   journal_header.max_tree_bytes = config.max_tree_bytes;
   journal_header.thread_count = static_cast<uint32_t>(store.thread_count());
@@ -394,13 +388,13 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
     buckets_attempted++;
 
     // Resume fast path: a bucket whose record survived in the journal is
-    // replayed, not re-analyzed. Its races go through the SAME AddReport
+    // replayed, not re-analyzed. Its races go through the SAME Add
     // sequence (record order == the clean run's deterministic merge order)
     // and its stats through the same ApplyBucketRecord fold, so the final
     // report is bit-identical to an uninterrupted run.
     if (const auto it = replay.find(bucket_ordinal); it != replay.end()) {
       for (const RaceReport& race : it->second.races) {
-        result.races.AddReport(race);
+        result.races.Add(race);
       }
       ApplyBucketRecord(it->second, result.stats);
       result.stats.buckets_resumed++;
@@ -637,9 +631,7 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
       }
 
       CheckLimits limits;
-      limits.solver_step_budget = config.solver_step_budget;
       limits.cancel = watchdog ? &watchdog->breach() : nullptr;
-      limits.use_fastpath = config.use_fastpath;
       // Each pair collects its races privately; the merge below walks pairs
       // in index order, so the global report set's content and order do not
       // depend on the checker thread count or schedule. The journal (and
@@ -650,7 +642,7 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
       // pair was already scheduled this bucket would re-derive the leader
       // pair's exact race list (identical streams, content-addressed mutex
       // ids, deterministic checker), so it skips the check and copies the
-      // leader's results after the parallel phase - by reference, no solver
+      // leader's results after the parallel phase - by reference, no overlap
       // work. Ordered because CheckPair(a, b) and CheckPair(b, a) may swap
       // pc1/pc2 in the reports. Computed sequentially: who memoizes whom
       // never depends on the checker schedule.
@@ -673,8 +665,8 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
           pair_races[k].push_back(report);
         };
         CheckFrozenPair(*concurrent[k].first->frozen_view,
-                        *concurrent[k].second->frozen_view, mutexes,
-                        config.engine, on_race, stats, limits);
+                        *concurrent[k].second->frozen_view, mutexes, on_race,
+                        stats, limits);
       };
 
       // Tiny buckets run on the caller: waking the pool for a handful of
@@ -685,9 +677,7 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
         CheckStats stats;
         for (size_t k = 0; k < concurrent.size(); k++) check_pair(k, &stats);
         bucket_stats.node_pairs_ranged += stats.node_pairs_ranged;
-        bucket_stats.solver_calls += stats.solver_calls;
         bucket_stats.fastpath_hits += stats.fastpath_hits;
-        bucket_stats.solver_bailouts += stats.solver_bailouts;
         bucket_stats.duplicates_suppressed += stats.duplicates_suppressed;
       } else {
         // Pair blocks a few pairs wide: coarse enough to amortize the deque
@@ -701,9 +691,7 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
         });
         for (const auto& s : stats) {
           bucket_stats.node_pairs_ranged += s.node_pairs_ranged;
-          bucket_stats.solver_calls += s.solver_calls;
           bucket_stats.fastpath_hits += s.fastpath_hits;
-          bucket_stats.solver_bailouts += s.solver_bailouts;
           bucket_stats.duplicates_suppressed += s.duplicates_suppressed;
         }
       }
@@ -721,9 +709,8 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
       // (the checkers emit each pair's reports in one canonical sorted
       // order). Reports identical to one already merged in this bucket are
       // dropped here - they cannot change the global set - and counted.
-      // Only reports that changed the global set (new race or
-      // unproven->proven upgrade) enter the journal record - replaying them
-      // reproduces the set.
+      // Only reports that changed the global set (a new code pair) enter the
+      // journal record - replaying them reproduces the set.
       std::set<std::tuple<uint64_t, uint64_t, uint64_t>> bucket_seen;
       for (const auto& races : pair_races) {
         for (const RaceReport& report : races) {
@@ -731,10 +718,7 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
             bucket_stats.duplicates_suppressed++;
             continue;
           }
-          if (result.races.AddReport(report) !=
-              RaceReportSet::AddOutcome::kDuplicate) {
-            rec.races.push_back(report);
-          }
+          if (result.races.Add(report)) rec.races.push_back(report);
         }
       }
       result.stats.compare_seconds += compare_timer.ElapsedSeconds();
@@ -765,12 +749,10 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
     rec.label_pairs_checked = bucket_stats.label_pairs_checked;
     rec.concurrent_pairs = bucket_stats.concurrent_pairs;
     rec.node_pairs_ranged = bucket_stats.node_pairs_ranged;
-    rec.solver_calls = bucket_stats.solver_calls;
     rec.fastpath_hits = bucket_stats.fastpath_hits;
     rec.dedup_hits = bucket_stats.dedup_hits;
     rec.dedup_bytes_saved = bucket_stats.dedup_bytes_saved;
     rec.duplicates_suppressed = bucket_stats.duplicates_suppressed;
-    rec.solver_bailouts = bucket_stats.solver_bailouts;
     rec.segments_skipped = bucket_stats.segments_skipped;
     rec.events_missing = bucket_stats.events_missing;
     rec.bytes_skipped_read = bucket_stats.bytes_skipped_read;
@@ -793,7 +775,6 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
     result.stats.journal_bytes = journal->bytes_appended();
     result.stats.journal_write_failures = journal->write_failures();
   }
-  result.stats.races_unproven = result.races.unproven_count();
 
   // Salvage policy: partial damage is reported through the stats while the
   // status stays Ok - but an analysis where EVERY attempted bucket failed

@@ -14,7 +14,7 @@
 //      tree, built by sorted append instead of balanced insertion;
 //   4. for every CONCURRENT label pair (OSL judgment - no happens-before,
 //      hence no Fig. 1 masking), compare the two frozen sets (sweep or
-//      gallop) with the exact ILP-backed overlap check;
+//      gallop) with the exact closed-form overlap check;
 //   5. deduplicate races by source-location pair.
 //
 // Buckets are processed one at a time so resident memory is bounded by the
@@ -32,20 +32,14 @@
 #include "common/memtrack.h"
 #include "common/race_report.h"
 #include "common/status.h"
-#include "ilp/overlap.h"
 #include "offline/checker_pool.h"
 #include "offline/tracestore.h"
 
 namespace sword::offline {
 
 struct AnalysisConfig {
-  ilp::OverlapEngine engine = ilp::OverlapEngine::kDiophantine;
   uint32_t threads = 1;  // checker threads for summary-pair comparisons
 
-  /// Decide the dominant access shapes with the closed-form fast paths and
-  /// keep the general engine for the rest. Off = every surviving pair goes
-  /// to the engine (--no-fastpath); output is byte-identical either way.
-  bool use_fastpath = true;
   /// Share one frozen set among same-bucket groups whose canonical decoded
   /// event streams are identical (fingerprint match), and replay pair
   /// verdicts for already-checked fingerprint pairs by reference. Off =
@@ -73,10 +67,6 @@ struct AnalysisConfig {
   /// Cap on one bucket's summarized interval-tree footprint. On breach the
   /// bucket is abandoned mid-build and counted in `buckets_memory_capped`.
   uint64_t max_tree_bytes = 0;
-  /// Per-overlap-query solver step budget; an exhausted query reports the
-  /// node pair as an UNPROVEN race (RaceConfidence::kUnproven) - sound,
-  /// never a silent drop. 0 = unlimited.
-  uint64_t solver_step_budget = 0;
 
   // --- Checkpoint/resume (see offline/journal.h).
   /// When non-empty, append a progress record to this journal after every
@@ -98,8 +88,8 @@ struct AnalysisStats {
   uint64_t label_pairs_checked = 0;  // OSL concurrency judgments
   uint64_t concurrent_pairs = 0;     // pairs that proceeded to tree compare
   uint64_t node_pairs_ranged = 0;
-  uint64_t solver_calls = 0;    // general-engine intersection decisions
-  uint64_t fastpath_hits = 0;   // closed-form intersection decisions
+  uint64_t fastpath_hits = 0;   // exact (closed-form) intersection decisions
+  uint64_t solver_calls = 0;    // always 0; read only by e2ebench/bench.cpp
   /// Repeated-subtrace memoization (use_dedup): groups that reused another
   /// group's frozen set because their canonical event streams fingerprinted
   /// identically, and the summarized-node bytes that sharing avoided.
@@ -128,8 +118,6 @@ struct AnalysisStats {
   // section, while the process exits normally.
   uint64_t buckets_deadline_exceeded = 0;  // aborted by the wall-clock watchdog
   uint64_t buckets_memory_capped = 0;      // abandoned at the tree-byte cap
-  uint64_t solver_bailouts = 0;   // overlap queries whose step budget ran out
-  uint64_t races_unproven = 0;    // final reports tagged kUnproven
 
   // Checkpoint/resume accounting (see offline/journal.h).
   uint64_t buckets_resumed = 0;          // replayed from the journal

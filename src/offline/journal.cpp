@@ -43,11 +43,8 @@ void SerializeHeader(const JournalHeader& h, Bytes* out) {
   w.PutU8(kJournalVersion);
   w.PutU32(h.shard_index);
   w.PutU32(h.shard_count);
-  w.PutU8(h.engine);
-  w.PutU8(h.use_fastpath);
   w.PutU8(h.use_dedup);
   w.PutU8(h.salvage);
-  w.PutVarU64(h.solver_step_budget);
   w.PutVarU64(h.bucket_deadline_ms);
   w.PutVarU64(h.max_tree_bytes);
   w.PutU32(h.thread_count);
@@ -64,11 +61,8 @@ Status ParseHeader(const Bytes& payload, JournalHeader* h) {
   }
   SWORD_RETURN_IF_ERROR(r.GetU32(&h->shard_index));
   SWORD_RETURN_IF_ERROR(r.GetU32(&h->shard_count));
-  SWORD_RETURN_IF_ERROR(r.GetU8(&h->engine));
-  SWORD_RETURN_IF_ERROR(r.GetU8(&h->use_fastpath));
   SWORD_RETURN_IF_ERROR(r.GetU8(&h->use_dedup));
   SWORD_RETURN_IF_ERROR(r.GetU8(&h->salvage));
-  SWORD_RETURN_IF_ERROR(r.GetVarU64(&h->solver_step_budget));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&h->bucket_deadline_ms));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&h->max_tree_bytes));
   SWORD_RETURN_IF_ERROR(r.GetU32(&h->thread_count));
@@ -88,12 +82,10 @@ void SerializeBucket(const JournalBucketRecord& rec, Bytes* out) {
   w.PutVarU64(rec.label_pairs_checked);
   w.PutVarU64(rec.concurrent_pairs);
   w.PutVarU64(rec.node_pairs_ranged);
-  w.PutVarU64(rec.solver_calls);
   w.PutVarU64(rec.fastpath_hits);
   w.PutVarU64(rec.dedup_hits);
   w.PutVarU64(rec.dedup_bytes_saved);
   w.PutVarU64(rec.duplicates_suppressed);
-  w.PutVarU64(rec.solver_bailouts);
   w.PutVarU64(rec.segments_skipped);
   w.PutVarU64(rec.events_missing);
   w.PutVarU64(rec.bytes_skipped_read);
@@ -111,12 +103,10 @@ Status ParseBucket(const Bytes& payload, JournalBucketRecord* rec) {
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&rec->label_pairs_checked));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&rec->concurrent_pairs));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&rec->node_pairs_ranged));
-  SWORD_RETURN_IF_ERROR(r.GetVarU64(&rec->solver_calls));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&rec->fastpath_hits));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&rec->dedup_hits));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&rec->dedup_bytes_saved));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&rec->duplicates_suppressed));
-  SWORD_RETURN_IF_ERROR(r.GetVarU64(&rec->solver_bailouts));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&rec->segments_skipped));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&rec->events_missing));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&rec->bytes_skipped_read));
@@ -134,10 +124,7 @@ void SerializeRaceList(const std::vector<RaceReport>& races, ByteWriter& w) {
     w.PutU64(race.address);
     w.PutU8(race.size1);
     w.PutU8(race.size2);
-    const uint8_t bits =
-        static_cast<uint8_t>((race.write1 ? 1 : 0) | (race.write2 ? 2 : 0) |
-                             (race.confidence == RaceConfidence::kUnproven ? 4 : 0));
-    w.PutU8(bits);
+    w.PutU8(static_cast<uint8_t>((race.write1 ? 1 : 0) | (race.write2 ? 2 : 0)));
   }
 }
 
@@ -160,8 +147,6 @@ Status ParseRaceList(ByteReader& r, uint64_t payload_bound,
     SWORD_RETURN_IF_ERROR(r.GetU8(&bits));
     race.write1 = bits & 1;
     race.write2 = bits & 2;
-    race.confidence =
-        (bits & 4) ? RaceConfidence::kUnproven : RaceConfidence::kProven;
     out->push_back(race);
   }
   return Status::Ok();

@@ -44,18 +44,20 @@ namespace sword::offline {
 
 constexpr uint32_t kJournalHeaderMagic = 0x53574148;  // "SWAH"
 constexpr uint32_t kJournalBucketMagic = 0x53574142;  // "SWAB"
-// v2: header binds use_fastpath; bucket records carry fastpath_hits and
-// duplicates_suppressed. v3: header binds the store's salvage policy - a
-// salvage analysis skips damaged segments with accounting, so replaying its
-// buckets under a strict open (or vice versa) would silently diverge. v4:
-// header binds use_dedup - its race output is byte-identical but its stats
-// are not, so replaying across modes would fold the wrong deltas; bucket
-// records carry dedup_hits/dedup_bytes_saved. v5: the header drops the bytes
-// of the retired offline ablations (tree compare, tree build, run
-// expansion), leaving use_fastpath, use_dedup and salvage after the engine.
-// Older journals are refused (their stats cannot be folded faithfully into a
-// current run).
-constexpr uint8_t kJournalVersion = 5;
+// v2: header binds the overlap fast-path switch; bucket records carry
+// fastpath_hits and duplicates_suppressed. v3: header binds the store's
+// salvage policy - a salvage analysis skips damaged segments with
+// accounting, so replaying its buckets under a strict open (or vice versa)
+// would silently diverge. v4: header binds use_dedup - its race output is
+// byte-identical but its stats are not, so replaying across modes would
+// fold the wrong deltas; bucket records carry dedup_hits/dedup_bytes_saved.
+// v5: the header drops the bytes of the retired offline ablations (tree
+// compare, tree build, run expansion). v6: one exact overlap decision - the
+// header drops the engine byte, the fast-path switch and the solver step
+// budget; bucket records drop the solver call and bail-out counts, and a
+// race's flag byte keeps only the two write bits. Older journals are refused
+// (their stats cannot be folded faithfully into a current run).
+constexpr uint8_t kJournalVersion = 6;
 
 /// Identifies what a journal belongs to: shard key + the analysis knobs
 /// that change results + a cheap fingerprint of the trace itself. Resume
@@ -64,11 +66,8 @@ constexpr uint8_t kJournalVersion = 5;
 struct JournalHeader {
   uint32_t shard_index = 0;
   uint32_t shard_count = 1;
-  uint8_t engine = 0;                 // ilp::OverlapEngine as int
-  uint8_t use_fastpath = 1;           // closed-form overlap fast paths
   uint8_t use_dedup = 1;              // repeated-subtrace memoization
   uint8_t salvage = 0;                // store opened with salvage policy
-  uint64_t solver_step_budget = 0;
   uint64_t bucket_deadline_ms = 0;
   uint64_t max_tree_bytes = 0;
   // Trace fingerprint.
@@ -89,10 +88,10 @@ struct JournalBucketRecord {
   static constexpr uint8_t kBucketSkipped = 1 << 2;  // salvage: no segment streamed
   uint8_t flags = 0;
 
-  /// Races this bucket newly added to (or upgraded in) the global report
-  /// set, in the analyzer's deterministic merge order. Replaying them with
-  /// RaceReportSet::AddReport in record order reproduces the clean run's
-  /// set exactly - content, order, and confidence tiers.
+  /// Races this bucket newly added to the global report set, in the
+  /// analyzer's deterministic merge order. Replaying them with
+  /// RaceReportSet::Add in record order reproduces the clean run's set
+  /// exactly - content and order.
   std::vector<RaceReport> races;
 
   // Additive AnalysisStats deltas for this bucket.
@@ -102,12 +101,10 @@ struct JournalBucketRecord {
   uint64_t label_pairs_checked = 0;
   uint64_t concurrent_pairs = 0;
   uint64_t node_pairs_ranged = 0;
-  uint64_t solver_calls = 0;
   uint64_t fastpath_hits = 0;
   uint64_t dedup_hits = 0;
   uint64_t dedup_bytes_saved = 0;
   uint64_t duplicates_suppressed = 0;
-  uint64_t solver_bailouts = 0;
   uint64_t segments_skipped = 0;
   uint64_t events_missing = 0;
   uint64_t bytes_skipped_read = 0;

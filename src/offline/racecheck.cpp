@@ -13,7 +13,7 @@ namespace {
 /// enumeration order (sweep vs gallop).
 auto ReportKey(const RaceReport& r) {
   return std::make_tuple(r.pc1, r.pc2, r.address, r.size1, r.size2, r.write1,
-                         r.write2, static_cast<uint8_t>(r.confidence));
+                         r.write2);
 }
 
 /// Decides one candidate node pair and collects any resulting report.
@@ -22,13 +22,9 @@ auto ReportKey(const RaceReport& r) {
 /// report fields do not depend on which side was iterated.
 class PairDecider {
  public:
-  PairDecider(const itree::MutexSetTable& mutexes, ilp::OverlapEngine engine,
-              bool a_smaller, CheckStats* stats, const CheckLimits& limits)
-      : mutexes_(mutexes), a_smaller_(a_smaller), stats_(stats) {
-    options_.engine = engine;
-    options_.budget.max_steps = limits.solver_step_budget;
-    options_.allow_fastpath = limits.use_fastpath;
-  }
+  PairDecider(const itree::MutexSetTable& mutexes, bool a_smaller,
+              CheckStats* stats)
+      : mutexes_(mutexes), a_smaller_(a_smaller), stats_(stats) {}
 
   void Decide(const itree::AccessNode& x, const itree::AccessNode& y) {
     if (stats_) stats_->node_pairs_ranged++;
@@ -40,16 +36,10 @@ class PairDecider {
     // Filter: common lock.
     if (mutexes_.Intersects(x.key.mutexset, y.key.mutexset)) return;
 
-    // Exact strided intersection (the ILP constraint of SIII-B): the
-    // closed-form fast paths when enabled, the general engine - under the
-    // per-query step budget - otherwise.
-    const ilp::OverlapResult overlap =
-        ilp::IntersectBounded(x.interval, y.interval, options_);
-    if (stats_) {
-      if (overlap.via_fastpath) stats_->fastpath_hits++;
-      else stats_->solver_calls++;
-    }
-    if (overlap.verdict == ilp::OverlapVerdict::kDisjoint) return;
+    // Exact strided intersection (the ILP constraint of SIII-B).
+    const auto witness = ilp::Intersect(x.interval, y.interval);
+    if (stats_) stats_->fastpath_hits++;
+    if (!witness) return;
 
     RaceReport report;
     report.pc1 = a_smaller_ ? x.key.pc : y.key.pc;
@@ -58,16 +48,7 @@ class PairDecider {
     report.size2 = a_smaller_ ? y.key.size : x.key.size;
     report.write1 = a_smaller_ ? x.key.is_write() : y.key.is_write();
     report.write2 = a_smaller_ ? y.key.is_write() : x.key.is_write();
-    if (overlap.verdict == ilp::OverlapVerdict::kOverlap) {
-      report.address = overlap.witness.address;
-    } else {
-      // Budget exhausted: the pair MAY overlap. Report it - conservatively
-      // sound - tagged unproven, with the range-intersection start as the
-      // best available address hint (no proven shared byte exists).
-      if (stats_) stats_->solver_bailouts++;
-      report.address = std::max(x.interval.lo(), y.interval.lo());
-      report.confidence = RaceConfidence::kUnproven;
-    }
+    report.address = witness->address;
     reports_.push_back(report);
   }
 
@@ -93,14 +74,13 @@ class PairDecider {
 
  private:
   const itree::MutexSetTable& mutexes_;
-  ilp::OverlapOptions options_;
   const bool a_smaller_;
   CheckStats* stats_;
   std::vector<RaceReport> reports_;
 };
 
 /// The governor's breach flag is polled per candidate pair: cheap (one
-/// relaxed load) yet bounds the abort latency by a single solver query, so a
+/// relaxed load) yet bounds the abort latency by a single overlap query, so a
 /// runaway bucket stops promptly after its deadline.
 inline bool Cancelled(const CheckLimits& limits) {
   return limits.cancel && limits.cancel->load(std::memory_order_relaxed);
@@ -117,7 +97,6 @@ constexpr size_t kGallopRatio = 8;
 void CheckFrozenPair(const itree::FrozenIntervalSet& a,
                      const itree::FrozenIntervalSet& b,
                      const itree::MutexSetTable& mutexes,
-                     ilp::OverlapEngine engine,
                      FunctionRef<void(const RaceReport&)> on_race,
                      CheckStats* stats, const CheckLimits& limits) {
   if (a.Empty() || b.Empty()) return;
@@ -125,7 +104,7 @@ void CheckFrozenPair(const itree::FrozenIntervalSet& a,
   const itree::FrozenIntervalSet& outer = a_smaller ? a : b;
   const itree::FrozenIntervalSet& inner = a_smaller ? b : a;
 
-  PairDecider decider(mutexes, engine, a_smaller, stats, limits);
+  PairDecider decider(mutexes, a_smaller, stats);
   if (inner.size() / outer.size() >= kGallopRatio) {
     // Gallop: the outer side is tiny; per-node binary-search queries into
     // the big frozen set beat a linear merge of both.

@@ -5,8 +5,8 @@
 //   1. cheap filters: read-read pairs and atomic-atomic pairs cannot race;
 //      intersecting mutex sets mean common lock protection;
 //   2. exact strided-address intersection - range overlap alone is NOT
-//      sufficient for strided accesses (Fig. 4) - via the closed-form fast
-//      paths (when enabled) with the ILP/Diophantine engine as fallback;
+//      sufficient for strided accesses (Fig. 4) - decided in closed form
+//      (ilp::Intersect);
 //   3. surviving pairs are data races, reported at the two source locations.
 //
 // CheckFrozenPair enumerates the range-touching pairs with a sort-merge
@@ -33,18 +33,13 @@ namespace sword::offline {
 
 struct CheckStats {
   uint64_t node_pairs_ranged = 0;   // range-touching pairs, read-read included
-  uint64_t solver_calls = 0;        // general-engine intersection decisions
-  uint64_t fastpath_hits = 0;       // closed-form intersection decisions
-  uint64_t solver_bailouts = 0;     // queries whose step budget ran out
+  uint64_t fastpath_hits = 0;       // exact (closed-form) intersection decisions
   uint64_t races_found = 0;         // emitted reports, before global dedup
   uint64_t duplicates_suppressed = 0;  // identical reports dropped pre-merge
 };
 
 /// Caps the resource governor imposes on one summary-pair comparison.
 struct CheckLimits {
-  /// Per-overlap-query solver step budget; 0 = unlimited. An exhausted
-  /// query reports the node pair as an UNPROVEN race (sound: never dropped).
-  uint64_t solver_step_budget = 0;
   /// When non-null and set (by the watchdog on a deadline/memory breach),
   /// the comparison stops at the next node pair (the sweep also polls it
   /// per start event, so read-only stretches stop too). Races already
@@ -52,11 +47,6 @@ struct CheckLimits {
   /// to node_pairs_ranged. The bucket is accounted as governed in
   /// AnalysisStats.
   const std::atomic<bool>* cancel = nullptr;
-  /// Try the closed-form fast paths before the general engine (exact; the
-  /// verdicts and witnesses are engine-identical). Off by default so that
-  /// direct callers get the pure-engine baseline; the analyzer turns it on
-  /// unless --no-fastpath.
-  bool use_fastpath = false;
 };
 
 /// Compares the frozen summaries of two concurrent barrier intervals;
@@ -72,7 +62,6 @@ struct CheckLimits {
 void CheckFrozenPair(const itree::FrozenIntervalSet& a,
                      const itree::FrozenIntervalSet& b,
                      const itree::MutexSetTable& mutexes,
-                     ilp::OverlapEngine engine,
                      FunctionRef<void(const RaceReport&)> on_race,
                      CheckStats* stats = nullptr, const CheckLimits& limits = {});
 

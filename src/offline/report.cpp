@@ -45,17 +45,14 @@ std::string RenderText(const AnalysisResult& result, const PcNamer& pc_namer) {
          std::to_string(s.buckets) + " region(s), " + std::to_string(s.raw_events) +
          " event(s) -> " + std::to_string(s.tree_nodes) + " tree node(s)\n";
   // Resource-governor outcomes are part of the answer's integrity: a capped
-  // bucket or an unproven race means the report is sound but not exhaustive.
+  // bucket means the report is sound but not exhaustive.
   // (Journal/resume accounting is deliberately NOT rendered here - a resumed
   // run's report must be bit-identical to an uninterrupted one.)
-  if (s.buckets_deadline_exceeded > 0 || s.buckets_memory_capped > 0 ||
-      s.solver_bailouts > 0 || s.races_unproven > 0) {
+  if (s.buckets_deadline_exceeded > 0 || s.buckets_memory_capped > 0) {
     out += "resource governor: DEGRADED\n";
     out += "  " + std::to_string(s.buckets_deadline_exceeded) +
            " bucket(s) over deadline, " + std::to_string(s.buckets_memory_capped) +
-           " memory-capped, " + std::to_string(s.solver_bailouts) +
-           " solver bail-out(s), " + std::to_string(s.races_unproven) +
-           " unproven race(s)\n";
+           " memory-capped\n";
   }
   const auto& in = s.integrity;
   // A crash-sealed run and a degraded run each get a headline of their own:
@@ -137,9 +134,7 @@ std::string RenderJson(const AnalysisResult& result, const PcNamer& pc_namer) {
     out += ",\"write2\":" + std::string(race.write2 ? "true" : "false");
     out += ",\"size1\":" + std::to_string(int(race.size1));
     out += ",\"size2\":" + std::to_string(int(race.size2));
-    out += ",\"confidence\":\"";
-    out += race.confidence == RaceConfidence::kUnproven ? "unproven" : "proven";
-    out += "\"}";
+    out += "}";
   }
   out += "],\"stats\":{";
   const auto& s = result.stats;
@@ -151,7 +146,6 @@ std::string RenderJson(const AnalysisResult& result, const PcNamer& pc_namer) {
   out += ",\"label_pairs_checked\":" + std::to_string(s.label_pairs_checked);
   out += ",\"concurrent_pairs\":" + std::to_string(s.concurrent_pairs);
   out += ",\"node_pairs_ranged\":" + std::to_string(s.node_pairs_ranged);
-  out += ",\"solver_calls\":" + std::to_string(s.solver_calls);
   out += ",\"fastpath_hits\":" + std::to_string(s.fastpath_hits);
   out += ",\"dedup_hits\":" + std::to_string(s.dedup_hits);
   out += ",\"dedup_bytes_saved\":" + std::to_string(s.dedup_bytes_saved);
@@ -159,8 +153,6 @@ std::string RenderJson(const AnalysisResult& result, const PcNamer& pc_namer) {
   out += ",\"intervals_degraded\":" + std::to_string(s.intervals_degraded);
   out += ",\"degraded_events_dropped\":" +
          std::to_string(s.degraded_events_dropped);
-  out += ",\"solver_bailouts\":" + std::to_string(s.solver_bailouts);
-  out += ",\"races_unproven\":" + std::to_string(s.races_unproven);
   out += ",\"buckets_deadline_exceeded\":" +
          std::to_string(s.buckets_deadline_exceeded);
   out += ",\"buckets_memory_capped\":" + std::to_string(s.buckets_memory_capped);

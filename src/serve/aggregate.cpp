@@ -26,25 +26,14 @@ void ReportAggregator::MergeVerdict(const RunVerdict& verdict) {
     const uint64_t key = race.Key();
     auto [it, inserted] = sites_.try_emplace(key);
     Site& site = it->second;
-    const bool proven = race.confidence == RaceConfidence::kProven;
-    if (inserted) {
+    // Order-free sample election: the lexicographically smallest run name
+    // wins, so any merge order of the same verdict set converges on the
+    // same sample.
+    if (inserted || verdict.run < site.sample_run) {
       site.sample = race;
       site.sample_run = verdict.run;
-    } else {
-      // Order-free sample election: proven beats unproven; within a tier
-      // the lexicographically smallest run name wins. Any merge order of
-      // the same verdict set converges on the same sample.
-      const bool have_proven =
-          site.sample.confidence == RaceConfidence::kProven;
-      const bool better = (proven && !have_proven) ||
-                          (proven == have_proven && verdict.run < site.sample_run);
-      if (better) {
-        site.sample = race;
-        site.sample_run = verdict.run;
-      }
     }
     site.runs++;
-    if (proven) site.proven_runs++;
   }
 }
 
@@ -79,17 +68,13 @@ std::string ReportAggregator::RenderJson() const {
     std::snprintf(buf, sizeof(buf),
                   "{\"pc1\":%u,\"pc2\":%u,\"address\":\"%llu\","
                   "\"size1\":%u,\"size2\":%u,\"write1\":%s,\"write2\":%s,"
-                  "\"proven\":%s,\"runs\":%llu,\"proven_runs\":%llu,"
-                  "\"sample_run\":\"%s\"}",
+                  "\"runs\":%llu,\"sample_run\":\"%s\"}",
                   site.sample.pc1, site.sample.pc2,
                   static_cast<unsigned long long>(site.sample.address),
                   unsigned(site.sample.size1), unsigned(site.sample.size2),
                   site.sample.write1 ? "true" : "false",
                   site.sample.write2 ? "true" : "false",
-                  site.sample.confidence == RaceConfidence::kProven ? "true"
-                                                                    : "false",
                   static_cast<unsigned long long>(site.runs),
-                  static_cast<unsigned long long>(site.proven_runs),
                   site.sample_run.c_str());
     out += buf;
   }

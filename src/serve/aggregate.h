@@ -3,8 +3,7 @@
 // Fleet reality: the same racy code pair shows up in many runs, and the
 // operator wants ONE row per code pair with a run count, not a thousand
 // copies. The aggregator keys on RaceReport::Key() (the unordered pc pair,
-// the same identity sword-offline dedups by) and merges confidence: a pair
-// is proven fleet-wide the moment ANY run proves it.
+// the same identity sword-offline dedups by).
 //
 // Determinism is the design constraint. The daemon may finish runs in any
 // order, die, restart, and replay verdicts from its ledger in yet another
@@ -12,7 +11,7 @@
 // soak test diffs it against a clean single-shot baseline. So every merge
 // rule is order-free:
 //   - the sample report for a pair comes from the lexicographically
-//     smallest run name that reported it (proven beats unproven first);
+//     smallest run name that reported it;
 //   - counts are additive over the set of distinct runs;
 //   - rendering walks pairs in key order.
 // Re-adding a run (restart replay, watch-dir rescan) with the same trace
@@ -47,10 +46,9 @@ class ReportAggregator {
 
   /// One aggregated row per racing code pair.
   struct Site {
-    RaceReport sample;       // from the lexicographically-min proven run
+    RaceReport sample;       // from the lexicographically-min run
     std::string sample_run;  // which run the sample came from
     uint64_t runs = 0;       // distinct runs reporting this pair
-    uint64_t proven_runs = 0;
   };
 
   /// Pairs in key order - the deterministic output surface.
@@ -61,8 +59,8 @@ class ReportAggregator {
   uint64_t races_total() const;  // sum of per-run race-list lengths
 
   /// Stable JSON for the control socket / --json snapshots:
-  /// {"runs":N,"sites":[{"pc1":..,"pc2":..,"runs":..,"proven_runs":..,
-  ///  "sample_run":"..","address":"..",...}]}
+  /// {"runs":N,"sites":[{"pc1":..,"pc2":..,"runs":..,"sample_run":"..",
+  ///  "address":"..",...}]}
   std::string RenderJson() const;
 
  private:

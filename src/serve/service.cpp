@@ -231,7 +231,6 @@ void AnalysisService::AnalyzeRun(Run& run) {
 
   offline::AnalysisConfig cfg;
   cfg.threads = config_.analysis_threads;
-  cfg.solver_step_budget = config_.solver_step_budget;
   cfg.bucket_deadline_ms = config_.bucket_deadline_ms;
   cfg.max_tree_bytes = config_.max_tree_bytes;
   cfg.journal_path = JournalPathForRun(run.name);

@@ -75,7 +75,6 @@ struct ServiceConfig {
   /// Analysis attempts per run before kAnalysisFailure.
   uint32_t max_analysis_attempts = 2;
   // Result-affecting analysis knobs, forwarded to AnalysisConfig.
-  uint64_t solver_step_budget = 4'000'000;
   uint32_t bucket_deadline_ms = 0;
   uint64_t max_tree_bytes = 0;
 };

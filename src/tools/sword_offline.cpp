@@ -1,10 +1,9 @@
 // sword-offline: the offline race-detection command-line tool.
 //
-//   sword-offline <trace-dir> [--threads N] [--engine dio|ilp] [--stats]
-//                 [--json] [--shard I --shards N] [--salvage]
+//   sword-offline <trace-dir> [--threads N] [--stats] [--json]
+//                 [--shard I --shards N] [--salvage]
 //                 [--journal [PATH]] [--resume]
-//                 [--bucket-deadline-ms N] [--max-tree-mb N] [--solver-budget N]
-//                 [--no-fastpath] [--no-dedup]
+//                 [--bucket-deadline-ms N] [--max-tree-mb N] [--no-dedup]
 //
 // Reads a trace directory produced by SwordTool (sword_t*.log/.meta),
 // recovers the concurrency structure, and prints the deduplicated race
@@ -42,7 +41,6 @@ void PrintUsage() {
   std::fprintf(stderr,
                "usage: sword-offline <trace-dir> [options]\n"
                "  --threads N      checker threads for summary comparison (default 1)\n"
-               "  --engine E       overlap engine: dio (default) or ilp\n"
                "  --stats          print analysis statistics\n"
                "  --json           machine-readable output\n"
                "  --shard I        analyze only shard I (with --shards)\n"
@@ -60,13 +58,6 @@ void PrintUsage() {
                "                   wall clock (0 = no deadline)\n"
                "  --max-tree-mb N  abandon a bucket whose interval summaries exceed\n"
                "                   N MiB (0 = no cap)\n"
-               "  --solver-budget N  per-query overlap-solver step budget; an\n"
-               "                   exhausted query reports an UNPROVEN race\n"
-               "                   (default 4000000, 0 = unlimited)\n"
-               "  --no-fastpath    disable closed-form overlap fast paths and\n"
-               "                   send every candidate pair to the solver\n"
-               "                   (ablation; race output is identical either\n"
-               "                   way at the default solver budget)\n"
                "  --no-dedup       disable repeated-subtrace memoization -\n"
                "                   every group freezes its own set and every\n"
                "                   pair is checked (ablation; race output is\n"
@@ -80,7 +71,6 @@ void PrintUsage() {
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const int64_t threads = args.GetInt("threads", 1);
-  const std::string engine_name = args.GetString("engine", "dio");
   const bool stats = args.GetBool("stats");
   const bool json = args.GetBool("json");
   const int64_t shard = args.GetInt("shard", 0);
@@ -91,8 +81,6 @@ int main(int argc, char** argv) {
   const bool resume = args.GetBool("resume");
   const int64_t bucket_deadline_ms = args.GetInt("bucket-deadline-ms", 0);
   const int64_t max_tree_mb = args.GetInt("max-tree-mb", 0);
-  const int64_t solver_budget = args.GetInt("solver-budget", 4000000);
-  const bool no_fastpath = args.GetBool("no-fastpath");
   const bool no_dedup = args.GetBool("no-dedup");
 
   if (args.GetBool("help")) {
@@ -115,11 +103,6 @@ int main(int argc, char** argv) {
                  (long long)threads);
     return kExitUsage;
   }
-  if (engine_name != "dio" && engine_name != "ilp") {
-    std::fprintf(stderr, "error: --engine must be dio or ilp (got %s)\n",
-                 engine_name.c_str());
-    return kExitUsage;
-  }
   if (shards < 1) {
     std::fprintf(stderr, "error: --shards must be >= 1 (got %lld)\n",
                  (long long)shards);
@@ -132,7 +115,7 @@ int main(int argc, char** argv) {
                  (long long)shard, (long long)shards);
     return kExitUsage;
   }
-  if (bucket_deadline_ms < 0 || max_tree_mb < 0 || solver_budget < 0) {
+  if (bucket_deadline_ms < 0 || max_tree_mb < 0) {
     std::fprintf(stderr, "error: governor budgets must be >= 0\n");
     return kExitUsage;
   }
@@ -209,16 +192,12 @@ int main(int argc, char** argv) {
 
   offline::AnalysisConfig config;
   config.threads = static_cast<uint32_t>(threads);
-  config.engine = engine_name == "ilp" ? ilp::OverlapEngine::kIlp
-                                       : ilp::OverlapEngine::kDiophantine;
   config.shard_index = static_cast<uint32_t>(shard);
   config.shard_count = static_cast<uint32_t>(shards);
   config.bucket_deadline_ms = static_cast<uint32_t>(bucket_deadline_ms);
   config.max_tree_bytes = static_cast<uint64_t>(max_tree_mb) * 1024 * 1024;
-  config.solver_step_budget = static_cast<uint64_t>(solver_budget);
   config.journal_path = journal_path;
   config.resume = resume;
-  config.use_fastpath = !no_fastpath;
   config.use_dedup = !no_dedup;
   const offline::AnalysisResult result = offline::Analyze(store.value(), config);
   if (!result.status.ok()) {
@@ -255,11 +234,8 @@ int main(int argc, char** argv) {
     std::printf("  label pairs judged:           %llu (%llu concurrent)\n",
                 (unsigned long long)s.label_pairs_checked,
                 (unsigned long long)s.concurrent_pairs);
-    std::printf("  node pairs range-matched:     %llu (%llu solver calls, %llu bail-outs)\n",
+    std::printf("  node pairs range-matched:     %llu (%llu overlap decisions)\n",
                 (unsigned long long)s.node_pairs_ranged,
-                (unsigned long long)s.solver_calls,
-                (unsigned long long)s.solver_bailouts);
-    std::printf("  closed-form fast-path hits:   %llu\n",
                 (unsigned long long)s.fastpath_hits);
     std::printf("  dedup memoization hits:       %llu (%s saved)\n",
                 (unsigned long long)s.dedup_hits,

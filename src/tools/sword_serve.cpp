@@ -78,8 +78,6 @@ void PrintUsage() {
                "                   30000)\n"
                "  --max-attempts N analysis attempts before quarantine\n"
                "                   (default 2)\n"
-               "  --solver-budget N  per-query solver step budget (default\n"
-               "                   4000000)\n"
                "  --fault-plan S   chaos harness: deterministic fault spec\n"
                "                   (write ops hit journal/ledger appends, read\n"
                "                   ops hit ingest: transient=K;enospc@N;\n"
@@ -139,7 +137,6 @@ int main(int argc, char** argv) {
   const int64_t queue_limit = args.GetInt("queue-limit", 16);
   const int64_t queue_deadline_ms = args.GetInt("queue-deadline-ms", 30'000);
   const int64_t max_attempts = args.GetInt("max-attempts", 2);
-  const int64_t solver_budget = args.GetInt("solver-budget", 4'000'000);
   const std::string fault_spec = args.GetString("fault-plan", "");
 
   if (args.GetBool("help")) {
@@ -157,7 +154,7 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
   if (threads < 1 || poll_ms < 1 || max_inflight < 1 || queue_limit < 1 ||
-      max_attempts < 1 || queue_deadline_ms < 1 || solver_budget < 0) {
+      max_attempts < 1 || queue_deadline_ms < 1) {
     std::fprintf(stderr, "error: numeric flags must be positive\n");
     return kExitUsage;
   }
@@ -195,7 +192,6 @@ int main(int argc, char** argv) {
   config.analysis_threads = static_cast<uint32_t>(threads);
   config.salvage = !no_salvage;
   config.max_analysis_attempts = static_cast<uint32_t>(max_attempts);
-  config.solver_step_budget = static_cast<uint64_t>(solver_budget);
   config.admission.max_inflight = static_cast<uint32_t>(max_inflight);
   config.admission.queue_soft_limit = static_cast<uint32_t>(queue_limit);
   config.admission.queue_deadline_ns =

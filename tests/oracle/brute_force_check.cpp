@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <tuple>
 
+#include "oracle/overlap_oracle.h"
+
 namespace sword::oracle {
 namespace {
 
 auto Canonical(const RaceReport& r) {
   return std::make_tuple(r.pc1, r.pc2, r.address, r.size1, r.size2, r.write1,
-                         r.write2, static_cast<uint8_t>(r.confidence));
+                         r.write2);
 }
 
 }  // namespace
@@ -16,15 +18,9 @@ auto Canonical(const RaceReport& r) {
 std::vector<RaceReport> BruteForceRaces(const itree::FrozenIntervalSet& a,
                                         const itree::FrozenIntervalSet& b,
                                         const itree::MutexSetTable& mutexes,
-                                        ilp::OverlapEngine engine,
-                                        uint64_t solver_step_budget,
                                         BruteForceStats* stats) {
   BruteForceStats local;
   BruteForceStats& st = stats ? *stats : local;
-  ilp::OverlapOptions options;
-  options.engine = engine;
-  options.budget.max_steps = solver_step_budget;
-  options.allow_fastpath = false;
   const bool a_first = a.size() <= b.size();
 
   std::vector<RaceReport> reports;
@@ -39,10 +35,9 @@ std::vector<RaceReport> BruteForceRaces(const itree::FrozenIntervalSet& a,
       if (mutexes.Intersects(x.key.mutexset, y.key.mutexset)) continue;
 
       st.decisions++;
-      const ilp::OverlapResult overlap =
-          a_first ? ilp::IntersectBounded(x.interval, y.interval, options)
-                  : ilp::IntersectBounded(y.interval, x.interval, options);
-      if (overlap.verdict == ilp::OverlapVerdict::kDisjoint) continue;
+      const auto witness = a_first ? IntersectDiophantine(x.interval, y.interval)
+                                   : IntersectDiophantine(y.interval, x.interval);
+      if (!witness) continue;
 
       RaceReport report;
       report.pc1 = x.key.pc;
@@ -51,13 +46,7 @@ std::vector<RaceReport> BruteForceRaces(const itree::FrozenIntervalSet& a,
       report.size2 = y.key.size;
       report.write1 = x.key.is_write();
       report.write2 = y.key.is_write();
-      if (overlap.verdict == ilp::OverlapVerdict::kOverlap) {
-        report.address = overlap.witness.address;
-      } else {
-        st.bailouts++;
-        report.address = std::max(x.interval.lo(), y.interval.lo());
-        report.confidence = RaceConfidence::kUnproven;
-      }
+      report.address = witness->address;
       reports.push_back(report);
     }
   }

@@ -26,8 +26,8 @@ TEST(Args, PositionalAndFlags) {
 }
 
 TEST(Args, EqualsSyntax) {
-  ArgParser args = Parse({"--engine=ilp", "--size=1024"});
-  EXPECT_EQ(args.GetString("engine"), "ilp");
+  ArgParser args = Parse({"--codec=lzf", "--size=1024"});
+  EXPECT_EQ(args.GetString("codec"), "lzf");
   EXPECT_EQ(args.GetInt("size", 0), 1024);
 }
 

@@ -21,6 +21,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/faultfs.h"
 #include "common/fsutil.h"
 #include "core/sword_tool.h"
@@ -478,33 +480,30 @@ TEST(Seal, HandlerInstallIsIdempotent) {
 // trace left behind must be crash-sealed and analyzable. The death-test
 // child writes into a deterministic directory both parent and child compute
 // identically (threadsafe re-execution re-runs the test body in the child).
-TEST(SealDeath, FatalSignalSealsLiveTrace) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const std::string dir = "/tmp/sword_chaos_seal_death";
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(MakeDirs(dir).ok());
 
-  EXPECT_EXIT(
-      {
-        trace::Flusher flusher(/*async=*/false);
-        trace::WriterConfig wc;
-        wc.log_path = dir + "/sword_t0.log";
-        wc.meta_path = dir + "/sword_t0.meta";
-        wc.flusher = &flusher;
-        wc.format = trace::kTraceFormatV3;
-        wc.crash_seal = true;
-        trace::ThreadTraceWriter writer(0, wc);
-        writer.BeginSegment(SegmentMeta(0));
-        for (int i = 0; i < 64; i++) {
-          writer.AppendAccess(0x4000 + i * 8, 8, i % 2, uint32_t(i));
-        }
-        writer.EndSegment();
-        writer.FlushEvents();
-        trace::InstallSealHandlers();
-        std::raise(SIGSEGV);
-      },
-      ::testing::KilledBySignal(SIGSEGV), "");
+/// Death-test child body: a live writer with one flushed segment, the seal
+/// handlers installed over whatever SIGSEGV disposition the caller set, and
+/// then the fatal signal.
+void WriteLiveTraceThenSegv(const std::string& dir) {
+  trace::Flusher flusher(/*async=*/false);
+  trace::WriterConfig wc;
+  wc.log_path = dir + "/sword_t0.log";
+  wc.meta_path = dir + "/sword_t0.meta";
+  wc.flusher = &flusher;
+  wc.format = trace::kTraceFormatV3;
+  wc.crash_seal = true;
+  trace::ThreadTraceWriter writer(0, wc);
+  writer.BeginSegment(SegmentMeta(0));
+  for (int i = 0; i < 64; i++) {
+    writer.AppendAccess(0x4000 + i * 8, 8, i % 2, uint32_t(i));
+  }
+  writer.EndSegment();
+  writer.FlushEvents();
+  trace::InstallSealHandlers();
+  std::raise(SIGSEGV);
+}
 
+void ExpectSealedBySegv(const std::string& dir) {
   offline::StoreOptions so;
   so.salvage = true;
   auto store = offline::TraceStore::OpenDir(dir, so);
@@ -517,6 +516,48 @@ TEST(SealDeath, FatalSignalSealsLiveTrace) {
   EXPECT_EQ(store.value().threads()[0].meta.intervals[0].EventCount(), 64u);
   offline::AnalysisResult analysis = offline::Analyze(store.value());
   EXPECT_TRUE(analysis.status.ok()) << analysis.status.ToString();
+}
+
+TEST(SealDeath, FatalSignalSealsLiveTrace) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string dir = "/tmp/sword_chaos_seal_death";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(MakeDirs(dir).ok());
+
+  // The seal chains to the disposition it found. A sanitizer runtime
+  // installs its own SIGSEGV handler at startup, which would turn the
+  // re-raised signal into a report and exit 1; resetting to the default
+  // first makes the chain end in the default action on every build.
+  EXPECT_EXIT(
+      {
+        std::signal(SIGSEGV, SIG_DFL);
+        WriteLiveTraceThenSegv(dir);
+      },
+      ::testing::KilledBySignal(SIGSEGV), "");
+
+  ExpectSealedBySegv(dir);
+  std::filesystem::remove_all(dir);
+}
+
+constexpr int kPriorHandlerExit = 42;
+void PriorSegvHandler(int) { ::_exit(kPriorHandlerExit); }
+
+TEST(SealDeath, SealChainsToPriorHandler) {
+  // An application that installed its own SIGSEGV handler first still gets
+  // it called: the seal runs, then hands the signal on.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string dir = "/tmp/sword_chaos_seal_chain";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(MakeDirs(dir).ok());
+
+  EXPECT_EXIT(
+      {
+        std::signal(SIGSEGV, &PriorSegvHandler);
+        WriteLiveTraceThenSegv(dir);
+      },
+      ::testing::ExitedWithCode(kPriorHandlerExit), "");
+
+  ExpectSealedBySegv(dir);
   std::filesystem::remove_all(dir);
 }
 

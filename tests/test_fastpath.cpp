@@ -1054,8 +1054,7 @@ INSTANTIATE_TEST_SUITE_P(RandomSweeps, AblationProperty, testing::Range(0, 15));
 /// differs only by the format: what the v3 coalescer folded and suppressed,
 /// and how v2/v1 encode events. Any report drift here is a soundness bug, so
 /// the comparison is full-field and order-sensitive.
-std::vector<std::tuple<uint32_t, uint32_t, uint64_t, uint8_t, uint8_t, bool,
-                       bool, int>>
+std::vector<std::tuple<uint32_t, uint32_t, uint64_t, uint8_t, uint8_t, bool, bool>>
 AnalyzeScripted(const SweepProgram& p, uint8_t format) {
   TempDir dir("scripted");
   trace::Flusher flusher(/*async=*/false);
@@ -1112,12 +1111,11 @@ AnalyzeScripted(const SweepProgram& p, uint8_t format) {
   EXPECT_TRUE(store.ok());
   const offline::AnalysisResult result = offline::Analyze(store.value());
   EXPECT_TRUE(result.status.ok()) << result.status.ToString();
-  std::vector<std::tuple<uint32_t, uint32_t, uint64_t, uint8_t, uint8_t, bool,
-                         bool, int>>
+  std::vector<std::tuple<uint32_t, uint32_t, uint64_t, uint8_t, uint8_t, bool, bool>>
       out;
   for (const RaceReport& r : result.races.reports()) {
     out.emplace_back(r.pc1, r.pc2, r.address, r.size1, r.size2, r.write1,
-                     r.write2, static_cast<int>(r.confidence));
+                     r.write2);
   }
   return out;
 }

@@ -4,9 +4,16 @@
 // torn-frame rollback, and incremental meta checkpoints.
 //
 // Everything here is deterministic: faults are keyed on cumulative bytes
-// appended, flushers run synchronously, and retry backoff is set to zero -
-// no sleeps, no timing assumptions.
+// appended or on call numbers, flushers run synchronously, and retry backoff
+// is set to zero - no timing assumptions. (The one sleep, in the concurrent
+// storm-window test, only widens the gap the test needs other threads in;
+// its expected outcome does not depend on how long they take.)
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/faultfs.h"
 #include "common/fsutil.h"
@@ -97,6 +104,41 @@ TEST(FaultFile, EnospcFailsOnceStreamOffsetReached) {
   auto size = FileSize(path);
   ASSERT_TRUE(size.ok());
   EXPECT_EQ(size.value(), 6u);
+}
+
+TEST(FaultFile, StormWindowFiresExactlyOnceUnderConcurrentAppends) {
+  // A one-call ENOSPC storm window (enospc_calls@k+1) must fail exactly one
+  // append however the calls of concurrent threads interleave. Call k also
+  // sleeps between its bookkeeping and its fault decision, so the other
+  // threads' calls land in that gap: a decision that read the shared call
+  // counter instead of the call's own number would then skip the window.
+  constexpr int kThreads = 4;
+  constexpr int kAppendsPerThread = 3;
+  for (uint64_t k = 1; k <= kThreads * kAppendsPerThread; k++) {
+    TempDir dir;
+    testing::FaultFile ff;
+    ff.EnospcAppends(k, 1);
+    ff.SlowAppends(2000, k, 1);
+    std::atomic<int> nospace{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++) {
+      threads.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        const std::string path = dir.File("t" + std::to_string(t) + ".bin");
+        const uint8_t byte = static_cast<uint8_t>(t);
+        for (int i = 0; i < kAppendsPerThread; i++) {
+          size_t written = 0;
+          const Status st = ff.Append(path, &byte, 1, &written);
+          if (st.code() == ErrorCode::kNoSpace) nospace++;
+        }
+      });
+    }
+    go = true;
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(nospace.load(), 1) << "window at call " << k;
+    EXPECT_EQ(ff.append_calls(), uint64_t{kThreads * kAppendsPerThread});
+  }
 }
 
 TEST(FaultFile, BitFlipCorruptsExactStreamOffset) {

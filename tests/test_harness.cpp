@@ -1,6 +1,6 @@
 // Tests for src/harness: configuration plumbing, measurement sanity, and
 // the knobs the benches rely on (codec selection, buffer size, offline
-// engine/threads, trace-dir pinning, geometric mean).
+// threads, trace-dir pinning, geometric mean).
 #include <gtest/gtest.h>
 
 #include "common/fsutil.h"

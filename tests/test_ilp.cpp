@@ -1,19 +1,27 @@
-// Tests for src/ilp: extended gcd, bounded Diophantine solving, the
-// branch&bound ILP, and the strided-interval overlap query - each validated
-// against brute-force enumeration, and the two overlap engines against each
-// other (they must be decision-equivalent, like swapping GLPK for another
-// solver in the paper).
+// Tests for src/ilp: extended gcd, bounded Diophantine solving, and the
+// closed-form strided-interval overlap decision - each validated against
+// brute-force enumeration, and the overlap decision against the reference
+// deciders in tests/oracle (the per-offset Diophantine engine and the branch
+// & bound ILP that stands in for the paper's GLPK).
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 #include "common/rng.h"
 #include "ilp/diophantine.h"
-#include "ilp/ilp2.h"
 #include "ilp/overlap.h"
+#include "oracle/ilp2.h"
+#include "oracle/overlap_oracle.h"
 
 namespace sword::ilp {
 namespace {
+
+using oracle::Ilp2Problem;
+using oracle::Ilp2Stats;
+using oracle::IntersectDiophantine;
+using oracle::IntersectIlp;
+using oracle::SolveIlp2;
 
 TEST(ExtGcd, BasicIdentities) {
   for (int64_t a : {0LL, 1LL, 12LL, -12LL, 35LL, 128LL, -7LL}) {
@@ -102,7 +110,7 @@ TEST(DiophantineProperty, MatchesBruteForce) {
   }
 }
 
-TEST(Ilp2, FeasibleBox) {
+TEST(OracleIlp2, FeasibleBox) {
   Ilp2Problem p;
   p.lo_x = 0;
   p.hi_x = 10;
@@ -112,7 +120,7 @@ TEST(Ilp2, FeasibleBox) {
   ASSERT_TRUE(sol.has_value());
 }
 
-TEST(Ilp2, EqualityEncodedAsTwoInequalities) {
+TEST(OracleIlp2, EqualityEncodedAsTwoInequalities) {
   // 2x - 3y == 1, x,y in [0, 10]: x=2,y=1 etc.
   Ilp2Problem p;
   p.lo_x = 0;
@@ -126,7 +134,7 @@ TEST(Ilp2, EqualityEncodedAsTwoInequalities) {
   EXPECT_EQ(2 * sol->x - 3 * sol->y, 1);
 }
 
-TEST(Ilp2, FractionalOnlyRelaxationIsInfeasibleInIntegers) {
+TEST(OracleIlp2, FractionalOnlyRelaxationIsInfeasibleInIntegers) {
   // 2x == 1 in integers: LP relaxation feasible at x=0.5, integers not.
   Ilp2Problem p;
   p.lo_x = 0;
@@ -138,7 +146,7 @@ TEST(Ilp2, FractionalOnlyRelaxationIsInfeasibleInIntegers) {
   EXPECT_FALSE(SolveIlp2(p).has_value());
 }
 
-TEST(Ilp2Property, MatchesBruteForce) {
+TEST(OracleIlp2Property, MatchesBruteForce) {
   Rng rng(202);
   for (int trial = 0; trial < 800; trial++) {
     Ilp2Problem p;
@@ -194,14 +202,32 @@ bool BruteOverlap(const StridedInterval& a, const StridedInterval& b) {
   return false;
 }
 
+/// True when element x of `iv` touches byte `addr`.
+bool ElementTouches(const StridedInterval& iv, uint64_t x, uint64_t addr) {
+  const uint64_t lo = iv.base + x * iv.stride;
+  return x < iv.count && lo <= addr && addr < lo + iv.size;
+}
+
+bool Sparse(const StridedInterval& iv) {
+  return iv.count > 1 && iv.stride > iv.size;
+}
+
+std::string Describe(const StridedInterval& a, const StridedInterval& b) {
+  return "a={" + std::to_string(a.base) + "," + std::to_string(a.stride) + "," +
+         std::to_string(a.count) + "," + std::to_string(a.size) + "} b={" +
+         std::to_string(b.base) + "," + std::to_string(b.stride) + "," +
+         std::to_string(b.count) + "," + std::to_string(b.size) + "}";
+}
+
 TEST(Overlap, PaperFig4InterleavedIntervalsDoNotIntersect) {
   // Fig. 4's shape: two stride-8 interval families offset by 4 bytes with
   // 4-byte accesses - ranges overlap, addresses never do.
   const StridedInterval t0{10, 8, 5, 4};
   const StridedInterval t1{14, 8, 5, 4};
   EXPECT_TRUE(RangesTouch(t0, t1));
-  EXPECT_FALSE(Intersect(t0, t1, OverlapEngine::kDiophantine).has_value());
-  EXPECT_FALSE(Intersect(t0, t1, OverlapEngine::kIlp).has_value());
+  EXPECT_FALSE(Intersect(t0, t1).has_value());
+  EXPECT_FALSE(IntersectDiophantine(t0, t1).has_value());
+  EXPECT_FALSE(IntersectIlp(t0, t1).has_value());
 }
 
 TEST(Overlap, TouchingStridedFamiliesIntersect) {
@@ -210,8 +236,8 @@ TEST(Overlap, TouchingStridedFamiliesIntersect) {
   const auto w = Intersect(t0, t1);
   ASSERT_TRUE(w.has_value());
   // The witness address must belong to both intervals.
-  EXPECT_TRUE(BruteOverlap({w->address, 0, 1, 1}, t0));
-  EXPECT_TRUE(BruteOverlap({w->address, 0, 1, 1}, t1));
+  EXPECT_TRUE(ElementTouches(t0, w->x0, w->address));
+  EXPECT_TRUE(ElementTouches(t1, w->x1, w->address));
 }
 
 TEST(Overlap, PaperSection3Example) {
@@ -231,205 +257,86 @@ TEST(Overlap, SingleAccesses) {
   EXPECT_TRUE(Intersect(b, c).has_value());
 }
 
-class OverlapEngineTest : public testing::TestWithParam<OverlapEngine> {};
-
-TEST_P(OverlapEngineTest, MatchesBruteForceOnRandomIntervals) {
-  Rng rng(GetParam() == OverlapEngine::kDiophantine ? 303 : 404);
-  for (int trial = 0; trial < 1500; trial++) {
-    StridedInterval a;
-    a.base = 1000 + rng.Below(64);
-    a.stride = rng.Below(12);
-    a.count = 1 + rng.Below(10);
-    if (a.count > 1 && a.stride == 0) a.count = 1;
-    a.size = static_cast<uint32_t>(1 + rng.Below(8));
-    StridedInterval b;
-    b.base = 1000 + rng.Below(64);
-    b.stride = rng.Below(12);
-    b.count = 1 + rng.Below(10);
-    if (b.count > 1 && b.stride == 0) b.count = 1;
-    b.size = static_cast<uint32_t>(1 + rng.Below(8));
-
-    const bool brute = BruteOverlap(a, b);
-    const auto w = Intersect(a, b, GetParam());
-    ASSERT_EQ(w.has_value(), brute)
-        << "a={" << a.base << "," << a.stride << "," << a.count << "," << a.size
-        << "} b={" << b.base << "," << b.stride << "," << b.count << "," << b.size
-        << "}";
-    if (w) {
-      EXPECT_TRUE(BruteOverlap({w->address, 0, 1, 1}, a));
-      EXPECT_TRUE(BruteOverlap({w->address, 0, 1, 1}, b));
-    }
-  }
+TEST(Overlap, SparseFamiliesWithUnequalStrides) {
+  // Strides 32 and 48 meet every 96 bytes: 100 + 32*x0 == 102 + 48*x1 - 2.
+  const StridedInterval a{100, 32, 8, 4};
+  const StridedInterval b{102, 48, 8, 4};
+  const auto w = Intersect(a, b);
+  ASSERT_TRUE(w.has_value());
+  EXPECT_TRUE(ElementTouches(a, w->x0, w->address));
+  EXPECT_TRUE(ElementTouches(b, w->x1, w->address));
+  // Strides 6 and 10 with 1-byte accesses at even and odd bases: the gcd
+  // (2) never divides the base difference, so no byte is shared.
+  EXPECT_FALSE(Intersect({1000, 6, 12, 1}, {1001, 10, 12, 1}).has_value());
 }
 
-INSTANTIATE_TEST_SUITE_P(BothEngines, OverlapEngineTest,
-                         testing::Values(OverlapEngine::kDiophantine,
-                                         OverlapEngine::kIlp),
-                         [](const auto& info) {
-                           return info.param == OverlapEngine::kDiophantine
-                                      ? "Diophantine"
-                                      : "Ilp";
-                         });
-
-// ---------------------------------------------------------------------------
-// Budgeted solves: exhaustion must be reported, never mistaken for a
-// decision (the soundness contract behind RaceConfidence::kUnproven).
-
-TEST(Ilp2, BudgetExhaustionIsReportedNotInfeasible) {
-  // 2x - 4y == 1 is infeasible by parity, but proving it takes branch &
-  // bound a walk along the whole (fractional) constraint line.
-  Ilp2Problem prob;
-  prob.lo_x = 0;
-  prob.hi_x = 50;
-  prob.lo_y = 0;
-  prob.hi_y = 50;
-  prob.constraints.push_back({2, -4, 1});
-  prob.constraints.push_back({-2, 4, -1});
-
-  Ilp2Stats stats;
-  const Ilp2Result full = SolveIlp2Bounded(prob, {}, &stats);
-  EXPECT_EQ(full.outcome, Ilp2Outcome::kInfeasible);
-  ASSERT_GT(stats.nodes_explored, 1);
-
-  Ilp2Limits tiny;
-  tiny.max_nodes = 1;
-  const Ilp2Result cut = SolveIlp2Bounded(prob, tiny, nullptr);
-  EXPECT_EQ(cut.outcome, Ilp2Outcome::kBudgetExhausted);
-
-  // A budget at least as large as the full search changes nothing.
-  Ilp2Limits roomy;
-  roomy.max_nodes = stats.nodes_explored + 1;
-  EXPECT_EQ(SolveIlp2Bounded(prob, roomy, nullptr).outcome,
-            Ilp2Outcome::kInfeasible);
-}
-
-TEST(OverlapProperty, TinyBudgetIsSoundOnBothEngines) {
-  // Under ANY budget, kDisjoint must only ever be claimed when the byte sets
-  // really are disjoint, and kOverlap witnesses must be real. kUnknown is
-  // always permitted - it is the honest "ran out of budget" answer.
-  Rng rng(707);
-  uint64_t unknowns = 0;
-  for (int trial = 0; trial < 1500; trial++) {
-    StridedInterval a{1000 + rng.Below(64), rng.Below(12), 1 + rng.Below(10),
-                      static_cast<uint32_t>(1 + rng.Below(8))};
-    if (a.count > 1 && a.stride == 0) a.count = 1;
-    StridedInterval b{1000 + rng.Below(64), rng.Below(12), 1 + rng.Below(10),
-                      static_cast<uint32_t>(1 + rng.Below(8))};
-    if (b.count > 1 && b.stride == 0) b.count = 1;
-    const bool brute = BruteOverlap(a, b);
-    OverlapBudget budget;
-    budget.max_steps = 1 + rng.Below(3);
-
-    for (const auto engine : {OverlapEngine::kDiophantine, OverlapEngine::kIlp}) {
-      const OverlapResult r = IntersectBounded(a, b, engine, budget);
-      if (r.verdict == OverlapVerdict::kDisjoint) {
-        EXPECT_FALSE(brute) << "budget claimed disjoint on overlapping pair";
-      } else if (r.verdict == OverlapVerdict::kOverlap) {
-        EXPECT_TRUE(brute);
-        EXPECT_TRUE(BruteOverlap({r.witness.address, 0, 1, 1}, a));
-        EXPECT_TRUE(BruteOverlap({r.witness.address, 0, 1, 1}, b));
-      } else {
-        unknowns++;
-      }
-    }
-  }
-  EXPECT_GT(unknowns, 0u) << "budget never bit - the test proves nothing";
-}
-
-// ---------------------------------------------------------------------------
-// Closed-form fast paths: whenever IntersectClosedForm answers, it must be
-// byte-for-byte the kDiophantine engine's answer - verdict AND witness -
-// because the analyzer mixes the two paths inside one run and the race set
-// must not depend on which path decided a pair.
-
-StridedInterval RandomShape(Rng& rng) {
+/// Random interval within the property-test bounds: sizes 1-16, counts
+/// 1-12, strides 0-40 (a zero stride is a single access).
+StridedInterval RandomInterval(Rng& rng) {
   StridedInterval s;
-  s.base = 1000 + rng.Below(96);
-  s.stride = rng.Below(16);
+  s.base = 1000 + rng.Below(160);
+  s.stride = rng.Below(41);
   s.count = 1 + rng.Below(12);
-  if (s.count > 1 && s.stride == 0) s.count = 1;
-  s.size = static_cast<uint32_t>(1 + rng.Below(8));
+  if (s.stride == 0) s.count = 1;
+  s.size = static_cast<uint32_t>(1 + rng.Below(16));
   return s;
 }
 
-TEST(FastPathProperty, AgreesWithEngineVerdictAndWitness) {
-  Rng rng(9090);
-  uint64_t covered = 0, fallthrough = 0;
-  for (int trial = 0; trial < 4000; trial++) {
-    const StridedInterval a = RandomShape(rng);
-    const StridedInterval b = RandomShape(rng);
-    const auto fast = IntersectClosedForm(a, b);
-    if (!fast) {
-      fallthrough++;
-      // nullopt only for shapes the fast path does not cover: sparse x
-      // sparse with unequal strides (or range-disjoint handled upstream).
-      if (RangesTouch(a, b)) {
-        const bool a_dense = a.count == 1 || a.stride <= a.size;
-        const bool b_dense = b.count == 1 || b.stride <= b.size;
-        EXPECT_FALSE(a_dense || b_dense || a.stride == b.stride) << trial;
-      }
-      continue;
+// The closed form is the only production decider, so it must be exact on
+// every shape: it agrees with brute-force byte enumeration, and its verdict
+// AND witness equal the per-offset Diophantine engine's (the analyzer's
+// reports carry the witness address, so a different witness would change
+// race output). The ILP oracle must agree on the verdict.
+TEST(ClosedFormProperty, ExactOnEveryShape) {
+  Rng rng(2121);
+  uint64_t overlaps = 0, sparse_unequal = 0, sparse_unequal_overlaps = 0;
+  for (int trial = 0; trial < 20000; trial++) {
+    const StridedInterval a = RandomInterval(rng);
+    const StridedInterval b = RandomInterval(rng);
+    const auto w = Intersect(a, b);
+    const bool brute = BruteOverlap(a, b);
+    ASSERT_EQ(w.has_value(), brute) << Describe(a, b);
+    if (w) {
+      overlaps++;
+      EXPECT_TRUE(ElementTouches(a, w->x0, w->address)) << Describe(a, b);
+      EXPECT_TRUE(ElementTouches(b, w->x1, w->address)) << Describe(a, b);
     }
-    covered++;
-    EXPECT_NE(fast->verdict, OverlapVerdict::kUnknown) << trial;
-    EXPECT_TRUE(fast->via_fastpath);
-    const OverlapResult engine =
-        IntersectBounded(a, b, OverlapEngine::kDiophantine, {});
-    ASSERT_EQ(fast->verdict, engine.verdict)
-        << "a={" << a.base << "," << a.stride << "," << a.count << "," << a.size
-        << "} b={" << b.base << "," << b.stride << "," << b.count << "," << b.size
-        << "}";
-    if (fast->verdict == OverlapVerdict::kOverlap) {
-      EXPECT_EQ(fast->witness.address, engine.witness.address) << trial;
-      EXPECT_TRUE(BruteOverlap({fast->witness.address, 0, 1, 1}, a));
-      EXPECT_TRUE(BruteOverlap({fast->witness.address, 0, 1, 1}, b));
+    if (RangesTouch(a, b) && Sparse(a) && Sparse(b) && a.stride != b.stride) {
+      sparse_unequal++;
+      if (w) sparse_unequal_overlaps++;
     }
+
+    const auto dio = IntersectDiophantine(a, b);
+    ASSERT_EQ(dio.has_value(), brute) << Describe(a, b);
+    if (w) {
+      EXPECT_EQ(w->x0, dio->x0) << Describe(a, b);
+      EXPECT_EQ(w->x1, dio->x1) << Describe(a, b);
+      EXPECT_EQ(w->address, dio->address) << Describe(a, b);
+    }
+    ASSERT_EQ(IntersectIlp(a, b).has_value(), brute) << Describe(a, b);
   }
-  // The generator mixes shapes; both outcomes must actually occur for the
-  // property to mean anything.
-  EXPECT_GT(covered, 0u);
-  EXPECT_GT(fallthrough, 0u);
+  // The generator must reach the shape the closed form once left to the
+  // general engines, with both outcomes, for the property to mean anything.
+  EXPECT_GT(overlaps, 4000u);
+  EXPECT_GT(sparse_unequal, 4000u);
+  EXPECT_GT(sparse_unequal_overlaps, 400u);
+  EXPECT_GT(sparse_unequal - sparse_unequal_overlaps, 400u);
 }
 
-TEST(FastPath, CoversTheClosedFormShapes) {
-  // singleton x singleton
-  EXPECT_TRUE(IntersectClosedForm({100, 0, 1, 8}, {104, 0, 1, 8}).has_value());
-  // dense run (stride <= size) x sparse
-  EXPECT_TRUE(IntersectClosedForm({100, 8, 10, 8}, {104, 32, 4, 4}).has_value());
-  // equal-stride sparse x sparse
-  EXPECT_TRUE(IntersectClosedForm({100, 32, 8, 4}, {116, 32, 8, 4}).has_value());
-  // sparse x sparse with unequal strides: not covered, engine decides
-  EXPECT_FALSE(IntersectClosedForm({100, 32, 8, 4}, {102, 48, 8, 4}).has_value());
-}
-
-TEST(FastPath, OptionsOverloadRoutesAndAblates) {
-  const StridedInterval a{10, 8, 5, 4};
-  const StridedInterval b{14, 8, 5, 4};  // Fig. 4: range-touching, disjoint
-  OverlapOptions with;
-  const OverlapResult fast = IntersectBounded(a, b, with);
-  EXPECT_EQ(fast.verdict, OverlapVerdict::kDisjoint);
-  EXPECT_TRUE(fast.via_fastpath);
-
-  OverlapOptions without;
-  without.allow_fastpath = false;
-  const OverlapResult slow = IntersectBounded(a, b, without);
-  EXPECT_EQ(slow.verdict, OverlapVerdict::kDisjoint);
-  EXPECT_FALSE(slow.via_fastpath);
-
-  // The legacy overload is the pure-engine baseline.
-  EXPECT_FALSE(IntersectBounded(a, b, OverlapEngine::kDiophantine, {}).via_fastpath);
-}
-
-TEST(OverlapProperty, EnginesAgreeOnAdversarialStrides) {
+TEST(ClosedFormProperty, AgreesWithOraclesOnAdversarialStrides) {
   Rng rng(505);
   for (int trial = 0; trial < 500; trial++) {
     StridedInterval a{5000 + rng.Below(100), 1 + rng.Below(64), 1 + rng.Below(50),
                       static_cast<uint32_t>(1 + rng.Below(8))};
     StridedInterval b{5000 + rng.Below(100), 1 + rng.Below(64), 1 + rng.Below(50),
                       static_cast<uint32_t>(1 + rng.Below(8))};
-    EXPECT_EQ(Intersect(a, b, OverlapEngine::kDiophantine).has_value(),
-              Intersect(a, b, OverlapEngine::kIlp).has_value())
-        << trial;
+    const auto w = Intersect(a, b);
+    const auto dio = IntersectDiophantine(a, b);
+    ASSERT_EQ(w.has_value(), dio.has_value()) << Describe(a, b);
+    if (w) {
+      EXPECT_EQ(w->address, dio->address) << Describe(a, b);
+    }
+    EXPECT_EQ(w.has_value(), IntersectIlp(a, b).has_value()) << Describe(a, b);
   }
 }
 

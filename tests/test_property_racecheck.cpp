@@ -1,23 +1,16 @@
 // Randomized equivalence properties for the race-check hot path:
 //
-//   1. CheckFrozenPair (sweep-merge/gallop enumeration, with and without the
-//      closed-form overlap fast paths) must emit the EXACT report sequence
-//      of the brute-force every-pair reference (tests/oracle), over
-//      randomized strided workloads.
-//   2. Under a starved solver budget, the checker without fast paths is
-//      still byte-identical to the reference; with fast paths it may only be
-//      MORE precise - every pair the reference proves stays proven with the
-//      same witness, every pair the fast-path run reports was at least
-//      flagged (possibly unproven) by the reference, and nothing is invented
-//      or dropped.
-//   3. The full analyzer gives byte-identical reports (text rendering
-//      included) across every --no-fastpath / --no-dedup ablation and
-//      thread count, over randomized multi-threaded strided traces - and
+//   1. CheckFrozenPair (sweep-merge/gallop enumeration, closed-form overlap
+//      decisions) must emit the EXACT report sequence of the brute-force
+//      every-pair reference (tests/oracle, deciding with the per-offset
+//      Diophantine oracle), over randomized strided workloads.
+//   2. The full analyzer gives byte-identical reports (text rendering
+//      included) with and without --no-dedup and at every thread count,
+//      over randomized multi-threaded strided traces - and
 //      the same scripts written with and without strided-run coalescing
 //      find the same races in the same number of summary nodes.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <tuple>
 #include <vector>
 
@@ -38,13 +31,11 @@ using itree::AccessKey;
 using itree::FrozenIntervalSet;
 using itree::MutexSetTable;
 
-using ReportTuple = std::tuple<uint32_t, uint32_t, uint64_t, uint8_t, uint8_t,
-                               bool, bool, uint8_t>;
+using ReportTuple =
+    std::tuple<uint32_t, uint32_t, uint64_t, uint8_t, uint8_t, bool, bool>;
 
 ReportTuple Tup(const RaceReport& r) {
-  return {r.pc1,    r.pc2,    r.address,
-          r.size1,  r.size2,  r.write1,
-          r.write2, static_cast<uint8_t>(r.confidence)};
+  return {r.pc1, r.pc2, r.address, r.size1, r.size2, r.write1, r.write2};
 }
 
 std::vector<ReportTuple> Tuples(const std::vector<RaceReport>& rs) {
@@ -100,17 +91,17 @@ struct RunOutput {
 };
 
 RunOutput RunFrozen(const FrozenIntervalSet& a, const FrozenIntervalSet& b,
-                    const MutexSetTable& mutexes, const CheckLimits& limits) {
+                    const MutexSetTable& mutexes) {
   RunOutput out;
-  CheckFrozenPair(a, b, mutexes, ilp::OverlapEngine::kDiophantine,
+  CheckFrozenPair(a, b, mutexes,
                   [&](const RaceReport& r) { out.reports.push_back(r); },
-                  &out.stats, limits);
+                  &out.stats);
   return out;
 }
 
 class RacecheckProperty : public testing::TestWithParam<int> {};
 
-TEST_P(RacecheckProperty, FrozenAndFastpathMatchBruteForce) {
+TEST_P(RacecheckProperty, FrozenMatchesBruteForce) {
   Rng rng(31000 + static_cast<uint64_t>(GetParam()));
   MutexSetTable mutexes;
   // Every third seed pits a 1-4 node side against a 40-80 node one, which
@@ -123,84 +114,15 @@ TEST_P(RacecheckProperty, FrozenAndFastpathMatchBruteForce) {
   const FrozenIntervalSet b = RandomWorkload(rng, &mutexes, 200, b_nodes);
 
   oracle::BruteForceStats want;
-  const std::vector<RaceReport> reference = oracle::BruteForceRaces(
-      a, b, mutexes, ilp::OverlapEngine::kDiophantine, 0, &want);
-  const RunOutput engine = RunFrozen(a, b, mutexes, {});
-  CheckLimits fast;
-  fast.use_fastpath = true;
-  const RunOutput fastpath = RunFrozen(a, b, mutexes, fast);
+  const std::vector<RaceReport> reference =
+      oracle::BruteForceRaces(a, b, mutexes, &want);
+  const RunOutput got = RunFrozen(a, b, mutexes);
 
-  EXPECT_EQ(Tuples(reference), Tuples(engine.reports)) << "engine only";
-  EXPECT_EQ(Tuples(reference), Tuples(fastpath.reports)) << "fast paths";
-
-  EXPECT_EQ(want.node_pairs_ranged, engine.stats.node_pairs_ranged);
-  EXPECT_EQ(want.decisions, engine.stats.solver_calls);
-  EXPECT_EQ(want.duplicates_suppressed, engine.stats.duplicates_suppressed);
-  // Fast paths replace solver calls one-for-one, never skip decisions.
-  EXPECT_EQ(fastpath.stats.fastpath_hits + fastpath.stats.solver_calls,
-            want.decisions);
-}
-
-TEST_P(RacecheckProperty, StarvedBudgetStaysSoundAndConsistent) {
-  Rng rng(47000 + static_cast<uint64_t>(GetParam()));
-  MutexSetTable mutexes;
-  const FrozenIntervalSet a =
-      RandomWorkload(rng, &mutexes, 100, 4 + static_cast<int>(rng.Below(40)));
-  const FrozenIntervalSet b =
-      RandomWorkload(rng, &mutexes, 200, 4 + static_cast<int>(rng.Below(40)));
-
-  CheckLimits starved;
-  starved.solver_step_budget = 1 + rng.Below(3);
-  oracle::BruteForceStats reference_stats;
-  const std::vector<RaceReport> reference = oracle::BruteForceRaces(
-      a, b, mutexes, ilp::OverlapEngine::kDiophantine,
-      starved.solver_step_budget, &reference_stats);
-  const RunOutput sweep = RunFrozen(a, b, mutexes, starved);
-  // Without fast paths the checker makes the reference's starved decisions
-  // in the same canonical order: byte-identical, bail-outs included.
-  EXPECT_EQ(Tuples(reference), Tuples(sweep.reports));
-  EXPECT_EQ(reference_stats.bailouts, sweep.stats.solver_bailouts);
-
-  CheckLimits starved_fast = starved;
-  starved_fast.use_fastpath = true;
-  const RunOutput fastpath = RunFrozen(a, b, mutexes, starved_fast);
-
-  // The fast paths are exact and budget-free, so the starved fast-path run
-  // may only be MORE decided than the reference, never contradictory:
-  //   - every report it emits targets a pair the reference also flagged;
-  //   - every pair the reference PROVED is reported identically (the closed
-  //     forms reproduce engine witnesses bit-for-bit);
-  //   - anything it still reports unproven, the reference reported unproven
-  //     too.
-  std::map<std::pair<uint32_t, uint32_t>, int> reference_pairs;
-  std::map<ReportTuple, int> reference_unproven;
-  for (const RaceReport& r : reference) {
-    reference_pairs[{r.pc1, r.pc2}]++;
-    if (r.confidence == RaceConfidence::kUnproven) reference_unproven[Tup(r)]++;
-  }
-  for (const RaceReport& r : fastpath.reports) {
-    ASSERT_TRUE(reference_pairs.count({r.pc1, r.pc2}))
-        << "fast path invented pair " << r.pc1 << "/" << r.pc2;
-    if (r.confidence == RaceConfidence::kUnproven) {
-      // An unproven fast-path-run report is an engine-fallback decision the
-      // reference run made identically - the exact tuple must exist there.
-      EXPECT_GT(reference_unproven[Tup(r)], 0)
-          << "unproven report " << r.pc1 << "/" << r.pc2
-          << " has no reference counterpart";
-      reference_unproven[Tup(r)]--;
-    }
-  }
-  std::map<ReportTuple, int> fast_multiset;
-  for (const RaceReport& r : fastpath.reports) fast_multiset[Tup(r)]++;
-  for (const RaceReport& r : reference) {
-    if (r.confidence == RaceConfidence::kProven) {
-      EXPECT_GT(fast_multiset[Tup(r)], 0)
-          << "proven race " << r.pc1 << "/" << r.pc2
-          << " lost or altered by the fast path";
-      fast_multiset[Tup(r)]--;
-    }
-  }
-  EXPECT_LE(fastpath.stats.solver_bailouts, reference_stats.bailouts);
+  EXPECT_EQ(Tuples(reference), Tuples(got.reports));
+  EXPECT_EQ(want.node_pairs_ranged, got.stats.node_pairs_ranged);
+  // Every pair that passes the filters is one exact decision.
+  EXPECT_EQ(want.decisions, got.stats.fastpath_hits);
+  EXPECT_EQ(want.duplicates_suppressed, got.stats.duplicates_suppressed);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomWorkloads, RacecheckProperty,
@@ -264,19 +186,15 @@ TEST_P(AnalyzeAblationProperty, AllAblationsRenderIdentically) {
   const std::string base_text = RenderText(base, pc_name);
 
   for (const bool use_dedup : {true, false}) {
-    for (const bool use_fastpath : {true, false}) {
-      for (const uint32_t nthreads : {1u, 3u}) {
-        AnalysisConfig config;
-        config.use_dedup = use_dedup;
-        config.use_fastpath = use_fastpath;
-        config.threads = nthreads;
-        const AnalysisResult alt = Analyze(store.value(), config);
-        ASSERT_TRUE(alt.status.ok());
-        EXPECT_EQ(RenderText(alt, pc_name), base_text)
-            << "dedup=" << use_dedup << " fastpath=" << use_fastpath
-            << " threads=" << nthreads;
-        EXPECT_EQ(Tuples(alt.races.reports()), Tuples(base.races.reports()));
-      }
+    for (const uint32_t nthreads : {1u, 3u}) {
+      AnalysisConfig config;
+      config.use_dedup = use_dedup;
+      config.threads = nthreads;
+      const AnalysisResult alt = Analyze(store.value(), config);
+      ASSERT_TRUE(alt.status.ok());
+      EXPECT_EQ(RenderText(alt, pc_name), base_text)
+          << "dedup=" << use_dedup << " threads=" << nthreads;
+      EXPECT_EQ(Tuples(alt.races.reports()), Tuples(base.races.reports()));
     }
   }
 }
@@ -285,10 +203,9 @@ INSTANTIATE_TEST_SUITE_P(RandomTraces, AnalyzeAblationProperty,
                          testing::Range(0, 12));
 
 // ---------------------------------------------------------------------------
-// Pipeline equivalence: repeated-subtrace memoization (use_dedup), the
-// closed-form fast paths (use_fastpath) and the checker thread count must
-// each - and in every combination - render byte-identically to the all-off
-// serial run, across trace formats v1/v2/v3 and across salvage-cut traces
+// Pipeline equivalence: repeated-subtrace memoization (use_dedup) and the
+// checker thread count must each - and in every combination - render
+// byte-identically to the dedup-off serial run, across trace formats v1/v2/v3 and across salvage-cut traces
 // whose tails died mid-segment. Independently, the same scripts written as a
 // v3 trace (strided runs coalesced into kAccessRun events, summarized by
 // StreamingSetBuilder::AddRun) and as a v2 trace (every element a separate
@@ -412,21 +329,19 @@ TEST_P(PipelineProperty, AllModeCombinationsRenderIdentically) {
 
   AnalysisConfig plain;
   plain.use_dedup = false;
-  plain.use_fastpath = false;
   const AnalysisResult base = Analyze(store.value(), plain);
   ASSERT_TRUE(base.status.ok()) << base.status.ToString();
   const std::string base_text = RenderText(base, pc_name);
 
-  for (int mask = 1; mask < 8; mask++) {
+  for (int mask = 1; mask < 4; mask++) {
     AnalysisConfig config;
     config.use_dedup = mask & 1;
-    config.use_fastpath = mask & 2;
-    config.threads = (mask & 4) ? 3 : 1;
+    config.threads = (mask & 2) ? 3 : 1;
     const AnalysisResult alt = Analyze(store.value(), config);
     ASSERT_TRUE(alt.status.ok()) << alt.status.ToString();
     EXPECT_EQ(RenderText(alt, pc_name), base_text)
-        << "dedup=" << bool(mask & 1) << " fastpath=" << bool(mask & 2)
-        << " threads=" << config.threads << " format=v" << int(format);
+        << "dedup=" << bool(mask & 1) << " threads=" << config.threads
+        << " format=v" << int(format);
     EXPECT_EQ(Tuples(alt.races.reports()), Tuples(base.races.reports()));
   }
 

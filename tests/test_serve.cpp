@@ -20,7 +20,7 @@
 #include "offline/analysis.h"
 #include "offline/journal.h"
 #include "offline/tracestore.h"
-#include "oracle/journal_v4.h"
+#include "oracle/journal_legacy.h"
 #include "serve/admission.h"
 #include "serve/aggregate.h"
 #include "serve/control.h"
@@ -312,15 +312,13 @@ TEST(Ingest, HardReadFailuresQuarantineAfterBudgetWithBackoff) {
 
 // --- ReportAggregator ------------------------------------------------------
 
-RaceReport MakeRace(uint32_t pc1, uint32_t pc2,
-                    RaceConfidence conf = RaceConfidence::kProven) {
+RaceReport MakeRace(uint32_t pc1, uint32_t pc2) {
   RaceReport r;
   r.pc1 = pc1;
   r.pc2 = pc2;
   r.address = 0x1000 + pc1;
   r.size1 = r.size2 = 4;
   r.write1 = true;
-  r.confidence = conf;
   return r;
 }
 
@@ -336,7 +334,7 @@ RunVerdict MakeVerdict(const std::string& run, uint64_t fingerprint,
 
 TEST(Aggregate, MergeIsOrderIndependent) {
   const std::vector<RunVerdict> verdicts = {
-      MakeVerdict("run-a", 1, {MakeRace(1, 2), MakeRace(3, 4, RaceConfidence::kUnproven)}),
+      MakeVerdict("run-a", 1, {MakeRace(1, 2), MakeRace(3, 4)}),
       MakeVerdict("run-b", 2, {MakeRace(2, 1), MakeRace(5, 6)}),
       MakeVerdict("run-c", 3, {MakeRace(3, 4)}),
   };
@@ -348,18 +346,16 @@ TEST(Aggregate, MergeIsOrderIndependent) {
   EXPECT_EQ(fwd.run_count(), 3u);
 }
 
-TEST(Aggregate, SampleElectionPrefersProvenThenSmallestRun) {
+TEST(Aggregate, SampleElectionPrefersSmallestRun) {
   serve::ReportAggregator agg;
-  agg.AddRun(MakeVerdict("z-run", 1, {MakeRace(1, 2)}));                          // proven
-  agg.AddRun(MakeVerdict("a-run", 2, {MakeRace(1, 2, RaceConfidence::kUnproven)}));
+  agg.AddRun(MakeVerdict("z-run", 1, {MakeRace(1, 2)}));
   auto sites = agg.Sites();
   ASSERT_EQ(sites.size(), 1u);
-  // Proven (z-run) beats unproven (a-run) even though "a-run" sorts first.
   EXPECT_EQ(sites[0].sample_run, "z-run");
-  EXPECT_EQ(sites[0].runs, 2u);
-  EXPECT_EQ(sites[0].proven_runs, 1u);
-  // A second proven run with a smaller name takes the sample.
+  EXPECT_EQ(sites[0].runs, 1u);
+  // A later run with a smaller name takes the sample; a larger one does not.
   agg.AddRun(MakeVerdict("b-run", 3, {MakeRace(2, 1)}));
+  agg.AddRun(MakeVerdict("m-run", 4, {MakeRace(1, 2)}));
   sites = agg.Sites();
   EXPECT_EQ(sites[0].sample_run, "b-run");
   EXPECT_EQ(sites[0].runs, 3u);

@@ -12,7 +12,7 @@
 #include "offline/analysis.h"
 #include "offline/report.h"
 #include "offline/tracestore.h"
-#include "oracle/journal_v4.h"
+#include "oracle/journal_legacy.h"
 #include "somp/instr.h"
 #include "somp/runtime.h"
 
@@ -146,10 +146,6 @@ TEST_F(ToolsTest, OfflineToolValidatesFlagCombinations) {
   EXPECT_EQ(rc2, 1) << out2;
   EXPECT_NE(out2.find("--threads must be >= 1"), std::string::npos) << out2;
 
-  const auto [rc3, out3] =
-      RunCommand(ToolPath("sword-offline") + " " + dir_.path() + " --engine qp");
-  EXPECT_EQ(rc3, 1) << out3;
-
   // --resume with no journal on disk is an I/O failure (4), not usage: the
   // flags are fine, the state is missing.
   const auto [rc4, out4] =
@@ -216,28 +212,46 @@ TEST_F(ToolsTest, OfflineToolRefusesResumeAcrossDedupModes) {
       << out_rev;
 }
 
-TEST_F(ToolsTest, OfflineToolRefusesVersion4Journal) {
-  // A journal from before the v5 header (which dropped three retired knob
+TEST_F(ToolsTest, OfflineToolRefusesVersion4And5Journals) {
+  // A journal from before the v5 or v6 header (each dropped retired knob
   // bytes) is an analysis failure naming the version, not a usage error.
-  ASSERT_TRUE(WriteFile(dir_.path() + "/sword_analysis_0of1.journal",
-                        oracle::JournalV4File(offline::JournalHeader{}))
-                  .ok());
-  const auto [rc, out] = RunCommand(ToolPath("sword-offline") + " " +
-                                    dir_.path() + " --resume");
-  EXPECT_EQ(rc, 4) << out;
-  EXPECT_NE(out.find("journal version 4"), std::string::npos) << out;
+  const std::pair<int, Bytes> journals[] = {
+      {4, oracle::JournalV4File(offline::JournalHeader{})},
+      {5, oracle::JournalV5File(offline::JournalHeader{})}};
+  for (const auto& [version, file] : journals) {
+    ASSERT_TRUE(WriteFile(dir_.path() + "/sword_analysis_0of1.journal", file).ok());
+    const auto [rc, out] = RunCommand(ToolPath("sword-offline") + " " +
+                                      dir_.path() + " --resume");
+    EXPECT_EQ(rc, 4) << out;
+    EXPECT_NE(out.find("journal version " + std::to_string(version)),
+              std::string::npos)
+        << out;
+  }
 }
 
 TEST_F(ToolsTest, OfflineToolRejectsRetiredAblationFlags) {
   // No option answers to these names: they fail as unknown flags (exit 1),
-  // before the trace is touched.
-  for (const char* flag : {"--no-stream", "--no-sweep", "--no-symbolic"}) {
+  // before the trace is touched. The overlap engine choice, the solver step
+  // budget and the fast-path ablation went with the general engines.
+  const std::pair<const char*, const char*> retired[] = {
+      {"--no-stream", ""},   {"--no-sweep", ""},         {"--no-symbolic", ""},
+      {"--engine", " ilp"},  {"--solver-budget", " 5"},  {"--no-fastpath", ""}};
+  for (const auto& [flag, value] : retired) {
     const auto [rc, out] = RunCommand(ToolPath("sword-offline") + " " +
-                                      dir_.path() + " " + flag);
+                                      dir_.path() + " " + flag + value);
     EXPECT_EQ(rc, 1) << flag << ": " << out;
     EXPECT_NE(out.find(std::string("unknown flag ") + flag), std::string::npos)
         << flag << ": " << out;
   }
+}
+
+TEST_F(ToolsTest, ServeToolRejectsRetiredSolverBudget) {
+  if (!FileExists(ToolPath("sword-serve"))) GTEST_SKIP() << "sword-serve not built";
+  const auto [rc, out] =
+      RunCommand(ToolPath("sword-serve") + " " + dir_.path() + " --state-dir " +
+                 dir_.path() + "/state --solver-budget 5");
+  EXPECT_EQ(rc, 1) << out;
+  EXPECT_NE(out.find("unknown flag --solver-budget"), std::string::npos) << out;
 }
 
 TEST_F(ToolsTest, RunToolRejectsRetiredAblationFlags) {
