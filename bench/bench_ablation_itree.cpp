@@ -5,11 +5,11 @@
 //     consecutive memory accesses in one node";
 //   - summary-vs-summary comparison (the frozen sets' sort-merge sweep)
 //     beats the naive all-pairs comparison by orders of magnitude;
-//   - the race-check hot path (CheckFrozenPair: sweep or gallop, plus the
-//     closed-form overlap decision) in enumerated pairs per second on
-//     dense-stride and sparse workloads, and the closed form's decisions per
-//     second on each overlap shape class - both floored by the perf-smoke
-//     gate.
+//   - the race-check hot path (freezing both sides, then CheckFrozenPair:
+//     the write-aware sweep plus the closed-form overlap decision) in frozen
+//     nodes swept per second on dense-stride and sparse workloads, and the
+//     closed form's decisions per second on each overlap shape class - both
+//     floored by the perf-smoke gate.
 //
 // Flags: --quick (smaller sizes for CI), --json FILE (machine-readable
 // metrics for the perf-smoke regression gate).
@@ -66,9 +66,8 @@ uint64_t NaiveCompare(const std::vector<itree::AccessNode>& a,
 /// The paper's dense-stride shape: two big same-bucket summaries whose nodes
 /// are stride-8 runs laid out so each a-node range-touches a couple of
 /// b-nodes - the hot path of a real array-heavy trace. Mostly reads, with a
-/// few writes so the race path is exercised too. The sweep decides only the
-/// write pairs and counts the read-read majority in a callback-free pass -
-/// so pairs/s here mostly measures that pass.
+/// few writes so the race path is exercised too; the sweep visits only the
+/// write pairs.
 void BuildDenseStridePair(uint64_t nodes, std::vector<itree::AccessNode>* a,
                           std::vector<itree::AccessNode>* b) {
   for (uint64_t i = 0; i < nodes; i++) {
@@ -81,29 +80,40 @@ void BuildDenseStridePair(uint64_t nodes, std::vector<itree::AccessNode>* a,
   }
 }
 
-struct PairBenchResult {
-  double pairs_per_sec = 0;
-  uint64_t pairs = 0;
-  uint64_t races = 0;
+struct SweepBenchResult {
+  double nodes_per_sec = 0;  // both sides' nodes, per second of freeze+compare
+  uint64_t pairs = 0;        // range-touching pairs with a write, per compare
+  uint64_t races = 0;        // per compare
 };
 
-PairBenchResult RunFrozen(std::vector<itree::AccessNode> a,
-                          std::vector<itree::AccessNode> b,
-                          const itree::MutexSetTable& mutexes, int reps,
-                          double* freeze_seconds) {
-  PairBenchResult r;
-  Timer freeze_timer;
-  const itree::FrozenIntervalSet fa = FreezeNodes(std::move(a));
-  const itree::FrozenIntervalSet fb = FreezeNodes(std::move(b));
-  *freeze_seconds = freeze_timer.ElapsedSeconds();
-  Timer t;
-  for (int rep = 0; rep < reps; rep++) {
-    offline::CheckStats stats;
-    offline::CheckFrozenPair(fa, fb, mutexes,
-                             [&](const RaceReport&) { r.races++; }, &stats);
-    r.pairs += stats.node_pairs_ranged;
-  }
-  r.pairs_per_sec = static_cast<double>(r.pairs) / std::max(t.ElapsedSeconds(), 1e-9);
+/// Freezes both sides and compares them, `block` times per sample; the rate
+/// is the best of `samples` samples. One freeze+compare of the quick sizes
+/// takes well under a millisecond, so a single one would time scheduler
+/// noise.
+SweepBenchResult RunFrozen(const std::vector<itree::AccessNode>& a,
+                           const std::vector<itree::AccessNode>& b,
+                           const itree::MutexSetTable& mutexes, int samples,
+                           int block) {
+  SweepBenchResult r;
+  const double seconds = BestOfReps(
+      samples,
+      [&] {
+        Timer t;
+        for (int rep = 0; rep < block; rep++) {
+          const itree::FrozenIntervalSet fa = FreezeNodes(a);
+          const itree::FrozenIntervalSet fb = FreezeNodes(b);
+          offline::CheckStats stats;
+          uint64_t races = 0;
+          offline::CheckFrozenPair(fa, fb, mutexes,
+                                   [&](const RaceReport&) { races++; }, &stats);
+          r.pairs = stats.node_pairs_ranged;
+          r.races = races;
+        }
+        return t.ElapsedSeconds() / block;
+      },
+      [](double s) { return s; });
+  r.nodes_per_sec =
+      static_cast<double>(a.size() + b.size()) / std::max(seconds, 1e-9);
   return r;
 }
 
@@ -205,26 +215,25 @@ int main(int argc, char** argv) {
   compare.Print();
   std::printf("\n");
 
-  // --- The race-check hot path (CheckFrozenPair), in enumerated pairs per
-  // second.
+  // --- The race-check hot path (freeze + CheckFrozenPair), in frozen nodes
+  // swept per second.
   itree::MutexSetTable mutexes;
-  const int reps = quick ? 3 : 10;
-  TextTable hot({"workload", "nodes/side", "pairs/s", "races", "freeze"});
-  double dense_frozen_pps = 0;
+  const int samples = quick ? 5 : 9;
+  const int block = quick ? 20 : 10;
+  TextTable hot({"workload", "nodes/side", "nodes/s", "write pairs", "races"});
+  double dense_frozen_nps = 0;
   {
     std::vector<itree::AccessNode> a, b;
     const uint64_t nodes = quick ? 10000 : 40000;
     BuildDenseStridePair(nodes, &a, &b);
-    double freeze_s = 0;
-    const auto frozen = RunFrozen(std::move(a), std::move(b), mutexes, reps,
-                                  &freeze_s);
-    dense_frozen_pps = frozen.pairs_per_sec;
+    const auto frozen = RunFrozen(a, b, mutexes, samples, block);
+    dense_frozen_nps = frozen.nodes_per_sec;
     hot.AddRow({"dense stride-8 runs", std::to_string(nodes),
-                std::to_string(static_cast<uint64_t>(frozen.pairs_per_sec)),
-                std::to_string(frozen.races), FormatSeconds(freeze_s)});
+                std::to_string(static_cast<uint64_t>(frozen.nodes_per_sec)),
+                std::to_string(frozen.pairs), std::to_string(frozen.races)});
   }
   {
-    // Scattered sparse nodes: fewer touching pairs.
+    // Scattered sparse read nodes: no pair with a write at all.
     std::vector<itree::AccessNode> a, b;
     Rng rng(77);
     const uint64_t nodes = quick ? 8000 : 30000;
@@ -238,12 +247,10 @@ int main(int argc, char** argv) {
       b.push_back({ib, Key(static_cast<uint32_t>(100 + i % 4), itree::kRead),
                    ib.count});
     }
-    double freeze_s = 0;
-    const auto frozen = RunFrozen(std::move(a), std::move(b), mutexes, reps,
-                                  &freeze_s);
+    const auto frozen = RunFrozen(a, b, mutexes, samples, block);
     hot.AddRow({"random sparse strides", std::to_string(nodes),
-                std::to_string(static_cast<uint64_t>(frozen.pairs_per_sec)),
-                std::to_string(frozen.races), FormatSeconds(freeze_s)});
+                std::to_string(static_cast<uint64_t>(frozen.nodes_per_sec)),
+                std::to_string(frozen.pairs), std::to_string(frozen.races)});
   }
   hot.Print();
   std::printf("\n");
@@ -293,7 +300,7 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\"bench\":\"ablation_itree\",\"quick\":" << (quick ? "true" : "false")
-        << ",\"dense_frozen_pairs_per_sec\":" << dense_frozen_pps;
+        << ",\"dense_frozen_nodes_per_sec\":" << dense_frozen_nps;
     for (const auto& [metric, rate] : shape_rates) {
       out << ",\"decisions_per_sec_" << metric << "\":" << rate;
     }

@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
     }
     if (sword_run.races != static_cast<uint64_t>(w->total_races)) sword_exact = false;
     if (sword_run.races > archer.races) sword_only++;
-    // A decision is demanded whenever a range-matched pair survives the
-    // read-read / atomic / lockset filters.
+    // A decision is demanded whenever a range-matched pair with a write
+    // survives the atomic / lockset filters.
     decisions += sword_run.analysis.fastpath_hits;
   }
 

@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the performance-critical components:
 // per-access costs (trace append, shadow check), summary operations
-// (StreamingSetBuilder appends, frozen-set queries), OSL judgments,
+// (StreamingSetBuilder appends), OSL judgments,
 // Diophantine solves and closed-form overlap decisions, codec throughput, and vector-clock joins. These are the constants behind every macro number in the tables.
 //
 // Three modes:
@@ -36,7 +36,6 @@
 #include "hb/vectorclock.h"
 #include "ilp/diophantine.h"
 #include "ilp/overlap.h"
-#include "itree/frozen_set.h"
 #include "itree/streaming_builder.h"
 #include "osl/label.h"
 #include "somp/instr.h"
@@ -326,35 +325,6 @@ void BM_ItreeAddAccessScattered(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ItreeAddAccessScattered);
-
-void BM_ItreeQuery(benchmark::State& state) {
-  Rng rng(5);
-  itree::AccessKey key;
-  key.pc = 1;
-  std::vector<itree::AccessNode> nodes;
-  for (int i = 0; i < 100000; i++) {
-    const ilp::StridedInterval iv{0x100000 + rng.Below(1 << 24), 8,
-                                  1 + rng.Below(16), 8};
-    nodes.push_back({iv, key, iv.count});
-  }
-  std::stable_sort(nodes.begin(), nodes.end(),
-                   [](const itree::AccessNode& l, const itree::AccessNode& r) {
-                     return l.interval.lo() < r.interval.lo();
-                   });
-  const itree::FrozenIntervalSet set =
-      itree::FrozenIntervalSet::FromSorted(std::move(nodes));
-  for (auto _ : state) {
-    const uint64_t lo = 0x100000 + rng.Below(1 << 24);
-    uint64_t found = 0;
-    set.QueryRange(lo, lo + 256, [&](uint32_t) {
-      found++;
-      return true;
-    });
-    benchmark::DoNotOptimize(found);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ItreeQuery);
 
 void BM_OslConcurrent(benchmark::State& state) {
   const osl::Label a = osl::Label::Initial().Fork(1, 8).AfterBarrier().Fork(0, 2);

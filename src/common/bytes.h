@@ -21,7 +21,9 @@ class ByteWriter {
   ByteWriter() = default;
   explicit ByteWriter(Bytes* out) : external_(out) {}
 
-  void PutU8(uint8_t v) { Push(&v, 1); }
+  // push_back, not Push: GCC 12 reports a false -Wstringop-overflow for a
+  // one-byte range insert into an empty vector.
+  void PutU8(uint8_t v) { buffer().push_back(v); }
   void PutU16(uint16_t v);
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);

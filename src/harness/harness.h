@@ -45,7 +45,6 @@ struct RunConfig {
   bool run_offline = true;             // run the offline analysis afterwards
   uint32_t offline_threads = 1;
   bool journal_offline = false;        // checkpoint each analysis bucket
-  bool dedup_offline = true;           // repeated-subtrace memoization
   std::string trace_dir;               // empty = fresh temp dir per run
 
   // Production-survivability knobs (see docs/RESILIENCE.md).

@@ -16,50 +16,12 @@ FrozenIntervalSet FrozenIntervalSet::FromSorted(std::vector<AccessNode> sorted) 
     set.hi_.push_back(node.interval.hi());
     set.nodes_.push_back(node);
   }
-  set.max_hi_.resize(n);
-  if (n > 0) set.BuildMaxHi(0, n);
   return set;
-}
-
-uint64_t FrozenIntervalSet::BuildMaxHi(size_t l, size_t r) {
-  if (l >= r) return 0;
-  const size_t mid = l + (r - l) / 2;
-  uint64_t m = hi_[mid];
-  if (l < mid) m = std::max(m, BuildMaxHi(l, mid));
-  if (mid + 1 < r) m = std::max(m, BuildMaxHi(mid + 1, r));
-  max_hi_[mid] = m;
-  return m;
-}
-
-bool FrozenIntervalSet::QueryRange(uint64_t query_lo, uint64_t query_hi,
-                                   FunctionRef<bool(uint32_t)> fn) const {
-  if (nodes_.empty()) return true;
-  return QueryRecurse(0, nodes_.size(), query_lo, query_hi, fn);
-}
-
-bool FrozenIntervalSet::QueryRecurse(size_t l, size_t r, uint64_t query_lo,
-                                     uint64_t query_hi,
-                                     FunctionRef<bool(uint32_t)>& fn) const {
-  if (l >= r) return true;
-  const size_t mid = l + (r - l) / 2;
-  // Interval-tree pruning: if nothing in this subtree ends at or after
-  // query_lo, no interval here can touch the query.
-  if (max_hi_[mid] < query_lo) return true;
-  if (!QueryRecurse(l, mid, query_lo, query_hi, fn)) return false;
-  if (lo_[mid] <= query_hi) {
-    if (hi_[mid] >= query_lo) {
-      if (!fn(static_cast<uint32_t>(mid))) return false;
-    }
-    return QueryRecurse(mid + 1, r, query_lo, query_hi, fn);
-  }
-  // mid starts past the query; everything to its right starts even later.
-  return true;
 }
 
 uint64_t FrozenIntervalSet::MemoryBytes() const {
   return static_cast<uint64_t>(lo_.capacity() * sizeof(uint64_t) +
                                hi_.capacity() * sizeof(uint64_t) +
-                               max_hi_.capacity() * sizeof(uint64_t) +
                                nodes_.capacity() * sizeof(AccessNode));
 }
 
@@ -67,7 +29,7 @@ namespace {
 
 /// Active lists of one side of the sweep: indices whose interval started
 /// already and may still touch a later start on the other side, split by
-/// access kind so a read's start can skip deciding its read-read pairs.
+/// access kind because only a write's start needs the other side's reads.
 /// Both lists share one buffer sized to the side - writes grow up from the
 /// front, reads down from the back - so they never reallocate and together
 /// never exceed the side's node count. The buffer is not zero-filled: a
@@ -80,13 +42,17 @@ class ActiveLists {
         reads_begin_(buffer_.get() + nodes),
         end_(reads_begin_) {}
 
-  bool empty() const {
-    return writes_end_ == buffer_.get() && reads_begin_ == end_;
-  }
-  void Add(uint32_t idx, bool write) {
+  void Add(uint32_t idx, bool write, uint64_t hi) {
     if (write) *writes_end_++ = idx;
     else *--reads_begin_ = idx;
+    max_hi_ = std::max(max_hi_, hi);
   }
+
+  /// True when no interval added so far reaches `start`, so none can touch
+  /// a start at or after it. Reads are expired only at the other side's
+  /// write starts, so the lists may still hold reads that ended long ago;
+  /// the running max-hi sees past them.
+  bool AllEndBefore(uint64_t start) const { return max_hi_ < start; }
 
   /// Drops the writes that end before `start` (they can never match again)
   /// and calls emit(idx) for every survivor. Returns false as soon as emit
@@ -117,87 +83,70 @@ class ActiveLists {
     return true;
   }
 
-  /// Count-only twin of EmitReads: same expiry, no callback; returns the
-  /// number of survivors, each one a range-touching pair with `start`'s node.
-  uint64_t CountReads(const FrozenIntervalSet& set, uint64_t start) {
-    uint32_t* keep = end_;
-    for (uint32_t* p = end_; p != reads_begin_;) {
-      const uint32_t idx = *--p;
-      keep[-1] = idx;
-      keep -= set.hi(idx) >= start ? 1 : 0;
-    }
-    reads_begin_ = keep;
-    return static_cast<uint64_t>(end_ - keep);
-  }
-
  private:
   std::unique_ptr<uint32_t[]> buffer_;
   uint32_t* writes_end_;   // writes: [buffer_, writes_end_)
   uint32_t* reads_begin_;  // reads: [reads_begin_, end_)
   uint32_t* end_;
+  uint64_t max_hi_ = 0;    // over every index ever added
 };
 
 /// One start event: node `idx` of `self` begins. Every live write of the
-/// other side is emitted; its live reads are emitted only when `idx` is a
-/// write, and merely counted into `read_read` when it is a read. Then `idx`
-/// joins its own side's active lists.
+/// other side is emitted, and its live reads too when `idx` is a write.
+/// Then `idx` joins its own side's active lists.
 template <typename Emit>
 bool Start(const FrozenIntervalSet& self, uint32_t idx, ActiveLists& self_active,
            const FrozenIntervalSet& other, ActiveLists& other_active,
-           uint64_t& read_read, Emit emit) {
+           Emit emit) {
   const uint64_t start = self.lo(idx);
   if (!other_active.EmitWrites(other, start, emit)) return false;
   const bool write = self.node(idx).key.is_write();
-  if (write) {
-    if (!other_active.EmitReads(other, start, emit)) return false;
-  } else {
-    read_read += other_active.CountReads(other, start);
-  }
-  self_active.Add(idx, write);
+  if (write && !other_active.EmitReads(other, start, emit)) return false;
+  self_active.Add(idx, write, self.hi(idx));
   return true;
 }
 
 }  // namespace
 
-SweepResult SweepMatchingPairs(const FrozenIntervalSet& a,
-                               const FrozenIntervalSet& b,
-                               FunctionRef<bool(uint32_t, uint32_t)> fn,
-                               const std::atomic<bool>* cancel) {
-  SweepResult result;
+bool SweepMatchingPairs(const FrozenIntervalSet& a, const FrozenIntervalSet& b,
+                        FunctionRef<bool(uint32_t, uint32_t)> fn,
+                        const std::atomic<bool>* cancel) {
   const uint32_t na = static_cast<uint32_t>(a.size());
   const uint32_t nb = static_cast<uint32_t>(b.size());
+  if (na == 0 || nb == 0) return true;
   uint32_t i = 0;
   uint32_t j = 0;
   // Entries are expired lazily (hi < current start) the next time their list
-  // is scanned; each is appended once and removed once, and every scan of a
-  // surviving entry emits or counts a pair, so the whole sweep is
-  // O(na + nb + emitted + counted).
+  // is scanned; each is appended once and removed at most once, and every
+  // scan of a surviving entry emits a pair, so the whole sweep is
+  // O(na + nb + emitted).
   ActiveLists active_a(na);
   ActiveLists active_b(nb);
   while (i < na || j < nb) {
+    // One side is exhausted and nothing it added reaches the other side's
+    // next start: no pair is left.
+    if (i >= na && active_a.AllEndBefore(b.lo(j))) break;
+    if (j >= nb && active_b.AllEndBefore(a.lo(i))) break;
     // Polled per start event, so read-only stretches (which never call fn)
     // stay interruptible.
-    if (cancel && cancel->load(std::memory_order_relaxed)) return result;
-    if (i >= na && active_a.empty()) break;  // nothing left for b to match
-    if (j >= nb && active_b.empty()) break;  // nothing left for a to match
+    if (cancel && cancel->load(std::memory_order_relaxed)) return false;
     // Tie-break lo(a) == lo(b) toward a: b's turn then finds a in its active
     // lists (hi >= lo always), so the pair is still visited exactly once.
     if (j >= nb || (i < na && a.lo(i) <= b.lo(j))) {
-      if (!Start(a, i, active_a, b, active_b, result.read_read_pairs,
+      if (!Start(a, i, active_a, b, active_b,
                  [&](uint32_t bi) { return fn(i, bi); })) {
-        return result;
+        return false;
       }
       ++i;
     } else {
-      if (!Start(b, j, active_b, a, active_a, result.read_read_pairs,
+      if (!Start(b, j, active_b, a, active_a,
                  [&](uint32_t ai) { return fn(ai, j); })) {
-        return result;
+        return false;
       }
       ++j;
     }
   }
-  result.completed = true;
-  return result;
+  return true;
 }
 
 }  // namespace sword::itree

@@ -10,16 +10,11 @@
 // payload column - and every subsequent summary-vs-summary comparison runs
 // on the frozen form only.
 //
-// Two enumeration primitives cover the comparison shapes:
-//   - SweepMatchingPairs: a sort-merge sweep over two frozen sets that
-//     visits every range-touching pair in O(M + M' + matches) with purely
-//     sequential memory access - the analyzer's default. Pairs with a write
-//     go to a callback; read-read pairs are only counted.
-//   - QueryRange: an implicit-balanced-BST search over the sorted arrays
-//     (midpoint recursion + a subtree-max-hi column), O(log M + answer) per
-//     query - the fallback when one set is much smaller than the other, so
-//     the small side can gallop through the big one instead of paying a
-//     full linear merge.
+// One enumeration primitive covers every comparison: SweepMatchingPairs, a
+// sort-merge sweep over two frozen sets that visits every range-touching
+// pair with at least one write in O(M + M' + emitted) with purely
+// sequential memory access. Two reads cannot race, so read-read pairs are
+// never visited.
 #pragma once
 
 #include <atomic>
@@ -49,57 +44,30 @@ class FrozenIntervalSet {
   uint64_t lo(size_t i) const { return lo_[i]; }
   uint64_t hi(size_t i) const { return hi_[i]; }
 
-  /// Calls `fn(index)` for every node whose byte range [lo,hi] touches
-  /// [query_lo, query_hi], in ascending index (= lo) order. Stops early and
-  /// returns false if fn returns false. O(log M + answer) via the implicit
-  /// balanced-BST layout: node = midpoint of its index range, augmented with
-  /// the subtree max-hi, the classic augmented interval-tree pruning rule
-  /// over flat arrays instead of pointer-linked nodes.
-  bool QueryRange(uint64_t query_lo, uint64_t query_hi,
-                  FunctionRef<bool(uint32_t)> fn) const;
-
   /// Heap footprint of the frozen columns.
   uint64_t MemoryBytes() const;
 
  private:
-  bool QueryRecurse(size_t l, size_t r, uint64_t query_lo, uint64_t query_hi,
-                    FunctionRef<bool(uint32_t)>& fn) const;
-  uint64_t BuildMaxHi(size_t l, size_t r);
-
-  // SoA columns, all sorted by lo. max_hi_[mid(l,r)] = max hi over [l,r),
-  // the augmentation of the implicit midpoint BST.
+  // SoA columns, all sorted by lo.
   std::vector<uint64_t> lo_;
   std::vector<uint64_t> hi_;
-  std::vector<uint64_t> max_hi_;
   std::vector<AccessNode> nodes_;
 };
 
-/// Outcome of one SweepMatchingPairs call.
-struct SweepResult {
-  /// False when the sweep stopped early: fn returned false or `cancel` was
-  /// raised.
-  bool completed = false;
-  /// Range-touching read-read pairs: counted, never handed to fn. Partial
-  /// when the sweep did not complete.
-  uint64_t read_read_pairs = 0;
-};
-
 /// Sort-merge sweep over the range-touching pairs (ai, bi) of two frozen
-/// sets. Both sets are walked once in ascending lo order; each start event
-/// scans the other side's active lists, expiring dead intervals (amortized
-/// O(1) each). Every pair with at least one write (AccessKey::is_write) is
-/// emitted through fn exactly once; a read-read pair is never emitted - two
-/// reads cannot race - only counted into read_read_pairs. Each side keeps
-/// its writes and reads in separate active lists, so a read's start counts
-/// the other side's live reads in a tight pass with no callback. Total cost
-/// O(|a| + |b| + emitted + counted), sequential. Emission order is
-/// deterministic but NOT grouped by either side - callers that need a
-/// canonical order must sort what they collect. Stops early when fn returns
-/// false, or when `cancel` (if non-null) is found set; it is polled once per
-/// start event, so long read-only stretches stay interruptible.
-SweepResult SweepMatchingPairs(const FrozenIntervalSet& a,
-                               const FrozenIntervalSet& b,
-                               FunctionRef<bool(uint32_t, uint32_t)> fn,
-                               const std::atomic<bool>* cancel = nullptr);
+/// sets that have at least one write (AccessKey::is_write). Both sets are
+/// walked once in ascending lo order; each start event scans the other
+/// side's live writes and, when the starting node is a write, its live reads
+/// too, expiring dead entries as it goes (amortized O(1) each). Every such
+/// pair is emitted through fn exactly once; a read-read pair is never
+/// visited - two reads cannot race. Total cost O(|a| + |b| + emitted),
+/// sequential. Emission order is deterministic but NOT grouped by either
+/// side - callers that need a canonical order must sort what they collect.
+/// Returns false when it stopped early: fn returned false, or `cancel` (if
+/// non-null) was found set; it is polled once per start event, so long
+/// read-only stretches stay interruptible.
+bool SweepMatchingPairs(const FrozenIntervalSet& a, const FrozenIntervalSet& b,
+                        FunctionRef<bool(uint32_t, uint32_t)> fn,
+                        const std::atomic<bool>* cancel = nullptr);
 
 }  // namespace sword::itree

@@ -57,8 +57,7 @@ struct Group {
   /// The summarizer: flat creation-order store with sorted-append + spill;
   /// Freeze() emits the frozen set directly.
   itree::StreamingSetBuilder builder;
-  /// Canonical-decoded-stream identity, folded during the build when
-  /// use_dedup is on (zero-state otherwise).
+  /// Canonical-decoded-stream identity, folded during the build.
   SegmentFingerprint fingerprint;
   /// The group's immutable comparison form, built once after the summarizer
   /// closes (only for groups that appear in a concurrent pair). Comparisons
@@ -175,16 +174,16 @@ void ApplyBucketRecord(const JournalBucketRecord& rec, AnalysisStats& stats) {
 
 /// Streams one segment's events into the group's summarizer, recovering the
 /// lockset from mutex events (paper: "synchronization recovery"). `cache`
-/// avoids re-decompressing a frame shared by many small segments. With
-/// use_dedup, the group's fingerprint folds the segment's canonical decoded
-/// stream as a side effect of the same pass.
+/// avoids re-decompressing a frame shared by many small segments. The
+/// group's fingerprint folds the segment's canonical decoded stream as a
+/// side effect of the same pass.
 Status BuildSegment(const TraceStore& store, Group& group,
                     const trace::IntervalMeta& meta, itree::MutexSetTable& mutexes,
-                    const AnalysisConfig& config, AnalysisStats& stats,
-                    trace::FrameCache* cache, trace::DecodeCursor* cursor) {
+                    AnalysisStats& stats, trace::FrameCache* cache,
+                    trace::DecodeCursor* cursor) {
   std::vector<itree::MutexId> initial(meta.lockset.begin(), meta.lockset.end());
   itree::MutexSetId cur = mutexes.Intern(std::move(initial));
-  if (config.use_dedup) group.fingerprint.BeginSegment(meta.lockset);
+  group.fingerprint.BeginSegment(meta.lockset);
 
   const auto& thread = store.threads()[group.thread_idx];
   uint64_t events = 0;
@@ -193,7 +192,7 @@ Status BuildSegment(const TraceStore& store, Group& group,
       meta.data_begin, meta.data_size,
       [&](const trace::RawEvent& e) {
         events++;
-        if (config.use_dedup) group.fingerprint.MixEvent(e);
+        group.fingerprint.MixEvent(e);
         switch (e.kind) {
           case trace::EventKind::kMutexAcquire:
             cur = mutexes.WithMutex(cur, static_cast<itree::MutexId>(e.addr));
@@ -270,7 +269,6 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
   JournalHeader journal_header;
   journal_header.shard_index = config.shard_index;
   journal_header.shard_count = config.shard_count;
-  journal_header.use_dedup = config.use_dedup ? 1 : 0;
   journal_header.salvage = salvage ? 1 : 0;
   journal_header.bucket_deadline_ms = config.bucket_deadline_ms;
   journal_header.max_tree_bytes = config.max_tree_bytes;
@@ -458,8 +456,8 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
             return;  // governed bucket: stop feeding the builders
           }
           bucket_segments.fetch_add(1, std::memory_order_relaxed);
-          const Status s = BuildSegment(store, *group, *meta, mutexes, config,
-                                        *stats, cache, cursor);
+          const Status s = BuildSegment(store, *group, *meta, mutexes, *stats,
+                                        cache, cursor);
           if (!s.ok()) {
             std::lock_guard lock(status_mutex);
             if (result.first_error.ok()) result.first_error = s;
@@ -576,7 +574,7 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
       // immutable flat comparison form (the builder's spill merge, parallel
       // on the pool). Groups no concurrent pair names are never frozen.
       //
-      // Repeated-subtrace memoization (use_dedup): groups whose canonical
+      // Repeated-subtrace memoization: groups whose canonical
       // decoded streams fingerprinted identically summarize to identical
       // frozen sets, so only the FIRST such group (the leader, in the
       // deterministic group order) freezes; followers alias its set. The
@@ -597,7 +595,7 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
       }
       std::vector<Group*> freeze_leaders;
       std::vector<std::pair<Group*, Group*>> freeze_shares;  // {follower, leader}
-      if (config.use_dedup) {
+      {
         std::map<SegmentFingerprint, Group*> leader_by_fp;
         for (Group* g : to_freeze) {
           auto [it, inserted] = leader_by_fp.try_emplace(g->fingerprint, g);
@@ -607,8 +605,6 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
             freeze_shares.push_back({g, it->second});
           }
         }
-      } else {
-        freeze_leaders = to_freeze;
       }
       if (!freeze_leaders.empty()) {
         auto freeze_one = [&](Group* g) {
@@ -638,17 +634,18 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
       // with it "resume == clean run") relies on exactly this determinism.
       std::vector<std::vector<RaceReport>> pair_races(concurrent.size());
 
-      // Pair-check memoization (use_dedup): a pair whose ORDERED fingerprint
+      // Pair-check memoization: a pair whose ORDERED fingerprint
       // pair was already scheduled this bucket would re-derive the leader
       // pair's exact race list (identical streams, content-addressed mutex
       // ids, deterministic checker), so it skips the check and copies the
       // leader's results after the parallel phase - by reference, no overlap
       // work. Ordered because CheckPair(a, b) and CheckPair(b, a) may swap
       // pc1/pc2 in the reports. Computed sequentially: who memoizes whom
-      // never depends on the checker schedule.
+      // never depends on the checker schedule. Without a fingerprint shared
+      // by two groups no ordered pair can repeat, so the map is skipped.
       constexpr size_t kNoMemo = ~size_t{0};
       std::vector<size_t> memo_src(concurrent.size(), kNoMemo);
-      if (config.use_dedup) {
+      if (!freeze_shares.empty()) {
         std::map<std::pair<SegmentFingerprint, SegmentFingerprint>, size_t>
             pair_by_fp;
         for (size_t k = 0; k < concurrent.size(); k++) {

@@ -13,8 +13,9 @@
 //      into one sorted flat interval set per group - the paper's interval
 //      tree, built by sorted append instead of balanced insertion;
 //   4. for every CONCURRENT label pair (OSL judgment - no happens-before,
-//      hence no Fig. 1 masking), compare the two frozen sets (sweep or
-//      gallop) with the exact closed-form overlap check;
+//      hence no Fig. 1 masking), compare the two frozen sets (one sweep
+//      over the range-touching pairs with a write) with the exact
+//      closed-form overlap check;
 //   5. deduplicate races by source-location pair.
 //
 // Buckets are processed one at a time so resident memory is bounded by the
@@ -39,13 +40,6 @@ namespace sword::offline {
 
 struct AnalysisConfig {
   uint32_t threads = 1;  // checker threads for summary-pair comparisons
-
-  /// Share one frozen set among same-bucket groups whose canonical decoded
-  /// event streams are identical (fingerprint match), and replay pair
-  /// verdicts for already-checked fingerprint pairs by reference. Off =
-  /// every group builds and every pair is checked (--no-dedup); output is
-  /// byte-identical either way.
-  bool use_dedup = true;
 
   // Distributed sharding (the paper's cluster mode: "we distributed the
   // offline analysis across a cluster of nodes"). Buckets - top-level
@@ -87,10 +81,10 @@ struct AnalysisStats {
   uint64_t raw_events = 0;           // events streamed from logs
   uint64_t label_pairs_checked = 0;  // OSL concurrency judgments
   uint64_t concurrent_pairs = 0;     // pairs that proceeded to tree compare
-  uint64_t node_pairs_ranged = 0;
+  uint64_t node_pairs_ranged = 0;    // range-touching pairs with a write
   uint64_t fastpath_hits = 0;   // exact (closed-form) intersection decisions
   uint64_t solver_calls = 0;    // always 0; read only by e2ebench/bench.cpp
-  /// Repeated-subtrace memoization (use_dedup): groups that reused another
+  /// Repeated-subtrace memoization: groups that reused another
   /// group's frozen set because their canonical event streams fingerprinted
   /// identically, and the summarized-node bytes that sharing avoided.
   uint64_t dedup_hits = 0;

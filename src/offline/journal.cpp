@@ -43,7 +43,6 @@ void SerializeHeader(const JournalHeader& h, Bytes* out) {
   w.PutU8(kJournalVersion);
   w.PutU32(h.shard_index);
   w.PutU32(h.shard_count);
-  w.PutU8(h.use_dedup);
   w.PutU8(h.salvage);
   w.PutVarU64(h.bucket_deadline_ms);
   w.PutVarU64(h.max_tree_bytes);
@@ -61,7 +60,6 @@ Status ParseHeader(const Bytes& payload, JournalHeader* h) {
   }
   SWORD_RETURN_IF_ERROR(r.GetU32(&h->shard_index));
   SWORD_RETURN_IF_ERROR(r.GetU32(&h->shard_count));
-  SWORD_RETURN_IF_ERROR(r.GetU8(&h->use_dedup));
   SWORD_RETURN_IF_ERROR(r.GetU8(&h->salvage));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&h->bucket_deadline_ms));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&h->max_tree_bytes));

@@ -55,9 +55,12 @@ constexpr uint32_t kJournalBucketMagic = 0x53574142;  // "SWAB"
 // compare, tree build, run expansion). v6: one exact overlap decision - the
 // header drops the engine byte, the fast-path switch and the solver step
 // budget; bucket records drop the solver call and bail-out counts, and a
-// race's flag byte keeps only the two write bits. Older journals are refused
-// (their stats cannot be folded faithfully into a current run).
-constexpr uint8_t kJournalVersion = 6;
+// race's flag byte keeps only the two write bits. v7: dedup is always on -
+// the header drops the use_dedup byte, and a bucket record's
+// node_pairs_ranged counts only range-touching pairs with a write. Older
+// journals are refused (their stats cannot be folded faithfully into a
+// current run).
+constexpr uint8_t kJournalVersion = 7;
 
 /// Identifies what a journal belongs to: shard key + the analysis knobs
 /// that change results + a cheap fingerprint of the trace itself. Resume
@@ -66,7 +69,6 @@ constexpr uint8_t kJournalVersion = 6;
 struct JournalHeader {
   uint32_t shard_index = 0;
   uint32_t shard_count = 1;
-  uint8_t use_dedup = 1;              // repeated-subtrace memoization
   uint8_t salvage = 0;                // store opened with salvage policy
   uint64_t bucket_deadline_ms = 0;
   uint64_t max_tree_bytes = 0;

@@ -1,6 +1,7 @@
 #include "offline/racecheck.h"
 
 #include <algorithm>
+#include <cassert>
 #include <tuple>
 #include <vector>
 
@@ -9,8 +10,8 @@ namespace {
 
 /// Canonical total order over reports. Collected reports are sorted under
 /// this order before emitting, which makes the emitted stream - and
-/// therefore the downstream deterministic merge - independent of pair
-/// enumeration order (sweep vs gallop).
+/// therefore the downstream deterministic merge - independent of the
+/// sweep's pair enumeration order.
 auto ReportKey(const RaceReport& r) {
   return std::make_tuple(r.pc1, r.pc2, r.address, r.size1, r.size2, r.write1,
                          r.write2);
@@ -18,8 +19,9 @@ auto ReportKey(const RaceReport& r) {
 
 /// Decides one candidate node pair and collects any resulting report.
 /// `x` comes from the smaller ("outer") side, `y` from the larger; the
-/// a_smaller flag maps them back onto the caller's (a, b) argument order so
-/// report fields do not depend on which side was iterated.
+/// a_smaller flag maps them back onto the caller's (a, b) argument order, so
+/// report fields follow the arguments while the overlap witness is always
+/// taken smaller side first.
 class PairDecider {
  public:
   PairDecider(const itree::MutexSetTable& mutexes, bool a_smaller,
@@ -27,10 +29,10 @@ class PairDecider {
       : mutexes_(mutexes), a_smaller_(a_smaller), stats_(stats) {}
 
   void Decide(const itree::AccessNode& x, const itree::AccessNode& y) {
+    // The sweep never visits a read-read pair: two reads cannot race.
+    assert(x.key.is_write() || y.key.is_write());
     if (stats_) stats_->node_pairs_ranged++;
 
-    // Filter: at least one write.
-    if (!x.key.is_write() && !y.key.is_write()) return;
     // Filter: two atomics synchronize with each other.
     if (x.key.is_atomic() && y.key.is_atomic()) return;
     // Filter: common lock.
@@ -86,12 +88,6 @@ inline bool Cancelled(const CheckLimits& limits) {
   return limits.cancel && limits.cancel->load(std::memory_order_relaxed);
 }
 
-// When one frozen set is at least this many times smaller than the other,
-// CheckFrozenPair gallops (per-node O(log M) queries into the big set)
-// instead of sweeping: the sweep's O(M + M') merge would be dominated by
-// walking the big side for a handful of outer nodes.
-constexpr size_t kGallopRatio = 8;
-
 }  // namespace
 
 void CheckFrozenPair(const itree::FrozenIntervalSet& a,
@@ -105,37 +101,16 @@ void CheckFrozenPair(const itree::FrozenIntervalSet& a,
   const itree::FrozenIntervalSet& inner = a_smaller ? b : a;
 
   PairDecider decider(mutexes, a_smaller, stats);
-  if (inner.size() / outer.size() >= kGallopRatio) {
-    // Gallop: the outer side is tiny; per-node binary-search queries into
-    // the big frozen set beat a linear merge of both.
-    for (size_t i = 0; i < outer.size(); i++) {
-      if (Cancelled(limits)) break;
-      if (!inner.QueryRange(outer.lo(i), outer.hi(i), [&](uint32_t inner_idx) {
-            if (Cancelled(limits)) return false;
-            decider.Decide(outer.node(i), inner.node(inner_idx));
-            return true;
-          })) {
-        break;
-      }
-    }
-  } else {
-    // Sweep: sort-merge both sets once; every range-touching pair surfaces
-    // in O(size(a) + size(b) + matches) with sequential access. Only pairs
-    // with a write reach Decide; read-read pairs, which Decide would drop at
-    // its first filter, are just counted - and only when the sweep ran to
-    // the end, so a stopped bucket never reports a partial count.
-    const itree::SweepResult sweep = itree::SweepMatchingPairs(
-        outer, inner,
-        [&](uint32_t outer_idx, uint32_t inner_idx) {
-          if (Cancelled(limits)) return false;
-          decider.Decide(outer.node(outer_idx), inner.node(inner_idx));
-          return true;
-        },
-        limits.cancel);
-    if (stats && sweep.completed) {
-      stats->node_pairs_ranged += sweep.read_read_pairs;
-    }
-  }
+  // Sort-merge both sets once; every range-touching pair with a write
+  // surfaces in O(size(a) + size(b) + matches) with sequential access.
+  itree::SweepMatchingPairs(
+      outer, inner,
+      [&](uint32_t outer_idx, uint32_t inner_idx) {
+        if (Cancelled(limits)) return false;
+        decider.Decide(outer.node(outer_idx), inner.node(inner_idx));
+        return true;
+      },
+      limits.cancel);
   decider.Emit(on_race);
 }
 

@@ -3,7 +3,7 @@
 //   sword-offline <trace-dir> [--threads N] [--stats] [--json]
 //                 [--shard I --shards N] [--salvage]
 //                 [--journal [PATH]] [--resume]
-//                 [--bucket-deadline-ms N] [--max-tree-mb N] [--no-dedup]
+//                 [--bucket-deadline-ms N] [--max-tree-mb N]
 //
 // Reads a trace directory produced by SwordTool (sword_t*.log/.meta),
 // recovers the concurrency structure, and prints the deduplicated race
@@ -58,10 +58,6 @@ void PrintUsage() {
                "                   wall clock (0 = no deadline)\n"
                "  --max-tree-mb N  abandon a bucket whose interval summaries exceed\n"
                "                   N MiB (0 = no cap)\n"
-               "  --no-dedup       disable repeated-subtrace memoization -\n"
-               "                   every group freezes its own set and every\n"
-               "                   pair is checked (ablation; race output is\n"
-               "                   identical either way)\n"
                "exit codes: 0 no races, 2 races found, 4 I/O or analysis\n"
                "failure, 1 usage error\n");
 }
@@ -81,7 +77,6 @@ int main(int argc, char** argv) {
   const bool resume = args.GetBool("resume");
   const int64_t bucket_deadline_ms = args.GetInt("bucket-deadline-ms", 0);
   const int64_t max_tree_mb = args.GetInt("max-tree-mb", 0);
-  const bool no_dedup = args.GetBool("no-dedup");
 
   if (args.GetBool("help")) {
     PrintUsage();
@@ -156,20 +151,6 @@ int main(int argc, char** argv) {
                    salvage ? "with" : "without");
       return kExitUsage;
     }
-    // Same pre-check for --no-dedup (v4 binding): its race output is
-    // byte-identical either way, but its journaled stat deltas are not, so
-    // replaying across modes would fold wrong stats.
-    if (loaded.ok() && loaded.value().header.use_dedup != (no_dedup ? 0 : 1)) {
-      const bool journaled_dedup = loaded.value().header.use_dedup != 0;
-      std::fprintf(stderr,
-                   "error: journal %s was written %s --no-dedup; resuming it "
-                   "%s --no-dedup would fold mismatched statistics\n"
-                   "(rerun with the journal's mode, or delete the journal "
-                   "to start fresh)\n",
-                   journal_path.c_str(), journaled_dedup ? "without" : "with",
-                   no_dedup ? "with" : "without");
-      return kExitUsage;
-    }
   }
 
   offline::StoreOptions store_options;
@@ -198,7 +179,6 @@ int main(int argc, char** argv) {
   config.max_tree_bytes = static_cast<uint64_t>(max_tree_mb) * 1024 * 1024;
   config.journal_path = journal_path;
   config.resume = resume;
-  config.use_dedup = !no_dedup;
   const offline::AnalysisResult result = offline::Analyze(store.value(), config);
   if (!result.status.ok()) {
     std::fprintf(stderr, "analysis error: %s\n", result.status.ToString().c_str());
@@ -234,7 +214,7 @@ int main(int argc, char** argv) {
     std::printf("  label pairs judged:           %llu (%llu concurrent)\n",
                 (unsigned long long)s.label_pairs_checked,
                 (unsigned long long)s.concurrent_pairs);
-    std::printf("  node pairs range-matched:     %llu (%llu overlap decisions)\n",
+    std::printf("  write pairs range-matched:    %llu (%llu overlap decisions)\n",
                 (unsigned long long)s.node_pairs_ranged,
                 (unsigned long long)s.fastpath_hits);
     std::printf("  dedup memoization hits:       %llu (%s saved)\n",

@@ -82,7 +82,7 @@ struct ScannedFrame {
 ///   - unparseable header / implausible claimed end: unknown-size hole -
 ///     trust is lost and every later frame is "unaddressable";
 ///   - gap frame: record-time drop marker, a trusted hole by construction.
-void ScanLogBuffer(const uint8_t* data, size_t size, bool verify_payloads,
+void ScanLogBuffer(const uint8_t* data, size_t size,
                    std::vector<ScannedFrame>* frames, SalvageStats* stats) {
   size_t off = 0;
   bool trusted = true;
@@ -178,11 +178,8 @@ void ScanLogBuffer(const uint8_t* data, size_t size, bool verify_payloads,
         sf.codec = codec;
         sf.raw_size = raw_size;
         sf.encoded_size = frame_size;
-        bool checksum_ok = true;
-        if (verify_payloads) {
-          checksum_ok =
-              Fnv1a64(data + off + header_size, payload_size) == checksum;
-        }
+        const bool checksum_ok =
+            Fnv1a64(data + off + header_size, payload_size) == checksum;
         // The checksum covers only the payload, so a damaged raw_size field
         // would otherwise verify. The identity codec gives one free cross-
         // check: its raw size must equal its payload size.
@@ -272,8 +269,7 @@ Result<LogReader> LogReader::Open(const std::string& path,
     reader.path_ = path;
     reader.policy_ = policy;
     std::vector<ScannedFrame> scanned;
-    ScanLogBuffer(buf.data(), buf.size(), policy.verify_payloads, &scanned,
-                  &reader.stats_);
+    ScanLogBuffer(buf.data(), buf.size(), &scanned, &reader.stats_);
     uint64_t logical = 0;
     for (const ScannedFrame& sf : scanned) {
       if (!sf.offset_trusted || !sf.size_known) continue;
@@ -578,8 +574,7 @@ Result<SalvageStats> LogReader::VerifyLog(
 
   std::vector<ScannedFrame> scanned;
   SalvageStats stats;
-  ScanLogBuffer(buf.data(), buf.size(), /*verify_payloads=*/true, &scanned,
-                &stats);
+  ScanLogBuffer(buf.data(), buf.size(), &scanned, &stats);
   uint64_t index = 0;
   for (const ScannedFrame& sf : scanned) {
     FrameRecord rec;

@@ -86,10 +86,9 @@ struct SalvagePolicy {
   /// Off (default): any corruption fails the open/read - the right behavior
   /// for tests and healthy traces. On: resynchronize and keep going,
   /// accounting for every byte skipped.
+  /// The open scan verifies every frame's payload checksum either way, so
+  /// bit flips are caught before analysis trusts the frame.
   bool enabled = false;
-  /// Verify frame payload checksums during the open scan. Costs a full file
-  /// read but catches bit flips before analysis trusts the frame.
-  bool verify_payloads = true;
 };
 
 /// What salvage found (all zero for a clean log).

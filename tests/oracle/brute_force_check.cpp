@@ -1,9 +1,11 @@
 #include "oracle/brute_force_check.h"
 
 #include <algorithm>
+#include <map>
 #include <tuple>
 
 #include "oracle/overlap_oracle.h"
+#include "osl/label.h"
 
 namespace sword::oracle {
 namespace {
@@ -29,8 +31,8 @@ std::vector<RaceReport> BruteForceRaces(const itree::FrozenIntervalSet& a,
       const itree::AccessNode& x = a.node(i);
       const itree::AccessNode& y = b.node(j);
       if (!ilp::RangesTouch(x.interval, y.interval)) continue;
-      st.node_pairs_ranged++;
       if (!x.key.is_write() && !y.key.is_write()) continue;
+      st.node_pairs_ranged++;
       if (x.key.is_atomic() && y.key.is_atomic()) continue;
       if (mutexes.Intersects(x.key.mutexset, y.key.mutexset)) continue;
 
@@ -62,6 +64,82 @@ std::vector<RaceReport> BruteForceRaces(const itree::FrozenIntervalSet& a,
   st.duplicates_suppressed += static_cast<uint64_t>(reports.end() - last);
   reports.erase(last, reports.end());
   return reports;
+}
+
+std::set<uint64_t> BruteForceRaceKeys(const offline::TraceStore& store) {
+  struct Segment {
+    osl::Label label;
+    std::vector<itree::AccessNode> nodes;
+  };
+  struct Region {
+    std::vector<Segment> segments;
+    uint64_t failed = 0;
+  };
+  itree::MutexSetTable mutexes;
+  std::map<uint32_t, Region> regions;
+  for (uint32_t t = 0; t < store.thread_count(); t++) {
+    const offline::ThreadTrace& thread = store.threads()[t];
+    for (const trace::IntervalMeta& meta : thread.meta.intervals) {
+      if (meta.label.pairs().empty()) continue;
+      Region& region = regions[meta.label.pairs().front().offset];
+      Segment& segment = region.segments.emplace_back();
+      segment.label = meta.label;
+      itree::MutexSetId held = mutexes.Intern(
+          std::vector<itree::MutexId>(meta.lockset.begin(), meta.lockset.end()));
+      auto add = [&](uint64_t addr, const trace::RawEvent& e) {
+        itree::AccessKey key;
+        key.pc = e.pc;
+        key.flags = e.flags;
+        key.size = e.size;
+        key.mutexset = held;
+        segment.nodes.push_back({{addr, 0, 1, e.size}, key, 1});
+      };
+      const Status s = thread.log->StreamRange(
+          meta.data_begin, meta.data_size, [&](const trace::RawEvent& e) {
+            switch (e.kind) {
+              case trace::EventKind::kMutexAcquire:
+                held = mutexes.WithMutex(held, static_cast<itree::MutexId>(e.addr));
+                break;
+              case trace::EventKind::kMutexRelease:
+                held = mutexes.WithoutMutex(held, static_cast<itree::MutexId>(e.addr));
+                break;
+              case trace::EventKind::kAccess:
+                add(e.addr, e);
+                break;
+              case trace::EventKind::kAccessRun:
+                for (uint64_t k = 0; k < e.count; k++) add(e.addr + k * e.stride, e);
+                break;
+            }
+          });
+      if (!s.ok()) region.failed++;
+    }
+  }
+
+  // Segments with equal labels are never concurrent, so comparing segment
+  // by segment finds what comparing (thread, label) groups finds.
+  std::set<uint64_t> keys;
+  for (auto& [offset, region] : regions) {
+    if (region.failed == region.segments.size()) continue;
+    std::vector<itree::FrozenIntervalSet> frozen;
+    for (Segment& segment : region.segments) {
+      std::stable_sort(segment.nodes.begin(), segment.nodes.end(),
+                       [](const itree::AccessNode& l, const itree::AccessNode& r) {
+                         return l.interval.lo() < r.interval.lo();
+                       });
+      frozen.push_back(itree::FrozenIntervalSet::FromSorted(std::move(segment.nodes)));
+    }
+    for (size_t i = 0; i < frozen.size(); i++) {
+      for (size_t j = i + 1; j < frozen.size(); j++) {
+        if (!osl::Concurrent(region.segments[i].label, region.segments[j].label)) {
+          continue;
+        }
+        for (const RaceReport& r : BruteForceRaces(frozen[i], frozen[j], mutexes)) {
+          keys.insert(r.Key());
+        }
+      }
+    }
+  }
+  return keys;
 }
 
 }  // namespace sword::oracle

@@ -1,29 +1,35 @@
-// Test-only reference for offline::CheckFrozenPair.
+// Test-only references for offline::CheckFrozenPair and offline::Analyze.
 //
-// Every node of one set is paired with every node of the other - no range
-// pruning, no sweep, no gallop - and each pair goes through the same three
+// BruteForceRaces pairs every node of one set with every node of the other -
+// no range pruning, no sweep - and each pair goes through the same three
 // filters (a write on either side, not two atomics, disjoint mutex sets)
 // and then the per-offset Diophantine oracle (oracle/overlap_oracle.h), not
 // the production closed form, so the two decide independently.
 // The collected reports are sorted into the checker's canonical order and
 // exact duplicates dropped. It shares nothing with the checker's
-// enumeration, so agreement on random inputs is evidence that the sweep and
-// the gallop visit exactly the pairs they must.
+// enumeration, so agreement on random inputs is evidence that the sweep
+// visits exactly the pairs it must.
+//
+// BruteForceRaceKeys runs BruteForceRaces over a whole trace with every
+// access expanded to its own node - no summarization, no run folding, no
+// dedup - and returns the code pairs that race.
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "common/race_report.h"
 #include "ilp/overlap.h"
 #include "itree/frozen_set.h"
 #include "itree/mutexset.h"
+#include "offline/tracestore.h"
 
 namespace sword::oracle {
 
 /// What the brute-force pass counted, in CheckStats' terms.
 struct BruteForceStats {
-  uint64_t node_pairs_ranged = 0;  // pairs whose [lo,hi] byte ranges touch
+  uint64_t node_pairs_ranged = 0;  // range-touching pairs with a write
   uint64_t decisions = 0;          // ranged pairs that passed the filters
   uint64_t duplicates_suppressed = 0;
 };
@@ -35,5 +41,13 @@ std::vector<RaceReport> BruteForceRaces(const itree::FrozenIntervalSet& a,
                                         const itree::FrozenIntervalSet& b,
                                         const itree::MutexSetTable& mutexes,
                                         BruteForceStats* stats = nullptr);
+
+/// The RaceReport::Key() of every code pair offline::Analyze must report on
+/// `store`: per top-level region, every two segments with concurrent labels
+/// are compared element by element. Segments stream as in
+/// the analyzer (locksets recovered from mutex events; a salvage store keeps
+/// whatever a damaged segment streamed), and a region none of whose segments
+/// streamed is skipped, as the analyzer skips it.
+std::set<uint64_t> BruteForceRaceKeys(const offline::TraceStore& store);
 
 }  // namespace sword::oracle

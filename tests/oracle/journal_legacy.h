@@ -4,6 +4,8 @@
 //   v4 - after `engine`: use_sweep, use_fastpath, use_stream, use_symbolic,
 //        use_dedup, salvage, then solver_step_budget;
 //   v5 - after `engine`: use_fastpath, use_dedup, salvage, then
+//        solver_step_budget;
+//   v6 - use_dedup and salvage after the shard key, no engine byte and no
 //        solver_step_budget.
 // The retired knobs are written with the defaults of their version.
 #pragma once
@@ -26,9 +28,8 @@ inline Bytes FramedHeader(const Bytes& payload) {
   return file;
 }
 
-/// The fields every version shares after the solver step budget.
+/// The fields every version shares after the knob bytes.
 inline void PutTail(const offline::JournalHeader& h, ByteWriter& p) {
-  p.PutVarU64(4'000'000);  // solver_step_budget
   p.PutVarU64(h.bucket_deadline_ms);
   p.PutVarU64(h.max_tree_bytes);
   p.PutU32(h.thread_count);
@@ -50,8 +51,9 @@ inline Bytes JournalV4File(const offline::JournalHeader& h) {
   p.PutU8(1);  // use_fastpath
   p.PutU8(1);  // use_stream
   p.PutU8(1);  // use_symbolic
-  p.PutU8(h.use_dedup);
+  p.PutU8(1);  // use_dedup
   p.PutU8(h.salvage);
+  p.PutVarU64(4'000'000);  // solver_step_budget
   journal_legacy_detail::PutTail(h, p);
   return journal_legacy_detail::FramedHeader(payload);
 }
@@ -65,7 +67,21 @@ inline Bytes JournalV5File(const offline::JournalHeader& h) {
   p.PutU32(h.shard_count);
   p.PutU8(0);  // engine
   p.PutU8(1);  // use_fastpath
-  p.PutU8(h.use_dedup);
+  p.PutU8(1);  // use_dedup
+  p.PutU8(h.salvage);
+  p.PutVarU64(4'000'000);  // solver_step_budget
+  journal_legacy_detail::PutTail(h, p);
+  return journal_legacy_detail::FramedHeader(payload);
+}
+
+/// A complete journal file holding only a v6 header record for `h`.
+inline Bytes JournalV6File(const offline::JournalHeader& h) {
+  Bytes payload;
+  ByteWriter p(&payload);
+  p.PutU8(6);
+  p.PutU32(h.shard_index);
+  p.PutU32(h.shard_count);
+  p.PutU8(1);  // use_dedup
   p.PutU8(h.salvage);
   journal_legacy_detail::PutTail(h, p);
   return journal_legacy_detail::FramedHeader(payload);

@@ -1,5 +1,5 @@
-// Tests for src/itree: mutex-set interning, the frozen set's queries and
-// sweep against naive oracles, and StreamingSetBuilder against the reference
+// Tests for src/itree: mutex-set interning, the frozen set's sweep against
+// naive oracles, and StreamingSetBuilder against the reference
 // red-black interval tree (tests/oracle), whose own invariants under
 // randomized insertion are checked here too.
 #include <gtest/gtest.h>
@@ -288,51 +288,11 @@ TEST(FrozenIntervalSet, FreezePreservesEveryNodeInLoOrder) {
   EXPECT_GT(frozen.MemoryBytes(), 0u);
 }
 
-TEST(FrozenIntervalSet, QueryRangeMatchesTreeQueryRange) {
-  Rng rng(515);
-  const IntervalTree tree = RandomTree(rng, 400);
-  const FrozenIntervalSet frozen = FreezeTree(tree);
-  for (int q = 0; q < 300; q++) {
-    const uint64_t lo = 100000 + rng.Below(11000);
-    const uint64_t hi = lo + rng.Below(600);
-    std::multiset<uint64_t> from_tree, from_frozen;
-    tree.QueryRange(lo, hi, [&](const AccessNode& n) {
-      from_tree.insert(n.interval.base);
-      return true;
-    });
-    frozen.QueryRange(lo, hi, [&](uint32_t idx) {
-      from_frozen.insert(frozen.node(idx).interval.base);
-      return true;
-    });
-    EXPECT_EQ(from_frozen, from_tree) << "query [" << lo << "," << hi << "]";
-  }
-}
-
-TEST(FrozenIntervalSet, QueryEarlyExit) {
-  IntervalTree tree;
-  for (uint64_t i = 0; i < 50; i++) {
-    tree.AddInterval({1000 + i, 0, 1, 1}, Key(static_cast<uint32_t>(i)));
-  }
-  const FrozenIntervalSet frozen = FreezeTree(tree);
-  int visits = 0;
-  const bool completed = frozen.QueryRange(0, 1 << 20, [&](uint32_t) {
-    visits++;
-    return visits < 3;
-  });
-  EXPECT_FALSE(completed);
-  EXPECT_EQ(visits, 3);
-}
-
 TEST(FrozenIntervalSet, EmptyTreeFreezesEmpty) {
   const IntervalTree tree;
   const FrozenIntervalSet frozen = FreezeTree(tree);
   EXPECT_TRUE(frozen.Empty());
-  int visits = 0;
-  EXPECT_TRUE(frozen.QueryRange(0, ~0ull, [&](uint32_t) {
-    visits++;
-    return true;
-  }));
-  EXPECT_EQ(visits, 0);
+  EXPECT_EQ(frozen.MemoryBytes(), 0u);
 }
 
 TEST(SweepMatchingPairs, MatchesNestedLoopOracle) {
@@ -375,14 +335,14 @@ TEST(SweepMatchingPairs, EarlyExitStopsEnumeration) {
   const bool completed = SweepMatchingPairs(a, b, [&](uint32_t, uint32_t) {
     pairs++;
     return pairs < 5;
-  }).completed;
+  });
   EXPECT_FALSE(completed);
   EXPECT_EQ(pairs, 5);
 }
 
 // --- The sweep over mixed access kinds: pairs with a write are emitted,
-// read-read pairs only counted. The nested loop over all index pairs is the
-// oracle for both.
+// read-read pairs never visited. The nested loop over all index pairs is the
+// oracle.
 
 /// Like RandomTree, but each node is a write with probability `write_p`
 /// (plain or atomic, at random) and a read otherwise (plain or atomic).
@@ -408,31 +368,26 @@ IntervalTree RandomMixedTree(Rng& rng, int nodes, uint64_t base_lo,
 using IndexPairs = std::multiset<std::pair<uint32_t, uint32_t>>;
 
 /// Runs the sweep to completion and checks it against the nested loop:
-/// emitted pairs == touching pairs with a write, each exactly once, and the
-/// returned count == touching read-read pairs.
+/// emitted pairs == touching pairs with a write, each exactly once.
 void ExpectSweepMatchesOracle(const FrozenIntervalSet& a,
                               const FrozenIntervalSet& b,
                               const std::string& what) {
   IndexPairs expected;
-  uint64_t expected_read_read = 0;
   for (uint32_t i = 0; i < a.size(); i++) {
     for (uint32_t j = 0; j < b.size(); j++) {
       if (a.lo(i) > b.hi(j) || a.hi(i) < b.lo(j)) continue;
       if (a.node(i).key.is_write() || b.node(j).key.is_write()) {
         expected.insert({i, j});
-      } else {
-        expected_read_read++;
       }
     }
   }
   IndexPairs emitted;
-  const SweepResult result = SweepMatchingPairs(a, b, [&](uint32_t i, uint32_t j) {
+  const bool completed = SweepMatchingPairs(a, b, [&](uint32_t i, uint32_t j) {
     emitted.insert({i, j});
     return true;
   });
-  EXPECT_TRUE(result.completed) << what;
+  EXPECT_TRUE(completed) << what;
   EXPECT_EQ(emitted, expected) << what;
-  EXPECT_EQ(result.read_read_pairs, expected_read_read) << what;
 }
 
 TEST(SweepMatchingPairs, MixedKindsMatchNestedLoopOracle) {
@@ -505,13 +460,92 @@ TEST(SweepMatchingPairs, MixedEarlyExitStopsAndEmitsOnlyWritePairs) {
   const FrozenIntervalSet b =
       FreezeTree(RandomMixedTree(rng, 150, 100000, 2000, 0.3));
   int emitted = 0;
-  const SweepResult result = SweepMatchingPairs(a, b, [&](uint32_t i, uint32_t j) {
+  const bool completed = SweepMatchingPairs(a, b, [&](uint32_t i, uint32_t j) {
     EXPECT_TRUE(a.node(i).key.is_write() || b.node(j).key.is_write());
     emitted++;
     return emitted < 7;
   });
-  EXPECT_FALSE(result.completed);
+  EXPECT_FALSE(completed);
   EXPECT_EQ(emitted, 7);
+}
+
+/// `n` read nodes that all overlap each other, starting at `base`.
+IntervalTree OverlappingReads(uint32_t n, uint64_t base, uint32_t first_pc) {
+  IntervalTree tree;
+  for (uint32_t i = 0; i < n; i++) {
+    tree.AddInterval({base + i * 8, 8, 4 * n, 8}, Key(first_pc + i, kRead));
+  }
+  return tree;
+}
+
+TEST(SweepMatchingPairs, ReadOnlySideAgainstReadsEmitsNothing) {
+  const FrozenIntervalSet a = FreezeTree(OverlappingReads(300, 1000, 0));
+  const FrozenIntervalSet b = FreezeTree(OverlappingReads(300, 1004, 1000));
+  int emitted = 0;
+  EXPECT_TRUE(SweepMatchingPairs(a, b, [&](uint32_t, uint32_t) {
+    emitted++;
+    return true;
+  }));
+  EXPECT_EQ(emitted, 0);
+  // Against a side with writes, a read-only side emits exactly the pairs
+  // with those writes.
+  Rng rng(1111);
+  const FrozenIntervalSet mixed =
+      FreezeTree(RandomMixedTree(rng, 200, 1000, 4000, 0.3, 0, 5000));
+  ExpectSweepMatchesOracle(a, mixed, "read-only a");
+  ExpectSweepMatchesOracle(mixed, a, "read-only b");
+}
+
+TEST(SweepMatchingPairs, CancelStopsReadOnlyStretch) {
+  // No pair is ever emitted, so only the per-start-event poll can stop it.
+  const FrozenIntervalSet a = FreezeTree(OverlappingReads(500, 1000, 0));
+  const FrozenIntervalSet b = FreezeTree(OverlappingReads(500, 1004, 1000));
+  std::atomic<bool> cancel{true};
+  EXPECT_FALSE(SweepMatchingPairs(
+      a, b, [](uint32_t, uint32_t) { return true; }, &cancel));
+}
+
+TEST(SweepMatchingPairs, StaleReadsDoNotDefeatEarlyExit) {
+  // a is one short read; b is a write that pairs with it, then a long
+  // read-only tail far past it. b's reads never expire a's read (only a
+  // write's start scans the other side's reads), so a's active list still
+  // holds it after the pair is emitted. The callback raises cancel on that
+  // one pair: a sweep that exits once nothing of a reaches b's next start
+  // returns completed without polling it; one that kept walking b's tail
+  // would see the flag at its next start event and report a stop.
+  IntervalTree ta;
+  ta.AddInterval({1000, 0, 1, 8}, Key(1, kRead));
+  IntervalTree tb;
+  tb.AddInterval({1000, 0, 1, 8}, Key(2, kWrite));
+  for (uint32_t i = 0; i < 1000; i++) {
+    tb.AddInterval({5000 + i * 8, 0, 1, 8}, Key(3 + i, kRead));
+  }
+  const FrozenIntervalSet a = FreezeTree(ta), b = FreezeTree(tb);
+  std::atomic<bool> cancel{false};
+  int emitted = 0;
+  EXPECT_TRUE(SweepMatchingPairs(
+      a, b,
+      [&](uint32_t i, uint32_t j) {
+        EXPECT_EQ(i, 0u);
+        EXPECT_EQ(j, 0u);
+        emitted++;
+        cancel.store(true);
+        return true;
+      },
+      &cancel));
+  EXPECT_EQ(emitted, 1);
+  // Same with the sides swapped.
+  cancel.store(false);
+  emitted = 0;
+  EXPECT_TRUE(SweepMatchingPairs(
+      b, a,
+      [&](uint32_t, uint32_t) {
+        emitted++;
+        cancel.store(true);
+        return true;
+      },
+      &cancel));
+  EXPECT_EQ(emitted, 1);
 }
 
 // --- StreamingSetBuilder: the decode-to-frozen path must reproduce the

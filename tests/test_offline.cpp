@@ -409,8 +409,8 @@ TEST(Journal, RoundTrip) {
   JournalHeader header;
   header.shard_index = 0;
   header.shard_count = 1;
-  header.use_dedup = 0;
   header.bucket_deadline_ms = 42;
+  header.max_tree_bytes = 1 << 20;
   header.thread_count = 2;
   header.total_intervals = 10;
   header.total_log_bytes = 1234;
@@ -490,41 +490,18 @@ TEST(Journal, HeaderBindsSalvagePolicy) {
   EXPECT_FALSE(loaded.value().header == strict);
 }
 
-TEST(Journal, HeaderBindsDedupKnob) {
-  // The header carries use_dedup: race output is byte-identical either way,
-  // but the journaled stat deltas are not, so replaying a dedup run's
-  // buckets into a --no-dedup analysis (or the reverse) must be refused.
-  TempDir dir("journal-dedup");
-  JournalHeader base;
-  base.thread_count = 2;
-  base.total_intervals = 8;
-  base.total_log_bytes = 512;
-  JournalHeader no_dedup = base;
-  no_dedup.use_dedup = 0;
-  EXPECT_FALSE(base == no_dedup);
-
-  const std::string path = dir.path() + "/k.journal";
-  {
-    auto writer = JournalWriter::Create(path, no_dedup);
-    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-  }
-  auto loaded = LoadJournal(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().header.use_dedup, 0);
-  EXPECT_TRUE(loaded.value().header == no_dedup);
-  EXPECT_FALSE(loaded.value().header == base);
-}
-
-TEST(Journal, RefusesVersion4And5Headers) {
-  // v5 and v6 each dropped header bytes; an older journal must be refused by
-  // version, never parsed with its knob bytes shifted into the wrong fields.
+TEST(Journal, RefusesVersion4To6Headers) {
+  // v5, v6 and v7 each dropped header bytes; an older journal must be
+  // refused by version, never parsed with its knob bytes shifted into the
+  // wrong fields.
   TempDir dir("journal-old");
   JournalHeader header;
   header.thread_count = 2;
   header.total_intervals = 8;
   header.total_log_bytes = 512;
   const std::pair<int, Bytes> files[] = {{4, oracle::JournalV4File(header)},
-                                         {5, oracle::JournalV5File(header)}};
+                                         {5, oracle::JournalV5File(header)},
+                                         {6, oracle::JournalV6File(header)}};
   for (const auto& [version, file] : files) {
     const std::string path = dir.path() + "/v" + std::to_string(version) + ".journal";
     ASSERT_TRUE(WriteFile(path, file).ok());
@@ -538,7 +515,7 @@ TEST(Journal, RefusesVersion4And5Headers) {
   }
 }
 
-// Fixed-seed fuzz target for the v6 journal reader - the one parser
+// Fixed-seed fuzz target for the v7 journal reader - the one parser
 // sword-offline --resume and sword-serve feed with files from disk. Seeds
 // are the headers and bucket records the journal tests above write; mutants
 // are bit flips, truncations and spliced varints, applied either to the raw
@@ -632,8 +609,8 @@ TEST(Journal, FuzzedJournalsFailCleanlyOrRoundTrip) {
   TempDir dir("journal-fuzz");
   // As in RoundTrip: every header field and stat delta set, two races.
   JournalHeader full;
-  full.use_dedup = 0;
   full.bucket_deadline_ms = 42;
+  full.max_tree_bytes = 1 << 20;
   full.thread_count = 2;
   full.total_intervals = 10;
   full.total_log_bytes = 1234;
@@ -716,46 +693,37 @@ TEST(Journal, FuzzedJournalsFailCleanlyOrRoundTrip) {
   EXPECT_GT(partial, 100u);
 }
 
-TEST(Analysis, ResumeRefusesCrossDedupJournal) {
-  // A journal written with dedup on must not resume a --no-dedup analysis:
-  // the replayed stat deltas would be the wrong mode's.
-  SyntheticTrace t;
-  WriteFiveRegionTrace(t);
-  AnalysisConfig journaled;
-  journaled.journal_path = t.dir.path() + "/mode.journal";
-  ASSERT_TRUE(t.Analyze(journaled).status.ok());
-
-  AnalysisConfig flipped = journaled;
-  flipped.resume = true;
-  flipped.use_dedup = false;
-  EXPECT_FALSE(t.Analyze(flipped).status.ok());
-
-  // Matching modes resume fine.
-  AnalysisConfig same = journaled;
-  same.resume = true;
-  EXPECT_TRUE(t.Analyze(same).status.ok());
+/// The code pairs `races` holds, as RaceReport::Key() values.
+std::set<uint64_t> RaceKeys(const RaceReportSet& races) {
+  std::set<uint64_t> keys;
+  for (const RaceReport& r : races.reports()) keys.insert(r.Key());
+  return keys;
 }
 
-TEST(Analysis, PipelineAblationsProduceIdenticalRaces) {
-  // Dedup and the checker thread count are pure optimizations: every
-  // combination must find exactly the five races the trace holds, in the
-  // same order, as the dedup-off serial run.
+/// The code pairs the element-wise brute-force oracle finds in `t`'s trace.
+std::set<uint64_t> BruteForceKeys(const SyntheticTrace& t) {
+  auto store = TraceStore::OpenDir(t.dir.path());
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  return store.ok() ? oracle::BruteForceRaceKeys(store.value())
+                    : std::set<uint64_t>{};
+}
+
+TEST(Analysis, ThreadCountsMatchBruteForceRaces) {
+  // The checker thread count is a pure optimization: the serial and the
+  // parallel run find exactly the five races the trace holds, in the same
+  // order, and the same code pairs as the element-wise brute force.
   SyntheticTrace t;
   WriteFiveRegionTrace(t);
-  AnalysisConfig plain;
-  plain.use_dedup = false;
-  const AnalysisResult base = t.Analyze(plain);
+  const AnalysisResult base = t.Analyze();
   ASSERT_TRUE(base.status.ok());
   EXPECT_EQ(base.races.size(), 5u);
+  EXPECT_EQ(RaceKeys(base.races), BruteForceKeys(t));
 
-  for (int mask = 1; mask < 4; mask++) {
-    AnalysisConfig config;
-    config.use_dedup = mask & 1;
-    config.threads = (mask & 2) ? 3 : 1;
-    const AnalysisResult got = t.Analyze(config);
-    ASSERT_TRUE(got.status.ok()) << "mask " << mask;
-    ExpectSameReports(got.races, base.races);
-  }
+  AnalysisConfig config;
+  config.threads = 3;
+  const AnalysisResult got = t.Analyze(config);
+  ASSERT_TRUE(got.status.ok());
+  ExpectSameReports(got.races, base.races);
 }
 
 TEST(Analysis, DedupSharesFrozenSetsAcrossIdenticalGroups) {
@@ -786,13 +754,8 @@ TEST(Analysis, DedupSharesFrozenSetsAcrossIdenticalGroups) {
   EXPECT_EQ(deduped.stats.dedup_hits, 8u);
   EXPECT_GT(deduped.stats.dedup_bytes_saved, 0u);
 
-  AnalysisConfig no_dedup;
-  no_dedup.use_dedup = false;
-  const AnalysisResult plain = t.Analyze(no_dedup);
-  ASSERT_TRUE(plain.status.ok());
-  EXPECT_EQ(plain.stats.dedup_hits, 0u);
-  EXPECT_EQ(plain.stats.dedup_bytes_saved, 0u);
-  ExpectSameReports(deduped.races, plain.races);
+  EXPECT_EQ(RaceKeys(deduped.races), BruteForceKeys(t));
+  EXPECT_GT(deduped.races.size(), 0u);
 }
 
 TEST(Journal, TornTailDroppedAndContinueRepairs) {
@@ -1185,8 +1148,7 @@ TEST(TraceStoreTest, ElisionCountersOfOlderTracesAreReadAndReported) {
 
 // ---------------------------------------------------------------------------
 // CheckFrozenPair against the brute-force reference (tests/oracle): the exact
-// report SEQUENCE every-pair enumeration yields, whichever strategy (sweep or
-// gallop) the checker picks.
+// report SEQUENCE every-pair enumeration yields, whatever the set shapes.
 
 std::vector<RaceReport> CollectFrozen(const IntervalTree& a,
                                       const IntervalTree& b,
@@ -1234,7 +1196,7 @@ void ExpectMatchesBruteForce(const IntervalTree& a, const IntervalTree& b,
 }
 
 TEST(CheckFrozenPair, SweepMatchesBruteForce) {
-  // Comparable sizes => the sweep path.
+  // Comparable sizes.
   MutexSetTable mutexes;
   IntervalTree a, b;
   for (uint32_t i = 0; i < 30; i++) {
@@ -1245,8 +1207,8 @@ TEST(CheckFrozenPair, SweepMatchesBruteForce) {
   ExpectMatchesBruteForce(a, b, mutexes);
 }
 
-TEST(CheckFrozenPair, GallopPathMatchesBruteForce) {
-  // One side >= 8x smaller => the galloping per-node path.
+TEST(CheckFrozenPair, TinyVersusHugeMatchesBruteForce) {
+  // One side 32x smaller: the sweep walks the big side almost alone.
   MutexSetTable mutexes;
   IntervalTree small, big;
   small.AddInterval({5000, 16, 8, 8}, Key(1, itree::kWrite));
@@ -1311,7 +1273,7 @@ TEST(CheckFrozenPair, CancelFlagStopsComparison) {
 }
 
 /// Two all-read sides of `n` nodes each in which every node overlaps every
-/// other: n*n read-read pairs, all of which the sweep only counts.
+/// other: n*n read-read pairs, none of which the sweep visits.
 void OverlappingReads(uint32_t n, IntervalTree* a, IntervalTree* b) {
   for (uint32_t i = 0; i < n; i++) {
     a->AddInterval({1000 + i * 8, 8, 4 * n, 8}, Key(1 + i, itree::kRead));
@@ -1319,7 +1281,7 @@ void OverlappingReads(uint32_t n, IntervalTree* a, IntervalTree* b) {
   }
 }
 
-TEST(CheckFrozenPair, ReadReadPairsAreCountedNotDecided) {
+TEST(CheckFrozenPair, ReadReadPairsAreNeitherCountedNorDecided) {
   MutexSetTable mutexes;
   IntervalTree a, b;
   OverlappingReads(200, &a, &b);
@@ -1328,33 +1290,17 @@ TEST(CheckFrozenPair, ReadReadPairsAreCountedNotDecided) {
   size_t emitted = 0;
   CheckFrozenPair(fa, fb, mutexes,
                   [&](const RaceReport&) { emitted++; }, &stats);
-  EXPECT_EQ(stats.node_pairs_ranged, 200u * 200u);
+  EXPECT_EQ(stats.node_pairs_ranged, 0u);
   EXPECT_EQ(stats.fastpath_hits, 0u);
   EXPECT_EQ(emitted, 0u);
-}
-
-TEST(CheckFrozenPair, CancelFlagStopsReadOnlyComparison) {
-  MutexSetTable mutexes;
-  IntervalTree a, b;
-  OverlappingReads(500, &a, &b);
-  const itree::FrozenIntervalSet fa = FreezeTree(a), fb = FreezeTree(b);
-  std::atomic<bool> cancel{true};  // cancelled before the first start event
-  CheckLimits limits;
-  limits.cancel = &cancel;
-  CheckStats stats;
-  size_t emitted = 0;
-  CheckFrozenPair(fa, fb, mutexes,
-                  [&](const RaceReport&) { emitted++; }, &stats, limits);
-  EXPECT_EQ(stats.node_pairs_ranged, 0u);
-  EXPECT_EQ(emitted, 0u);
+  ExpectMatchesBruteForce(a, b, mutexes);
 }
 
 TEST(CheckFrozenPair, BreachFromWritePairCallbackStopsSweep) {
   // A write pair at the front, then a long read-only stretch. The breach is
   // raised from the first write-pair callback exactly as CheckFrozenPair's
   // own callback would see it; the sweep must stop at its next start event
-  // and report itself incomplete, which is what keeps CheckFrozenPair from
-  // adding the partial read-read count.
+  // and report itself incomplete.
   IntervalTree a, b;
   a.AddInterval({0, 0, 1, 8}, Key(1, itree::kWrite));
   b.AddInterval({0, 0, 1, 8}, Key(2, itree::kWrite));
@@ -1365,7 +1311,7 @@ TEST(CheckFrozenPair, BreachFromWritePairCallbackStopsSweep) {
   const itree::FrozenIntervalSet fa = FreezeTree(a), fb = FreezeTree(b);
   std::atomic<bool> cancel{false};
   size_t emitted = 0;
-  const itree::SweepResult sweep = itree::SweepMatchingPairs(
+  const bool completed = itree::SweepMatchingPairs(
       fa, fb,
       [&](uint32_t, uint32_t) {
         if (cancel.load()) return false;
@@ -1374,36 +1320,8 @@ TEST(CheckFrozenPair, BreachFromWritePairCallbackStopsSweep) {
         return true;
       },
       &cancel);
-  EXPECT_FALSE(sweep.completed);
+  EXPECT_FALSE(completed);
   EXPECT_EQ(emitted, 1u);
-  EXPECT_EQ(sweep.read_read_pairs, 0u);
-}
-
-TEST(CheckFrozenPair, BreachDuringReadOnlyStretchDropsPartialCount) {
-  // One write pair, then n*n read-read pairs - seconds of counting if the
-  // breach were ignored. A watchdog thread raises the breach as the
-  // comparison starts; whenever it lands, at most the write pair may have
-  // been decided and no partial read-read count may be added.
-  MutexSetTable mutexes;
-  IntervalTree a, b;
-  a.AddInterval({0, 0, 1, 8}, Key(100000, itree::kWrite));
-  b.AddInterval({0, 0, 1, 8}, Key(100001, itree::kWrite));
-  OverlappingReads(40000, &a, &b);
-  const itree::FrozenIntervalSet fa = FreezeTree(a), fb = FreezeTree(b);
-  std::atomic<bool> cancel{false};
-  std::atomic<bool> started{false};
-  std::thread watchdog([&] {
-    while (!started.load()) std::this_thread::yield();
-    cancel.store(true);
-  });
-  CheckLimits limits;
-  limits.cancel = &cancel;
-  CheckStats stats;
-  started.store(true);
-  CheckFrozenPair(fa, fb, mutexes,
-                  [](const RaceReport&) {}, &stats, limits);
-  watchdog.join();
-  EXPECT_LE(stats.node_pairs_ranged, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@
 namespace sword::osl {
 namespace {
 
-Label L(std::vector<Pair> pairs) { return Label(std::move(pairs)); }
-
 TEST(Label, InitialAndFork) {
   const Label root = Label::Initial();
   EXPECT_EQ(root.ToString(), "[0,1@0]");

@@ -1,16 +1,18 @@
 // Randomized equivalence properties for the race-check hot path:
 //
-//   1. CheckFrozenPair (sweep-merge/gallop enumeration, closed-form overlap
+//   1. CheckFrozenPair (sweep-merge enumeration, closed-form overlap
 //      decisions) must emit the EXACT report sequence of the brute-force
 //      every-pair reference (tests/oracle, deciding with the per-offset
 //      Diophantine oracle), over randomized strided workloads.
 //   2. The full analyzer gives byte-identical reports (text rendering
-//      included) with and without --no-dedup and at every thread count,
-//      over randomized multi-threaded strided traces - and
-//      the same scripts written with and without strided-run coalescing
-//      find the same races in the same number of summary nodes.
+//      included) at every thread count and finds exactly the code pairs of
+//      the element-wise brute-force reference, over randomized
+//      multi-threaded strided traces - and the same scripts written with
+//      and without strided-run coalescing find the same races in the same
+//      number of summary nodes.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -43,6 +45,13 @@ std::vector<ReportTuple> Tuples(const std::vector<RaceReport>& rs) {
   out.reserve(rs.size());
   for (const RaceReport& r : rs) out.push_back(Tup(r));
   return out;
+}
+
+/// The code pairs an analysis reported, as RaceReport::Key() values.
+std::set<uint64_t> RaceKeys(const AnalysisResult& result) {
+  std::set<uint64_t> keys;
+  for (const RaceReport& r : result.races.reports()) keys.insert(r.Key());
+  return keys;
 }
 
 /// A random strided workload: a mix of singleton, dense-run, and sparse
@@ -104,13 +113,13 @@ class RacecheckProperty : public testing::TestWithParam<int> {};
 TEST_P(RacecheckProperty, FrozenMatchesBruteForce) {
   Rng rng(31000 + static_cast<uint64_t>(GetParam()));
   MutexSetTable mutexes;
-  // Every third seed pits a 1-4 node side against a 40-80 node one, which
-  // CheckFrozenPair gallops through instead of sweeping.
-  const bool gallop = GetParam() % 3 == 0;
-  const int a_nodes = gallop ? 1 + static_cast<int>(rng.Below(4))
-                             : 4 + static_cast<int>(rng.Below(40));
+  // Every third seed pits a 1-4 node side against a 40-80 node one, so the
+  // sweep also walks a big side almost alone.
+  const bool tiny_vs_huge = GetParam() % 3 == 0;
+  const int a_nodes = tiny_vs_huge ? 1 + static_cast<int>(rng.Below(4))
+                                   : 4 + static_cast<int>(rng.Below(40));
   const FrozenIntervalSet a = RandomWorkload(rng, &mutexes, 100, a_nodes);
-  const int b_nodes = (gallop ? 40 : 4) + static_cast<int>(rng.Below(40));
+  const int b_nodes = (tiny_vs_huge ? 40 : 4) + static_cast<int>(rng.Below(40));
   const FrozenIntervalSet b = RandomWorkload(rng, &mutexes, 200, b_nodes);
 
   oracle::BruteForceStats want;
@@ -129,7 +138,7 @@ INSTANTIATE_TEST_SUITE_P(RandomWorkloads, RacecheckProperty,
                          testing::Range(0, 30));
 
 // ---------------------------------------------------------------------------
-// Full-analyzer ablation identity over randomized multi-threaded traces.
+// Full-analyzer identity over randomized multi-threaded traces.
 
 trace::IntervalMeta PropMeta(uint32_t lane, uint32_t span, uint64_t phase) {
   trace::IntervalMeta m;
@@ -144,9 +153,9 @@ trace::IntervalMeta PropMeta(uint32_t lane, uint32_t span, uint64_t phase) {
   return m;
 }
 
-class AnalyzeAblationProperty : public testing::TestWithParam<int> {};
+class AnalyzeProperty : public testing::TestWithParam<int> {};
 
-TEST_P(AnalyzeAblationProperty, AllAblationsRenderIdentically) {
+TEST_P(AnalyzeProperty, MatchesBruteForceAtEveryThreadCount) {
   Rng rng(88000 + static_cast<uint64_t>(GetParam()));
   TempDir dir("prop-ablate");
   trace::Flusher flusher{/*async=*/false};
@@ -180,33 +189,26 @@ TEST_P(AnalyzeAblationProperty, AllAblationsRenderIdentically) {
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   const auto pc_name = [](uint32_t pc) { return "pc#" + std::to_string(pc); };
 
-  AnalysisConfig base_config;
-  const AnalysisResult base = Analyze(store.value(), base_config);
+  const AnalysisResult base = Analyze(store.value());
   ASSERT_TRUE(base.status.ok()) << base.status.ToString();
-  const std::string base_text = RenderText(base, pc_name);
+  EXPECT_EQ(RaceKeys(base), oracle::BruteForceRaceKeys(store.value()));
 
-  for (const bool use_dedup : {true, false}) {
-    for (const uint32_t nthreads : {1u, 3u}) {
-      AnalysisConfig config;
-      config.use_dedup = use_dedup;
-      config.threads = nthreads;
-      const AnalysisResult alt = Analyze(store.value(), config);
-      ASSERT_TRUE(alt.status.ok());
-      EXPECT_EQ(RenderText(alt, pc_name), base_text)
-          << "dedup=" << use_dedup << " threads=" << nthreads;
-      EXPECT_EQ(Tuples(alt.races.reports()), Tuples(base.races.reports()));
-    }
-  }
+  AnalysisConfig config;
+  config.threads = 3;
+  const AnalysisResult alt = Analyze(store.value(), config);
+  ASSERT_TRUE(alt.status.ok());
+  EXPECT_EQ(RenderText(alt, pc_name), RenderText(base, pc_name));
+  EXPECT_EQ(Tuples(alt.races.reports()), Tuples(base.races.reports()));
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomTraces, AnalyzeAblationProperty,
+INSTANTIATE_TEST_SUITE_P(RandomTraces, AnalyzeProperty,
                          testing::Range(0, 12));
 
 // ---------------------------------------------------------------------------
-// Pipeline equivalence: repeated-subtrace memoization (use_dedup) and the
-// checker thread count must each - and in every combination - render
-// byte-identically to the dedup-off serial run, across trace formats v1/v2/v3 and across salvage-cut traces
-// whose tails died mid-segment. Independently, the same scripts written as a
+// Pipeline equivalence: the serial run finds exactly the code pairs of the
+// element-wise brute-force reference, and the parallel run renders
+// byte-identically to it, across trace formats v1/v2/v3 and across
+// salvage-cut traces whose tails died mid-segment. Independently, the same scripts written as a
 // v3 trace (strided runs coalesced into kAccessRun events, summarized by
 // StreamingSetBuilder::AddRun) and as a v2 trace (every element a separate
 // access) must find the same races in the same number of summary nodes.
@@ -256,7 +258,7 @@ EventScript RandomScript(Rng& rng) {
 
 class PipelineProperty : public testing::TestWithParam<int> {};
 
-TEST_P(PipelineProperty, AllModeCombinationsRenderIdentically) {
+TEST_P(PipelineProperty, MatchesBruteForceAtEveryThreadCount) {
   const int seed = GetParam();
   Rng rng(99000 + static_cast<uint64_t>(seed));
   TempDir dir("prop-stream");
@@ -327,28 +329,23 @@ TEST_P(PipelineProperty, AllModeCombinationsRenderIdentically) {
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   const auto pc_name = [](uint32_t pc) { return "pc#" + std::to_string(pc); };
 
-  AnalysisConfig plain;
-  plain.use_dedup = false;
-  const AnalysisResult base = Analyze(store.value(), plain);
+  const AnalysisResult base = Analyze(store.value());
   ASSERT_TRUE(base.status.ok()) << base.status.ToString();
-  const std::string base_text = RenderText(base, pc_name);
+  EXPECT_EQ(RaceKeys(base), oracle::BruteForceRaceKeys(store.value()))
+      << "format=v" << int(format);
 
-  for (int mask = 1; mask < 4; mask++) {
-    AnalysisConfig config;
-    config.use_dedup = mask & 1;
-    config.threads = (mask & 2) ? 3 : 1;
-    const AnalysisResult alt = Analyze(store.value(), config);
-    ASSERT_TRUE(alt.status.ok()) << alt.status.ToString();
-    EXPECT_EQ(RenderText(alt, pc_name), base_text)
-        << "dedup=" << bool(mask & 1) << " threads=" << config.threads
-        << " format=v" << int(format);
-    EXPECT_EQ(Tuples(alt.races.reports()), Tuples(base.races.reports()));
-  }
+  AnalysisConfig config;
+  config.threads = 3;
+  const AnalysisResult alt = Analyze(store.value(), config);
+  ASSERT_TRUE(alt.status.ok()) << alt.status.ToString();
+  EXPECT_EQ(RenderText(alt, pc_name), RenderText(base, pc_name))
+      << "format=v" << int(format);
+  EXPECT_EQ(Tuples(alt.races.reports()), Tuples(base.races.reports()));
 
   if (store_options.salvage) return;  // the twin trace was not cut
   auto twin_store = TraceStore::OpenDir(twin.path());
   ASSERT_TRUE(twin_store.ok()) << twin_store.status().ToString();
-  const AnalysisResult twin_result = Analyze(twin_store.value(), plain);
+  const AnalysisResult twin_result = Analyze(twin_store.value());
   ASSERT_TRUE(twin_result.status.ok()) << twin_result.status.ToString();
   EXPECT_EQ(Tuples(twin_result.races.reports()), Tuples(base.races.reports()))
       << "format=v" << int(format) << " vs v" << int(twin_format);

@@ -189,35 +189,14 @@ TEST_F(ToolsTest, OfflineToolRefusesResumeAcrossSalvageModes) {
   EXPECT_EQ(rc_ok, 2) << out_ok;
 }
 
-TEST_F(ToolsTest, OfflineToolRefusesResumeAcrossDedupModes) {
-  // The journal binds --no-dedup the same way it binds the salvage policy:
-  // a journal written with dedup on must not replay under --no-dedup, nor
-  // the reverse.
-  const std::string base = ToolPath("sword-offline") + " " + dir_.path();
-  const auto [rc_j, out_j] = RunCommand(base + " --journal");
-  EXPECT_EQ(rc_j, 2) << out_j;
-
-  const auto [rc, out] = RunCommand(base + " --resume --no-dedup");
-  EXPECT_EQ(rc, 1) << out;
-  EXPECT_NE(out.find("mismatched statistics"), std::string::npos) << out;
-
-  const auto [rc_ok, out_ok] = RunCommand(base + " --resume");
-  EXPECT_EQ(rc_ok, 2) << out_ok;
-
-  const auto [rc_nd, out_nd] = RunCommand(base + " --journal --no-dedup");
-  EXPECT_EQ(rc_nd, 2) << out_nd;
-  const auto [rc_rev, out_rev] = RunCommand(base + " --resume");
-  EXPECT_EQ(rc_rev, 1) << out_rev;
-  EXPECT_NE(out_rev.find("mismatched statistics"), std::string::npos)
-      << out_rev;
-}
-
-TEST_F(ToolsTest, OfflineToolRefusesVersion4And5Journals) {
-  // A journal from before the v5 or v6 header (each dropped retired knob
-  // bytes) is an analysis failure naming the version, not a usage error.
+TEST_F(ToolsTest, OfflineToolRefusesVersion4To6Journals) {
+  // A journal from before the v5, v6 or v7 header (each dropped retired
+  // knob bytes) is an analysis failure naming the version, not a usage
+  // error.
   const std::pair<int, Bytes> journals[] = {
       {4, oracle::JournalV4File(offline::JournalHeader{})},
-      {5, oracle::JournalV5File(offline::JournalHeader{})}};
+      {5, oracle::JournalV5File(offline::JournalHeader{})},
+      {6, oracle::JournalV6File(offline::JournalHeader{})}};
   for (const auto& [version, file] : journals) {
     ASSERT_TRUE(WriteFile(dir_.path() + "/sword_analysis_0of1.journal", file).ok());
     const auto [rc, out] = RunCommand(ToolPath("sword-offline") + " " +
@@ -232,10 +211,12 @@ TEST_F(ToolsTest, OfflineToolRefusesVersion4And5Journals) {
 TEST_F(ToolsTest, OfflineToolRejectsRetiredAblationFlags) {
   // No option answers to these names: they fail as unknown flags (exit 1),
   // before the trace is touched. The overlap engine choice, the solver step
-  // budget and the fast-path ablation went with the general engines.
+  // budget and the fast-path ablation went with the general engines; dedup
+  // is always on.
   const std::pair<const char*, const char*> retired[] = {
       {"--no-stream", ""},   {"--no-sweep", ""},         {"--no-symbolic", ""},
-      {"--engine", " ilp"},  {"--solver-budget", " 5"},  {"--no-fastpath", ""}};
+      {"--engine", " ilp"},  {"--solver-budget", " 5"},  {"--no-fastpath", ""},
+      {"--no-dedup", ""}};
   for (const auto& [flag, value] : retired) {
     const auto [rc, out] = RunCommand(ToolPath("sword-offline") + " " +
                                       dir_.path() + " " + flag + value);
