@@ -5,11 +5,14 @@
 //     consecutive memory accesses in one node";
 //   - summary-vs-summary comparison (the frozen sets' sort-merge sweep)
 //     beats the naive all-pairs comparison by orders of magnitude;
+//   - the summarizer's cost on a random-access stream shaped like a graph
+//     search's neighbour reads (count-2 runs to a random higher neighbour,
+//     repeats, single reads), in accesses summarized per second;
 //   - the race-check hot path (freezing both sides, then CheckFrozenPair:
 //     the write-aware sweep plus the closed-form overlap decision) in frozen
 //     nodes swept per second on dense-stride and sparse workloads, and the
-//     closed form's decisions per second on each overlap shape class - both
-//     floored by the perf-smoke gate.
+//     closed form's decisions per second on each overlap shape class.
+// The perf-smoke gate floors each of these rates.
 //
 // Flags: --quick (smaller sizes for CI), --json FILE (machine-readable
 // metrics for the perf-smoke regression gate).
@@ -78,6 +81,78 @@ void BuildDenseStridePair(uint64_t nodes, std::vector<itree::AccessNode>* a,
     b->push_back({ib, Key(static_cast<uint32_t>(100 + i % 4), itree::kRead),
                   ib.count});
   }
+}
+
+/// One writer event of a random-neighbour stream: a count-2 run, or a
+/// single access when count == 1.
+struct NeighbourOp {
+  uint64_t addr;
+  uint64_t stride;
+  uint64_t count;
+  itree::AccessKey key;
+};
+
+/// A graph search's neighbour reads over `vertices` 8-byte slots: most
+/// events are count-2 runs from a vertex to a random higher neighbour (an
+/// arbitrary stride), some re-read the previous address, the rest are
+/// single reads. Three read sites, one rare writing site.
+std::vector<NeighbourOp> RandomNeighbourStream(uint64_t accesses,
+                                               uint64_t vertices, Rng& rng) {
+  std::vector<NeighbourOp> ops;
+  uint64_t emitted = 0;
+  uint64_t last = 0x400000;
+  while (emitted < accesses) {
+    const uint32_t pc = static_cast<uint32_t>(1 + rng.Below(3));
+    const itree::AccessKey key =
+        Key(rng.Chance(0.02) ? 9 : pc, rng.Chance(0.02) ? itree::kWrite : itree::kRead);
+    const uint64_t addr = 0x400000 + 8 * rng.Below(vertices);
+    const uint64_t pick = rng.Below(100);
+    if (pick < 55) {
+      const uint64_t hi = addr + 8 * (1 + rng.Below(vertices));
+      ops.push_back({addr, hi - addr, 2, key});
+      last = hi;
+      emitted += 2;
+    } else if (pick < 75) {
+      ops.push_back({last, 0, 1, key});
+      emitted++;
+    } else {
+      ops.push_back({addr, 0, 1, key});
+      last = addr;
+      emitted++;
+    }
+  }
+  return ops;
+}
+
+/// Summarizes each group of `groups` into a fresh builder as the analyzer
+/// does (index reserved from the group's event count, dropped at the end);
+/// best of `samples` samples, each `block` passes. Returns accesses per
+/// second over all groups.
+double SummarizeRate(const std::vector<std::vector<NeighbourOp>>& groups,
+                     int samples, int block, uint64_t* nodes, uint64_t* accesses) {
+  const double seconds = BestOfReps(
+      samples,
+      [&] {
+        Timer t;
+        for (int rep = 0; rep < block; rep++) {
+          *nodes = 0;
+          *accesses = 0;
+          for (const std::vector<NeighbourOp>& ops : groups) {
+            itree::StreamingSetBuilder builder;
+            builder.ReserveIndex(ops.size());
+            for (const NeighbourOp& op : ops) {
+              if (op.count == 1) builder.AddAccess(op.addr, op.key);
+              else builder.AddRun(op.addr, op.stride, op.count, op.key);
+            }
+            builder.DropIndex();
+            *nodes += builder.NodeCount();
+            *accesses += builder.TotalAccesses();
+          }
+        }
+        return t.ElapsedSeconds() / block;
+      },
+      [](double s) { return s; });
+  return static_cast<double>(*accesses) / std::max(seconds, 1e-9);
 }
 
 struct SweepBenchResult {
@@ -163,6 +238,26 @@ int main(int argc, char** argv) {
     summary.AddRow({"random scatter (worst case)", std::to_string(scatter_n),
                     std::to_string(scattered_nodes),
                     FormatSeconds(t.ElapsedSeconds())});
+  }
+  double random_pairs_aps = 0;
+  {
+    // Timed row: a graph search's random neighbour reads, which summarize
+    // a few accesses per node and so exercise every index branch. Groups of
+    // 20k accesses, the size of one (thread, label) group of c_GraphSearch
+    // at --size 16000.
+    Rng rng(23);
+    std::vector<std::vector<NeighbourOp>> groups(quick ? 10 : 50);
+    for (auto& ops : groups) ops = RandomNeighbourStream(20000, 16000, rng);
+    uint64_t nodes = 0;
+    uint64_t accesses = 0;
+    random_pairs_aps =
+        SummarizeRate(groups, quick ? 5 : 9, quick ? 4 : 2, &nodes, &accesses);
+    std::string time = FormatSeconds(static_cast<double>(accesses) / random_pairs_aps);
+    time.append(" (")
+        .append(std::to_string(static_cast<uint64_t>(random_pairs_aps)))
+        .append(" accesses/s)");
+    summary.AddRow({"random neighbour pairs", std::to_string(accesses),
+                    std::to_string(nodes), time});
   }
   summary.Print();
   std::printf("\n");
@@ -300,7 +395,8 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\"bench\":\"ablation_itree\",\"quick\":" << (quick ? "true" : "false")
-        << ",\"dense_frozen_nodes_per_sec\":" << dense_frozen_nps;
+        << ",\"dense_frozen_nodes_per_sec\":" << dense_frozen_nps
+        << ",\"random_pairs_accesses_per_sec\":" << random_pairs_aps;
     for (const auto& [metric, rate] : shape_rates) {
       out << ",\"decisions_per_sec_" << metric << "\":" << rate;
     }

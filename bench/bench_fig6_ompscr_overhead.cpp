@@ -189,8 +189,10 @@ int main(int argc, char** argv) {
     const auto race_key = [](const offline::AnalysisResult& res) {
       std::vector<std::string> lines;
       for (const auto& r : res.races.reports()) {
-        std::string attr1 = (r.write1 ? "w" : "r") + std::to_string(r.size1);
-        std::string attr2 = (r.write2 ? "w" : "r") + std::to_string(r.size2);
+        std::string attr1 = r.write1 ? "w" : "r";
+        attr1 += std::to_string(r.size1);
+        std::string attr2 = r.write2 ? "w" : "r";
+        attr2 += std::to_string(r.size2);
         if (attr2 < attr1) std::swap(attr1, attr2);
         lines.push_back(std::to_string(std::min(r.pc1, r.pc2)) + "-" +
                         std::to_string(std::max(r.pc1, r.pc2)) + ":" + attr1 +

@@ -194,7 +194,7 @@ void BM_TraceAppend(benchmark::State& state) {
   }
   writer.EndSegment();
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel("v" + std::to_string(state.range(0)));
+  state.SetLabel(std::string("v").append(std::to_string(state.range(0))));
 }
 BENCHMARK(BM_TraceAppend)
     ->Arg(trace::kTraceFormatV1)
@@ -223,7 +223,7 @@ void BM_TraceAppendAccess(benchmark::State& state) {
   }
   writer.EndSegment();
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel("v" + std::to_string(state.range(0)));
+  state.SetLabel(std::string("v").append(std::to_string(state.range(0))));
 }
 BENCHMARK(BM_TraceAppendAccess)
     ->Arg(trace::kTraceFormatV2)
@@ -262,7 +262,8 @@ void BM_FlusherThroughput(benchmark::State& state) {
     producers.reserve(kProducers);
     for (int p = 0; p < kProducers; p++) {
       producers.emplace_back([&, p] {
-        const std::string path = dir.File("p" + std::to_string(p) + ".log");
+        const std::string path =
+            dir.File(std::string("p").append(std::to_string(p)).append(".log"));
         for (int j = 0; j < kJobsPerProducer; j++) {
           Bytes buf = flusher.pool().Acquire(kBufferBytes);
           buf.assign(pattern.begin(), pattern.end());
@@ -700,7 +701,8 @@ ContentionPoint MeasureContention(uint32_t threads, uint64_t total_frames) {
     producers.reserve(threads);
     for (uint32_t p = 0; p < threads; p++) {
       producers.emplace_back([&, p] {
-        const std::string path = dir.File("p" + std::to_string(p) + ".log");
+        const std::string path =
+            dir.File(std::string("p").append(std::to_string(p)).append(".log"));
         while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
         for (uint64_t j = 0; j < per_thread; j++) {
           Bytes buf = flusher.pool().Acquire(kFrameBytes);

@@ -9,8 +9,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <set>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace sword {
@@ -31,6 +32,14 @@ struct RaceReport {
     return (static_cast<uint64_t>(a) << 32) | b;
   }
 
+  /// The canonical total order over reports: the code pair as oriented, the
+  /// access kinds and sizes, then the witness address. The address comes
+  /// last, so which orientation and kinds win never depends on where the
+  /// race happened to be witnessed.
+  auto OrderKey() const {
+    return std::make_tuple(pc1, pc2, write1, write2, size1, size2, address);
+  }
+
   /// Renders via a pc -> "file:line" resolver.
   std::string ToString(const std::function<std::string(uint32_t)>& pc_name) const {
     std::string out = "data race: ";
@@ -48,13 +57,23 @@ struct RaceReport {
   }
 };
 
-/// Dedup accumulator: keeps the first report for each code pair.
+/// Dedup accumulator: one report per code pair, listed where the pair first
+/// appeared. Of the reports offered for a pair it keeps the least under
+/// RaceReport::OrderKey, so the kept report depends only on which reports
+/// were offered, not on the order a schedule offered them in.
 class RaceReportSet {
  public:
-  /// Returns true if this is a new code pair.
+  /// Returns true if the set changed: a new code pair, or a report ordering
+  /// before the one kept for its pair, which it replaces in place.
   bool Add(const RaceReport& report) {
-    if (!keys_.insert(report.Key()).second) return false;
-    reports_.push_back(report);
+    const auto [it, inserted] = index_.try_emplace(report.Key(), reports_.size());
+    if (inserted) {
+      reports_.push_back(report);
+      return true;
+    }
+    RaceReport& kept = reports_[it->second];
+    if (!(report.OrderKey() < kept.OrderKey())) return false;
+    kept = report;
     return true;
   }
 
@@ -64,16 +83,16 @@ class RaceReportSet {
     RaceReport probe;
     probe.pc1 = pc1;
     probe.pc2 = pc2;
-    return keys_.count(probe.Key()) > 0;
+    return index_.count(probe.Key()) > 0;
   }
 
   void Clear() {
-    keys_.clear();
+    index_.clear();
     reports_.clear();
   }
 
  private:
-  std::set<uint64_t> keys_;  // dedup keys of reports_
+  std::map<uint64_t, size_t> index_;  // code pair -> its slot in reports_
   std::vector<RaceReport> reports_;
 };
 

@@ -10,12 +10,12 @@ FrozenIntervalSet FrozenIntervalSet::FromSorted(std::vector<AccessNode> sorted) 
   const size_t n = sorted.size();
   set.lo_.reserve(n);
   set.hi_.reserve(n);
-  set.nodes_.reserve(n);
   for (const AccessNode& node : sorted) {
     set.lo_.push_back(node.interval.lo());
     set.hi_.push_back(node.interval.hi());
-    set.nodes_.push_back(node);
   }
+  sorted.shrink_to_fit();  // no-op (no copy) when reserved exactly
+  set.nodes_ = std::move(sorted);
   return set;
 }
 

@@ -5,7 +5,7 @@
 // cheap appends with stable node ids, which itree::StreamingSetBuilder
 // provides; comparison wants sequential scans over sorted data. So once a
 // group's summary is final, the analyzer freezes it (StreamingSetBuilder::
-// Freeze, which hands its merged node order to FromSorted) into sorted flat
+// Freeze, which hands its sorted node copy to FromSorted) into sorted flat
 // arrays - structure-of-arrays: a `lo` column, a `hi` column, and the
 // payload column - and every subsequent summary-vs-summary comparison runs
 // on the frozen form only.
@@ -31,9 +31,10 @@ class FrozenIntervalSet {
   FrozenIntervalSet() = default;
 
   /// Builds from nodes already in frozen order (ascending first byte,
-  /// creation-stable on ties) - the streaming builder's Freeze() path. Every
-  /// column is reserved to exactly `sorted.size()`, so MemoryBytes depends
-  /// on the node count alone.
+  /// creation-stable on ties) - the streaming builder's Freeze() path.
+  /// `sorted` becomes the payload column as is (no copy when its capacity is
+  /// exactly its size, as Freeze() reserves it); every column holds exactly
+  /// `sorted.size()` slots, so MemoryBytes depends on the node count alone.
   static FrozenIntervalSet FromSorted(std::vector<AccessNode> sorted);
 
   size_t size() const { return nodes_.size(); }

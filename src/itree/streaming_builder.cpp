@@ -14,26 +14,19 @@ uint32_t AddrHash(uint64_t addr, const AccessKey& key) {
   return static_cast<uint32_t>(HashAccess(addr, key));
 }
 
-/// The interval's most recent element, where its last-address entry lives.
+/// The interval's most recent element, where its last entry lives.
 uint64_t LastAddr(const ilp::StridedInterval& iv) {
   return iv.base + iv.stride * (iv.count - 1);
 }
 
-/// The address that continues the interval, where its continuation entry
-/// lives: a single continues as a unit element walk, a run at its stride.
+/// The address that continues the interval, where its next entry lives: a
+/// single continues as a unit element walk, a run at its stride.
 uint64_t NextAddr(const ilp::StridedInterval& iv) {
   return iv.count == 1 ? iv.base + iv.size : iv.base + iv.stride * iv.count;
 }
 
-/// Erases the (addr, key) entry only when it maps to `id`: emplace never
-/// overwrites, so a slot may belong to another node. An entry naming `id` is
-/// necessarily keyed by nodes_[id].key, so matching (addr, id) is enough.
-template <typename Table>
-void EraseIfMapsTo(Table& table, uint64_t addr, const AccessKey& key, uint32_t id) {
-  auto* slot = table.Find(AddrHash(addr, key), [&](const auto& s) {
-    return s.addr == addr && s.id == id;
-  });
-  if (slot != nullptr) table.Erase(slot);
+uint64_t EntryAddr(const ilp::StridedInterval& iv, bool next) {
+  return next ? NextAddr(iv) : LastAddr(iv);
 }
 
 }  // namespace
@@ -43,20 +36,45 @@ StreamingSetBuilder::KeySlot* StreamingSetBuilder::FindKey(const AccessKey& key)
                     [&](const KeySlot& s) { return nodes_[s.id].key == key; });
 }
 
-void StreamingSetBuilder::EmplaceAddr(ProbeTable<AddrSlot>& table, uint64_t addr,
-                                      const AccessKey& key, uint32_t id) {
-  table.Emplace(AddrSlot{addr, id, AddrHash(addr, key)}, [&](const AddrSlot& s) {
-    return s.addr == addr && nodes_[s.id].key == key;
+void StreamingSetBuilder::EmplaceEntry(uint32_t id, bool next) {
+  const AccessNode& n = nodes_[id];
+  EmplaceEntry(id, next, AddrHash(EntryAddr(n.interval, next), n.key));
+}
+
+void StreamingSetBuilder::EmplaceEntry(uint32_t id, bool next, uint32_t hash) {
+  const AccessNode& n = nodes_[id];
+  const uint64_t addr = EntryAddr(n.interval, next);
+  const uint32_t kind = next ? kNextEntry : 0;
+  index_.Emplace(AddrSlot{hash, id | kind}, [&](const AddrSlot& s) {
+    if ((s.id & kNextEntry) != kind) return false;
+    const AccessNode& other = nodes_[s.id & ~kNextEntry];
+    return other.key == n.key && EntryAddr(other.interval, next) == addr;
   });
 }
 
+void StreamingSetBuilder::EraseEntry(uint32_t id, bool next) {
+  // Emplace never overwrites, so the node may hold no entry of this kind;
+  // an entry naming it sits at its current address, hence in this cluster.
+  const AccessNode& n = nodes_[id];
+  const uint32_t tagged = id | (next ? kNextEntry : 0);
+  AddrSlot* slot = index_.Find(AddrHash(EntryAddr(n.interval, next), n.key),
+                               [&](const AddrSlot& s) { return s.id == tagged; });
+  if (slot != nullptr) index_.Erase(slot);
+}
+
 uint32_t StreamingSetBuilder::AddAccess(uint64_t addr, const AccessKey& key) {
+  if (nodes_.size() >= kMaxNodes) {
+    // A full arena cannot take the node this access might need; refusing
+    // every access from here on keeps the failure sticky and visible.
+    overflowed_ = true;
+    return kNil;
+  }
   total_accesses_++;
   KeySlot* ks = FindKey(key);
   if (ks == nullptr) {
     // First node of a new key: solo, so no index entry is stored.
     const uint32_t id = NewNode(addr, key);
-      keys_.Insert(KeySlot{id, KeyHash(key)});
+    keys_.Insert(KeySlot{id, KeyHash(key)});
     return id;
   }
   return ks->shared ? AddShared(addr, key, *ks) : AddSolo(addr, key, *ks);
@@ -96,31 +114,38 @@ uint32_t StreamingSetBuilder::AddSolo(uint64_t addr, const AccessKey& key,
   ks.shared = true;
   const uint64_t next = NextAddr(iv);
   const uint64_t last = LastAddr(iv);
-  continuations_.Insert(AddrSlot{next, id, AddrHash(next, key)});
-  last_addr_.Insert(AddrSlot{last, id, AddrHash(last, key)});
-  return NewSharedNode(addr, key, ks);
+  index_.Insert(AddrSlot{AddrHash(next, key), id | kNextEntry});
+  index_.Insert(AddrSlot{AddrHash(last, key), id});
+  return NewSharedNode(addr, key, ks, AddrHash(addr, key));
 }
 
 uint32_t StreamingSetBuilder::AddShared(uint64_t addr, const AccessKey& key,
                                         KeySlot& ks) {
+  // One walk of addr's cluster: a last entry at addr is branch 1 and ends
+  // the walk; a next entry at addr is remembered for branch 2.
   const uint32_t h = AddrHash(addr, key);
-  auto at_addr = [&](const AddrSlot& s) {
-    return s.addr == addr && nodes_[s.id].key == key;
-  };
+  AddrSlot* cont = nullptr;
+  AddrSlot* dup = index_.Find(h, [&](AddrSlot& s) {
+    const AccessNode& n = nodes_[s.id & ~kNextEntry];
+    if (!(n.key == key)) return false;
+    if ((s.id & kNextEntry) == 0) return LastAddr(n.interval) == addr;
+    if (NextAddr(n.interval) == addr) cont = &s;
+    return false;
+  });
 
   // 1. Repeated access to a run's most recent address: fold without growing.
-  if (AddrSlot* dup = last_addr_.Find(h, at_addr)) {
+  if (dup != nullptr) {
     nodes_[dup->id].hits++;
     return dup->id;
   }
 
   // 2. Continuation of an established run: addr is exactly the next element.
-  if (AddrSlot* cont = continuations_.Find(h, at_addr)) {
-    const uint32_t id = cont->id;
-    continuations_.Erase(cont);
+  if (cont != nullptr) {
+    const uint32_t id = cont->id & ~kNextEntry;
+    index_.Erase(cont);
+    EraseEntry(id, /*next=*/false);
     AccessNode& n = nodes_[id];
     auto& iv = n.interval;
-    EraseIfMapsTo(last_addr_, LastAddr(iv), key, id);
     if (iv.count == 1) {
       // This continuation was registered at base+size (unit element walk).
       // This clears the key's open single whichever node it names.
@@ -131,8 +156,8 @@ uint32_t StreamingSetBuilder::AddShared(uint64_t addr, const AccessKey& key,
       iv.count++;
     }
     n.hits++;
-    EmplaceAddr(continuations_, NextAddr(iv), key, id);
-    EmplaceAddr(last_addr_, addr, key, id);
+    EmplaceEntry(id, /*next=*/true);
+    EmplaceEntry(id, /*next=*/false, h);
     return id;
   }
 
@@ -145,26 +170,26 @@ uint32_t StreamingSetBuilder::AddShared(uint64_t addr, const AccessKey& key,
     AccessNode& n = nodes_[id];
     auto& iv = n.interval;
     if (addr > iv.base) {
-      EraseIfMapsTo(continuations_, NextAddr(iv), key, id);
-      EraseIfMapsTo(last_addr_, iv.base, key, id);
+      EraseEntry(id, /*next=*/true);
+      EraseEntry(id, /*next=*/false);
       iv.stride = addr - iv.base;
       iv.count = 2;
       n.hits++;
-      EmplaceAddr(continuations_, NextAddr(iv), key, id);
-      EmplaceAddr(last_addr_, addr, key, id);
+      EmplaceEntry(id, /*next=*/true);
+      EmplaceEntry(id, /*next=*/false, h);
       return id;
     }
   }
 
   // 4. Fresh node.
-  return NewSharedNode(addr, key, ks);
+  return NewSharedNode(addr, key, ks, h);
 }
 
 uint32_t StreamingSetBuilder::NewSharedNode(uint64_t addr, const AccessKey& key,
-                                            KeySlot& ks) {
+                                            KeySlot& ks, uint32_t addr_hash) {
   const uint32_t id = NewNode(addr, key);
-  EmplaceAddr(continuations_, addr + key.size, key, id);
-  EmplaceAddr(last_addr_, addr, key, id);
+  EmplaceEntry(id, /*next=*/true);
+  EmplaceEntry(id, /*next=*/false, addr_hash);
   ks.open = id;
   return id;
 }
@@ -182,7 +207,7 @@ uint32_t StreamingSetBuilder::AddRun(uint64_t base, uint64_t stride,
   if (count == 1) return id;
   const uint32_t first = id;
   id = AddAccess(base + stride, key);
-  if (count == 2) return id;
+  if (count == 2 || id == kNil) return id;
 
   // Bulk fast path: the first two elements merged into one fresh-looking run
   // node and the key is solo, so every remaining element would take the
@@ -210,63 +235,57 @@ uint32_t StreamingSetBuilder::NewNode(uint64_t addr, const AccessKey& key) {
   node.key = key;
   node.hits = 1;
   nodes_.push_back(node);
-  // Sorted-append or spill. A node's first byte is immutable, so comparing
-  // against the LAST in-order node is enough: program-order address walks
-  // keep extending the main sequence; only genuine back-jumps spill.
-  if (order_.empty() || addr >= nodes_[order_.back()].interval.lo()) {
-    order_.push_back(id);
-  } else {
-    spill_.push_back(id);
-  }
   return id;
+}
+
+void StreamingSetBuilder::ReserveIndex(uint64_t entries) { index_.Reserve(entries); }
+
+void StreamingSetBuilder::DropIndex() {
+  keys_.Clear();
+  index_.Clear();
 }
 
 uint64_t StreamingSetBuilder::MemoryBytes() const {
   return nodes_.capacity() * sizeof(AccessNode) +
-         (order_.capacity() + spill_.capacity()) * sizeof(uint32_t) +
-         keys_.size() * sizeof(KeySlot) +
-         (continuations_.size() + last_addr_.size()) * sizeof(AddrSlot);
+         keys_.capacity() * sizeof(KeySlot) + index_.capacity() * sizeof(AddrSlot);
 }
 
 FrozenIntervalSet StreamingSetBuilder::Freeze() const {
-  // Sort the spill by (first byte, creation id) and merge with the main
-  // sequence, which is already sorted by that pair (first bytes are
-  // non-decreasing by construction, ids by append order). First bytes never
-  // change after creation, so the merge is sorted by (first byte, creation
-  // order) - a balanced tree's in-order walk with ties broken to the right.
-  std::vector<uint32_t> sorted_spill = spill_;
-  auto less = [this](uint32_t a, uint32_t b) {
-    const uint64_t la = nodes_[a].interval.lo();
-    const uint64_t lb = nodes_[b].interval.lo();
-    return la != lb ? la < lb : a < b;
+  // First bytes never change after creation, so (first byte, creation id)
+  // order is a balanced tree's in-order walk with ties broken to the right.
+  std::vector<AccessNode> sorted;
+  sorted.reserve(nodes_.size());
+  const auto lo_less = [](const AccessNode& a, const AccessNode& b) {
+    return a.interval.lo() < b.interval.lo();
   };
-  std::sort(sorted_spill.begin(), sorted_spill.end(), less);
-
-  std::vector<AccessNode> merged;
-  merged.reserve(nodes_.size());
-  size_t i = 0;
-  size_t j = 0;
-  while (i < order_.size() && j < sorted_spill.size()) {
-    merged.push_back(less(order_[i], sorted_spill[j]) ? nodes_[order_[i++]]
-                                                      : nodes_[sorted_spill[j++]]);
+  if (std::is_sorted(nodes_.begin(), nodes_.end(), lo_less)) {
+    // Created in address order: creation order is already the frozen order.
+    sorted.assign(nodes_.begin(), nodes_.end());
+  } else {
+    struct SortKey {
+      uint64_t lo;
+      uint32_t id;
+    };
+    std::vector<SortKey> keys(nodes_.size());
+    for (size_t i = 0; i < nodes_.size(); i++) {
+      keys[i] = SortKey{nodes_[i].interval.lo(), static_cast<uint32_t>(i)};
+    }
+    std::sort(keys.begin(), keys.end(), [](const SortKey& a, const SortKey& b) {
+      return a.lo != b.lo ? a.lo < b.lo : a.id < b.id;
+    });
+    for (const SortKey& k : keys) sorted.push_back(nodes_[k.id]);
   }
-  for (; i < order_.size(); i++) merged.push_back(nodes_[order_[i]]);
-  for (; j < sorted_spill.size(); j++) merged.push_back(nodes_[sorted_spill[j]]);
-  return FrozenIntervalSet::FromSorted(std::move(merged));
+  return FrozenIntervalSet::FromSorted(std::move(sorted));
 }
 
 void StreamingSetBuilder::Reset() {
   nodes_.clear();
   nodes_.shrink_to_fit();
   nodes_.reserve(64);
-  order_.clear();
-  order_.shrink_to_fit();
-  spill_.clear();
-  spill_.shrink_to_fit();
   total_accesses_ = 0;
+  overflowed_ = false;
   keys_.Clear();
-  continuations_.Clear();
-  last_addr_.Clear();
+  index_.Clear();
 }
 
 }  // namespace sword::itree

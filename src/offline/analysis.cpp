@@ -54,8 +54,9 @@ struct Group {
   uint32_t thread_idx;
   osl::Label label;
   std::vector<const trace::IntervalMeta*> segments;
-  /// The summarizer: flat creation-order store with sorted-append + spill;
-  /// Freeze() emits the frozen set directly.
+  /// The summarizer: a flat creation-order node arena plus its indexes,
+  /// which are dropped when the group's last segment is summarized;
+  /// Freeze() sorts the nodes into the frozen set.
   itree::StreamingSetBuilder builder;
   /// Canonical-decoded-stream identity, folded during the build.
   SegmentFingerprint fingerprint;
@@ -226,12 +227,33 @@ Status BuildSegment(const TraceStore& store, Group& group,
       cache, &bytes_skipped, cursor);
   stats.raw_events += events;
   stats.bytes_skipped_read += bytes_skipped;
+  if (group.builder.Overflowed()) {
+    return Status::Oom(std::string("interval summary exceeds ")
+                           .append(std::to_string(itree::StreamingSetBuilder::kMaxNodes))
+                           .append(" nodes"));
+  }
   // Honest accounting for salvage runs: the meta claimed event_count events
   // for this segment; whatever did not stream (holes, truncation) is missing.
   if (s.ok() && meta.event_count > events) {
     stats.events_missing += meta.event_count - events;
   }
   return s;
+}
+
+/// The address-index reservation for one group: an upper bound on the
+/// events its segments can decode. Each event takes at least one log byte,
+/// so a segment holds at most min(event_count, data_size, log bytes left
+/// after data_begin) of them - a bound a damaged meta cannot inflate past
+/// the log it points into.
+uint64_t IndexReservation(const TraceStore& store, const Group& group) {
+  const uint64_t log_bytes =
+      store.threads()[group.thread_idx].log->total_logical_bytes();
+  uint64_t events = 0;
+  for (const trace::IntervalMeta* meta : group.segments) {
+    const uint64_t left = log_bytes > meta->data_begin ? log_bytes - meta->data_begin : 0;
+    events += std::min({meta->EventCount(), meta->data_size, left});
+  }
+  return events;
 }
 
 }  // namespace
@@ -450,6 +472,7 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
         // fails to stream poisons only itself in salvage mode (the group's
         // builder keeps every segment that did stream); a strict store aborts
         // the whole analysis, as before.
+        group->builder.ReserveIndex(IndexReservation(store, *group));
         for (const trace::IntervalMeta* meta : group->segments) {
           if (memory_capped.load(std::memory_order_relaxed) ||
               (watchdog && watchdog->breached())) {
@@ -476,6 +499,8 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
             return;
           }
         }
+        // The group is closed: only its nodes stay alive until Freeze.
+        group->builder.DropIndex();
         closed_tree_bytes.fetch_add(group->builder.MemoryBytes(),
                                     std::memory_order_relaxed);
         stats->trees_built++;
@@ -571,7 +596,7 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
       bucket_stats.concurrent_pairs += concurrent.size();
 
       // Freeze step: every group named by a concurrent pair gets its
-      // immutable flat comparison form (the builder's spill merge, parallel
+      // immutable flat comparison form (the builder's node sort, parallel
       // on the pool). Groups no concurrent pair names are never frozen.
       //
       // Repeated-subtrace memoization: groups whose canonical
@@ -706,8 +731,9 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
       // (the checkers emit each pair's reports in one canonical sorted
       // order). Reports identical to one already merged in this bucket are
       // dropped here - they cannot change the global set - and counted.
-      // Only reports that changed the global set (a new code pair) enter the
-      // journal record - replaying them reproduces the set.
+      // Only reports that changed the global set (a new code pair, or one
+      // that replaced its pair's kept report) enter the journal record -
+      // replaying them in order reproduces the set.
       std::set<std::tuple<uint64_t, uint64_t, uint64_t>> bucket_seen;
       for (const auto& races : pair_races) {
         for (const RaceReport& report : races) {

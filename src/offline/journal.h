@@ -90,7 +90,7 @@ struct JournalBucketRecord {
   static constexpr uint8_t kBucketSkipped = 1 << 2;  // salvage: no segment streamed
   uint8_t flags = 0;
 
-  /// Races this bucket newly added to the global report set, in the
+  /// Races by which this bucket changed the global report set, in the
   /// analyzer's deterministic merge order. Replaying them with
   /// RaceReportSet::Add in record order reproduces the clean run's set
   /// exactly - content and order.

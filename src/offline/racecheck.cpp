@@ -2,20 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <tuple>
 #include <vector>
 
 namespace sword::offline {
 namespace {
-
-/// Canonical total order over reports. Collected reports are sorted under
-/// this order before emitting, which makes the emitted stream - and
-/// therefore the downstream deterministic merge - independent of the
-/// sweep's pair enumeration order.
-auto ReportKey(const RaceReport& r) {
-  return std::make_tuple(r.pc1, r.pc2, r.address, r.size1, r.size2, r.write1,
-                         r.write2);
-}
 
 /// Decides one candidate node pair and collects any resulting report.
 /// `x` comes from the smaller ("outer") side, `y` from the larger; the
@@ -54,17 +44,19 @@ class PairDecider {
     reports_.push_back(report);
   }
 
-  /// Sorts collected reports into the canonical order and emits them with
-  /// exact duplicates suppressed (summarized runs re-colliding across node
-  /// pairs otherwise inflate the report stream).
+  /// Sorts collected reports into the canonical order (RaceReport::OrderKey)
+  /// and emits them with exact duplicates suppressed (summarized runs
+  /// re-colliding across node pairs otherwise inflate the report stream).
+  /// The sort makes the emitted stream - and therefore the downstream
+  /// deterministic merge - independent of the sweep's enumeration order.
   void Emit(FunctionRef<void(const RaceReport&)> on_race) {
     std::sort(reports_.begin(), reports_.end(),
               [](const RaceReport& l, const RaceReport& r) {
-                return ReportKey(l) < ReportKey(r);
+                return l.OrderKey() < r.OrderKey();
               });
     const RaceReport* prev = nullptr;
     for (const RaceReport& report : reports_) {
-      if (prev && ReportKey(*prev) == ReportKey(report)) {
+      if (prev && prev->OrderKey() == report.OrderKey()) {
         if (stats_) stats_->duplicates_suppressed++;
         continue;
       }

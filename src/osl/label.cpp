@@ -50,8 +50,13 @@ uint32_t Label::Span() const {
 std::string Label::ToString() const {
   std::string out;
   for (const Pair& p : pairs_) {
-    out += "[" + std::to_string(p.offset) + "," + std::to_string(p.span) + "@" +
-           std::to_string(p.phase) + "]";
+    out.append("[")
+        .append(std::to_string(p.offset))
+        .append(",")
+        .append(std::to_string(p.span))
+        .append("@")
+        .append(std::to_string(p.phase))
+        .append("]");
   }
   return out;
 }

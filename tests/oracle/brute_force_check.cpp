@@ -2,20 +2,11 @@
 
 #include <algorithm>
 #include <map>
-#include <tuple>
 
 #include "oracle/overlap_oracle.h"
 #include "osl/label.h"
 
 namespace sword::oracle {
-namespace {
-
-auto Canonical(const RaceReport& r) {
-  return std::make_tuple(r.pc1, r.pc2, r.address, r.size1, r.size2, r.write1,
-                         r.write2);
-}
-
-}  // namespace
 
 std::vector<RaceReport> BruteForceRaces(const itree::FrozenIntervalSet& a,
                                         const itree::FrozenIntervalSet& b,
@@ -55,11 +46,11 @@ std::vector<RaceReport> BruteForceRaces(const itree::FrozenIntervalSet& a,
 
   std::sort(reports.begin(), reports.end(),
             [](const RaceReport& l, const RaceReport& r) {
-              return Canonical(l) < Canonical(r);
+              return l.OrderKey() < r.OrderKey();
             });
   const auto last = std::unique(reports.begin(), reports.end(),
                                 [](const RaceReport& l, const RaceReport& r) {
-                                  return Canonical(l) == Canonical(r);
+                                  return l.OrderKey() == r.OrderKey();
                                 });
   st.duplicates_suppressed += static_cast<uint64_t>(reports.end() - last);
   reports.erase(last, reports.end());

@@ -5,7 +5,8 @@
 // filters (a write on either side, not two atomics, disjoint mutex sets)
 // and then the per-offset Diophantine oracle (oracle/overlap_oracle.h), not
 // the production closed form, so the two decide independently.
-// The collected reports are sorted into the checker's canonical order and
+// The collected reports are sorted into the canonical order
+// (RaceReport::OrderKey, which the checker emits in) and
 // exact duplicates dropped. It shares nothing with the checker's
 // enumeration, so agreement on random inputs is evidence that the sweep
 // visits exactly the pairs it must.

@@ -796,7 +796,7 @@ INSTANTIATE_TEST_SUITE_P(
         GovernorWorkload{trace::kTraceFormatV2, "drb", "truedep1-orig-yes", 2'000},
         GovernorWorkload{trace::kTraceFormatV3, "ompscr", "c_GraphSearch", 2'000}),
     [](const ::testing::TestParamInfo<GovernorWorkload>& info) {
-      return "V" + std::to_string(info.param.format);
+      return std::string("V").append(std::to_string(info.param.format));
     });
 
 // --- satellite (a): unified fsync retry path is counted -------------------

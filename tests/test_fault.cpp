@@ -125,7 +125,8 @@ TEST(FaultFile, StormWindowFiresExactlyOnceUnderConcurrentAppends) {
     for (int t = 0; t < kThreads; t++) {
       threads.emplace_back([&, t] {
         while (!go.load()) std::this_thread::yield();
-        const std::string path = dir.File("t" + std::to_string(t) + ".bin");
+        const std::string path =
+            dir.File(std::string("t").append(std::to_string(t)).append(".bin"));
         const uint8_t byte = static_cast<uint8_t>(t);
         for (int i = 0; i < kAppendsPerThread; i++) {
           size_t written = 0;

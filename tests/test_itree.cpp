@@ -576,7 +576,7 @@ void ExpectFrozenEqual(const FrozenIntervalSet& stream,
   }
 }
 
-TEST(StreamingSetBuilder, AscendingWalkMatchesTreeNoSpill) {
+TEST(StreamingSetBuilder, AscendingWalkMatchesTree) {
   StreamingSetBuilder builder;
   IntervalTree tree;
   const AccessKey key = Key(11);
@@ -585,24 +585,32 @@ TEST(StreamingSetBuilder, AscendingWalkMatchesTreeNoSpill) {
     tree.AddAccess(0x1000 + i * 8, key);
   }
   EXPECT_EQ(builder.NodeCount(), 1u);  // summarized to one run, like the tree
-  EXPECT_EQ(builder.SpillCount(), 0u);
   EXPECT_EQ(builder.TotalAccesses(), tree.TotalAccesses());
-  ExpectFrozenEqual(builder.Freeze(), FreezeTree(tree));
+  const FrozenIntervalSet frozen = builder.Freeze();
+  ASSERT_EQ(frozen.size(), 1u);
+  EXPECT_EQ(frozen.lo(0), 0x1000u);
+  EXPECT_EQ(frozen.hi(0), 0x1000u + 99 * 8 + 7);
+  ExpectFrozenEqual(frozen, FreezeTree(tree));
 }
 
-TEST(StreamingSetBuilder, DescendingWalkSpillsAndMergesInOrder) {
+TEST(StreamingSetBuilder, DescendingWalkFreezesInAddressOrder) {
   StreamingSetBuilder builder;
   IntervalTree tree;
-  // Distinct pcs defeat summarization: every access is its own node, and a
-  // strictly descending walk sends all but the first to the spill buffer.
+  // Distinct pcs defeat summarization: every access is its own node, created
+  // in descending address order, so Freeze() must reverse creation order.
   for (uint64_t i = 0; i < 50; i++) {
     const AccessKey key = Key(static_cast<uint32_t>(100 + i));
     builder.AddAccess(0x9000 - i * 16, key);
     tree.AddAccess(0x9000 - i * 16, key);
   }
   EXPECT_EQ(builder.NodeCount(), 50u);
-  EXPECT_EQ(builder.SpillCount(), 49u);
-  ExpectFrozenEqual(builder.Freeze(), FreezeTree(tree));
+  const FrozenIntervalSet frozen = builder.Freeze();
+  ASSERT_EQ(frozen.size(), 50u);
+  for (size_t i = 0; i < frozen.size(); i++) {
+    EXPECT_EQ(frozen.lo(i), 0x9000u - (49 - i) * 16) << i;
+    EXPECT_EQ(frozen.node(i).key.pc, 149u - i) << i;
+  }
+  ExpectFrozenEqual(frozen, FreezeTree(tree));
 }
 
 TEST(StreamingSetBuilder, RunShapesMatchTree) {
@@ -717,13 +725,34 @@ struct Twin {
   }
 };
 
-TEST(StreamingSetBuilder, SoloSingleSecondAccessBelowBaseSpills) {
+TEST(StreamingSetBuilder, EqualFirstBytesFreezeInCreationOrder) {
+  // Same first byte under different keys, created out of address order:
+  // the sort path must break lo ties by creation id, as the tree does.
+  Twin t;
+  t.Access(0x2000, Key(1));
+  t.Access(0x1000, Key(2));
+  t.Access(0x2000, Key(3, kRead));
+  t.Access(0x1000, Key(4));
+  t.Access(0x2000, Key(5));
+  const FrozenIntervalSet frozen = t.builder.Freeze();
+  ASSERT_EQ(frozen.size(), 5u);
+  const uint32_t pcs[] = {2, 4, 1, 3, 5};
+  for (size_t i = 0; i < 5; i++) EXPECT_EQ(frozen.node(i).key.pc, pcs[i]) << i;
+  t.ExpectSame();
+}
+
+TEST(StreamingSetBuilder, SoloSingleSecondAccessBelowBaseStartsNode) {
   Twin t;
   const AccessKey key = Key(1);
   t.Access(0x1000, key);
-  t.Access(0x0ff0, key);  // below base: second node, spilled
+  t.Access(0x0ff0, key);  // below base: second node, frozen first
   EXPECT_EQ(t.builder.NodeCount(), 2u);
-  EXPECT_EQ(t.builder.SpillCount(), 1u);
+  {
+    const FrozenIntervalSet frozen = t.builder.Freeze();
+    ASSERT_EQ(frozen.size(), 2u);
+    EXPECT_EQ(frozen.lo(0), 0x0ff0u);
+    EXPECT_EQ(frozen.lo(1), 0x1000u);
+  }
   // The first node's unit-walk continuation was written out at the
   // transition. Taking it clears the key's open single, which names the
   // SECOND node, so the ascending access after it starts a third node
@@ -851,6 +880,125 @@ TEST(StreamingSetBuilder, RandomizedLongSoloRunsWithRareJumps) {
     SCOPED_TRACE(seed);
     t.ExpectSame();
   }
+}
+
+TEST(StreamingSetBuilder, LosingEmplaceLeavesNodeWithoutEntry) {
+  // Two nodes of one key claim the same (addr, key, next) entry. The first
+  // claim keeps it, so the access at that address extends the first node;
+  // the second node holds no continuation, and once the first node has
+  // moved on the same address starts a fresh node.
+  Twin t;
+  const AccessKey key = Key(12);
+  t.Access(0x1000, key);  // node 0: a solo single, next entry 0x1008
+  t.Access(0x0f00, key);  // node 1 (below base): the key is shared now
+  t.Access(0x0f08, key);  // node 1 continues its unit walk; no open single
+  t.Access(0x0fe8, key);  // node 2, the open single
+  t.Access(0x0ff8, key);  // node 2 adopts stride 0x10: its next is 0x1008 too
+  EXPECT_EQ(t.builder.NodeCount(), 3u);
+  t.Access(0x1008, key);  // extends node 0, which claimed 0x1008 first
+  t.Access(0x1010, key);
+  t.Access(0x1008, key);  // neither a last nor a next entry: node 3
+  EXPECT_EQ(t.builder.NodeCount(), 4u);
+  t.Access(0x1010, key);  // node 0's last entry: a repeat
+  t.ExpectSame();
+}
+
+TEST(StreamingSetBuilder, RandomNeighbourPairsMatchTree) {
+  // Streams shaped like a graph search's random neighbour reads: count-2
+  // runs from a node to a random higher neighbour (an arbitrary stride),
+  // repeats of a live last address, descending accesses below the open
+  // single, and pairs of nodes aimed at one (addr, key, kind) entry. A small
+  // address space makes entries collide often, so emplace-without-overwrite
+  // decides many of them.
+  for (uint64_t seed = 1; seed <= 30; seed++) {
+    Rng rng(seed);
+    Twin t;
+    const uint64_t slots = uint64_t{1} << (6 + seed % 7);
+    std::vector<uint64_t> last(3, 0x100000);
+    for (int i = 0; i < 3000; i++) {
+      const uint32_t k = static_cast<uint32_t>(rng.Below(3));
+      const AccessKey key = Key(30 + k, rng.Chance(0.9) ? kRead : kWrite);
+      const uint64_t addr = 0x100000 + 8 * rng.Below(slots);
+      const uint64_t pick = rng.Below(100);
+      if (pick < 45) {
+        const uint64_t neighbour = addr + 8 * (1 + rng.Below(slots));
+        t.Run(addr, neighbour - addr, 2, key);
+        last[k] = neighbour;
+      } else if (pick < 60) {
+        t.Access(last[k], key);  // often a node's live last address
+      } else if (pick < 72) {
+        last[k] -= 8 * (1 + rng.Below(4));
+        t.Access(last[k], key);  // descending: never adopted as a stride
+      } else if (pick < 87) {
+        // A unit-walk single and a stride-16 pair both continue at `addr`:
+        // whichever is created first owns the entry.
+        if (rng.Chance(0.5)) {
+          t.Access(addr - 8, key);
+          t.Run(addr - 32, 16, 2, key);
+        } else {
+          t.Run(addr - 32, 16, 2, key);
+          t.Access(addr - 8, key);
+        }
+        t.Access(addr, key);
+        last[k] = addr;
+      } else {
+        t.Access(addr, key);
+        last[k] = addr;
+      }
+    }
+    SCOPED_TRACE(seed);
+    t.ExpectSame();
+  }
+}
+
+TEST(StreamingSetBuilder, ZeroSizeAccessesMatchTree) {
+  // A zero-byte access (only a damaged trace carries one) puts a single's
+  // last and next entries at the same address: the entry kind alone tells
+  // a repeat from a continuation.
+  Twin t;
+  const AccessKey zero = Key(14, kRead, 0);
+  t.Access(0x3000, zero);
+  t.Access(0x2000, zero);  // shared from here on
+  t.Access(0x2000, zero);  // the last entry: a repeat, not a continuation
+  t.Access(0x2010, zero);
+  t.Access(0x2020, zero);
+  t.Access(0x3000, zero);
+  t.Access(0x1000, zero);
+  t.Access(0x1000, zero);
+  t.ExpectSame();
+}
+
+TEST(StreamingSetBuilder, IndexIsSizedOnFirstUseAndDropped) {
+  const AccessKey key = Key(13);
+  // Solo keys store no entries: a reservation allocates nothing.
+  StreamingSetBuilder solo, solo_reserved;
+  solo_reserved.ReserveIndex(100000);
+  for (uint64_t i = 0; i < 64; i++) {
+    solo.AddAccess(0x1000 + i * 8, key);
+    solo_reserved.AddAccess(0x1000 + i * 8, key);
+  }
+  EXPECT_EQ(solo_reserved.MemoryBytes(), solo.MemoryBytes());
+
+  // A shared key allocates the reserved index (2 slots per entry, 8 bytes
+  // each) at its first entry.
+  StreamingSetBuilder shared;
+  shared.ReserveIndex(1000);
+  shared.AddAccess(0x2000, key);
+  const uint64_t before = shared.MemoryBytes();
+  shared.AddAccess(0x1000, key);
+  EXPECT_GE(shared.MemoryBytes() - before, 2048u * 8);
+
+  // Dropping the index leaves the nodes, which still freeze as before.
+  IntervalTree tree;
+  tree.AddAccess(0x2000, key);
+  tree.AddAccess(0x1000, key);
+  shared.DropIndex();
+  EXPECT_LT(shared.MemoryBytes(), before);
+  StreamingSetBuilder nodes_only;
+  nodes_only.AddAccess(0x2000, key);
+  nodes_only.DropIndex();
+  EXPECT_EQ(shared.MemoryBytes(), nodes_only.MemoryBytes());
+  ExpectFrozenEqual(shared.Freeze(), FreezeTree(tree));
 }
 
 TEST(HashAccess, MutexSetReachesLow32Bits) {

@@ -920,9 +920,9 @@ TEST(Analysis, DeadlineWatchdogAbortsOnlyThatBucket) {
   // Region 0: three heavyweight groups whose build alone takes far longer
   // than the deadline. Every event walks DOWN one element, so each one
   // starts a new node (descending accesses never extend a run): the build
-  // costs a node arena slot, two index entries and a spill entry per event,
-  // however cheap the summarizer's fold of a run continuation is. Run to
-  // completion it takes about 1.3s on one 2.0 GHz Xeon core, over 25x the
+  // costs a node arena slot and two index entries per event, however cheap
+  // the summarizer's fold of a run continuation is. Run to completion the
+  // build alone takes about 0.8s on a 4-core x86-64 container, over 15x the
   // 50ms deadline. The events come in 80 segments per group because the
   // builder polls the watchdog between segments: the breached build stops
   // within a segment of the deadline instead of finishing. Region 1: a
@@ -1008,7 +1008,7 @@ TEST(Analysis, PeakTreeBytesNamesTheBucket) {
   EXPECT_EQ(result.stats.peak_tree_bucket, 2u);
 }
 
-TEST(RaceReportSetTest, KeepsFirstReportPerCodePair) {
+TEST(RaceReportSetTest, KeepsLeastReportPerCodePair) {
   RaceReportSet set;
   RaceReport first;
   first.pc1 = 1;
@@ -1016,17 +1016,97 @@ TEST(RaceReportSetTest, KeepsFirstReportPerCodePair) {
   first.address = 0x1000;
   EXPECT_TRUE(set.Add(first));
 
-  // The same code pair in either orientation, at another address, is a
-  // duplicate: the first report stands.
+  // The same code pair in either orientation is one entry. A report that
+  // orders after the kept one changes nothing...
   RaceReport again = first;
   again.pc1 = 2;
   again.pc2 = 1;
-  again.address = 0x2000;
+  again.address = 0x800;
   EXPECT_FALSE(set.Add(again));
   ASSERT_EQ(set.size(), 1u);
+  EXPECT_EQ(set.reports()[0].pc1, 1u);
   EXPECT_EQ(set.reports()[0].address, 0x1000u);
+
+  // ...and one that orders before it replaces it in place.
+  RaceReport other;
+  other.pc1 = 5;
+  other.pc2 = 6;
+  EXPECT_TRUE(set.Add(other));
+  RaceReport lower = first;
+  lower.address = 0x400;
+  EXPECT_TRUE(set.Add(lower));
+  ASSERT_EQ(set.size(), 2u);
+  EXPECT_EQ(set.reports()[0].address, 0x400u);
+  EXPECT_EQ(set.reports()[1].pc1, 5u);
   EXPECT_TRUE(set.Contains(2, 1));
   EXPECT_FALSE(set.Contains(1, 3));
+}
+
+TEST(RaceReportSetTest, KeptReportIgnoresArrivalOrder) {
+  // Both orientations of one pair, each as write-vs-read and read-vs-write
+  // at two witness addresses: every arrival order keeps the same report.
+  std::vector<RaceReport> offered;
+  for (const auto& [pc1, pc2] : {std::pair{7u, 3u}, std::pair{3u, 7u}}) {
+    for (const bool write1 : {true, false}) {
+      for (const uint64_t address : {0x2000u, 0x1000u}) {
+        RaceReport r;
+        r.pc1 = pc1;
+        r.pc2 = pc2;
+        r.write1 = write1;
+        r.write2 = !write1;
+        r.size1 = 8;
+        r.size2 = 4;
+        r.address = address;
+        offered.push_back(r);
+      }
+    }
+  }
+  std::sort(offered.begin(), offered.end(),
+            [](const RaceReport& l, const RaceReport& r) {
+              return l.OrderKey() < r.OrderKey();
+            });
+  const RaceReport want = offered.front();
+  EXPECT_EQ(want.pc1, 3u);
+  EXPECT_FALSE(want.write1);
+  EXPECT_EQ(want.address, 0x1000u);
+  size_t orders = 0;
+  do {
+    RaceReportSet set;
+    for (const RaceReport& r : offered) set.Add(r);
+    ASSERT_EQ(set.size(), 1u);
+    EXPECT_EQ(set.reports()[0].OrderKey(), want.OrderKey());
+    orders++;
+  } while (std::next_permutation(offered.begin(), offered.end(),
+                                 [](const RaceReport& l, const RaceReport& r) {
+                                   return l.OrderKey() < r.OrderKey();
+                                 }));
+  EXPECT_EQ(orders, 40320u);  // 8!
+}
+
+TEST(RaceReportSetTest, ReplayingChangesReproducesTheSet) {
+  // The journal records only the reports whose Add changed the set - new
+  // pairs and in-place replacements - and resume replays them in order.
+  Rng rng(17);
+  RaceReportSet live;
+  std::vector<RaceReport> journal;
+  for (int i = 0; i < 500; i++) {
+    RaceReport r;
+    r.pc1 = static_cast<uint32_t>(rng.Below(6));
+    r.pc2 = static_cast<uint32_t>(rng.Below(6));
+    r.write1 = rng.Chance(0.5);
+    r.write2 = !r.write1 || rng.Chance(0.5);
+    r.size1 = static_cast<uint8_t>(1 << rng.Below(4));
+    r.size2 = static_cast<uint8_t>(1 << rng.Below(4));
+    r.address = 0x1000 + rng.Below(256);
+    if (live.Add(r)) journal.push_back(r);
+  }
+  EXPECT_GT(journal.size(), live.size());  // some reports were replaced
+  RaceReportSet replayed;
+  for (const RaceReport& r : journal) replayed.Add(r);
+  ASSERT_EQ(replayed.size(), live.size());
+  for (size_t i = 0; i < live.size(); i++) {
+    EXPECT_EQ(replayed.reports()[i].OrderKey(), live.reports()[i].OrderKey()) << i;
+  }
 }
 
 TEST(TraceStoreTest, OpenDirFindsAllThreads) {

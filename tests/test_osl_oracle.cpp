@@ -139,7 +139,7 @@ class Structure {
     Label(key_pairs).Serialize(w);
     std::string key(reinterpret_cast<const char*>(w.buffer().data()),
                     w.buffer().size());
-    key += ":" + std::to_string(barrier_ordinal);
+    key.append(":").append(std::to_string(barrier_ordinal));
     auto [it, inserted] = rendezvous_.try_emplace(key, 0);
     if (inserted) it->second = NewNode();
     return it->second;

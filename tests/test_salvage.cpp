@@ -308,7 +308,7 @@ INSTANTIATE_TEST_SUITE_P(Formats, CorruptionMatrix,
                                            trace::kTraceFormatV2,
                                            trace::kTraceFormatV3),
                          [](const auto& info) {
-                           return "v" + std::to_string(info.param);
+                           return std::string("v").append(std::to_string(info.param));
                          });
 
 // --- targeted damage with exact expectations ------------------------------
@@ -519,7 +519,7 @@ INSTANTIATE_TEST_SUITE_P(Formats, SalvageAnalysis,
                                            trace::kTraceFormatV2,
                                            trace::kTraceFormatV3),
                          [](const auto& info) {
-                           return "v" + std::to_string(info.param);
+                           return std::string("v").append(std::to_string(info.param));
                          });
 
 TEST(MetaValidation, ImplausibleEventCountRejected) {
@@ -581,6 +581,52 @@ TEST(MetaValidation, RecordBeyondLogRejectedStrictKeptInSalvage) {
   const AnalysisResult result = Analyze(store.value());
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(result.stats.events_missing, 4u);
+}
+
+TEST(MetaValidation, OverclaimingRecordReservesOnlyWhatItsLogHolds) {
+  TempDir dir;
+  trace::Flusher flusher(/*async=*/false);
+  // Descending accesses of one pc share a key, so thread 0's summary needs
+  // its address index; pc 11 writes what pc 22 reads.
+  std::vector<trace::RawEvent> events;
+  for (uint32_t i = 0; i < 8; i++) {
+    events.push_back(trace::RawEvent::Access(0x2000 - i * 64, 8, 1, 11));
+  }
+  WriteThread(dir.path(), flusher, 0, trace::kTraceFormatV2, 2048,
+              {{Meta(0, 2), events}});
+  WriteThread(dir.path(), flusher, 1, trace::kTraceFormatV2, 2048,
+              {{Meta(1, 2), {trace::RawEvent::Access(0x2000 - 3 * 64, 8, 0, 22)}}});
+
+  // Tamper: thread 0's record claims a million events in a million bytes.
+  const std::string meta_path = dir.path() + "/sword_t0.meta";
+  auto bytes = ReadFileBytes(meta_path);
+  ASSERT_TRUE(bytes.ok());
+  trace::MetaFile meta;
+  ASSERT_TRUE(trace::MetaFile::Decode(bytes.value(), &meta).ok());
+  ASSERT_EQ(meta.intervals.size(), 1u);
+  meta.intervals[0].event_count = 1 << 20;
+  meta.intervals[0].data_size = 1 << 20;
+  ASSERT_TRUE(WriteFile(meta_path, meta.Encode()).ok());
+
+  EXPECT_FALSE(TraceStore::OpenDir(dir.path()).ok());
+  StoreOptions options;
+  options.salvage = true;
+  auto store = TraceStore::OpenDir(dir.path(), options);
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ(store.value().integrity().meta_records_rejected, 0u);
+
+  // An index sized from the claim would allocate 2^21 8-byte slots (16 MiB)
+  // and trip a 1 MiB cap; sized from the log's bytes it stays a few KiB.
+  AnalysisConfig config;
+  config.max_tree_bytes = 1 << 20;
+  const AnalysisResult result = Analyze(store.value(), config);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.stats.buckets_memory_capped, 0u);
+  EXPECT_LT(result.stats.peak_tree_bytes, 64u * 1024);
+  EXPECT_EQ(result.stats.tree_nodes, 9u);
+  EXPECT_EQ(result.stats.events_missing, (1u << 20) - 8);
+  EXPECT_EQ(result.races.size(), 1u);
+  EXPECT_TRUE(result.races.Contains(11, 22));
 }
 
 TEST(MetaValidation, TornMetaTailRecoversCleanPrefix) {

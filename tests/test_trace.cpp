@@ -752,8 +752,9 @@ TEST(WriterV2, SameEventsBothFormatsDecodeIdentically) {
   uint64_t logical[3] = {0, 0, 0};
   for (uint8_t format : {kTraceFormatV1, kTraceFormatV2}) {
     WriterConfig wc;
-    wc.log_path = fx.dir.File("f" + std::to_string(format) + ".log");
-    wc.meta_path = fx.dir.File("f" + std::to_string(format) + ".meta");
+    const std::string stem = std::string("f").append(std::to_string(format));
+    wc.log_path = fx.dir.File(stem + ".log");
+    wc.meta_path = fx.dir.File(stem + ".meta");
     wc.buffer_bytes = 2048;
     wc.flusher = &fx.flusher;
     wc.format = format;
@@ -833,8 +834,11 @@ TEST(FlusherPool, MultiProducerStressKeepsPerFileFrameOrder) {
     producers.emplace_back([&, p] {
       for (int seq = 0; seq < kFramesPerFile; seq++) {
         for (int f = 0; f < kFilesPerProducer; f++) {
-          const std::string path =
-              dir.File("p" + std::to_string(p) + "_f" + std::to_string(f) + ".log");
+          const std::string path = dir.File(std::string("p")
+                                                .append(std::to_string(p))
+                                                .append("_f")
+                                                .append(std::to_string(f))
+                                                .append(".log"));
           // Payload carries the sequence number; big enough to compress.
           // Acquired from the pool like the real writer path, so buffers
           // recycle through AppendFrame and stay charged to the scope.
@@ -862,8 +866,11 @@ TEST(FlusherPool, MultiProducerStressKeepsPerFileFrameOrder) {
 
   for (int p = 0; p < kProducers; p++) {
     for (int f = 0; f < kFilesPerProducer; f++) {
-      const std::string path =
-          dir.File("p" + std::to_string(p) + "_f" + std::to_string(f) + ".log");
+      const std::string path = dir.File(std::string("p")
+                                            .append(std::to_string(p))
+                                            .append("_f")
+                                            .append(std::to_string(f))
+                                            .append(".log"));
       auto data = ReadFileBytes(path);
       ASSERT_TRUE(data.ok());
       ByteReader r(data.value());
