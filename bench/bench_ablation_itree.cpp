@@ -352,7 +352,8 @@ int main(int argc, char** argv) {
 
   // --- Closed-form overlap decisions per second, per shape class. Every
   // shape is decided exactly by the one closed form; the perf-smoke gate
-  // floors each rate.
+  // floors each rate. A block of decisions takes a few milliseconds, so
+  // each rate is the best of `samples` blocks, like the rows above.
   TextTable fp({"overlap shape", "decisions", "time", "decisions/s",
                 "overlaps"});
   struct Shape {
@@ -371,13 +372,19 @@ int main(int argc, char** argv) {
   const uint64_t decisions = quick ? 200000 : 1000000;
   for (const Shape& s : shapes) {
     uint64_t overlaps = 0;
-    Timer timer;
-    for (uint64_t i = 0; i < decisions; i++) {
-      ilp::StridedInterval a = s.a;
-      a.base += (i % 7);  // defeat branch prediction on identical inputs
-      overlaps += ilp::Intersect(a, s.b).has_value();
-    }
-    const double seconds = timer.ElapsedSeconds();
+    const double seconds = BestOfReps(
+        samples,
+        [&] {
+          Timer timer;
+          overlaps = 0;
+          for (uint64_t i = 0; i < decisions; i++) {
+            ilp::StridedInterval a = s.a;
+            a.base += (i % 7);  // defeat branch prediction on identical inputs
+            overlaps += ilp::Intersect(a, s.b).has_value();
+          }
+          return timer.ElapsedSeconds();
+        },
+        [](double t) { return t; });
     const double rate = static_cast<double>(decisions) / std::max(seconds, 1e-9);
     shape_rates.emplace_back(s.metric, rate);
     fp.AddRow({s.name, std::to_string(decisions), FormatSeconds(seconds),

@@ -45,12 +45,6 @@ void ByteWriter::PutString(const std::string& s) {
   PutBytes(reinterpret_cast<const uint8_t*>(s.data()), s.size());
 }
 
-Status ByteReader::GetU8(uint8_t* v) {
-  if (remaining() < 1) return Status::Corrupt("truncated u8");
-  *v = data_[pos_++];
-  return Status::Ok();
-}
-
 Status ByteReader::GetU16(uint16_t* v) {
   if (remaining() < 2) return Status::Corrupt("truncated u16");
   *v = static_cast<uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
@@ -73,28 +67,6 @@ Status ByteReader::GetU64(uint64_t* v) {
   for (int i = 0; i < 8; i++) r |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
   pos_ += 8;
   *v = r;
-  return Status::Ok();
-}
-
-Status ByteReader::GetVarU64(uint64_t* v) {
-  uint64_t r = 0;
-  int shift = 0;
-  while (true) {
-    if (pos_ >= size_) return Status::Corrupt("truncated varint");
-    if (shift >= 64) return Status::Corrupt("varint overflow");
-    uint8_t byte = data_[pos_++];
-    r |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if (!(byte & 0x80)) break;
-    shift += 7;
-  }
-  *v = r;
-  return Status::Ok();
-}
-
-Status ByteReader::GetVarI64(int64_t* v) {
-  uint64_t z;
-  SWORD_RETURN_IF_ERROR(GetVarU64(&z));
-  *v = static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
   return Status::Ok();
 }
 

@@ -60,12 +60,36 @@ class ByteReader {
   ByteReader(const uint8_t* data, size_t n) : data_(data), size_(n) {}
   explicit ByteReader(const Bytes& b) : data_(b.data()), size_(b.size()) {}
 
-  Status GetU8(uint8_t* v);
+  // The three getters the event decoder calls per field are inline, so the
+  // OK path of their Status folds away in the decode loop.
+  Status GetU8(uint8_t* v) {
+    if (remaining() < 1) return Status::Corrupt("truncated u8");
+    *v = data_[pos_++];
+    return Status::Ok();
+  }
   Status GetU16(uint16_t* v);
   Status GetU32(uint32_t* v);
   Status GetU64(uint64_t* v);
-  Status GetVarU64(uint64_t* v);
-  Status GetVarI64(int64_t* v);
+  Status GetVarU64(uint64_t* v) {
+    uint64_t r = 0;
+    int shift = 0;
+    while (true) {
+      if (pos_ >= size_) return Status::Corrupt("truncated varint");
+      if (shift >= 64) return Status::Corrupt("varint overflow");
+      const uint8_t byte = data_[pos_++];
+      r |= static_cast<uint64_t>(byte & 0x7f) << shift;
+      if (!(byte & 0x80)) break;
+      shift += 7;
+    }
+    *v = r;
+    return Status::Ok();
+  }
+  Status GetVarI64(int64_t* v) {
+    uint64_t z;
+    SWORD_RETURN_IF_ERROR(GetVarU64(&z));
+    *v = static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
+    return Status::Ok();
+  }
   Status GetBytes(Bytes* out);
   Status GetString(std::string* out);
   Status Skip(size_t n);

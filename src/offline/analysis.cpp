@@ -54,21 +54,21 @@ struct Group {
   uint32_t thread_idx;
   osl::Label label;
   std::vector<const trace::IntervalMeta*> segments;
-  /// The summarizer: a flat creation-order node arena plus its indexes,
-  /// which are dropped when the group's last segment is summarized;
-  /// Freeze() sorts the nodes into the frozen set.
-  itree::StreamingSetBuilder builder;
-  /// Canonical-decoded-stream identity, folded during the build.
+  /// One resume point per segment: a copy of the decode cursor pass 1 held
+  /// just before it streamed the segment. Pass 2 restores it, so a leader
+  /// whose segment starts mid-frame re-enters the frame where pass 1 was
+  /// instead of re-decoding the frame's delta-coded prefix.
+  std::vector<trace::DecodeCursor> resume;
+  /// Canonical-decoded-stream identity, folded by pass 1.
   SegmentFingerprint fingerprint;
-  /// The group's immutable comparison form, built once after the summarizer
-  /// closes (only for groups that appear in a concurrent pair). Comparisons
-  /// run on this; the summarizer is never traversed again.
+  /// The group's immutable comparison form. Only fingerprint leaders build
+  /// one: pass 2 streams the leader's segments into a builder local to the
+  /// leader, freezes it and drops the builder.
   itree::FrozenIntervalSet frozen;
-  /// What the checkers actually read: `&frozen` for groups that froze their
-  /// own summarizer, a fingerprint-equal leader's `&frozen` for dedup
-  /// followers, null for groups no concurrent pair names.
+  /// What the checkers actually read: `&frozen` for leaders, a
+  /// fingerprint-equal leader's `&frozen` for dedup followers, null for
+  /// groups no concurrent pair names (those are never summarized).
   const itree::FrozenIntervalSet* frozen_view = nullptr;
-  bool freeze_marked = false;
 };
 
 /// Full-identity key: two reports with equal keys are indistinguishable, so
@@ -173,27 +173,49 @@ void ApplyBucketRecord(const JournalBucketRecord& rec, AnalysisStats& stats) {
   }
 }
 
-/// Streams one segment's events into the group's summarizer, recovering the
-/// lockset from mutex events (paper: "synchronization recovery"). `cache`
-/// avoids re-decompressing a frame shared by many small segments. The
-/// group's fingerprint folds the segment's canonical decoded stream as a
-/// side effect of the same pass.
-Status BuildSegment(const TraceStore& store, Group& group,
-                    const trace::IntervalMeta& meta, itree::MutexSetTable& mutexes,
-                    AnalysisStats& stats, trace::FrameCache* cache,
-                    trace::DecodeCursor* cursor) {
-  std::vector<itree::MutexId> initial(meta.lockset.begin(), meta.lockset.end());
-  itree::MutexSetId cur = mutexes.Intern(std::move(initial));
+/// Pass 1: streams one segment's events to fold the group's fingerprint and
+/// account for them. Every per-segment count is taken here, once: events
+/// streamed, events the meta claimed but the log no longer holds, and bytes
+/// the reader skipped. `cache` avoids re-decompressing a frame shared by many
+/// small segments; `cursor` resumes the delta decoder where the worker's
+/// previous segment on this log stopped.
+Status FingerprintSegment(const TraceStore& store, Group& group,
+                          const trace::IntervalMeta& meta, AnalysisStats& stats,
+                          trace::FrameCache* cache, trace::DecodeCursor* cursor) {
   group.fingerprint.BeginSegment(meta.lockset);
-
-  const auto& thread = store.threads()[group.thread_idx];
   uint64_t events = 0;
   uint64_t bytes_skipped = 0;
-  const Status s = thread.log->StreamRange(
+  const Status s = store.threads()[group.thread_idx].log->StreamRange(
       meta.data_begin, meta.data_size,
       [&](const trace::RawEvent& e) {
         events++;
         group.fingerprint.MixEvent(e);
+      },
+      cache, &bytes_skipped, cursor);
+  stats.raw_events += events;
+  stats.bytes_skipped_read += bytes_skipped;
+  // Honest accounting for salvage runs: the meta claimed event_count events
+  // for this segment; whatever did not stream (holes, truncation) is missing.
+  if (s.ok() && meta.event_count > events) {
+    stats.events_missing += meta.event_count - events;
+  }
+  return s;
+}
+
+/// Pass 2: streams one segment of a fingerprint leader into its summarizer,
+/// recovering the lockset from mutex events (paper: "synchronization
+/// recovery"). `cursor` is the segment's resume point. The stream is the one
+/// pass 1 already counted and fingerprinted, so nothing is counted here.
+Status SummarizeSegment(const TraceStore& store, const Group& group,
+                      const trace::IntervalMeta& meta,
+                      itree::StreamingSetBuilder& builder,
+                      itree::MutexSetTable& mutexes, trace::FrameCache* cache,
+                      trace::DecodeCursor* cursor) {
+  std::vector<itree::MutexId> initial(meta.lockset.begin(), meta.lockset.end());
+  itree::MutexSetId cur = mutexes.Intern(std::move(initial));
+  return store.threads()[group.thread_idx].log->StreamRange(
+      meta.data_begin, meta.data_size,
+      [&](const trace::RawEvent& e) {
         switch (e.kind) {
           case trace::EventKind::kMutexAcquire:
             cur = mutexes.WithMutex(cur, static_cast<itree::MutexId>(e.addr));
@@ -207,7 +229,7 @@ Status BuildSegment(const TraceStore& store, Group& group,
             key.flags = e.flags;
             key.size = e.size;
             key.mutexset = cur;
-            group.builder.AddAccess(e.addr, key);
+            builder.AddAccess(e.addr, key);
             break;
           }
           case trace::EventKind::kAccessRun: {
@@ -219,25 +241,12 @@ Status BuildSegment(const TraceStore& store, Group& group,
             // A writer-coalesced strided run materializes directly as a
             // symbolic strided interval - no per-element expansion (AddRun's
             // bulk path), but replay-identical to one.
-            group.builder.AddRun(e.addr, e.stride, e.count, key);
+            builder.AddRun(e.addr, e.stride, e.count, key);
             break;
           }
         }
       },
-      cache, &bytes_skipped, cursor);
-  stats.raw_events += events;
-  stats.bytes_skipped_read += bytes_skipped;
-  if (group.builder.Overflowed()) {
-    return Status::Oom(std::string("interval summary exceeds ")
-                           .append(std::to_string(itree::StreamingSetBuilder::kMaxNodes))
-                           .append(" nodes"));
-  }
-  // Honest accounting for salvage runs: the meta claimed event_count events
-  // for this segment; whatever did not stream (holes, truncation) is missing.
-  if (s.ok() && meta.event_count > events) {
-    stats.events_missing += meta.event_count - events;
-  }
-  return s;
+      cache, nullptr, cursor);
 }
 
 /// The address-index reservation for one group: an upper bound on the
@@ -426,7 +435,7 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
     rec.ordinal = bucket_ordinal;
     AnalysisStats bucket_stats;  // this bucket's additive deltas only
 
-    // --- 3: group by (thread, label); stream logs into per-group builders.
+    // --- 3: group by (thread, label).
     EnvTimer build_timer(env_.now_ns);
     std::map<std::pair<uint32_t, std::string>, std::unique_ptr<Group>> group_map;
     for (auto& [thread_idx, meta] : segments) {
@@ -442,128 +451,122 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
     std::vector<Group*> groups;
     groups.reserve(group_map.size());
     for (auto& [key, group] : group_map) groups.push_back(group.get());
+    if (watchdog) watchdog->Arm();
 
-    // Summarization parallelizes per GROUP without locks: each
-    // (thread, label) builder is private to its worker, log readers are
-    // stateless, and the mutex-set table is thread-safe. (The paper calls
-    // this out as future work - "the tree generation cannot be efficiently
-    // parallelized since it would require the use of locks" - which the
-    // per-group decomposition sidesteps.)
+    // --- 4: concurrency judgment per label pair, before any decode, so only
+    // the groups the compare phase will read get summarized. Concurrency is
+    // judged purely on labels: one OS thread may have hosted two different
+    // lanes back to back (worker reuse), and those lanes' intervals still
+    // race in the OpenMP abstract machine even though this particular
+    // schedule serialized them. Equal labels (the same logical execution
+    // point) come out Sequential, so self-pairs prune themselves.
+    EnvTimer judge_timer(env_.now_ns);
+    std::vector<std::pair<Group*, Group*>> concurrent;
+    concurrent.reserve(groups.size());
+    for (size_t i = 0; i < groups.size(); i++) {
+      for (size_t j = i + 1; j < groups.size(); j++) {
+        if (osl::Concurrent(groups[i]->label, groups[j]->label)) {
+          concurrent.push_back({groups[i], groups[j]});
+        }
+      }
+    }
+    const double judge_seconds = judge_timer.ElapsedSeconds();
+    result.stats.compare_seconds += judge_seconds;
+
+    // Both passes parallelize per GROUP without locks: each worker owns its
+    // frame cache, decode cursors and (in pass 2) the builder of the group
+    // it works on; log readers are stateless, and the mutex-set table is
+    // thread-safe. (The paper calls this out as future work - "the tree
+    // generation cannot be efficiently parallelized since it would require
+    // the use of locks" - which the per-group decomposition sidesteps.)
     //
-    // The memory governor runs synchronously inside the build: workers sum
-    // the bytes of CLOSED builders into one atomic and add their own group's
-    // live footprint per segment, so the cap is enforced while the builders
-    // grow, not after the damage is done.
+    // Dispatch order (pair enumeration keeps the deterministic `groups`
+    // order): groups are walked in (thread, log-position) order so each
+    // worker's decode cursor moves forward through its logs instead of
+    // ping-ponging between labels, and are dealt in CONTIGUOUS spans so the
+    // cursor chains across a worker's whole block; stealing only kicks in
+    // when a worker runs dry.
+    std::vector<Group*> build_order = groups;
+    std::sort(build_order.begin(), build_order.end(),
+              [](const Group* a, const Group* b) {
+                if (a->thread_idx != b->thread_idx) {
+                  return a->thread_idx < b->thread_idx;
+                }
+                return a->segments.front()->data_begin <
+                       b->segments.front()->data_begin;
+              });
+    auto for_each_group = [&](const std::vector<Group*>& order, auto&& fn) {
+      if (!pool || order.size() < 2) {
+        for (Group* group : order) {
+          fn(group, &bucket_stats, 0u);
+          if (!result.status.ok()) break;
+        }
+        return;
+      }
+      const size_t block = (order.size() + pool->workers() - 1) / pool->workers();
+      std::vector<AnalysisStats> stats(pool->workers());
+      pool->ParallelFor(order.size(), block,
+                        [&](size_t k, uint32_t w) { fn(order[k], &stats[w], w); });
+      for (const auto& s : stats) {
+        bucket_stats.trees_built += s.trees_built;
+        bucket_stats.tree_nodes += s.tree_nodes;
+        bucket_stats.raw_events += s.raw_events;
+        bucket_stats.segments_skipped += s.segments_skipped;
+        bucket_stats.events_missing += s.events_missing;
+        bucket_stats.bytes_skipped_read += s.bytes_skipped_read;
+      }
+    };
+
+    // The governors poll between segments in both passes: the deadline
+    // watchdog, and the memory governor, for which workers sum the bytes of
+    // CLOSED summaries into one atomic and add their own leader's live
+    // footprint per segment, so the cap is enforced while the builders grow,
+    // not after the damage is done.
     std::atomic<uint64_t> bucket_segments{0};
     std::atomic<uint64_t> bucket_segment_failures{0};
     std::atomic<uint64_t> closed_tree_bytes{0};
+    std::atomic<uint64_t> open_tree_bytes{0};  // builders a governor stopped
     std::atomic<bool> memory_capped{false};
-    if (watchdog) watchdog->Arm();
-    {
-      std::mutex status_mutex;
-      auto build_group = [&](Group* group, AnalysisStats* stats,
-                             trace::FrameCache* cache,
-                             std::unordered_map<const void*, trace::DecodeCursor>*
-                                 cursors) {
-        trace::DecodeCursor* cursor =
-            &(*cursors)[store.threads()[group->thread_idx].log.get()];
-        // Small segments sharing a frame decode it once, not once per
-        // segment, courtesy of the worker's LRU frame cache. A segment that
-        // fails to stream poisons only itself in salvage mode (the group's
-        // builder keeps every segment that did stream); a strict store aborts
-        // the whole analysis, as before.
-        group->builder.ReserveIndex(IndexReservation(store, *group));
-        for (const trace::IntervalMeta* meta : group->segments) {
-          if (memory_capped.load(std::memory_order_relaxed) ||
-              (watchdog && watchdog->breached())) {
-            return;  // governed bucket: stop feeding the builders
-          }
-          bucket_segments.fetch_add(1, std::memory_order_relaxed);
-          const Status s = BuildSegment(store, *group, *meta, mutexes, *stats,
-                                        cache, cursor);
-          if (!s.ok()) {
-            std::lock_guard lock(status_mutex);
-            if (result.first_error.ok()) result.first_error = s;
-            if (!salvage) {
-              if (result.status.ok()) result.status = s;
-              return;
-            }
-            bucket_segment_failures.fetch_add(1, std::memory_order_relaxed);
-            stats->segments_skipped++;
-          }
-          if (config.max_tree_bytes > 0 &&
-              closed_tree_bytes.load(std::memory_order_relaxed) +
-                      group->builder.MemoryBytes() >
-                  config.max_tree_bytes) {
-            memory_capped.store(true, std::memory_order_relaxed);
-            return;
-          }
-        }
-        // The group is closed: only its nodes stay alive until Freeze.
-        group->builder.DropIndex();
-        closed_tree_bytes.fetch_add(group->builder.MemoryBytes(),
-                                    std::memory_order_relaxed);
-        stats->trees_built++;
-        stats->tree_nodes += group->builder.NodeCount();
-      };
-
-      // Dispatch order for the build only (pair enumeration keeps the
-      // deterministic `groups` order): groups are walked in (thread,
-      // log-position) order so each worker's decode cursor moves forward
-      // through its logs instead of ping-ponging between labels.
-      std::vector<Group*> build_order = groups;
-      std::sort(build_order.begin(), build_order.end(),
-                [](const Group* a, const Group* b) {
-                  if (a->thread_idx != b->thread_idx) {
-                    return a->thread_idx < b->thread_idx;
-                  }
-                  return a->segments.front()->data_begin <
-                         b->segments.front()->data_begin;
-                });
-
-      if (!pool || groups.size() < 2) {
-        for (Group* group : build_order) {
-          build_group(group, &bucket_stats, &worker_caches[0],
-                      &worker_cursors[0]);
-          if (!result.status.ok()) break;
-        }
-      } else {
-        // Deal CONTIGUOUS log spans, so each worker's cursor chains across
-        // its whole block; stealing only kicks in when a worker runs dry.
-        const size_t block =
-            (build_order.size() + pool->workers() - 1) / pool->workers();
-        std::vector<AnalysisStats> stats(pool->workers());
-        pool->ParallelFor(build_order.size(), block, [&](size_t k, uint32_t w) {
-          build_group(build_order[k], &stats[w], &worker_caches[w],
-                      &worker_cursors[w]);
-        });
-        for (const auto& s : stats) {
-          bucket_stats.trees_built += s.trees_built;
-          bucket_stats.tree_nodes += s.tree_nodes;
-          bucket_stats.raw_events += s.raw_events;
-          bucket_stats.segments_skipped += s.segments_skipped;
-          bucket_stats.events_missing += s.events_missing;
-          bucket_stats.bytes_skipped_read += s.bytes_skipped_read;
-        }
+    auto governed = [&] {
+      return memory_capped.load(std::memory_order_relaxed) ||
+             (watchdog && watchdog->breached());
+    };
+    // A segment that fails poisons only itself in salvage mode (the group
+    // keeps every segment that did stream); a strict store aborts the whole
+    // analysis. Returns true when the analysis aborts.
+    std::mutex status_mutex;
+    auto segment_failed = [&](const Status& s, AnalysisStats* stats) {
+      std::lock_guard lock(status_mutex);
+      if (result.first_error.ok()) result.first_error = s;
+      if (!salvage) {
+        if (result.status.ok()) result.status = s;
+        return true;
       }
-      if (!result.status.ok()) {
-        if (watchdog) watchdog->Disarm();
-        return result;
+      bucket_segment_failures.fetch_add(1, std::memory_order_relaxed);
+      stats->segments_skipped++;
+      return false;
+    };
+
+    // --- 5, pass 1: decode every group once, fold its fingerprint and take
+    // every per-segment count. No builder is touched. Before each segment the
+    // worker's decode cursor is saved as the segment's resume point.
+    for_each_group(build_order, [&](Group* group, AnalysisStats* stats, uint32_t w) {
+      trace::DecodeCursor* cursor =
+          &worker_cursors[w][store.threads()[group->thread_idx].log.get()];
+      group->resume.reserve(group->segments.size());
+      for (const trace::IntervalMeta* meta : group->segments) {
+        if (governed()) return;
+        bucket_segments.fetch_add(1, std::memory_order_relaxed);
+        group->resume.push_back(*cursor);
+        const Status s =
+            FingerprintSegment(store, *group, *meta, *stats, &worker_caches[w], cursor);
+        if (!s.ok() && segment_failed(s, stats)) return;
       }
+    });
+    if (!result.status.ok()) {
+      if (watchdog) watchdog->Disarm();
+      return result;
     }
-    result.stats.build_seconds += build_timer.ElapsedSeconds();
-
-    // The bucket's full summary footprint: closed builders plus any group a
-    // governor abort left open (its bytes are real, and the peak should
-    // reflect what the governor actually saw).
-    uint64_t bucket_tree_bytes = closed_tree_bytes.load();
-    if (memory_capped.load() || (watchdog && watchdog->breached())) {
-      bucket_tree_bytes = 0;
-      for (Group* group : groups) {
-        bucket_tree_bytes += group->builder.MemoryBytes();
-      }
-    }
-    rec.tree_bytes = bucket_tree_bytes;
 
     // A bucket where not a single segment streamed has nothing to compare;
     // count it and move on (salvage only - strict never gets here damaged).
@@ -571,84 +574,119 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
         salvage && bucket_segments.load() > 0 &&
         bucket_segment_failures.load() == bucket_segments.load();
 
+    // Partition: of the groups some concurrent pair names, the FIRST with a
+    // given fingerprint (in the deterministic pair order) leads and is
+    // summarized; fingerprint-equal followers summarize to an identical set
+    // and alias the leader's (repeated-subtrace memoization). Sequential, so
+    // who leads never depends on the schedule or the thread count. Views are
+    // wired here; the leaders' sets are filled by pass 2.
+    bool shared_fingerprint = false;
+    if (!bucket_skipped && !governed()) {
+      std::map<SegmentFingerprint, Group*> leader_by_fp;
+      for (const auto& [first, second] : concurrent) {
+        for (Group* g : {first, second}) {
+          if (g->frozen_view) continue;
+          auto [it, inserted] = leader_by_fp.try_emplace(g->fingerprint, g);
+          g->frozen_view = &it->second->frozen;
+          shared_fingerprint |= !inserted;
+        }
+      }
+    }
+    std::vector<Group*> leaders;  // in dispatch order
+    for (Group* g : build_order) {
+      if (g->frozen_view == &g->frozen) leaders.push_back(g);
+    }
+    // Grouping, pass 1 and the partition are build time; the judgment
+    // inside that span was charged to compare above.
+    const double pass1_seconds = build_timer.ElapsedSeconds() - judge_seconds;
+
+    // --- 6, pass 2: summarize and freeze the leaders only. Each segment
+    // restarts from its resume point, so no frame prefix is decoded twice;
+    // the builder lives only until its leader is frozen.
+    EnvTimer pass2_timer(env_.now_ns);
+    std::vector<std::pair<uint64_t, uint64_t>> phase_ns(threads_);  // {stream, freeze}
+    for_each_group(leaders, [&](Group* group, AnalysisStats* stats, uint32_t w) {
+      const uint64_t start_ns = env_.now_ns();
+      itree::StreamingSetBuilder builder;
+      builder.ReserveIndex(IndexReservation(store, *group));
+      for (size_t k = 0; k < group->segments.size(); k++) {
+        if (governed()) {
+          open_tree_bytes.fetch_add(builder.MemoryBytes(), std::memory_order_relaxed);
+          return;
+        }
+        trace::DecodeCursor cursor = group->resume[k];
+        // Pass 1 streamed this range already: a salvage reader skips the
+        // same holes without failing, a strict one succeeds again.
+        Status s = SummarizeSegment(store, *group, *group->segments[k], builder,
+                                    mutexes, &worker_caches[w], &cursor);
+        if (s.ok() && builder.Overflowed()) {
+          s = Status::Oom(std::string("interval summary exceeds ")
+                              .append(std::to_string(itree::StreamingSetBuilder::kMaxNodes))
+                              .append(" nodes"));
+        }
+        if (!s.ok() && segment_failed(s, stats)) return;
+        if (config.max_tree_bytes > 0 &&
+            closed_tree_bytes.load(std::memory_order_relaxed) + builder.MemoryBytes() >
+                config.max_tree_bytes) {
+          memory_capped.store(true, std::memory_order_relaxed);
+          open_tree_bytes.fetch_add(builder.MemoryBytes(), std::memory_order_relaxed);
+          return;
+        }
+      }
+      // The leader is closed: only its nodes stay alive until Freeze.
+      builder.DropIndex();
+      closed_tree_bytes.fetch_add(builder.MemoryBytes(), std::memory_order_relaxed);
+      stats->trees_built++;
+      stats->tree_nodes += builder.NodeCount();
+      const uint64_t freeze_ns = env_.now_ns();
+      group->frozen = builder.Freeze();
+      phase_ns[w].first += freeze_ns - start_ns;
+      phase_ns[w].second += env_.now_ns() - freeze_ns;
+    });
+    if (!result.status.ok()) {
+      if (watchdog) watchdog->Disarm();
+      return result;
+    }
+    // Pass 2's wall clock splits between build and freeze in the proportion
+    // its workers spent streaming and freezing (exact on one worker), so
+    // build + freeze + compare never count a parallel second twice.
+    {
+      const double pass2_seconds = pass2_timer.ElapsedSeconds();
+      double stream = 0, freeze = 0;
+      for (const auto& [s, f] : phase_ns) {
+        stream += static_cast<double>(s);
+        freeze += static_cast<double>(f);
+      }
+      const double freeze_share =
+          stream + freeze > 0 ? pass2_seconds * freeze / (stream + freeze) : 0;
+      result.stats.build_seconds += pass1_seconds + pass2_seconds - freeze_share;
+      result.stats.freeze_seconds += freeze_share;
+    }
+
+    // The bucket's summary footprint: the closed leaders plus any builder a
+    // governor stopped (its bytes are real, and the peak should reflect what
+    // the governor actually saw).
+    const uint64_t bucket_tree_bytes = closed_tree_bytes.load() + open_tree_bytes.load();
+    rec.tree_bytes = bucket_tree_bytes;
+
     if (bucket_skipped) {
       rec.flags |= JournalBucketRecord::kBucketSkipped;
-    } else if (!memory_capped.load() && !(watchdog && watchdog->breached())) {
-      // --- 4: concurrency judgment per label pair, then set comparison.
-      // A governed (capped or expired) bucket skips this phase: its
-      // summaries are incomplete, and comparing them proves nothing.
+    } else if (!governed()) {
+      // --- 7: set comparison of every concurrent pair. A governed (capped
+      // or expired) bucket skips this phase: its summaries are incomplete,
+      // and comparing them proves nothing.
       EnvTimer compare_timer(env_.now_ns);
-      std::vector<std::pair<Group*, Group*>> concurrent;
-      concurrent.reserve(groups.size());
-      // Concurrency is judged purely on labels: one OS thread may have hosted
-      // two different lanes back to back (worker reuse), and those lanes'
-      // intervals still race in the OpenMP abstract machine even though this
-      // particular schedule serialized them. Equal labels (the same logical
-      // execution point) come out Sequential, so self-pairs prune themselves.
-      for (size_t i = 0; i < groups.size(); i++) {
-        for (size_t j = i + 1; j < groups.size(); j++) {
-          bucket_stats.label_pairs_checked++;
-          if (osl::Concurrent(groups[i]->label, groups[j]->label)) {
-            concurrent.push_back({groups[i], groups[j]});
-          }
+      bucket_stats.label_pairs_checked += groups.size() * (groups.size() - 1) / 2;
+      bucket_stats.concurrent_pairs += concurrent.size();
+      for (Group* g : groups) {
+        if (g->frozen_view && g->frozen_view != &g->frozen) {
+          bucket_stats.dedup_hits++;
+          bucket_stats.dedup_bytes_saved += g->frozen_view->MemoryBytes();
         }
       }
-      bucket_stats.concurrent_pairs += concurrent.size();
-
-      // Freeze step: every group named by a concurrent pair gets its
-      // immutable flat comparison form (the builder's node sort, parallel
-      // on the pool). Groups no concurrent pair names are never frozen.
-      //
-      // Repeated-subtrace memoization: groups whose canonical
-      // decoded streams fingerprinted identically summarize to identical
-      // frozen sets, so only the FIRST such group (the leader, in the
-      // deterministic group order) freezes; followers alias its set. The
-      // leader partition runs sequentially before the parallel freeze, so
-      // who leads never depends on the schedule.
-      EnvTimer freeze_timer(env_.now_ns);
-      std::vector<Group*> to_freeze;
       size_t pair_nodes_total = 0;  // sizes the compare phase's fan-out
       for (const auto& [first, second] : concurrent) {
-        pair_nodes_total +=
-            first->builder.NodeCount() + second->builder.NodeCount();
-        for (Group* g : {first, second}) {
-          if (!g->freeze_marked) {
-            g->freeze_marked = true;
-            to_freeze.push_back(g);
-          }
-        }
-      }
-      std::vector<Group*> freeze_leaders;
-      std::vector<std::pair<Group*, Group*>> freeze_shares;  // {follower, leader}
-      {
-        std::map<SegmentFingerprint, Group*> leader_by_fp;
-        for (Group* g : to_freeze) {
-          auto [it, inserted] = leader_by_fp.try_emplace(g->fingerprint, g);
-          if (inserted) {
-            freeze_leaders.push_back(g);
-          } else {
-            freeze_shares.push_back({g, it->second});
-          }
-        }
-      }
-      if (!freeze_leaders.empty()) {
-        auto freeze_one = [&](Group* g) {
-          g->frozen = g->builder.Freeze();
-          g->frozen_view = &g->frozen;
-        };
-        if (pool && freeze_leaders.size() >= 2) {
-          pool->ParallelFor(freeze_leaders.size(), 1, [&](size_t k, uint32_t) {
-            freeze_one(freeze_leaders[k]);
-          });
-        } else {
-          for (Group* g : freeze_leaders) freeze_one(g);
-        }
-        result.stats.freeze_seconds += freeze_timer.ElapsedSeconds();
-      }
-      for (auto& [follower, leader] : freeze_shares) {
-        follower->frozen_view = &leader->frozen;
-        bucket_stats.dedup_hits++;
-        bucket_stats.dedup_bytes_saved += leader->frozen.MemoryBytes();
+        pair_nodes_total += first->frozen_view->size() + second->frozen_view->size();
       }
 
       CheckLimits limits;
@@ -670,7 +708,7 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
       // by two groups no ordered pair can repeat, so the map is skipped.
       constexpr size_t kNoMemo = ~size_t{0};
       std::vector<size_t> memo_src(concurrent.size(), kNoMemo);
-      if (!freeze_shares.empty()) {
+      if (shared_fingerprint) {
         std::map<std::pair<SegmentFingerprint, SegmentFingerprint>, size_t>
             pair_by_fp;
         for (size_t k = 0; k < concurrent.size(); k++) {

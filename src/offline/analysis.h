@@ -6,15 +6,18 @@
 //   2. bucket barrier intervals by top-level region - intervals of different
 //      top-level regions are provably sequential (the root label pair
 //      orders them, OSL case 2), so only intra-bucket pairs are candidates;
-//   3. per bucket: stream each interval's events from the log files
-//      (decompressing one frame at a time), recover locksets from the
-//      acquire/release events, and summarize each (thread, label) group's
-//      accesses into strided intervals (itree::StreamingSetBuilder), frozen
-//      into one sorted flat interval set per group - the paper's interval
-//      tree, built by sorted append instead of balanced insertion;
-//   4. for every CONCURRENT label pair (OSL judgment - no happens-before,
-//      hence no Fig. 1 masking), compare the two frozen sets (one sweep
-//      over the range-touching pairs with a write) with the exact
+//   3. per bucket: judge every label pair (OSL - no happens-before, hence no
+//      Fig. 1 masking), then stream each (thread, label) group's events
+//      from the log files once (decompressing one frame at a time) to
+//      fingerprint them; of the groups a concurrent pair names, one leader
+//      per distinct fingerprint re-streams its segments from saved decode
+//      cursors, recovers locksets from the acquire/release events, and
+//      summarizes its accesses into strided intervals
+//      (itree::StreamingSetBuilder), frozen into one sorted flat interval
+//      set - the paper's interval tree, built by sorted append instead of
+//      balanced insertion. Followers share their leader's set;
+//   4. for every CONCURRENT label pair, compare the two frozen sets (one
+//      sweep over the range-touching pairs with a write) with the exact
 //      closed-form overlap check;
 //   5. deduplicate races by source-location pair.
 //
@@ -58,8 +61,9 @@ struct AnalysisConfig {
   /// bucket (races already found stand) and counts it in
   /// `buckets_deadline_exceeded`.
   uint32_t bucket_deadline_ms = 0;
-  /// Cap on one bucket's summarized interval-tree footprint. On breach the
-  /// bucket is abandoned mid-build and counted in `buckets_memory_capped`.
+  /// Cap on one bucket's summarized interval-tree footprint (its fingerprint
+  /// leaders' builders). On breach the bucket is abandoned mid-build and
+  /// counted in `buckets_memory_capped`.
   uint64_t max_tree_bytes = 0;
 
   // --- Checkpoint/resume (see offline/journal.h).
@@ -76,8 +80,11 @@ struct AnalysisConfig {
 struct AnalysisStats {
   uint64_t intervals = 0;            // meta records analyzed
   uint64_t buckets = 0;              // top-level regions
-  uint64_t trees_built = 0;          // (thread, label) groups
-  uint64_t tree_nodes = 0;           // summarized interval nodes
+  /// Summaries actually built: one per fingerprint leader. Groups no
+  /// concurrent pair names and dedup followers are decoded (counted in
+  /// raw_events) but never summarized, so they add to neither count.
+  uint64_t trees_built = 0;
+  uint64_t tree_nodes = 0;           // nodes of those summaries
   uint64_t raw_events = 0;           // events streamed from logs
   uint64_t label_pairs_checked = 0;  // OSL concurrency judgments
   uint64_t concurrent_pairs = 0;     // pairs that proceeded to tree compare
@@ -92,18 +99,24 @@ struct AnalysisStats {
   /// Identical (pc, pc, address) reports dropped before the deterministic
   /// merge (summarized runs re-colliding across node pairs).
   uint64_t duplicates_suppressed = 0;
+  /// The three split each bucket's time without double counting. Build:
+  /// the fingerprint pass, the leader partition and the summarize pass's
+  /// streaming share. Freeze: the summarize pass's share spent freezing
+  /// (its wall clock is split in the proportion its workers spent streaming
+  /// and freezing). Compare: the label-pair judgment and the set compares.
   double build_seconds = 0;
-  double freeze_seconds = 0;  // freezing the builders into flat sets
+  double freeze_seconds = 0;
   double compare_seconds = 0;
   double total_seconds = 0;
   /// Longest single-bucket time: the paper's distributed-analysis (MT)
   /// latency proxy - with one node per region, the slowest region bounds
   /// the wall clock.
   double max_bucket_seconds = 0;
-  /// Largest per-bucket tree footprint. Tracked as a per-bucket high-water
-  /// mark (accumulated during the build, reset at bucket close) so the
-  /// governor can act on it mid-bucket; `peak_tree_bucket` names the
-  /// offending bucket ordinal.
+  /// Largest per-bucket tree footprint: the node arenas of the bucket's
+  /// summarized leaders, plus any builder a governor stopped. Accumulated
+  /// during the summarize pass and reset at bucket close so the governor can
+  /// act on it mid-bucket; `peak_tree_bucket` names the offending bucket
+  /// ordinal.
   uint64_t peak_tree_bytes = 0;
   uint64_t peak_tree_bucket = 0;
 

@@ -57,10 +57,12 @@ constexpr uint32_t kJournalBucketMagic = 0x53574142;  // "SWAB"
 // budget; bucket records drop the solver call and bail-out counts, and a
 // race's flag byte keeps only the two write bits. v7: dedup is always on -
 // the header drops the use_dedup byte, and a bucket record's
-// node_pairs_ranged counts only range-touching pairs with a write. Older
-// journals are refused (their stats cannot be folded faithfully into a
+// node_pairs_ranged counts only range-touching pairs with a write. v8: the
+// layout is v7's, but a bucket record's trees_built, tree_nodes and
+// tree_bytes count only the fingerprint leaders the analyzer summarized.
+// Older journals are refused (their stats cannot be folded faithfully into a
 // current run).
-constexpr uint8_t kJournalVersion = 7;
+constexpr uint8_t kJournalVersion = 8;
 
 /// Identifies what a journal belongs to: shard key + the analysis knobs
 /// that change results + a cheap fingerprint of the trace itself. Resume

@@ -6,7 +6,10 @@
 //   v5 - after `engine`: use_fastpath, use_dedup, salvage, then
 //        solver_step_budget;
 //   v6 - use_dedup and salvage after the shard key, no engine byte and no
-//        solver_step_budget.
+//        solver_step_budget;
+//   v7 - v8's header layout; its bucket records counted every (thread,
+//        label) group in trees_built/tree_nodes/tree_bytes, where v8 counts
+//        only the summarized fingerprint leaders.
 // The retired knobs are written with the defaults of their version.
 #pragma once
 
@@ -82,6 +85,18 @@ inline Bytes JournalV6File(const offline::JournalHeader& h) {
   p.PutU32(h.shard_index);
   p.PutU32(h.shard_count);
   p.PutU8(1);  // use_dedup
+  p.PutU8(h.salvage);
+  journal_legacy_detail::PutTail(h, p);
+  return journal_legacy_detail::FramedHeader(payload);
+}
+
+/// A complete journal file holding only a v7 header record for `h`.
+inline Bytes JournalV7File(const offline::JournalHeader& h) {
+  Bytes payload;
+  ByteWriter p(&payload);
+  p.PutU8(7);
+  p.PutU32(h.shard_index);
+  p.PutU32(h.shard_count);
   p.PutU8(h.salvage);
   journal_legacy_detail::PutTail(h, p);
   return journal_legacy_detail::FramedHeader(payload);

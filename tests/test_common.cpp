@@ -46,10 +46,10 @@ TEST(Bytes, FixedWidthRoundTrip) {
   w.PutU64(0x0123456789abcdefULL);
 
   ByteReader r(w.buffer());
-  uint8_t a;
-  uint16_t b;
-  uint32_t c;
-  uint64_t d;
+  uint8_t a = 0;
+  uint16_t b = 0;
+  uint32_t c = 0;
+  uint64_t d = 0;
   ASSERT_TRUE(r.GetU8(&a).ok());
   ASSERT_TRUE(r.GetU16(&b).ok());
   ASSERT_TRUE(r.GetU32(&c).ok());
@@ -82,7 +82,7 @@ TEST(Bytes, SignedVarintRoundTrip) {
     ByteWriter w;
     w.PutVarI64(v);
     ByteReader r(w.buffer());
-    int64_t out;
+    int64_t out = 0;
     ASSERT_TRUE(r.GetVarI64(&out).ok());
     EXPECT_EQ(out, v);
   }

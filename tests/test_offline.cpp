@@ -12,6 +12,7 @@
 
 #include "common/fsutil.h"
 #include "common/rng.h"
+#include "compress/frame.h"
 #include "offline/analysis.h"
 #include "offline/checker_pool.h"
 #include "offline/journal.h"
@@ -103,6 +104,7 @@ struct SyntheticTrace {
   TempDir dir;
   trace::Flusher flusher{/*async=*/false};
   uint8_t format = trace::kTraceFormatV2;  // event encoding for written logs
+  uint64_t buffer_bytes = 0;               // writer buffer; 0 = the default
 
   /// Writes one thread's trace: a list of (meta, events) segments.
   void WriteThread(uint32_t tid,
@@ -113,6 +115,7 @@ struct SyntheticTrace {
     wc.meta_path = dir.path() + "/sword_t" + std::to_string(tid) + ".meta";
     wc.flusher = &flusher;
     wc.format = format;
+    if (buffer_bytes > 0) wc.buffer_bytes = buffer_bytes;
     trace::ThreadTraceWriter writer(tid, wc);
     for (const auto& [meta, events] : segs) {
       writer.BeginSegment(meta);
@@ -490,10 +493,11 @@ TEST(Journal, HeaderBindsSalvagePolicy) {
   EXPECT_FALSE(loaded.value().header == strict);
 }
 
-TEST(Journal, RefusesVersion4To6Headers) {
+TEST(Journal, RefusesVersion4To7Headers) {
   // v5, v6 and v7 each dropped header bytes; an older journal must be
   // refused by version, never parsed with its knob bytes shifted into the
-  // wrong fields.
+  // wrong fields. v7 has v8's layout but counted every group as a built
+  // tree, so folding its records would mix two meanings of trees_built.
   TempDir dir("journal-old");
   JournalHeader header;
   header.thread_count = 2;
@@ -501,7 +505,8 @@ TEST(Journal, RefusesVersion4To6Headers) {
   header.total_log_bytes = 512;
   const std::pair<int, Bytes> files[] = {{4, oracle::JournalV4File(header)},
                                          {5, oracle::JournalV5File(header)},
-                                         {6, oracle::JournalV6File(header)}};
+                                         {6, oracle::JournalV6File(header)},
+                                         {7, oracle::JournalV7File(header)}};
   for (const auto& [version, file] : files) {
     const std::string path = dir.path() + "/v" + std::to_string(version) + ".journal";
     ASSERT_TRUE(WriteFile(path, file).ok());
@@ -515,7 +520,7 @@ TEST(Journal, RefusesVersion4To6Headers) {
   }
 }
 
-// Fixed-seed fuzz target for the v7 journal reader - the one parser
+// Fixed-seed fuzz target for the v8 journal reader - the one parser
 // sword-offline --resume and sword-serve feed with files from disk. Seeds
 // are the headers and bucket records the journal tests above write; mutants
 // are bit flips, truncations and spliced varints, applied either to the raw
@@ -758,6 +763,185 @@ TEST(Analysis, DedupSharesFrozenSetsAcrossIdenticalGroups) {
   EXPECT_GT(deduped.races.size(), 0u);
 }
 
+/// Text reports of `t` analyzed with 1, 3 and 4 checker threads; the first
+/// run's result is returned through `base`.
+std::vector<std::string> ReportsAtThreadCounts(SyntheticTrace& t, AnalysisResult* base) {
+  const auto pc_name = [](uint32_t pc) { return "pc#" + std::to_string(pc); };
+  std::vector<std::string> texts;
+  for (const uint32_t threads : {1u, 3u, 4u}) {
+    AnalysisConfig config;
+    config.threads = threads;
+    const AnalysisResult r = t.Analyze(config);
+    EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+    texts.push_back(RenderText(r, pc_name));
+    if (threads == 1) *base = r;
+  }
+  return texts;
+}
+
+TEST(Analysis, SummarizesOneLeaderPerDistinctStream) {
+  // Three threads run the same canonical stream and a fourth a different
+  // one: the bucket fingerprints all four groups, then summarizes only the
+  // two leaders. The followers and the memoized pairs count as before.
+  SyntheticTrace t;
+  constexpr uint32_t kThreads = 4;
+  for (uint32_t tid = 0; tid < kThreads; tid++) {
+    trace::IntervalMeta m = Meta(tid, kThreads);
+    m.label = osl::Label({osl::Pair{0, 1, 0}, osl::Pair{tid, kThreads, 0}});
+    const bool distinct = tid == kThreads - 1;
+    std::vector<trace::RawEvent> events;
+    for (uint64_t i = 0; i < 64; i++) {
+      events.push_back(trace::RawEvent::Access(
+          0x1000 + i * 8, 8, distinct ? 0 : 1,
+          static_cast<uint32_t>((distinct ? 500 : 100) + i)));
+    }
+    t.WriteThread(tid, {{m, events}});
+  }
+
+  AnalysisResult base;
+  const std::vector<std::string> texts = ReportsAtThreadCounts(t, &base);
+  ASSERT_TRUE(base.status.ok());
+  EXPECT_EQ(base.stats.trees_built, 2u);    // one per distinct named stream
+  EXPECT_EQ(base.stats.tree_nodes, 128u);   // distinct pcs: one node each
+  // 2 followers alias a leader; of the 6 concurrent pairs, (X,X) and (X,D)
+  // are checked once each and the other 4 replay them.
+  EXPECT_EQ(base.stats.dedup_hits, 6u);
+  EXPECT_EQ(base.stats.raw_events, 4u * 64);  // every group decoded once
+  EXPECT_EQ(RaceKeys(base.races), BruteForceKeys(t));
+  EXPECT_GT(base.races.size(), 0u);
+  EXPECT_EQ(texts[1], texts[0]);
+  EXPECT_EQ(texts[2], texts[0]);
+}
+
+TEST(Analysis, LeaderInsideAFrameResumesFromItsSavedCursor) {
+  // The graphsearch shape: each thread's segments share one delta-coded
+  // frame, so every leader but the first starts mid-frame and pass 2 enters
+  // it from the resume point pass 1 saved. Both logs' frames begin at
+  // logical 0 and thread 0's whole log is shorter than thread 1's first
+  // segment, so a thread-0 cursor would pass StreamRange's position check
+  // on thread 1's later segments and decode them from the wrong bytes and
+  // codec state; the races must still be the brute force's. Thread 0 also
+  // hosts lane 2 between its two lane-0 segments, so its lane-0 group
+  // resumes past a segment of another group.
+  SyntheticTrace t;
+  t.format = trace::kTraceFormatV3;
+  constexpr uint32_t kPhases = 3;
+  std::vector<std::pair<trace::IntervalMeta, std::vector<trace::RawEvent>>> segs0,
+      segs1;
+  for (uint32_t phase = 0; phase < kPhases; phase++) {
+    const uint64_t base = 0x10000 + phase * 0x1000;
+    std::vector<trace::RawEvent> e0, e0b, e1;
+    for (uint64_t i = 0; i < 24; i++) {
+      e0.push_back(trace::RawEvent::Access(base + i * 40, 8, 1, 10 + phase));
+    }
+    for (uint64_t i = 0; i < 200; i++) {
+      e1.push_back(
+          trace::RawEvent::Access(base + 0x800 - (i % 50) * 24, 8, 0, 20 + phase));
+    }
+    e0.push_back(trace::RawEvent::Run(base + 0x400, 16, 9, 4, 1, 30 + phase));
+    e1.push_back(trace::RawEvent::Run(base + 0x410, 16, 9, 4, 0, 40 + phase));
+    e0b.push_back(trace::RawEvent::Access(base + 0x800, 8, 1, 50 + phase));
+    trace::IntervalMeta lane0 = Meta(0, 3, phase);
+    trace::IntervalMeta lane2 = Meta(2, 3, phase);
+    segs0.push_back({lane0, {e0.begin(), e0.begin() + 12}});
+    segs0.push_back({lane2, e0b});
+    segs0.push_back({lane0, {e0.begin() + 12, e0.end()}});
+    segs1.push_back({Meta(1, 3, phase), e1});
+  }
+  t.WriteThread(0, segs0);
+  t.WriteThread(1, segs1);
+  {
+    auto store = TraceStore::OpenDir(t.dir.path());
+    ASSERT_TRUE(store.ok());
+    const auto& threads = store.value().threads();
+    for (const auto& thread : threads) {
+      ASSERT_EQ(thread.log->frame_count(), 1u);  // every segment in one frame
+    }
+    ASSERT_LT(threads[0].log->total_logical_bytes(),
+              threads[1].meta.intervals[1].data_begin);
+  }
+
+  AnalysisResult base;
+  const std::vector<std::string> texts = ReportsAtThreadCounts(t, &base);
+  ASSERT_TRUE(base.status.ok());
+  EXPECT_EQ(base.stats.trees_built, 3u * kPhases);  // every stream distinct
+  EXPECT_EQ(RaceKeys(base.races), BruteForceKeys(t));
+  EXPECT_GT(base.races.size(), 0u);
+  EXPECT_TRUE(base.races.Contains(52, 20 + 2));  // the lane-2 write of the last phase
+  EXPECT_EQ(texts[1], texts[0]);
+  EXPECT_EQ(texts[2], texts[0]);
+}
+
+TEST(Analysis, UnnamedGroupIsCountedButNeverSummarized) {
+  // Thread 0's phase-1 interval follows a barrier no other thread reached:
+  // no concurrent pair names it, so it is decoded for the counts and never
+  // summarized.
+  SyntheticTrace t;
+  std::vector<trace::RawEvent> named0, named1, lonely;
+  for (uint32_t i = 0; i < 5; i++) {
+    named0.push_back(trace::RawEvent::Access(0x1000 + i * 64, 8, 1, 10 + i));
+    named1.push_back(trace::RawEvent::Access(0x1000 + i * 64, 8, 0, 20 + i));
+  }
+  for (uint32_t i = 0; i < 7; i++) {
+    lonely.push_back(trace::RawEvent::Access(0x1000 + i * 64, 8, 1, 30 + i));
+  }
+  t.WriteThread(0, {{Meta(0, 2, 0), named0}, {Meta(0, 2, 1), lonely}});
+  t.WriteThread(1, {{Meta(1, 2, 0), named1}});
+
+  const AnalysisResult r = t.Analyze();
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.stats.buckets, 1u);
+  EXPECT_EQ(r.stats.concurrent_pairs, 1u);
+  EXPECT_EQ(r.stats.raw_events, 5u + 5u + 7u);  // decoded for accounting
+  EXPECT_EQ(r.stats.trees_built, 2u);            // but summarized: the pair only
+  EXPECT_EQ(r.stats.tree_nodes, 10u);
+  EXPECT_EQ(r.stats.dedup_hits, 0u);
+  EXPECT_EQ(RaceKeys(r.races), BruteForceKeys(t));
+  EXPECT_EQ(r.races.size(), 5u);
+}
+
+/// Byte offset just past the first frame of the log at `path`.
+uint64_t FirstFrameEnd(const std::string& path) {
+  auto bytes = ReadFileBytes(path);
+  EXPECT_TRUE(bytes.ok());
+  if (!bytes.ok()) return 0;
+  ByteReader r(bytes.value());
+  uint64_t raw = 0;
+  EXPECT_TRUE(SkipFrame(r, &raw).ok());
+  return r.position();
+}
+
+TEST(Analysis, SalvageTruncatedLeaderCountedOnce) {
+  // Thread 1's named segment spans two frames and the second never reached
+  // the disk. Pass 1 counts its missing events; pass 2 streams the same
+  // truncated range into the leader's summary and must not count them again.
+  SyntheticTrace t;
+  t.buffer_bytes = 160;  // v2 events are short: a few dozen per frame
+  std::vector<trace::RawEvent> e1;
+  for (uint32_t i = 0; i < 200; i++) {
+    e1.push_back(trace::RawEvent::Access(0x1000 + i * 8, 8, 0, 22));
+  }
+  t.WriteThread(0, {{Meta(0, 2), {trace::RawEvent::Access(0x1000, 8, 1, 11)}}});
+  t.WriteThread(1, {{Meta(1, 2), e1}});
+  const std::string t1_log = t.dir.path() + "/sword_t1.log";
+  ASSERT_TRUE(TruncateFile(t1_log, FirstFrameEnd(t1_log)).ok());
+
+  StoreOptions options;
+  options.salvage = true;
+  auto store = TraceStore::OpenDir(t.dir.path(), options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const AnalysisResult r = offline::Analyze(store.value());
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_TRUE(r.races.Contains(11, 22));
+  EXPECT_EQ(r.stats.trees_built, 2u);  // the damaged segment's group is a leader
+  EXPECT_GT(r.stats.events_missing, 0u);
+  EXPECT_LT(r.stats.events_missing, 200u);
+  EXPECT_EQ(r.stats.raw_events + r.stats.events_missing, 201u);
+  EXPECT_GT(r.stats.bytes_skipped_read, 0u);
+  EXPECT_EQ(r.stats.segments_skipped, 0u);
+  EXPECT_EQ(RaceKeys(r.races), oracle::BruteForceRaceKeys(store.value()));
+}
+
 TEST(Journal, TornTailDroppedAndContinueRepairs) {
   TempDir dir("journal-torn");
   const std::string path = dir.path() + "/t.journal";
@@ -915,6 +1099,26 @@ TEST(Analysis, MemoryCapAbandonsBucketHonestly) {
   EXPECT_EQ(ok.stats.buckets_memory_capped, 0u);
 }
 
+/// The deadline for the watchdog tests. The heavy buckets take hundreds of
+/// milliseconds, so any deadline well below that breaches them reliably; the
+/// light buckets are two events and finish in microseconds. 50ms leaves the
+/// light bucket real headroom on a loaded CI machine (parallel ctest)
+/// without letting a heavy bucket slip under. Sanitizer builds run the light
+/// bucket an order of magnitude slower still; the deadline widens there.
+uint32_t WatchdogDeadlineMs() {
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+  return 200;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+  return 200;
+#else
+  return 50;
+#endif
+#else
+  return 50;
+#endif
+}
+
 TEST(Analysis, DeadlineWatchdogAbortsOnlyThatBucket) {
   SyntheticTrace t;
   // Region 0: three heavyweight groups whose build alone takes far longer
@@ -959,23 +1163,7 @@ TEST(Analysis, DeadlineWatchdogAbortsOnlyThatBucket) {
   }
 
   AnalysisConfig config;
-  // The heavy bucket's build takes hundreds of milliseconds, so any
-  // deadline well below that breaches it reliably; the light bucket is two
-  // events and finishes in microseconds. 50ms leaves the light bucket real
-  // headroom on a loaded CI machine (parallel ctest) without letting the
-  // heavy bucket slip under. Sanitizer builds run the light bucket an
-  // order of magnitude slower still; widen the deadline further there.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-  config.bucket_deadline_ms = 200;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-  config.bucket_deadline_ms = 200;
-#else
-  config.bucket_deadline_ms = 50;
-#endif
-#else
-  config.bucket_deadline_ms = 50;
-#endif
+  config.bucket_deadline_ms = WatchdogDeadlineMs();
   const AnalysisResult result = t.Analyze(config);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.stats.buckets_deadline_exceeded, 1u);
@@ -984,9 +1172,68 @@ TEST(Analysis, DeadlineWatchdogAbortsOnlyThatBucket) {
   EXPECT_TRUE(result.races.Contains(50, 51));
 }
 
+TEST(Analysis, DeadlineBreachInSummarizePassAbandonsOnlyThatBucket) {
+  // Region 0: two groups whose decode is cheap and whose summary is not.
+  // Each segment holds one writer-coalesced run of kRunCount accesses; a
+  // run decodes as one event, but its key is already carried by two nodes
+  // (the two descending accesses up front), so the summarizer replays it
+  // element by element. Pass 1 decodes all 2 x kSegments runs in about a
+  // millisecond; pass 2, run to completion, takes seconds, and the watchdog
+  // breaches it. Region 1: a two-event race that finishes far inside the
+  // deadline.
+  constexpr uint64_t kSegments = 400;
+  constexpr uint64_t kRunCount = 100000;
+  SyntheticTrace t;
+  t.format = trace::kTraceFormatV3;
+  for (uint32_t tid = 0; tid < 2; tid++) {
+    trace::WriterConfig wc;
+    wc.log_path = t.dir.path() + "/sword_t" + std::to_string(tid) + ".log";
+    wc.meta_path = t.dir.path() + "/sword_t" + std::to_string(tid) + ".meta";
+    wc.flusher = &t.flusher;
+    wc.format = t.format;
+    trace::ThreadTraceWriter writer(tid, wc);
+    trace::IntervalMeta heavy = Meta(tid, 2);
+    heavy.label = osl::Label({osl::Pair{0, 1, 0}, osl::Pair{tid, 2, 0}});
+    const uint32_t pc = 10 + tid;
+    uint64_t base = 0x100000000ULL * (tid + 1);
+    for (uint64_t s = 0; s < kSegments; s++) {
+      writer.BeginSegment(heavy);
+      if (s == 0) {
+        writer.Append(trace::RawEvent::Access(base - 8, 8, 1, pc));
+        writer.Append(trace::RawEvent::Access(base - 16, 8, 1, pc));
+      }
+      writer.Append(trace::RawEvent::Run(base, 8, kRunCount, 8, 1, pc));
+      base += kRunCount * 8 + 64;
+      writer.EndSegment();
+    }
+    trace::IntervalMeta light = Meta(tid, 2);
+    light.region = 1;
+    light.label = osl::Label({osl::Pair{1, 1, 0}, osl::Pair{tid, 2, 0}});
+    writer.BeginSegment(light);
+    writer.Append(trace::RawEvent::Access(0x9000, 8, 1, 50 + tid));
+    writer.EndSegment();
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+
+  AnalysisConfig config;
+  config.bucket_deadline_ms = WatchdogDeadlineMs();
+  const AnalysisResult result = t.Analyze(config);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.stats.buckets_deadline_exceeded, 1u);
+  // Pass 1 finished the heavy bucket: every event was decoded and counted.
+  EXPECT_EQ(result.stats.raw_events, 2 * (kSegments + 2) + 2);
+  // Pass 2 was cut: no heavy leader closed, only the light bucket's two.
+  EXPECT_EQ(result.stats.trees_built, 2u);
+  EXPECT_TRUE(result.races.Contains(50, 51));
+  EXPECT_FALSE(result.races.Contains(10, 11));
+}
+
 TEST(Analysis, PeakTreeBytesNamesTheBucket) {
   SyntheticTrace t;
-  std::vector<std::pair<trace::IntervalMeta, std::vector<trace::RawEvent>>> segs;
+  // Each region pairs thread 0's group with a one-event group on thread 1:
+  // only groups some concurrent pair names are summarized.
+  std::vector<std::pair<trace::IntervalMeta, std::vector<trace::RawEvent>>> segs,
+      partners;
   for (uint32_t region = 0; region < 4; region++) {
     trace::IntervalMeta m = Meta(0, 2);
     m.region = region;
@@ -1000,8 +1247,13 @@ TEST(Analysis, PeakTreeBytesNamesTheBucket) {
           0x1000 + i * 64, 8, 1, static_cast<uint32_t>(11 + i)));
     }
     segs.push_back({m, events});
+    trace::IntervalMeta p = Meta(1, 2);
+    p.region = region;
+    p.label = osl::Label({osl::Pair{region, 1, 0}, osl::Pair{1, 2, 0}});
+    partners.push_back({p, {trace::RawEvent::Access(0x80000, 8, 0, 9)}});
   }
   t.WriteThread(0, segs);
+  t.WriteThread(1, partners);
   const AnalysisResult result = t.Analyze();
   ASSERT_TRUE(result.status.ok());
   EXPECT_GT(result.stats.peak_tree_bytes, 0u);

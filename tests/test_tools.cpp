@@ -189,14 +189,15 @@ TEST_F(ToolsTest, OfflineToolRefusesResumeAcrossSalvageModes) {
   EXPECT_EQ(rc_ok, 2) << out_ok;
 }
 
-TEST_F(ToolsTest, OfflineToolRefusesVersion4To6Journals) {
+TEST_F(ToolsTest, OfflineToolRefusesVersion4To7Journals) {
   // A journal from before the v5, v6 or v7 header (each dropped retired
-  // knob bytes) is an analysis failure naming the version, not a usage
-  // error.
+  // knob bytes), or a v7 one (whose records count every group as a built
+  // tree), is an analysis failure naming the version, not a usage error.
   const std::pair<int, Bytes> journals[] = {
       {4, oracle::JournalV4File(offline::JournalHeader{})},
       {5, oracle::JournalV5File(offline::JournalHeader{})},
-      {6, oracle::JournalV6File(offline::JournalHeader{})}};
+      {6, oracle::JournalV6File(offline::JournalHeader{})},
+      {7, oracle::JournalV7File(offline::JournalHeader{})}};
   for (const auto& [version, file] : journals) {
     ASSERT_TRUE(WriteFile(dir_.path() + "/sword_analysis_0of1.journal", file).ok());
     const auto [rc, out] = RunCommand(ToolPath("sword-offline") + " " +

@@ -808,6 +808,277 @@ TEST(ReaderV2, FuzzedMutationsNeverCrash) {
   }
 }
 
+// ------------------------------------------- v3 frames: fuzz and resumption
+
+/// Writes `segments` segments of random events to fx's t0 log in `format`:
+/// strided access streams (which the v3 writer coalesces into runs), single
+/// scattered accesses and mutex events. A 512-byte buffer (32 events) makes
+/// frames hold several segments and segments straddle frames.
+void WriteRandomSegments(WriterFixture& fx, uint8_t format, uint32_t segments,
+                         uint64_t seed) {
+  ThreadTraceWriter writer(0, fx.Config(512, format));
+  Rng rng(seed);
+  for (uint32_t s = 0; s < segments; s++) {
+    writer.BeginSegment(fx.Meta(0, s));
+    const int n = 1 + static_cast<int>(rng.Below(40));
+    for (int i = 0; i < n; i++) {
+      const uint32_t pc = static_cast<uint32_t>(rng.Below(6));
+      switch (rng.Below(4)) {
+        case 0: {  // a strided stream
+          const uint64_t base = 0x40000 + rng.Below(1 << 16) * 8;
+          const uint64_t stride = 8 * (1 + rng.Below(3));
+          const uint64_t count = 2 + rng.Below(12);
+          for (uint64_t k = 0; k < count; k++) {
+            writer.AppendAccess(base + k * stride, 8, static_cast<uint8_t>(rng.Below(2)), pc);
+          }
+          break;
+        }
+        case 1:
+          writer.Append(rng.Chance(0.5)
+                            ? RawEvent::MutexAcquire(static_cast<uint32_t>(rng.Below(4)))
+                            : RawEvent::MutexRelease(static_cast<uint32_t>(rng.Below(4))));
+          break;
+        default:
+          writer.AppendAccess(0x100000 + rng.Below(1 << 20),
+                              static_cast<uint8_t>(1u << rng.Below(4)),
+                              static_cast<uint8_t>(rng.Below(2)), pc);
+      }
+    }
+    writer.EndSegment();
+  }
+  ASSERT_TRUE(writer.Finish().ok());
+}
+
+std::vector<IntervalMeta> ReadIntervals(WriterFixture& fx) {
+  auto bytes = ReadFileBytes(fx.dir.File("t0.meta"));
+  EXPECT_TRUE(bytes.ok());
+  MetaFile meta;
+  if (bytes.ok()) {
+    EXPECT_TRUE(MetaFile::Decode(bytes.value(), &meta).ok());
+  }
+  return meta.intervals;
+}
+
+// Fixed-seed fuzz target for v3 ("SW3F") frames and the "SWCR" crash
+// marker. Seeds are writer output: a multi-frame v3 log with coalesced
+// runs and mutex events, the same log sealed by a crash marker, and a
+// single-segment log of one long strided stream (a compressible frame).
+// Mutants are bit flips, truncations and spliced varints. Opened strict or
+// salvage, a mutant must either fail cleanly (corrupt-data) or decode: every
+// streamed run has count >= 2, a non-zero stride and an extent that fits
+// the address space, a strict stream fails only as corrupt-data or
+// invalid-argument, and a salvage stream never fails.
+TEST(ReaderV3, FuzzedFramesFailCleanlyOrDecode) {
+  std::vector<Bytes> seeds;
+  {
+    WriterFixture fx;
+    WriteRandomSegments(fx, kTraceFormatV3, 12, 99);
+    auto bytes = ReadFileBytes(fx.dir.File("t0.log"));
+    ASSERT_TRUE(bytes.ok());
+    auto reader = LogReader::Open(fx.dir.File("t0.log"));
+    ASSERT_TRUE(reader.ok());
+    ASSERT_GT(reader.value().frame_count(), 2u);
+    seeds.push_back(bytes.value());
+    Bytes sealed = bytes.value();
+    WriteCrashMarkerFrame(&sealed, 11);
+    seeds.push_back(std::move(sealed));
+  }
+  {
+    WriterFixture fx;
+    ThreadTraceWriter writer(0, fx.Config(1 << 16, kTraceFormatV3));
+    writer.BeginSegment(fx.Meta());
+    for (uint64_t i = 0; i < 2000; i++) writer.AppendAccess(0x8000 + (i % 50) * 8, 8, 1, 3);
+    writer.Append(RawEvent::MutexAcquire(2));
+    writer.AppendAccess(0x9000, 4, 0, 4);
+    writer.Append(RawEvent::MutexRelease(2));
+    writer.EndSegment();
+    ASSERT_TRUE(writer.Finish().ok());
+    auto bytes = ReadFileBytes(fx.dir.File("t0.log"));
+    ASSERT_TRUE(bytes.ok());
+    seeds.push_back(bytes.value());
+  }
+  for (const Bytes& seed : seeds) {
+    TempDir dir;
+    ASSERT_TRUE(WriteFile(dir.File("seed.log"), seed).ok());
+    auto reader = LogReader::Open(dir.File("seed.log"));
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    EXPECT_TRUE(reader.value()
+                    .StreamRange(0, reader.value().total_logical_bytes(),
+                                 [](const RawEvent&) {})
+                    .ok());
+  }
+
+  TempDir dir;
+  const std::string path = dir.File("mutant.log");
+  Rng rng(20261020);
+  uint64_t decoded = 0, rejected = 0, runs = 0;
+  for (int trial = 0; trial < 1500; trial++) {
+    Bytes mutant = seeds[static_cast<size_t>(trial) % seeds.size()];
+    const int ops = 1 + static_cast<int>(rng.Below(3));
+    for (int op = 0; op < ops; op++) {
+      switch (rng.Below(3)) {
+        case 0:
+          if (!mutant.empty()) {
+            mutant[rng.Below(mutant.size())] ^= static_cast<uint8_t>(1u << rng.Below(8));
+          }
+          break;
+        case 1:
+          mutant.resize(rng.Below(mutant.size() + 1));
+          break;
+        default:
+          SpliceVarint(mutant, rng);
+      }
+    }
+    ASSERT_TRUE(WriteFile(path, mutant).ok());
+    for (const bool salvage : {false, true}) {
+      SalvagePolicy policy;
+      policy.enabled = salvage;
+      auto reader = LogReader::Open(path, policy);
+      if (!reader.ok()) {
+        ASSERT_EQ(reader.status().code(), ErrorCode::kCorruptData)
+            << "trial " << trial << ": " << reader.status().ToString();
+        rejected++;
+        continue;
+      }
+      uint64_t skipped = 0;
+      const Status s = reader.value().StreamRange(
+          0, reader.value().total_logical_bytes(),
+          [&](const RawEvent& e) {
+            if (e.kind != EventKind::kAccessRun) return;
+            runs++;
+            ASSERT_GE(e.count, 2u);
+            ASSERT_NE(e.stride, 0u);
+            ASSERT_LE(e.stride, (UINT64_MAX - e.addr) / (e.count - 1));
+          },
+          nullptr, &skipped);
+      if (salvage) {
+        ASSERT_TRUE(s.ok()) << "trial " << trial << ": " << s.ToString();
+      } else if (!s.ok()) {
+        ASSERT_TRUE(s.code() == ErrorCode::kCorruptData ||
+                    s.code() == ErrorCode::kInvalidArgument)
+            << "trial " << trial << ": " << s.ToString();
+        rejected++;
+        continue;
+      }
+      decoded++;
+    }
+  }
+  // The corpus exercises both outcomes, and decoded runs.
+  EXPECT_GT(decoded, 100u);
+  EXPECT_GT(rejected, 100u);
+  EXPECT_GT(runs, 100u);
+}
+
+/// Cuts the middle frame's payload and the log's tail, then returns the
+/// log opened with salvage: one corrupt frame in the middle, a truncated one
+/// at the end.
+Result<LogReader> DamageAndSalvage(const std::string& path) {
+  auto bytes = ReadFileBytes(path);
+  if (!bytes.ok()) return bytes.status();
+  Bytes log = bytes.value();
+  std::vector<uint64_t> frame_ends;
+  ByteReader r(log);
+  while (!r.AtEnd()) {
+    uint64_t raw = 0;
+    if (!SkipFrame(r, &raw).ok()) break;
+    frame_ends.push_back(r.position());
+  }
+  if (frame_ends.size() < 4) return Status::Invalid("too few frames to damage");
+  const size_t mid = frame_ends.size() / 2;
+  log[frame_ends[mid] - 3] ^= 0x5a;  // inside frame mid + 1's payload
+  log.resize(frame_ends[frame_ends.size() - 2] + 5);
+  const Status w = WriteFile(path, log);
+  if (!w.ok()) return w;
+  SalvagePolicy policy;
+  policy.enabled = true;
+  return LogReader::Open(path, policy);
+}
+
+/// What one StreamRange call produced: its status, events and skip count.
+struct StreamOutcome {
+  Status status;
+  std::vector<RawEvent> events;
+  uint64_t skipped = 0;
+};
+
+StreamOutcome Stream(const LogReader& reader, const IntervalMeta& m,
+                     FrameCache* cache, DecodeCursor* cursor) {
+  StreamOutcome out;
+  out.status = reader.StreamRange(
+      m.data_begin, m.data_size, [&](const RawEvent& e) { out.events.push_back(e); },
+      cache, &out.skipped, cursor);
+  return out;
+}
+
+class CursorResume : public ::testing::TestWithParam<std::tuple<uint8_t, bool>> {};
+
+// The offline analyzer saves a copy of its decode cursor before every
+// segment it fingerprints and later resumes a leader's segment from that
+// copy. For every segment boundary b and every segment m, StreamRange of m
+// resumed from the cursor saved at b must yield exactly what a cold
+// StreamRange of m yields - the same status, events and skipped bytes -
+// whether the cursor lies before m in its frame, in another frame, or past
+// m. Salvaged logs (a corrupt middle frame, a truncated tail) included.
+TEST_P(CursorResume, ResumedStreamEqualsColdStreamAtEverySegmentBoundary) {
+  const auto [format, salvaged] = GetParam();
+  WriterFixture fx;
+  WriteRandomSegments(fx, format, 40, 1000 + format);
+  const std::vector<IntervalMeta> segs = ReadIntervals(fx);
+  ASSERT_EQ(segs.size(), 40u);
+  auto reader = salvaged ? DamageAndSalvage(fx.dir.File("t0.log"))
+                         : LogReader::Open(fx.dir.File("t0.log"));
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const LogReader& log = reader.value();
+  ASSERT_GT(log.frame_count(), 4u);
+  if (salvaged) {
+    ASSERT_FALSE(log.salvage_stats().clean());
+  }
+
+  std::vector<StreamOutcome> cold;
+  uint64_t cold_skipped = 0;
+  for (const IntervalMeta& m : segs) {
+    cold.push_back(Stream(log, m, nullptr, nullptr));
+    cold_skipped += cold.back().skipped;
+  }
+  EXPECT_EQ(cold_skipped > 0, salvaged);  // the damage reaches some segments
+
+  // One forward walk, as pass 1 makes it, saving the cursor before each
+  // segment; the walk itself must match the cold streams too.
+  FrameCache cache;
+  DecodeCursor walk;
+  std::vector<DecodeCursor> saved;
+  uint64_t mid_frame = 0;
+  for (size_t k = 0; k < segs.size(); k++) {
+    saved.push_back(walk);
+    if (walk.valid && walk.pos == segs[k].data_begin) mid_frame++;
+    const StreamOutcome got = Stream(log, segs[k], &cache, &walk);
+    EXPECT_EQ(got.status.ToString(), cold[k].status.ToString()) << "walk " << k;
+    EXPECT_EQ(got.events, cold[k].events) << "walk " << k;
+    EXPECT_EQ(got.skipped, cold[k].skipped) << "walk " << k;
+  }
+  EXPECT_GT(mid_frame, 10u);  // many segments start inside a frame
+
+  for (size_t b = 0; b < saved.size(); b++) {
+    for (size_t m = 0; m < segs.size(); m++) {
+      DecodeCursor resume = saved[b];
+      const StreamOutcome got = Stream(log, segs[m], &cache, &resume);
+      ASSERT_EQ(got.status.ToString(), cold[m].status.ToString())
+          << "boundary " << b << ", segment " << m;
+      ASSERT_EQ(got.events, cold[m].events) << "boundary " << b << ", segment " << m;
+      ASSERT_EQ(got.skipped, cold[m].skipped) << "boundary " << b << ", segment " << m;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Formats, CursorResume,
+    ::testing::Combine(::testing::Values(kTraceFormatV2, kTraceFormatV3),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<uint8_t, bool>>& info) {
+      return std::string("V") + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "Salvaged" : "Intact");
+    });
+
 // --------------------------------------------------- multi-worker pipeline
 
 TEST(FlusherPool, MultiProducerStressKeepsPerFileFrameOrder) {
