@@ -105,7 +105,9 @@ void BM_EventDecodeV2(benchmark::State& state) {
     trace::RawEvent e;
     uint64_t n = 0;
     while (!r.AtEnd()) {
-      if (!trace::DecodeEventV2(r, dec_state, &e).ok()) std::abort();
+      if (!trace::DecodeDeltaEvent(r, trace::kTraceFormatV2, dec_state, &e).ok()) {
+        std::abort();
+      }
       n++;
     }
     benchmark::DoNotOptimize(n);
@@ -164,7 +166,9 @@ void BM_EventDecodeV3Run(benchmark::State& state) {
     trace::RawEvent e;
     uint64_t accesses = 0;
     while (!r.AtEnd()) {
-      if (!trace::DecodeEventV3(r, dec_state, &e).ok()) std::abort();
+      if (!trace::DecodeDeltaEvent(r, trace::kTraceFormatV3, dec_state, &e).ok()) {
+        std::abort();
+      }
       accesses += e.count;
     }
     benchmark::DoNotOptimize(accesses);

@@ -1,73 +1,111 @@
 #include "compress/frame.h"
 
+#include <iterator>
+
 #include "compress/codecs.h"
 
 namespace sword {
 namespace {
 
-/// Parses a gap frame body (magic already consumed): raw_bytes varu64 |
-/// event_count varu64 | u64 checksum over the two varints' encoded bytes.
-Status ReadGapBody(ByteReader& reader, uint64_t* raw_bytes,
-                   uint64_t* event_count) {
-  const size_t body_start = reader.position();
-  SWORD_RETURN_IF_ERROR(reader.GetVarU64(raw_bytes));
-  SWORD_RETURN_IF_ERROR(reader.GetVarU64(event_count));
-  const size_t body_len = reader.position() - body_start;
-  uint64_t checksum;
-  SWORD_RETURN_IF_ERROR(reader.GetU64(&checksum));
-  const uint8_t* body = reader.cursor() - 8 - body_len;
-  if (Fnv1a64(body, body_len) != checksum) {
-    return Status::Corrupt("gap frame checksum mismatch");
-  }
-  if (*raw_bytes > kMaxFrameRawBytes) {
-    return Status::Corrupt("implausible gap frame size");
-  }
-  return Status::Ok();
+/// The data-frame magics, indexed by payload format - 1. Writer and parser
+/// both map formats through this table.
+constexpr uint32_t kDataMagics[] = {kFrameMagic, kFrameMagicV2, kFrameMagicV3};
+
+uint32_t LoadMagic(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
-/// Parses a crash-marker body (magic already consumed): signo u8 | u64
-/// checksum over the signo byte. Fixed-length, so a torn tail is detected by
-/// the bounds-checked reads alone.
-Status ReadCrashBody(ByteReader& reader, uint8_t* signo) {
-  SWORD_RETURN_IF_ERROR(reader.GetU8(signo));
-  uint64_t checksum;
-  SWORD_RETURN_IF_ERROR(reader.GetU64(&checksum));
-  if (Fnv1a64(signo, 1) != checksum) {
-    return Status::Corrupt("crash marker checksum mismatch");
+/// Payload format of a data-frame magic, or 0.
+uint8_t DataFormatOf(uint32_t magic) {
+  for (size_t i = 0; i < std::size(kDataMagics); ++i) {
+    if (kDataMagics[i] == magic) return static_cast<uint8_t>(i + 1);
   }
-  return Status::Ok();
-}
-
-/// Parses a data-frame header. `magic` has already been consumed.
-Status ReadFrameHeader(ByteReader& reader, uint32_t magic,
-                       uint8_t* payload_format, std::string* codec_name,
-                       uint64_t* raw_size, uint64_t* payload_size,
-                       uint64_t* checksum) {
-  if (magic == kFrameMagic) {
-    *payload_format = 1;
-  } else if (magic == kFrameMagicV2) {
-    *payload_format = 2;
-  } else if (magic == kFrameMagicV3) {
-    *payload_format = 3;
-  } else {
-    return Status::Corrupt("bad frame magic");
-  }
-  SWORD_RETURN_IF_ERROR(reader.GetString(codec_name));
-  SWORD_RETURN_IF_ERROR(reader.GetVarU64(raw_size));
-  SWORD_RETURN_IF_ERROR(reader.GetVarU64(payload_size));
-  SWORD_RETURN_IF_ERROR(reader.GetU64(checksum));
-  if (*raw_size > kMaxFrameRawBytes) {
-    return Status::Corrupt("implausible frame raw size");
-  }
-  if (reader.remaining() < *payload_size) return Status::Corrupt("truncated frame payload");
-  return Status::Ok();
+  return 0;
 }
 
 }  // namespace
 
+bool IsFrameMagic(const uint8_t* p) {
+  const uint32_t magic = LoadMagic(p);
+  return DataFormatOf(magic) != 0 || magic == kFrameMagicGap ||
+         magic == kFrameMagicCrash;
+}
+
+Status ParseFrameHeader(ByteReader& reader, FrameHeader* out) {
+  *out = FrameHeader{};
+  const size_t start = reader.position();
+  uint32_t magic;
+  SWORD_RETURN_IF_ERROR(reader.GetU32(&magic));
+
+  if (magic == kFrameMagicCrash) {
+    // signo u8 | u64 checksum over the signo byte. Fixed-length, so a torn
+    // tail is caught by the bounds-checked reads alone.
+    uint64_t checksum;
+    SWORD_RETURN_IF_ERROR(reader.GetU8(&out->crash_signo));
+    SWORD_RETURN_IF_ERROR(reader.GetU64(&checksum));
+    if (Fnv1a64(&out->crash_signo, 1) != checksum) {
+      return Status::Corrupt("crash marker checksum mismatch");
+    }
+    out->is_crash = true;
+    out->header_size = reader.position() - start;
+    return Status::Ok();
+  }
+
+  if (magic == kFrameMagicGap) {
+    // raw_bytes varu64 | event_count varu64 | u64 checksum over the two
+    // varints' encoded bytes.
+    const uint8_t* body = reader.cursor();
+    SWORD_RETURN_IF_ERROR(reader.GetVarU64(&out->raw_size));
+    SWORD_RETURN_IF_ERROR(reader.GetVarU64(&out->dropped_events));
+    const size_t body_len = static_cast<size_t>(reader.cursor() - body);
+    uint64_t checksum;
+    SWORD_RETURN_IF_ERROR(reader.GetU64(&checksum));
+    if (Fnv1a64(body, body_len) != checksum) {
+      return Status::Corrupt("gap frame checksum mismatch");
+    }
+    if (out->raw_size > kMaxFrameRawBytes) {
+      return Status::Corrupt("implausible gap frame size");
+    }
+    out->is_gap = true;
+    out->header_size = reader.position() - start;
+    return Status::Ok();
+  }
+
+  out->payload_format = DataFormatOf(magic);
+  if (out->payload_format == 0) return Status::Corrupt("bad frame magic");
+  uint64_t name_len;
+  SWORD_RETURN_IF_ERROR(reader.GetVarU64(&name_len));
+  if (name_len > kMaxCodecNameBytes) {
+    return Status::Corrupt("implausible codec name length");
+  }
+  if (reader.remaining() < name_len) return Status::Corrupt("truncated string");
+  out->codec.assign(reinterpret_cast<const char*>(reader.cursor()), name_len);
+  SWORD_RETURN_IF_ERROR(reader.Skip(name_len));
+  SWORD_RETURN_IF_ERROR(reader.GetVarU64(&out->raw_size));
+  SWORD_RETURN_IF_ERROR(reader.GetVarU64(&out->payload_size));
+  SWORD_RETURN_IF_ERROR(reader.GetU64(&out->checksum));
+  if (out->raw_size > kMaxFrameRawBytes) {
+    return Status::Corrupt("implausible frame raw size");
+  }
+  // The size fields parsed: the frame's claimed extent is known from here
+  // on, even if a check below fails.
+  out->header_size = reader.position() - start;
+  if (FindCompressor(out->codec) == nullptr) {
+    return Status::Corrupt("unknown codec in frame: " + out->codec);
+  }
+  // The checksum covers only the payload, so a damaged raw_size field would
+  // otherwise verify. The identity codec gives one free cross-check.
+  if (out->codec == GetRawCompressor()->Name() && out->raw_size != out->payload_size) {
+    out->raw_size = out->payload_size;
+    return Status::Corrupt("raw frame size disagrees with payload size");
+  }
+  return Status::Ok();
+}
+
 Status WriteFrame(const Compressor& codec, const uint8_t* data, size_t n, Bytes* out,
                   uint8_t payload_format, CompressScratch* scratch) {
-  if (payload_format < 1 || payload_format > 3) {
+  if (payload_format < 1 || payload_format > std::size(kDataMagics)) {
     return Status::Invalid("unknown frame payload format");
   }
   Bytes local_payload;
@@ -82,9 +120,7 @@ Status WriteFrame(const Compressor& codec, const uint8_t* data, size_t n, Bytes*
   const size_t size = stored ? n : payload.size();
 
   ByteWriter w(out);
-  w.PutU32(payload_format == 1   ? kFrameMagic
-           : payload_format == 2 ? kFrameMagicV2
-                                 : kFrameMagicV3);
+  w.PutU32(kDataMagics[payload_format - 1]);
   w.PutString(name);
   w.PutVarU64(n);
   w.PutVarU64(size);
@@ -124,79 +160,28 @@ void WriteCrashMarkerFrame(Bytes* out, uint8_t signo) {
 }
 
 Status ReadFrame(ByteReader& reader, FrameView* out) {
-  const size_t frame_start = reader.position();
-  uint32_t magic;
-  SWORD_RETURN_IF_ERROR(reader.GetU32(&magic));
-  out->is_gap = false;
-  out->dropped_events = 0;
-  out->is_crash = false;
-  out->crash_signo = 0;
-  if (magic == kFrameMagicCrash) {
-    SWORD_RETURN_IF_ERROR(ReadCrashBody(reader, &out->crash_signo));
-    out->payload_format = 0;
-    out->is_crash = true;
-    out->raw_size = 0;
-    out->frame_size = reader.position() - frame_start;
-    out->data.clear();
-    return Status::Ok();
-  }
-  if (magic == kFrameMagicGap) {
-    uint64_t raw_bytes, events;
-    SWORD_RETURN_IF_ERROR(ReadGapBody(reader, &raw_bytes, &events));
-    out->payload_format = 0;
-    out->is_gap = true;
-    out->dropped_events = events;
-    out->raw_size = raw_bytes;
-    out->frame_size = reader.position() - frame_start;
-    out->data.clear();
-    return Status::Ok();
-  }
-  std::string codec_name;
-  uint64_t raw_size, payload_size, checksum;
-  SWORD_RETURN_IF_ERROR(ReadFrameHeader(reader, magic, &out->payload_format,
-                                        &codec_name, &raw_size, &payload_size,
-                                        &checksum));
+  FrameHeader header;
+  SWORD_RETURN_IF_ERROR(ParseFrameHeader(reader, &header));
+  out->payload_format = header.payload_format;
+  out->raw_size = header.raw_size;
+  out->frame_size = header.frame_size();
+  out->is_gap = header.is_gap;
+  out->dropped_events = header.dropped_events;
+  out->is_crash = header.is_crash;
+  out->crash_signo = header.crash_signo;
+  out->data.clear();
+  if (header.is_gap || header.is_crash) return Status::Ok();
 
-  const Compressor* codec = FindCompressor(codec_name);
-  if (!codec) return Status::Corrupt("unknown codec in frame: " + codec_name);
-
-  if (Fnv1a64(reader.cursor(), payload_size) != checksum) {
+  if (reader.remaining() < header.payload_size) {
+    return Status::Corrupt("truncated frame payload");
+  }
+  if (Fnv1a64(reader.cursor(), header.payload_size) != header.checksum) {
     return Status::Corrupt("frame checksum mismatch");
   }
-
-  out->data.clear();
-  out->data.reserve(raw_size);
-  SWORD_RETURN_IF_ERROR(
-      codec->Decompress(reader.cursor(), payload_size, raw_size, &out->data));
-  SWORD_RETURN_IF_ERROR(reader.Skip(payload_size));
-  out->raw_size = raw_size;
-  out->frame_size = reader.position() - frame_start;
-  return Status::Ok();
-}
-
-Status SkipFrame(ByteReader& reader, uint64_t* raw_size, uint8_t* payload_format) {
-  uint32_t magic;
-  SWORD_RETURN_IF_ERROR(reader.GetU32(&magic));
-  if (magic == kFrameMagicCrash) {
-    uint8_t signo;
-    SWORD_RETURN_IF_ERROR(ReadCrashBody(reader, &signo));
-    *raw_size = 0;
-    if (payload_format) *payload_format = 0;  // marker, no payload
-    return Status::Ok();
-  }
-  if (magic == kFrameMagicGap) {
-    uint64_t events;
-    SWORD_RETURN_IF_ERROR(ReadGapBody(reader, raw_size, &events));
-    if (payload_format) *payload_format = 0;  // 0 = gap marker, no payload
-    return Status::Ok();
-  }
-  uint8_t format;
-  std::string codec_name;
-  uint64_t payload_size, checksum;
-  SWORD_RETURN_IF_ERROR(ReadFrameHeader(reader, magic, &format, &codec_name,
-                                        raw_size, &payload_size, &checksum));
-  if (payload_format) *payload_format = format;
-  return reader.Skip(payload_size);
+  out->data.reserve(header.raw_size);
+  SWORD_RETURN_IF_ERROR(FindCompressor(header.codec)->Decompress(
+      reader.cursor(), header.payload_size, header.raw_size, &out->data));
+  return reader.Skip(header.payload_size);
 }
 
 }  // namespace sword

@@ -9,7 +9,8 @@
 // payloads (delta/varint events, see src/trace/event.h), "SW3F" frames carry
 // format-v3 payloads (v2 plus coalesced run events). Readers dispatch per
 // frame, so one log file may legally mix versions (e.g. a trace resumed by a
-// newer writer).
+// newer writer). Two marker kinds share the stream: "SWGP" gap frames and
+// "SWCR" crash markers, both header-only.
 //
 // The v3 magic is deliberately NOT "SWF3": that string is one bit away from
 // "SWF2", and because v3 payloads are a superset of v2 a bit-flipped v2
@@ -18,14 +19,16 @@
 // distance >= 2 from every other, so a single bit flip always lands on an
 // invalid magic and is caught.
 //
-// Frames are self-describing so the offline streaming reader can walk a log
-// file frame by frame, decompress each into a bounded scratch buffer, and
-// never hold more than one decompressed frame in memory (paper SIII-B:
-// "streaming algorithm that reads access information from log files in small
-// chunks").
+// This module owns the frame grammar: ParseFrameHeader is the one reader of
+// header fields and IsFrameMagic the one magic test, for every frame kind.
+// The log reader (trace/reader.h) walks a file by parsing each header from a
+// small window, so it never holds more than one frame in memory (paper
+// SIII-B: "streaming algorithm that reads access information from log files
+// in small chunks").
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "common/bytes.h"
 #include "common/status.h"
@@ -82,6 +85,53 @@ void EncodeCrashMarker(uint8_t signo, uint8_t out[kCrashMarkerBytes]);
 /// path uses EncodeCrashMarker + raw write).
 void WriteCrashMarkerFrame(Bytes* out, uint8_t signo);
 
+/// Longest codec name a header may carry. Every registered name is three
+/// bytes; a longer length prefix is damage, and bounding it bounds the header.
+constexpr size_t kMaxCodecNameBytes = 16;
+
+/// ParseFrameHeader never reads past this many bytes from a frame's start:
+/// magic (4) + name length varint (10) + name (16) + two size varints (20)
+/// + checksum (8) = 58, and the gap and crash bodies are shorter still. A
+/// walker that parses from a window this wide sees every parseable header.
+constexpr size_t kMaxFrameHeaderBytes = 64;
+
+/// True if `p[0..4)` holds one of the five frame magics (data v1-v3, gap,
+/// crash), in their little-endian on-disk encoding.
+bool IsFrameMagic(const uint8_t* p);
+
+/// Everything a frame header says. Gap and crash markers are header-only
+/// (payload_size 0, header_size is the whole frame).
+struct FrameHeader {
+  uint8_t payload_format = 0;  // 1-3 for data frames, 0 for markers
+  bool is_gap = false;         // "SWGP" drop marker
+  bool is_crash = false;       // "SWCR" fatal-signal crash marker
+  std::string codec;           // data frames only
+  uint64_t raw_size = 0;       // decompressed size; gap: logical bytes lost
+  uint64_t payload_size = 0;   // encoded payload bytes after the header
+  uint64_t checksum = 0;       // fnv1a64(payload), data frames only
+  uint64_t dropped_events = 0; // gap frames only
+  uint8_t crash_signo = 0;     // crash markers only
+  uint64_t header_size = 0;    // 0 until the frame's extent is known
+
+  uint64_t frame_size() const { return header_size + payload_size; }
+};
+
+/// Parses one frame header at `reader`'s position and checks every fact the
+/// header alone can prove: a known magic, a codec name no longer than
+/// kMaxCodecNameBytes, raw_size <= kMaxFrameRawBytes, the gap and crash
+/// body checksums, a registered codec, and - for the identity codec -
+/// raw_size == payload_size. It does not touch the payload, so it cannot
+/// tell whether the payload fits the file or matches its checksum.
+///
+/// On success the reader sits at the payload start (for markers: the next
+/// frame). On failure `header_size` tells the caller how much survived:
+/// nonzero only for the two checks that need the size fields to have parsed
+/// (unknown codec, raw size mismatch), so the frame's claimed extent is
+/// still known - salvage uses it to test for a known-size hole. For a raw
+/// size mismatch `raw_size` is set to `payload_size`: the identity codec's
+/// payload IS its data, so that is the trustworthy logical extent.
+Status ParseFrameHeader(ByteReader& reader, FrameHeader* out);
+
 struct FrameView {
   uint8_t payload_format = 1;   // event encoding version (from the magic)
   uint64_t raw_size = 0;        // decompressed payload size (gap: bytes lost)
@@ -93,13 +143,9 @@ struct FrameView {
   Bytes data;                   // decompressed payload
 };
 
-/// Reads and decompresses one frame starting at reader's position. Verifies
-/// the checksum. On success the reader is positioned at the next frame.
+/// Reads one whole frame at reader's position: ParseFrameHeader, then the
+/// payload checksum, then decompression. On success the reader is
+/// positioned at the next frame.
 Status ReadFrame(ByteReader& reader, FrameView* out);
-
-/// Parses only the frame header to learn sizes without decompressing.
-/// Leaves the reader positioned past the whole frame.
-Status SkipFrame(ByteReader& reader, uint64_t* raw_size,
-                 uint8_t* payload_format = nullptr);
 
 }  // namespace sword

@@ -16,9 +16,15 @@ namespace {
 // Matches have len >= kMinMatch and dist in [1, position]. Varints are LEB128.
 // Trace event buffers are highly repetitive (same pc/size/flags with striding
 // addresses), which this format captures well.
+//
+// Give-up rule (lzf's, see lzf.cpp): every kGiveUpStride input bytes the
+// encoder checks whether the tokens written so far already outweigh the
+// input they cover; if so the rest goes out as one literal token, so random
+// input costs one stride of chain walking instead of a full pass.
 class LzsCompressor final : public Compressor {
  public:
   static constexpr size_t kMinMatch = 4;
+  static constexpr size_t kGiveUpStride = 16 << 10;
   static constexpr size_t kMaxChainSteps = 32;
   static constexpr size_t kHashBits = 15;
   static constexpr size_t kHashSize = 1u << kHashBits;
@@ -40,6 +46,8 @@ class LzsCompressor final : public Compressor {
     head.assign(kHashSize, kNoPos);
     prev.assign(n, kNoPos);
 
+    const size_t out_start = out->size();
+    size_t next_check = kGiveUpStride;
     size_t i = 0;
     size_t literal_start = 0;
 
@@ -52,6 +60,12 @@ class LzsCompressor final : public Compressor {
     };
 
     while (i + kMinMatch <= n) {
+      if (i >= next_check) {
+        // Tokens cover input [0, literal_start); pending literals cost at
+        // least their length, so more bytes written means the stream grew.
+        if (out->size() - out_start > literal_start) break;
+        next_check = i + kGiveUpStride;
+      }
       const uint32_t h = Hash(input + i);
       // Walk the chain of prior positions with the same hash looking for the
       // longest match.

@@ -133,26 +133,6 @@ void EncodeEventV2(const RawEvent& e, EventCodecState& state, ByteWriter& w) {
   state.prev_addr = e.addr;
 }
 
-Status DecodeEventV2(ByteReader& r, EventCodecState& state, RawEvent* out) {
-  uint8_t tag;
-  SWORD_RETURN_IF_ERROR(r.GetU8(&tag));
-  const uint8_t kind = tag & 0x03;
-  if (kind > static_cast<uint8_t>(EventKind::kMutexRelease)) {
-    return Status::Corrupt("unknown event kind");
-  }
-  out->kind = static_cast<EventKind>(kind);
-  out->stride = 0;
-  out->count = 1;
-
-  if (out->kind != EventKind::kAccess) return DecodeMutexPayload(tag, r, out);
-
-  int64_t delta;
-  SWORD_RETURN_IF_ERROR(DecodeAccessPayload(tag, r, out, &delta));
-  out->addr = state.prev_addr + static_cast<uint64_t>(delta);
-  state.prev_addr = out->addr;
-  return Status::Ok();
-}
-
 void EncodeEventV3(const RawEvent& e, EventCodecState& state, ByteWriter& w) {
   if (e.kind != EventKind::kAccessRun) {
     EncodeEventV2(e, state, w);
@@ -166,7 +146,8 @@ void EncodeEventV3(const RawEvent& e, EventCodecState& state, ByteWriter& w) {
   state.prev_addr = e.addr + (e.count - 1) * e.stride;
 }
 
-Status DecodeEventV3(ByteReader& r, EventCodecState& state, RawEvent* out) {
+Status DecodeDeltaEvent(ByteReader& r, uint8_t format, EventCodecState& state,
+                        RawEvent* out) {
   uint8_t tag;
   SWORD_RETURN_IF_ERROR(r.GetU8(&tag));
   const uint8_t kind = tag & 0x03;
@@ -178,12 +159,14 @@ Status DecodeEventV3(ByteReader& r, EventCodecState& state, RawEvent* out) {
       out->kind == EventKind::kMutexRelease) {
     return DecodeMutexPayload(tag, r, out);
   }
+  const bool run = out->kind == EventKind::kAccessRun;
+  if (run && format < kTraceFormatV3) return Status::Corrupt("unknown event kind");
 
   int64_t delta;
   SWORD_RETURN_IF_ERROR(DecodeAccessPayload(tag, r, out, &delta));
   out->addr = state.prev_addr + static_cast<uint64_t>(delta);
 
-  if (out->kind == EventKind::kAccessRun) {
+  if (run) {
     SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->stride));
     SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->count));
     if (out->count < 2) return Status::Corrupt("run count below 2");

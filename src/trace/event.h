@@ -124,10 +124,6 @@ struct EventCodecState {
 /// Appends the variable-length v2 encoding of `e`, updating `state`.
 void EncodeEventV2(const RawEvent& e, EventCodecState& state, ByteWriter& w);
 
-/// Decodes one v2 event, updating `state`; fails on truncation, unknown
-/// kind, or a reserved tag layout.
-Status DecodeEventV2(ByteReader& r, EventCodecState& state, RawEvent* out);
-
 // ---------------------------------------------------------------- format v3
 
 /// Upper bound on one v3 event's encoded size: the v2 bound plus a run's
@@ -140,9 +136,12 @@ constexpr uint64_t kMaxEventBytesV3 = kMaxEventBytesV2 + 20;
 /// address so a continuation right after the run still gets a small delta.
 void EncodeEventV3(const RawEvent& e, EventCodecState& state, ByteWriter& w);
 
-/// Decodes one v3 event, updating `state`; fails on truncation, a reserved
-/// tag layout, or an implausible run (count < 2, stride 0, or an extent
-/// that overflows the address space).
-Status DecodeEventV3(ByteReader& r, EventCodecState& state, RawEvent* out);
+/// Decodes one v2 or v3 event of a frame whose payload format is `format`
+/// (kTraceFormatV2 or kTraceFormatV3), updating `state`. Fails on
+/// truncation, a reserved tag layout, a run (kind 3) in a v2 frame, or an
+/// implausible run (count < 2, stride 0, or an extent that overflows the
+/// address space).
+Status DecodeDeltaEvent(ByteReader& r, uint8_t format, EventCodecState& state,
+                        RawEvent* out);
 
 }  // namespace sword::trace

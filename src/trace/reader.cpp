@@ -1,8 +1,11 @@
 #include "trace/reader.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
+#include <cerrno>
 
 #include "common/fsutil.h"
 #include "compress/frame.h"
@@ -35,376 +38,238 @@ const Bytes* FrameCache::Insert(const void* reader, uint64_t logical_begin, Byte
 
 namespace {
 
-/// Matches a frame magic byte-by-byte (the on-disk encoding is little-endian
-/// regardless of host order, see ByteWriter::PutU32).
-bool MagicAt(const uint8_t* p, uint32_t magic) {
-  return p[0] == (magic & 0xffu) && p[1] == ((magic >> 8) & 0xffu) &&
-         p[2] == ((magic >> 16) & 0xffu) && p[3] == ((magic >> 24) & 0xffu);
-}
+/// One log file opened for the walk. Reads go through one block buffer that
+/// is refilled a whole block at a time, so the header walk of a log of small
+/// frames costs one read per block rather than one per frame, and salvage's
+/// payload checksums and magic scans never hold more than a block.
+class LogFile {
+ public:
+  static constexpr size_t kBlockBytes = 64 * 1024;
 
-bool AnyMagicAt(const uint8_t* p) {
-  return MagicAt(p, kFrameMagic) || MagicAt(p, kFrameMagicV2) ||
-         MagicAt(p, kFrameMagicV3) || MagicAt(p, kFrameMagicGap) ||
-         MagicAt(p, kFrameMagicCrash);
-}
-
-/// Offset of the first frame magic at or after `from`, or `size` if none.
-size_t FindNextMagic(const uint8_t* data, size_t size, size_t from) {
-  for (size_t i = from; i + 4 <= size; ++i) {
-    if (AnyMagicAt(data + i)) return i;
+  ~LogFile() {
+    if (fd_ >= 0) ::close(fd_);
   }
-  return size;
-}
 
-/// One frame or damaged region found by ScanLogBuffer, in file order.
-struct ScannedFrame {
-  uint64_t file_offset = 0;
-  uint64_t encoded_size = 0;
-  uint64_t raw_size = 0;
-  uint8_t payload_format = 0;  // 0 for gaps and unidentifiable regions
-  std::string codec;
-  bool is_gap = false;
-  uint64_t dropped_events = 0;
-  bool is_crash = false;        // fatal-signal crash marker
-  uint8_t crash_signo = 0;
-  bool offset_trusted = false;  // logical_begin is meaningful
-  bool size_known = false;      // raw_size can be trusted (even if corrupt)
-  uint64_t logical_begin = 0;
-  Status status;
+  Status Open(const std::string& path) {
+    fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd_ < 0) return Status::Io("cannot open log: " + path);
+    struct stat st;
+    if (::fstat(fd_, &st) != 0) return Status::Io("cannot stat log: " + path);
+    size_ = static_cast<uint64_t>(st.st_size);
+    path_ = path;
+    return Status::Ok();
+  }
+
+  uint64_t size() const { return size_; }
+
+  /// The n <= kBlockBytes bytes at `offset`, which must lie in the file;
+  /// valid until the next call.
+  Result<const uint8_t*> Read(uint64_t offset, size_t n) {
+    if (offset < block_offset_ || offset + n > block_offset_ + block_.size()) {
+      block_.resize(static_cast<size_t>(std::min<uint64_t>(kBlockBytes, size_ - offset)));
+      block_offset_ = offset;
+      for (size_t done = 0; done < block_.size();) {
+        const ssize_t got = ::pread(fd_, block_.data() + done, block_.size() - done,
+                                    static_cast<off_t>(offset + done));
+        if (got < 0 && errno == EINTR) continue;
+        if (got <= 0) {
+          block_.clear();
+          return Status::Io("read failed: " + path_);
+        }
+        done += static_cast<size_t>(got);
+      }
+    }
+    return block_.data() + (offset - block_offset_);
+  }
+
+  /// True if a frame magic starts at `offset`.
+  Result<bool> MagicAt(uint64_t offset) {
+    if (offset + 4 > size_) return false;
+    auto p = Read(offset, 4);
+    if (!p.ok()) return p.status();
+    return IsFrameMagic(p.value());
+  }
+
+  /// Offset of the first frame magic at or after `from`, or size() if none.
+  /// Scans block by block; blocks overlap by three bytes, so no magic
+  /// straddling a block boundary is missed.
+  Result<uint64_t> FindNextMagic(uint64_t from) {
+    while (from + 4 <= size_) {
+      const size_t n = static_cast<size_t>(std::min<uint64_t>(kBlockBytes, size_ - from));
+      auto p = Read(from, n);
+      if (!p.ok()) return p.status();
+      for (size_t i = 0; i + 4 <= n; ++i) {
+        if (IsFrameMagic(p.value() + i)) return from + i;
+      }
+      from += n - 3;
+    }
+    return size_;
+  }
+
+  /// fnv1a64 of the n bytes at `offset`, a block at a time.
+  Result<uint64_t> Checksum(uint64_t offset, uint64_t n) {
+    uint64_t h = Fnv1a64(nullptr, 0);
+    while (n > 0) {
+      const size_t len = static_cast<size_t>(std::min<uint64_t>(kBlockBytes, n));
+      auto p = Read(offset, len);
+      if (!p.ok()) return p.status();
+      h = Fnv1a64(p.value(), len, h);
+      offset += len;
+      n -= len;
+    }
+    return h;
+  }
+
+ private:
+  int fd_ = -1;
+  uint64_t size_ = 0;
+  std::string path_;
+  Bytes block_;                // file bytes [block_offset_, + block_.size())
+  uint64_t block_offset_ = 0;
 };
 
-/// Salvage scanner: walks the whole file, resynchronizing on damage, and
-/// reports every frame and skipped region. This is THE definition of the
-/// offset-trust rules (see docs/FORMAT.md):
+/// THE log walk: every frame and damaged region of `path`, in file order,
+/// through `fn`, with the running totals in `stats`. Each header is parsed
+/// from a kMaxFrameHeaderBytes window by ParseFrameHeader.
+///
+/// Strict (`salvage` false) reads no payload and fails at the first defect:
+/// a header ParseFrameHeader rejects, or a payload that overruns the file.
+///
+/// Salvage also verifies each payload checksum and applies the offset-trust
+/// rules of docs/FORMAT.md instead of failing:
 ///   - intact frame: trusted, advances the logical stream;
-///   - checksum-mismatch frame whose claimed end lands on a valid next magic
-///     (or exactly at EOF): a known-size hole - later offsets stay trusted;
-///   - unparseable header / implausible claimed end: unknown-size hole -
-///     trust is lost and every later frame is "unaddressable";
-///   - gap frame: record-time drop marker, a trusted hole by construction.
-void ScanLogBuffer(const uint8_t* data, size_t size,
-                   std::vector<ScannedFrame>* frames, SalvageStats* stats) {
-  size_t off = 0;
-  bool trusted = true;
+///   - a frame that fails verification but whose claimed end lands on a
+///     frame magic (or exactly at EOF): a known-size hole - later offsets
+///     stay trusted;
+///   - unparseable header / implausible claimed end: resynchronize at the
+///     next magic; the hole's size is unknown, so trust is lost and every
+///     later frame is "unaddressable";
+///   - no further magic: the truncated tail;
+///   - gap frame: record-time drop marker, a trusted hole by construction;
+///   - crash marker: zero logical bytes.
+Status WalkLog(const std::string& path, bool salvage, SalvageStats* stats,
+               FunctionRef<void(const FrameRecord&)> fn) {
+  LogFile file;
+  SWORD_RETURN_IF_ERROR(file.Open(path));
+  const uint64_t size = file.size();
+  uint64_t off = 0;
   uint64_t logical = 0;
+  uint64_t index = 0;
+  bool trusted = true;
   while (off < size) {
-    ScannedFrame sf;
-    sf.file_offset = off;
-    sf.offset_trusted = trusted;
-    sf.logical_begin = logical;
+    const size_t got =
+        static_cast<size_t>(std::min<uint64_t>(kMaxFrameHeaderBytes, size - off));
+    auto window = file.Read(off, got);
+    if (!window.ok()) return window.status();
+    ByteReader r(window.value(), got);
+    FrameHeader h;
+    Status s = ParseFrameHeader(r, &h);
+    const bool at_magic = got >= 4 && IsFrameMagic(window.value());
+    bool sized = h.header_size != 0;  // the claimed extent is readable
+    if (sized && h.payload_size > size - off - h.header_size) {
+      s = Status::Corrupt("frame payload overruns end of file");
+      sized = false;
+    }
+    if (!salvage && !s.ok()) {
+      return Status::Corrupt("frame header at offset " + std::to_string(off) + ": " +
+                             s.ToString());
+    }
+    if (salvage && s.ok() && !h.is_gap && !h.is_crash) {
+      auto sum = file.Checksum(off + h.header_size, h.payload_size);
+      if (!sum.ok()) return sum.status();
+      if (sum.value() != h.checksum) s = Status::Corrupt("frame checksum mismatch");
+    }
 
-    if (size - off < 4 || !AnyMagicAt(data + off)) {
-      const size_t next = FindNextMagic(data, size, off + 1);
-      if (next == size) {
-        stats->truncated_tail_bytes += size - off;
-        sf.encoded_size = size - off;
-        sf.status = Status::Corrupt("unrecognized bytes to end of file");
-        frames->push_back(std::move(sf));
-        break;
+    FrameRecord rec;
+    rec.index = index++;
+    rec.file_offset = off;
+    rec.logical_begin = logical;
+    rec.status = s;
+    bool known_size_hole = false;
+    if (!s.ok() && sized) {
+      const uint64_t end = off + h.frame_size();
+      auto magic = file.MagicAt(end);
+      if (!magic.ok()) return magic.status();
+      known_size_hole = end == size || magic.value();
+    }
+    if (s.ok() || known_size_hole) {
+      rec.encoded_size = h.frame_size();
+      rec.raw_size = h.raw_size;
+      rec.payload_format = h.payload_format;
+      rec.codec = h.codec;
+      rec.is_gap = h.is_gap;
+      rec.dropped_events = h.dropped_events;
+      rec.is_crash = h.is_crash;
+      rec.crash_signo = h.crash_signo;
+      rec.offset_trusted = trusted;
+      if (h.is_crash) {
+        stats->crash_markers++;
+        stats->crash_signo = h.crash_signo;
+      } else if (h.is_gap) {
+        stats->gap_frames++;
+        stats->bytes_dropped_at_record += h.raw_size;
+        stats->events_dropped_at_record += h.dropped_events;
+      } else if (!s.ok()) {
+        stats->frames_corrupt++;
+      } else if (trusted) {
+        stats->frames_ok++;
+      } else {
+        stats->frames_unaddressable++;
       }
-      stats->resyncs++;
-      stats->bytes_skipped += next - off;
-      stats->frames_corrupt++;
-      trusted = false;  // unknown how many logical bytes the hole held
-      sf.encoded_size = next - off;
-      sf.status = Status::Corrupt("unrecognized bytes; resynchronized");
-      frames->push_back(std::move(sf));
-      off = next;
+      if (trusted) logical += h.raw_size;
+      fn(rec);
+      off += h.frame_size();
       continue;
     }
 
-    Status bad;  // why this spot failed to parse, for the resync record
-    if (MagicAt(data + off, kFrameMagicCrash)) {
-      // Fatal-signal crash marker: fixed 13 bytes, zero logical extent. A
-      // marker mid-stream is expected evidence (the sealer appends it no
-      // matter where a concurrent flush was torn); a checksum failure here
-      // falls through to the normal resync path.
-      ByteReader cr(data + off, size - off);
-      FrameView view;
-      Status s = ReadFrame(cr, &view);
-      if (s.ok()) {
-        sf.is_crash = true;
-        sf.crash_signo = view.crash_signo;
-        sf.size_known = true;
-        sf.raw_size = 0;
-        sf.encoded_size = view.frame_size;
-        sf.status = Status::Ok();
-        stats->crash_markers++;
-        stats->crash_signo = view.crash_signo;
-        frames->push_back(std::move(sf));
-        off += view.frame_size;
-        continue;
-      }
-      bad = s;
-    } else if (MagicAt(data + off, kFrameMagicGap)) {
-      ByteReader gr(data + off, size - off);
-      FrameView view;
-      Status s = ReadFrame(gr, &view);  // gap frames have no payload: cheap
-      if (s.ok()) {
-        sf.is_gap = true;
-        sf.size_known = true;
-        sf.raw_size = view.raw_size;
-        sf.dropped_events = view.dropped_events;
-        sf.encoded_size = view.frame_size;
-        sf.status = Status::Ok();
-        stats->gap_frames++;
-        stats->bytes_dropped_at_record += view.raw_size;
-        stats->events_dropped_at_record += view.dropped_events;
-        if (trusted) logical += view.raw_size;
-        frames->push_back(std::move(sf));
-        off += view.frame_size;
-        continue;
-      }
-      bad = s;
-    } else {
-      ByteReader r(data + off, size - off);
-      uint32_t magic = 0;
-      (void)r.GetU32(&magic);
-      const uint8_t format =
-          magic == kFrameMagic ? 1 : magic == kFrameMagicV2 ? 2 : 3;
-      std::string codec;
-      uint64_t raw_size = 0, payload_size = 0, checksum = 0;
-      Status s = r.GetString(&codec);
-      if (s.ok()) s = r.GetVarU64(&raw_size);
-      if (s.ok()) s = r.GetVarU64(&payload_size);
-      if (s.ok()) s = r.GetU64(&checksum);
-      if (s.ok() && raw_size > kMaxFrameRawBytes) {
-        s = Status::Corrupt("implausible frame raw size");
-      }
-      if (s.ok() && payload_size <= r.remaining()) {
-        const uint64_t header_size = r.position();
-        const uint64_t frame_size = header_size + payload_size;
-        sf.payload_format = format;
-        sf.codec = codec;
-        sf.raw_size = raw_size;
-        sf.encoded_size = frame_size;
-        const bool checksum_ok =
-            Fnv1a64(data + off + header_size, payload_size) == checksum;
-        // The checksum covers only the payload, so a damaged raw_size field
-        // would otherwise verify. The identity codec gives one free cross-
-        // check: its raw size must equal its payload size.
-        const bool raw_mismatch = codec == "raw" && raw_size != payload_size;
-        if (checksum_ok && !raw_mismatch && FindCompressor(codec) != nullptr) {
-          sf.size_known = true;
-          sf.status = Status::Ok();
-          if (trusted) {
-            stats->frames_ok++;
-            logical += raw_size;
-          } else {
-            stats->frames_unaddressable++;
-          }
-          frames->push_back(std::move(sf));
-          off += frame_size;
-          continue;
-        }
-        sf.status =
-            !checksum_ok ? Status::Corrupt("frame checksum mismatch")
-            : raw_mismatch
-                ? Status::Corrupt("raw frame size disagrees with payload size")
-                : Status::Corrupt("unknown codec: " + codec);
-        // Known-size hole? Only if the header's claimed end is corroborated
-        // by what actually sits there: the next frame's magic, or EOF.
-        const uint64_t end = off + frame_size;
-        const bool plausible_end =
-            end == size || (end + 4 <= size && AnyMagicAt(data + end));
-        if (plausible_end) {
-          sf.size_known = true;
-          // Identity codec: the payload IS the raw data, so when the two
-          // size fields disagree (a damaged raw_size varint) the payload
-          // size is the trustworthy logical extent of the hole.
-          if (raw_mismatch) sf.raw_size = payload_size;
-          stats->frames_corrupt++;
-          if (trusted) logical += sf.raw_size;  // hole of known logical extent
-          frames->push_back(std::move(sf));
-          off = end;
-          continue;
-        }
-        bad = sf.status;
-      } else if (s.ok()) {
-        bad = Status::Corrupt("frame payload overruns end of file");
-      } else {
-        bad = s;
-      }
+    // Unparseable: resynchronize at the next magic, from just past this
+    // one if there is one here, so the scan cannot rematch the same offset.
+    auto next = file.FindNextMagic(off + (at_magic ? 4 : 1));
+    if (!next.ok()) return next.status();
+    rec.encoded_size = next.value() - off;
+    if (sized) {  // the header parsed; only its claimed end did not hold
+      rec.payload_format = h.payload_format;
+      rec.codec = h.codec;
     }
-
-    // Unparseable at a magic: resync from just past it so the scan cannot
-    // rematch the same offset.
-    const size_t next = FindNextMagic(data, size, off + 4);
-    sf.raw_size = 0;
-    sf.size_known = false;
-    sf.is_gap = false;
-    sf.is_crash = false;
-    if (next == size) {
-      // The file ends inside this frame: mid-frame truncation.
+    if (next.value() == size) {
       stats->truncated_tail_bytes += size - off;
-      sf.encoded_size = size - off;
-      sf.status = Status::Corrupt("truncated frame: " + bad.ToString());
-      frames->push_back(std::move(sf));
+      rec.status = at_magic ? Status::Corrupt("truncated frame: " + s.ToString())
+                            : Status::Corrupt("unrecognized bytes to end of file");
+      fn(rec);
       break;
     }
     stats->resyncs++;
-    stats->bytes_skipped += next - off;
+    stats->bytes_skipped += next.value() - off;
     stats->frames_corrupt++;
     trusted = false;
-    sf.encoded_size = next - off;
-    sf.status = Status::Corrupt("resynchronized past: " + bad.ToString());
-    frames->push_back(std::move(sf));
-    off = next;
+    rec.status = at_magic ? Status::Corrupt("resynchronized past: " + s.ToString())
+                          : Status::Corrupt("unrecognized bytes; resynchronized");
+    fn(rec);
+    off = next.value();
   }
+  return Status::Ok();
 }
 
 }  // namespace
 
 Result<LogReader> LogReader::Open(const std::string& path,
                                   const SalvagePolicy& policy) {
-  if (policy.enabled) {
-    // Salvage trades the header-only walk for a full read: resynchronization
-    // and checksum verification need the actual bytes. Recovery of a damaged
-    // trace is a cold path; the streaming guarantees still hold afterwards.
-    auto bytes = ReadFileBytes(path);
-    if (!bytes.ok()) return bytes.status();
-    const Bytes& buf = bytes.value();
-
-    LogReader reader;
-    reader.path_ = path;
-    reader.policy_ = policy;
-    std::vector<ScannedFrame> scanned;
-    ScanLogBuffer(buf.data(), buf.size(), &scanned, &reader.stats_);
-    uint64_t logical = 0;
-    for (const ScannedFrame& sf : scanned) {
-      if (!sf.offset_trusted || !sf.size_known) continue;
-      FrameState state = FrameState::kOk;
-      if (sf.is_gap) {
-        state = FrameState::kGap;
-      } else if (sf.is_crash) {
-        state = FrameState::kCrash;
-      } else if (!sf.status.ok()) {
-        state = FrameState::kCorrupt;
-      }
-      reader.frames_.push_back(FrameIndex{logical, sf.raw_size, sf.file_offset,
-                                          sf.encoded_size, sf.payload_format,
-                                          state});
-      logical += sf.raw_size;
-    }
-    reader.total_logical_ = logical;
-    return reader;
-  }
-
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return Status::Io("cannot open log: " + path);
-
   LogReader reader;
   reader.path_ = path;
   reader.policy_ = policy;
-
-  // Header sizes are attacker-controlled until the payload checksum is
-  // verified, so every claimed size is validated against the physical file
-  // before it can size an allocation.
-  std::fseek(f, 0, SEEK_END);
-  const uint64_t file_size = static_cast<uint64_t>(std::ftell(f));
-
-  // Walk frame headers without reading payloads. Headers are tiny; 64 bytes
-  // always covers magic + codec name + three varints + checksum (and a whole
-  // gap frame).
-  uint64_t file_offset = 0;
-  uint64_t logical = 0;
-  while (true) {
-    uint8_t header[64];
-    if (std::fseek(f, static_cast<long>(file_offset), SEEK_SET) != 0) {
-      std::fclose(f);
-      return Status::Io("seek failed: " + path);
-    }
-    const size_t got = std::fread(header, 1, sizeof(header), f);
-    if (got == 0) break;  // clean EOF
-
-    ByteReader r(header, got);
-    uint32_t magic;
-    uint8_t format = 1;
-    std::string codec;
-    uint64_t raw_size, payload_size, checksum;
-    Status s = r.GetU32(&magic);
-
-    if (s.ok() && magic == kFrameMagicCrash) {
-      // Crash markers are legal in strict mode too: they are the sealer's
-      // honest record, occupy zero logical bytes, and never overlap an
-      // interval read.
-      ByteReader cr(header, got);
-      FrameView view;
-      s = ReadFrame(cr, &view);
-      if (!s.ok()) {
-        std::fclose(f);
-        return Status::Corrupt("crash marker at offset " +
-                               std::to_string(file_offset) + ": " + s.ToString());
-      }
-      reader.frames_.push_back(FrameIndex{logical, 0, file_offset,
-                                          view.frame_size, 0, FrameState::kCrash});
-      reader.stats_.crash_markers++;
-      reader.stats_.crash_signo = view.crash_signo;
-      file_offset += view.frame_size;
-      continue;
-    }
-
-    if (s.ok() && magic == kFrameMagicGap) {
-      // Gap frames fit in the header buffer; parse them wholesale. They are
-      // legal in strict mode (the writer recorded the drop honestly) - the
-      // error surfaces if an interval read actually touches the hole.
-      ByteReader gr(header, got);
-      FrameView view;
-      s = ReadFrame(gr, &view);
-      if (!s.ok()) {
-        std::fclose(f);
-        return Status::Corrupt("gap frame at offset " +
-                               std::to_string(file_offset) + ": " + s.ToString());
-      }
-      reader.frames_.push_back(FrameIndex{logical, view.raw_size, file_offset,
-                                          view.frame_size, 0, FrameState::kGap});
-      reader.stats_.gap_frames++;
-      reader.stats_.bytes_dropped_at_record += view.raw_size;
-      reader.stats_.events_dropped_at_record += view.dropped_events;
-      logical += view.raw_size;
-      file_offset += view.frame_size;
-      continue;
-    }
-
-    if (s.ok()) {
-      if (magic == kFrameMagic) {
-        format = 1;
-      } else if (magic == kFrameMagicV2) {
-        format = 2;
-      } else if (magic == kFrameMagicV3) {
-        format = 3;
-      } else {
-        s = Status::Corrupt("bad frame magic");
-      }
-    }
-    if (s.ok()) s = r.GetString(&codec);
-    if (s.ok()) s = r.GetVarU64(&raw_size);
-    if (s.ok()) s = r.GetVarU64(&payload_size);
-    if (s.ok()) s = r.GetU64(&checksum);
-    if (s.ok() && raw_size > kMaxFrameRawBytes) {
-      s = Status::Corrupt("implausible frame raw size");
-    }
-    // r.position() is the header size here; the payload must fit in what is
-    // left of the file AFTER the header, or a file truncated inside the
-    // final frame would slip through the walk.
-    if (s.ok() && payload_size > file_size - file_offset - r.position()) {
-      s = Status::Corrupt("frame payload overruns file");
-    }
-    if (!s.ok()) {
-      std::fclose(f);
-      return Status::Corrupt("frame header at offset " + std::to_string(file_offset) +
-                             ": " + s.ToString());
-    }
-    const uint64_t header_size = r.position();
-    const uint64_t frame_size = header_size + payload_size;
-    reader.frames_.push_back(FrameIndex{logical, raw_size, file_offset,
-                                        frame_size, format, FrameState::kOk});
-    reader.stats_.frames_ok++;
-    logical += raw_size;
-    file_offset += frame_size;
-  }
-  std::fclose(f);
-  reader.total_logical_ = logical;
+  // Only frames at trusted logical offsets are indexed; trust, once lost,
+  // never returns, so the index is a prefix of the walk.
+  SWORD_RETURN_IF_ERROR(
+      WalkLog(path, policy.enabled, &reader.stats_, [&](const FrameRecord& f) {
+        if (!f.offset_trusted) return;
+        const FrameState state = f.is_gap         ? FrameState::kGap
+                                 : f.is_crash     ? FrameState::kCrash
+                                 : !f.status.ok() ? FrameState::kCorrupt
+                                                  : FrameState::kOk;
+        reader.frames_.push_back(FrameIndex{f.logical_begin, f.raw_size, f.file_offset,
+                                            f.encoded_size, f.payload_format, state});
+        reader.total_logical_ = f.logical_begin + f.raw_size;
+      }));
   return reader;
 }
 
@@ -522,11 +387,9 @@ Status LogReader::StreamRange(uint64_t begin, uint64_t size,
         }
         if (cursor) cursor->valid = false;  // re-validated on a clean finish
         ByteReader events(frame_data->data() + base, frame_data->size() - base);
-        const bool v3 = it->payload_format >= kTraceFormatV3;
         while (pos < slice_hi && !events.AtEnd()) {
           RawEvent e;
-          SWORD_RETURN_IF_ERROR(v3 ? DecodeEventV3(events, state, &e)
-                                   : DecodeEventV2(events, state, &e));
+          SWORD_RETURN_IF_ERROR(DecodeDeltaEvent(events, it->payload_format, state, &e));
           const uint64_t next = frame_lo + base + events.position();
           if (next <= slice_lo) {
             pos = next;
@@ -568,31 +431,8 @@ Status LogReader::ReadRange(uint64_t begin, uint64_t size,
 
 Result<SalvageStats> LogReader::VerifyLog(
     const std::string& path, FunctionRef<void(const FrameRecord&)> fn) {
-  auto bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return bytes.status();
-  const Bytes& buf = bytes.value();
-
-  std::vector<ScannedFrame> scanned;
   SalvageStats stats;
-  ScanLogBuffer(buf.data(), buf.size(), &scanned, &stats);
-  uint64_t index = 0;
-  for (const ScannedFrame& sf : scanned) {
-    FrameRecord rec;
-    rec.index = index++;
-    rec.file_offset = sf.file_offset;
-    rec.encoded_size = sf.encoded_size;
-    rec.raw_size = sf.raw_size;
-    rec.payload_format = sf.payload_format;
-    rec.codec = sf.codec;
-    rec.is_gap = sf.is_gap;
-    rec.dropped_events = sf.dropped_events;
-    rec.is_crash = sf.is_crash;
-    rec.crash_signo = sf.crash_signo;
-    rec.offset_trusted = sf.offset_trusted && sf.size_known;
-    rec.logical_begin = sf.logical_begin;
-    rec.status = sf.status;
-    fn(rec);
-  }
+  SWORD_RETURN_IF_ERROR(WalkLog(path, /*salvage=*/true, &stats, fn));
   return stats;
 }
 

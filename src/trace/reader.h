@@ -14,17 +14,21 @@
 // range is served by decoding from the frame start and discarding the
 // prefix. One file may mix formats; the reader dispatches per frame.
 //
-// Salvage mode (SalvagePolicy): a production run can be killed mid-flush or
-// hit disk corruption; strict open would reject the whole file at the first
-// bad byte. With salvage enabled the open scan RESYNCHRONIZES instead: on a
-// bad header, checksum mismatch, or truncated tail it scans forward for the
-// next frame magic and keeps indexing, recording what it skipped in
-// SalvageStats. The offset-trust rules (docs/FORMAT.md) decide whether the
-// frames after a hole still have known logical offsets: a corrupt frame
-// whose claimed size lands on a valid next frame keeps the logical stream
-// addressable (known-size hole); an unparseable header does not, and every
-// frame after it becomes "unaddressable" - decodable for sword-dump --verify
-// but excluded from interval reads. Strict mode stays the default.
+// One walk indexes every log: it parses each frame header through
+// compress/frame's ParseFrameHeader from a small window and never holds more
+// than one frame. Strict mode (the default) reads no payload at open and
+// fails at the first defect. Salvage mode (SalvagePolicy) - for a run killed
+// mid-flush or a disk that flipped bits - also checks each payload checksum
+// and RESYNCHRONIZES instead of failing: on a bad header, checksum mismatch,
+// or truncated tail it scans forward for the next frame magic and keeps
+// indexing, recording what it skipped in SalvageStats. The offset-trust
+// rules (docs/FORMAT.md) decide whether the frames after a hole still have
+// known logical offsets: a corrupt frame whose claimed size lands on a valid
+// next frame keeps the logical stream addressable (known-size hole); an
+// unparseable header does not, and every frame after it becomes
+// "unaddressable" - decodable for sword-dump --verify but excluded from
+// interval reads. `sword-dump --verify` is the same salvage walk, reported
+// frame by frame.
 #pragma once
 
 #include <cstdint>
@@ -84,10 +88,10 @@ class FrameCache {
 /// How to treat damage found while opening/streaming a log.
 struct SalvagePolicy {
   /// Off (default): any corruption fails the open/read - the right behavior
-  /// for tests and healthy traces. On: resynchronize and keep going,
-  /// accounting for every byte skipped.
-  /// The open scan verifies every frame's payload checksum either way, so
-  /// bit flips are caught before analysis trusts the frame.
+  /// for tests and healthy traces. The open checks every header and reads
+  /// no payload; a payload bit flip fails the first read that touches it.
+  /// On: the open also verifies every payload checksum, then resynchronizes
+  /// past damage and keeps going, accounting for every byte skipped.
   bool enabled = false;
 };
 
@@ -115,7 +119,7 @@ struct SalvageStats {
   }
 };
 
-/// One frame (or damaged region) seen by VerifyLog, in file order.
+/// One frame (or damaged region) seen by the log walk, in file order.
 struct FrameRecord {
   uint64_t index = 0;        // ordinal in the walk
   uint64_t file_offset = 0;
@@ -149,9 +153,10 @@ struct DecodeCursor {
 
 class LogReader {
  public:
-  /// Scans frame headers and builds the offset index. The default (strict)
-  /// policy fails on corrupt or truncated files; with salvage enabled it
-  /// resynchronizes past damage instead and records it in salvage_stats().
+  /// Walks the frame headers and builds the offset index. The default
+  /// (strict) policy fails on a corrupt header or truncated file; with
+  /// salvage enabled it also verifies payloads and resynchronizes past
+  /// damage instead, recording it in salvage_stats().
   static Result<LogReader> Open(const std::string& path,
                                 const SalvagePolicy& policy = {});
 
@@ -176,10 +181,11 @@ class LogReader {
   /// Convenience: materializes a range (tests, small intervals).
   Status ReadRange(uint64_t begin, uint64_t size, std::vector<RawEvent>* out) const;
 
-  /// Walks every frame of `path` with full header+checksum validation,
-  /// calling `fn` per frame (and per damaged region) in file order. Never
-  /// fails on corruption - damage is reported in the records and the
-  /// returned stats. Powers `sword-dump --verify`.
+  /// The salvage walk of Open, reported: calls `fn` per frame (and per
+  /// damaged region) in file order; the records tile the file. Never fails
+  /// on corruption - damage is reported in the records and the returned
+  /// stats, which equal Open(path, salvage).salvage_stats(). Powers
+  /// `sword-dump --verify`.
   static Result<SalvageStats> VerifyLog(const std::string& path,
                                         FunctionRef<void(const FrameRecord&)> fn);
 

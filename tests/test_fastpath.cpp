@@ -59,7 +59,7 @@ TEST(CodecV3, MixedRoundTrip) {
   trace::EventCodecState dec;
   for (const auto& want : events) {
     trace::RawEvent got;
-    ASSERT_TRUE(trace::DecodeEventV3(r, dec, &got).ok());
+    ASSERT_TRUE(trace::DecodeDeltaEvent(r, trace::kTraceFormatV3, dec, &got).ok());
     EXPECT_EQ(got, want);
   }
   EXPECT_TRUE(r.AtEnd());
@@ -88,7 +88,7 @@ TEST(CodecV3, V2DecoderRejectsRunEvents) {
   ByteReader r(buf);
   trace::EventCodecState dec;
   trace::RawEvent out;
-  EXPECT_FALSE(trace::DecodeEventV2(r, dec, &out).ok())
+  EXPECT_FALSE(trace::DecodeDeltaEvent(r, trace::kTraceFormatV2, dec, &out).ok())
       << "kind 3 is reserved in v2 and must not decode";
 }
 
@@ -112,7 +112,8 @@ TEST(CodecV3, RejectsImplausibleRuns) {
     ByteReader r(buf);
     trace::EventCodecState dec;
     trace::RawEvent out;
-    EXPECT_FALSE(trace::DecodeEventV3(r, dec, &out).ok()) << c.why;
+    EXPECT_FALSE(trace::DecodeDeltaEvent(r, trace::kTraceFormatV3, dec, &out).ok())
+        << c.why;
   }
 }
 

@@ -906,8 +906,9 @@ uint64_t FirstFrameEnd(const std::string& path) {
   EXPECT_TRUE(bytes.ok());
   if (!bytes.ok()) return 0;
   ByteReader r(bytes.value());
-  uint64_t raw = 0;
-  EXPECT_TRUE(SkipFrame(r, &raw).ok());
+  FrameHeader header;
+  EXPECT_TRUE(ParseFrameHeader(r, &header).ok());
+  EXPECT_TRUE(r.Skip(header.payload_size).ok());
   return r.position();
 }
 

@@ -1,13 +1,16 @@
 // Salvage-mode tests: the corruption matrix (truncate a 3-frame log at every
-// byte; flip every bit position once) for both event formats, salvage-mode
-// store opening, meta plausibility validation, and degraded-but-honest
-// offline analysis of damaged traces.
+// byte; flip every bit position once) for every event format, properties of
+// the one log walk behind strict open, salvage open and VerifyLog,
+// salvage-mode store opening, meta plausibility validation, and
+// degraded-but-honest offline analysis of damaged traces.
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <tuple>
 #include <vector>
 
 #include "common/fsutil.h"
+#include "common/rng.h"
 #include "compress/compressor.h"
 #include "compress/frame.h"
 #include "offline/analysis.h"
@@ -80,8 +83,11 @@ MatrixLog BuildMatrixLog(uint8_t format, const std::string& dir) {
   log.file = bytes.value();
   ByteReader r(log.file);
   while (!r.AtEnd()) {
-    uint64_t raw = 0;
-    EXPECT_TRUE(SkipFrame(r, &raw).ok());
+    FrameHeader header;
+    if (!ParseFrameHeader(r, &header).ok() || !r.Skip(header.payload_size).ok()) {
+      ADD_FAILURE() << "unparseable frame at " << r.position();
+      break;
+    }
     log.frame_ends.push_back(r.position());
   }
   EXPECT_EQ(log.frame_ends.size(), 3u);
@@ -303,6 +309,89 @@ TEST_P(CorruptionMatrix, VerifyLogReportsCrashMarkerRow) {
   EXPECT_EQ(stats.value().crash_signo, SIGFPE);
 }
 
+// --- properties of the one log walk ----------------------------------------
+
+/// Writes every truncation and then every single-bit flip of `file` to
+/// `path`, calling `check(what)` after each.
+template <typename Check>
+void ForEachCutAndFlip(const Bytes& file, const std::string& path, Check check) {
+  for (size_t len = 0; len < file.size(); len++) {
+    ASSERT_TRUE(WriteFile(path, Bytes(file.begin(), file.begin() + len)).ok());
+    check("truncated at " + std::to_string(len));
+  }
+  for (size_t bit = 0; bit < file.size() * 8; bit++) {
+    Bytes damaged = file;
+    damaged[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    ASSERT_TRUE(WriteFile(path, damaged).ok());
+    check("bit " + std::to_string(bit % 8) + " of byte " + std::to_string(bit / 8));
+  }
+}
+
+auto StatsFields(const trace::SalvageStats& s) {
+  return std::make_tuple(s.frames_ok, s.frames_corrupt, s.frames_unaddressable,
+                         s.gap_frames, s.events_dropped_at_record,
+                         s.bytes_dropped_at_record, s.resyncs, s.bytes_skipped,
+                         s.truncated_tail_bytes, s.crash_markers, s.crash_signo);
+}
+
+/// Whenever strict Open accepts `path`, salvage Open indexes the same frames
+/// over the same logical extent. Returns whether strict opened.
+bool ExpectStrictAndSalvageAgree(const std::string& path, const std::string& what) {
+  auto strict = trace::LogReader::Open(path);
+  if (!strict.ok()) return false;
+  auto salvaged = trace::LogReader::Open(path, Salvage());
+  EXPECT_TRUE(salvaged.ok()) << what;
+  if (!salvaged.ok()) return true;
+  EXPECT_EQ(strict.value().frame_count(), salvaged.value().frame_count()) << what;
+  EXPECT_EQ(strict.value().total_logical_bytes(),
+            salvaged.value().total_logical_bytes())
+      << what;
+  return true;
+}
+
+// The walk's records tile the file - in order, contiguous, from byte 0 to
+// EOF - under every cut and bit flip, and salvage Open reports exactly the
+// stats VerifyLog does.
+TEST_P(CorruptionMatrix, WalkRecordsTileTheFileAndMatchSalvageOpen) {
+  TempDir dir;
+  const MatrixLog log = BuildMatrixLog(GetParam(), dir.path());
+  const std::string path = dir.File("walk.log");
+  ForEachCutAndFlip(log.file, path, [&](const std::string& what) {
+    auto size = FileSize(path);
+    ASSERT_TRUE(size.ok());
+    std::vector<trace::FrameRecord> records;
+    auto verified = trace::LogReader::VerifyLog(
+        path, [&](const trace::FrameRecord& f) { records.push_back(f); });
+    ASSERT_TRUE(verified.ok()) << what;
+    uint64_t next = 0;
+    for (size_t i = 0; i < records.size(); i++) {
+      EXPECT_EQ(records[i].index, i) << what;
+      EXPECT_EQ(records[i].file_offset, next) << what;
+      EXPECT_GT(records[i].encoded_size, 0u) << what;
+      next = records[i].file_offset + records[i].encoded_size;
+    }
+    EXPECT_EQ(next, size.value()) << what;
+
+    auto salvaged = trace::LogReader::Open(path, Salvage());
+    ASSERT_TRUE(salvaged.ok()) << what;
+    EXPECT_EQ(StatsFields(salvaged.value().salvage_stats()),
+              StatsFields(verified.value()))
+        << what;
+  });
+}
+
+TEST_P(CorruptionMatrix, StrictAndSalvageAgreeWheneverStrictOpens) {
+  TempDir dir;
+  const MatrixLog log = BuildMatrixLog(GetParam(), dir.path());
+  const std::string path = dir.File("agree.log");
+  uint64_t strict_opened = 0;
+  ForEachCutAndFlip(log.file, path, [&](const std::string& what) {
+    strict_opened += ExpectStrictAndSalvageAgree(path, what);
+  });
+  // The frame boundaries, and flips the checksum only catches on a read.
+  EXPECT_GT(strict_opened, log.frame_ends.size() + 1);
+}
+
 INSTANTIATE_TEST_SUITE_P(Formats, CorruptionMatrix,
                          ::testing::Values(trace::kTraceFormatV1,
                                            trace::kTraceFormatV2,
@@ -384,6 +473,248 @@ TEST(SalvageReader, VerifyLogListsEveryFrameWithStatus) {
   EXPECT_EQ(stats.value().frames_corrupt, 1u);
 }
 
+// Frames larger than the walk's 64 KB read block: headers, checksums and
+// resync scans cross block boundaries. Frame 0 is sized so that a scan from
+// its second byte meets frame 1's magic straddling the first block's end.
+TEST(SalvageReader, DamageAcrossReadBlocks) {
+  const Compressor& raw = *FindCompressor("raw");
+  const std::vector<size_t> payloads = {65513, 150000, 1000, 70001};
+  Bytes log;
+  std::vector<uint64_t> starts;
+  for (const size_t n : payloads) {
+    starts.push_back(log.size());
+    const Bytes payload(n, 7);  // no frame magic inside
+    ASSERT_TRUE(WriteFrame(raw, payload.data(), n, &log).ok());
+  }
+  starts.push_back(log.size());
+  ASSERT_EQ(starts[1], 65535u);
+  const uint64_t logical = 65513 + 150000 + 1000 + 70001;
+  TempDir dir;
+  const std::string path = dir.File("big.log");
+  auto open = [&](const Bytes& file) {
+    EXPECT_TRUE(WriteFile(path, file).ok());
+    auto reader = trace::LogReader::Open(path, Salvage());
+    EXPECT_TRUE(reader.ok());
+    return reader.ok() ? reader.value().salvage_stats() : trace::SalvageStats{};
+  };
+
+  ASSERT_TRUE(WriteFile(path, log).ok());
+  auto strict = trace::LogReader::Open(path);
+  ASSERT_TRUE(strict.ok()) << strict.status().ToString();
+  EXPECT_EQ(strict.value().total_logical_bytes(), logical);
+  EXPECT_TRUE(open(log).clean());
+
+  for (size_t k = 0; k < payloads.size(); k++) {
+    SCOPED_TRACE("frame " + std::to_string(k));
+    const uint64_t size = starts[k + 1] - starts[k];
+    Bytes damaged = log;
+    damaged[starts[k + 1] - 1] ^= 0x01;  // the payload's last byte
+    trace::SalvageStats ss = open(damaged);
+    EXPECT_EQ(ss.frames_ok, payloads.size() - 1);
+    EXPECT_EQ(ss.frames_corrupt, 1u);
+    EXPECT_EQ(ss.resyncs + ss.bytes_skipped + ss.truncated_tail_bytes, 0u);
+
+    damaged = log;
+    damaged[starts[k]] ^= 0x01;  // the magic's first byte
+    ss = open(damaged);
+    EXPECT_EQ(ss.frames_ok, k);
+    if (k + 1 < payloads.size()) {
+      EXPECT_EQ(ss.resyncs, 1u);
+      EXPECT_EQ(ss.bytes_skipped, size);
+      EXPECT_EQ(ss.frames_unaddressable, payloads.size() - 1 - k);
+    } else {
+      EXPECT_EQ(ss.truncated_tail_bytes, size);
+    }
+
+    damaged.assign(log.begin(), log.begin() + static_cast<long>(starts[k] + size / 2));
+    ss = open(damaged);
+    EXPECT_EQ(ss.frames_ok, k);
+    EXPECT_EQ(ss.truncated_tail_bytes, size / 2);
+  }
+}
+
+// Strict Open rejects every defect the header alone proves, as salvage does.
+// Both mutants opened strict before the two readers shared one walk.
+
+TEST(StrictOpen, RejectsRawFrameWithFlippedRawSize) {
+  TempDir dir;
+  const MatrixLog log = BuildMatrixLog(trace::kTraceFormatV1, dir.path());
+  const std::string path = dir.File("t.log");
+  // Frame 1's raw_size varint follows the magic and the length-prefixed
+  // codec name "raw"; its low bit turns 160 into 161.
+  const size_t raw_size_at = 4 + 1 + 3;
+  Bytes damaged = log.file;
+  ASSERT_EQ(damaged[raw_size_at], 0xa0);
+  damaged[raw_size_at] ^= 0x01;
+  ASSERT_TRUE(WriteFile(path, damaged).ok());
+
+  auto strict = trace::LogReader::Open(path);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_NE(strict.status().ToString().find("frame header at offset 0"),
+            std::string::npos)
+      << strict.status().ToString();
+
+  // Salvage keeps the payload size as the hole's extent.
+  auto salvaged = trace::LogReader::Open(path, Salvage());
+  ASSERT_TRUE(salvaged.ok());
+  EXPECT_EQ(salvaged.value().total_logical_bytes(), 3 * kEventsPerFrame * 16);
+  EXPECT_EQ(salvaged.value().salvage_stats().frames_corrupt, 1u);
+  EXPECT_EQ(salvaged.value().salvage_stats().frames_ok, 2u);
+}
+
+TEST(StrictOpen, RejectsUnknownCodec) {
+  TempDir dir;
+  const MatrixLog log = BuildMatrixLog(trace::kTraceFormatV1, dir.path());
+  const std::string path = dir.File("t.log");
+  // Frame 2's codec name "raw" becomes "rav".
+  const size_t name_at = log.frame_ends[0] + 4 + 1;
+  Bytes damaged = log.file;
+  ASSERT_EQ(damaged[name_at + 2], 'w');
+  damaged[name_at + 2] = 'v';
+  ASSERT_TRUE(WriteFile(path, damaged).ok());
+
+  auto strict = trace::LogReader::Open(path);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_NE(strict.status().ToString().find("unknown codec"), std::string::npos)
+      << strict.status().ToString();
+
+  auto salvaged = trace::LogReader::Open(path, Salvage());
+  ASSERT_TRUE(salvaged.ok());
+  EXPECT_EQ(salvaged.value().total_logical_bytes(), 3 * kEventsPerFrame * 16);
+  EXPECT_EQ(salvaged.value().salvage_stats().frames_corrupt, 1u);
+  EXPECT_EQ(salvaged.value().salvage_stats().frames_ok, 2u);
+}
+
+/// Overwrites or inserts one varint at a random spot (as test_trace's fuzz
+/// targets do).
+void SpliceVarint(Bytes& b, Rng& rng) {
+  static constexpr uint64_t kValues[] = {0,          1,          127,
+                                         128,        16383,      1ULL << 32,
+                                         1ULL << 62, ~0ULL - 1,  ~0ULL};
+  const uint64_t v = rng.Chance(0.5) ? kValues[rng.Below(std::size(kValues))]
+                                     : rng.Next() >> rng.Below(64);
+  ByteWriter w;
+  w.PutVarU64(v);
+  const Bytes& varint = w.buffer();
+  const size_t at = rng.Below(b.size() + 1);
+  if (rng.Chance(0.5)) {
+    b.insert(b.begin() + static_cast<ptrdiff_t>(at), varint.begin(), varint.end());
+  } else {
+    for (size_t i = 0; i < varint.size(); i++) {
+      if (at + i < b.size()) b[at + i] = varint[i];
+      else b.push_back(varint[i]);
+    }
+  }
+}
+
+/// Reads the log a v3 writer leaves at `dir`/t0.log after `write`.
+template <typename Write>
+Bytes WriteV3Log(const TempDir& dir, uint64_t buffer_bytes, Write write) {
+  trace::Flusher flusher(/*async=*/false);
+  trace::WriterConfig wc;
+  wc.log_path = dir.File("t0.log");
+  wc.meta_path = dir.File("t0.meta");
+  wc.buffer_bytes = buffer_bytes;
+  wc.flusher = &flusher;
+  wc.format = trace::kTraceFormatV3;
+  trace::ThreadTraceWriter writer(0, wc);
+  write(writer);
+  EXPECT_TRUE(writer.Finish().ok());
+  auto bytes = ReadFileBytes(wc.log_path);
+  EXPECT_TRUE(bytes.ok());
+  return bytes.ok() ? bytes.value() : Bytes{};
+}
+
+// The agreement property over the mutants of ReaderV3's fuzz target
+// (test_trace.cpp): the same three seeds, the same mutation schedule.
+TEST(WalkAgreement, FuzzedV3FramesStrictAndSalvageAgree) {
+  std::vector<Bytes> seeds;
+  {
+    TempDir dir;
+    seeds.push_back(WriteV3Log(dir, 512, [](trace::ThreadTraceWriter& writer) {
+      Rng rng(99);
+      for (uint32_t s = 0; s < 12; s++) {
+        trace::IntervalMeta meta;
+        meta.phase = s;
+        meta.label = osl::Label::Initial().Fork(0, 2);
+        writer.BeginSegment(meta);
+        const int n = 1 + static_cast<int>(rng.Below(40));
+        for (int i = 0; i < n; i++) {
+          const uint32_t pc = static_cast<uint32_t>(rng.Below(6));
+          switch (rng.Below(4)) {
+            case 0: {
+              const uint64_t base = 0x40000 + rng.Below(1 << 16) * 8;
+              const uint64_t stride = 8 * (1 + rng.Below(3));
+              const uint64_t count = 2 + rng.Below(12);
+              for (uint64_t k = 0; k < count; k++) {
+                writer.AppendAccess(base + k * stride, 8,
+                                    static_cast<uint8_t>(rng.Below(2)), pc);
+              }
+              break;
+            }
+            case 1: {
+              const bool acquire = rng.Chance(0.5);
+              const auto lock = static_cast<uint32_t>(rng.Below(4));
+              writer.Append(acquire ? trace::RawEvent::MutexAcquire(lock)
+                                    : trace::RawEvent::MutexRelease(lock));
+              break;
+            }
+            default:
+              writer.AppendAccess(0x100000 + rng.Below(1 << 20),
+                                  static_cast<uint8_t>(1u << rng.Below(4)),
+                                  static_cast<uint8_t>(rng.Below(2)), pc);
+          }
+        }
+        writer.EndSegment();
+      }
+    }));
+    Bytes sealed = seeds.back();
+    WriteCrashMarkerFrame(&sealed, 11);
+    seeds.push_back(std::move(sealed));
+  }
+  {
+    TempDir dir;
+    seeds.push_back(WriteV3Log(dir, 1 << 16, [](trace::ThreadTraceWriter& writer) {
+      trace::IntervalMeta meta;
+      meta.label = osl::Label::Initial().Fork(0, 2);
+      writer.BeginSegment(meta);
+      for (uint64_t i = 0; i < 2000; i++) {
+        writer.AppendAccess(0x8000 + (i % 50) * 8, 8, 1, 3);
+      }
+      writer.Append(trace::RawEvent::MutexAcquire(2));
+      writer.AppendAccess(0x9000, 4, 0, 4);
+      writer.Append(trace::RawEvent::MutexRelease(2));
+      writer.EndSegment();
+    }));
+  }
+
+  TempDir dir;
+  const std::string path = dir.File("mutant.log");
+  Rng rng(20261020);
+  uint64_t strict_opened = 0;
+  for (int trial = 0; trial < 1500; trial++) {
+    Bytes mutant = seeds[static_cast<size_t>(trial) % seeds.size()];
+    const int ops = 1 + static_cast<int>(rng.Below(3));
+    for (int op = 0; op < ops; op++) {
+      switch (rng.Below(3)) {
+        case 0:
+          if (!mutant.empty()) {
+            mutant[rng.Below(mutant.size())] ^= static_cast<uint8_t>(1u << rng.Below(8));
+          }
+          break;
+        case 1:
+          mutant.resize(rng.Below(mutant.size() + 1));
+          break;
+        default:
+          SpliceVarint(mutant, rng);
+      }
+    }
+    ASSERT_TRUE(WriteFile(path, mutant).ok());
+    strict_opened += ExpectStrictAndSalvageAgree(path, "trial " + std::to_string(trial));
+  }
+  EXPECT_GT(strict_opened, 100u);
+}
+
 // --- store-level salvage and meta validation ------------------------------
 
 /// Writes one thread's trace exactly like test_offline's SyntheticTrace.
@@ -410,8 +741,9 @@ uint64_t FirstFrameEnd(const std::string& log_path) {
   auto bytes = ReadFileBytes(log_path);
   EXPECT_TRUE(bytes.ok());
   ByteReader r(bytes.value());
-  uint64_t raw = 0;
-  EXPECT_TRUE(SkipFrame(r, &raw).ok());
+  FrameHeader header;
+  EXPECT_TRUE(ParseFrameHeader(r, &header).ok());
+  EXPECT_TRUE(r.Skip(header.payload_size).ok());
   return r.position();
 }
 

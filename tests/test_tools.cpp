@@ -6,8 +6,11 @@
 
 #include <array>
 #include <cstdio>
+#include <sstream>
 
 #include "common/fsutil.h"
+#include "compress/compressor.h"
+#include "compress/frame.h"
 #include "core/sword_tool.h"
 #include "offline/analysis.h"
 #include "offline/report.h"
@@ -275,6 +278,67 @@ TEST_F(ToolsTest, RunToolListsAndRuns) {
       " --suite drb --name truedep1-orig-yes --tool archer --threads 4");
   EXPECT_EQ(rc2, 2) << out2;  // 2 = races found
   EXPECT_NE(out2.find("races:           1"), std::string::npos) << out2;
+}
+
+// sword-dump --verify prints one row per frame or damaged region, in file
+// order, and exits 2 on damage. The log holds an intact frame, a frame with
+// a flipped payload byte (a known-size hole), a gap frame, another intact
+// frame and a torn final frame.
+TEST(DumpVerify, ReportsEveryRowKindAndExitsTwoOnDamage) {
+  if (!ToolsAvailable()) GTEST_SKIP() << "CLI tools not found relative to test cwd";
+  const Compressor& raw = *FindCompressor("raw");
+  const Bytes payload(160, 7);
+  Bytes log;
+  std::vector<uint64_t> ends;
+  for (int k = 0; k < 2; k++) {
+    ASSERT_TRUE(WriteFrame(raw, payload.data(), payload.size(), &log).ok());
+    ends.push_back(log.size());
+  }
+  log[ends[1] - 8] ^= 0x10;  // inside frame 1's payload
+  WriteGapFrame(&log, 320, 20);
+  ends.push_back(log.size());
+  ASSERT_TRUE(WriteFrame(raw, payload.data(), payload.size(), &log).ok());
+  ends.push_back(log.size());
+  Bytes torn;
+  ASSERT_TRUE(WriteFrame(raw, payload.data(), payload.size(), &torn).ok());
+  log.insert(log.end(), torn.begin(), torn.begin() + 50);
+  TempDir dir("verify-test");
+  ASSERT_TRUE(WriteFile(dir.File("sword_t0.log"), log).ok());
+
+  const auto [rc, out] =
+      RunCommand(ToolPath("sword-dump") + " " + dir.path() + " --verify");
+  EXPECT_EQ(rc, 2) << out;
+  std::vector<std::string> rows;
+  std::istringstream lines(out);
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream fields(line);
+    uint64_t index = 0, offset = 0;
+    if (fields >> index >> offset) rows.push_back(line);  // frame rows only
+  }
+  ASSERT_EQ(rows.size(), 5u) << out;
+  const char* const states[] = {
+      "raw    OK",
+      "raw    CORRUPT (corrupt-data: frame checksum mismatch)",
+      "-      GAP (20 event(s), 320 byte(s) dropped at record time)",
+      "raw    OK",
+      "CORRUPT (unaddressable) (corrupt-data: truncated frame",
+  };
+  uint64_t offset = 0;
+  for (size_t i = 0; i < rows.size(); i++) {
+    std::istringstream fields(rows[i]);
+    uint64_t index = 0, at = 0, encoded = 0;
+    fields >> index >> at >> encoded;
+    EXPECT_EQ(index, i) << rows[i];
+    EXPECT_EQ(at, offset) << rows[i];
+    EXPECT_NE(rows[i].find(states[i]), std::string::npos) << rows[i];
+    offset = i < ends.size() ? ends[i] : log.size();
+    EXPECT_EQ(at + encoded, offset) << rows[i];
+  }
+  EXPECT_NE(out.find("2 ok, 1 corrupt, 0 unaddressable, 1 gap(s); 0 resync(s), "
+                     "0 byte(s) skipped, 50 truncated tail byte(s)"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("verify: CORRUPT"), std::string::npos) << out;
 }
 
 TEST(ReportRender, TextAndJsonFromInProcessAnalysis) {

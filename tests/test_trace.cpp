@@ -337,7 +337,7 @@ TEST(EventV2, RoundTripAllKinds) {
   ByteReader r(w.buffer());
   for (const RawEvent& e : cases) {
     RawEvent out;
-    ASSERT_TRUE(DecodeEventV2(r, dec, &out).ok());
+    ASSERT_TRUE(DecodeDeltaEvent(r, kTraceFormatV2, dec, &out).ok());
     EXPECT_EQ(out, e);
   }
   EXPECT_TRUE(r.AtEnd());
@@ -385,11 +385,11 @@ TEST(EventV2, DeltaStateResetMatchesFrameBoundaries) {
   EventCodecState dec;  // fresh per frame
   ByteReader r1(f1.buffer());
   RawEvent out;
-  ASSERT_TRUE(DecodeEventV2(r1, dec, &out).ok());
+  ASSERT_TRUE(DecodeDeltaEvent(r1, kTraceFormatV2, dec, &out).ok());
   EXPECT_EQ(out.addr, 0x5000u);
   dec = EventCodecState{};
   ByteReader r2(f2.buffer());
-  ASSERT_TRUE(DecodeEventV2(r2, dec, &out).ok());
+  ASSERT_TRUE(DecodeDeltaEvent(r2, kTraceFormatV2, dec, &out).ok());
   EXPECT_EQ(out.addr, 0x5008u);
 }
 
@@ -399,21 +399,21 @@ TEST(EventV2, MalformedTagsRejected) {
     ByteReader r(bad);
     EventCodecState dec;
     RawEvent out;
-    EXPECT_FALSE(DecodeEventV2(r, dec, &out).ok());
+    EXPECT_FALSE(DecodeDeltaEvent(r, kTraceFormatV2, dec, &out).ok());
   }
   {
     Bytes bad = {static_cast<uint8_t>(0x01 | (1u << 4)), 5};  // mutex with size bits
     ByteReader r(bad);
     EventCodecState dec;
     RawEvent out;
-    EXPECT_FALSE(DecodeEventV2(r, dec, &out).ok());
+    EXPECT_FALSE(DecodeDeltaEvent(r, kTraceFormatV2, dec, &out).ok());
   }
   for (uint8_t code = 9; code <= 14; code++) {  // reserved size codes
     Bytes bad = {static_cast<uint8_t>(code << 4), 0, 0};
     ByteReader r(bad);
     EventCodecState dec;
     RawEvent out;
-    EXPECT_FALSE(DecodeEventV2(r, dec, &out).ok());
+    EXPECT_FALSE(DecodeDeltaEvent(r, kTraceFormatV2, dec, &out).ok());
   }
 }
 
@@ -979,8 +979,8 @@ Result<LogReader> DamageAndSalvage(const std::string& path) {
   std::vector<uint64_t> frame_ends;
   ByteReader r(log);
   while (!r.AtEnd()) {
-    uint64_t raw = 0;
-    if (!SkipFrame(r, &raw).ok()) break;
+    FrameHeader header;
+    if (!ParseFrameHeader(r, &header).ok() || !r.Skip(header.payload_size).ok()) break;
     frame_ends.push_back(r.position());
   }
   if (frame_ends.size() < 4) return Status::Invalid("too few frames to damage");
