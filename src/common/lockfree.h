@@ -1,7 +1,7 @@
 // Lock-free building blocks for the online trace plane.
 //
-// Three structures, modeled on the progress64 designs the ROADMAP names
-// (p64_ringbuf / p64_lfring / p64_qsbr):
+// Two structures, modeled on the progress64 designs the ROADMAP names
+// (p64_ringbuf / p64_lfring):
 //
 //  - MpmcRing<T>: a bounded multi-producer multi-consumer ring with a
 //    per-slot sequence number (Vyukov's design). Producers and consumers
@@ -18,15 +18,6 @@
 //    racing reader can at worst read a stale-but-allocated node and fail
 //    its CAS. Used by the flusher's BufferPool.
 //
-//  - QsbrDomain: quiescent-state-based reclamation. Each participating
-//    thread owns one cache-line slot holding either 0 (offline = quiescent)
-//    or (epoch << 1) | 1 (online since `epoch`). A grace period begun at
-//    epoch G has passed once every slot is offline or online-since >= G: at
-//    that point no thread can still hold a reference acquired before the
-//    grace began. The somp runtime maps barriers and implicit-task ends to
-//    Quiescent(), which is what lets tool finalization retire per-thread
-//    sinks without a stop-the-world epoch bump.
-//
 // Memory ordering invariants (per structure) are documented inline and in
 // docs/ARCHITECTURE.md. Everything here is TSan-clean by construction: all
 // cross-thread state is std::atomic.
@@ -36,12 +27,9 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <utility>
-#include <vector>
 
 namespace sword::lockfree {
 
@@ -267,149 +255,6 @@ class FreeList {
   alignas(kCacheLine) std::atomic<uint64_t> full_{Pack(kNil, 0)};
   alignas(kCacheLine) std::atomic<uint64_t> spare_{Pack(kNil, 0)};
   alignas(kCacheLine) std::atomic<std::size_t> size_{0};
-};
-
-/// Quiescent-state-based reclamation domain.
-///
-/// Participants: a thread calls Register() once (slot id), then brackets
-/// every read-side section with Online(slot) ... Quiescent(slot), and
-/// Unregister(slot) before exiting. Online/Quiescent are a single seq_cst
-/// store each - paid once per SEGMENT (barrier interval), not per access.
-///
-/// Retirers: BeginGrace() advances the global epoch and returns the new
-/// value G; GracePassed(G) is true once every registered slot is offline or
-/// went online at epoch >= G - i.e. every reference taken before the grace
-/// began has been dropped at a quiescent point. Retire(fn) defers `fn`
-/// until the grace that is current at call time has passed; deferred work
-/// runs inside Poll(), which Quiescent() calls opportunistically (the
-/// retire list is mutex-guarded - it is the cold path by design).
-///
-/// Ordering: Online/Quiescent stores and the BeginGrace epoch bump are all
-/// seq_cst so that "slot went online before the bump" and "retirer saw the
-/// slot offline" cannot both be false - the classic store/load (Dekker)
-/// pattern between participant and retirer.
-class QsbrDomain {
- public:
-  static constexpr uint32_t kMaxParticipants = 256;
-  static constexpr uint32_t kInvalidSlot = 0xffffffffu;
-
-  QsbrDomain() = default;
-  QsbrDomain(const QsbrDomain&) = delete;
-  QsbrDomain& operator=(const QsbrDomain&) = delete;
-
-  /// Claims a participant slot; kInvalidSlot when all are taken (the caller
-  /// must then stay on its fallback path - it is simply not tracked).
-  uint32_t Register() {
-    for (uint32_t i = 0; i < kMaxParticipants; i++) {
-      uint32_t expected = 0;
-      if (slots_[i].used.compare_exchange_strong(expected, 1,
-                                                 std::memory_order_acq_rel)) {
-        slots_[i].state.store(0, std::memory_order_seq_cst);
-        return i;
-      }
-    }
-    return kInvalidSlot;
-  }
-
-  void Unregister(uint32_t slot) {
-    if (slot >= kMaxParticipants) return;
-    slots_[slot].state.store(0, std::memory_order_seq_cst);
-    slots_[slot].used.store(0, std::memory_order_release);
-  }
-
-  /// Enters a read-side section: records "online since the current epoch".
-  void Online(uint32_t slot) {
-    if (slot >= kMaxParticipants) return;
-    const uint64_t epoch = epoch_.load(std::memory_order_seq_cst);
-    slots_[slot].state.store((epoch << 1) | 1, std::memory_order_seq_cst);
-  }
-
-  /// Leaves the read-side section (a quiescent point). Drains any ripe
-  /// deferred retirements while here - the check is one relaxed load.
-  void Quiescent(uint32_t slot) {
-    if (slot < kMaxParticipants) {
-      slots_[slot].state.store(0, std::memory_order_seq_cst);
-    }
-    if (retired_count_.load(std::memory_order_relaxed) > 0) (void)Poll();
-  }
-
-  bool IsOnline(uint32_t slot) const {
-    return slot < kMaxParticipants &&
-           (slots_[slot].state.load(std::memory_order_seq_cst) & 1) != 0;
-  }
-
-  /// Starts a grace period; returns its epoch G for GracePassed(G).
-  uint64_t BeginGrace() {
-    return epoch_.fetch_add(1, std::memory_order_seq_cst) + 1;
-  }
-
-  /// True once no participant can still hold a pre-grace reference.
-  bool GracePassed(uint64_t grace_epoch) const {
-    for (uint32_t i = 0; i < kMaxParticipants; i++) {
-      if (slots_[i].used.load(std::memory_order_acquire) == 0) continue;
-      const uint64_t state = slots_[i].state.load(std::memory_order_seq_cst);
-      if ((state & 1) != 0 && (state >> 1) < grace_epoch) return false;
-    }
-    return true;
-  }
-
-  /// One-shot: begins a grace and reports whether it passed immediately
-  /// (all participants quiescent) - the normal Configure/Finalize case.
-  bool SynchronizeIfQuiescent() { return GracePassed(BeginGrace()); }
-
-  /// Defers `fn` until the grace begun now has passed, then runs it from
-  /// Poll() (possibly on another thread).
-  void Retire(std::function<void()> fn) {
-    const uint64_t grace = BeginGrace();
-    {
-      std::lock_guard lock(retire_mutex_);
-      retired_.push_back({grace, std::move(fn)});
-    }
-    retired_count_.fetch_add(1, std::memory_order_relaxed);
-    (void)Poll();
-  }
-
-  /// Runs every deferred retirement whose grace has passed; returns how
-  /// many ran. Callbacks execute outside the internal lock.
-  std::size_t Poll() {
-    std::vector<std::function<void()>> ripe;
-    {
-      std::lock_guard lock(retire_mutex_);
-      for (auto it = retired_.begin(); it != retired_.end();) {
-        if (GracePassed(it->grace)) {
-          ripe.push_back(std::move(it->fn));
-          it = retired_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    if (!ripe.empty()) {
-      retired_count_.fetch_sub(ripe.size(), std::memory_order_relaxed);
-      for (auto& fn : ripe) fn();
-    }
-    return ripe.size();
-  }
-
-  std::size_t retired_pending() const {
-    return retired_count_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct alignas(kCacheLine) Slot {
-    std::atomic<uint64_t> state{0};  // 0 = offline; else (epoch << 1) | 1
-    std::atomic<uint32_t> used{0};
-  };
-
-  Slot slots_[kMaxParticipants];
-  alignas(kCacheLine) std::atomic<uint64_t> epoch_{1};
-  alignas(kCacheLine) std::atomic<std::size_t> retired_count_{0};
-  std::mutex retire_mutex_;
-  struct Retired {
-    uint64_t grace;
-    std::function<void()> fn;
-  };
-  std::vector<Retired> retired_;
 };
 
 }  // namespace sword::lockfree

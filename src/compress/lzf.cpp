@@ -8,7 +8,7 @@ namespace {
 // Fast greedy LZ codec (the "LZ4/Snappy-class" point in the codec space,
 // where lzs is the "LZO-class" one). Single-probe hash table, no chains,
 // LZ4-style literal-run skip acceleration. Emits the SAME token stream as
-// lzs, so the two share a decoder:
+// lzs, so the two share a decoder (DecodeLzTokens):
 //   literal token:  0x00 | varint(len) | bytes
 //   match token:    0x01 | varint(len) varint(dist)
 // How far it shrinks a trace depends on the workload: regular kernels'
@@ -100,8 +100,7 @@ class LzfCompressor final : public Compressor {
 
   Status Decompress(const uint8_t* input, size_t n, size_t decompressed_size,
                     Bytes* out) const override {
-    // Token stream is shared with lzs; delegate to its decoder.
-    return GetLzsCompressor()->Decompress(input, n, decompressed_size, out);
+    return DecodeLzTokens(Name(), input, n, decompressed_size, out);
   }
 
  private:

@@ -1,4 +1,5 @@
 #include <cstring>
+#include <string>
 
 #include "compress/codecs.h"
 
@@ -7,8 +8,8 @@ namespace {
 
 // LZ77-style codec with a hash-chain match finder, standing in for the
 // LZO-class libraries the paper evaluated. It trades encode speed for ratio;
-// the default trace codec is lzf, which emits the same token stream and
-// decodes through this class's decoder.
+// the default trace codec is lzf, which emits the same token stream; both
+// decode through DecodeLzTokens.
 //
 // Token stream format:
 //   literal token:  0x00 | varint(len)        then `len` literal bytes
@@ -114,33 +115,27 @@ class LzsCompressor final : public Compressor {
 
   Status Decompress(const uint8_t* input, size_t n, size_t decompressed_size,
                     Bytes* out) const override {
-    // The output is sized once; literals and matches are then copied with
-    // memcpy through raw pointers. On error `out` is restored to its size on
-    // entry, so a failed decode never leaves partial bytes behind.
-    const size_t start = out->size();
-    out->resize(start + decompressed_size);
-    const Status status = DecodeTokens(input, n, out->data() + start, decompressed_size);
-    if (!status.ok()) out->resize(start);
-    return status;
+    return DecodeLzTokens(Name(), input, n, decompressed_size, out);
   }
 
- private:
-  /// Decodes the token stream into exactly `size` bytes at `base`.
-  static Status DecodeTokens(const uint8_t* ip, size_t n, uint8_t* base, size_t size) {
+  /// Decodes the token stream into exactly `size` bytes at `base`; returns
+  /// null on success, else what is wrong with the stream.
+  static const char* DecodeTokens(const uint8_t* ip, size_t n, uint8_t* base,
+                                  size_t size) {
     const uint8_t* const iend = ip + n;
     uint8_t* op = base;
     uint8_t* const oend = base + size;
     while (ip < iend) {
       const uint8_t tag = *ip++;
-      if (tag != 0x00 && tag != 0x01) return Status::Corrupt("lzs: unknown token tag");
+      if (tag != 0x00 && tag != 0x01) return "unknown token tag";
       uint64_t len;
-      if (!ReadVarint(&ip, iend, &len)) return Status::Corrupt("lzs: truncated varint");
+      if (!ReadVarint(&ip, iend, &len)) return "truncated varint";
       if (tag == 0x00) {
         if (len > static_cast<size_t>(iend - ip)) {
-          return Status::Corrupt("lzs: truncated literals");
+          return "truncated literals";
         }
         if (len > static_cast<size_t>(oend - op)) {
-          return Status::Corrupt("lzs: literal overruns declared size");
+          return "literal overruns declared size";
         }
         if (len != 0) std::memcpy(op, ip, len);
         op += len;
@@ -148,22 +143,23 @@ class LzsCompressor final : public Compressor {
       } else {
         uint64_t dist;
         if (!ReadVarint(&ip, iend, &dist)) {
-          return Status::Corrupt("lzs: truncated varint");
+          return "truncated varint";
         }
         if (dist == 0 || dist > static_cast<size_t>(op - base)) {
-          return Status::Corrupt("lzs: bad distance");
+          return "bad distance";
         }
         if (len > static_cast<size_t>(oend - op)) {
-          return Status::Corrupt("lzs: match overruns declared size");
+          return "match overruns declared size";
         }
         CopyMatch(op, dist, len);
         op += len;
       }
     }
-    if (op != oend) return Status::Corrupt("lzs: output size mismatch");
-    return Status::Ok();
+    if (op != oend) return "output size mismatch";
+    return nullptr;
   }
 
+ private:
   /// LEB128 varint, same rules as ByteReader::GetVarU64: at most 64 bits of
   /// shift, fails when the input ends mid-varint.
   static bool ReadVarint(const uint8_t** ip, const uint8_t* iend, uint64_t* v) {
@@ -204,6 +200,20 @@ class LzsCompressor final : public Compressor {
 };
 
 }  // namespace
+
+Status DecodeLzTokens(const char* codec, const uint8_t* input, size_t n,
+                      size_t decompressed_size, Bytes* out) {
+  // The output is sized once; literals and matches are then copied with
+  // memcpy through raw pointers. On error `out` is restored to its size on
+  // entry, so a failed decode never leaves partial bytes behind.
+  const size_t start = out->size();
+  out->resize(start + decompressed_size);
+  const char* const error = LzsCompressor::DecodeTokens(
+      input, n, out->data() + start, decompressed_size);
+  if (error == nullptr) return Status::Ok();
+  out->resize(start);
+  return Status::Corrupt(std::string(codec).append(": ").append(error));
+}
 
 const Compressor* GetLzsCompressor() {
   static const LzsCompressor instance;

@@ -116,7 +116,6 @@ SwordTool::SwordTool(SwordConfig config)
                     : nullptr),
       flusher_(trace::FlusherConfig{.async = config_.async_flush,
                                     .workers = config_.flush_workers,
-                                    .max_queued_jobs = config_.flush_queue_depth,
                                     .memory = &memory_,
                                     .backend = config_.backend,
                                     .watchdog_deadline_ms = config_.watchdog_ms,
@@ -159,7 +158,6 @@ SwordTool::ThreadState& SwordTool::State() {
   wc.codec = FindCompressor(config_.codec);
   wc.flusher = &flusher_;
   wc.format = config_.trace_format;
-  wc.meta_checkpoint_interval = config_.meta_checkpoint_interval;
   wc.backend = config_.backend;
   wc.governor = governor_.get();
   wc.crash_seal = config_.crash_seal;
@@ -178,10 +176,8 @@ SwordTool::ThreadState& SwordTool::State() {
 
 void SwordTool::BeginSegmentFor(ThreadState& ts, somp::Ctx& ctx) {
   ts.writer->BeginSegment(MetaFrom(ctx));
-  // (Re)install this thread's fast-path sink for the new segment. The
-  // install stamps the current epoch and marks the thread online in the
-  // sink QSBR domain; Configure/Finalize retire via that domain (or bump
-  // the epoch as the fallback).
+  // (Re)install this thread's fast-path sink for the new segment, stamped
+  // with the current epoch.
   somp::InstallThreadSink(somp::ThreadEventSink{
       &SinkAccessThunk, &SinkRangeThunk, ts.writer.get(), &ctx, 0});
 }
@@ -253,14 +249,10 @@ Status SwordTool::Finalize() {
   std::lock_guard lock(states_mutex_);
   if (finalized_) return status_;
   finalized_ = true;
-  // Writers are about to be finished; no thread may still hold a sink into
-  // one. Normally (Finalize outside parallel regions) every thread already
-  // cleared its sink at a barrier or task end and the QSBR grace passes
-  // immediately - no epoch bump, parked threads keep their fast path warm.
-  // A failed grace (crash drain mid-region) falls back to the stop-the-world
-  // epoch bump inside RetireSinks; stale sinks then fail the per-access
-  // epoch check and take the virtual path.
-  (void)somp::RetireSinks();
+  // Writers are about to be finished; no thread may still use a sink into
+  // one. The epoch bump makes any sink still installed (a crash drain
+  // mid-region) fail the per-access check and take the virtual path.
+  somp::RetireSinks();
   // Order matters: push every writer's buffered events into the pipeline,
   // wait for the pipeline to hit the disk (or give up and account drops),
   // and only THEN write the final metas - whose v3 headers fold in the

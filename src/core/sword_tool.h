@@ -40,11 +40,7 @@ struct SwordConfig {
   std::string codec = "lzf";                 // "raw", "rle", "lzs", or "lzf"
   bool async_flush = true;
   uint32_t flush_workers = 0;                // 0 = min(4, hw_concurrency)
-  size_t flush_queue_depth = trace::Flusher::kDefaultMaxQueuedJobs;
   uint8_t trace_format = trace::kTraceFormatV3;  // event encoding version
-  /// Meta checkpoint cadence in closed segments (0 = only at Finalize); see
-  /// WriterConfig::meta_checkpoint_interval.
-  uint32_t meta_checkpoint_interval = 1;
   /// Write layer for all trace I/O; null = real filesystem. Tests plug a
   /// sword::testing::FaultFile here.
   FileBackend* backend = nullptr;

@@ -9,7 +9,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "common/log.h"
 #include "somp/pool.h"
 #include "somp/sink.h"
 
@@ -24,82 +23,14 @@ std::atomic<uint64_t>& SinkEpoch() {
   return epoch;
 }
 
-lockfree::QsbrDomain& SinkQsbr() {
-  // Leaked like the Runtime singleton: sink-holding threads may unregister
-  // (TLS destructors) after static destruction would have run.
-  static lockfree::QsbrDomain* domain = new lockfree::QsbrDomain();
-  return *domain;
-}
-
-namespace {
-
-/// Per-thread QSBR participation handle; slot claimed on the thread's first
-/// sink install and returned when the thread exits.
-struct SinkQsbrHandle {
-  uint32_t slot = lockfree::QsbrDomain::kInvalidSlot;
-  bool tried = false;
-  ~SinkQsbrHandle() {
-    if (slot != lockfree::QsbrDomain::kInvalidSlot) {
-      SinkQsbr().Unregister(slot);
-    }
-  }
-};
-
-thread_local SinkQsbrHandle tls_sink_qsbr;
-
-/// Threads that found the QSBR domain full (satellite telemetry; the
-/// silent-skip used to be invisible, which made "why is tracing slow on
-/// this 300-thread app" undiagnosable).
-std::atomic<uint64_t> g_sink_qsbr_overflows{0};
-
-}  // namespace
-
-uint64_t SinkQsbrOverflows() {
-  return g_sink_qsbr_overflows.load(std::memory_order_relaxed);
-}
-
 void InstallThreadSink(ThreadEventSink sink) {
-  SinkQsbrHandle& handle = tls_sink_qsbr;
-  if (!handle.tried) {
-    handle.tried = true;
-    handle.slot = SinkQsbr().Register();
-    if (handle.slot == lockfree::QsbrDomain::kInvalidSlot) {
-      // Counted once per THREAD (not per install attempt): the counter
-      // answers "how many threads are stuck on the virtual path".
-      g_sink_qsbr_overflows.fetch_add(1, std::memory_order_relaxed);
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true)) {
-        SWORD_WARN() << "sink QSBR domain full ("
-                     << lockfree::QsbrDomain::kMaxParticipants
-                     << " slots): additional threads trace via the slower "
-                        "virtual path";
-      }
-    }
-  }
-  if (handle.slot == lockfree::QsbrDomain::kInvalidSlot) {
-    // Untracked thread (domain full): installing a sink the retirer cannot
-    // see would break RetireSinks' proof, so don't - the virtual path is
-    // always correct, just slower.
-    return;
-  }
   sink.epoch = CurrentSinkEpoch();
-  // Online BEFORE the sink becomes usable: a retirer that samples this slot
-  // as quiescent can conclude no sink is installed here.
-  SinkQsbr().Online(handle.slot);
   tls_event_sink = sink;
 }
 
-void ClearThreadSink() {
-  tls_event_sink = ThreadEventSink{};
-  const uint32_t slot = tls_sink_qsbr.slot;
-  if (slot != lockfree::QsbrDomain::kInvalidSlot) SinkQsbr().Quiescent(slot);
-}
+void ClearThreadSink() { tls_event_sink = ThreadEventSink{}; }
 
-bool RetireSinks() {
-  if (SinkQsbr().SynchronizeIfQuiescent()) return true;
-  InvalidateSinks();
-  return false;
-}
+void RetireSinks() { SinkEpoch().fetch_add(1, std::memory_order_acq_rel); }
 
 namespace {
 
@@ -230,10 +161,8 @@ void Runtime::Configure(const RuntimeConfig& config) {
          "Configure must not run during a parallel region");
   // Sinks installed for the previous tool point at its per-thread state;
   // retire them all (the threads themselves may be parked in a pool and
-  // unreachable from here). Outside a parallel region every tracked thread
-  // is at a quiescent point with its sink cleared, so this normally proves
-  // safety without an epoch bump; the bump is the fallback.
-  (void)RetireSinks();
+  // unreachable from here).
+  RetireSinks();
   config_ = config;
 }
 

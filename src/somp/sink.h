@@ -13,36 +13,24 @@
 //    region could reuse the stack slot, so the installer must ALSO clear or
 //    reinstall the sink at every segment boundary (SWORD installs in
 //    BeginSegmentFor and clears on barrier enter / task end).
-//  - `epoch` must equal the current global sink epoch. Any event that
+//  - `epoch` must equal the current global sink epoch. Anything that
 //    invalidates other threads' sinks without running on those threads -
-//    tool finalization, tool replacement via Runtime::Configure - bumps the
-//    epoch instead of chasing thread-locals it cannot touch. A stale sink
-//    fails the check and the caller falls back to the virtual path, which
-//    re-resolves the tool safely.
+//    tool finalization, tool replacement via Runtime::Configure - calls
+//    RetireSinks(), which bumps the epoch instead of chasing thread-locals
+//    it cannot touch. A stale sink fails the check and the caller falls
+//    back to the virtual path, which re-resolves the tool safely.
 //
-// The epoch check is a relaxed atomic load: instrumentation and
-// invalidation are not concurrent by the runtime's contract (Configure and
-// Finalize happen outside parallel regions); the epoch only needs to become
-// visible by the next region's install, which the runtime's own region
-// synchronization orders.
-//
-// Retirement (who may tear down the state a sink points at): installing a
-// sink also marks the thread ONLINE in a QSBR domain (SinkQsbr()), and
-// clearing it - which SWORD does at every barrier enter and implicit-task
-// end - marks it QUIESCENT. RetireSinks() begins a grace period and, when
-// every tracked thread is quiescent (the normal Configure/Finalize case,
-// since both run outside parallel regions where all sinks are already
-// cleared), proves no stale sink can exist WITHOUT bumping the epoch - no
-// stop-the-world invalidation, and parked pool threads keep their warm
-// next-region install path. Only when some thread is still online
-// (mid-region teardown: the crash drain) does it fall back to the epoch
-// bump, which the per-access epoch check then catches exactly as before.
+// That per-access check is the whole retirement rule, so retiring needs
+// nothing from the threads that hold sinks. The check is a relaxed atomic
+// load: instrumentation and retirement are not concurrent by the runtime's
+// contract (Configure and Finalize happen outside parallel regions); the
+// epoch only needs to become visible by the next region's install, which
+// the runtime's own region synchronization orders.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 
-#include "common/lockfree.h"
 #include "somp/tool.h"
 
 namespace sword::somp {
@@ -71,41 +59,16 @@ inline uint64_t CurrentSinkEpoch() {
   return SinkEpoch().load(std::memory_order_acquire);
 }
 
-/// Invalidates every thread's installed sink (they fail the epoch check and
-/// fall back to the virtual tool path until reinstalled). The
-/// stop-the-world hammer; prefer RetireSinks().
-inline void InvalidateSinks() {
-  SinkEpoch().fetch_add(1, std::memory_order_acq_rel);
-}
-
-/// The QSBR domain tracking which threads currently hold an installed sink.
-/// Barriers and implicit-task ends are its quiescent points.
-lockfree::QsbrDomain& SinkQsbr();
-
-/// Installs `sink` as the calling thread's fast-path sink (stamping the
-/// current epoch) and marks the thread online in SinkQsbr(), registering it
-/// on first use. If the domain is out of participant slots the install is
-/// skipped entirely - the thread just stays on the virtual tool path, which
-/// is always correct.
+/// Installs `sink` as the calling thread's fast-path sink, stamped with the
+/// current epoch.
 void InstallThreadSink(ThreadEventSink sink);
 
-/// Clears the calling thread's sink and marks the thread quiescent.
+/// Clears the calling thread's sink.
 void ClearThreadSink();
 
-/// Threads that could not join the sink QSBR domain because all participant
-/// slots were taken (they run on the always-correct virtual path instead).
-/// A nonzero value means the process out-scaled the domain: expected on
-/// pathological thread churn, but worth surfacing — the first overflow also
-/// logs a one-time warning.
-uint64_t SinkQsbrOverflows();
-
-/// Retires all installed sinks without touching other threads' TLS: begins
-/// a QSBR grace period and returns true when it passed immediately (every
-/// tracked thread is at a quiescent point, so no sink is live anywhere and
-/// the epoch needs no bump). Otherwise - some thread is still inside a
-/// segment, i.e. the caller broke the "outside parallel regions" contract
-/// or is the crash drain - falls back to InvalidateSinks() and returns
-/// false.
-bool RetireSinks();
+/// Retires every thread's installed sink without touching other threads'
+/// TLS: bumps the epoch, so each stale sink fails the per-access check and
+/// its thread takes the virtual tool path until it installs again.
+void RetireSinks();
 
 }  // namespace sword::somp

@@ -18,7 +18,6 @@
 #include <csignal>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -32,7 +31,6 @@
 #include "offline/tracestore.h"
 #include "osl/label.h"
 #include "somp/runtime.h"
-#include "somp/sink.h"
 #include "trace/flusher.h"
 #include "trace/governor.h"
 #include "trace/meta.h"
@@ -828,45 +826,6 @@ TEST(FlusherRetry, GapFrameSyncRetriesAreCounted) {
   EXPECT_GE(stats.gap_frames, 1u);
   EXPECT_GE(stats.syncs, 1u);
   EXPECT_EQ(stats.sync_retries, 2u);
-}
-
-// --- satellite (b): QSBR domain-full fallback ------------------------------
-
-// Deliberately LAST in this file: it exhausts the global sink QSBR domain
-// for its duration. Slots are released before it returns, but ordering
-// keeps any interleaving worry out of the suite.
-TEST(SinkQsbrOverflow, DomainFullCountsAndFallsBack) {
-  const uint64_t before = somp::SinkQsbrOverflows();
-
-  // Hog every remaining participant slot from this thread.
-  std::vector<uint32_t> hogged;
-  for (;;) {
-    const uint32_t slot = somp::SinkQsbr().Register();
-    if (slot == lockfree::QsbrDomain::kInvalidSlot) break;
-    hogged.push_back(slot);
-  }
-  ASSERT_FALSE(hogged.empty());
-
-  // A fresh thread now cannot join: the install is skipped (virtual-path
-  // fallback) and the overflow is counted exactly once for the thread.
-  std::thread t([] {
-    somp::ThreadEventSink sink;
-    somp::InstallThreadSink(sink);
-    somp::InstallThreadSink(sink);  // second install: still one count
-  });
-  t.join();
-  EXPECT_EQ(somp::SinkQsbrOverflows(), before + 1);
-
-  for (uint32_t slot : hogged) somp::SinkQsbr().Unregister(slot);
-
-  // With slots free again, a new thread joins silently.
-  std::thread t2([] {
-    somp::ThreadEventSink sink;
-    somp::InstallThreadSink(sink);
-    somp::ClearThreadSink();
-  });
-  t2.join();
-  EXPECT_EQ(somp::SinkQsbrOverflows(), before + 1);
 }
 
 }  // namespace

@@ -225,9 +225,10 @@ TEST_P(LzDecoderTest, EveryCorruptionPathIsRejected) {
   };
   for (const Case& c : cases) {
     Bytes decoded, reference;
-    EXPECT_EQ(DecodeAfterPrefix(c.stream, c.size, &decoded).code(),
-              ErrorCode::kCorruptData)
-        << c.what;
+    const Status status = DecodeAfterPrefix(c.stream, c.size, &decoded);
+    EXPECT_EQ(status.code(), ErrorCode::kCorruptData) << c.what;
+    EXPECT_EQ(status.message().rfind(GetParam() + ": ", 0), 0u)
+        << c.what << ": the error must name the codec: " << status.message();
     EXPECT_FALSE(ReferenceDecode(c.stream, c.size, &reference)) << c.what;
   }
 }
@@ -627,6 +628,31 @@ TEST(Frame, ChecksumCatchesCorruption) {
   ByteReader r(file);
   FrameView view;
   EXPECT_FALSE(ReadFrame(r, &view).ok());
+}
+
+TEST(Frame, DamagedLzfPayloadErrorNamesLzf) {
+  // lzf frames decode through the token decoder lzs shares. Damage the
+  // payload's first token and re-seal the checksum so the damage reaches
+  // that decoder: the error must name lzf, the codec of the frame.
+  const Bytes input = TraceLikeData(4000);
+  Bytes file;
+  ASSERT_TRUE(
+      WriteFrame(*FindCompressor("lzf"), input.data(), input.size(), &file).ok());
+  ByteReader h(file);
+  FrameHeader header;
+  ASSERT_TRUE(ParseFrameHeader(h, &header).ok());
+  ASSERT_EQ(header.codec, "lzf");
+  const size_t payload = header.header_size;
+  file[payload] = 0x02;  // not a literal (0x00) or match (0x01) tag
+  const uint64_t checksum = Fnv1a64(file.data() + payload, header.payload_size);
+  for (size_t i = 0; i < 8; i++) {
+    file[payload - 8 + i] = static_cast<uint8_t>(checksum >> (8 * i));
+  }
+  ByteReader r(file);
+  FrameView view;
+  const Status status = ReadFrame(r, &view);
+  EXPECT_EQ(status.code(), ErrorCode::kCorruptData);
+  EXPECT_EQ(status.message(), "lzf: unknown token tag");
 }
 
 TEST(Frame, BadMagicRejected) {

@@ -1,15 +1,17 @@
 // Lock-free trace-plane structures (common/lockfree.h) and their
 // integration: MPMC ring lanes, the lock-free buffer pool, the flusher's
-// drop accounting (I/O failures and the enqueue watchdog), QSBR sink
-// retirement, and the end-to-end property the plane rests on - traces and
-// race reports identical between the asynchronous flusher and the
-// synchronous one, which writes inline and coordinates no threads at all.
+// drop accounting (I/O failures and the enqueue watchdog), TLS sink
+// retirement by the epoch bump, and the end-to-end property the plane
+// rests on - traces and race reports identical between the asynchronous
+// flusher and the synchronous one, which writes inline and coordinates no
+// threads at all.
 // Designed to run under TSan: every cross-thread interaction in the
 // structures is atomics-only, so any TSan report here is a real bug.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <latch>
 #include <set>
 #include <source_location>
 #include <string>
@@ -38,7 +40,6 @@ namespace {
 
 using lockfree::FreeList;
 using lockfree::MpmcRing;
-using lockfree::QsbrDomain;
 
 // Sized for a single-core TSan host: enough interleavings to matter,
 // small enough to finish fast.
@@ -280,103 +281,6 @@ TEST(FreeListStress, NoLostNoDuplicatedValues) {
   }
 }
 
-// --- QsbrDomain -------------------------------------------------------------
-
-TEST(Qsbr, GraceBlockedByOnlineParticipantOnly) {
-  QsbrDomain domain;
-  const uint32_t a = domain.Register();
-  const uint32_t b = domain.Register();
-  ASSERT_NE(a, QsbrDomain::kInvalidSlot);
-  ASSERT_NE(b, QsbrDomain::kInvalidSlot);
-
-  EXPECT_TRUE(domain.SynchronizeIfQuiescent()) << "all offline at start";
-
-  domain.Online(a);
-  const uint64_t grace = domain.BeginGrace();
-  EXPECT_FALSE(domain.GracePassed(grace)) << "a is online since before";
-  domain.Online(b);  // b went online AFTER the grace began: does not block it
-  domain.Quiescent(a);
-  EXPECT_TRUE(domain.GracePassed(grace));
-  domain.Quiescent(b);
-  domain.Unregister(a);
-  domain.Unregister(b);
-}
-
-TEST(Qsbr, UnregisterReleasesSlotAndUnblocks) {
-  QsbrDomain domain;
-  const uint32_t a = domain.Register();
-  domain.Online(a);
-  const uint64_t grace = domain.BeginGrace();
-  EXPECT_FALSE(domain.GracePassed(grace));
-  domain.Unregister(a);  // thread exit while "online" counts as quiescent
-  EXPECT_TRUE(domain.GracePassed(grace));
-  const uint32_t again = domain.Register();
-  EXPECT_NE(again, QsbrDomain::kInvalidSlot);
-  domain.Unregister(again);
-}
-
-TEST(Qsbr, RetireRunsOnlyAfterGracePasses) {
-  QsbrDomain domain;
-  const uint32_t a = domain.Register();
-  domain.Online(a);
-  std::atomic<int> ran{0};
-  domain.Retire([&] { ran.fetch_add(1); });
-  EXPECT_EQ(domain.Poll(), 0u);
-  EXPECT_EQ(ran.load(), 0) << "retired callback ran under a live reader";
-  EXPECT_EQ(domain.retired_pending(), 1u);
-  domain.Quiescent(a);  // drains opportunistically
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_EQ(domain.retired_pending(), 0u);
-  domain.Unregister(a);
-}
-
-TEST(QsbrStress, NoUseAfterRetire) {
-  // Readers continually validate a shared object while online; the retirer
-  // swaps the object out and destroys it only after a grace passes. If QSBR
-  // is wrong, a reader observes `alive == false` inside its critical
-  // section (or TSan reports the write/read race on the payload).
-  struct Guarded {
-    std::atomic<bool> alive{true};
-    uint64_t payload = 0xfeedface;
-  };
-  QsbrDomain domain;
-  std::atomic<Guarded*> current{new Guarded()};
-  std::atomic<bool> stop{false};
-
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 3; r++) {
-    readers.emplace_back([&] {
-      const uint32_t slot = domain.Register();
-      ASSERT_NE(slot, QsbrDomain::kInvalidSlot);
-      while (!stop.load(std::memory_order_acquire)) {
-        domain.Online(slot);
-        Guarded* g = current.load(std::memory_order_acquire);
-        ASSERT_TRUE(g->alive.load(std::memory_order_acquire))
-            << "object retired while a reader was online";
-        EXPECT_EQ(g->payload, 0xfeedfaceu);
-        domain.Quiescent(slot);
-        std::this_thread::yield();
-      }
-      domain.Unregister(slot);
-    });
-  }
-  for (int swap = 0; swap < 200; swap++) {
-    Guarded* fresh = new Guarded();
-    Guarded* old = current.exchange(fresh, std::memory_order_acq_rel);
-    domain.Retire([old] {
-      old->alive.store(false, std::memory_order_release);
-      delete old;
-    });
-    std::this_thread::yield();
-  }
-  stop.store(true, std::memory_order_release);
-  for (auto& t : readers) t.join();
-  // All readers offline: every deferred delete can run now.
-  (void)domain.Poll();
-  EXPECT_EQ(domain.retired_pending(), 0u);
-  delete current.load();
-}
-
 // --- BufferPool ------------------------------------------------------------
 
 TEST(LockfreeBufferPool, StatsSnapshotCoherentAtQuiescence) {
@@ -520,49 +424,111 @@ TEST(FlusherDrop, WatchdogDropsAreCountedExactlyAndGapFollowsQueuedFrames) {
   EXPECT_TRUE(r.AtEnd());
 }
 
-// --- QSBR sink retirement ---------------------------------------------------
+// --- sink retirement ---------------------------------------------------------
 
-TEST(SinkQsbrIntegration, QuiescentFinalizeSkipsEpochBump) {
-  // The tentpole claim for (3): with every thread at a quiescent point,
-  // Configure/Finalize retire sinks WITHOUT bumping the global epoch.
-  std::vector<uint64_t> pool(64);
-  TempDir dir("qsbr-skip");
-  core::SwordConfig sc;
-  sc.out_dir = dir.path();
-  core::SwordTool tool(sc);
-  somp::RuntimeConfig rc;
-  rc.tool = &tool;
-  somp::Runtime::Get().ResetIds();
-  somp::Runtime::Get().Configure(rc);
-  somp::Parallel(2, [&](somp::Ctx& ctx) {
-    for (int i = 0; i < 16; i++) {
-      instr::store(pool[ctx.thread_num() * 16 + i], uint64_t{1});
-    }
-  });
-  const uint64_t epoch_before = somp::CurrentSinkEpoch();
-  EXPECT_TRUE(somp::RetireSinks())
-      << "all sinks were cleared at region end; the grace must pass";
-  ASSERT_TRUE(tool.Finalize().ok());
-  somp::Runtime::Get().Configure({});
-  EXPECT_EQ(somp::CurrentSinkEpoch(), epoch_before)
-      << "quiescent retirement must not bump the epoch";
-  EXPECT_EQ(tool.EventsLogged() + tool.EventsCoalesced() +
-                tool.EventsSuppressed(),
-            32u);
+void CountFastAccess(void* state, uint64_t, uint8_t, uint8_t, somp::PcId) {
+  static_cast<std::atomic<uint64_t>*>(state)->fetch_add(1);
 }
 
-TEST(SinkQsbrIntegration, OnlineParticipantForcesFallback) {
-  auto& domain = somp::SinkQsbr();
-  const uint32_t slot = domain.Register();
-  ASSERT_NE(slot, QsbrDomain::kInvalidSlot);
-  domain.Online(slot);
-  const uint64_t epoch_before = somp::CurrentSinkEpoch();
-  EXPECT_FALSE(somp::RetireSinks())
-      << "a mid-segment thread must force the epoch-bump fallback";
-  EXPECT_EQ(somp::CurrentSinkEpoch(), epoch_before + 1);
-  domain.Quiescent(slot);
-  domain.Unregister(slot);
-  EXPECT_TRUE(somp::RetireSinks());
+TEST(SinkRetirement, EveryLiveThreadKeepsItsInstalledSink) {
+  // More threads alive at once than any fixed per-thread registry would
+  // hold: installing a sink registers nothing, so every thread must see
+  // its own sink, stamped with the current epoch.
+  constexpr int kThreads = 264;
+  std::vector<std::atomic<uint64_t>> states(kThreads);
+  std::vector<char> installed(kThreads, 0);
+  std::latch all_installed(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int i = 0; i < kThreads; i++) {
+    threads.emplace_back([&, i] {
+      somp::InstallThreadSink(
+          somp::ThreadEventSink{&CountFastAccess, nullptr, &states[i]});
+      all_installed.arrive_and_wait();
+      const somp::ThreadEventSink& sink = somp::tls_event_sink;
+      installed[i] = sink.on_access == &CountFastAccess &&
+                     sink.state == &states[i] &&
+                     sink.epoch == somp::CurrentSinkEpoch();
+      somp::ClearThreadSink();
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int i = 0; i < kThreads; i++) {
+    EXPECT_TRUE(installed[i]) << "thread " << i << " lost its sink";
+  }
+}
+
+TEST(SinkRetirement, SinkInstalledBeforeRetireFailsTheEpochCheck) {
+  // Threads install, one keeps its sink and one clears it; neither runs
+  // anything when the sinks are retired. Either way, a sink stamped before
+  // Runtime::Configure or RetireSinks() must fail the epoch check after.
+  std::latch installed(3), retired(3);
+  uint64_t cleared_epoch = 0;
+  bool kept_stale = false;
+  std::thread keeper([&] {
+    somp::InstallThreadSink(somp::ThreadEventSink{&CountFastAccess});
+    installed.arrive_and_wait();
+    retired.arrive_and_wait();
+    kept_stale = somp::tls_event_sink.on_access != nullptr &&
+                 somp::tls_event_sink.epoch != somp::CurrentSinkEpoch();
+    somp::ClearThreadSink();
+  });
+  std::thread clearer([&] {
+    somp::InstallThreadSink(somp::ThreadEventSink{&CountFastAccess});
+    cleared_epoch = somp::tls_event_sink.epoch;
+    somp::ClearThreadSink();
+    installed.arrive_and_wait();
+    retired.arrive_and_wait();
+  });
+  installed.arrive_and_wait();
+  somp::Runtime::Get().Configure({});
+  retired.arrive_and_wait();
+  keeper.join();
+  clearer.join();
+  EXPECT_TRUE(kept_stale) << "a sink held across Configure stays valid";
+  EXPECT_NE(cleared_epoch, somp::CurrentSinkEpoch())
+      << "a sink stamped before Configure stays valid";
+
+  // Every thread quiescent (no sink installed anywhere): RetireSinks still
+  // moves the epoch, so a sink stamped before it cannot pass the check.
+  somp::InstallThreadSink(somp::ThreadEventSink{&CountFastAccess});
+  const uint64_t stamped = somp::tls_event_sink.epoch;
+  somp::ClearThreadSink();
+  somp::RetireSinks();
+  EXPECT_NE(stamped, somp::CurrentSinkEpoch());
+}
+
+TEST(SinkRetirement, RetiredSinkRoutesAccessesToTheVirtualPath) {
+  // The per-access check is the guarantee: a sink still installed when
+  // RetireSinks() runs mid-region (the crash drain) must stop receiving
+  // accesses; they reach the tool's virtual OnAccess instead.
+  struct StickySinkTool : somp::Tool {
+    std::atomic<uint64_t> fast{0};
+    std::atomic<uint64_t> slow{0};
+    void OnImplicitTaskBegin(somp::Ctx& ctx) override {
+      somp::InstallThreadSink(
+          somp::ThreadEventSink{&CountFastAccess, nullptr, &fast, &ctx});
+    }
+    void OnImplicitTaskEnd(somp::Ctx&) override { somp::ClearThreadSink(); }
+    void OnAccess(somp::Ctx&, uint64_t, uint8_t, uint8_t, somp::PcId) override {
+      slow.fetch_add(1);
+    }
+  };
+  StickySinkTool tool;
+  somp::RuntimeConfig rc;
+  rc.tool = &tool;
+  somp::Runtime::Get().Configure(rc);
+  std::vector<uint64_t> cells(2);
+  somp::Parallel(2, [&](somp::Ctx& ctx) {
+    instr::store(cells[ctx.thread_num()], uint64_t{1});
+    ctx.Barrier();
+    if (ctx.thread_num() == 0) somp::RetireSinks();
+    ctx.Barrier();
+    instr::store(cells[ctx.thread_num()], uint64_t{2});
+  });
+  somp::Runtime::Get().Configure({});
+  EXPECT_EQ(tool.fast.load(), 2u) << "accesses before the retirement";
+  EXPECT_EQ(tool.slow.load(), 2u) << "accesses after the retirement";
 }
 
 // --- report identity: asynchronous vs synchronous flusher -------------------

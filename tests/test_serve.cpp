@@ -12,10 +12,12 @@
 
 #include <filesystem>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/faultfs.h"
 #include "common/fsutil.h"
+#include "common/rng.h"
 #include "harness/harness.h"
 #include "offline/analysis.h"
 #include "offline/journal.h"
@@ -455,6 +457,95 @@ TEST(Ledger, EnospcAppendCountedPrefixStaysLoadable) {
   auto loaded = serve::LoadLedger(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().records.size(), 1u);  // the prefix survived intact
+}
+
+/// Every field LoadLedger restores, in one comparable value.
+auto LedgerRecordKey(const serve::LedgerRecord& rec) {
+  std::vector<decltype(RaceReport{}.OrderKey())> races;
+  for (const RaceReport& r : rec.verdict.races) races.push_back(r.OrderKey());
+  return std::make_tuple(rec.verdict.run, rec.dir, rec.verdict.fingerprint,
+                         rec.verdict.status.code(), rec.verdict.status.message(),
+                         rec.verdict.salvaged, rec.quarantine, races);
+}
+
+TEST(Ledger, FuzzedLedgersFailCleanlyOrLoadAPrefix) {
+  TempDir dir;
+  const std::string path = dir.File("serve.ledger");
+  std::vector<serve::LedgerRecord> originals = {
+      MakeRecord("r1", 11, {MakeRace(1, 2), MakeRace(3, 4)}),
+      MakeRecord("r2", 22, {}, /*quarantine=*/3),
+      MakeRecord("r3", 33, {MakeRace(5, 6)})};
+  originals[2].verdict.status = Status::Corrupt("damaged trace");
+  originals[2].verdict.salvaged = true;
+  // record_ends[k] is the file size once record k is appended; records
+  // start where the header (or the previous record) ends.
+  uint64_t header_end = 0;
+  std::vector<uint64_t> record_ends;
+  {
+    auto w = serve::LedgerWriter::Open(path, 0);
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    header_end = FileSize(path).value();
+    for (const auto& rec : originals) {
+      ASSERT_TRUE(w.value().Append(rec).ok());
+      record_ends.push_back(FileSize(path).value());
+    }
+  }
+  const auto original = ReadFileBytes(path);
+  ASSERT_TRUE(original.ok());
+  const Bytes& file = original.value();
+  ASSERT_EQ(file.size(), record_ends.back());
+
+  // `damage_at` is the first byte the mutation changed or cut: every record
+  // ending at or before it must load, and nothing after it may.
+  const std::string mutant_path = dir.File("mutant.ledger");
+  uint64_t rejected = 0, partial = 0;
+  const auto check = [&](const Bytes& mutant, uint64_t damage_at,
+                         const std::string& what) {
+    ASSERT_TRUE(WriteFile(mutant_path, mutant).ok());
+    const auto loaded = serve::LoadLedger(mutant_path);
+    if (!loaded.ok()) {
+      EXPECT_LT(damage_at, header_end)
+          << what << ": a damaged record failed the whole load: "
+          << loaded.status().ToString();
+      const ErrorCode code = loaded.status().code();
+      EXPECT_TRUE(code == ErrorCode::kCorruptData || code == ErrorCode::kUnsupported)
+          << what << ": " << loaded.status().ToString();
+      rejected++;
+      return;
+    }
+    ASSERT_GE(damage_at, header_end) << what << ": a damaged header loaded";
+    const auto& result = loaded.value();
+    size_t kept = 0;
+    while (kept < record_ends.size() && record_ends[kept] <= damage_at) kept++;
+    ASSERT_EQ(result.records.size(), kept) << what;
+    for (size_t k = 0; k < kept; k++) {
+      EXPECT_EQ(LedgerRecordKey(result.records[k]), LedgerRecordKey(originals[k]))
+          << what << ", record " << k;
+    }
+    const uint64_t prefix_end = kept == 0 ? header_end : record_ends[kept - 1];
+    EXPECT_EQ(result.valid_bytes, prefix_end) << what;
+    EXPECT_LE(result.valid_bytes, mutant.size()) << what;
+    // A short prefix is a dropped record unless the file simply ends where
+    // the prefix does (a cut exactly at a record boundary).
+    EXPECT_EQ(result.records_dropped, mutant.size() > prefix_end ? 1u : 0u) << what;
+    if (result.records_dropped > 0) partial++;
+  };
+
+  for (size_t len = 0; len < file.size(); len++) {
+    check(Bytes(file.begin(), file.begin() + static_cast<std::ptrdiff_t>(len)), len,
+          "truncated to " + std::to_string(len));
+  }
+  Rng rng(20261020);
+  for (int trial = 0; trial < 400; trial++) {
+    Bytes mutant = file;
+    const uint64_t at = rng.Below(mutant.size());
+    const auto bit = static_cast<uint8_t>(1u << rng.Below(8));
+    mutant[at] ^= bit;
+    check(mutant, at, "bit " + std::to_string(bit) + " of byte " + std::to_string(at));
+  }
+  // Both outcomes occur: header damage fails the load, record damage drops.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(partial, 100u);
 }
 
 // --- AnalysisService end-to-end --------------------------------------------
