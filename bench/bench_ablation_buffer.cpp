@@ -29,8 +29,8 @@ int main() {
     config.tool = harness::ToolKind::kSword;
     config.params.threads = kThreads;
     config.params.size = kSize;
-    config.buffer_bytes = kb * 1024;
-    config.async_flush = false;  // keep I/O on the critical path: the knob
+    config.sword.buffer_bytes = kb * 1024;
+    config.sword.async_flush = false;  // keep I/O on the critical path: the knob
                                  // being measured is the flush frequency
     const auto r = harness::RunWorkload(w, config);
 

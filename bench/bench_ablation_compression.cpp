@@ -26,12 +26,12 @@ int main() {
   harness::RunConfig base_config;
   base_config.tool = harness::ToolKind::kSword;
   base_config.params.threads = 8;
-  base_config.codec = "raw";
+  base_config.sword.codec = "raw";
   base_config.run_offline = false;
-  base_config.trace_dir = "";
+  base_config.sword.out_dir = "";
 
   TempDir corpus_dir("codec-corpus");
-  base_config.trace_dir = corpus_dir.path();
+  base_config.sword.out_dir = corpus_dir.path();
   (void)harness::RunWorkload(w, base_config);
 
   // Concatenate the decompressed logs into one corpus.
@@ -104,8 +104,8 @@ int main() {
       std::string collection = "-";
       if (!synthetic) {
         harness::RunConfig config = base_config;
-        config.codec = name;
-        config.trace_dir = "";
+        config.sword.codec = name;
+        config.sword.out_dir = "";
         collection = FormatSeconds(harness::RunWorkload(w, config).dynamic_seconds);
       }
 

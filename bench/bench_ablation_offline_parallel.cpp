@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     collect.tool = harness::ToolKind::kSword;
     collect.params.threads = 8;
     collect.params.size = c.size;
-    collect.trace_dir = dir.path();
+    collect.sword.out_dir = dir.path();
     collect.run_offline = false;
     (void)harness::RunWorkload(w, collect);
 

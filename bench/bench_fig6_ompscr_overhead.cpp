@@ -151,11 +151,11 @@ int main(int argc, char** argv) {
       const auto [best_without, best_with] = BestOfInterleavedReps(
           reps,
           [&] {
-            config.crash_seal = false;
+            config.sword.crash_seal = false;
             return harness::RunWorkload(*w, config).dynamic_seconds;
           },
           [&] {
-            config.crash_seal = true;
+            config.sword.crash_seal = true;
             return harness::RunWorkload(*w, config).dynamic_seconds;
           });
       with_s += best_with;
@@ -217,8 +217,8 @@ int main(int argc, char** argv) {
           tc.tool = harness::ToolKind::kSword;
           tc.params.threads = 8;
           tc.run_offline = false;
-          tc.trace_dir = dir.path();
-          tc.trace_format = formats[arm];
+          tc.sword.out_dir = dir.path();
+          tc.sword.trace_format = formats[arm];
           harness::RunWorkload(*w, tc);
           auto store = offline::TraceStore::OpenDir(dir.path());
           if (!store.ok()) {

@@ -46,7 +46,7 @@ OfflineRow MeasureOfflinePeak(const workloads::Workload& w) {
   tc.tool = harness::ToolKind::kSword;
   tc.params.threads = 8;
   tc.run_offline = false;
-  tc.trace_dir = dir.path();
+  tc.sword.out_dir = dir.path();
   harness::RunWorkload(w, tc);
 
   auto store = offline::TraceStore::OpenDir(dir.path());

@@ -70,8 +70,8 @@ PipelineRow MeasurePipeline(const workloads::Workload& w, uint8_t format,
   tc.tool = harness::ToolKind::kSword;
   tc.params.threads = 8;
   tc.run_offline = false;
-  tc.trace_dir = dir.path();
-  tc.trace_format = format;
+  tc.sword.out_dir = dir.path();
+  tc.sword.trace_format = format;
   const harness::RunResult traced = harness::RunWorkload(w, tc);
   row.accesses =
       traced.events + traced.events_coalesced + traced.events_suppressed;
@@ -337,7 +337,7 @@ int main(int argc, char** argv) {
     tc.tool = harness::ToolKind::kSword;
     tc.params.threads = 8;
     tc.run_offline = false;
-    tc.trace_dir = dir.path();
+    tc.sword.out_dir = dir.path();
     harness::RunWorkload(*w, tc);
     auto store = offline::TraceStore::OpenDir(dir.path());
     if (!store.ok()) {

@@ -65,6 +65,24 @@ void FaultFile::RaiseAtAppend(int signo, uint64_t nth_call) {
   raise_at_call_ = nth_call;
 }
 
+void FaultFile::TransientReads(uint32_t count) {
+  std::lock_guard<std::mutex> lock(mu_);
+  read_transient_left_ = count;
+}
+
+void FaultFile::FailReads(uint64_t from_call, uint64_t count) {
+  std::lock_guard<std::mutex> lock(mu_);
+  read_fail_from_ = from_call;
+  read_fail_count_ = count;
+}
+
+void FaultFile::SlowReads(uint32_t usec, uint64_t from_call, uint64_t count) {
+  std::lock_guard<std::mutex> lock(mu_);
+  read_slow_usec_ = usec;
+  read_slow_from_ = from_call;
+  read_slow_count_ = count;
+}
+
 void FaultFile::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   transient_left_ = 0;
@@ -84,8 +102,14 @@ void FaultFile::Reset() {
   bytes_written_ = 0;
   bytes_lost_ = 0;
   append_calls_ = 0;
-  sync_calls_ = 0;
   fired_ = 0;
+  read_transient_left_ = 0;
+  read_fail_from_ = read_fail_count_ = 0;
+  read_slow_usec_ = 0;
+  read_slow_from_ = read_slow_count_ = 0;
+  read_calls_ = 0;
+  read_transients_injected_ = 0;
+  read_failures_injected_ = 0;
 }
 
 uint64_t FaultFile::bytes_written() const {
@@ -103,14 +127,24 @@ uint64_t FaultFile::append_calls() const {
   return append_calls_;
 }
 
-uint64_t FaultFile::sync_calls() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sync_calls_;
-}
-
 uint32_t FaultFile::fired() const {
   std::lock_guard<std::mutex> lock(mu_);
   return fired_;
+}
+
+uint64_t FaultFile::read_calls() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return read_calls_;
+}
+
+uint64_t FaultFile::read_transients_injected() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return read_transients_injected_;
+}
+
+uint64_t FaultFile::read_failures_injected() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return read_failures_injected_;
 }
 
 Status FaultFile::Append(const std::string& path, const uint8_t* data,
@@ -164,10 +198,8 @@ Status FaultFile::Append(const std::string& path, const uint8_t* data,
     fail_after = true;
     fired_ |= kFaultFailAtBytes;
   }
-  bool short_after = false;
   if (short_write_max_ > 0 && allow > short_write_max_) {
-    allow = short_write_max_;
-    short_after = true;
+    allow = short_write_max_;  // a short success: the caller continues
     fired_ |= kFaultShortWrite;
   }
 
@@ -208,7 +240,6 @@ Status FaultFile::Append(const std::string& path, const uint8_t* data,
     }
     return Status(fail_code_, "injected failure: " + path);
   }
-  if (short_after) return Status::Ok();  // short success; caller continues
   return Status::Ok();
 }
 
@@ -241,7 +272,6 @@ Status FaultFile::Truncate(const std::string& path, uint64_t size) {
 Status FaultFile::Sync(const std::string& path) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++sync_calls_;
     if (sync_transient_left_ > 0) {
       --sync_transient_left_;
       fired_ |= kFaultSyncTransient;
@@ -250,6 +280,36 @@ Status FaultFile::Sync(const std::string& path) {
   }
   return base_->Sync(path);
 }
+
+Result<Bytes> FaultFile::ReadWhole(const std::string& path) {
+  uint32_t sleep_usec = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const uint64_t call = ++read_calls_;
+    if (read_slow_count_ > 0 && call >= read_slow_from_ &&
+        call < read_slow_from_ + read_slow_count_) {
+      sleep_usec = read_slow_usec_;
+    }
+    if (read_transient_left_ > 0) {
+      --read_transient_left_;
+      ++read_transients_injected_;
+      return Status::Unavailable("injected transient read error: " + path);
+    }
+    if (read_fail_count_ > 0 && call >= read_fail_from_ &&
+        call < read_fail_from_ + read_fail_count_) {
+      ++read_failures_injected_;
+      return Status::Io("injected read failure: " + path);
+    }
+  }
+  if (sleep_usec > 0) ::usleep(sleep_usec);
+  return base_->ReadWhole(path);
+}
+
+Result<uint64_t> FaultFile::Size(const std::string& path) {
+  return base_->Size(path);
+}
+
+bool FaultFile::Exists(const std::string& path) { return base_->Exists(path); }
 
 // ------------------------------------------------------------------ FaultPlan
 
@@ -268,6 +328,11 @@ void FaultPlan::ApplyTo(FaultFile& file) const {
   if (flip_offset != UINT64_MAX) file.FlipBit(flip_offset, flip_mask);
   if (slow_count) file.SlowAppends(slow_usec, slow_from, slow_count);
   if (raise_signo) file.RaiseAtAppend(raise_signo, raise_at_call);
+  if (read_transient) file.TransientReads(read_transient);
+  if (read_fail_count) file.FailReads(read_fail_from, read_fail_count);
+  if (read_slow_count) {
+    file.SlowReads(read_slow_usec, read_slow_from, read_slow_count);
+  }
 }
 
 uint32_t FaultPlan::kinds() const {
@@ -289,27 +354,43 @@ uint32_t FaultPlan::kinds() const {
 
 namespace {
 
-bool ParseU64(const std::string& s, uint64_t* out) {
+/// A decimal no greater than `max`; anything longer fails instead of
+/// wrapping.
+bool ParseU64(const std::string& s, uint64_t* out, uint64_t max = UINT64_MAX) {
   if (s.empty()) return false;
   uint64_t v = 0;
   for (char c : s) {
     if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<uint64_t>(c - '0');
+    const auto digit = static_cast<uint64_t>(c - '0');
+    if (v > (max - digit) / 10) return false;
+    v = v * 10 + digit;
   }
   *out = v;
   return true;
 }
 
-/// "F+C" window → (from, count); a bare "F" means count = 1.
+bool ParseU32(const std::string& s, uint32_t* out) {
+  uint64_t v = 0;
+  if (!ParseU64(s, &v, UINT32_MAX)) return false;
+  *out = static_cast<uint32_t>(v);
+  return true;
+}
+
+/// "F+C" window → (from, count); a bare "F" means count = 1. A window whose
+/// end does not fit in 64 bits would wrap and never fire, so it fails.
 bool ParseWindow(const std::string& s, uint64_t* from, uint64_t* count) {
   const size_t plus = s.find('+');
+  uint64_t f = 0, c = 1;
   if (plus == std::string::npos) {
-    if (!ParseU64(s, from)) return false;
-    *count = 1;
-    return true;
+    if (!ParseU64(s, &f)) return false;
+  } else if (!ParseU64(s.substr(0, plus), &f) ||
+             !ParseU64(s.substr(plus + 1), &c)) {
+    return false;
   }
-  return ParseU64(s.substr(0, plus), from) &&
-         ParseU64(s.substr(plus + 1), count);
+  if (c > UINT64_MAX - f) return false;
+  *from = f;
+  *count = c;
+  return true;
 }
 
 int SignalFromName(const std::string& name) {
@@ -383,13 +464,13 @@ Result<FaultPlan> ParseFaultPlan(const std::string& spec) {
     };
 
     if (name == "transient") {
-      uint64_t v;
-      if (eq == std::string::npos || !ParseU64(op.substr(eq + 1), &v)) return bad();
-      plan.transient = static_cast<uint32_t>(v);
+      if (eq == std::string::npos || !ParseU32(op.substr(eq + 1), &plan.transient)) {
+        return bad();
+      }
     } else if (name == "sync_fail") {
-      uint64_t v;
-      if (eq == std::string::npos || !ParseU64(op.substr(eq + 1), &v)) return bad();
-      plan.sync_transient = static_cast<uint32_t>(v);
+      if (eq == std::string::npos || !ParseU32(op.substr(eq + 1), &plan.sync_transient)) {
+        return bad();
+      }
     } else if (name == "short") {
       uint64_t v;
       if (eq == std::string::npos || !ParseU64(op.substr(eq + 1), &v)) return bad();
@@ -426,12 +507,10 @@ Result<FaultPlan> ParseFaultPlan(const std::string& spec) {
     } else if (name == "slow") {
       // slow=USEC@FROM+COUNT
       if (eq == std::string::npos || at == std::string::npos || at < eq) return bad();
-      uint64_t usec;
-      if (!ParseU64(op.substr(eq + 1, at - eq - 1), &usec) ||
+      if (!ParseU32(op.substr(eq + 1, at - eq - 1), &plan.slow_usec) ||
           !ParseWindow(op.substr(at + 1), &plan.slow_from, &plan.slow_count)) {
         return bad();
       }
-      plan.slow_usec = static_cast<uint32_t>(usec);
     } else if (name == "raise") {
       // raise=SIG@NTH
       if (eq == std::string::npos || at == std::string::npos || at < eq) return bad();
@@ -445,9 +524,9 @@ Result<FaultPlan> ParseFaultPlan(const std::string& spec) {
         return bad();
       }
     } else if (name == "read_transient") {
-      uint64_t v;
-      if (eq == std::string::npos || !ParseU64(op.substr(eq + 1), &v)) return bad();
-      plan.read_transient = static_cast<uint32_t>(v);
+      if (eq == std::string::npos || !ParseU32(op.substr(eq + 1), &plan.read_transient)) {
+        return bad();
+      }
     } else if (name == "read_fail") {
       // read_fail@FROM+COUNT (ingest read calls, 1-based)
       if (at == std::string::npos ||
@@ -458,13 +537,11 @@ Result<FaultPlan> ParseFaultPlan(const std::string& spec) {
     } else if (name == "read_slow") {
       // read_slow=USEC@FROM+COUNT
       if (eq == std::string::npos || at == std::string::npos || at < eq) return bad();
-      uint64_t usec;
-      if (!ParseU64(op.substr(eq + 1, at - eq - 1), &usec) ||
+      if (!ParseU32(op.substr(eq + 1, at - eq - 1), &plan.read_slow_usec) ||
           !ParseWindow(op.substr(at + 1), &plan.read_slow_from,
                        &plan.read_slow_count)) {
         return bad();
       }
-      plan.read_slow_usec = static_cast<uint32_t>(usec);
     } else if (name == "seed") {
       uint64_t v;
       if (eq == std::string::npos || !ParseU64(op.substr(eq + 1), &v)) return bad();

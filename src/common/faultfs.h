@@ -1,9 +1,9 @@
-// Deterministic fault-injecting FileBackend for tests.
+// Deterministic fault-injecting FileBackend for tests and chaos runs.
 //
 // FaultFile wraps another backend (the real filesystem by default) and
 // injects failures keyed on the cumulative number of bytes appended through
-// it — not on wall-clock time — so every fault test is exactly reproducible.
-// Supported faults:
+// it or on call numbers — not on wall-clock time — so every fault test is
+// exactly reproducible. Write-path faults:
 //   - TransientErrors(k): next k Append calls fail with kUnavailable before
 //     writing anything (EINTR/EAGAIN simulation; exercises retry).
 //   - ShortWrites(max): each Append call writes at most `max` bytes,
@@ -30,7 +30,13 @@
 //   - RaiseAtAppend(signo, nth): delivers `signo` to the calling thread at
 //     the start of the nth append (1-based) — crash exactly at a chosen I/O
 //     point, for the fatal-signal sealing tests.
-// All knobs compose; Reset() clears them and the byte counter.
+// Read-path faults, numbered by ReadWhole calls (1-based; Size and Exists
+// probes pass through uncounted, so a test can aim faults at data reads):
+//   - TransientReads(k): next k reads fail with kUnavailable.
+//   - FailReads(from, count): reads [from, from+count) fail with kIoError.
+//   - SlowReads(usec, from, count): reads [from, from+count) that do not
+//     fail sleep `usec` first.
+// All knobs compose; Reset() clears them and the counters.
 //
 // FaultPlan packages a set of knobs as a replayable one-line spec (the
 // `--fault-plan` flag): semicolon/comma-separated ops, e.g.
@@ -42,9 +48,12 @@
 // the plan string alone.
 //
 // Read-side ops — `read_transient=K`, `read_fail@FROM+COUNT`,
-// `read_slow=USEC@FROM+COUNT` — ride in the same plan string but are applied
-// by the serve daemon's ingest layer (serve/ingest.h), since FaultFile
-// models the write path only.
+// `read_slow=USEC@FROM+COUNT` — ride in the same plan string. Only the
+// serve daemon's ingest reads through the backend, so they are the faults
+// its `--fault-plan` aims at trace reads; they are not FaultKind bits, and
+// a plan's kinds() stays the write-path faults a chaos run must see fire.
+// A number that does not fit its field, and a FROM+COUNT window whose end
+// passes 2^64, make the op invalid.
 #pragma once
 
 #include <cstdint>
@@ -89,6 +98,9 @@ class FaultFile final : public FileBackend {
   void SlowAppends(uint32_t usec, uint64_t from_call, uint64_t count);
   void SyncTransientErrors(uint32_t count);
   void RaiseAtAppend(int signo, uint64_t nth_call);
+  void TransientReads(uint32_t count);
+  void FailReads(uint64_t from_call, uint64_t count);
+  void SlowReads(uint32_t usec, uint64_t from_call, uint64_t count);
   void Reset();
 
   /// Cumulative bytes the caller believes were appended (includes bytes
@@ -98,10 +110,13 @@ class FaultFile final : public FileBackend {
   uint64_t bytes_lost() const;
   /// Append calls observed (successful or not).
   uint64_t append_calls() const;
-  /// Sync calls observed (successful or not).
-  uint64_t sync_calls() const;
-  /// FaultKind bits of the faults that took effect at least once.
+  /// FaultKind bits of the write-path faults that took effect at least once.
   uint32_t fired() const;
+  /// ReadWhole calls observed, and the transient and hard read failures
+  /// injected into them.
+  uint64_t read_calls() const;
+  uint64_t read_transients_injected() const;
+  uint64_t read_failures_injected() const;
 
   // --- FileBackend ---
   Status Append(const std::string& path, const uint8_t* data, size_t n,
@@ -110,6 +125,9 @@ class FaultFile final : public FileBackend {
   Status Rename(const std::string& from, const std::string& to) override;
   Status Truncate(const std::string& path, uint64_t size) override;
   Status Sync(const std::string& path) override;
+  Result<Bytes> ReadWhole(const std::string& path) override;
+  Result<uint64_t> Size(const std::string& path) override;
+  bool Exists(const std::string& path) override;
 
  private:
   struct BitFlip {
@@ -136,8 +154,14 @@ class FaultFile final : public FileBackend {
   uint64_t bytes_written_ = 0;
   uint64_t bytes_lost_ = 0;
   uint64_t append_calls_ = 0;
-  uint64_t sync_calls_ = 0;
   uint32_t fired_ = 0;
+  uint32_t read_transient_left_ = 0;
+  uint64_t read_fail_from_ = 0, read_fail_count_ = 0;
+  uint32_t read_slow_usec_ = 0;
+  uint64_t read_slow_from_ = 0, read_slow_count_ = 0;
+  uint64_t read_calls_ = 0;
+  uint64_t read_transients_injected_ = 0;
+  uint64_t read_failures_injected_ = 0;
 };
 
 /// A parsed `--fault-plan`. Backend faults apply to a FaultFile; the pool
@@ -162,9 +186,8 @@ struct FaultPlan {
   /// Pool acquire calls [from, from+count) (1-based) fail (empty buffer).
   uint64_t alloc_fail_from = 0, alloc_fail_count = 0;
 
-  // --- Read-side faults (applied by the serve daemon's ingest layer, not
-  // by FaultFile, which models the WRITE path). Call numbering counts
-  // whole-file ingest reads, 1-based, like the append-call windows above.
+  // --- Read-side faults. Call numbering counts FaultFile::ReadWhole calls
+  // (the serve daemon's ingest reads), 1-based, like the append windows.
   /// Next `read_transient` read calls fail with kUnavailable (retryable).
   uint32_t read_transient = 0;
   /// Read calls [from, from+count) fail hard with kIoError.
@@ -173,7 +196,7 @@ struct FaultPlan {
   uint32_t read_slow_usec = 0;
   uint64_t read_slow_from = 0, read_slow_count = 0;
 
-  /// Applies every backend-level fault to `file`.
+  /// Applies every backend-level fault, read and write, to `file`.
   void ApplyTo(FaultFile& file) const;
   /// FaultKind bits of the write-path faults this plan injects.
   uint32_t kinds() const;

@@ -108,6 +108,16 @@ class PosixFileBackend final : public FileBackend {
     ::close(fd);
     return st;
   }
+
+  Result<Bytes> ReadWhole(const std::string& path) override {
+    return ReadFileBytes(path);
+  }
+
+  Result<uint64_t> Size(const std::string& path) override {
+    return FileSize(path);
+  }
+
+  bool Exists(const std::string& path) override { return FileExists(path); }
 };
 
 }  // namespace
@@ -138,6 +148,8 @@ bool TransientRetry::ShouldRetry(const Status& status) {
 AppendOutcome AppendWithRetry(FileBackend& backend, const std::string& path,
                               const uint8_t* data, size_t n,
                               const RetryPolicy& policy) {
+  // An absent file is created by the append, so it rolls back to empty.
+  const auto before = backend.Size(path);
   AppendOutcome out;
   TransientRetry retry(policy);
   while (true) {
@@ -150,15 +162,13 @@ AppendOutcome AppendWithRetry(FileBackend& backend, const std::string& path,
       // burning an attempt (the backend made progress).
       continue;
     }
-    if (out.status.ok()) {
-      out.retries = retry.retries();
-      return out;
-    }
-    if (!retry.ShouldRetry(out.status)) {
-      out.retries = retry.retries();
-      return out;
-    }
+    if (out.status.ok() || !retry.ShouldRetry(out.status)) break;
   }
+  out.retries = retry.retries();
+  if (!out.status.ok() && out.written > 0) {
+    (void)backend.Truncate(path, before.ok() ? before.value() : 0);
+  }
+  return out;
 }
 
 SyncOutcome SyncWithRetry(FileBackend& backend, const std::string& path,
@@ -252,10 +262,7 @@ Status MakeDirs(const std::string& path) {
 }
 
 Status TruncateFile(const std::string& path, uint64_t n) {
-  if (::truncate(path.c_str(), static_cast<off_t>(n)) != 0) {
-    return StatusFromErrno(errno, "truncate", path);
-  }
-  return Status::Ok();
+  return RealFileBackend().Truncate(path, n);
 }
 
 TempDir::TempDir(const std::string& prefix) {

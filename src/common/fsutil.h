@@ -1,7 +1,8 @@
 // Filesystem helpers for the trace log/meta files: whole-file read/write, a
-// pluggable write backend (so tests can inject I/O faults below the flush
-// pipeline), crash-consistent atomic file replacement, and a self-cleaning
-// temporary directory for tests and benches.
+// pluggable file backend (so tests can inject I/O faults below the flush
+// pipeline, the journal, the serve ledger and ingest), crash-consistent
+// atomic file replacement, and a self-cleaning temporary directory for tests
+// and benches.
 #pragma once
 
 #include <cstdint>
@@ -12,10 +13,11 @@
 
 namespace sword {
 
-/// The raw file-write layer the trace pipeline sits on. One implementation
-/// talks to the real filesystem; sword::testing::FaultFile wraps it to
-/// inject deterministic failures (ENOSPC, EINTR, short writes, bit flips,
-/// crash-style truncation). Methods are single-attempt: transient errors
+/// The raw file layer the trace pipeline, the journal, the serve ledger and
+/// the serve daemon's ingest sit on. One implementation talks to the real
+/// filesystem; sword::testing::FaultFile wraps it to inject deterministic
+/// failures (ENOSPC, EINTR, short writes, bit flips, crash-style truncation,
+/// failed and slow reads). Methods are single-attempt: transient errors
 /// (kUnavailable) and short writes are reported to the caller, which owns
 /// the retry policy - that keeps retries testable instead of buried.
 class FileBackend {
@@ -36,17 +38,22 @@ class FileBackend {
   /// Atomically replaces `to` with `from` (POSIX rename semantics).
   virtual Status Rename(const std::string& from, const std::string& to) = 0;
 
-  /// Truncates `path` to `size` bytes. The flusher uses this to roll back a
-  /// partial append so a failed frame never leaves a torn tail.
+  /// Truncates `path` to `size` bytes. AppendWithRetry uses this to roll
+  /// back a partial append so a failed record never leaves a torn tail.
   virtual Status Truncate(const std::string& path, uint64_t size) = 0;
 
-  /// Flushes `path`'s data to stable storage (fsync). The default is a
-  /// no-op so purely in-memory test backends stay trivial; the real backend
-  /// overrides it. kUnavailable = transient (EINTR), retry.
-  virtual Status Sync(const std::string& path) {
-    (void)path;
-    return Status::Ok();
-  }
+  /// Flushes `path`'s data to stable storage (fsync). kUnavailable =
+  /// transient (EINTR), retry.
+  virtual Status Sync(const std::string& path) = 0;
+
+  /// Reads all of `path`. kUnavailable = transient, retry; other codes are
+  /// hard failures.
+  virtual Result<Bytes> ReadWhole(const std::string& path) = 0;
+
+  /// `path`'s size in bytes.
+  virtual Result<uint64_t> Size(const std::string& path) = 0;
+
+  virtual bool Exists(const std::string& path) = 0;
 };
 
 /// The process-wide real-filesystem backend.
@@ -63,7 +70,9 @@ struct RetryPolicy {
 
 struct AppendOutcome {
   Status status;
-  size_t written = 0;   // bytes that reached the file (prefix on failure)
+  /// Bytes that reached the file; on failure, the prefix that landed
+  /// before it was rolled back.
+  size_t written = 0;
   uint32_t retries = 0; // extra attempts beyond the first
 };
 
@@ -92,7 +101,10 @@ class TransientRetry {
 
 /// Appends with retry-on-transient-failure per `policy`. Short successful
 /// writes continue from the written prefix without consuming an attempt's
-/// backoff. Gives up with the last error once attempts are exhausted.
+/// backoff. Gives up with the last error once attempts are exhausted, and
+/// then truncates the file back to the size the backend reported before the
+/// append: a torn record would cost a reader every record after it, which
+/// is far worse than the one record lost.
 AppendOutcome AppendWithRetry(FileBackend& backend, const std::string& path,
                               const uint8_t* data, size_t n,
                               const RetryPolicy& policy = {});

@@ -51,13 +51,13 @@ struct SwordConfig {
   /// actually dies of a fatal signal.
   bool crash_seal = true;
   /// Enable the adaptive degradation governor (see trace/governor.h). Off
-  /// by default for library embedders (full fidelity, block-on-pressure);
-  /// sword-run turns it on for production runs.
+  /// by default (full fidelity, block-on-pressure); `sword-run --adaptive`
+  /// opts in.
   bool adaptive_degradation = false;
   /// Governor thresholds (used only when adaptive_degradation is set).
   trace::GovernorConfig governor_config;
   /// Flusher I/O watchdog deadline in ms (0 = producers may block without
-  /// bound, the historical behavior). sword-run sets this for production.
+  /// bound, the historical behavior). `sword-run --watchdog-ms N` opts in.
   uint64_t watchdog_ms = 0;
   /// Ignored; e2ebench is its only reader.
   bool prefilter = false;

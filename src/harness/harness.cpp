@@ -97,7 +97,7 @@ RunResult RunWorkload(const workloads::Workload& workload, const RunConfig& conf
     case ToolKind::kSword: {
       // Fresh trace directory per run unless the caller pins one.
       std::unique_ptr<TempDir> tmp;
-      std::string dir = config.trace_dir;
+      std::string dir = config.sword.out_dir;
       if (dir.empty()) {
         tmp = std::make_unique<TempDir>("sword-trace");
         dir = tmp->path();
@@ -116,17 +116,8 @@ RunResult RunWorkload(const workloads::Workload& workload, const RunConfig& conf
         plan.ApplyTo(fault_backend);
       }
 
-      core::SwordConfig sc;
+      core::SwordConfig sc = config.sword;
       sc.out_dir = dir;
-      sc.buffer_bytes = config.buffer_bytes;
-      sc.codec = config.codec;
-      sc.async_flush = config.async_flush;
-      sc.flush_workers = config.flush_workers;
-      sc.trace_format = config.trace_format;
-      sc.crash_seal = config.crash_seal;
-      sc.adaptive_degradation = config.adaptive_degradation;
-      sc.governor_config = config.governor_config;
-      sc.watchdog_ms = config.watchdog_ms;
       if (!plan.empty()) sc.backend = &fault_backend;
 
       {

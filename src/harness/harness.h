@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/sword_tool.h"
 #include "offline/analysis.h"
 #include "trace/flusher.h"
-#include "trace/governor.h"
 #include "workloads/workload.h"
 
 namespace sword::harness {
@@ -36,26 +36,18 @@ struct RunConfig {
   ToolKind tool = ToolKind::kBaseline;
   workloads::WorkloadParams params;
 
-  // SWORD knobs.
-  uint64_t buffer_bytes = 2 * 1024 * 1024;
-  std::string codec = "lzf";
-  bool async_flush = true;
-  uint32_t flush_workers = 0;          // flusher pool size; 0 = auto
-  uint8_t trace_format = trace::kTraceFormatV3;
+  /// SWORD knobs. An empty `sword.out_dir` means a fresh temp dir per run;
+  /// `sword.backend` is set from `fault_plan`.
+  core::SwordConfig sword;
   bool run_offline = true;             // run the offline analysis afterwards
   uint32_t offline_threads = 1;
   bool journal_offline = false;        // checkpoint each analysis bucket
-  std::string trace_dir;               // empty = fresh temp dir per run
 
   // Production-survivability knobs (see docs/RESILIENCE.md).
   /// Deterministic fault-plan spec (common/faultfs.h grammar). Non-empty
   /// routes all trace I/O through a FaultFile and applies pool-level
   /// faults; the offline open switches to salvage mode automatically.
   std::string fault_plan;
-  bool crash_seal = true;              // fatal-signal trace sealing
-  bool adaptive_degradation = false;   // degradation governor
-  trace::GovernorConfig governor_config;  // thresholds when adaptive
-  uint64_t watchdog_ms = 0;            // flusher enqueue deadline; 0 = block
   bool salvage_offline = false;        // force salvage-mode analysis
 
   // HB-baseline knobs.

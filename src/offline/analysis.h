@@ -166,7 +166,8 @@ struct AnalysisResult {
 /// tests). Neither hook can change WHAT races are found - only how progress
 /// is persisted and how elapsed time is measured.
 struct AnalyzerEnv {
-  /// Write layer for journal creation/appends. Null = real filesystem.
+  /// Write layer for journal creation/appends (the serve daemon also reads
+  /// traces and writes its ledger through it). Null = real filesystem.
   FileBackend* fs = nullptr;
   /// Monotonic nanosecond clock for the stats timers. Null = steady_clock.
   std::function<uint64_t()> now_ns;

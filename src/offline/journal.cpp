@@ -1,42 +1,12 @@
 #include "offline/journal.h"
 
 #include "common/bytes.h"
-#include "common/fsutil.h"
 
 namespace sword::offline {
 namespace {
 
-/// Frames one record the way the trace log frames blocks (compress/frame.h
-/// idiom): magic | payload_size (varu64) | fnv1a64(payload) | payload.
-/// The checksum is validated before any payload byte is trusted, so a record
-/// torn by mid-append death can never half-apply.
-void AppendFramed(uint32_t magic, const Bytes& payload, ByteWriter& out) {
-  out.PutU32(magic);
-  out.PutVarU64(payload.size());
-  out.PutU64(Fnv1a64(payload.data(), payload.size()));
-  out.PutRaw(payload.data(), payload.size());
-}
-
-/// Reads one framed record. Returns kNotFound cleanly at end-of-input,
-/// kCorruptData on any torn/invalid frame (magic mismatch, short payload,
-/// checksum failure).
-Status ReadFramed(ByteReader& reader, uint32_t expected_magic, Bytes* payload) {
-  if (reader.AtEnd()) return Status::NotFound("end of journal");
-  uint32_t magic = 0;
-  SWORD_RETURN_IF_ERROR(reader.GetU32(&magic));
-  if (magic != expected_magic) return Status::Corrupt("journal record magic mismatch");
-  uint64_t size = 0;
-  SWORD_RETURN_IF_ERROR(reader.GetVarU64(&size));
-  uint64_t crc = 0;
-  SWORD_RETURN_IF_ERROR(reader.GetU64(&crc));
-  if (size > reader.remaining()) return Status::Corrupt("journal record truncated");
-  payload->assign(reader.cursor(), reader.cursor() + size);
-  SWORD_RETURN_IF_ERROR(reader.Skip(static_cast<size_t>(size)));
-  if (Fnv1a64(payload->data(), payload->size()) != crc) {
-    return Status::Corrupt("journal record checksum mismatch");
-  }
-  return Status::Ok();
-}
+constexpr RecordLogFormat kJournalFormat{"journal", kJournalHeaderMagic,
+                                         kJournalBucketMagic};
 
 void SerializeHeader(const JournalHeader& h, Bytes* out) {
   ByteWriter w(out);
@@ -159,89 +129,43 @@ std::string JournalPathFor(const std::string& trace_dir, uint32_t shard_index,
 Result<JournalWriter> JournalWriter::Create(const std::string& path,
                                             const JournalHeader& header,
                                             FileBackend* backend) {
-  if (backend == nullptr) backend = &RealFileBackend();
   Bytes payload;
   SerializeHeader(header, &payload);
-  ByteWriter file;
-  AppendFramed(kJournalHeaderMagic, payload, file);
   // write-temp+rename: creation is all-or-nothing, and it atomically
   // truncates a stale journal from a previous (differently-configured) run.
-  SWORD_RETURN_IF_ERROR(WriteFileAtomic(path, file.buffer(), backend));
-  JournalWriter writer(path, backend);
-  writer.bytes_appended_ = file.size();
-  return writer;
+  auto log = RecordLog::Create(path, kJournalFormat, payload, backend);
+  if (!log.ok()) return log.status();
+  return JournalWriter(std::move(log.value()));
 }
 
 Result<JournalWriter> JournalWriter::Continue(const std::string& path,
                                               uint64_t valid_bytes,
                                               FileBackend* backend) {
-  if (backend == nullptr) backend = &RealFileBackend();
-  const auto size = FileSize(path);
-  if (!size.ok()) return size.status();
-  if (size.value() > valid_bytes) {
-    // Drop the torn tail before appending: the journal must stay a clean
-    // sequence of framed records.
-    SWORD_RETURN_IF_ERROR(backend->Truncate(path, valid_bytes));
-  }
-  return JournalWriter(path, backend);
+  auto log = RecordLog::Continue(path, kJournalFormat, valid_bytes, backend);
+  if (!log.ok()) return log.status();
+  return JournalWriter(std::move(log.value()));
 }
 
 Status JournalWriter::AppendBucket(const JournalBucketRecord& record) {
   Bytes payload;
   SerializeBucket(record, &payload);
-  ByteWriter framed;
-  AppendFramed(kJournalBucketMagic, payload, framed);
-  const AppendOutcome outcome = AppendWithRetry(
-      *backend_, path_, framed.buffer().data(), framed.size());
-  if (!outcome.status.ok()) {
-    write_failures_++;
-    // A partial append leaves a torn record; trim it so a LATER successful
-    // append cannot bury garbage mid-file (load would then stop early and
-    // drop every record after the tear).
-    if (outcome.written > 0) {
-      const auto size = FileSize(path_);
-      if (size.ok() && size.value() >= outcome.written) {
-        (void)backend_->Truncate(path_, size.value() - outcome.written);
-      }
-    }
-    return outcome.status;
-  }
-  bytes_appended_ += framed.size();
-  return Status::Ok();
+  return log_.Append(payload);
 }
 
 Result<JournalLoadResult> LoadJournal(const std::string& path) {
-  const auto file = ReadFileBytes(path);
-  if (!file.ok()) return file.status();
-  ByteReader reader(file.value());
   JournalLoadResult result;
-
-  Bytes payload;
-  Status s = ReadFramed(reader, kJournalHeaderMagic, &payload);
-  if (!s.ok()) {
-    return Status::Corrupt("journal header unreadable: " + s.ToString());
-  }
-  s = ParseHeader(payload, &result.header);
-  if (!s.ok()) return s;
-  result.valid_bytes = reader.position();
-
-  while (!reader.AtEnd()) {
-    s = ReadFramed(reader, kJournalBucketMagic, &payload);
-    if (!s.ok()) {
-      // Torn tail (mid-append SIGKILL) or trailing corruption: everything
-      // up to here is trustworthy, the rest is dropped and re-analyzed.
-      result.records_dropped++;
-      break;
-    }
-    JournalBucketRecord rec;
-    s = ParseBucket(payload, &rec);
-    if (!s.ok()) {
-      result.records_dropped++;
-      break;
-    }
-    result.records.push_back(std::move(rec));
-    result.valid_bytes = reader.position();
-  }
+  const auto loaded = LoadRecordLog(
+      path, kJournalFormat,
+      [&](const Bytes& payload) { return ParseHeader(payload, &result.header); },
+      [&](const Bytes& payload) {
+        JournalBucketRecord rec;
+        SWORD_RETURN_IF_ERROR(ParseBucket(payload, &rec));
+        result.records.push_back(std::move(rec));
+        return Status::Ok();
+      });
+  if (!loaded.ok()) return loaded.status();
+  result.valid_bytes = loaded.value().valid_bytes;
+  result.records_dropped = loaded.value().records_dropped;
   return result;
 }
 

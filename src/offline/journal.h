@@ -17,14 +17,16 @@
 //                     shard key, the result-affecting analysis knobs, and
 //                     a fingerprint of the trace, so a journal can never
 //                     be replayed against the wrong trace or config.
-//   bucket records  - APPENDED after each bucket completes. Each is
-//                     self-framed like a log frame (magic | size | crc64 |
-//                     payload): a record torn by mid-append death fails
-//                     its checksum, is dropped on load, and its bucket is
-//                     simply re-analyzed. Every record carries the bucket
-//                     ordinal, the races that bucket contributed (in the
-//                     analyzer's deterministic merge order), its governor
-//                     flags, and its additive stats deltas.
+//   bucket records  - APPENDED after each bucket completes. A record torn
+//                     by mid-append death fails its checksum, is dropped on
+//                     load, and its bucket is simply re-analyzed. Every
+//                     record carries the bucket ordinal, the races that
+//                     bucket contributed (in the analyzer's deterministic
+//                     merge order), its governor flags, and its additive
+//                     stats deltas.
+//
+// The file is a common/record_log.h record log: this module only encodes
+// and parses the payloads.
 //
 // The journal is an optimization, never a source of wrong answers: any
 // subset of valid records resumes correctly, because the analyzer walks
@@ -38,6 +40,7 @@
 #include "common/bytes.h"
 #include "common/fsutil.h"
 #include "common/race_report.h"
+#include "common/record_log.h"
 #include "common/status.h"
 
 namespace sword::offline {
@@ -154,18 +157,14 @@ class JournalWriter {
 
   Status AppendBucket(const JournalBucketRecord& record);
 
-  uint64_t bytes_appended() const { return bytes_appended_; }
-  uint64_t write_failures() const { return write_failures_; }
-  const std::string& path() const { return path_; }
+  uint64_t bytes_appended() const { return log_.bytes_appended(); }
+  uint64_t write_failures() const { return log_.append_failures(); }
+  const std::string& path() const { return log_.path(); }
 
  private:
-  JournalWriter(std::string path, FileBackend* backend)
-      : path_(std::move(path)), backend_(backend) {}
+  explicit JournalWriter(RecordLog log) : log_(std::move(log)) {}
 
-  std::string path_;
-  FileBackend* backend_;  // never null after Create/Continue
-  uint64_t bytes_appended_ = 0;
-  uint64_t write_failures_ = 0;
+  RecordLog log_;
 };
 
 /// Parses a journal file: header first, then bucket records until the file

@@ -1,10 +1,7 @@
 #include "serve/ingest.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 
-#include "common/fsutil.h"
 #include "trace/meta.h"
 
 namespace sword::serve {
@@ -20,105 +17,7 @@ std::string MetaPath(const std::string& dir, uint32_t tid) {
   return dir + "/sword_t" + std::to_string(tid) + ".meta";
 }
 
-class RealIngestIoImpl final : public IngestIo {
- public:
-  Result<Bytes> ReadFile(const std::string& path) override {
-    return ReadFileBytes(path);
-  }
-  Result<uint64_t> FileSize(const std::string& path) override {
-    return sword::FileSize(path);
-  }
-  bool Exists(const std::string& path) override { return FileExists(path); }
-};
-
 }  // namespace
-
-IngestIo& RealIngestIo() {
-  static RealIngestIoImpl io;
-  return io;
-}
-
-// ---------------------------------------------------------- FaultIngestIo
-
-void FaultIngestIo::ApplyPlan(const testing::FaultPlan& plan) {
-  std::lock_guard<std::mutex> lock(mu_);
-  transient_left_ = plan.read_transient;
-  fail_from_ = plan.read_fail_from;
-  fail_count_ = plan.read_fail_count;
-  slow_usec_ = plan.read_slow_usec;
-  slow_from_ = plan.read_slow_from;
-  slow_count_ = plan.read_slow_count;
-}
-
-void FaultIngestIo::TransientReads(uint32_t count) {
-  std::lock_guard<std::mutex> lock(mu_);
-  transient_left_ = count;
-}
-
-void FaultIngestIo::FailReads(uint64_t from_call, uint64_t count) {
-  std::lock_guard<std::mutex> lock(mu_);
-  fail_from_ = from_call;
-  fail_count_ = count;
-}
-
-void FaultIngestIo::SlowReads(uint32_t usec, uint64_t from_call, uint64_t count) {
-  std::lock_guard<std::mutex> lock(mu_);
-  slow_usec_ = usec;
-  slow_from_ = from_call;
-  slow_count_ = count;
-}
-
-void FaultIngestIo::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  transient_left_ = 0;
-  fail_from_ = fail_count_ = 0;
-  slow_usec_ = 0;
-  slow_from_ = slow_count_ = 0;
-  read_calls_ = 0;
-  transients_injected_ = 0;
-  failures_injected_ = 0;
-}
-
-uint64_t FaultIngestIo::read_calls() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return read_calls_;
-}
-uint64_t FaultIngestIo::transients_injected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return transients_injected_;
-}
-uint64_t FaultIngestIo::failures_injected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return failures_injected_;
-}
-
-Result<Bytes> FaultIngestIo::ReadFile(const std::string& path) {
-  uint32_t sleep_usec = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const uint64_t call = ++read_calls_;
-    if (slow_count_ > 0 && call >= slow_from_ && call < slow_from_ + slow_count_) {
-      sleep_usec = slow_usec_;
-    }
-    if (transient_left_ > 0) {
-      --transient_left_;
-      ++transients_injected_;
-      return Status::Unavailable("injected transient read error: " + path);
-    }
-    if (fail_count_ > 0 && call >= fail_from_ && call < fail_from_ + fail_count_) {
-      ++failures_injected_;
-      return Status::Io("injected read failure: " + path);
-    }
-  }
-  if (sleep_usec > 0) ::usleep(sleep_usec);
-  return base_->ReadFile(path);
-}
-
-Result<uint64_t> FaultIngestIo::FileSize(const std::string& path) {
-  return base_->FileSize(path);
-}
-
-bool FaultIngestIo::Exists(const std::string& path) { return base_->Exists(path); }
 
 // ------------------------------------------------------------- RunIngestor
 
@@ -132,10 +31,10 @@ const char* IngestStateName(IngestState s) {
 }
 
 RunIngestor::RunIngestor(std::string dir, const IngestConfig& config,
-                         IngestIo* io, ClockFn now)
+                         FileBackend* fs, ClockFn now)
     : dir_(std::move(dir)),
       config_(config),
-      io_(io ? io : &RealIngestIo()),
+      fs_(fs ? fs : &RealFileBackend()),
       now_(now ? std::move(now) : SteadyClock()) {}
 
 Result<Bytes> RunIngestor::ReadWithRetry(const std::string& path) {
@@ -145,7 +44,7 @@ Result<Bytes> RunIngestor::ReadWithRetry(const std::string& path) {
   // delay instead of hammering a struggling filesystem.
   Status last;
   for (uint32_t attempt = 0; attempt < config_.max_read_attempts; attempt++) {
-    auto r = io_->ReadFile(path);
+    auto r = fs_->ReadWhole(path);
     stats_.reads++;
     if (r.ok()) return r;
     last = r.status();
@@ -158,7 +57,7 @@ Result<Bytes> RunIngestor::ReadWithRetry(const std::string& path) {
 Result<uint64_t> RunIngestor::Fingerprint() {
   // fnv-style fold of (file count, sizes): any append or new thread file
   // changes it. Probing sizes is infallible-ish; a file that vanished
-  // between Exists and FileSize just reads as absent this poll.
+  // between Exists and Size just reads as absent this poll.
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](uint64_t v) {
     h ^= v;
@@ -168,11 +67,11 @@ Result<uint64_t> RunIngestor::Fingerprint() {
   for (uint32_t tid = 0;; tid++) {
     const std::string log = LogPath(dir_, tid);
     const std::string meta = MetaPath(dir_, tid);
-    const bool has_log = io_->Exists(log);
-    const bool has_meta = io_->Exists(meta);
+    const bool has_log = fs_->Exists(log);
+    const bool has_meta = fs_->Exists(meta);
     if (!has_log && !has_meta) break;
     if (has_log) {
-      auto s = io_->FileSize(log);
+      auto s = fs_->Size(log);
       const uint64_t n = s.ok() ? s.value() : 0;
       mix(n + 1);
       bytes += n;
@@ -180,7 +79,7 @@ Result<uint64_t> RunIngestor::Fingerprint() {
       mix(0);
     }
     if (has_meta) {
-      auto s = io_->FileSize(meta);
+      auto s = fs_->Size(meta);
       const uint64_t n = s.ok() ? s.value() : 0;
       mix(n + 1);
       bytes += n;
@@ -201,8 +100,8 @@ void RunIngestor::LiveProbe() {
   uint64_t intervals = 0;
   for (uint32_t tid = 0;; tid++) {
     const std::string meta = MetaPath(dir_, tid);
-    const bool has_meta = io_->Exists(meta);
-    if (!has_meta && !io_->Exists(LogPath(dir_, tid))) break;
+    const bool has_meta = fs_->Exists(meta);
+    if (!has_meta && !fs_->Exists(LogPath(dir_, tid))) break;
     if (!has_meta) continue;
     auto data = ReadWithRetry(meta);
     if (!data.ok()) {
@@ -243,7 +142,7 @@ IngestState RunIngestor::Poll() {
 
   // The explicit completion marker wins over quiesce detection: a writer
   // that knows it is done should not cost quiesce_polls of latency.
-  if (io_->Exists(dir_ + "/sword.done")) {
+  if (fs_->Exists(dir_ + "/sword.done")) {
     state_ = IngestState::kSettled;
     return state_;
   }

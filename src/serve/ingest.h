@@ -16,74 +16,24 @@
 //   kFailed   - reads kept failing hard past the retry budget. The service
 //               quarantines the run with a counted reason.
 //
-// All reads go through IngestIo, the read-side twin of FileBackend:
-// RealIngestIo talks to the filesystem, FaultIngestIo injects deterministic
-// transient/hard/slow read faults from the same FaultPlan string the write
-// path uses (`read_transient=K;read_fail@F+C;read_slow=USEC@F+C`).
-// Transient failures are retried with bounded exponential backoff governed
-// by the injected clock; hard failures are counted and eventually fatal.
+// All reads go through a FileBackend, the same layer the journal and the
+// ledger write through: the real filesystem, or a testing::FaultFile that
+// injects deterministic transient/hard/slow read faults from the same
+// FaultPlan string the write path uses
+// (`read_transient=K;read_fail@F+C;read_slow=USEC@F+C`). Transient failures
+// are retried with bounded exponential backoff governed by the injected
+// clock; hard failures are counted and eventually fatal.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/bytes.h"
-#include "common/faultfs.h"
+#include "common/fsutil.h"
 #include "common/status.h"
 #include "serve/clock.h"
 
 namespace sword::serve {
-
-/// Read-side I/O the ingestor goes through. Single-attempt, like
-/// FileBackend: the CALLER owns retries, which keeps them testable.
-class IngestIo {
- public:
-  virtual ~IngestIo() = default;
-  /// Whole-file read. kUnavailable = transient, retry; other codes = hard.
-  virtual Result<Bytes> ReadFile(const std::string& path) = 0;
-  virtual Result<uint64_t> FileSize(const std::string& path) = 0;
-  virtual bool Exists(const std::string& path) = 0;
-};
-
-/// The real filesystem.
-IngestIo& RealIngestIo();
-
-/// Deterministic read-fault injector, call-numbered like FaultFile's append
-/// windows (1-based, counting ReadFile calls only - Exists/FileSize probes
-/// stay cheap and reliable so tests can aim faults at data reads).
-class FaultIngestIo final : public IngestIo {
- public:
-  explicit FaultIngestIo(IngestIo* base = nullptr)
-      : base_(base ? base : &RealIngestIo()) {}
-
-  /// Installs the read-side knobs of a parsed fault plan.
-  void ApplyPlan(const testing::FaultPlan& plan);
-  void TransientReads(uint32_t count);
-  void FailReads(uint64_t from_call, uint64_t count);
-  void SlowReads(uint32_t usec, uint64_t from_call, uint64_t count);
-  void Reset();
-
-  uint64_t read_calls() const;
-  uint64_t transients_injected() const;
-  uint64_t failures_injected() const;
-
-  Result<Bytes> ReadFile(const std::string& path) override;
-  Result<uint64_t> FileSize(const std::string& path) override;
-  bool Exists(const std::string& path) override;
-
- private:
-  IngestIo* base_;
-  mutable std::mutex mu_;
-  uint32_t transient_left_ = 0;
-  uint64_t fail_from_ = 0, fail_count_ = 0;
-  uint32_t slow_usec_ = 0;
-  uint64_t slow_from_ = 0, slow_count_ = 0;
-  uint64_t read_calls_ = 0;
-  uint64_t transients_injected_ = 0;
-  uint64_t failures_injected_ = 0;
-};
 
 struct IngestConfig {
   /// Total attempts per read, including the first (transient errors only).
@@ -119,7 +69,8 @@ struct IngestPollStats {
 /// vanish or be replaced without wedging anything.
 class RunIngestor {
  public:
-  RunIngestor(std::string dir, const IngestConfig& config, IngestIo* io,
+  /// `fs` null = the real filesystem.
+  RunIngestor(std::string dir, const IngestConfig& config, FileBackend* fs,
               ClockFn now = {});
 
   /// One observation of the directory. Cheap when nothing changed; does a
@@ -136,7 +87,7 @@ class RunIngestor {
   bool settled() const { return state_ == IngestState::kSettled; }
 
  private:
-  /// Reads `path` through the io layer with the transient-retry budget.
+  /// Reads `path` through the backend with the transient-retry budget.
   /// Hard failures and exhausted budgets count toward the run's failure
   /// allowance.
   Result<Bytes> ReadWithRetry(const std::string& path);
@@ -152,7 +103,7 @@ class RunIngestor {
 
   std::string dir_;
   IngestConfig config_;
-  IngestIo* io_;
+  FileBackend* fs_;
   ClockFn now_;
 
   IngestState state_ = IngestState::kGrowing;

@@ -6,32 +6,8 @@
 namespace sword::serve {
 namespace {
 
-/// Identical framing to the analysis journal (offline/journal.cpp): the
-/// checksum is validated before any payload byte is trusted.
-void AppendFramed(uint32_t magic, const Bytes& payload, ByteWriter& out) {
-  out.PutU32(magic);
-  out.PutVarU64(payload.size());
-  out.PutU64(Fnv1a64(payload.data(), payload.size()));
-  out.PutRaw(payload.data(), payload.size());
-}
-
-Status ReadFramed(ByteReader& reader, uint32_t expected_magic, Bytes* payload) {
-  if (reader.AtEnd()) return Status::NotFound("end of ledger");
-  uint32_t magic = 0;
-  SWORD_RETURN_IF_ERROR(reader.GetU32(&magic));
-  if (magic != expected_magic) return Status::Corrupt("ledger record magic mismatch");
-  uint64_t size = 0;
-  SWORD_RETURN_IF_ERROR(reader.GetVarU64(&size));
-  uint64_t crc = 0;
-  SWORD_RETURN_IF_ERROR(reader.GetU64(&crc));
-  if (size > reader.remaining()) return Status::Corrupt("ledger record truncated");
-  payload->assign(reader.cursor(), reader.cursor() + size);
-  SWORD_RETURN_IF_ERROR(reader.Skip(static_cast<size_t>(size)));
-  if (Fnv1a64(payload->data(), payload->size()) != crc) {
-    return Status::Corrupt("ledger record checksum mismatch");
-  }
-  return Status::Ok();
-}
+constexpr RecordLogFormat kLedgerFormat{"ledger", kLedgerHeaderMagic,
+                                        kLedgerRunMagic};
 
 void PutString(const std::string& s, ByteWriter& w) {
   w.PutVarU64(s.size());
@@ -80,34 +56,24 @@ Status ParseRecord(const Bytes& payload, LedgerRecord* rec) {
 }  // namespace
 
 Result<LedgerLoadResult> LoadLedger(const std::string& path) {
-  const auto file = ReadFileBytes(path);
-  if (!file.ok()) return file.status();
-  ByteReader reader(file.value());
   LedgerLoadResult result;
-
-  Bytes payload;
-  Status s = ReadFramed(reader, kLedgerHeaderMagic, &payload);
-  if (!s.ok()) return Status::Corrupt("ledger header unreadable: " + s.ToString());
-  if (payload.size() < 1 || payload[0] != kLedgerVersion) {
-    return Status::Unsupported("ledger version");
-  }
-  result.valid_bytes = reader.position();
-
-  while (!reader.AtEnd()) {
-    s = ReadFramed(reader, kLedgerRunMagic, &payload);
-    if (!s.ok()) {
-      result.records_dropped++;
-      break;
-    }
-    LedgerRecord rec;
-    s = ParseRecord(payload, &rec);
-    if (!s.ok()) {
-      result.records_dropped++;
-      break;
-    }
-    result.records.push_back(std::move(rec));
-    result.valid_bytes = reader.position();
-  }
+  const auto loaded = LoadRecordLog(
+      path, kLedgerFormat,
+      [](const Bytes& payload) {
+        if (payload.size() < 1 || payload[0] != kLedgerVersion) {
+          return Status::Unsupported("ledger version");
+        }
+        return Status::Ok();
+      },
+      [&](const Bytes& payload) {
+        LedgerRecord rec;
+        SWORD_RETURN_IF_ERROR(ParseRecord(payload, &rec));
+        result.records.push_back(std::move(rec));
+        return Status::Ok();
+      });
+  if (!loaded.ok()) return loaded.status();
+  result.valid_bytes = loaded.value().valid_bytes;
+  result.records_dropped = loaded.value().records_dropped;
   return result;
 }
 
@@ -115,44 +81,18 @@ Result<LedgerWriter> LedgerWriter::Open(const std::string& path,
                                         uint64_t valid_bytes,
                                         FileBackend* backend) {
   if (backend == nullptr) backend = &RealFileBackend();
-  if (!FileExists(path)) {
-    Bytes payload;
-    payload.push_back(kLedgerVersion);
-    ByteWriter file;
-    AppendFramed(kLedgerHeaderMagic, payload, file);
-    SWORD_RETURN_IF_ERROR(WriteFileAtomic(path, file.buffer(), backend));
-    return LedgerWriter(path, backend);
-  }
-  const auto size = FileSize(path);
-  if (!size.ok()) return size.status();
-  if (size.value() > valid_bytes) {
-    // Torn tail from a mid-append death: drop it so the file stays a clean
-    // record sequence.
-    SWORD_RETURN_IF_ERROR(backend->Truncate(path, valid_bytes));
-  }
-  return LedgerWriter(path, backend);
+  auto log = backend->Exists(path)
+                 ? RecordLog::Continue(path, kLedgerFormat, valid_bytes, backend)
+                 : RecordLog::Create(path, kLedgerFormat, Bytes{kLedgerVersion},
+                                     backend);
+  if (!log.ok()) return log.status();
+  return LedgerWriter(std::move(log.value()));
 }
 
 Status LedgerWriter::Append(const LedgerRecord& record) {
   Bytes payload;
   SerializeRecord(record, &payload);
-  ByteWriter framed;
-  AppendFramed(kLedgerRunMagic, payload, framed);
-  const AppendOutcome outcome = AppendWithRetry(
-      *backend_, path_, framed.buffer().data(), framed.size());
-  if (!outcome.status.ok()) {
-    append_failures_++;
-    // Trim a partial append so a later successful record cannot bury
-    // garbage mid-file (load would stop there and drop everything after).
-    if (outcome.written > 0) {
-      const auto size = FileSize(path_);
-      if (size.ok() && size.value() >= outcome.written) {
-        (void)backend_->Truncate(path_, size.value() - outcome.written);
-      }
-    }
-    return outcome.status;
-  }
-  return Status::Ok();
+  return log_.Append(payload);
 }
 
 }  // namespace sword::serve

@@ -9,13 +9,12 @@
 // reason). Runs recorded here are never re-analyzed on restart unless
 // their trace fingerprint changed.
 //
-// The file uses the exact framing discipline of the analysis journal
-// (magic | varu64 size | fnv1a64 crc | payload): a record torn by
-// mid-append death fails its checksum, is dropped on load with accounting,
-// and its run is simply re-analyzed after restart. Appends go through the
-// injected FileBackend so the chaos harness can ENOSPC the ledger
-// deterministically - a failed append degrades restart granularity, never
-// correctness.
+// The file is a common/record_log.h record log, like the analysis journal:
+// a record torn by mid-append death fails its checksum, is dropped on load
+// with accounting, and its run is simply re-analyzed after restart. Appends
+// go through the injected FileBackend so the chaos harness can ENOSPC the
+// ledger deterministically - a failed append degrades restart granularity,
+// never correctness.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +22,7 @@
 #include <vector>
 
 #include "common/fsutil.h"
+#include "common/record_log.h"
 #include "common/status.h"
 #include "serve/aggregate.h"
 
@@ -63,16 +63,13 @@ class LedgerWriter {
   /// record only means that run is re-analyzed after a restart.
   Status Append(const LedgerRecord& record);
 
-  uint64_t append_failures() const { return append_failures_; }
-  const std::string& path() const { return path_; }
+  uint64_t append_failures() const { return log_.append_failures(); }
+  const std::string& path() const { return log_.path(); }
 
  private:
-  LedgerWriter(std::string path, FileBackend* backend)
-      : path_(std::move(path)), backend_(backend) {}
+  explicit LedgerWriter(RecordLog log) : log_(std::move(log)) {}
 
-  std::string path_;
-  FileBackend* backend_;  // never null after Open
-  uint64_t append_failures_ = 0;
+  RecordLog log_;
 };
 
 }  // namespace sword::serve

@@ -77,10 +77,9 @@ const char* QuarantineReasonName(QuarantineReason r) {
 }
 
 AnalysisService::AnalysisService(ServiceConfig config, offline::AnalyzerEnv env,
-                                 IngestIo* io, ClockFn now)
+                                 ClockFn now)
     : config_(std::move(config)),
       env_(std::move(env)),
-      io_(io ? io : &RealIngestIo()),
       now_(now ? std::move(now) : SteadyClock()),
       analyzer_(config_.analysis_threads, env_),
       admission_(config_.admission) {}
@@ -157,7 +156,7 @@ Status AnalysisService::AddRun(const std::string& trace_dir) {
   Run run;
   run.name = name;
   run.dir = trace_dir;
-  run.ingestor = std::make_unique<RunIngestor>(trace_dir, config_.ingest, io_, now_);
+  run.ingestor = std::make_unique<RunIngestor>(trace_dir, config_.ingest, env_.fs, now_);
   stats_.runs_added++;
   runs_.emplace(name, std::move(run));
   return Status::Ok();
@@ -199,6 +198,10 @@ void AnalysisService::RecordLedger(const Run& run) {
     if (FileExists(path)) {
       if (auto loaded = LoadLedger(path); loaded.ok()) {
         valid_bytes = loaded.value().valid_bytes;
+      } else {
+        // As in Recover(): an unreadable header leaves nothing to continue,
+        // and continuing at 0 bytes would append records with no header.
+        (void)RemoveFile(path);
       }
     }
     auto writer = LedgerWriter::Open(path, valid_bytes, env_.fs);

@@ -110,11 +110,10 @@ struct RunSnapshot {
 
 class AnalysisService {
  public:
-  /// `env.fs` (when set) is used for ledger AND journal writes; `io` for
-  /// ingest reads; `now` for every timing decision. All default to the real
-  /// thing.
+  /// `env.fs` (when set) serves the ledger, the journals and ingest reads;
+  /// `now` every timing decision. Both default to the real thing.
   explicit AnalysisService(ServiceConfig config, offline::AnalyzerEnv env = {},
-                           IngestIo* io = nullptr, ClockFn now = {});
+                           ClockFn now = {});
 
   /// Replays the ledger from state_dir. Call once before the first Tick
   /// when restarting into an existing state directory; a fresh directory
@@ -171,7 +170,6 @@ class AnalysisService {
 
   ServiceConfig config_;
   offline::AnalyzerEnv env_;
-  IngestIo* io_;
   ClockFn now_;
 
   std::mutex mu_;  // guards everything below

@@ -63,17 +63,17 @@ int main(int argc, char** argv) {
   }
   config.params.threads = static_cast<uint32_t>(args.GetInt("threads", 8));
   config.params.size = static_cast<uint64_t>(args.GetInt("size", 0));
-  config.buffer_bytes = static_cast<uint64_t>(args.GetInt("buffer-kb", 2048)) * 1024;
-  config.codec = args.GetString("codec", "lzf");
-  config.trace_dir = args.GetString("trace-dir", "");
-  config.flush_workers = static_cast<uint32_t>(args.GetInt("flush-workers", 0));
+  config.sword.buffer_bytes = static_cast<uint64_t>(args.GetInt("buffer-kb", 2048)) * 1024;
+  config.sword.codec = args.GetString("codec", "lzf");
+  config.sword.out_dir = args.GetString("trace-dir", "");
+  config.sword.flush_workers = static_cast<uint32_t>(args.GetInt("flush-workers", 0));
   const int64_t format = args.GetInt("format", trace::kTraceFormatV3);
   if (format < trace::kTraceFormatV1 || format > trace::kTraceFormatV3) {
     std::fprintf(stderr, "unknown trace format %lld (use 1, 2 or 3)\n",
                  static_cast<long long>(format));
     return 1;
   }
-  config.trace_format = static_cast<uint8_t>(format);
+  config.sword.trace_format = static_cast<uint8_t>(format);
   config.archer_memory_cap =
       static_cast<uint64_t>(args.GetInt("cap-mb", 0)) * 1024 * 1024;
   config.offline_threads = static_cast<uint32_t>(args.GetInt("offline-threads", 1));
@@ -81,9 +81,9 @@ int main(int argc, char** argv) {
   // (inert unless the process dies of a fatal signal); the degradation
   // governor and the enqueue watchdog are opt-in.
   config.fault_plan = args.GetString("fault-plan", "");
-  config.crash_seal = !args.GetBool("no-crash-seal");
-  config.adaptive_degradation = args.GetBool("adaptive");
-  config.watchdog_ms = static_cast<uint64_t>(args.GetInt("watchdog-ms", 0));
+  config.sword.crash_seal = !args.GetBool("no-crash-seal");
+  config.sword.adaptive_degradation = args.GetBool("adaptive");
+  config.sword.watchdog_ms = static_cast<uint64_t>(args.GetInt("watchdog-ms", 0));
   config.salvage_offline = args.GetBool("salvage");
   // A flag nothing above read is a typo or a retired ablation; running the
   // default configuration under its name would mislabel the measurement.

@@ -166,14 +166,12 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
 
-  // The chaos harness: one plan string drives BOTH fault surfaces - write
-  // faults (journal/ledger appends) through a FaultFile backend, read faults
-  // (ingest) through a FaultIngestIo. Deterministic, so any failing plan
-  // replays exactly from its spec.
+  // The chaos harness: one plan string drives one FaultFile backend, which
+  // serves the journal and ledger appends (write faults) and the ingest
+  // reads (read faults). Deterministic, so any failing plan replays exactly
+  // from its spec.
   testing::FaultFile fault_fs;
-  serve::FaultIngestIo fault_io;
   offline::AnalyzerEnv env;
-  serve::IngestIo* io = nullptr;
   if (!fault_spec.empty()) {
     auto plan = testing::ParseFaultPlan(fault_spec);
     if (!plan.ok()) {
@@ -182,9 +180,7 @@ int main(int argc, char** argv) {
       return kExitUsage;
     }
     plan.value().ApplyTo(fault_fs);
-    fault_io.ApplyPlan(plan.value());
     env.fs = &fault_fs;
-    io = &fault_io;
   }
 
   serve::ServiceConfig config;
@@ -197,7 +193,7 @@ int main(int argc, char** argv) {
   config.admission.queue_deadline_ns =
       static_cast<uint64_t>(queue_deadline_ms) * 1'000'000;
 
-  serve::AnalysisService service(config, env, io);
+  serve::AnalysisService service(config, env);
   const Status recovered = service.Recover();
   if (!recovered.ok()) {
     std::fprintf(stderr, "error: recover %s: %s\n", state_dir.c_str(),

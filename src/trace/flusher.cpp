@@ -146,14 +146,6 @@ void Flusher::AppendFrame(const std::string& path, Bytes raw, const Compressor* 
   job.codec = codec ? codec : DefaultCompressor();
   job.payload_format = payload_format;
   job.event_count = event_count;
-  job.recycle = true;
-  Enqueue(std::move(job));
-}
-
-void Flusher::Append(const std::string& path, Bytes data) {
-  Job job;
-  job.path = path;
-  job.data = std::move(data);
   Enqueue(std::move(job));
 }
 
@@ -169,7 +161,7 @@ void Flusher::Enqueue(Job job) {
   bytes_in_.fetch_add(raw_bytes, std::memory_order_relaxed);
   if (!async_) {
     DoJob(job, nullptr);
-    if (job.recycle) pool_.Release(std::move(job.data));
+    pool_.Release(std::move(job.data));
     jobs_completed_.fetch_add(1, std::memory_order_relaxed);
     if (governor_) governor_->Evaluate();
     return;
@@ -245,7 +237,7 @@ void Flusher::WatchdogDrop(Job job) {
   if (governor_) governor_->NoteWatchdogDrop();
   RecordDrop(job, Status::Unavailable(
                       "flusher watchdog: producer blocked past deadline"));
-  if (job.recycle) pool_.Release(std::move(job.data));
+  pool_.Release(std::move(job.data));
 }
 
 void Flusher::Drain() {
@@ -275,10 +267,9 @@ DropRecord Flusher::DroppedFor(const std::string& path) const {
 
 void Flusher::CompleteJob(Job job, Worker* worker) {
   const size_t raw_bytes = job.data.size();
-  const bool compressed = job.codec != nullptr;
   DoJob(job, worker);
-  if (job.recycle) pool_.Release(std::move(job.data));
-  if (compressed && worker) {
+  pool_.Release(std::move(job.data));
+  if (worker) {
     worker->bytes_in.fetch_add(raw_bytes, std::memory_order_relaxed);
   }
   jobs_completed_.fetch_add(1, std::memory_order_relaxed);
@@ -328,11 +319,9 @@ void Flusher::Run(uint32_t index) {
 
 Status Flusher::AppendChecked(const std::string& path, const uint8_t* data,
                               size_t n) {
-  // Remember the pre-append size so an ultimately-failed append can be
-  // rolled back: a torn half-frame would cost the reader its offset trust
-  // for everything after it, which is far worse than the lost frame.
-  auto before = FileSize(path);
-  const uint64_t old_size = before.ok() ? before.value() : 0;
+  // An ultimately-failed append is rolled back by AppendWithRetry: a torn
+  // half-frame would cost the reader its offset trust for everything after
+  // it, which is far worse than the lost frame.
   const auto t0 = std::chrono::steady_clock::now();
   AppendOutcome out = AppendWithRetry(*backend_, path, data, n, retry_policy_);
   if (governor_) {
@@ -347,7 +336,6 @@ Status Flusher::AppendChecked(const std::string& path, const uint8_t* data,
     appends_.fetch_add(1);
     return Status::Ok();
   }
-  if (out.written > 0) (void)backend_->Truncate(path, old_size);
   return out.status;
 }
 
@@ -418,17 +406,12 @@ void Flusher::RecordDrop(const Job& job, const Status& status) {
 }
 
 void Flusher::DoJob(const Job& job, Worker* worker) {
-  Status status;
-  if (job.codec) {
-    Bytes local_frame;
-    Bytes& frame = worker ? worker->frame : local_frame;
-    frame.clear();
-    status = WriteFrame(*job.codec, job.data.data(), job.data.size(), &frame,
-                        job.payload_format, worker ? &worker->scratch : nullptr);
-    if (status.ok()) status = WritePathData(job, frame.data(), frame.size());
-  } else {
-    status = WritePathData(job, job.data.data(), job.data.size());
-  }
+  Bytes local_frame;
+  Bytes& frame = worker ? worker->frame : local_frame;
+  frame.clear();
+  Status status = WriteFrame(*job.codec, job.data.data(), job.data.size(), &frame,
+                             job.payload_format, worker ? &worker->scratch : nullptr);
+  if (status.ok()) status = WritePathData(job, frame.data(), frame.size());
   // Unrecoverable failure: the frame is discarded, but with exact accounting
   // and a pending gap marker - NOT silently, and NOT taking every later
   // frame down with it (the next job for this path tries the disk again).

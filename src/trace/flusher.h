@@ -168,8 +168,8 @@ struct FlusherConfig {
   /// I/O watchdog: the longest a producer may stay blocked on backpressure
   /// before its frame is converted into a drop (gap frame + exact
   /// accounting) instead of an unbounded stall. 0 = no deadline (the
-  /// historical behavior; backpressure tests rely on it). `sword-run`
-  /// enables it for production runs.
+  /// historical behavior; backpressure tests rely on it). `sword-run
+  /// --watchdog-ms N` opts in.
   uint64_t watchdog_deadline_ms = 0;
   /// Optional adaptive-degradation governor: the flusher feeds it producer
   /// blocked time, credit starvation, append latency, and watchdog drops,
@@ -233,9 +233,6 @@ class Flusher {
   void AppendFrame(const std::string& path, Bytes raw, const Compressor* codec,
                    uint8_t payload_format = 1, uint64_t event_count = 0);
 
-  /// Queues a raw (pre-encoded) append with no compression or framing.
-  void Append(const std::string& path, Bytes data);
-
   /// Blocks until every queued job has hit the filesystem.
   void Drain();
 
@@ -264,10 +261,9 @@ class Flusher {
   struct Job {
     std::string path;
     Bytes data;
-    const Compressor* codec = nullptr;  // null = raw append
+    const Compressor* codec = nullptr;
     uint8_t payload_format = 1;
     uint64_t event_count = 0;  // events encoded in `data` (framed jobs)
-    bool recycle = false;  // return `data` to the pool afterwards
     /// Submission order across all paths (taken at Enqueue). One writer
     /// feeds each path, so per path it is the order of the frames in the
     /// log's logical stream.

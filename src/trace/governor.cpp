@@ -29,7 +29,6 @@ void DegradationGovernor::TransitionLocked(uint8_t new_level, uint8_t reason) {
 }
 
 void DegradationGovernor::Evaluate() {
-  if (!config_.enabled) return;
   std::lock_guard<std::mutex> lock(mu_);
   evals_.fetch_add(1, std::memory_order_relaxed);
 

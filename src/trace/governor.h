@@ -56,7 +56,6 @@ constexpr uint8_t kGovernorReasonWatchdog = 0x10;  // I/O watchdog drop
 constexpr uint8_t kGovernorReasonRecovered = 0x20; // step back up (calm)
 
 struct GovernorConfig {
-  bool enabled = true;
   /// New producer-blocked nanos per evaluation that trigger a step down.
   uint64_t blocked_nanos_step = 2'000'000;
   /// Credit-starvation events (producer found zero credits) per evaluation

@@ -66,10 +66,8 @@ ThreadTraceWriter::ThreadTraceWriter(uint32_t thread_id, const WriterConfig& con
   // and drop an empty meta checkpoint so a process killed before the first
   // barrier interval still leaves a well-formed (if empty) trace.
   (void)config_.backend->WriteWhole(config_.log_path, Bytes{});
-  if (config_.meta_checkpoint_interval > 0) {
-    (void)WriteFileAtomic(config_.meta_path, EncodeMetaSnapshot(),
-                          config_.backend);
-  }
+  (void)WriteFileAtomic(config_.meta_path, EncodeMetaSnapshot(),
+                        config_.backend);
   if (config_.crash_seal) {
     seal_slot_ =
         SealRegistry::Instance().Register(config_.log_path, config_.meta_path);
@@ -470,17 +468,15 @@ void ThreadTraceWriter::EndSegment() {
   ByteWriter w(&serialized_records_);
   m.Serialize(w, /*version=*/4);
   serialized_count_++;
-  // Crash-consistency: checkpoint the meta at barrier-interval granularity.
-  // The atomic replace means a reader (or the offline analyzer after a
-  // kill -9) sees a complete previous checkpoint, never a torn file. The
-  // write is best-effort - a failing checkpoint must not take down the
-  // traced application; Finish() surfaces persistent meta-write errors.
-  if (config_.meta_checkpoint_interval > 0 &&
-      ++segments_since_checkpoint_ >= config_.meta_checkpoint_interval) {
-    segments_since_checkpoint_ = 0;
-    (void)WriteFileAtomic(config_.meta_path, EncodeMetaSnapshot(),
-                          config_.backend);
-  }
+  // Crash-consistency: checkpoint the meta at every closed segment, so a
+  // killed process leaves its trace analyzable up to the last barrier
+  // interval. The atomic replace means a reader (or the offline analyzer
+  // after a kill -9) sees a complete previous checkpoint, never a torn
+  // file. The write is best-effort - a failing checkpoint must not take
+  // down the traced application; Finish() surfaces persistent meta-write
+  // errors.
+  (void)WriteFileAtomic(config_.meta_path, EncodeMetaSnapshot(),
+                        config_.backend);
   // The crash-seal image tracks checkpoint cadence: publish AFTER the
   // record was serialized so a seal at any instant covers every closed
   // segment up to here.

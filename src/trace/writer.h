@@ -71,11 +71,6 @@ struct WriterConfig {
   /// Event encoding (kTraceFormatV*). v3 coalesces per-site runs and drops
   /// repeats; v1/v2 log every access as it comes.
   uint8_t format = kTraceFormatV3;
-  /// Checkpoint the meta file (write-temp + atomic rename) every N closed
-  /// segments, so a killed process leaves its trace analyzable up to the
-  /// last checkpoint instead of losing the whole meta. 0 = only at Finish
-  /// (the pre-crash-tolerance behavior).
-  uint32_t meta_checkpoint_interval = 1;
   /// Write layer for meta checkpoints and log-file initialization; null =
   /// the real filesystem (the flusher has its own backend knob).
   FileBackend* backend = nullptr;
@@ -223,7 +218,6 @@ class ThreadTraceWriter {
   // re-serialization per barrier interval.
   Bytes serialized_records_;
   uint64_t serialized_count_ = 0;
-  uint32_t segments_since_checkpoint_ = 0;
   bool open_segment_ = false;
   uint64_t segment_begin_events_ = 0;
   bool finished_ = false;

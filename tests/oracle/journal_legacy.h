@@ -14,6 +14,7 @@
 #pragma once
 
 #include "common/bytes.h"
+#include "common/record_log.h"
 #include "offline/journal.h"
 
 namespace sword::oracle {
@@ -24,10 +25,7 @@ namespace journal_legacy_detail {
 inline Bytes FramedHeader(const Bytes& payload) {
   Bytes file;
   ByteWriter w(&file);
-  w.PutU32(offline::kJournalHeaderMagic);
-  w.PutVarU64(payload.size());
-  w.PutU64(Fnv1a64(payload.data(), payload.size()));
-  w.PutRaw(payload.data(), payload.size());
+  FrameRecord(offline::kJournalHeaderMagic, payload, w);
   return file;
 }
 

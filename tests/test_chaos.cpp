@@ -17,13 +17,16 @@
 
 #include <csignal>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <unistd.h>
 
 #include "common/faultfs.h"
 #include "common/fsutil.h"
+#include "common/rng.h"
 #include "core/sword_tool.h"
 #include "harness/harness.h"
 #include "offline/analysis.h"
@@ -582,6 +585,246 @@ const char* const kChaosPlans[] = {
     "seed=3",
 };
 
+/// Every number a plan holds, in one comparable value.
+auto PlanNumbers(const FaultPlan& p) {
+  return std::make_tuple(
+      p.transient, p.sync_transient, p.short_writes, p.enospc_after_bytes,
+      p.io_fail_after_bytes, p.storm_from, p.storm_count, p.truncate_after_bytes,
+      p.flip_offset, p.flip_mask, p.slow_usec, p.slow_from, p.slow_count,
+      p.raise_signo, p.raise_at_call, p.alloc_fail_from, p.alloc_fail_count,
+      p.read_transient, p.read_fail_from, p.read_fail_count, p.read_slow_usec,
+      p.read_slow_from, p.read_slow_count);
+}
+
+/// The decimal `s` if it is one and is at most `max`. Accumulated in 128
+/// bits, so it never wraps however long `s` is.
+std::optional<uint64_t> Decimal(const std::string& s, uint64_t max = UINT64_MAX) {
+  if (s.empty()) return std::nullopt;
+  unsigned __int128 v = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return std::nullopt;
+    v = v * 10 + static_cast<unsigned>(c - '0');
+    if (v > max) return std::nullopt;
+  }
+  return static_cast<uint64_t>(v);
+}
+
+/// "F+C" or "F" (count 1), with F + C < 2^64 + 1.
+bool Window(const std::string& s, uint64_t* from, uint64_t* count) {
+  const size_t plus = s.find('+');
+  const auto f = Decimal(s.substr(0, plus));
+  const auto c = plus == std::string::npos ? std::optional<uint64_t>(1)
+                                           : Decimal(s.substr(plus + 1));
+  if (!f || !c || static_cast<unsigned __int128>(*f) + *c > UINT64_MAX) return false;
+  *from = *f;
+  *count = *c;
+  return true;
+}
+
+/// A reference reading of the grammar: the plan whose every number is the
+/// decimal the spec spells, or nullopt where a number is malformed or does
+/// not fit its field. Mirrors the op shapes of ParseFaultPlan, not its code.
+std::optional<FaultPlan> ReferencePlan(const std::string& spec) {
+  FaultPlan plan;
+  std::string rest = spec;
+  while (!rest.empty()) {
+    const size_t end = rest.find_first_of(";,");
+    const std::string op = rest.substr(0, end);
+    rest = end == std::string::npos ? "" : rest.substr(end + 1);
+    if (op.empty()) continue;
+    const size_t eq = op.find('=');
+    const size_t at = op.find('@');
+    const std::string name = op.substr(0, std::min(eq, at));
+    const std::string value = eq == std::string::npos ? "" : op.substr(eq + 1);
+    const std::string where = at == std::string::npos ? "" : op.substr(at + 1);
+    const bool has_eq = eq != std::string::npos;
+    const bool has_at = at != std::string::npos;
+    // NAME=VALUE@WINDOW: VALUE is what lies between the two.
+    const std::string between =
+        has_eq && has_at && at > eq ? op.substr(eq + 1, at - eq - 1) : "";
+    const auto u32 = [](const std::string& s, uint32_t* out) {
+      const auto v = Decimal(s, UINT32_MAX);
+      if (v) *out = static_cast<uint32_t>(*v);
+      return v.has_value();
+    };
+    const auto u64 = [](const std::string& s, uint64_t* out) {
+      const auto v = Decimal(s);
+      if (v) *out = *v;
+      return v.has_value();
+    };
+    bool ok = false;
+    if (name == "transient") {
+      ok = has_eq && u32(value, &plan.transient);
+    } else if (name == "sync_fail") {
+      ok = has_eq && u32(value, &plan.sync_transient);
+    } else if (name == "read_transient") {
+      ok = has_eq && u32(value, &plan.read_transient);
+    } else if (name == "short") {
+      uint64_t v = 0;
+      ok = has_eq && u64(value, &v);
+      plan.short_writes = static_cast<size_t>(v);
+    } else if (name == "enospc") {
+      ok = has_at && u64(where, &plan.enospc_after_bytes);
+    } else if (name == "io") {
+      ok = has_at && u64(where, &plan.io_fail_after_bytes);
+    } else if (name == "trunc") {
+      ok = has_at && u64(where, &plan.truncate_after_bytes);
+    } else if (name == "enospc_calls") {
+      ok = has_at && Window(where, &plan.storm_from, &plan.storm_count);
+    } else if (name == "alloc_fail") {
+      ok = has_at && Window(where, &plan.alloc_fail_from, &plan.alloc_fail_count);
+    } else if (name == "read_fail") {
+      ok = has_at && Window(where, &plan.read_fail_from, &plan.read_fail_count);
+    } else if (name == "slow") {
+      ok = has_eq && has_at && at > eq && u32(between, &plan.slow_usec) &&
+           Window(where, &plan.slow_from, &plan.slow_count);
+    } else if (name == "read_slow") {
+      ok = has_eq && has_at && at > eq && u32(between, &plan.read_slow_usec) &&
+           Window(where, &plan.read_slow_from, &plan.read_slow_count);
+    } else if (name == "flip") {
+      // flip=OFFSET:MASK, 0 < MASK < 256
+      const size_t colon = value.find(':');
+      uint64_t mask = 0;
+      ok = has_eq && colon != std::string::npos &&
+           u64(value.substr(0, colon), &plan.flip_offset) &&
+           u64(value.substr(colon + 1), &mask) && mask > 0 && mask <= 255;
+      plan.flip_mask = static_cast<uint8_t>(mask);
+    } else if (name == "raise") {
+      const std::string sig = between;
+      const int signo = sig == "segv" ? SIGSEGV : sig == "bus" ? SIGBUS
+                      : sig == "abrt" ? SIGABRT : sig == "fpe" ? SIGFPE
+                      : sig == "ill" ? SIGILL : sig == "term" ? SIGTERM
+                      : sig == "int" ? SIGINT : 0;
+      ok = has_eq && has_at && at > eq && signo != 0 && u64(where, &plan.raise_at_call);
+      plan.raise_signo = signo;
+    } else if (name == "seed") {
+      // A seed's faults are its own expansion: compare against the seed
+      // alone, laid over the ops before it.
+      const auto seed = has_eq ? Decimal(value) : std::nullopt;
+      ok = seed.has_value();
+      if (ok) {
+        const auto seeded = ParseFaultPlan("seed=" + std::to_string(*seed));
+        if (!seeded.ok()) return std::nullopt;
+        const FaultPlan& e = seeded.value();
+        const FaultPlan none;
+        if (e.transient != none.transient) plan.transient = e.transient;
+        if (e.short_writes != none.short_writes) plan.short_writes = e.short_writes;
+        if (e.enospc_after_bytes != none.enospc_after_bytes) {
+          plan.enospc_after_bytes = e.enospc_after_bytes;
+        }
+        if (e.storm_count != none.storm_count) {
+          plan.storm_from = e.storm_from;
+          plan.storm_count = e.storm_count;
+        }
+        if (e.slow_count != none.slow_count) {
+          plan.slow_usec = e.slow_usec;
+          plan.slow_from = e.slow_from;
+          plan.slow_count = e.slow_count;
+        }
+        if (e.sync_transient != none.sync_transient) {
+          plan.sync_transient = e.sync_transient;
+        }
+      }
+    }
+    if (!ok) return std::nullopt;
+  }
+  return plan;
+}
+
+TEST(FaultPlanParser, RejectsNumbersThatDoNotFit) {
+  // 2^64 + 1 wrapped to 1, and 2^32 + 1 narrowed to 1, before.
+  for (const char* spec :
+       {"transient=18446744073709551617", "transient=4294967297",
+        "sync_fail=4294967297", "read_transient=4294967297",
+        "slow=4294967297@1+1", "read_slow=4294967297@1+1",
+        "enospc@18446744073709551616", "flip=18446744073709551616:1",
+        "seed=18446744073709551616",
+        // Windows whose end passes 2^64 wrapped and never fired.
+        "enospc_calls@2+18446744073709551615", "read_fail@1+18446744073709551615",
+        "alloc_fail@18446744073709551615+1", "slow=1@9223372036854775808+9223372036854775808"}) {
+    const auto r = ParseFaultPlan(spec);
+    EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument) << spec;
+  }
+  // The largest values that fit still parse exactly.
+  const auto r = ParseFaultPlan(
+      "transient=4294967295;slow=4294967295@0+18446744073709551615;"
+      "enospc@18446744073709551615;read_fail@18446744073709551614+1");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().transient, UINT32_MAX);
+  EXPECT_EQ(r.value().slow_usec, UINT32_MAX);
+  EXPECT_EQ(r.value().slow_count, UINT64_MAX);
+  EXPECT_EQ(r.value().enospc_after_bytes, UINT64_MAX);
+  EXPECT_EQ(r.value().read_fail_from, UINT64_MAX - 1);
+}
+
+TEST(FaultPlanParser, FuzzedSpecsParseExactlyOrFailCleanly) {
+  // Seeded from the specs the tests and the serve soak already use.
+  std::vector<std::string> corpus = {
+      "transient=3;sync_fail=2;short=512;enospc@8192;io@4096;"
+      "enospc_calls@6+10;trunc@100;flip=5:128;slow=2000@4+16;"
+      "raise=segv@5;alloc_fail@3+2",
+      "read_transient=3;read_fail@5+2;read_slow=100@1+2",
+      "read_slow=2000@1+40",
+      "read_transient=2;transient=1;read_slow=1000@2+10",
+      "transient=2;slow=500@1+20",
+      "seed=42",
+      "raise=wat@1",
+      "enospc@notanumber",
+  };
+  for (const char* plan : kChaosPlans) corpus.push_back(plan);
+
+  uint64_t accepted = 0, rejected = 0;
+  const auto check = [&](const std::string& spec) {
+    SCOPED_TRACE("spec: '" + spec + "'");
+    const auto parsed = ParseFaultPlan(spec);
+    const auto expected = ReferencePlan(spec);
+    ASSERT_EQ(parsed.ok(), expected.has_value()) << parsed.status().ToString();
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), ErrorCode::kInvalidArgument);
+      rejected++;
+      return;
+    }
+    accepted++;
+    EXPECT_EQ(PlanNumbers(parsed.value()), PlanNumbers(*expected));
+    EXPECT_EQ(parsed.value().spec, spec);
+    // Installing any accepted plan is safe; no I/O runs through it here.
+    FaultFile fault;
+    parsed.value().ApplyTo(fault);
+    EXPECT_EQ(fault.fired(), 0u);
+  };
+
+  for (const std::string& spec : corpus) {
+    for (size_t len = 0; len <= spec.size(); len++) check(spec.substr(0, len));
+  }
+  const std::string alphabet = "0123456789=@+:;,_segvreadtransientslowflip";
+  Rng rng(20261020);
+  for (int trial = 0; trial < 600; trial++) {
+    std::string spec = corpus[rng.Below(corpus.size())];
+    const uint64_t edits = 1 + rng.Below(3);
+    for (uint64_t e = 0; e < edits; e++) {
+      const size_t at = static_cast<size_t>(rng.Below(spec.size() + 1));
+      switch (rng.Below(4)) {
+        case 0:  // replace a byte (any byte value)
+          if (at < spec.size()) spec[at] = static_cast<char>(rng.Below(256));
+          break;
+        case 1:  // replace a byte with one the grammar uses
+          if (at < spec.size()) spec[at] = alphabet[rng.Below(alphabet.size())];
+          break;
+        case 2:  // insert digits: pushes numbers past their field width
+          spec.insert(at, std::string(1 + rng.Below(20), static_cast<char>('0' + rng.Below(10))));
+          break;
+        case 3:  // delete a byte
+          if (at < spec.size()) spec.erase(at, 1);
+          break;
+      }
+    }
+    check(spec);
+  }
+  // Both outcomes occur.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
+}
+
 class ChaosMatrix
     : public ::testing::TestWithParam<std::tuple<uint8_t, const char*>> {};
 
@@ -599,12 +842,12 @@ TEST_P(ChaosMatrix, TracerSurvivesAndAccountingReconciles) {
   // byte offset and append call the plans name. (A strided kernel's v2/v3
   // trace compresses to a few hundred bytes and would reach none of them.)
   config.params.size = 2000;
-  config.buffer_bytes = 16 * 1024;  // small buffers so the faults hit
-  config.trace_format = format;
-  config.trace_dir = dir.path();
+  config.sword.buffer_bytes = 16 * 1024;  // small buffers so the faults hit
+  config.sword.trace_format = format;
+  config.sword.out_dir = dir.path();
   config.fault_plan = plan;
-  config.adaptive_degradation = true;
-  config.watchdog_ms = 2000;
+  config.sword.adaptive_degradation = true;
+  config.sword.watchdog_ms = 2000;
 
   // Invariant 1: the run COMPLETES - the tracer neither deadlocks nor
   // crashes the traced application, whatever the backend does.
@@ -656,7 +899,7 @@ TEST_P(ChaosMatrix, TracerSurvivesAndAccountingReconciles) {
   // CI box a timed wait can overshoot its deadline by a full scheduling
   // quantum or more, and this invariant is about BOUNDED blocking, not
   // precise timing.
-  const uint64_t deadline_nanos = config.watchdog_ms * 1'000'000ull;
+  const uint64_t deadline_nanos = config.sword.watchdog_ms * 1'000'000ull;
   EXPECT_LE(r.flusher.blocked_nanos,
             4 * deadline_nanos *
                 (r.flusher.producer_blocks + r.flusher.watchdog_drops + 1));

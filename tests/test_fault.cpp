@@ -1,7 +1,8 @@
 // Fault-injection tests for the crash-tolerant trace-writing pipeline:
 // the FaultFile backend itself, retry-on-transient-failure, ENOSPC
 // drop-with-accounting (gap frames, sticky status, exact counters),
-// torn-frame rollback, and incremental meta checkpoints.
+// torn-frame rollback, incremental meta checkpoints, and the record log the
+// journal and the serve ledger share.
 //
 // Everything here is deterministic: faults are keyed on cumulative bytes
 // appended or on call numbers, flushers run synchronously, and retry backoff
@@ -18,6 +19,8 @@
 #include "common/faultfs.h"
 #include "common/fsutil.h"
 #include "compress/compressor.h"
+#include "offline/journal.h"
+#include "serve/ledger.h"
 #include "trace/event.h"
 #include "trace/flusher.h"
 #include "trace/meta.h"
@@ -312,7 +315,6 @@ TEST(WriterFault, MetaIsCheckpointedAtEveryBarrierInterval) {
   wc.buffer_bytes = 4096;
   wc.flusher = &flusher;
   wc.format = kTraceFormatV1;
-  wc.meta_checkpoint_interval = 1;
   ThreadTraceWriter writer(0, wc);
 
   // Even before any segment closes there is a valid (empty) checkpoint, so
@@ -340,28 +342,6 @@ TEST(WriterFault, MetaIsCheckpointedAtEveryBarrierInterval) {
     EXPECT_EQ(m.intervals.size(), static_cast<size_t>(k + 1));
   }
   ASSERT_TRUE(writer.Finish().ok());
-}
-
-TEST(WriterFault, CheckpointIntervalZeroWritesMetaOnlyAtFinish) {
-  TempDir dir;
-  Flusher flusher(/*async=*/false);
-  WriterConfig wc;
-  wc.log_path = dir.File("t0.log");
-  wc.meta_path = dir.File("t0.meta");
-  wc.buffer_bytes = 4096;
-  wc.flusher = &flusher;
-  wc.format = kTraceFormatV1;
-  wc.meta_checkpoint_interval = 0;  // the pre-crash-tolerance behavior
-  ThreadTraceWriter writer(0, wc);
-  EXPECT_FALSE(FileExists(wc.meta_path));
-  IntervalMeta seg;
-  seg.label = osl::Label::Initial().Fork(0, 2);
-  writer.BeginSegment(seg);
-  writer.Append(RawEvent::Access(0x1000, 8, 1, 11));
-  writer.EndSegment();
-  EXPECT_FALSE(FileExists(wc.meta_path));
-  ASSERT_TRUE(writer.Finish().ok());
-  EXPECT_TRUE(FileExists(wc.meta_path));
 }
 
 TEST(WriterFault, DropTotalsLandInMetaV3Header) {
@@ -415,6 +395,169 @@ TEST(WriterFault, DropTotalsLandInMetaV3Header) {
   EXPECT_EQ(m.intervals[0].data_begin, 0u);
   EXPECT_EQ(m.intervals[1].data_begin, 160u);
   EXPECT_EQ(m.intervals[2].data_begin, 320u);
+}
+
+// --- the shared record log: journal and ledger bytes ----------------------
+
+RaceReport PinnedRace(uint32_t pc1, uint32_t pc2) {
+  RaceReport r;
+  r.pc1 = pc1;
+  r.pc2 = pc2;
+  r.address = 0x7ffd0000u + pc1 * 8;
+  r.size1 = 4;
+  r.size2 = 8;
+  r.write1 = true;
+  r.write2 = (pc2 & 1) != 0;
+  return r;
+}
+
+offline::JournalHeader PinnedJournalHeader() {
+  offline::JournalHeader h;
+  h.shard_index = 1;
+  h.shard_count = 2;
+  h.salvage = 1;
+  h.bucket_deadline_ms = 250;
+  h.max_tree_bytes = 1u << 20;
+  h.thread_count = 4;
+  h.total_intervals = 77;
+  h.total_log_bytes = 123456;
+  return h;
+}
+
+offline::JournalBucketRecord PinnedBucket(uint64_t ordinal) {
+  offline::JournalBucketRecord rec;
+  rec.ordinal = ordinal;
+  rec.flags = static_cast<uint8_t>(ordinal);
+  for (uint64_t k = 0; k <= ordinal; k++) {
+    rec.races.push_back(PinnedRace(uint32_t(10 * ordinal + k), uint32_t(20 + k)));
+  }
+  rec.trees_built = 3 + ordinal;
+  rec.tree_nodes = 300 + ordinal;
+  rec.raw_events = 5000 + ordinal;
+  rec.label_pairs_checked = 6 + ordinal;
+  rec.concurrent_pairs = 5 + ordinal;
+  rec.node_pairs_ranged = 40 + ordinal;
+  rec.fastpath_hits = 39 + ordinal;
+  rec.dedup_hits = 2 + ordinal;
+  rec.dedup_bytes_saved = 1024 + ordinal;
+  rec.duplicates_suppressed = ordinal;
+  rec.segments_skipped = ordinal / 2;
+  rec.events_missing = 7 * ordinal;
+  rec.bytes_skipped_read = 11 * ordinal;
+  rec.tree_bytes = 65536 + ordinal;
+  return rec;
+}
+
+serve::LedgerRecord PinnedLedgerRecord(uint32_t k) {
+  serve::LedgerRecord rec;
+  rec.verdict.run = "run" + std::to_string(k);
+  rec.verdict.fingerprint = 0x1234567890abcdefull + k;
+  rec.dir = "/traces/run" + std::to_string(k);
+  if (k == 1) {
+    rec.quarantine = 3;  // contained, not analyzed: no races
+    rec.verdict.status = Status::Corrupt("analysis failed");
+  } else {
+    rec.verdict.salvaged = k == 2;
+    rec.verdict.races = {PinnedRace(k, 2 * k + 1), PinnedRace(k + 5, 9)};
+  }
+  return rec;
+}
+
+uint64_t FileDigest(const std::string& path) {
+  const auto bytes = ReadFileBytes(path);
+  EXPECT_TRUE(bytes.ok());
+  return Fnv1a64(bytes.value().data(), bytes.value().size());
+}
+
+TEST(RecordLog, JournalAndLedgerBytesArePinned) {
+  TempDir dir;
+  const std::string journal = dir.File("a.journal");
+  auto jw = offline::JournalWriter::Create(journal, PinnedJournalHeader());
+  ASSERT_TRUE(jw.ok()) << jw.status().ToString();
+  for (uint64_t b = 0; b < 3; b++) {
+    ASSERT_TRUE(jw.value().AppendBucket(PinnedBucket(b)).ok());
+  }
+  const std::string ledger = dir.File("serve.ledger");
+  auto lw = serve::LedgerWriter::Open(ledger, 0);
+  ASSERT_TRUE(lw.ok()) << lw.status().ToString();
+  for (uint32_t k = 0; k < 3; k++) {
+    ASSERT_TRUE(lw.value().Append(PinnedLedgerRecord(k)).ok());
+  }
+  // Pinned digests of both files: the journal stays v8 and the ledger v1,
+  // byte for byte.
+  EXPECT_EQ(FileSize(journal).value(), 255u);
+  EXPECT_EQ(FileDigest(journal), 0xea051e9dbc3238f0ull);
+  EXPECT_EQ(FileSize(ledger).value(), 237u);
+  EXPECT_EQ(FileDigest(ledger), 0xc344c10a9c1373f2ull);
+}
+
+
+// ShortWrites plus an ENOSPC in the middle of a record, through each of the
+// three appenders that share AppendWithRetry: the file is left exactly as
+// it was before the append, and the next append lands and loads.
+TEST(RecordLog, TornAppendRollsBackInFlusherJournalAndLedger) {
+  TempDir dir;
+  const auto tear_next_append = [](testing::FaultFile& ff) {
+    ff.ShortWrites(3);
+    ff.EnospcAfterBytes(ff.bytes_written() + 10);
+  };
+
+  {  // the flusher
+    const std::string path = dir.File("t.log");
+    testing::FaultFile ff;
+    Flusher flusher(FaultyConfig(&ff));
+    const Compressor* raw = FindCompressor("raw");
+    flusher.AppendFrame(path, EncodeV1Events(100, 10), raw, kTraceFormatV1, 10);
+    ASSERT_TRUE(flusher.status().ok());
+    const Bytes before = ReadFileBytes(path).value();
+    tear_next_append(ff);
+    flusher.AppendFrame(path, EncodeV1Events(200, 10), raw, kTraceFormatV1, 10);
+    EXPECT_EQ(flusher.status().code(), ErrorCode::kNoSpace);
+    EXPECT_EQ(ReadFileBytes(path).value(), before);
+    ff.Reset();
+    flusher.AppendFrame(path, EncodeV1Events(300, 10), raw, kTraceFormatV1, 10);
+    auto after = LogReader::Open(path);
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EXPECT_EQ(after.value().frame_count(), 3u);  // frame, gap, frame
+  }
+  {  // the analysis journal
+    const std::string path = dir.File("a.journal");
+    testing::FaultFile ff;
+    auto w = offline::JournalWriter::Create(path, PinnedJournalHeader(), &ff);
+    ASSERT_TRUE(w.ok());
+    ASSERT_TRUE(w.value().AppendBucket(PinnedBucket(0)).ok());
+    const Bytes before = ReadFileBytes(path).value();
+    tear_next_append(ff);
+    EXPECT_EQ(w.value().AppendBucket(PinnedBucket(1)).code(), ErrorCode::kNoSpace);
+    EXPECT_EQ(w.value().write_failures(), 1u);
+    EXPECT_EQ(ReadFileBytes(path).value(), before);
+    ff.Reset();
+    ASSERT_TRUE(w.value().AppendBucket(PinnedBucket(2)).ok());
+    auto loaded = offline::LoadJournal(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_EQ(loaded.value().records.size(), 2u);
+    EXPECT_EQ(loaded.value().records[1].ordinal, 2u);
+    EXPECT_EQ(loaded.value().records_dropped, 0u);
+  }
+  {  // the serve ledger
+    const std::string path = dir.File("serve.ledger");
+    testing::FaultFile ff;
+    auto w = serve::LedgerWriter::Open(path, 0, &ff);
+    ASSERT_TRUE(w.ok());
+    ASSERT_TRUE(w.value().Append(PinnedLedgerRecord(0)).ok());
+    const Bytes before = ReadFileBytes(path).value();
+    tear_next_append(ff);
+    EXPECT_EQ(w.value().Append(PinnedLedgerRecord(1)).code(), ErrorCode::kNoSpace);
+    EXPECT_EQ(w.value().append_failures(), 1u);
+    EXPECT_EQ(ReadFileBytes(path).value(), before);
+    ff.Reset();
+    ASSERT_TRUE(w.value().Append(PinnedLedgerRecord(2)).ok());
+    auto loaded = serve::LoadLedger(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_EQ(loaded.value().records.size(), 2u);
+    EXPECT_EQ(loaded.value().records[1].verdict.run, "run2");
+    EXPECT_EQ(loaded.value().records_dropped, 0u);
+  }
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ TEST(Harness, TraceDirPinningLeavesFilesBehind) {
   RunConfig config;
   config.tool = ToolKind::kSword;
   config.params.threads = 2;
-  config.trace_dir = dir.path();
+  config.sword.out_dir = dir.path();
   const auto result = RunByName("drb", "truedep1-orig-yes", config);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(FileExists(dir.File("sword_t0.log")));
@@ -79,10 +79,10 @@ TEST(Harness, BufferSizeKnobChangesFlushCount) {
   RunConfig small;
   small.tool = ToolKind::kSword;
   small.params.threads = 2;
-  small.buffer_bytes = 4 * 1024;
+  small.sword.buffer_bytes = 4 * 1024;
   small.run_offline = false;
   RunConfig large = small;
-  large.buffer_bytes = 4 * 1024 * 1024;
+  large.sword.buffer_bytes = 4 * 1024 * 1024;
   // c_GraphSearch's random neighbour reads stay one event each under the
   // v3 coalescer, so its trace is large enough to fill small buffers.
   const auto rs = RunByName("ompscr", "c_GraphSearch", small);
@@ -97,7 +97,7 @@ TEST(Harness, CodecKnobIsHonoredAndEquivalent) {
     RunConfig config;
     config.tool = ToolKind::kSword;
     config.params.threads = 4;
-    config.codec = codec;
+    config.sword.codec = codec;
     const auto result = RunByName("drb", "plusplus-orig-yes", config);
     ASSERT_TRUE(result.ok()) << codec;
     ASSERT_TRUE(result.value().status.ok()) << codec;

@@ -34,8 +34,8 @@ void GenerateTrace(const std::string& dir, uint8_t format,
   config.tool = harness::ToolKind::kSword;
   config.params.threads = 2;
   config.params.size = 512;
-  config.trace_dir = dir;
-  config.trace_format = format;
+  config.sword.out_dir = dir;
+  config.sword.trace_format = format;
   config.run_offline = false;
   auto result = harness::RunByName("drb", workload, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -3,7 +3,7 @@
 // AnalysisService that ties them together.
 //
 // Every timing-sensitive test runs on a ManualClock and every fault is a
-// deterministic injection (FaultIngestIo for reads, FaultFile for writes),
+// deterministic injection (one FaultFile for reads and writes),
 // so nothing here depends on scheduler luck. The service end-to-end tests
 // drive real traces produced by the harness through the daemon core and
 // hold it to the ISSUE's acceptance bar: poison runs quarantined with
@@ -36,7 +36,6 @@ namespace {
 using serve::AdmissionConfig;
 using serve::AdmissionController;
 using serve::AdmissionLevel;
-using serve::FaultIngestIo;
 using serve::IngestConfig;
 using serve::IngestState;
 using serve::ManualClock;
@@ -159,34 +158,39 @@ TEST(Admission, PackedStateCarriesSeqReasonLevel) {
   EXPECT_EQ(adm.runs_shed(), 1u);
 }
 
-// --- FaultIngestIo ---------------------------------------------------------
+// --- FaultFile read faults ------------------------------------------------
 
-TEST(FaultIngest, TransientThenHardFaultsAreCallNumbered) {
+TEST(FaultFileRead, TransientThenHardFaultsAreCallNumbered) {
   TempDir dir;
   const std::string path = dir.File("data");
   ASSERT_TRUE(WriteFile(path, Bytes{1, 2, 3}).ok());
 
-  FaultIngestIo io;
-  io.TransientReads(2);
-  io.FailReads(/*from_call=*/4, /*count=*/1);
+  testing::FaultFile fs;
+  fs.TransientReads(2);
+  fs.FailReads(/*from_call=*/4, /*count=*/1);
 
-  auto r1 = io.ReadFile(path);
+  auto r1 = fs.ReadWhole(path);
   EXPECT_EQ(r1.status().code(), ErrorCode::kUnavailable);
-  auto r2 = io.ReadFile(path);
+  auto r2 = fs.ReadWhole(path);
   EXPECT_EQ(r2.status().code(), ErrorCode::kUnavailable);
-  auto r3 = io.ReadFile(path);
+  auto r3 = fs.ReadWhole(path);
   ASSERT_TRUE(r3.ok());
   EXPECT_EQ(r3.value().size(), 3u);
-  auto r4 = io.ReadFile(path);  // call 4: hard window
+  auto r4 = fs.ReadWhole(path);  // call 4: hard window
   EXPECT_EQ(r4.status().code(), ErrorCode::kIoError);
-  auto r5 = io.ReadFile(path);
+  auto r5 = fs.ReadWhole(path);
   EXPECT_TRUE(r5.ok());
-  EXPECT_EQ(io.read_calls(), 5u);
-  EXPECT_EQ(io.transients_injected(), 2u);
-  EXPECT_EQ(io.failures_injected(), 1u);
+  // Size and Exists probes are not numbered: faults aim at data reads.
+  EXPECT_TRUE(fs.Exists(path));
+  EXPECT_EQ(fs.Size(path).value(), 3u);
+  EXPECT_EQ(fs.read_calls(), 5u);
+  EXPECT_EQ(fs.read_transients_injected(), 2u);
+  EXPECT_EQ(fs.read_failures_injected(), 1u);
+  // Read faults are not write-path fault kinds.
+  EXPECT_EQ(fs.fired(), 0u);
 }
 
-TEST(FaultIngest, PlanStringDrivesReadFaults) {
+TEST(FaultFileRead, PlanStringDrivesReadFaults) {
   auto plan = testing::ParseFaultPlan("read_transient=3;read_fail@5+2;read_slow=100@1+2");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ(plan.value().read_transient, 3u);
@@ -195,12 +199,13 @@ TEST(FaultIngest, PlanStringDrivesReadFaults) {
   EXPECT_EQ(plan.value().read_slow_usec, 100u);
   EXPECT_EQ(plan.value().read_slow_from, 1u);
   EXPECT_EQ(plan.value().read_slow_count, 2u);
+  EXPECT_EQ(plan.value().kinds(), 0u);
 
-  FaultIngestIo io;
-  io.ApplyPlan(plan.value());
+  testing::FaultFile fs;
+  plan.value().ApplyTo(fs);
   TempDir dir;
   ASSERT_TRUE(WriteFile(dir.File("f"), Bytes{9}).ok());
-  EXPECT_EQ(io.ReadFile(dir.File("f")).status().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(fs.ReadWhole(dir.File("f")).status().code(), ErrorCode::kUnavailable);
 }
 
 // --- RunIngestor -----------------------------------------------------------
@@ -211,7 +216,7 @@ void MakeTrace(const std::string& dir, const char* workload = "truedep1-orig-yes
   config.tool = harness::ToolKind::kSword;
   config.params.threads = 2;
   config.params.size = 256;
-  config.trace_dir = dir;
+  config.sword.out_dir = dir;
   config.run_offline = false;
   auto result = harness::RunByName("drb", workload, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -273,10 +278,10 @@ TEST(Ingest, GrowingDirectoryDoesNotSettle) {
 TEST(Ingest, TransientReadsAbsorbedByRetryBudget) {
   TempDir dir;
   MakeTrace(dir.path());
-  FaultIngestIo io;
-  io.TransientReads(2);  // first two meta reads EINTR; budget is 3 attempts
+  testing::FaultFile fs;
+  fs.TransientReads(2);  // first two meta reads EINTR; budget is 3 attempts
   ManualClock clock;
-  RunIngestor ing(dir.path(), FastIngest(), &io, clock.fn());
+  RunIngestor ing(dir.path(), FastIngest(), &fs, clock.fn());
   ing.Poll();
   ing.Poll();
   EXPECT_EQ(ing.Poll(), IngestState::kSettled);
@@ -287,11 +292,11 @@ TEST(Ingest, TransientReadsAbsorbedByRetryBudget) {
 TEST(Ingest, HardReadFailuresQuarantineAfterBudgetWithBackoff) {
   TempDir dir;
   MakeTrace(dir.path());
-  FaultIngestIo io;
-  io.FailReads(/*from_call=*/1, /*count=*/1'000'000);  // every read fails hard
+  testing::FaultFile fs;
+  fs.FailReads(/*from_call=*/1, /*count=*/1'000'000);  // every read fails hard
   ManualClock clock(1);
   IngestConfig cfg = FastIngest();  // max_hard_failures = 2
-  RunIngestor ing(dir.path(), cfg, &io, clock.fn());
+  RunIngestor ing(dir.path(), cfg, &fs, clock.fn());
 
   EXPECT_EQ(ing.Poll(), IngestState::kGrowing);  // hard failure 1, backoff armed
   EXPECT_EQ(ing.stats().hard_failures, 1u);
@@ -643,10 +648,12 @@ TEST(Service, IngestHardFailureQuarantinesWithReason) {
   ASSERT_TRUE(MakeDirs(run).ok());
   MakeTrace(run);
 
-  FaultIngestIo io;
-  io.FailReads(1, 1'000'000);
+  testing::FaultFile fs;
+  fs.FailReads(1, 1'000'000);
+  offline::AnalyzerEnv env;
+  env.fs = &fs;
   ManualClock clock(1);
-  serve::AnalysisService service(FastService(state.path()), {}, &io, clock.fn());
+  serve::AnalysisService service(FastService(state.path()), env, clock.fn());
   ASSERT_TRUE(service.Recover().ok());
   ASSERT_TRUE(service.AddRun(run).ok());
 
@@ -737,6 +744,29 @@ TEST(Service, LedgerEnospcDegradesNeverBlocksVerdicts) {
   EXPECT_GT(service.SiteCount(), 0u);
 }
 
+TEST(Service, LazyLedgerOpenReplacesAnUnreadableLedger) {
+  // A service that skipped Recover() opens the ledger at its first verdict.
+  // A ledger whose header is gone must be replaced, not continued: records
+  // appended after a truncate to 0 would have no header to load behind.
+  TempDir traces;
+  TempDir state;
+  const std::string run = traces.path() + "/run1";
+  ASSERT_TRUE(MakeDirs(run).ok());
+  MakeTrace(run);
+  const std::string ledger = state.path() + "/serve.ledger";
+  ASSERT_TRUE(WriteFile(ledger, Bytes(40, 0xAB)).ok());
+
+  serve::AnalysisService service(FastService(state.path()));
+  ASSERT_TRUE(service.AddRun(run).ok());
+  service.Drain(1000);
+  EXPECT_EQ(service.Stats().runs_done, 1u);
+  EXPECT_EQ(service.Stats().ledger_append_failures, 0u);
+  const auto loaded = serve::LoadLedger(ledger);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded.value().records.size(), 1u);
+  EXPECT_EQ(loaded.value().records[0].verdict.run, "run1");
+}
+
 TEST(Service, RestartReplaysLedgerByteIdentical) {
   TempDir traces;
   TempDir state;
@@ -811,7 +841,7 @@ TEST(Service, AdmissionShedsNewRunsUnderLoadAndCountsThem) {
   config.admission.calm_evals_to_recover = 1000;  // stay down for the test
 
   ManualClock clock(1);
-  serve::AnalysisService service(config, {}, nullptr, clock.fn());
+  serve::AnalysisService service(config, {}, clock.fn());
   ASSERT_TRUE(service.Recover().ok());
 
   // Three empty-but-present dirs: they ingest (slowly) and pressure mounts.

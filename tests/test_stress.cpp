@@ -32,8 +32,8 @@ void ExpectMillionEventsThroughTinyBuffer(const char* suite, const char* name,
   config.tool = ToolKind::kSword;
   config.params.threads = 4;
   config.params.size = size;
-  config.buffer_bytes = 64 * 1024;
-  config.trace_format = format;
+  config.sword.buffer_bytes = 64 * 1024;
+  config.sword.trace_format = format;
   const RunResult r = RunWorkload(*w, config);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_GT(r.events, 1000000u);

@@ -422,15 +422,22 @@ TEST(Flusher, AsyncAppendsInOrder) {
   const std::string path = dir.File("f.log");
   ASSERT_TRUE(WriteFile(path, Bytes{}).ok());
   Flusher flusher(/*async=*/true);
-  for (uint8_t k = 0; k < 10; k++) flusher.Append(path, Bytes{k});
+  const Compressor* raw = FindCompressor("raw");
+  for (uint8_t k = 0; k < 10; k++) flusher.AppendFrame(path, Bytes(16, k), raw);
   flusher.Drain();
   ASSERT_TRUE(flusher.status().ok());
   auto data = ReadFileBytes(path);
   ASSERT_TRUE(data.ok());
-  ASSERT_EQ(data.value().size(), 10u);
-  for (uint8_t k = 0; k < 10; k++) EXPECT_EQ(data.value()[k], k);
+  EXPECT_EQ(flusher.bytes_written(), data.value().size());
+  // The frames read back in submission order.
+  ByteReader r(data.value());
+  for (uint8_t k = 0; k < 10; k++) {
+    FrameView view;
+    ASSERT_TRUE(ReadFrame(r, &view).ok()) << "frame " << int(k);
+    EXPECT_EQ(view.data, Bytes(16, k)) << "frame order violated at " << int(k);
+  }
+  EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(flusher.appends(), 10u);
-  EXPECT_EQ(flusher.bytes_written(), 10u);
 }
 
 TEST(Flusher, SyncModeWritesInline) {
@@ -438,16 +445,19 @@ TEST(Flusher, SyncModeWritesInline) {
   const std::string path = dir.File("s.log");
   ASSERT_TRUE(WriteFile(path, Bytes{}).ok());
   Flusher flusher(/*async=*/false);
-  flusher.Append(path, Bytes{1, 2, 3});
+  flusher.AppendFrame(path, Bytes{1, 2, 3}, FindCompressor("raw"));
   // No Drain needed.
   auto data = ReadFileBytes(path);
   ASSERT_TRUE(data.ok());
-  EXPECT_EQ(data.value().size(), 3u);
+  ByteReader r(data.value());
+  FrameView view;
+  ASSERT_TRUE(ReadFrame(r, &view).ok());
+  EXPECT_EQ(view.data, (Bytes{1, 2, 3}));
 }
 
 TEST(Flusher, SurfacesIoErrors) {
   Flusher flusher(/*async=*/false);
-  flusher.Append("/nonexistent-dir-xyz/file", Bytes{1});
+  flusher.AppendFrame("/nonexistent-dir-xyz/file", Bytes{1}, FindCompressor("raw"));
   EXPECT_FALSE(flusher.status().ok());
 }
 
