@@ -20,9 +20,11 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <fstream>
+#include <source_location>
 #include <thread>
 #include <vector>
 
@@ -40,6 +42,7 @@
 #include "osl/label.h"
 #include "somp/instr.h"
 #include "somp/runtime.h"
+#include "somp/srcloc.h"
 #include "trace/event.h"
 #include "trace/writer.h"
 #include "common/fsutil.h"
@@ -232,6 +235,53 @@ void BM_TraceAppendAccess(benchmark::State& state) {
 BENCHMARK(BM_TraceAppendAccess)
     ->Arg(trace::kTraceFormatV2)
     ->Arg(trace::kTraceFormatV3);
+
+/// Addresses of graphsearch's neighbour loads: four random slots per vertex
+/// of a `nodes`-element int64 array (the pattern that folds into count-2
+/// runs).
+std::vector<uint64_t> RandomNeighbours(uint64_t nodes) {
+  Rng rng(21);
+  std::vector<uint64_t> addrs(4 * nodes);
+  for (uint64_t& a : addrs) a = 0x100000 + rng.Below(nodes) * 8;
+  return addrs;
+}
+
+/// Graphsearch's vertex body for vertex `v` at the writer layer: an
+/// ascending own-slot load, four loads of random neighbours (one site:
+/// ascending pairs fold into count-2 runs, the rest stay singles) and an
+/// ascending own-slot store. Six accesses.
+void AppendVertex(trace::ThreadTraceWriter& writer, uint64_t v,
+                  const std::vector<uint64_t>& neighbours) {
+  writer.AppendAccess(0x100000 + v * 8, 8, /*flags=*/0, /*pc=*/30);
+  for (uint64_t d = 0; d < 4; d++) {
+    writer.AppendAccess(neighbours[v * 4 + d], 8, /*flags=*/0, /*pc=*/31);
+  }
+  writer.AppendAccess(0x200000 + v * 8, 8, /*flags=*/1, /*pc=*/32);
+}
+
+void BM_TraceAppendAccessRandomPairs(benchmark::State& state) {
+  // AppendVertex through a v3 writer: every random load reaches the encoder.
+  TempDir dir("bm-randompairs");
+  trace::Flusher flusher(/*async=*/true);
+  trace::WriterConfig wc;
+  wc.log_path = dir.File("t.log");
+  wc.meta_path = dir.File("t.meta");
+  wc.flusher = &flusher;
+  trace::ThreadTraceWriter writer(0, wc);
+  trace::IntervalMeta meta;
+  meta.label = osl::Label::Initial().Fork(0, 2);
+  writer.BeginSegment(meta);
+  constexpr uint64_t kNodes = 16000;
+  const std::vector<uint64_t> neighbours = RandomNeighbours(kNodes);
+  uint64_t v = 0;
+  for (auto _ : state) {
+    AppendVertex(writer, v, neighbours);
+    if (++v == kNodes) v = 0;
+  }
+  writer.EndSegment();
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 6);
+}
+BENCHMARK(BM_TraceAppendAccessRandomPairs);
 
 void BM_FlusherThroughput(benchmark::State& state) {
   // End-to-end pipeline throughput: 8 producers handing pool-acquired
@@ -445,6 +495,24 @@ void BM_InstrumentedLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_InstrumentedLoad);
 
+/// Four sites of one loop body, for timing the pc-interning hit path every
+/// instrumented access pays (after the first call, each is in the calling
+/// thread's pc cache).
+std::array<std::source_location, 4> LoopBodySites() {
+  return {std::source_location::current(), std::source_location::current(),
+          std::source_location::current(), std::source_location::current()};
+}
+
+void BM_InternSrcLoc(benchmark::State& state) {
+  const std::array<std::source_location, 4> sites = LoopBodySites();
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(somp::InternSrcLoc(sites[i++ & 3]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InternSrcLoc);
+
 void BM_VectorClockJoin(benchmark::State& state) {
   hb::VectorClock a, b;
   for (uint32_t i = 0; i < 32; i++) {
@@ -473,6 +541,12 @@ BENCHMARK(BM_VectorClockJoin);
 //   interleaved     a loop body of 2 or 4 strided store sites, one access
 //                   each per iteration - per-site coalescer territory (each
 //                   site folds into one run). Reported only, not gated.
+//   random pairs    graphsearch's vertex body: an own-slot load, four loads
+//                   of random neighbours, an own-slot store. The neighbour
+//                   site logs count-2 runs and singles, so this is the
+//                   encoder-bound shape; v3 only, floor-gated.
+// Besides the writer shapes it times the pc-interning hit path
+// (InternSrcLoc on four cached sites), which every access pays first.
 // Each shape runs under format v3 and v2 (the plain writer), so the JSON
 // carries both the speedup ratio (machine-independent) and absolute
 // accesses/sec (floor-gated with tolerance).
@@ -488,7 +562,7 @@ struct SweepMetrics {
   uint64_t log_bytes = 0;
 };
 
-enum class SweepShape { kStrided, kReduction, kInterleaved };
+enum class SweepShape { kStrided, kReduction, kInterleaved, kRandomPairs };
 
 SweepMetrics MeasureSweep(SweepShape shape, uint8_t format, uint64_t sweeps,
                           uint64_t elems, uint32_t sites = 1) {
@@ -508,6 +582,10 @@ SweepMetrics MeasureSweep(SweepShape shape, uint8_t format, uint64_t sweeps,
     writer.BeginSegment(meta);
     constexpr uint64_t kBase = 0x100000;
     constexpr uint64_t kAcc = 0x80000;  // the reduction accumulator
+    // The random-pairs neighbours, drawn before the clock starts.
+    const std::vector<uint64_t> neighbours =
+        shape == SweepShape::kRandomPairs ? RandomNeighbours(elems)
+                                          : std::vector<uint64_t>();
     Timer t;
     if (shape == SweepShape::kStrided) {
       for (uint64_t s = 0; s < sweeps; s++) {
@@ -526,6 +604,11 @@ SweepMetrics MeasureSweep(SweepShape shape, uint8_t format, uint64_t sweeps,
         }
       }
       m.accesses = sweeps * elems * sites;
+    } else if (shape == SweepShape::kRandomPairs) {
+      for (uint64_t s = 0; s < sweeps; s++) {
+        for (uint64_t v = 0; v < elems; v++) AppendVertex(writer, v, neighbours);
+      }
+      m.accesses = sweeps * elems * 6;
     } else {
       for (uint64_t s = 0; s < sweeps; s++) {
         for (uint64_t i = 0; i < elems; i++) {
@@ -614,6 +697,31 @@ int RunFastPathQuick(const ArgParser& args) {
     std::printf("\n");
   }
 
+  // Graphsearch's vertex body (v3) and the pc-interning hit path.
+  const SweepMetrics random_pairs = MeasureSweep(
+      SweepShape::kRandomPairs, trace::kTraceFormatV3, quick ? 20 : 200, 16000);
+  double intern_ns = 0;
+  {
+    const std::array<std::source_location, 4> sites = LoopBodySites();
+    const uint64_t calls = quick ? 20'000'000 : 200'000'000;
+    uint64_t sum = 0;
+    Timer t;
+    for (uint64_t i = 0; i < calls; i++) sum += somp::InternSrcLoc(sites[i & 3]);
+    intern_ns = t.ElapsedSeconds() * 1e9 / static_cast<double>(calls);
+    benchmark::DoNotOptimize(sum);
+  }
+  {
+    TextTable table({"online layer", "per-access ns", "accesses/s",
+                     "events logged", "runs", "log bytes"});
+    table.AddRow({"random pairs (v3 writer)", Fmt(random_pairs.ns_per_access),
+                  std::to_string(static_cast<uint64_t>(random_pairs.accesses_per_sec)),
+                  std::to_string(random_pairs.logged), std::to_string(random_pairs.runs),
+                  std::to_string(random_pairs.log_bytes)});
+    table.AddRow({"InternSrcLoc hit", Fmt(intern_ns), "-", "-", "-", "-"});
+    table.Print();
+    std::printf("\n");
+  }
+
   const double strided_speedup =
       strided_v2.ns_per_access / std::max(strided_v3.ns_per_access, 1e-9);
   const double reduction_speedup =
@@ -667,6 +775,9 @@ int RunFastPathQuick(const ArgParser& args) {
         << ",\"interleaved4_events_per_access\":"
         << static_cast<double>(interleaved[1].logged) /
                std::max<uint64_t>(1, interleaved[1].accesses)
+        << ",\"random_pairs_ns\":" << random_pairs.ns_per_access
+        << ",\"random_pairs_accesses_per_sec\":" << random_pairs.accesses_per_sec
+        << ",\"intern_hit_ns\":" << intern_ns
         << "}\n";
   }
   return ok ? 0 : 1;

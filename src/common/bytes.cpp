@@ -21,19 +21,12 @@ void ByteWriter::PutU64(uint64_t v) {
 
 void ByteWriter::PutVarU64(uint64_t v) {
   uint8_t b[10];
-  int n = 0;
-  while (v >= 0x80) {
-    b[n++] = static_cast<uint8_t>(v | 0x80);
-    v >>= 7;
-  }
-  b[n++] = static_cast<uint8_t>(v);
-  Push(b, static_cast<size_t>(n));
+  Push(b, static_cast<size_t>(EncodeVarU64(v, b) - b));
 }
 
 void ByteWriter::PutVarI64(int64_t v) {
-  // Zigzag encoding keeps small negative values short.
-  uint64_t z = (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-  PutVarU64(z);
+  uint8_t b[10];
+  Push(b, static_cast<size_t>(EncodeVarI64(v, b) - b));
 }
 
 void ByteWriter::PutBytes(const uint8_t* data, size_t n) {

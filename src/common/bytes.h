@@ -14,6 +14,24 @@ namespace sword {
 
 using Bytes = std::vector<uint8_t>;
 
+/// Writes `v` as unsigned LEB128 at `out` (at most 10 bytes) and returns the
+/// end of what it wrote - the one varint encoder; ByteWriter wraps it.
+inline uint8_t* EncodeVarU64(uint64_t v, uint8_t* out) {
+  while (v >= 0x80) {
+    *out++ = static_cast<uint8_t>(v | 0x80);
+    v >>= 7;
+  }
+  *out++ = static_cast<uint8_t>(v);
+  return out;
+}
+
+/// Writes `v` zigzag-mapped and then as EncodeVarU64 does.
+inline uint8_t* EncodeVarI64(int64_t v, uint8_t* out) {
+  // Zigzag encoding keeps small negative values short.
+  return EncodeVarU64((static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63),
+                      out);
+}
+
 /// Appends fixed-width and varint-encoded values to a growable byte buffer.
 /// All fixed-width encodings are little-endian regardless of host order.
 class ByteWriter {

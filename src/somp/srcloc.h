@@ -4,9 +4,12 @@
 // program counter; race reports then map PCs back to file:line. Our
 // instrumentation shim uses std::source_location instead, interned into
 // dense 32-bit PcIds. Interning is on the access hot path, so each thread
-// keeps a local cache keyed on the (stable) file-name pointer + line +
-// column; the shared table is only touched on a site's first access from a
-// thread.
+// keeps a bounded cache of (file-name pointer, line, column) -> id: 256
+// slots in 4-way sets, in constant-initialized TLS, so a hit is a hash and
+// a few compares with no TLS init guard, and the cache never grows. A miss
+// asks the shared table, which gives each site its id on the site's first
+// access from any thread; the cache only remembers those ids, so ids do not
+// depend on it.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +30,18 @@ struct SrcLoc {
   std::string ToString() const;
 };
 
-/// Interns `loc`, returning a process-wide dense id. Thread-safe, O(1)
-/// amortized via a thread-local cache.
-PcId InternSrcLoc(const std::source_location& loc);
+/// Interns the site (`file`, `line`, `column`), returning its process-wide
+/// dense id. `file` is the key by pointer, so it must stay valid and must be
+/// the same pointer on every call for one site (source_location's
+/// file_name() is); `function` is copied on the site's first intern only.
+/// Thread-safe.
+PcId InternSite(const char* file, uint32_t line, uint32_t column,
+                const char* function);
+
+/// Interns `loc` (InternSite of its fields).
+inline PcId InternSrcLoc(const std::source_location& loc) {
+  return InternSite(loc.file_name(), loc.line(), loc.column(), loc.function_name());
+}
 
 /// Reverse lookup; ids are never recycled. Returns a stable reference.
 const SrcLoc& LookupSrcLoc(PcId id);

@@ -1,14 +1,29 @@
 #include "trace/event.h"
 
+#include <cassert>
+
 namespace sword::trace {
+namespace {
+
+template <typename T>
+uint8_t* StoreLE(T v, uint8_t* out) {
+  for (size_t i = 0; i < sizeof(T); i++) out[i] = static_cast<uint8_t>(v >> (8 * i));
+  return out + sizeof(T);
+}
+
+}  // namespace
+
+uint8_t* EncodeEvent(const RawEvent& e, uint8_t* out) {
+  out[0] = static_cast<uint8_t>(e.kind);
+  out[1] = e.flags;
+  out[2] = e.size;
+  out[3] = 0;  // reserved
+  return StoreLE(e.addr, StoreLE(e.pc, out + 4));
+}
 
 void EncodeEvent(const RawEvent& e, ByteWriter& w) {
-  w.PutU8(static_cast<uint8_t>(e.kind));
-  w.PutU8(e.flags);
-  w.PutU8(e.size);
-  w.PutU8(0);  // reserved
-  w.PutU32(e.pc);
-  w.PutU64(e.addr);
+  uint8_t b[kEventBytes];
+  w.PutRaw(b, static_cast<size_t>(EncodeEvent(e, b) - b));
 }
 
 Status DecodeEvent(ByteReader& r, RawEvent* out) {
@@ -56,26 +71,7 @@ constexpr uint8_t kSizeCodeExtended = 15;
 /// Size code for power-of-two sizes 1..128, else kSizeCodeExplicit.
 uint8_t SizeCode(uint8_t size) {
   if (size == 0 || (size & (size - 1)) != 0) return kSizeCodeExplicit;
-  uint8_t code = 1;
-  while ((uint8_t)(1u << (code - 1)) != size) code++;
-  return code;  // 1..8
-}
-
-/// Emits the tag byte plus the optional extended-flags / explicit-size
-/// prefix shared by kAccess and kAccessRun.
-void EncodeAccessTag(const RawEvent& e, ByteWriter& w) {
-  const bool extended = (e.flags & ~kInlineFlagsMask) != 0;
-  const uint8_t code = extended ? kSizeCodeExtended : SizeCode(e.size);
-  uint8_t tag = static_cast<uint8_t>(e.kind);
-  tag |= static_cast<uint8_t>((e.flags & kInlineFlagsMask) << 2);
-  tag |= static_cast<uint8_t>(code << 4);
-  w.PutU8(tag);
-  if (extended) {
-    w.PutU8(e.flags);
-    w.PutVarU64(e.size);
-  } else if (code == kSizeCodeExplicit) {
-    w.PutVarU64(e.size);
-  }
+  return static_cast<uint8_t>(__builtin_ctz(size) + 1);  // 1..8
 }
 
 /// Decodes the flags/size/pc/addr-delta payload shared by kAccess and
@@ -121,29 +117,43 @@ Status DecodeMutexPayload(uint8_t tag, ByteReader& r, RawEvent* out) {
 
 }  // namespace
 
-void EncodeEventV2(const RawEvent& e, EventCodecState& state, ByteWriter& w) {
-  if (e.kind != EventKind::kAccess) {
-    w.PutU8(static_cast<uint8_t>(e.kind));
-    w.PutVarU64(e.addr);
-    return;
+uint8_t* EncodeDeltaEvent(const RawEvent& e, EventCodecState& state, uint8_t* out) {
+  if (e.kind == EventKind::kMutexAcquire || e.kind == EventKind::kMutexRelease) {
+    *out++ = static_cast<uint8_t>(e.kind);
+    return EncodeVarU64(e.addr, out);
   }
-  EncodeAccessTag(e, w);
-  w.PutVarU64(e.pc);
-  w.PutVarI64(static_cast<int64_t>(e.addr - state.prev_addr));
-  state.prev_addr = e.addr;
+  // The tag plus the optional extended-flags / explicit-size prefix shared by
+  // kAccess and kAccessRun.
+  const bool extended = (e.flags & ~kInlineFlagsMask) != 0;
+  const uint8_t code = extended ? kSizeCodeExtended : SizeCode(e.size);
+  *out++ = static_cast<uint8_t>(static_cast<uint8_t>(e.kind) |
+                                ((e.flags & kInlineFlagsMask) << 2) | (code << 4));
+  if (extended) {
+    *out++ = e.flags;
+    out = EncodeVarU64(e.size, out);
+  } else if (code == kSizeCodeExplicit) {
+    out = EncodeVarU64(e.size, out);
+  }
+  out = EncodeVarU64(e.pc, out);
+  out = EncodeVarI64(static_cast<int64_t>(e.addr - state.prev_addr), out);
+  if (e.kind == EventKind::kAccessRun) {
+    out = EncodeVarU64(e.stride, out);
+    out = EncodeVarU64(e.count, out);
+    state.prev_addr = e.addr + (e.count - 1) * e.stride;
+  } else {
+    state.prev_addr = e.addr;
+  }
+  return out;
 }
 
 void EncodeEventV3(const RawEvent& e, EventCodecState& state, ByteWriter& w) {
-  if (e.kind != EventKind::kAccessRun) {
-    EncodeEventV2(e, state, w);
-    return;
-  }
-  EncodeAccessTag(e, w);
-  w.PutVarU64(e.pc);
-  w.PutVarI64(static_cast<int64_t>(e.addr - state.prev_addr));
-  w.PutVarU64(e.stride);
-  w.PutVarU64(e.count);
-  state.prev_addr = e.addr + (e.count - 1) * e.stride;
+  uint8_t b[kMaxEventBytesV3];
+  w.PutRaw(b, static_cast<size_t>(EncodeDeltaEvent(e, state, b) - b));
+}
+
+void EncodeEventV2(const RawEvent& e, EventCodecState& state, ByteWriter& w) {
+  assert(e.kind != EventKind::kAccessRun && "runs exist in v3 frames only");
+  EncodeEventV3(e, state, w);
 }
 
 Status DecodeDeltaEvent(ByteReader& r, uint8_t format, EventCodecState& state,

@@ -102,7 +102,11 @@ struct RawEvent {
 /// Encoded size of one v1 event in the log stream.
 constexpr uint64_t kEventBytes = 16;
 
-/// Appends the 16-byte little-endian v1 encoding of `e`.
+/// Writes the 16-byte little-endian v1 encoding of `e` at `out` and returns
+/// the end of what it wrote.
+uint8_t* EncodeEvent(const RawEvent& e, uint8_t* out);
+
+/// Appends the v1 encoding of `e` (EncodeEvent into `w`'s buffer).
 void EncodeEvent(const RawEvent& e, ByteWriter& w);
 
 /// Decodes one v1 event; fails on truncation or unknown kind.
@@ -121,7 +125,16 @@ struct EventCodecState {
   uint64_t prev_addr = 0;
 };
 
-/// Appends the variable-length v2 encoding of `e`, updating `state`.
+/// Writes the variable-length v2/v3 encoding of `e` at `out`, updating
+/// `state`, and returns the end of what it wrote: at most kMaxEventBytesV2
+/// bytes for kinds 0-2, kMaxEventBytesV3 for a kAccessRun. This is the one
+/// delta encoder; the writer calls it straight into its buffer's headroom,
+/// and the ByteWriter forms below wrap it. Kinds 0-2 encode identically in
+/// both formats, so the encoder needs no format: only a v3 frame may hold a
+/// kAccessRun.
+uint8_t* EncodeDeltaEvent(const RawEvent& e, EventCodecState& state, uint8_t* out);
+
+/// Appends the v2 encoding of `e` (a kind 0-2 event), updating `state`.
 void EncodeEventV2(const RawEvent& e, EventCodecState& state, ByteWriter& w);
 
 // ---------------------------------------------------------------- format v3

@@ -41,15 +41,15 @@ ThreadTraceWriter::ThreadTraceWriter(uint32_t thread_id, const WriterConfig& con
       config_(config),
       capacity_events_(config.buffer_bytes / kEventBytes),
       capacity_bytes_(capacity_events_ * kEventBytes),
-      max_event_bytes_(config.format >= kTraceFormatV3 ? kMaxEventBytesV3
-                                                       : kMaxEventBytesV2),
+      max_event_bytes_(config.format >= kTraceFormatV3   ? kMaxEventBytesV3
+                       : config.format == kTraceFormatV2 ? kMaxEventBytesV2
+                                                         : kEventBytes),
       fastpath_(config.format >= kTraceFormatV3) {
   assert(config_.flusher && "a Flusher is required");
   assert(capacity_events_ > 0 && "buffer too small for a single event");
   assert((config_.format >= kTraceFormatV1 && config_.format <= kTraceFormatV3) &&
          "unknown trace format");
-  assert((config_.format == kTraceFormatV1 || capacity_bytes_ >= max_event_bytes_) &&
-         "buffer too small for one encoded event");
+  assert(capacity_bytes_ >= max_event_bytes_ && "buffer too small for one encoded event");
   if (fastpath_) {
     runs_ = std::make_unique<PendingRun[]>(kSiteSlots);
     live_ = std::make_unique<uint8_t[]>(kSiteSlots);
@@ -66,14 +66,14 @@ ThreadTraceWriter::ThreadTraceWriter(uint32_t thread_id, const WriterConfig& con
   // and drop an empty meta checkpoint so a process killed before the first
   // barrier interval still leaves a well-formed (if empty) trace.
   (void)config_.backend->WriteWhole(config_.log_path, Bytes{});
-  (void)WriteFileAtomic(config_.meta_path, EncodeMetaSnapshot(),
-                        config_.backend);
+  Bytes snapshot = EncodeMetaSnapshot();
+  (void)WriteFileAtomic(config_.meta_path, snapshot, config_.backend);
   if (config_.crash_seal) {
     seal_slot_ =
         SealRegistry::Instance().Register(config_.log_path, config_.meta_path);
     // An image exists from the very first event on: a crash before the first
     // checkpoint still seals to a well-formed (empty) crash-tagged meta.
-    PublishSealImage();
+    PublishSealImage(std::move(snapshot));
   }
 }
 
@@ -98,54 +98,42 @@ void ThreadTraceWriter::PoolExhaustedShed() {
   if (config_.governor) config_.governor->NotePoolExhausted();
 }
 
-void ThreadTraceWriter::EncodeToBuffer(const RawEvent& event) {
+bool ThreadTraceWriter::MakeRoom() {
   if (buffer_.capacity() == 0) {
     buffer_ = config_.flusher->pool().Acquire(capacity_bytes_);
-    if (buffer_.capacity() == 0) {
+    if (buffer_.capacity() == 0) return false;
+  }
+  // Flush on the logical event-count capacity (the paper's knob) or when the
+  // next event might not fit the reserved bytes (tiny-buffer guard; for v1
+  // the two coincide).
+  if (buffer_events_ >= capacity_events_ ||
+      buffer_fill_ + max_event_bytes_ > capacity_bytes_) {
+    FlushBuffer(true);
+    if (buffer_.capacity() == 0) return false;  // reacquire failed
+  }
+  // Open the next stretch of the buffer for writing. Stretches of a few KB
+  // keep the zero-fill amortized without touching pages ahead of the events.
+  constexpr size_t kStretchBytes = 4096;
+  buffer_.resize(std::min<size_t>(capacity_bytes_, buffer_fill_ + kStretchBytes));
+  return true;
+}
+
+void ThreadTraceWriter::EncodeToBuffer(const RawEvent& event) {
+  if (buffer_fill_ + max_event_bytes_ > buffer_.size() ||
+      buffer_events_ >= capacity_events_) {
+    if (!MakeRoom()) {
       PoolExhaustedShed();
       return;
     }
   }
-  if (config_.format == kTraceFormatV1) {
-    if (buffer_.size() + kEventBytes > capacity_bytes_) {
-      FlushBuffer(true);
-      if (buffer_.capacity() == 0) {  // reacquire failed (pool exhausted)
-        PoolExhaustedShed();
-        return;
-      }
-    }
-    // Hot path: one 16-byte append, little-endian (this is EncodeEvent's
-    // layout, open-coded so the per-access cost stays in the nanoseconds).
-    const size_t offset = buffer_.size();
-    buffer_.resize(offset + kEventBytes);
-    uint8_t* p = buffer_.data() + offset;
-    p[0] = static_cast<uint8_t>(event.kind);
-    p[1] = event.flags;
-    p[2] = event.size;
-    p[3] = 0;
-    for (int i = 0; i < 4; i++) p[4 + i] = static_cast<uint8_t>(event.pc >> (8 * i));
-    for (int i = 0; i < 8; i++) p[8 + i] = static_cast<uint8_t>(event.addr >> (8 * i));
-    logical_offset_ += kEventBytes;
-  } else {
-    // Flush on the logical event-count capacity (the paper's knob) or when
-    // the next event might not fit the reserved bytes (tiny-buffer guard).
-    if (buffer_events_ >= capacity_events_ ||
-        buffer_.size() + max_event_bytes_ > capacity_bytes_) {
-      FlushBuffer(true);
-      if (buffer_.capacity() == 0) {  // reacquire failed (pool exhausted)
-        PoolExhaustedShed();
-        return;
-      }
-    }
-    const size_t before = buffer_.size();
-    ByteWriter w(&buffer_);
-    if (config_.format >= kTraceFormatV3) {
-      EncodeEventV3(event, codec_state_, w);
-    } else {
-      EncodeEventV2(event, codec_state_, w);
-    }
-    logical_offset_ += buffer_.size() - before;
-  }
+  // The one encode call per format, straight into the buffer's headroom.
+  uint8_t* const begin = buffer_.data() + buffer_fill_;
+  uint8_t* const end = config_.format == kTraceFormatV1
+                           ? EncodeEvent(event, begin)
+                           : EncodeDeltaEvent(event, codec_state_, begin);
+  const size_t n = static_cast<size_t>(end - begin);
+  buffer_fill_ += n;
+  logical_offset_ += n;
   buffer_events_++;
   events_logged_.Add(1);
 }
@@ -373,7 +361,8 @@ void ThreadTraceWriter::AppendRange(uint64_t addr, uint64_t bytes,
 }
 
 void ThreadTraceWriter::FlushBuffer(bool reacquire) {
-  if (buffer_.empty()) return;
+  if (buffer_fill_ == 0) return;
+  buffer_.resize(buffer_fill_);  // drop the unwritten tail of the stretch
   // Hand the raw buffer to the flusher; compression happens off-thread
   // (paper SIII-A: "compressed and asynchronously written out"). The buffer
   // returns to the pool once written, and we take a recycled one back. The
@@ -384,6 +373,7 @@ void ThreadTraceWriter::FlushBuffer(bool reacquire) {
   config_.flusher->AppendFrame(config_.log_path, std::move(raw), config_.codec,
                                config_.format, buffer_events_);
   if (reacquire) buffer_ = config_.flusher->pool().Acquire(capacity_bytes_);
+  buffer_fill_ = 0;
   buffer_events_ = 0;
   codec_state_ = EventCodecState{};  // frames are independently decodable
   flushes_.Add(1);
@@ -401,13 +391,11 @@ void ThreadTraceWriter::FlushEvents() {
   FlushBuffer(/*reacquire=*/false);
 }
 
-Bytes ThreadTraceWriter::EncodeMetaSnapshot(bool sealed) const {
+Bytes ThreadTraceWriter::EncodeMetaSnapshot() const {
   const DropRecord dropped = config_.flusher->DroppedFor(config_.log_path);
   MetaHeaderInfo info;
   info.thread_id = thread_id_;
   info.log_format = config_.format;
-  info.crash_sealed = sealed;
-  info.seal_signo = 0;  // the signal handler patches the real signo in place
   info.events_dropped = dropped.events;
   info.bytes_dropped = dropped.raw_bytes;
   info.accesses_dropped = accesses_dropped_.Get();
@@ -420,10 +408,12 @@ Bytes ThreadTraceWriter::EncodeMetaSnapshot(bool sealed) const {
   return std::move(w.buffer());
 }
 
-void ThreadTraceWriter::PublishSealImage() {
+void ThreadTraceWriter::PublishSealImage(Bytes snapshot) {
   if (seal_slot_ == SealRegistry::kNoSlot) return;
-  SealRegistry::Instance().Publish(seal_slot_,
-                                   EncodeMetaSnapshot(/*sealed=*/true));
+  // The sealed image is the checkpoint with the crash-sealed flag set; its
+  // signo byte stays 0 for the signal handler to patch in place.
+  snapshot[kMetaFlagsOffset] |= kMetaFlagCrashSealed;
+  SealRegistry::Instance().Publish(seal_slot_, snapshot);
 }
 
 void ThreadTraceWriter::BeginSegment(const IntervalMeta& meta) {
@@ -475,12 +465,12 @@ void ThreadTraceWriter::EndSegment() {
   // file. The write is best-effort - a failing checkpoint must not take
   // down the traced application; Finish() surfaces persistent meta-write
   // errors.
-  (void)WriteFileAtomic(config_.meta_path, EncodeMetaSnapshot(),
-                        config_.backend);
+  Bytes snapshot = EncodeMetaSnapshot();
+  (void)WriteFileAtomic(config_.meta_path, snapshot, config_.backend);
   // The crash-seal image tracks checkpoint cadence: publish AFTER the
   // record was serialized so a seal at any instant covers every closed
   // segment up to here.
-  PublishSealImage();
+  PublishSealImage(std::move(snapshot));
 }
 
 Status ThreadTraceWriter::Finish() {

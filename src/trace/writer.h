@@ -171,9 +171,7 @@ class ThreadTraceWriter {
   void FlushBuffer(bool reacquire);
   /// Current meta file image: v5 header (with the flusher's drop totals for
   /// this log so far) + the incrementally serialized interval records.
-  /// `sealed` builds the crash-seal variant: crash_sealed flag set, signo
-  /// placeholder zero (the handler patches it in place).
-  Bytes EncodeMetaSnapshot(bool sealed = false) const;
+  Bytes EncodeMetaSnapshot() const;
   /// Re-reads the governor's packed state: records a meta transition when
   /// the sequence advanced, and tracks the open segment's max level.
   void PollGovernor();
@@ -181,14 +179,20 @@ class ThreadTraceWriter {
   /// site `key`. Counts per-site events in a direct-mapped table reset per
   /// segment.
   bool ShedAccess(uint64_t key);
-  /// Publishes the sealed meta image to the SealRegistry (no-op without a
-  /// slot) — called at construction, every checkpoint, and Finish.
-  void PublishSealImage();
+  /// Publishes `snapshot` (an EncodeMetaSnapshot image) to the SealRegistry
+  /// as the crash-seal variant: crash_sealed flag set, signo placeholder
+  /// zero for the handler to patch. No-op without a slot. Called at
+  /// construction and at every checkpoint, with the checkpoint's own bytes.
+  void PublishSealImage(Bytes snapshot);
   /// Books one event shed because the buffer pool returned no memory.
   void PoolExhaustedShed();
   /// Encodes one event into the buffer (flushing first if full) and bumps
   /// the logical offset and event counters. Bypasses the coalescer.
   void EncodeToBuffer(const RawEvent& event);
+  /// EncodeToBuffer's slow path: takes a buffer from the pool, flushes a
+  /// full one, and opens the next writable stretch so max_event_bytes_ fit
+  /// past buffer_fill_. False when the pool has no buffer.
+  bool MakeRoom();
   /// Folds `count` accesses of site `key` at base, base+stride, ... into
   /// the pending run of slot `slot`: extends it when the elements continue
   /// it, otherwise materializes the resident run (any site) and starts a
@@ -208,7 +212,11 @@ class ThreadTraceWriter {
   const uint64_t max_event_bytes_;  // headroom bound for the format
   const bool fastpath_;             // format >= v3: coalescer legal
 
-  Bytes buffer_;                  // encoded events; acquired from the pool
+  // Encoded events; acquired from the pool. Bytes [0, buffer_fill_) are
+  // events, the rest of buffer_.size() is a zeroed stretch the encoder
+  // writes into; the flush trims the vector to buffer_fill_.
+  Bytes buffer_;
+  size_t buffer_fill_ = 0;
   uint64_t buffer_events_ = 0;    // events currently in buffer_
   EventCodecState codec_state_;   // v2/v3 delta state; reset at each flush
   uint64_t logical_offset_ = 0;   // total event bytes ever appended

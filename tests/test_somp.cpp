@@ -3,11 +3,16 @@
 // maintenance, tool callback ordering, and source-location interning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <mutex>
 #include <set>
+#include <thread>
+#include <tuple>
+#include <vector>
 
+#include "common/rng.h"
 #include "somp/instr.h"
 #include "somp/runtime.h"
 #include "somp/srcloc.h"
@@ -427,6 +432,93 @@ TEST(SrcLoc, SameSiteSameId) {
     (i == 0 ? first : second) = id;
   }
   EXPECT_EQ(first, second);
+}
+
+TEST(SrcLoc, IdsAgreeAcrossThreadsPastTheCacheSize) {
+  // Far more sites than the per-thread pc cache has slots, interned by
+  // several threads in different orders, so slots collide and evict on
+  // every thread. The ids must still be the shared table's: one per site,
+  // the same on every thread, dense, and reversible.
+  static const char* const kFiles[] = {"synthetic/alpha.cpp", "synthetic/beta.cpp",
+                                       "synthetic/gamma.cpp"};
+  struct Key {
+    const char* file;
+    uint32_t line;
+    uint32_t column;
+  };
+  // Random lines and columns, the same in every file, so keys that differ in
+  // one field only are plentiful and some of them share a cache set.
+  Rng rng(2018);
+  std::set<uint32_t> line_set;
+  while (line_set.size() < 300) line_set.insert(1 + static_cast<uint32_t>(rng.Below(100000)));
+  std::vector<std::pair<uint32_t, std::vector<uint32_t>>> lines;
+  for (const uint32_t line : line_set) {
+    std::set<uint32_t> columns;
+    while (columns.size() < 8) columns.insert(1 + static_cast<uint32_t>(rng.Below(250)));
+    lines.emplace_back(line, std::vector<uint32_t>(columns.begin(), columns.end()));
+  }
+  std::vector<Key> keys;
+  for (const char* file : kFiles) {
+    for (const auto& [line, columns] : lines) {
+      for (const uint32_t column : columns) keys.push_back({file, line, column});
+    }
+  }
+  const size_t before = SrcLocCount();
+  constexpr int kThreads = 4;
+  std::vector<std::vector<PcId>> ids(kThreads, std::vector<PcId>(keys.size()));
+  std::atomic<int> unstable{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      std::vector<size_t> order(keys.size());
+      for (size_t i = 0; i < order.size(); i++) order[i] = i;
+      // Thread 0 meets the columns of one line back to back, thread 1 the
+      // lines of one column, thread 2 the files of one (line, column), and
+      // thread 3 a shuffle.
+      const size_t per_file = keys.size() / std::size(kFiles);
+      const auto by = [&](auto field) {
+        std::stable_sort(order.begin(), order.end(),
+                         [&](size_t a, size_t b) { return field(a) < field(b); });
+      };
+      if (t == 1) {
+        by([&](size_t k) { return std::tuple(k / per_file, keys[k].column, keys[k].line); });
+      }
+      if (t == 2) by([&](size_t k) { return std::pair(keys[k].line, keys[k].column); });
+      Rng shuffle(100 + static_cast<uint64_t>(t));
+      for (size_t i = order.size(); t == 3 && i > 1; i--) {
+        std::swap(order[i - 1], order[shuffle.Below(i)]);
+      }
+      for (const size_t k : order) {
+        ids[t][k] = InternSite(keys[k].file, keys[k].line, keys[k].column, "synthetic");
+      }
+      // A second pass meets both cached and evicted sites.
+      for (const size_t k : order) {
+        if (InternSite(keys[k].file, keys[k].line, keys[k].column, "synthetic") !=
+            ids[t][k]) {
+          unstable.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(unstable.load(), 0) << "a site's id changed between passes";
+
+  std::set<PcId> distinct;
+  for (size_t k = 0; k < keys.size(); k++) {
+    for (int t = 1; t < kThreads; t++) ASSERT_EQ(ids[t][k], ids[0][k]) << "key " << k;
+    const PcId id = ids[0][k];
+    distinct.insert(id);
+    const SrcLoc& loc = LookupSrcLoc(id);
+    EXPECT_EQ(loc.file, keys[k].file);
+    EXPECT_EQ(loc.line, keys[k].line);
+    EXPECT_EQ(loc.column, keys[k].column);
+    EXPECT_EQ(loc.function, "synthetic");
+  }
+  // One id per site, in one dense block; a repeated run (--gtest_repeat)
+  // finds every site interned already and must add none.
+  ASSERT_EQ(distinct.size(), keys.size());
+  EXPECT_EQ(*distinct.rbegin() - *distinct.begin() + 1, keys.size()) << "ids are dense";
+  EXPECT_EQ(SrcLocCount(), std::max<size_t>(before, *distinct.rbegin() + size_t{1}));
 }
 
 }  // namespace

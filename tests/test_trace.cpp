@@ -786,6 +786,136 @@ TEST(WriterV2, SameEventsBothFormatsDecodeIdentically) {
       << "v2 should be at least 2x denser pre-compression";
 }
 
+// A fixed corpus that reaches every corner of the v2/v3 encoder: every
+// event kind, power-of-two and explicit sizes (0, 3, 12, 255), extended
+// flags, pcs above 2^28, ascending, descending and wrapping address deltas,
+// mutex ids above 2^32 and - v3 only - runs whose stride or count needs more
+// than 32 bits.
+std::vector<RawEvent> EncoderCorpus(bool with_runs) {
+  std::vector<RawEvent> events;
+  Rng rng(28);
+  const uint8_t kOddSizes[] = {0, 3, 12, 255};
+  uint64_t addr = 0x7f0000001000ULL;
+  for (uint64_t i = 0; i < 600; i++) {
+    switch (i % 10) {
+      case 0:
+      case 1:  // ascending, power-of-two sizes, inline flags
+        addr += 8 * (1 + rng.Below(4));
+        events.push_back(RawEvent::Access(
+            addr, static_cast<uint8_t>(1u << (i % 8)), static_cast<uint8_t>(i % 4),
+            static_cast<uint32_t>(rng.Below(300))));
+        break;
+      case 2:  // descending: a negative delta
+        addr -= 16 + rng.Below(1 << 20);
+        events.push_back(RawEvent::Access(addr, 8, 0, static_cast<uint32_t>(i)));
+        break;
+      case 3:  // explicit non-power-of-two sizes, and a pc above 2^28
+        events.push_back(RawEvent::Access(addr + 3, kOddSizes[i % 4], 1,
+                                          (1u << 28) + static_cast<uint32_t>(i)));
+        break;
+      case 4:  // extended flags (bits beyond write|atomic)
+        events.push_back(RawEvent::Access(addr + 64,
+                                          static_cast<uint8_t>(i % 2 ? 4 : 6),
+                                          static_cast<uint8_t>(0x80 | (i % 4)), 17));
+        break;
+      case 5: {  // a mutex id above 2^32
+        RawEvent e = rng.Chance(0.5) ? RawEvent::MutexAcquire(0)
+                                     : RawEvent::MutexRelease(0);
+        e.addr = (uint64_t{1} << 33) + rng.Below(1 << 30);
+        events.push_back(e);
+        break;
+      }
+      case 6:  // wrapping deltas: to the top of the address space and back
+        events.push_back(RawEvent::Access(~uint64_t{0} - 7 - rng.Below(64), 8, 1, 5));
+        events.push_back(RawEvent::Access(0x40 + rng.Below(64), 4, 0, 5));
+        break;
+      case 7:
+        if (with_runs) {  // a plain strided run
+          events.push_back(RawEvent::Run(addr, 8, 2 + rng.Below(1000), 8,
+                                         static_cast<uint8_t>(i % 4), 9));
+        } else {
+          events.push_back(RawEvent::MutexRelease(static_cast<uint32_t>(i)));
+        }
+        break;
+      case 8:
+        if (with_runs) {  // a stride above 2^32
+          events.push_back(RawEvent::Run(0x1000, (uint64_t{1} << 36) + rng.Below(4096),
+                                         3, 12, 1, 10));
+        } else {
+          events.push_back(RawEvent::Access(addr, 2, 2, 10));
+        }
+        break;
+      case 9:
+        if (with_runs) {  // a count above 2^32, and extended flags on a run
+          events.push_back(RawEvent::Run(0x2000, 1, (uint64_t{1} << 33) + i, 1,
+                                         static_cast<uint8_t>(0x41), 11));
+        } else {
+          events.push_back(RawEvent::MutexAcquire(static_cast<uint32_t>(i)));
+        }
+        break;
+    }
+  }
+  return events;
+}
+
+TEST(EventCodec, WrittenCorpusIsPinned) {
+  // Writes the corpus through a ThreadTraceWriter with the raw codec and a
+  // small buffer, so it spans many frames (each resets the delta state),
+  // and pins the concatenated frame payloads. The digests were taken with
+  // the ByteWriter field-by-field encoder, so they pin that the writer's
+  // direct encoding changes no byte.
+  struct Pin {
+    uint8_t format;
+    uint64_t bytes;
+    uint64_t fnv;
+    uint64_t flushes;
+  };
+  const Pin pins[] = {
+      {kTraceFormatV2, 3646, 589524302765848298ULL, 17},
+      {kTraceFormatV3, 5780, 13330470795333379633ULL, 17},
+  };
+  for (const Pin& pin : pins) {
+    WriterFixture fx;
+    const std::vector<RawEvent> events = EncoderCorpus(pin.format == kTraceFormatV3);
+    WriterConfig wc = fx.Config(640, pin.format);
+    wc.codec = FindCompressor("raw");
+    uint64_t flushes = 0;
+    {
+      ThreadTraceWriter writer(0, wc);
+      writer.BeginSegment(fx.Meta());
+      for (const RawEvent& e : events) writer.Append(e);
+      writer.EndSegment();
+      ASSERT_TRUE(writer.Finish().ok());
+      flushes = writer.flushes();
+    }
+    auto log = ReadFileBytes(wc.log_path);
+    ASSERT_TRUE(log.ok());
+    ByteReader r(log.value());
+    uint64_t bytes = 0;
+    uint64_t fnv = Fnv1a64(nullptr, 0);
+    while (!r.AtEnd()) {
+      FrameHeader h;
+      ASSERT_TRUE(ParseFrameHeader(r, &h).ok());
+      ASSERT_EQ(h.codec, "raw");
+      ASSERT_EQ(h.payload_format, pin.format);
+      ASSERT_GE(r.remaining(), h.payload_size);
+      fnv = Fnv1a64(r.cursor(), h.payload_size, fnv);
+      bytes += h.payload_size;
+      ASSERT_TRUE(r.Skip(h.payload_size).ok());
+    }
+    EXPECT_EQ(bytes, pin.bytes) << "format v" << int(pin.format);
+    EXPECT_EQ(fnv, pin.fnv) << "format v" << int(pin.format);
+    EXPECT_EQ(flushes, pin.flushes) << "format v" << int(pin.format);
+
+    auto reader = LogReader::Open(wc.log_path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    std::vector<RawEvent> back;
+    ASSERT_TRUE(
+        reader.value().ReadRange(0, reader.value().total_logical_bytes(), &back).ok());
+    EXPECT_EQ(back, events) << "format v" << int(pin.format);
+  }
+}
+
 TEST(ReaderV2, FuzzedMutationsNeverCrash) {
   WriterFixture fx;
   {
