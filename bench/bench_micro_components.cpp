@@ -8,7 +8,9 @@
 //   --quick [--json F]   the online fast-path microbench: per-access ns on
 //                        strided-sweep and reduction workloads, format v3
 //                        (coalescer) vs v2 (one event per access), with
-//                        suppressed/coalesced counters. This is the
+//                        suppressed/coalesced counters, plus the offline
+//                        read layer's block decoder (ns per event) and
+//                        "SW3H" frame checksum (bytes/s). This is the
 //                        perf-smoke gate's tracing-side metric source.
 //   --contention [--json F]
 //                        the trace-plane coordination sweep: N producers
@@ -34,6 +36,7 @@
 
 #include "common/rng.h"
 #include "compress/compressor.h"
+#include "compress/frame.h"
 #include "hb/shadow.h"
 #include "hb/vectorclock.h"
 #include "ilp/diophantine.h"
@@ -92,6 +95,22 @@ void BM_EventEncodeV2(benchmark::State& state) {
 }
 BENCHMARK(BM_EventEncodeV2);
 
+/// Decodes a whole delta-coded payload through the block decoder; returns
+/// the number of accesses its events stand for (run counts included).
+uint64_t DecodePayload(const Bytes& payload, uint8_t format) {
+  trace::DeltaStream in{payload.data(), payload.data() + payload.size(), format, {}};
+  trace::RawEvent block[trace::kDecodeBlockEvents];
+  uint64_t accesses = 0;
+  while (in.pos < in.end) {
+    size_t n = 0;
+    if (!trace::DecodeDeltaBlock(in, in.end, block, trace::kDecodeBlockEvents, &n).ok()) {
+      std::abort();
+    }
+    for (size_t i = 0; i < n; i++) accesses += block[i].count;
+  }
+  return accesses;
+}
+
 void BM_EventDecodeV2(benchmark::State& state) {
   // Decode throughput of the offline reader's v2 hot loop.
   Bytes buffer;
@@ -103,17 +122,7 @@ void BM_EventDecodeV2(benchmark::State& state) {
                          enc_state, w);
   }
   for (auto _ : state) {
-    ByteReader r(buffer);
-    trace::EventCodecState dec_state;
-    trace::RawEvent e;
-    uint64_t n = 0;
-    while (!r.AtEnd()) {
-      if (!trace::DecodeDeltaEvent(r, trace::kTraceFormatV2, dec_state, &e).ok()) {
-        std::abort();
-      }
-      n++;
-    }
-    benchmark::DoNotOptimize(n);
+    benchmark::DoNotOptimize(DecodePayload(buffer, trace::kTraceFormatV2));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kEvents);
   state.counters["bytes_per_event"] =
@@ -164,23 +173,67 @@ void BM_EventDecodeV3Run(benchmark::State& state) {
         enc_state, w);
   }
   for (auto _ : state) {
-    ByteReader r(buffer);
-    trace::EventCodecState dec_state;
-    trace::RawEvent e;
-    uint64_t accesses = 0;
-    while (!r.AtEnd()) {
-      if (!trace::DecodeDeltaEvent(r, trace::kTraceFormatV3, dec_state, &e).ok()) {
-        std::abort();
-      }
-      accesses += e.count;
-    }
-    benchmark::DoNotOptimize(accesses);
+    benchmark::DoNotOptimize(DecodePayload(buffer, trace::kTraceFormatV3));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kRuns * kCount);
   state.counters["bytes_per_access"] =
       benchmark::Counter(static_cast<double>(buffer.size()) / (kRuns * kCount));
 }
 BENCHMARK(BM_EventDecodeV3Run);
+
+/// A v3 payload of graphsearch's vertex body as the writer logs it: per
+/// vertex an own-slot load, the four random neighbour loads as count-2 runs
+/// where a pair ascends and singles otherwise, and an own-slot store.
+Bytes GraphSearchPayload(uint64_t vertices, uint64_t* events) {
+  Rng rng(21);
+  Bytes payload;
+  ByteWriter w(&payload);
+  trace::EventCodecState state;
+  *events = 0;
+  auto put = [&](const trace::RawEvent& e) {
+    trace::EncodeEventV3(e, state, w);
+    ++*events;
+  };
+  for (uint64_t v = 0; v < vertices; v++) {
+    put(trace::RawEvent::Access(0x100000 + v * 8, 8, 0, 30));
+    for (int pair = 0; pair < 2; pair++) {
+      const uint64_t a = 0x100000 + rng.Below(vertices) * 8;
+      const uint64_t b = 0x100000 + rng.Below(vertices) * 8;
+      if (b > a) {
+        put(trace::RawEvent::Run(a, b - a, 2, 8, 0, 31));
+      } else {
+        put(trace::RawEvent::Access(a, 8, 0, 31));
+        put(trace::RawEvent::Access(b, 8, 0, 31));
+      }
+    }
+    put(trace::RawEvent::Access(0x200000 + v * 8, 8, 1, 32));
+  }
+  return payload;
+}
+
+void BM_EventDecodeGraphSearch(benchmark::State& state) {
+  uint64_t events = 0;
+  const Bytes payload = GraphSearchPayload(16000, &events);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DecodePayload(payload, trace::kTraceFormatV3));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * events));
+}
+BENCHMARK(BM_EventDecodeGraphSearch);
+
+void BM_FrameChecksum(benchmark::State& state) {
+  // Arg 0: FNV-1a ("SW3F" and older frames); arg 1: the word hash ("SW3H").
+  const uint32_t magic = state.range(0) ? kFrameMagicV3Word : kFrameMagicV3;
+  Rng rng(5);
+  Bytes payload(1 << 20);
+  for (uint8_t& b : payload) b = static_cast<uint8_t>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FrameChecksum(magic, payload.data(), payload.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * payload.size()));
+  state.SetLabel(state.range(0) ? "word hash" : "fnv1a64");
+}
+BENCHMARK(BM_FrameChecksum)->Arg(0)->Arg(1);
 
 void BM_TraceAppend(benchmark::State& state) {
   TempDir dir("bm-trace");
@@ -546,7 +599,9 @@ BENCHMARK(BM_VectorClockJoin);
 //                   site logs count-2 runs and singles, so this is the
 //                   encoder-bound shape; v3 only, floor-gated.
 // Besides the writer shapes it times the pc-interning hit path
-// (InternSrcLoc on four cached sites), which every access pays first.
+// (InternSrcLoc on four cached sites), which every access pays first, and
+// the two byte-level costs of reading a trace back: DecodeDeltaBlock on a
+// graphsearch-shaped v3 payload and the word-hash frame checksum.
 // Each shape runs under format v3 and v2 (the plain writer), so the JSON
 // carries both the speedup ratio (machine-independent) and absolute
 // accesses/sec (floor-gated with tolerance).
@@ -710,6 +765,46 @@ int RunFastPathQuick(const ArgParser& args) {
     intern_ns = t.ElapsedSeconds() * 1e9 / static_cast<double>(calls);
     benchmark::DoNotOptimize(sum);
   }
+  // The offline read path's two byte-level costs: the block decoder on the
+  // graphsearch payload, and the "SW3H" frame checksum over 1.7 MB (the
+  // size of graphsearch-ranged's whole trace), each the best of 9 reps.
+  uint64_t decode_events = 0;
+  const Bytes decode_payload = GraphSearchPayload(16000, &decode_events);
+  const double decode_s = sword::bench::BestOfReps(
+      9,
+      [&] {
+        Timer t;
+        benchmark::DoNotOptimize(DecodePayload(decode_payload, trace::kTraceFormatV3));
+        return t.ElapsedSeconds();
+      },
+      [](double s) { return s; });
+  const double block_decode_ns = decode_s * 1e9 / static_cast<double>(decode_events);
+  Bytes checksum_payload(1714678);
+  {
+    Rng rng(5);
+    for (uint8_t& b : checksum_payload) b = static_cast<uint8_t>(rng.Next());
+  }
+  const double checksum_s = sword::bench::BestOfReps(
+      9,
+      [&] {
+        Timer t;
+        benchmark::DoNotOptimize(FrameChecksum(
+            kFrameMagicV3Word, checksum_payload.data(), checksum_payload.size()));
+        return t.ElapsedSeconds();
+      },
+      [](double s) { return s; });
+  const double checksum_bytes_per_sec =
+      static_cast<double>(checksum_payload.size()) / std::max(checksum_s, 1e-9);
+  {
+    TextTable table({"offline read layer", "per-event ns", "events/s", "bytes/s"});
+    table.AddRow({"block decode (graphsearch v3 payload)", Fmt(block_decode_ns),
+                  std::to_string(static_cast<uint64_t>(1e9 / block_decode_ns)), "-"});
+    table.AddRow({"SW3H frame checksum", "-", "-",
+                  std::to_string(static_cast<uint64_t>(checksum_bytes_per_sec))});
+    table.Print();
+    std::printf("\n");
+  }
+
   {
     TextTable table({"online layer", "per-access ns", "accesses/s",
                      "events logged", "runs", "log bytes"});
@@ -778,6 +873,9 @@ int RunFastPathQuick(const ArgParser& args) {
         << ",\"random_pairs_ns\":" << random_pairs.ns_per_access
         << ",\"random_pairs_accesses_per_sec\":" << random_pairs.accesses_per_sec
         << ",\"intern_hit_ns\":" << intern_ns
+        << ",\"block_decode_ns_per_event\":" << block_decode_ns
+        << ",\"block_decode_events_per_sec\":" << 1e9 / block_decode_ns
+        << ",\"frame_checksum_bytes_per_sec\":" << checksum_bytes_per_sec
         << "}\n";
   }
   return ok ? 0 : 1;

@@ -58,20 +58,6 @@ auto BestOfReps(int reps, Fn&& fn, Key&& key) {
   return best;
 }
 
-/// Interleaved A/B best-of: alternates the two arms rep-by-rep so host
-/// drift cancels out of the ratio, and takes each arm's best wall clock.
-/// Returns {best_a_seconds, best_b_seconds}.
-template <typename FnA, typename FnB>
-std::pair<double, double> BestOfInterleavedReps(int reps, FnA&& run_a,
-                                                FnB&& run_b) {
-  double best_a = 1e300, best_b = 1e300;
-  for (int rep = 0; rep < reps; rep++) {
-    best_a = std::min(best_a, static_cast<double>(run_a()));
-    best_b = std::min(best_b, static_cast<double>(run_b()));
-  }
-  return {best_a, best_b};
-}
-
 inline void Banner(const char* title, const char* claim) {
   std::printf("==============================================================\n");
   std::printf("%s\n", title);

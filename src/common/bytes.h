@@ -78,8 +78,8 @@ class ByteReader {
   ByteReader(const uint8_t* data, size_t n) : data_(data), size_(n) {}
   explicit ByteReader(const Bytes& b) : data_(b.data()), size_(b.size()) {}
 
-  // The three getters the event decoder calls per field are inline, so the
-  // OK path of their Status folds away in the decode loop.
+  // The getters decode loops call per field are inline, so the OK path of
+  // their Status folds away in the loop.
   Status GetU8(uint8_t* v) {
     if (remaining() < 1) return Status::Corrupt("truncated u8");
     *v = data_[pos_++];
@@ -123,8 +123,32 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
-/// FNV-1a 64-bit hash; used as the block checksum in the compressed framing
-/// and for report deduplication keys.
+/// FNV-1a 64-bit hash: the checksum of v1, v2 and legacy "SW3F" v3 frames,
+/// of the gap and crash markers and of the record log, and the key of report
+/// deduplication. It hashes a byte at a time through a serial multiply chain.
 uint64_t Fnv1a64(const void* data, size_t n, uint64_t seed = 0xcbf29ce484222325ULL);
+
+/// The word-wide 64-bit hash of "SW3H" frame payloads (docs/FORMAT.md spells
+/// it out): XXH64 with seed 0. Four independent lanes each take one 8-byte
+/// little-endian word of every 32-byte stripe through the round
+/// `lane = rotl(lane + w * P2, 31) * P1`; the lanes merge, the tail folds in
+/// by words, half-words and bytes, and an avalanche mixes the result. Fed in
+/// chunks of any size it returns the one-shot digest, so a reader can
+/// verify a payload a block at a time.
+class WordHasher {
+ public:
+  WordHasher();
+  void Update(const void* data, size_t n);
+  uint64_t Digest() const;
+
+ private:
+  uint64_t lanes_[4];
+  uint64_t total_ = 0;         // bytes fed so far
+  uint8_t stripe_[32] = {};    // a partial stripe carried between Updates
+  size_t stripe_bytes_ = 0;
+};
+
+/// One-shot WordHasher.
+uint64_t WordHash64(const void* data, size_t n);
 
 }  // namespace sword

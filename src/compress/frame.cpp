@@ -1,34 +1,65 @@
 #include "compress/frame.h"
 
-#include <iterator>
-
 #include "compress/codecs.h"
 
 namespace sword {
 namespace {
 
-/// The data-frame magics, indexed by payload format - 1. Writer and parser
-/// both map formats through this table.
-constexpr uint32_t kDataMagics[] = {kFrameMagic, kFrameMagicV2, kFrameMagicV3};
+struct DataMagic {
+  uint32_t magic;
+  uint8_t payload_format;
+  bool word_hash;  // payload checksum: WordHash64, else fnv1a64
+  bool written;    // the magic WriteFrame emits for its format
+};
+
+/// The data-frame magics. Writer, parser and FrameHasher all map magics
+/// through this one table.
+constexpr DataMagic kDataMagics[] = {
+    {kFrameMagic, 1, false, true},
+    {kFrameMagicV2, 2, false, true},
+    {kFrameMagicV3, 3, false, false},
+    {kFrameMagicV3Word, 3, true, true},
+};
 
 uint32_t LoadMagic(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
-/// Payload format of a data-frame magic, or 0.
-uint8_t DataFormatOf(uint32_t magic) {
-  for (size_t i = 0; i < std::size(kDataMagics); ++i) {
-    if (kDataMagics[i] == magic) return static_cast<uint8_t>(i + 1);
+/// The table row of a data-frame magic, or null.
+const DataMagic* FindDataMagic(uint32_t magic) {
+  for (const DataMagic& m : kDataMagics) {
+    if (m.magic == magic) return &m;
   }
-  return 0;
+  return nullptr;
 }
 
 }  // namespace
 
+FrameHasher::FrameHasher(uint32_t magic) {
+  const DataMagic* m = FindDataMagic(magic);
+  word_ = m != nullptr && m->word_hash;
+}
+
+void FrameHasher::Update(const uint8_t* data, size_t n) {
+  if (word_) {
+    word_hasher_.Update(data, n);
+  } else {
+    fnv_ = Fnv1a64(data, n, fnv_);
+  }
+}
+
+uint64_t FrameHasher::Digest() const { return word_ ? word_hasher_.Digest() : fnv_; }
+
+uint64_t FrameChecksum(uint32_t magic, const uint8_t* data, size_t n) {
+  FrameHasher h(magic);
+  h.Update(data, n);
+  return h.Digest();
+}
+
 bool IsFrameMagic(const uint8_t* p) {
   const uint32_t magic = LoadMagic(p);
-  return DataFormatOf(magic) != 0 || magic == kFrameMagicGap ||
+  return FindDataMagic(magic) != nullptr || magic == kFrameMagicGap ||
          magic == kFrameMagicCrash;
 }
 
@@ -37,6 +68,7 @@ Status ParseFrameHeader(ByteReader& reader, FrameHeader* out) {
   const size_t start = reader.position();
   uint32_t magic;
   SWORD_RETURN_IF_ERROR(reader.GetU32(&magic));
+  out->magic = magic;
 
   if (magic == kFrameMagicCrash) {
     // signo u8 | u64 checksum over the signo byte. Fixed-length, so a torn
@@ -44,7 +76,7 @@ Status ParseFrameHeader(ByteReader& reader, FrameHeader* out) {
     uint64_t checksum;
     SWORD_RETURN_IF_ERROR(reader.GetU8(&out->crash_signo));
     SWORD_RETURN_IF_ERROR(reader.GetU64(&checksum));
-    if (Fnv1a64(&out->crash_signo, 1) != checksum) {
+    if (FrameChecksum(magic, &out->crash_signo, 1) != checksum) {
       return Status::Corrupt("crash marker checksum mismatch");
     }
     out->is_crash = true;
@@ -61,7 +93,7 @@ Status ParseFrameHeader(ByteReader& reader, FrameHeader* out) {
     const size_t body_len = static_cast<size_t>(reader.cursor() - body);
     uint64_t checksum;
     SWORD_RETURN_IF_ERROR(reader.GetU64(&checksum));
-    if (Fnv1a64(body, body_len) != checksum) {
+    if (FrameChecksum(magic, body, body_len) != checksum) {
       return Status::Corrupt("gap frame checksum mismatch");
     }
     if (out->raw_size > kMaxFrameRawBytes) {
@@ -72,8 +104,9 @@ Status ParseFrameHeader(ByteReader& reader, FrameHeader* out) {
     return Status::Ok();
   }
 
-  out->payload_format = DataFormatOf(magic);
-  if (out->payload_format == 0) return Status::Corrupt("bad frame magic");
+  const DataMagic* data_magic = FindDataMagic(magic);
+  if (data_magic == nullptr) return Status::Corrupt("bad frame magic");
+  out->payload_format = data_magic->payload_format;
   uint64_t name_len;
   SWORD_RETURN_IF_ERROR(reader.GetVarU64(&name_len));
   if (name_len > kMaxCodecNameBytes) {
@@ -105,9 +138,11 @@ Status ParseFrameHeader(ByteReader& reader, FrameHeader* out) {
 
 Status WriteFrame(const Compressor& codec, const uint8_t* data, size_t n, Bytes* out,
                   uint8_t payload_format, CompressScratch* scratch) {
-  if (payload_format < 1 || payload_format > std::size(kDataMagics)) {
-    return Status::Invalid("unknown frame payload format");
+  const DataMagic* magic = nullptr;
+  for (const DataMagic& m : kDataMagics) {
+    if (m.payload_format == payload_format && m.written) magic = &m;
   }
+  if (magic == nullptr) return Status::Invalid("unknown frame payload format");
   Bytes local_payload;
   Bytes& payload = scratch ? scratch->payload : local_payload;
   payload.clear();
@@ -120,11 +155,11 @@ Status WriteFrame(const Compressor& codec, const uint8_t* data, size_t n, Bytes*
   const size_t size = stored ? n : payload.size();
 
   ByteWriter w(out);
-  w.PutU32(kDataMagics[payload_format - 1]);
+  w.PutU32(magic->magic);
   w.PutString(name);
   w.PutVarU64(n);
   w.PutVarU64(size);
-  w.PutU64(Fnv1a64(bytes, size));
+  w.PutU64(FrameChecksum(magic->magic, bytes, size));
   w.PutRaw(bytes, size);
   return Status::Ok();
 }
@@ -136,7 +171,7 @@ void WriteGapFrame(Bytes* out, uint64_t raw_bytes, uint64_t event_count) {
   w.PutVarU64(raw_bytes);
   w.PutVarU64(event_count);
   const size_t body_len = out->size() - body_start;
-  w.PutU64(Fnv1a64(out->data() + body_start, body_len));
+  w.PutU64(FrameChecksum(kFrameMagicGap, out->data() + body_start, body_len));
 }
 
 void EncodeCrashMarker(uint8_t signo, uint8_t out[kCrashMarkerBytes]) {
@@ -175,7 +210,8 @@ Status ReadFrame(ByteReader& reader, FrameView* out) {
   if (reader.remaining() < header.payload_size) {
     return Status::Corrupt("truncated frame payload");
   }
-  if (Fnv1a64(reader.cursor(), header.payload_size) != header.checksum) {
+  if (FrameChecksum(header.magic, reader.cursor(), header.payload_size) !=
+      header.checksum) {
     return Status::Corrupt("frame checksum mismatch");
   }
   out->data.reserve(header.raw_size);

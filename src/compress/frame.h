@@ -2,29 +2,32 @@
 //
 // Each buffer flush produces one frame:
 //   magic (u32) | codec name (len-prefixed) | raw_size (varu64)
-//   | payload_size (varu64) | fnv1a64(payload) (u64) | payload bytes
+//   | payload_size (varu64) | checksum(payload) (u64) | payload bytes
 //
 // The magic doubles as the PAYLOAD FORMAT version tag: "SWDF" frames carry
 // format-v1 payloads (fixed 16-byte events), "SWF2" frames carry format-v2
-// payloads (delta/varint events, see src/trace/event.h), "SW3F" frames carry
-// format-v3 payloads (v2 plus coalesced run events). Readers dispatch per
-// frame, so one log file may legally mix versions (e.g. a trace resumed by a
-// newer writer). Two marker kinds share the stream: "SWGP" gap frames and
-// "SWCR" crash markers, both header-only.
+// payloads (delta/varint events, see src/trace/event.h), "SW3H" and the
+// legacy "SW3F" frames carry format-v3 payloads (v2 plus coalesced run
+// events). It also names the payload checksum: "SW3H" frames carry the
+// word-wide WordHash64 (common/bytes.h), every other magic FNV-1a. Writers
+// emit "SW3H" for v3; "SW3F" is read only. Readers dispatch per frame, so
+// one log file may legally mix versions (e.g. a trace resumed by a newer
+// writer). Two marker kinds share the stream: "SWGP" gap frames and "SWCR"
+// crash markers, both header-only.
 //
-// The v3 magic is deliberately NOT "SWF3": that string is one bit away from
-// "SWF2", and because v3 payloads are a superset of v2 a bit-flipped v2
-// header would decode cleanly as v3 - the checksum only covers the payload,
-// so the corruption would go unnoticed. "SW3F" keeps every magic at Hamming
-// distance >= 2 from every other, so a single bit flip always lands on an
-// invalid magic and is caught.
+// No v3 magic is "SWF3": that string is one bit away from "SWF2", and
+// because v3 payloads are a superset of v2 a bit-flipped v2 header would
+// decode cleanly as v3 - the checksum only covers the payload, so the
+// corruption would go unnoticed. "SW3F" and "SW3H" keep every magic at
+// Hamming distance >= 2 from every other, so a single bit flip always lands
+// on an invalid magic and is caught.
 //
 // This module owns the frame grammar: ParseFrameHeader is the one reader of
-// header fields and IsFrameMagic the one magic test, for every frame kind.
-// The log reader (trace/reader.h) walks a file by parsing each header from a
-// small window, so it never holds more than one frame in memory (paper
-// SIII-B: "streaming algorithm that reads access information from log files
-// in small chunks").
+// header fields, IsFrameMagic the one magic test and FrameHasher the one map
+// from a magic to its checksum, for every frame kind. The log reader
+// (trace/reader.h) walks a file by parsing each header from a small window,
+// so it never holds more than one frame in memory (paper SIII-B: "streaming
+// algorithm that reads access information from log files in small chunks").
 #pragma once
 
 #include <cstdint>
@@ -38,7 +41,8 @@ namespace sword {
 
 constexpr uint32_t kFrameMagic = 0x53574446;    // "SWDF": format-v1 payload
 constexpr uint32_t kFrameMagicV2 = 0x53574632;  // "SWF2": format-v2 payload
-constexpr uint32_t kFrameMagicV3 = 0x53573346;  // "SW3F": format-v3 payload
+constexpr uint32_t kFrameMagicV3 = 0x53573346;  // "SW3F": format-v3, FNV (legacy)
+constexpr uint32_t kFrameMagicV3Word = 0x53573348;  // "SW3H": format-v3, word hash
 constexpr uint32_t kFrameMagicGap = 0x53574750; // "SWGP": drop marker, no payload
 // "SWCR": crash marker appended by the fatal-signal sealer. Like the other
 // magics it keeps Hamming distance >= 2 from every sibling ('C'^'G' and
@@ -52,10 +56,31 @@ constexpr uint32_t kFrameMagicCrash = 0x53574352;
 /// sanity-checked before it sizes an allocation.
 constexpr uint64_t kMaxFrameRawBytes = 64ull << 20;
 
+/// The checksum a frame with `magic` carries over the bytes it covers:
+/// WordHash64 for "SW3H" data frames, fnv1a64 for every other magic - the
+/// legacy data frames, the gap and crash markers, and the records of the
+/// record log (common/record_log.h). Feed it in chunks of any size. A test
+/// that re-seals a damaged frame goes through this, never a hash directly.
+class FrameHasher {
+ public:
+  explicit FrameHasher(uint32_t magic);
+  void Update(const uint8_t* data, size_t n);
+  uint64_t Digest() const;
+
+ private:
+  bool word_ = false;
+  WordHasher word_hasher_;
+  uint64_t fnv_ = Fnv1a64(nullptr, 0);
+};
+
+/// One-shot FrameHasher.
+uint64_t FrameChecksum(uint32_t magic, const uint8_t* data, size_t n);
+
 /// Compresses `data` with `codec` and appends a complete frame to `out`.
 /// When the codec's payload is not smaller than `n`, the frame stores `data`
 /// under the "raw" codec instead, so a frame never costs more than the input
-/// plus its header. `payload_format` selects the magic (1, 2, or 3).
+/// plus its header. `payload_format` selects the magic (1, 2, or 3; v3
+/// writes "SW3H").
 /// `scratch` optionally provides reusable compression staging (see
 /// CompressScratch): the compressed payload is built in scratch->payload
 /// instead of a fresh allocation.
@@ -95,20 +120,21 @@ constexpr size_t kMaxCodecNameBytes = 16;
 /// walker that parses from a window this wide sees every parseable header.
 constexpr size_t kMaxFrameHeaderBytes = 64;
 
-/// True if `p[0..4)` holds one of the five frame magics (data v1-v3, gap,
-/// crash), in their little-endian on-disk encoding.
+/// True if `p[0..4)` holds one of the six frame magics (data v1, v2 and the
+/// two v3 ones, gap, crash), in their little-endian on-disk encoding.
 bool IsFrameMagic(const uint8_t* p);
 
 /// Everything a frame header says. Gap and crash markers are header-only
 /// (payload_size 0, header_size is the whole frame).
 struct FrameHeader {
+  uint32_t magic = 0;          // names the checksum (FrameHasher)
   uint8_t payload_format = 0;  // 1-3 for data frames, 0 for markers
   bool is_gap = false;         // "SWGP" drop marker
   bool is_crash = false;       // "SWCR" fatal-signal crash marker
   std::string codec;           // data frames only
   uint64_t raw_size = 0;       // decompressed size; gap: logical bytes lost
   uint64_t payload_size = 0;   // encoded payload bytes after the header
-  uint64_t checksum = 0;       // fnv1a64(payload), data frames only
+  uint64_t checksum = 0;       // FrameChecksum(magic, payload), data frames only
   uint64_t dropped_events = 0; // gap frames only
   uint8_t crash_signo = 0;     // crash markers only
   uint64_t header_size = 0;    // 0 until the frame's extent is known

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <thread>
 #include <tuple>
 #include <unordered_map>
@@ -185,11 +186,11 @@ Status FingerprintSegment(const TraceStore& store, Group& group,
   group.fingerprint.BeginSegment(meta.lockset);
   uint64_t events = 0;
   uint64_t bytes_skipped = 0;
-  const Status s = store.threads()[group.thread_idx].log->StreamRange(
+  const Status s = store.threads()[group.thread_idx].log->StreamBlocks(
       meta.data_begin, meta.data_size,
-      [&](const trace::RawEvent& e) {
-        events++;
-        group.fingerprint.MixEvent(e);
+      [&](std::span<const trace::RawEvent> block) {
+        events += block.size();
+        group.fingerprint.MixBlock(block);
       },
       cache, &bytes_skipped, cursor);
   stats.raw_events += events;
@@ -213,36 +214,38 @@ Status SummarizeSegment(const TraceStore& store, const Group& group,
                       trace::DecodeCursor* cursor) {
   std::vector<itree::MutexId> initial(meta.lockset.begin(), meta.lockset.end());
   itree::MutexSetId cur = mutexes.Intern(std::move(initial));
-  return store.threads()[group.thread_idx].log->StreamRange(
+  return store.threads()[group.thread_idx].log->StreamBlocks(
       meta.data_begin, meta.data_size,
-      [&](const trace::RawEvent& e) {
-        switch (e.kind) {
-          case trace::EventKind::kMutexAcquire:
-            cur = mutexes.WithMutex(cur, static_cast<itree::MutexId>(e.addr));
-            break;
-          case trace::EventKind::kMutexRelease:
-            cur = mutexes.WithoutMutex(cur, static_cast<itree::MutexId>(e.addr));
-            break;
-          case trace::EventKind::kAccess: {
-            itree::AccessKey key;
-            key.pc = e.pc;
-            key.flags = e.flags;
-            key.size = e.size;
-            key.mutexset = cur;
-            builder.AddAccess(e.addr, key);
-            break;
-          }
-          case trace::EventKind::kAccessRun: {
-            itree::AccessKey key;
-            key.pc = e.pc;
-            key.flags = e.flags;
-            key.size = e.size;
-            key.mutexset = cur;
-            // A writer-coalesced strided run materializes directly as a
-            // symbolic strided interval - no per-element expansion (AddRun's
-            // bulk path), but replay-identical to one.
-            builder.AddRun(e.addr, e.stride, e.count, key);
-            break;
+      [&](std::span<const trace::RawEvent> block) {
+        for (const trace::RawEvent& e : block) {
+          switch (e.kind) {
+            case trace::EventKind::kMutexAcquire:
+              cur = mutexes.WithMutex(cur, static_cast<itree::MutexId>(e.addr));
+              break;
+            case trace::EventKind::kMutexRelease:
+              cur = mutexes.WithoutMutex(cur, static_cast<itree::MutexId>(e.addr));
+              break;
+            case trace::EventKind::kAccess: {
+              itree::AccessKey key;
+              key.pc = e.pc;
+              key.flags = e.flags;
+              key.size = e.size;
+              key.mutexset = cur;
+              builder.AddAccess(e.addr, key);
+              break;
+            }
+            case trace::EventKind::kAccessRun: {
+              itree::AccessKey key;
+              key.pc = e.pc;
+              key.flags = e.flags;
+              key.size = e.size;
+              key.mutexset = cur;
+              // A writer-coalesced strided run materializes directly as a
+              // symbolic strided interval - no per-element expansion
+              // (AddRun's bulk path), but replay-identical to one.
+              builder.AddRun(e.addr, e.stride, e.count, key);
+              break;
+            }
           }
         }
       },
@@ -577,18 +580,29 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
     // Partition: of the groups some concurrent pair names, the FIRST with a
     // given fingerprint (in the deterministic pair order) leads and is
     // summarized; fingerprint-equal followers summarize to an identical set
-    // and alias the leader's (repeated-subtrace memoization). Sequential, so
-    // who leads never depends on the schedule or the thread count. Views are
-    // wired here; the leaders' sets are filled by pass 2.
+    // and alias the leader's (repeated-subtrace memoization). One sort of
+    // (fingerprint, first appearance) pairs puts each fingerprint's groups
+    // side by side, leader first, so who leads never depends on the schedule
+    // or the thread count. Views are wired here; the leaders' sets are
+    // filled by pass 2.
     bool shared_fingerprint = false;
     if (!bucket_skipped && !governed()) {
-      std::map<SegmentFingerprint, Group*> leader_by_fp;
+      std::vector<Group*> named;  // in first-appearance order
+      std::vector<std::pair<SegmentFingerprint, size_t>> by_fingerprint;
       for (const auto& [first, second] : concurrent) {
         for (Group* g : {first, second}) {
           if (g->frozen_view) continue;
-          auto [it, inserted] = leader_by_fp.try_emplace(g->fingerprint, g);
-          g->frozen_view = &it->second->frozen;
-          shared_fingerprint |= !inserted;
+          g->frozen_view = &g->frozen;
+          by_fingerprint.emplace_back(g->fingerprint, named.size());
+          named.push_back(g);
+        }
+      }
+      std::sort(by_fingerprint.begin(), by_fingerprint.end());
+      for (size_t i = 1; i < by_fingerprint.size(); i++) {
+        if (by_fingerprint[i].first == by_fingerprint[i - 1].first) {
+          named[by_fingerprint[i].second]->frozen_view =
+              named[by_fingerprint[i - 1].second]->frozen_view;
+          shared_fingerprint = true;
         }
       }
     }

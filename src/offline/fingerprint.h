@@ -22,10 +22,18 @@
 // chosen to make that probability negligible (~2^-64 even at billions of
 // segments), and the property tests cross-check dedup'd output against the
 // memoization-free path.
+//
+// Each event enters each chain through ONE mix of a per-event digest. The
+// digests depend on the event alone, so MixBlock computes them off the
+// serial chain, and a stream folds to the same value however it is cut
+// into blocks. Each half's digest is injective in every event field while
+// the others stay fixed, and the two halves combine the fields differently,
+// so two distinct events collide in both only by chance.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 
 #include "trace/event.h"
@@ -33,7 +41,8 @@
 namespace sword::offline {
 
 struct SegmentFingerprint {
-  // Fractional bits of sqrt(2) and sqrt(3): nothing-up-my-sleeve seeds.
+  // Fractional bits of sqrt(2) and sqrt(3): nothing-up-my-sleeve seeds (the
+  // digest keys in MixBlock are fractional bits of pi).
   uint64_t a = 0x6a09e667f3bcc908ULL;
   uint64_t b = 0xbb67ae8584caa73bULL;
 
@@ -51,17 +60,27 @@ struct SegmentFingerprint {
     b = Mix64(b + v + 0x9e3779b97f4a7c15ULL);
   }
 
-  /// Folds one decoded event. Mutex events contribute their lock id; runs
-  /// contribute their full (base, stride, count) geometry.
-  void MixEvent(const trace::RawEvent& e) {
-    Mix((static_cast<uint64_t>(e.kind) << 48) |
-        (static_cast<uint64_t>(e.flags) << 40) |
-        (static_cast<uint64_t>(e.size) << 32) | e.pc);
-    Mix(e.addr);
-    if (e.kind == trace::EventKind::kAccessRun) {
-      Mix(e.stride);
-      Mix(e.count);
+  /// Folds decoded events, in order. Mutex events contribute their lock id;
+  /// runs contribute their full (base, stride, count) geometry. Every
+  /// decoder writes stride 0 and count 1 for events that are not runs, so
+  /// the run terms need no branch.
+  void MixBlock(std::span<const trace::RawEvent> events) {
+    uint64_t x = a, y = b;
+    for (const trace::RawEvent& e : events) {
+      const uint64_t head = (static_cast<uint64_t>(e.kind) << 48) |
+                            (static_cast<uint64_t>(e.flags) << 40) |
+                            (static_cast<uint64_t>(e.size) << 32) | e.pc;
+      // With head and address fixed, the two run terms collide only for
+      // strides and counts that both differ by 2^63: K3 * K4 = 3 mod 4.
+      const uint64_t da = Mix64(head ^ 0x243f6a8885a308d3ULL) ^ e.addr ^
+                          (e.stride * 0xa4093822299f31d1ULL + e.count);
+      const uint64_t db = Mix64(e.addr ^ 0x13198a2e03707344ULL) + head +
+                          (e.count * 0x082efa98ec4e6c8bULL + e.stride);
+      x = Mix64(x ^ da);
+      y = Mix64(y + db + 0x9e3779b97f4a7c15ULL);
     }
+    a = x;
+    b = y;
   }
 
   /// Marks a segment boundary and folds its meta-recovered initial lockset

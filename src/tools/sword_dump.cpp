@@ -24,6 +24,7 @@
 // A flag the tool does not read (a typo, or a retired option) is a usage
 // error: exit 1 with "unknown flag --X".
 #include <cstdio>
+#include <span>
 
 #include "common/args.h"
 #include "common/fsutil.h"
@@ -122,22 +123,24 @@ int DumpSegments(const offline::TraceStore& store, int64_t only_thread) {
       uint64_t other = 0;
       offline::SegmentFingerprint fp;
       fp.BeginSegment(meta.lockset);
-      const Status s = thread.log->StreamRange(
-          meta.data_begin, meta.data_size, [&](const trace::RawEvent& e) {
-            fp.MixEvent(e);
-            switch (e.kind) {
-              case trace::EventKind::kAccess:
-                accesses++;
-                break;
-              case trace::EventKind::kAccessRun:
-                runs++;
-                break;
-              case trace::EventKind::kMutexAcquire:
-              case trace::EventKind::kMutexRelease:
-                mutex_ops++;
-                break;
-              default:
-                other++;
+      const Status s = thread.log->StreamBlocks(
+          meta.data_begin, meta.data_size, [&](std::span<const trace::RawEvent> block) {
+            fp.MixBlock(block);
+            for (const trace::RawEvent& e : block) {
+              switch (e.kind) {
+                case trace::EventKind::kAccess:
+                  accesses++;
+                  break;
+                case trace::EventKind::kAccessRun:
+                  runs++;
+                  break;
+                case trace::EventKind::kMutexAcquire:
+                case trace::EventKind::kMutexRelease:
+                  mutex_ops++;
+                  break;
+                default:
+                  other++;
+              }
             }
           });
       if (!s.ok()) {

@@ -1,6 +1,8 @@
 #include "trace/event.h"
 
+#include <bit>
 #include <cassert>
+#include <cstring>
 
 namespace sword::trace {
 namespace {
@@ -74,45 +76,48 @@ uint8_t SizeCode(uint8_t size) {
   return static_cast<uint8_t>(__builtin_ctz(size) + 1);  // 1..8
 }
 
-/// Decodes the flags/size/pc/addr-delta payload shared by kAccess and
-/// kAccessRun, given the already-consumed tag byte.
-Status DecodeAccessPayload(uint8_t tag, ByteReader& r, RawEvent* out,
-                           int64_t* delta) {
-  const uint8_t code = tag >> 4;
-  uint64_t size = 0;
-  uint8_t flags = (tag >> 2) & kInlineFlagsMask;
-  if (code == kSizeCodeExtended) {
-    SWORD_RETURN_IF_ERROR(r.GetU8(&flags));
-    SWORD_RETURN_IF_ERROR(r.GetVarU64(&size));
-  } else if (code == kSizeCodeExplicit) {
-    SWORD_RETURN_IF_ERROR(r.GetVarU64(&size));
-  } else if (code <= 8) {
-    size = 1ull << (code - 1);
-  } else {
-    return Status::Corrupt("reserved event size code");
+/// Reads one LEB128 varint at `p` (not past `end`) into `v` and advances
+/// `p`; returns null, or on failure the ByteReader's message for it and
+/// leaves `p` alone.
+const char* ReadVarSlow(const uint8_t*& p, const uint8_t* end, uint64_t& v) {
+  const uint8_t* q = p;
+  uint64_t r = 0;
+  for (int shift = 0;; shift += 7) {
+    if (q >= end) return "truncated varint";
+    if (shift >= 64) return "varint overflow";
+    const uint8_t byte = *q++;
+    r |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if (!(byte & 0x80)) break;
   }
-  if (size > 0xff) return Status::Corrupt("event size out of range");
-
-  uint64_t pc;
-  SWORD_RETURN_IF_ERROR(r.GetVarU64(&pc));
-  if (pc > 0xffffffffull) return Status::Corrupt("event pc out of range");
-  SWORD_RETURN_IF_ERROR(r.GetVarI64(delta));
-
-  out->flags = flags;
-  out->size = static_cast<uint8_t>(size);
-  out->pc = static_cast<uint32_t>(pc);
-  return Status::Ok();
+  p = q;
+  v = r;
+  return nullptr;
 }
 
-Status DecodeMutexPayload(uint8_t tag, ByteReader& r, RawEvent* out) {
-  if ((tag & ~0x03u) != 0) return Status::Corrupt("nonzero mutex tag bits");
-  uint64_t id;
-  SWORD_RETURN_IF_ERROR(r.GetVarU64(&id));
-  out->flags = 0;
-  out->size = 0;
-  out->pc = 0;
-  out->addr = id;
-  return Status::Ok();
+inline const char* ReadVar(const uint8_t*& p, const uint8_t* end, uint64_t& v) {
+  if (p < end && *p < 0x80) [[likely]] {
+    v = *p++;
+    return nullptr;
+  }
+  if (end - p >= 8) [[likely]] {
+    // Branch-free for up to 8 bytes: the lowest clear continuation bit ends
+    // the varint, so a varint length the branch predictor cannot guess (a
+    // random address delta) costs no misprediction.
+    uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    if constexpr (std::endian::native == std::endian::big) w = __builtin_bswap64(w);
+    const uint64_t stops = ~w & 0x8080808080808080ULL;
+    if (stops != 0) {
+      uint64_t x = w & (((stops & (0 - stops)) << 1) - 1) & 0x7f7f7f7f7f7f7f7fULL;
+      x = ((x & 0x7f007f007f007f00ULL) >> 1) | (x & 0x007f007f007f007fULL);
+      x = ((x & 0x3fff00003fff0000ULL) >> 2) | (x & 0x00003fff00003fffULL);
+      x = ((x & 0x0fffffff00000000ULL) >> 4) | (x & 0x000000000fffffffULL);
+      p += (__builtin_ctzll(stops) >> 3) + 1;
+      v = x;
+      return nullptr;
+    }
+  }
+  return ReadVarSlow(p, end, v);
 }
 
 }  // namespace
@@ -156,39 +161,94 @@ void EncodeEventV2(const RawEvent& e, EventCodecState& state, ByteWriter& w) {
   EncodeEventV3(e, state, w);
 }
 
-Status DecodeDeltaEvent(ByteReader& r, uint8_t format, EventCodecState& state,
-                        RawEvent* out) {
-  uint8_t tag;
-  SWORD_RETURN_IF_ERROR(r.GetU8(&tag));
-  const uint8_t kind = tag & 0x03;
-  out->kind = static_cast<EventKind>(kind);
-  out->stride = 0;
-  out->count = 1;
-
-  if (out->kind == EventKind::kMutexAcquire ||
-      out->kind == EventKind::kMutexRelease) {
-    return DecodeMutexPayload(tag, r, out);
-  }
-  const bool run = out->kind == EventKind::kAccessRun;
-  if (run && format < kTraceFormatV3) return Status::Corrupt("unknown event kind");
-
-  int64_t delta;
-  SWORD_RETURN_IF_ERROR(DecodeAccessPayload(tag, r, out, &delta));
-  out->addr = state.prev_addr + static_cast<uint64_t>(delta);
-
-  if (run) {
-    SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->stride));
-    SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->count));
-    if (out->count < 2) return Status::Corrupt("run count below 2");
-    if (out->stride == 0) return Status::Corrupt("run stride zero");
-    if (out->stride > (UINT64_MAX - out->addr) / (out->count - 1)) {
-      return Status::Corrupt("run extent overflows address space");
+Status DecodeDeltaBlock(DeltaStream& in, const uint8_t* limit, RawEvent* out,
+                        size_t max, size_t* decoded) {
+  // Locals, not `in`'s fields: the byte-wide stores into `out` could alias
+  // them and force a reload per event.
+  const uint8_t* p = in.pos;
+  const uint8_t* const end = in.end;
+  uint64_t prev = in.state.prev_addr;
+  const bool runs = in.format >= kTraceFormatV3;
+  const char* error = nullptr;
+  size_t n = 0;
+  for (; n < max && p < limit; ++n) {
+    const uint8_t* q = p;
+    const uint8_t tag = *q++;  // p < limit <= end
+    const uint8_t kind = tag & 0x03;
+    if (kind == static_cast<uint8_t>(EventKind::kMutexAcquire) ||
+        kind == static_cast<uint8_t>(EventKind::kMutexRelease)) {
+      uint64_t id;
+      if ((tag & ~0x03u) != 0) {
+        error = "nonzero mutex tag bits";
+        break;
+      }
+      if ((error = ReadVar(q, end, id))) break;
+      out[n] = RawEvent{static_cast<EventKind>(kind), 0, 0, 0, id, 0, 1};
+      p = q;
+      continue;
     }
-    state.prev_addr = out->addr + (out->count - 1) * out->stride;
-  } else {
-    state.prev_addr = out->addr;
+    const bool run = kind == static_cast<uint8_t>(EventKind::kAccessRun);
+    if (run && !runs) {
+      error = "unknown event kind";
+      break;
+    }
+    const uint8_t code = tag >> 4;
+    uint8_t flags = (tag >> 2) & kInlineFlagsMask;
+    uint64_t size;
+    if (code - 1u < 8u) {
+      size = 1ull << (code - 1);
+    } else if (code == kSizeCodeExplicit) {
+      if ((error = ReadVar(q, end, size))) break;
+    } else if (code == kSizeCodeExtended) {
+      if (q >= end) {
+        error = "truncated u8";
+        break;
+      }
+      flags = *q++;
+      if ((error = ReadVar(q, end, size))) break;
+    } else {
+      error = "reserved event size code";
+      break;
+    }
+    if (size > 0xff) {
+      error = "event size out of range";
+      break;
+    }
+    uint64_t pc, zigzag;
+    if ((error = ReadVar(q, end, pc))) break;
+    if (pc > 0xffffffffull) {
+      error = "event pc out of range";
+      break;
+    }
+    if ((error = ReadVar(q, end, zigzag))) break;
+    const uint64_t addr = prev + ((zigzag >> 1) ^ (~(zigzag & 1) + 1));
+    uint64_t stride = 0, count = 1;
+    if (run) {
+      if ((error = ReadVar(q, end, stride)) || (error = ReadVar(q, end, count))) break;
+      if (count < 2) {
+        error = "run count below 2";
+        break;
+      }
+      if (stride == 0) {
+        error = "run stride zero";
+        break;
+      }
+      if (stride > (UINT64_MAX - addr) / (count - 1)) {
+        error = "run extent overflows address space";
+        break;
+      }
+      prev = addr + (count - 1) * stride;
+    } else {
+      prev = addr;
+    }
+    out[n] = RawEvent{static_cast<EventKind>(kind), flags, static_cast<uint8_t>(size),
+                      static_cast<uint32_t>(pc), addr, stride, count};
+    p = q;
   }
-  return Status::Ok();
+  in.pos = p;
+  in.state.prev_addr = prev;
+  *decoded = n;
+  return error ? Status::Corrupt(error) : Status::Ok();
 }
 
 }  // namespace sword::trace

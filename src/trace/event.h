@@ -32,6 +32,7 @@
 // meta-file interval boundaries (Table I).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/bytes.h"
@@ -149,12 +150,30 @@ constexpr uint64_t kMaxEventBytesV3 = kMaxEventBytesV2 + 20;
 /// address so a continuation right after the run still gets a small delta.
 void EncodeEventV3(const RawEvent& e, EventCodecState& state, ByteWriter& w);
 
-/// Decodes one v2 or v3 event of a frame whose payload format is `format`
-/// (kTraceFormatV2 or kTraceFormatV3), updating `state`. Fails on
-/// truncation, a reserved tag layout, a run (kind 3) in a v2 frame, or an
-/// implausible run (count < 2, stride 0, or an extent that overflows the
-/// address space).
-Status DecodeDeltaEvent(ByteReader& r, uint8_t format, EventCodecState& state,
-                        RawEvent* out);
+/// Events per decoded block: the most DecodeDeltaBlock decodes per call, and
+/// the most LogReader::StreamBlocks hands its sink at once.
+constexpr size_t kDecodeBlockEvents = 256;
+
+/// A delta-coded (v2/v3) payload being decoded: the undecoded rest
+/// [pos, end) and the codec state valid at `pos`.
+struct DeltaStream {
+  const uint8_t* pos;
+  const uint8_t* end;
+  uint8_t format;  // kTraceFormatV2 or kTraceFormatV3
+  EventCodecState state;
+};
+
+/// The one v2/v3 event decoder. Decodes events from `in` into
+/// `out[0, max)`, starting events only while `in.pos < limit` (limit <=
+/// in.end), and sets `*decoded` to how many it wrote; `in` advances past
+/// them. The last event may end past `limit` - the caller decides what an
+/// event straddling its limit means. Fails on truncation (an event running
+/// past `in.end`), a reserved tag layout, a run (kind 3) in a v2 frame, or
+/// an implausible run (count < 2, stride 0, or an extent that overflows the
+/// address space); then `*decoded` counts the good events before the bad
+/// one and `in` stops at the bad event's first byte. One status per block:
+/// the loop carries no per-event Status, and `out` needs no initialization.
+Status DecodeDeltaBlock(DeltaStream& in, const uint8_t* limit, RawEvent* out,
+                        size_t max, size_t* decoded);
 
 }  // namespace sword::trace

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <new>
 
 #include "common/fsutil.h"
 #include "compress/frame.h"
@@ -106,18 +107,19 @@ class LogFile {
     return size_;
   }
 
-  /// fnv1a64 of the n bytes at `offset`, a block at a time.
-  Result<uint64_t> Checksum(uint64_t offset, uint64_t n) {
-    uint64_t h = Fnv1a64(nullptr, 0);
+  /// The checksum `magic` names (FrameHasher) of the n bytes at `offset`,
+  /// a block at a time.
+  Result<uint64_t> Checksum(uint32_t magic, uint64_t offset, uint64_t n) {
+    FrameHasher h(magic);
     while (n > 0) {
       const size_t len = static_cast<size_t>(std::min<uint64_t>(kBlockBytes, n));
       auto p = Read(offset, len);
       if (!p.ok()) return p.status();
-      h = Fnv1a64(p.value(), len, h);
+      h.Update(p.value(), len);
       offset += len;
       n -= len;
     }
-    return h;
+    return h.Digest();
   }
 
  private:
@@ -175,7 +177,7 @@ Status WalkLog(const std::string& path, bool salvage, SalvageStats* stats,
                              s.ToString());
     }
     if (salvage && s.ok() && !h.is_gap && !h.is_crash) {
-      auto sum = file.Checksum(off + h.header_size, h.payload_size);
+      auto sum = file.Checksum(h.magic, off + h.header_size, h.payload_size);
       if (!sum.ok()) return sum.status();
       if (sum.value() != h.checksum) s = Status::Corrupt("frame checksum mismatch");
     }
@@ -290,11 +292,10 @@ uint64_t LogReader::CompressedBytesForRange(uint64_t begin, uint64_t size) const
   return bytes;
 }
 
-Status LogReader::StreamRange(uint64_t begin, uint64_t size,
-                              FunctionRef<void(const RawEvent&)> fn,
-                              FrameCache* cache,
-                              uint64_t* bytes_skipped,
-                              DecodeCursor* cursor) const {
+Status LogReader::StreamBlocks(uint64_t begin, uint64_t size,
+                               FunctionRef<void(std::span<const RawEvent>)> fn,
+                               FrameCache* cache, uint64_t* bytes_skipped,
+                               DecodeCursor* cursor) const {
   if (size == 0) return Status::Ok();
   uint64_t end = begin + size;
   if (end > total_logical_) {
@@ -317,6 +318,11 @@ Status LogReader::StreamRange(uint64_t begin, uint64_t size,
   if (it != frames_.begin()) --it;
 
   Bytes local;  // decompressed frame when no cache is supplied
+  // The decoded block. Raw storage: RawEvent's member initializers would
+  // otherwise cost a store per field of all kDecodeBlockEvents per call, and
+  // the decoders write every field of every event they hand on.
+  alignas(RawEvent) unsigned char storage[kDecodeBlockEvents * sizeof(RawEvent)];
+  RawEvent* const block = std::launder(reinterpret_cast<RawEvent*>(storage));
   for (; it != frames_.end() && it->logical_begin < end; ++it) {
     const uint64_t frame_lo = it->logical_begin;
     const uint64_t frame_hi = frame_lo + it->raw_size;
@@ -364,11 +370,19 @@ Status LogReader::StreamRange(uint64_t begin, uint64_t size,
         }
         ByteReader events(frame_data->data() + (slice_lo - frame_lo),
                           slice_hi - slice_lo);
+        size_t n = 0;
         while (!events.AtEnd()) {
-          RawEvent e;
-          SWORD_RETURN_IF_ERROR(DecodeEvent(events, &e));
-          fn(e);
+          const Status s = DecodeEvent(events, &block[n]);
+          if (!s.ok()) {
+            if (n > 0) fn({block, n});
+            return s;
+          }
+          if (++n == kDecodeBlockEvents) {
+            fn({block, n});
+            n = 0;
+          }
         }
+        if (n > 0) fn({block, n});
       } else {
         // Variable-length delta events: the coder state is only valid from the
         // frame start, so decode from there and discard events before the
@@ -376,36 +390,35 @@ Status LogReader::StreamRange(uint64_t begin, uint64_t size,
         // state at or before the slice, in which case resume there. Interval
         // boundaries always fall on event boundaries; anything else means the
         // meta and log disagree.
-        uint64_t base = 0;
-        EventCodecState state;
-        uint64_t pos = frame_lo;
+        const uint8_t* const data = frame_data->data();
+        DeltaStream in{data, data + frame_data->size(), it->payload_format, {}};
         if (cursor && cursor->valid && cursor->frame_begin == frame_lo &&
-            cursor->pos <= slice_lo && cursor->byte_offset <= frame_data->size()) {
-          base = cursor->byte_offset;
-          state = cursor->state;
-          pos = cursor->pos;
+            cursor->pos <= slice_lo && cursor->byte_offset <= frame_data->size() &&
+            cursor->pos == frame_lo + cursor->byte_offset) {
+          in.pos = data + cursor->byte_offset;
+          in.state = cursor->state;
         }
         if (cursor) cursor->valid = false;  // re-validated on a clean finish
-        ByteReader events(frame_data->data() + base, frame_data->size() - base);
-        while (pos < slice_hi && !events.AtEnd()) {
-          RawEvent e;
-          SWORD_RETURN_IF_ERROR(DecodeDeltaEvent(events, it->payload_format, state, &e));
-          const uint64_t next = frame_lo + base + events.position();
-          if (next <= slice_lo) {
-            pos = next;
-            continue;  // wholly before the range
-          }
-          if (pos < slice_lo || next > slice_hi) {
-            return Status::Invalid("range not event-aligned");
-          }
-          fn(e);
-          pos = next;
+        const uint8_t* const lo = data + (slice_lo - frame_lo);
+        const uint8_t* const hi = data + (slice_hi - frame_lo);
+        size_t n;
+        while (in.pos < lo) {  // the prefix: decoded for its state only
+          SWORD_RETURN_IF_ERROR(DecodeDeltaBlock(in, lo, block, kDecodeBlockEvents, &n));
+        }
+        if (in.pos > lo) return Status::Invalid("range not event-aligned");
+        while (in.pos < hi) {
+          const Status s = DecodeDeltaBlock(in, hi, block, kDecodeBlockEvents, &n);
+          // Only a block's last event can run past the slice's end.
+          const bool straddles = in.pos > hi;
+          if (n > (straddles ? 1u : 0u)) fn({block, straddles ? n - 1 : n});
+          if (!s.ok()) return s;
+          if (straddles) return Status::Invalid("range not event-aligned");
         }
         if (cursor) {
           cursor->frame_begin = frame_lo;
-          cursor->pos = pos;
-          cursor->byte_offset = base + events.position();
-          cursor->state = state;
+          cursor->byte_offset = static_cast<uint64_t>(in.pos - data);
+          cursor->pos = frame_lo + cursor->byte_offset;
+          cursor->state = in.state;
           cursor->valid = true;
         }
       }
@@ -417,6 +430,18 @@ Status LogReader::StreamRange(uint64_t begin, uint64_t size,
     }
   }
   return Status::Ok();
+}
+
+Status LogReader::StreamRange(uint64_t begin, uint64_t size,
+                              FunctionRef<void(const RawEvent&)> fn,
+                              FrameCache* cache, uint64_t* bytes_skipped,
+                              DecodeCursor* cursor) const {
+  return StreamBlocks(
+      begin, size,
+      [&](std::span<const RawEvent> events) {
+        for (const RawEvent& e : events) fn(e);
+      },
+      cache, bytes_skipped, cursor);
 }
 
 Status LogReader::ReadRange(uint64_t begin, uint64_t size,

@@ -4,15 +4,18 @@
 // one wholesale. On open, the reader scans only the frame HEADERS to build an
 // index mapping logical (decompressed) offsets to file offsets. Reading an
 // interval's byte range then decompresses just the overlapping frames, one at
-// a time, invoking the visitor per event - the paper's "streaming algorithm
-// that reads access information from log files in small chunks".
+// a time, and hands the visitor their events a block at a time - the paper's
+// "streaming algorithm that reads access information from log files in small
+// chunks".
 //
 // Frames self-tag their payload format (the frame magic, see
 // compress/frame.h): v1 frames hold fixed 16-byte events and can be sliced
-// at any event boundary; v2 frames hold delta-coded variable-length events
-// whose decoder state starts fresh at the frame boundary, so a mid-frame
-// range is served by decoding from the frame start and discarding the
-// prefix. One file may mix formats; the reader dispatches per frame.
+// at any event boundary; v2/v3 frames hold delta-coded variable-length
+// events whose decoder state starts fresh at the frame boundary, so a
+// mid-frame range is served by decoding from the frame start (or a saved
+// DecodeCursor) and discarding the prefix. Either way events are decoded a
+// block at a time into a stack buffer and handed on as spans. One file may
+// mix formats; the reader dispatches per frame.
 //
 // One walk indexes every log: it parses each frame header through
 // compress/frame's ParseFrameHeader from a small window and never holds more
@@ -33,6 +36,7 @@
 
 #include <cstdint>
 #include <list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -161,17 +165,27 @@ class LogReader {
                                 const SalvagePolicy& policy = {});
 
   /// Decompresses the frames covering logical range [begin, begin+size) and
-  /// calls `fn` for each event in it, in order. At most one decompressed
-  /// frame is held in memory at a time. With `cache`, frames decompressed by
+  /// hands their events to `fn` in order, up to kDecodeBlockEvents at a
+  /// time, as DecodeDeltaBlock decodes them. At most one decompressed frame
+  /// is held in memory at a time. With `cache`, frames decompressed by
   /// previous calls (through the same cache) are reused. With `cursor`, a
   /// delta-coded frame resumes decoding from the cursor's position when the
   /// range starts at or after it (see DecodeCursor); event output and error
   /// behavior are identical either way.
   ///
-  /// In strict mode a range touching a hole (corrupt frame, record-time gap,
-  /// truncated tail) is an error. In salvage mode the hole's overlap is
-  /// added to `*bytes_skipped` (when provided) and streaming continues with
-  /// the surviving frames.
+  /// A range edge inside an event is an error ("range not event-aligned"),
+  /// as is a decode error; either way the events before it are delivered
+  /// first. In strict mode a range touching a hole (corrupt frame,
+  /// record-time gap, truncated tail) is an error. In salvage mode the
+  /// hole's overlap is added to `*bytes_skipped` (when provided) and
+  /// streaming continues with the surviving frames.
+  Status StreamBlocks(uint64_t begin, uint64_t size,
+                      FunctionRef<void(std::span<const RawEvent>)> fn,
+                      FrameCache* cache = nullptr,
+                      uint64_t* bytes_skipped = nullptr,
+                      DecodeCursor* cursor = nullptr) const;
+
+  /// StreamBlocks, one event per call of `fn`.
   Status StreamRange(uint64_t begin, uint64_t size,
                      FunctionRef<void(const RawEvent&)> fn,
                      FrameCache* cache = nullptr,

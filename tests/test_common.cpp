@@ -133,6 +133,57 @@ TEST(Bytes, Fnv1aStableAndDiscriminating) {
   EXPECT_NE(h1, Fnv1a64("abc", 2));
 }
 
+/// `n` bytes of the fixed pattern the pinned digests below are taken over.
+Bytes PatternBytes(size_t n) {
+  Bytes b(n);
+  for (size_t i = 0; i < n; i++) b[i] = static_cast<uint8_t>(i * 131 + 7);
+  return b;
+}
+
+TEST(WordHash, DigestsOfAFixedCorpusArePinned) {
+  // These equal XXH64 with seed 0 (0xef46db3751d8e999 and
+  // 0x44bc2cf5ad770999 are its published digests of "" and "abc"); the
+  // lengths cover the short path, one stripe less a byte, one stripe, a
+  // tail of every width, and a 64 KiB read block plus an odd tail.
+  EXPECT_EQ(WordHash64(nullptr, 0), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(WordHash64("abc", 3), 0x44bc2cf5ad770999ULL);
+  const struct {
+    size_t n;
+    uint64_t digest;
+  } pins[] = {{31, 0x6711d55e306b5d8fULL},
+              {32, 0x07f7b8e3bc5d6e25ULL},
+              {1000, 0x0bf0bdbcc82eb373ULL},
+              {65549, 0x4968c83280940fceULL}};
+  for (const auto& pin : pins) {
+    const Bytes b = PatternBytes(pin.n);
+    EXPECT_EQ(WordHash64(b.data(), b.size()), pin.digest) << pin.n << " bytes";
+  }
+}
+
+TEST(WordHash, ChunkedEqualsOneShot) {
+  Rng rng(29);
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 70; n++) sizes.push_back(n);
+  for (size_t n : {65535u, 65536u, 65537u, 131072u + 31u, 200003u}) sizes.push_back(n);
+  for (const size_t n : sizes) {
+    Bytes b(n);
+    for (uint8_t& byte : b) byte = static_cast<uint8_t>(rng.Next());
+    const uint64_t want = WordHash64(b.data(), b.size());
+    // 64 KiB blocks (the salvage walk's read size), then random chunkings
+    // from single bytes up to a few stripes, empty chunks included.
+    for (int chunking = 0; chunking < 6; chunking++) {
+      WordHasher h;
+      for (size_t at = 0; at < n;) {
+        const size_t max = chunking == 0 ? 65536 : size_t{1} << (2 * chunking);
+        const size_t len = std::min(n - at, chunking == 0 ? max : rng.Below(max + 1));
+        h.Update(b.data() + at, len);
+        at += len;
+      }
+      EXPECT_EQ(h.Digest(), want) << n << " bytes, chunking " << chunking;
+    }
+  }
+}
+
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; i++) EXPECT_EQ(a.Next(), b.Next());

@@ -644,7 +644,8 @@ TEST(Frame, DamagedLzfPayloadErrorNamesLzf) {
   ASSERT_EQ(header.codec, "lzf");
   const size_t payload = header.header_size;
   file[payload] = 0x02;  // not a literal (0x00) or match (0x01) tag
-  const uint64_t checksum = Fnv1a64(file.data() + payload, header.payload_size);
+  const uint64_t checksum =
+      FrameChecksum(header.magic, file.data() + payload, header.payload_size);
   for (size_t i = 0; i < 8; i++) {
     file[payload - 8 + i] = static_cast<uint8_t>(checksum >> (8 * i));
   }
@@ -660,6 +661,85 @@ TEST(Frame, BadMagicRejected) {
   ByteReader r(file);
   FrameView view;
   EXPECT_EQ(ReadFrame(r, &view).code(), ErrorCode::kCorruptData);
+}
+
+TEST(Frame, EveryTwoMagicsAreAtLeastTwoBitsApart) {
+  // A single bit flip in a magic must land on no other magic, or a damaged
+  // header could re-version a frame or turn it into a marker.
+  const uint32_t magics[] = {kFrameMagic,       kFrameMagicV2,  kFrameMagicV3,
+                             kFrameMagicV3Word, kFrameMagicGap, kFrameMagicCrash};
+  for (size_t i = 0; i < std::size(magics); i++) {
+    uint8_t bytes[4];
+    for (int k = 0; k < 4; k++) bytes[k] = static_cast<uint8_t>(magics[i] >> (8 * k));
+    EXPECT_TRUE(IsFrameMagic(bytes)) << std::hex << magics[i];
+    for (size_t j = i + 1; j < std::size(magics); j++) {
+      EXPECT_GE(__builtin_popcount(magics[i] ^ magics[j]), 2)
+          << std::hex << magics[i] << " vs " << magics[j];
+    }
+  }
+}
+
+TEST(Frame, EverySingleBitFlipInA4KWordHashPayloadIsCaught) {
+  Rng rng(17);
+  Bytes payload(4096);
+  for (uint8_t& b : payload) b = static_cast<uint8_t>(rng.Next());
+  const uint64_t sealed = FrameChecksum(kFrameMagicV3Word, payload.data(), payload.size());
+  for (size_t bit = 0; bit < payload.size() * 8; bit++) {
+    payload[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    EXPECT_NE(FrameChecksum(kFrameMagicV3Word, payload.data(), payload.size()), sealed)
+        << "bit " << bit;
+    payload[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  }
+}
+
+TEST(Frame, EachMagicNamesItsChecksum) {
+  const Bytes input = TraceLikeData(3000);
+  const Compressor& raw = *FindCompressor("raw");
+  // v1 and v2 frames keep the FNV construction byte for byte.
+  for (const uint8_t format : {1, 2}) {
+    Bytes file;
+    ASSERT_TRUE(WriteFrame(raw, input.data(), input.size(), &file, format).ok());
+    ByteWriter want;
+    want.PutU32(format == 1 ? kFrameMagic : kFrameMagicV2);
+    want.PutString("raw");
+    want.PutVarU64(input.size());
+    want.PutVarU64(input.size());
+    want.PutU64(Fnv1a64(input.data(), input.size()));
+    want.PutRaw(input.data(), input.size());
+    EXPECT_EQ(file, want.buffer()) << "format v" << int(format);
+  }
+  // v3 frames are written as "SW3H", sealed with the word hash.
+  Bytes file;
+  ASSERT_TRUE(WriteFrame(raw, input.data(), input.size(), &file, 3).ok());
+  ByteReader h(file);
+  FrameHeader header;
+  ASSERT_TRUE(ParseFrameHeader(h, &header).ok());
+  EXPECT_EQ(header.magic, kFrameMagicV3Word);
+  EXPECT_EQ(header.payload_format, 3);
+  EXPECT_EQ(header.checksum, WordHash64(input.data(), input.size()));
+  {
+    ByteReader r(file);
+    FrameView view;
+    ASSERT_TRUE(ReadFrame(r, &view).ok());
+    EXPECT_EQ(view.data, input);
+  }
+  // The same frame under the legacy "SW3F" magic verifies only once its
+  // checksum is re-sealed with FNV.
+  for (int k = 0; k < 4; k++) file[k] = static_cast<uint8_t>(kFrameMagicV3 >> (8 * k));
+  {
+    ByteReader r(file);
+    FrameView view;
+    EXPECT_EQ(ReadFrame(r, &view).message(), "frame checksum mismatch");
+  }
+  const size_t payload = header.header_size;
+  const uint64_t fnv = FrameChecksum(kFrameMagicV3, file.data() + payload, input.size());
+  EXPECT_EQ(fnv, Fnv1a64(input.data(), input.size()));
+  for (size_t i = 0; i < 8; i++) file[payload - 8 + i] = static_cast<uint8_t>(fnv >> (8 * i));
+  ByteReader r(file);
+  FrameView view;
+  ASSERT_TRUE(ReadFrame(r, &view).ok());
+  EXPECT_EQ(view.payload_format, 3);
+  EXPECT_EQ(view.data, input);
 }
 
 }  // namespace

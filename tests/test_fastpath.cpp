@@ -23,6 +23,7 @@
 #include "itree/streaming_builder.h"
 #include "offline/analysis.h"
 #include "offline/tracestore.h"
+#include "oracle/delta_decoder.h"
 #include "somp/instr.h"
 #include "somp/runtime.h"
 #include "trace/event.h"
@@ -34,6 +35,8 @@ namespace sword {
 namespace {
 
 // --- v3 codec ---------------------------------------------------------------
+
+using oracle::DecodeBlocks;
 
 std::vector<trace::RawEvent> MixedEvents() {
   return {
@@ -55,14 +58,9 @@ TEST(CodecV3, MixedRoundTrip) {
   trace::EventCodecState enc;
   for (const auto& e : events) trace::EncodeEventV3(e, enc, w);
 
-  ByteReader r(buf);
-  trace::EventCodecState dec;
-  for (const auto& want : events) {
-    trace::RawEvent got;
-    ASSERT_TRUE(trace::DecodeDeltaEvent(r, trace::kTraceFormatV3, dec, &got).ok());
-    EXPECT_EQ(got, want);
-  }
-  EXPECT_TRUE(r.AtEnd());
+  std::vector<trace::RawEvent> got;
+  ASSERT_TRUE(DecodeBlocks(buf, trace::kTraceFormatV3, &got).ok());
+  EXPECT_EQ(got, events);
 }
 
 TEST(CodecV3, NonRunEventsEncodeExactlyAsV2) {
@@ -85,10 +83,8 @@ TEST(CodecV3, V2DecoderRejectsRunEvents) {
   ByteWriter w(&buf);
   trace::EventCodecState enc;
   trace::EncodeEventV3(trace::RawEvent::Run(0x1000, 8, 4, 8, 0, 1), enc, w);
-  ByteReader r(buf);
-  trace::EventCodecState dec;
-  trace::RawEvent out;
-  EXPECT_FALSE(trace::DecodeDeltaEvent(r, trace::kTraceFormatV2, dec, &out).ok())
+  std::vector<trace::RawEvent> out;
+  EXPECT_FALSE(DecodeBlocks(buf, trace::kTraceFormatV2, &out).ok())
       << "kind 3 is reserved in v2 and must not decode";
 }
 
@@ -109,11 +105,8 @@ TEST(CodecV3, RejectsImplausibleRuns) {
     ByteWriter w(&buf);
     trace::EventCodecState enc;
     trace::EncodeEventV3(c.event, enc, w);
-    ByteReader r(buf);
-    trace::EventCodecState dec;
-    trace::RawEvent out;
-    EXPECT_FALSE(trace::DecodeDeltaEvent(r, trace::kTraceFormatV3, dec, &out).ok())
-        << c.why;
+    std::vector<trace::RawEvent> out;
+    EXPECT_FALSE(DecodeBlocks(buf, trace::kTraceFormatV3, &out).ok()) << c.why;
   }
 }
 

@@ -15,6 +15,7 @@
 #include "compress/frame.h"
 #include "offline/analysis.h"
 #include "offline/checker_pool.h"
+#include "offline/fingerprint.h"
 #include "offline/journal.h"
 #include "offline/racecheck.h"
 #include "offline/report.h"
@@ -143,6 +144,61 @@ trace::IntervalMeta Meta(uint32_t lane, uint32_t span, uint64_t phase = 0) {
   m.level = 1;
   m.lane = lane;
   return m;
+}
+
+TEST(SegmentFingerprint, FoldIsIndependentOfBlockBoundaries) {
+  Rng rng(44);
+  std::vector<trace::RawEvent> events;
+  for (int i = 0; i < 2000; i++) {
+    const uint32_t pc = static_cast<uint32_t>(rng.Below(16));
+    switch (rng.Below(4)) {
+      case 0:
+        events.push_back(trace::RawEvent::MutexAcquire(static_cast<uint32_t>(rng.Below(4))));
+        break;
+      case 1:
+        events.push_back(trace::RawEvent::Run(rng.Below(1 << 20), 1 + rng.Below(16),
+                                              2 + rng.Below(40), 8, 1, pc));
+        break;
+      default:
+        events.push_back(trace::RawEvent::Access(rng.Below(1 << 20), 8,
+                                                 static_cast<uint8_t>(rng.Below(2)), pc));
+    }
+  }
+  SegmentFingerprint whole, single;
+  whole.MixBlock(events);
+  for (const trace::RawEvent& e : events) single.MixBlock({&e, 1});
+  EXPECT_EQ(whole, single);
+  for (int cut = 0; cut < 20; cut++) {
+    SegmentFingerprint blocks;
+    for (size_t at = 0; at < events.size();) {
+      const size_t n = std::min<size_t>(events.size() - at, rng.Below(300));
+      blocks.MixBlock({events.data() + at, n});
+      at += n;
+    }
+    EXPECT_EQ(blocks, whole) << "cut " << cut;
+  }
+  // Changing any one field of any one event changes the fingerprint.
+  for (int trial = 0; trial < 200; trial++) {
+    std::vector<trace::RawEvent> changed = events;
+    trace::RawEvent& e = changed[rng.Below(changed.size())];
+    switch (rng.Below(6)) {
+      case 0: e.addr ^= 1ULL << rng.Below(64); break;
+      case 1: e.pc ^= 1u << rng.Below(32); break;
+      case 2: e.size ^= static_cast<uint8_t>(1u << rng.Below(8)); break;
+      case 3: e.flags ^= static_cast<uint8_t>(1u << rng.Below(8)); break;
+      case 4: e.stride ^= 1ULL << rng.Below(64); break;
+      default: e.count ^= 1ULL << rng.Below(64); break;
+    }
+    if (e == events[static_cast<size_t>(&e - changed.data())]) continue;
+    const bool run_field_of_non_run =
+        e.kind != trace::EventKind::kAccessRun &&
+        (e.stride != events[static_cast<size_t>(&e - changed.data())].stride ||
+         e.count != events[static_cast<size_t>(&e - changed.data())].count);
+    if (run_field_of_non_run) continue;  // stride/count only count for runs
+    SegmentFingerprint fp;
+    fp.MixBlock(changed);
+    EXPECT_NE(fp, whole) << "trial " << trial;
+  }
 }
 
 TEST(Analysis, DetectsCrossThreadWriteReadRace) {
@@ -568,7 +624,7 @@ Bytes JoinFrames(const std::vector<JournalFrame>& frames) {
   for (const auto& f : frames) {
     w.PutU32(f.magic);
     w.PutVarU64(f.payload.size());
-    w.PutU64(Fnv1a64(f.payload.data(), f.payload.size()));
+    w.PutU64(FrameChecksum(f.magic, f.payload.data(), f.payload.size()));
     w.PutRaw(f.payload.data(), f.payload.size());
   }
   return std::move(w.buffer());

@@ -51,7 +51,39 @@ struct MatrixLog {
   std::vector<uint64_t> frame_ends;     // file offset of each frame's end
 };
 
-MatrixLog BuildMatrixLog(uint8_t format, const std::string& dir) {
+/// Rewrites every data frame of `file` to carry `magic`, re-sealing its
+/// payload checksum with the one `magic` names - how a log written before
+/// the "SW3H" magic looks.
+void ResealDataFrames(Bytes& file, uint32_t magic) {
+  ByteReader r(file);
+  while (!r.AtEnd()) {
+    const size_t at = r.position();
+    FrameHeader header;
+    ASSERT_TRUE(ParseFrameHeader(r, &header).ok());
+    ASSERT_TRUE(r.Skip(header.payload_size).ok());
+    if (header.payload_format == 0) continue;  // a marker
+    const size_t payload = at + header.header_size;
+    const uint64_t checksum =
+        FrameChecksum(magic, file.data() + payload, header.payload_size);
+    for (size_t i = 0; i < 4; i++) file[at + i] = static_cast<uint8_t>(magic >> (8 * i));
+    for (size_t i = 0; i < 8; i++) {
+      file[payload - 8 + i] = static_cast<uint8_t>(checksum >> (8 * i));
+    }
+  }
+}
+
+/// A row of the corruption matrix: an event format, and the data-frame
+/// magic its log carries (0: the one the writer emits).
+struct MatrixFormat {
+  uint8_t format;
+  uint32_t magic = 0;
+};
+
+void PrintTo(const MatrixFormat& f, std::ostream* os) {
+  *os << "format v" << int(f.format) << ", magic 0x" << std::hex << f.magic << std::dec;
+}
+
+MatrixLog BuildMatrixLog(uint8_t format, const std::string& dir, uint32_t magic = 0) {
   MatrixLog log;
   trace::Flusher flusher(/*async=*/false);
   trace::WriterConfig wc;
@@ -81,12 +113,16 @@ MatrixLog BuildMatrixLog(uint8_t format, const std::string& dir) {
   auto bytes = ReadFileBytes(wc.log_path);
   EXPECT_TRUE(bytes.ok());
   log.file = bytes.value();
+  if (magic != 0) ResealDataFrames(log.file, magic);
   ByteReader r(log.file);
   while (!r.AtEnd()) {
     FrameHeader header;
     if (!ParseFrameHeader(r, &header).ok() || !r.Skip(header.payload_size).ok()) {
       ADD_FAILURE() << "unparseable frame at " << r.position();
       break;
+    }
+    if (magic != 0) {
+      EXPECT_EQ(header.magic, magic);
     }
     log.frame_ends.push_back(r.position());
   }
@@ -115,11 +151,16 @@ std::vector<trace::RawEvent> StreamAll(const trace::LogReader& reader,
   return out;
 }
 
-class CorruptionMatrix : public ::testing::TestWithParam<uint8_t> {};
+class CorruptionMatrix : public ::testing::TestWithParam<MatrixFormat> {
+ protected:
+  MatrixLog BuildLog(const std::string& dir) {
+    return BuildMatrixLog(GetParam().format, dir, GetParam().magic);
+  }
+};
 
 TEST_P(CorruptionMatrix, TruncationAtEveryByte) {
   TempDir dir;
-  const MatrixLog log = BuildMatrixLog(GetParam(), dir.path());
+  const MatrixLog log = BuildLog(dir.path());
   const std::string path = dir.File("trunc.log");
 
   for (size_t len = 0; len < log.file.size(); len++) {
@@ -135,7 +176,7 @@ TEST_P(CorruptionMatrix, TruncationAtEveryByte) {
     // Strict: a file that does not end exactly on a frame boundary is
     // rejected wholesale.
     auto strict = trace::LogReader::Open(path);
-    EXPECT_EQ(strict.ok(), at_boundary) << "format " << int(GetParam())
+    EXPECT_EQ(strict.ok(), at_boundary) << "format " << int(GetParam().format)
                                         << " truncated at " << len;
 
     // Salvage: always opens; recovers exactly the complete frames and
@@ -159,7 +200,7 @@ TEST_P(CorruptionMatrix, TruncationAtEveryByte) {
 
 TEST_P(CorruptionMatrix, BitFlipAtEveryByte) {
   TempDir dir;
-  const MatrixLog log = BuildMatrixLog(GetParam(), dir.path());
+  const MatrixLog log = BuildLog(dir.path());
   const std::string path = dir.File("flip.log");
 
   for (size_t pos = 0; pos < log.file.size(); pos++) {
@@ -202,7 +243,7 @@ TEST_P(CorruptionMatrix, BitFlipAtEveryByte) {
 // event survives, and the log is still clean().
 TEST_P(CorruptionMatrix, CrashMarkerBetweenFramesKeepsLogClean) {
   TempDir dir;
-  const MatrixLog log = BuildMatrixLog(GetParam(), dir.path());
+  const MatrixLog log = BuildLog(dir.path());
   const std::string path = dir.File("seal.log");
 
   Bytes sealed(log.file.begin(),
@@ -239,7 +280,7 @@ TEST_P(CorruptionMatrix, CrashMarkerBetweenFramesKeepsLogClean) {
 // accounts the torn bytes, and still reports the seal.
 TEST_P(CorruptionMatrix, CrashMarkerAfterTornFrameStillReported) {
   TempDir dir;
-  const MatrixLog log = BuildMatrixLog(GetParam(), dir.path());
+  const MatrixLog log = BuildLog(dir.path());
   const std::string path = dir.File("torn_seal.log");
 
   // Cut frame 2 in half, then seal.
@@ -291,7 +332,7 @@ TEST_P(CorruptionMatrix, CrashMarkerAloneIsACleanEmptyLog) {
 
 TEST_P(CorruptionMatrix, VerifyLogReportsCrashMarkerRow) {
   TempDir dir;
-  const MatrixLog log = BuildMatrixLog(GetParam(), dir.path());
+  const MatrixLog log = BuildLog(dir.path());
   const std::string path = dir.File("verify_seal.log");
   Bytes sealed = log.file;
   WriteCrashMarkerFrame(&sealed, SIGFPE);
@@ -354,7 +395,7 @@ bool ExpectStrictAndSalvageAgree(const std::string& path, const std::string& wha
 // stats VerifyLog does.
 TEST_P(CorruptionMatrix, WalkRecordsTileTheFileAndMatchSalvageOpen) {
   TempDir dir;
-  const MatrixLog log = BuildMatrixLog(GetParam(), dir.path());
+  const MatrixLog log = BuildLog(dir.path());
   const std::string path = dir.File("walk.log");
   ForEachCutAndFlip(log.file, path, [&](const std::string& what) {
     auto size = FileSize(path);
@@ -382,7 +423,7 @@ TEST_P(CorruptionMatrix, WalkRecordsTileTheFileAndMatchSalvageOpen) {
 
 TEST_P(CorruptionMatrix, StrictAndSalvageAgreeWheneverStrictOpens) {
   TempDir dir;
-  const MatrixLog log = BuildMatrixLog(GetParam(), dir.path());
+  const MatrixLog log = BuildLog(dir.path());
   const std::string path = dir.File("agree.log");
   uint64_t strict_opened = 0;
   ForEachCutAndFlip(log.file, path, [&](const std::string& what) {
@@ -392,12 +433,19 @@ TEST_P(CorruptionMatrix, StrictAndSalvageAgreeWheneverStrictOpens) {
   EXPECT_GT(strict_opened, log.frame_ends.size() + 1);
 }
 
+// The v3 rows: the "SW3H" frames the writer emits, and the legacy "SW3F"
+// frames (FNV checksum) of traces written before it, which readers keep.
 INSTANTIATE_TEST_SUITE_P(Formats, CorruptionMatrix,
-                         ::testing::Values(trace::kTraceFormatV1,
-                                           trace::kTraceFormatV2,
-                                           trace::kTraceFormatV3),
+                         ::testing::Values(MatrixFormat{trace::kTraceFormatV1},
+                                           MatrixFormat{trace::kTraceFormatV2},
+                                           MatrixFormat{trace::kTraceFormatV3},
+                                           MatrixFormat{trace::kTraceFormatV3,
+                                                        kFrameMagicV3}),
                          [](const auto& info) {
-                           return std::string("v").append(std::to_string(info.param));
+                           std::string name("v");
+                           name.append(std::to_string(info.param.format));
+                           if (info.param.magic == kFrameMagicV3) name.append("_sw3f");
+                           return name;
                          });
 
 // --- targeted damage with exact expectations ------------------------------

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
 #include <thread>
 
 #include "common/fsutil.h"
 #include "common/rng.h"
+#include "compress/compressor.h"
 #include "compress/frame.h"
+#include "oracle/delta_decoder.h"
 #include "trace/event.h"
 #include "trace/flusher.h"
 #include "trace/meta.h"
@@ -319,6 +322,8 @@ TEST(Meta, FuzzedMetasFailCleanlyOrRoundTrip) {
 
 // ---------------------------------------------------------------- format v2
 
+using oracle::DecodeBlocks;
+
 TEST(EventV2, RoundTripAllKinds) {
   const RawEvent cases[] = {
       RawEvent::Access(0xdeadbeefcafeULL, 4, 3, 777),
@@ -331,16 +336,12 @@ TEST(EventV2, RoundTripAllKinds) {
       RawEvent::MutexRelease(131071),
       RawEvent::Access(~0ULL, 128, 2, 0xffffffffu),  // extremes
   };
-  EventCodecState enc, dec;
+  EventCodecState enc;
   ByteWriter w;
   for (const RawEvent& e : cases) EncodeEventV2(e, enc, w);
-  ByteReader r(w.buffer());
-  for (const RawEvent& e : cases) {
-    RawEvent out;
-    ASSERT_TRUE(DecodeDeltaEvent(r, kTraceFormatV2, dec, &out).ok());
-    EXPECT_EQ(out, e);
-  }
-  EXPECT_TRUE(r.AtEnd());
+  std::vector<RawEvent> out;
+  ASSERT_TRUE(DecodeBlocks(w.buffer(), kTraceFormatV2, &out).ok());
+  EXPECT_EQ(out, std::vector<RawEvent>(std::begin(cases), std::end(cases)));
 }
 
 TEST(EventV2, StridedAccessesEncodeDenselyUnderMaxBound) {
@@ -382,39 +383,25 @@ TEST(EventV2, DeltaStateResetMatchesFrameBoundaries) {
   ByteWriter f2;
   EncodeEventV2(RawEvent::Access(0x5008, 8, 0, 1), enc2, f2);
 
-  EventCodecState dec;  // fresh per frame
-  ByteReader r1(f1.buffer());
-  RawEvent out;
-  ASSERT_TRUE(DecodeDeltaEvent(r1, kTraceFormatV2, dec, &out).ok());
-  EXPECT_EQ(out.addr, 0x5000u);
-  dec = EventCodecState{};
-  ByteReader r2(f2.buffer());
-  ASSERT_TRUE(DecodeDeltaEvent(r2, kTraceFormatV2, dec, &out).ok());
-  EXPECT_EQ(out.addr, 0x5008u);
+  std::vector<RawEvent> out;  // each frame decodes with fresh state
+  ASSERT_TRUE(DecodeBlocks(f1.buffer(), kTraceFormatV2, &out).ok());
+  ASSERT_TRUE(DecodeBlocks(f2.buffer(), kTraceFormatV2, &out).ok());
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].addr, 0x5000u);
+  EXPECT_EQ(out[1].addr, 0x5008u);
 }
 
 TEST(EventV2, MalformedTagsRejected) {
-  {
-    Bytes bad = {0x03};  // kind 3: reserved
-    ByteReader r(bad);
-    EventCodecState dec;
-    RawEvent out;
-    EXPECT_FALSE(DecodeDeltaEvent(r, kTraceFormatV2, dec, &out).ok());
-  }
-  {
-    Bytes bad = {static_cast<uint8_t>(0x01 | (1u << 4)), 5};  // mutex with size bits
-    ByteReader r(bad);
-    EventCodecState dec;
-    RawEvent out;
-    EXPECT_FALSE(DecodeDeltaEvent(r, kTraceFormatV2, dec, &out).ok());
-  }
+  std::vector<RawEvent> out;
+  EXPECT_FALSE(DecodeBlocks({0x03}, kTraceFormatV2, &out).ok());  // kind 3: reserved
+  // A mutex with size bits.
+  EXPECT_FALSE(
+      DecodeBlocks({static_cast<uint8_t>(0x01 | (1u << 4)), 5}, kTraceFormatV2, &out).ok());
   for (uint8_t code = 9; code <= 14; code++) {  // reserved size codes
-    Bytes bad = {static_cast<uint8_t>(code << 4), 0, 0};
-    ByteReader r(bad);
-    EventCodecState dec;
-    RawEvent out;
-    EXPECT_FALSE(DecodeDeltaEvent(r, kTraceFormatV2, dec, &out).ok());
+    EXPECT_FALSE(
+        DecodeBlocks({static_cast<uint8_t>(code << 4), 0, 0}, kTraceFormatV2, &out).ok());
   }
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Flusher, AsyncAppendsInOrder) {
@@ -1218,6 +1205,168 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string("V") + std::to_string(std::get<0>(info.param)) +
              (std::get<1>(info.param) ? "Salvaged" : "Intact");
     });
+
+// ------------------------------------ block decoder vs per-event reference
+
+/// A random v2/v3 event covering every tag path: accesses with inline,
+/// explicit and extended size codes, mutex events and, in v3, runs.
+RawEvent RandomDeltaEvent(Rng& rng, uint8_t format) {
+  const uint64_t pick = rng.Below(10);
+  if (pick == 0) {
+    const uint32_t lock = static_cast<uint32_t>(rng.Below(300));
+    return rng.Chance(0.5) ? RawEvent::MutexAcquire(lock) : RawEvent::MutexRelease(lock);
+  }
+  static constexpr uint8_t kSizes[] = {1, 2, 4, 8, 16, 128, 3, 12, 200};
+  const uint8_t size = kSizes[rng.Below(std::size(kSizes))];
+  const uint8_t flags = static_cast<uint8_t>(rng.Chance(0.05) ? rng.Below(256) : rng.Below(4));
+  const uint32_t pc = static_cast<uint32_t>(rng.Chance(0.1) ? rng.Next() : rng.Below(64));
+  const uint64_t addr = rng.Chance(0.1) ? rng.Next() >> rng.Below(64)
+                                        : 0x10000 + rng.Below(1 << 16) * 8;
+  if (format >= kTraceFormatV3 && pick >= 7) {
+    return RawEvent::Run(addr >> 8, 1 + rng.Below(64), 2 + rng.Below(100), size, flags, pc);
+  }
+  return RawEvent::Access(addr, size, flags, pc);
+}
+
+/// One frame of a differential log: its payload format, its (possibly
+/// damaged) payload, and the event ends of the payload before the damage.
+struct DiffFrame {
+  uint8_t format = kTraceFormatV3;
+  Bytes payload;
+  std::vector<uint64_t> event_ends;
+};
+
+DiffFrame RandomDiffFrame(Rng& rng) {
+  DiffFrame f;
+  f.format = rng.Chance(0.5) ? kTraceFormatV2 : kTraceFormatV3;
+  const uint64_t events = 1 + rng.Below(rng.Chance(0.3) ? 700 : 40);
+  EventCodecState state;
+  uint8_t buf[kMaxEventBytesV3];
+  for (uint64_t i = 0; i < events; i++) {
+    uint8_t* end = EncodeDeltaEvent(RandomDeltaEvent(rng, f.format), state, buf);
+    f.payload.insert(f.payload.end(), buf, end);
+    f.event_ends.push_back(f.payload.size());
+  }
+  switch (rng.Below(4)) {
+    case 0:  // intact
+      break;
+    case 1:  // truncated
+      f.payload.resize(1 + rng.Below(f.payload.size()));
+      break;
+    case 2:  // bit flips
+      for (uint64_t k = 1 + rng.Below(3); k > 0; k--) {
+        f.payload[rng.Below(f.payload.size())] ^= static_cast<uint8_t>(1u << rng.Below(8));
+      }
+      break;
+    default:  // random bytes
+      f.payload.resize(1 + rng.Below(64));
+      for (uint8_t& b : f.payload) b = static_cast<uint8_t>(rng.Next());
+  }
+  return f;
+}
+
+/// What one range read produced.
+struct RangeOutcome {
+  Status status;
+  std::vector<RawEvent> events;
+};
+
+void ExpectSameCursor(const DecodeCursor& got, const DecodeCursor& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.valid, want.valid) << what;
+  EXPECT_EQ(got.frame_begin, want.frame_begin) << what;
+  EXPECT_EQ(got.pos, want.pos) << what;
+  EXPECT_EQ(got.byte_offset, want.byte_offset) << what;
+  EXPECT_EQ(got.state.prev_addr, want.state.prev_addr) << what;
+}
+
+// The block decoder behind StreamBlocks/StreamRange against the per-event
+// decoder and range walk it replaced (tests/oracle/delta_decoder.h), on logs
+// of random, truncated, bit-flipped and random-byte v2/v3 payloads, at
+// random slice edges (event-aligned or not), with and without a decode
+// cursor threaded through the calls: the same events, the same status and
+// the same cursor after every call, in blocks of at most kDecodeBlockEvents.
+TEST(BlockDecoder, MatchesPerEventReferenceOnFuzzedPayloads) {
+  TempDir dir;
+  const std::string path = dir.File("diff.log");
+  Rng rng(20261021);
+  uint64_t delivered = 0, failed = 0, full_blocks = 0, resumed = 0;
+  for (int trial = 0; trial < 300 && !HasFailure(); trial++) {
+    Bytes log;
+    std::vector<oracle::ReferenceFrame> frames;
+    std::vector<uint64_t> edges = {0};
+    uint64_t logical = 0;
+    for (uint64_t k = 1 + rng.Below(4); k > 0; k--) {
+      const DiffFrame f = RandomDiffFrame(rng);
+      ASSERT_TRUE(
+          WriteFrame(*FindCompressor("raw"), f.payload.data(), f.payload.size(), &log,
+                     f.format)
+              .ok());
+      for (const uint64_t end : f.event_ends) edges.push_back(logical + end);
+      frames.push_back({logical, f.format, f.payload});
+      logical += f.payload.size();
+    }
+    ASSERT_TRUE(WriteFile(path, log).ok());
+    auto reader = LogReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    ASSERT_EQ(reader.value().total_logical_bytes(), logical);
+
+    // An edge: mostly a pristine event end, sometimes any byte or past the end.
+    auto edge = [&] {
+      return rng.Chance(0.8) ? edges[rng.Below(edges.size())] : rng.Below(logical + 8);
+    };
+    FrameCache cache;
+    DecodeCursor got_cursor, want_cursor;
+    uint64_t next_begin = 0;
+    for (int call = 0; call < 40; call++) {
+      const bool with_cursor = call >= 20;
+      uint64_t begin = edge();
+      if (with_cursor && rng.Chance(0.7)) begin = next_begin;  // mostly forward
+      const uint64_t end = std::max(begin, edge());
+      next_begin = end;
+      const std::string what = "trial " + std::to_string(trial) + " call " +
+                               std::to_string(call) + " [" + std::to_string(begin) +
+                               ", " + std::to_string(end) + ")";
+
+      RangeOutcome want, got, blocks;
+      want.status = oracle::ReferenceStreamRange(
+          frames, begin, end - begin, [&](const RawEvent& e) { want.events.push_back(e); },
+          with_cursor ? &want_cursor : nullptr);
+      DecodeCursor before = got_cursor;
+      got.status = reader.value().StreamRange(
+          begin, end - begin, [&](const RawEvent& e) { got.events.push_back(e); },
+          rng.Chance(0.5) ? &cache : nullptr, nullptr, with_cursor ? &got_cursor : nullptr);
+      // StreamBlocks from the same cursor position delivers the same events.
+      blocks.status = reader.value().StreamBlocks(
+          begin, end - begin,
+          [&](std::span<const RawEvent> block) {
+            EXPECT_GE(block.size(), 1u) << what;
+            EXPECT_LE(block.size(), kDecodeBlockEvents) << what;
+            full_blocks += block.size() == kDecodeBlockEvents;
+            blocks.events.insert(blocks.events.end(), block.begin(), block.end());
+          },
+          &cache, nullptr, with_cursor ? &before : nullptr);
+
+      EXPECT_EQ(got.status.ToString(), want.status.ToString()) << what;
+      EXPECT_EQ(got.events, want.events) << what;
+      EXPECT_EQ(blocks.status.ToString(), want.status.ToString()) << what;
+      EXPECT_EQ(blocks.events, want.events) << what;
+      if (with_cursor) {
+        ExpectSameCursor(got_cursor, want_cursor, what);
+        ExpectSameCursor(before, want_cursor, what + " (blocks)");
+        resumed += got_cursor.valid && got_cursor.pos > got_cursor.frame_begin;
+      }
+      delivered += want.events.size();
+      failed += !want.status.ok();
+      if (HasFailure()) break;
+    }
+  }
+  // The corpus reaches every outcome.
+  EXPECT_GT(delivered, 10000u);
+  EXPECT_GT(failed, 1000u);
+  EXPECT_GT(full_blocks, 10u);
+  EXPECT_GT(resumed, 500u);
+}
 
 // --------------------------------------------------- multi-worker pipeline
 
