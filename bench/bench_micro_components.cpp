@@ -706,8 +706,23 @@ int RunFastPathQuick(const ArgParser& args) {
     const bool is_strided = shape == SweepShape::kStrided;
     SweepMetrics& v3 = is_strided ? strided_v3 : reduction_v3;
     SweepMetrics& v2 = is_strided ? strided_v2 : reduction_v2;
-    v3 = MeasureSweep(shape, trace::kTraceFormatV3, sweeps, elems);
-    v2 = MeasureSweep(shape, trace::kTraceFormatV2, sweeps, elems);
+    // The speedup gates divide these two timings, so each is the best of 5
+    // repetitions, interleaved v3, v2, v3, ...: a noisy stretch of the shared
+    // host costs one repetition of both formats, not the only timing of one.
+    const auto by_ns = [](const SweepMetrics& m) { return m.ns_per_access; };
+    bool first = true;
+    v3 = sword::bench::BestOfReps(
+        5,
+        [&] {
+          const SweepMetrics v3_rep =
+              MeasureSweep(shape, trace::kTraceFormatV3, sweeps, elems);
+          const SweepMetrics v2_rep =
+              MeasureSweep(shape, trace::kTraceFormatV2, sweeps, elems);
+          if (first || by_ns(v2_rep) < by_ns(v2)) v2 = v2_rep;
+          first = false;
+          return v3_rep;
+        },
+        by_ns);
     TextTable table({is_strided ? "strided sweep" : "reduction loop",
                      "per-access ns", "accesses/s", "events logged",
                      "suppressed", "coalesced", "runs", "log bytes"});

@@ -147,8 +147,23 @@ uint64_t FaultFile::read_failures_injected() const {
   return read_failures_injected_;
 }
 
+Status FaultFile::TransientOnly(const std::string& path) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (transient_left_ == 0) return Status::Ok();
+  --transient_left_;
+  fired_ |= kFaultTransient;
+  return Status::Unavailable("injected transient error: " + path);
+}
+
 Status FaultFile::Append(const std::string& path, const uint8_t* data,
                          size_t n, size_t* written) {
+  // Meta files model a different file from the byte stream the write
+  // faults aim at: only the transient knob reaches them.
+  if (path.ends_with(".meta")) {
+    *written = 0;
+    SWORD_RETURN_IF_ERROR(TransientOnly(path));
+    return base_->Append(path, data, n, written);
+  }
   uint32_t sleep_usec = 0;
   int raise_signo = 0;
   uint64_t call = 0;
@@ -244,17 +259,10 @@ Status FaultFile::Append(const std::string& path, const uint8_t* data,
 }
 
 Status FaultFile::WriteWhole(const std::string& path, const Bytes& data) {
-  // Whole-file writes (meta checkpoints) bypass the byte-stream faults --
-  // they model a different file. Only the transient knob applies, so tests
-  // can exercise checkpoint failure too.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (transient_left_ > 0) {
-      --transient_left_;
-      fired_ |= kFaultTransient;
-      return Status::Unavailable("injected transient error: " + path);
-    }
-  }
+  // Whole-file writes (the meta's creation, log truncation) bypass the
+  // byte-stream faults, like meta appends. Only the transient knob applies,
+  // so tests can exercise meta write failure too.
+  SWORD_RETURN_IF_ERROR(TransientOnly(path));
   return base_->WriteWhole(path, data);
 }
 

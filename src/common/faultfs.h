@@ -3,7 +3,10 @@
 // FaultFile wraps another backend (the real filesystem by default) and
 // injects failures keyed on the cumulative number of bytes appended through
 // it or on call numbers — not on wall-clock time — so every fault test is
-// exactly reproducible. Write-path faults:
+// exactly reproducible. The byte-stream and call-numbered write faults
+// below see only appends to non-meta files: an append to a `*.meta` path,
+// like a whole-file write, gets only the transient knob, and is not counted
+// in bytes_written() or append_calls(). Write-path faults:
 //   - TransientErrors(k): next k Append calls fail with kUnavailable before
 //     writing anything (EINTR/EAGAIN simulation; exercises retry).
 //   - ShortWrites(max): each Append call writes at most `max` bytes,
@@ -108,7 +111,7 @@ class FaultFile final : public FileBackend {
   uint64_t bytes_written() const;
   /// Bytes silently dropped by TruncateAfterBytes.
   uint64_t bytes_lost() const;
-  /// Append calls observed (successful or not).
+  /// Non-meta append calls observed (successful or not).
   uint64_t append_calls() const;
   /// FaultKind bits of the write-path faults that took effect at least once.
   uint32_t fired() const;
@@ -134,6 +137,10 @@ class FaultFile final : public FileBackend {
     uint64_t offset;
     uint8_t mask;
   };
+
+  /// Consumes one transient error for `path` if any are left: the only
+  /// fault meta appends and whole-file writes see.
+  Status TransientOnly(const std::string& path);
 
   FileBackend* base_;
   mutable std::mutex mu_;

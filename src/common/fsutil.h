@@ -124,8 +124,8 @@ SyncOutcome SyncWithRetry(FileBackend& backend, const std::string& path,
 
 /// Crash-consistent whole-file replacement: writes `path`.tmp, then renames
 /// it over `path`. A reader (or a rebooted machine) sees either the old or
-/// the new contents, never a torn mix - this is what makes incremental meta
-/// checkpoints safe against mid-write death.
+/// the new contents, never a torn mix - this is how the record logs
+/// (journal, ledger, trace meta) create their header record.
 Status WriteFileAtomic(const std::string& path, const Bytes& data,
                        FileBackend* backend = nullptr);
 

@@ -38,13 +38,11 @@ void FrameRecord(uint32_t magic, const Bytes& payload, ByteWriter& out) {
   out.PutRaw(payload.data(), payload.size());
 }
 
-Result<RecordLogLoad> LoadRecordLog(const std::string& path,
+Result<RecordLogLoad> WalkRecordLog(const Bytes& data,
                                     const RecordLogFormat& format,
                                     FunctionRef<Status(const Bytes&)> header,
                                     FunctionRef<Status(const Bytes&)> record) {
-  const auto file = ReadFileBytes(path);
-  if (!file.ok()) return file.status();
-  ByteReader reader(file.value());
+  ByteReader reader(data);
   RecordLogLoad result;
 
   Bytes payload;
@@ -68,6 +66,15 @@ Result<RecordLogLoad> LoadRecordLog(const std::string& path,
     result.valid_bytes = reader.position();
   }
   return result;
+}
+
+Result<RecordLogLoad> LoadRecordLog(const std::string& path,
+                                    const RecordLogFormat& format,
+                                    FunctionRef<Status(const Bytes&)> header,
+                                    FunctionRef<Status(const Bytes&)> record) {
+  const auto file = ReadFileBytes(path);
+  if (!file.ok()) return file.status();
+  return WalkRecordLog(file.value(), format, header, record);
 }
 
 Result<RecordLog> RecordLog::Create(const std::string& path,

@@ -1,6 +1,6 @@
-// The append-only record log that the analysis journal and the serve
-// verdict ledger are both written as: one header record, then records
-// appended one at a time.
+// The append-only record log that the analysis journal, the serve verdict
+// ledger and the trace meta file (SWM7) are all written as: one header
+// record, then records appended one at a time.
 //
 // Every record is framed the way the trace log frames blocks
 // (compress/frame.h idiom):
@@ -13,8 +13,8 @@
 // write-temp + rename, so creation is all-or-nothing. Appends go through a
 // FileBackend; AppendWithRetry rolls a failed append back to the file's
 // previous size, so a full disk costs the record, never the records after
-// it. The owners (offline/journal.h, serve/ledger.h) only encode and parse
-// payloads.
+// it. The owners (offline/journal.h, serve/ledger.h, trace/meta.h) only
+// encode and parse payloads.
 #pragma once
 
 #include <cstdint>
@@ -42,12 +42,18 @@ struct RecordLogLoad {
   uint64_t records_dropped = 0;  // torn/corrupt tail records discarded
 };
 
-/// Reads the record log at `path`: the header payload goes to `header`, then
-/// each record payload to `record`, in file order, until the file ends or a
-/// record fails its frame checks or `record` rejects it. That record and
-/// everything after it are dropped and counted. Fails only when the file is
-/// unreadable, the header frame is damaged (kCorruptData), or `header`
-/// rejects its payload (that status).
+/// Walks the record log held in `data`: the header payload goes to
+/// `header`, then each record payload to `record`, in order, until the bytes
+/// end or a record fails its frame checks or `record` rejects it. That
+/// record and everything after it are dropped and counted. Fails only when
+/// the header frame is damaged (kCorruptData) or `header` rejects its
+/// payload (that status).
+Result<RecordLogLoad> WalkRecordLog(const Bytes& data,
+                                    const RecordLogFormat& format,
+                                    FunctionRef<Status(const Bytes&)> header,
+                                    FunctionRef<Status(const Bytes&)> record);
+
+/// WalkRecordLog over the file at `path`; also fails when it is unreadable.
 Result<RecordLogLoad> LoadRecordLog(const std::string& path,
                                     const RecordLogFormat& format,
                                     FunctionRef<Status(const Bytes&)> header,

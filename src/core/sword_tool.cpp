@@ -279,67 +279,15 @@ std::vector<std::string> SwordTool::LogPaths() const {
   return paths;
 }
 
-std::vector<std::string> SwordTool::MetaPaths() const {
-  std::lock_guard lock(states_mutex_);
-  std::vector<std::string> paths;
-  for (const auto& ts : states_) {
-    paths.push_back(config_.out_dir + "/sword_t" +
-                    std::to_string(ts->writer->thread_id()) + ".meta");
-  }
-  return paths;
-}
-
 uint32_t SwordTool::ThreadCount() const {
   std::lock_guard lock(states_mutex_);
   return static_cast<uint32_t>(states_.size());
 }
 
-uint64_t SwordTool::Flushes() const {
+uint64_t SwordTool::SumOverWriters(uint64_t (Writer::*counter)() const) const {
   std::lock_guard lock(states_mutex_);
   uint64_t total = 0;
-  for (const auto& ts : states_) total += ts->writer->flushes();
-  return total;
-}
-
-uint64_t SwordTool::EventsLogged() const {
-  std::lock_guard lock(states_mutex_);
-  uint64_t total = 0;
-  for (const auto& ts : states_) total += ts->writer->events_logged();
-  return total;
-}
-
-uint64_t SwordTool::EventsSuppressed() const {
-  std::lock_guard lock(states_mutex_);
-  uint64_t total = 0;
-  for (const auto& ts : states_) total += ts->writer->events_suppressed();
-  return total;
-}
-
-uint64_t SwordTool::EventsCoalesced() const {
-  std::lock_guard lock(states_mutex_);
-  uint64_t total = 0;
-  for (const auto& ts : states_) total += ts->writer->events_coalesced();
-  return total;
-}
-
-uint64_t SwordTool::RunsEmitted() const {
-  std::lock_guard lock(states_mutex_);
-  uint64_t total = 0;
-  for (const auto& ts : states_) total += ts->writer->runs_emitted();
-  return total;
-}
-
-uint64_t SwordTool::AccessesDropped() const {
-  std::lock_guard lock(states_mutex_);
-  uint64_t total = 0;
-  for (const auto& ts : states_) total += ts->writer->accesses_dropped();
-  return total;
-}
-
-uint64_t SwordTool::DegradedDropped() const {
-  std::lock_guard lock(states_mutex_);
-  uint64_t total = 0;
-  for (const auto& ts : states_) total += ts->writer->degraded_dropped();
+  for (const auto& ts : states_) total += (ts->writer.get()->*counter)();
   return total;
 }
 

@@ -45,8 +45,8 @@ struct SwordConfig {
   /// sword::testing::FaultFile here.
   FileBackend* backend = nullptr;
   /// Install the async-signal-safe fatal-signal sealing handlers
-  /// (SIGSEGV/SIGBUS/SIGABRT/SIGFPE/SIGILL -> crash-tagged meta checkpoint
-  /// + in-band crash marker) and register every writer with the
+  /// (SIGSEGV/SIGBUS/SIGABRT/SIGFPE/SIGILL -> sealed record appended to
+  /// each meta + in-band crash marker) and register every writer with the
   /// SealRegistry. Safe to leave on: it changes nothing unless the process
   /// actually dies of a fatal signal.
   bool crash_seal = true;
@@ -94,10 +94,8 @@ class SwordTool final : public somp::Tool {
   /// Valid any time; complete after Finalize.
   Status IoStatus() const { return flusher_.status(); }
 
-  /// Paths of the per-thread trace files written so far (valid after
-  /// Finalize).
+  /// Paths of the per-thread logs written so far (valid after Finalize).
   std::vector<std::string> LogPaths() const;
-  std::vector<std::string> MetaPaths() const;
 
   /// Bounded memory in use: N * (buffer + aux). The headline number.
   uint64_t MemoryBytes() const { return memory_.current(); }
@@ -107,20 +105,20 @@ class SwordTool final : public somp::Tool {
   /// Aggregated per-thread writer counters, summed on demand - there is no
   /// shared per-access atomic anywhere on the hot path. EventsLogged counts
   /// ENCODED events (a coalesced run counts once).
-  uint64_t EventsLogged() const;
-  uint64_t EventsSuppressed() const;
-  uint64_t EventsCoalesced() const;
-  uint64_t RunsEmitted() const;
-  uint64_t AccessesDropped() const;
+  uint64_t EventsLogged() const { return SumOverWriters(&Writer::events_logged); }
+  uint64_t EventsSuppressed() const { return SumOverWriters(&Writer::events_suppressed); }
+  uint64_t EventsCoalesced() const { return SumOverWriters(&Writer::events_coalesced); }
+  uint64_t RunsEmitted() const { return SumOverWriters(&Writer::runs_emitted); }
+  uint64_t AccessesDropped() const { return SumOverWriters(&Writer::accesses_dropped); }
   /// Accesses shed on the degradation governor's (or an exhausted buffer
   /// pool's) orders, summed over writers. Exact; also in each meta file.
-  uint64_t DegradedDropped() const;
+  uint64_t DegradedDropped() const { return SumOverWriters(&Writer::degraded_dropped); }
   /// Always 0; e2ebench is its only reader.
   uint64_t EventsElided() const { return 0; }
   /// Always 0; e2ebench is its only reader.
   uint64_t ElidedLost() const { return 0; }
   uint64_t BytesWritten() const { return flusher_.bytes_written(); }
-  uint64_t Flushes() const;
+  uint64_t Flushes() const { return SumOverWriters(&Writer::flushes); }
 
   /// The degradation governor, or null when adaptive_degradation is off.
   trace::DegradationGovernor* governor() { return governor_.get(); }
@@ -134,6 +132,11 @@ class SwordTool final : public somp::Tool {
   trace::FlusherStats FlushStats() const { return flusher_.stats(); }
 
  private:
+  using Writer = trace::ThreadTraceWriter;
+
+  /// One writer counter, summed over every published writer.
+  uint64_t SumOverWriters(uint64_t (Writer::*counter)() const) const;
+
   struct ThreadState {
     std::unique_ptr<trace::ThreadTraceWriter> writer;
     // Stack of contexts whose segments this OS thread has open/paused;

@@ -125,7 +125,8 @@ void RunIngestor::LiveProbe() {
       intervals += mf.intervals.size();
     }
     // An undecodable meta on a LIVE run is not failure - the writer may be
-    // mid-rename. The settled-run analysis is where damage gets judged.
+    // creating it. A record mid-append is a torn tail that salvage drops.
+    // The settled-run analysis is where damage gets judged.
   }
   if (intervals > stats_.intervals_seen) stats_.intervals_seen = intervals;
   // Probes succeeded: the backoff (if any) has served its purpose.

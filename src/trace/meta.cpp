@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/record_log.h"
+
 namespace sword::trace {
 namespace {
 
@@ -16,6 +18,108 @@ Status GetVarU32(ByteReader& r, uint32_t* out, const char* what) {
     return Status::Corrupt(std::string(what) + " out of range in meta file");
   }
   *out = static_cast<uint32_t>(v);
+  return Status::Ok();
+}
+
+Status GetLogFormat(ByteReader& r, uint8_t* out) {
+  SWORD_RETURN_IF_ERROR(r.GetU8(out));
+  if (*out < kTraceFormatV1 || *out > kTraceFormatV3) {
+    return Status::Corrupt("unknown log format in meta file");
+  }
+  return Status::Ok();
+}
+
+constexpr RecordLogFormat kMetaLogFormat{"meta", kMetaMagicV7, kMetaRecordMagic};
+
+/// What an SWM7 record after the header holds: its payload's first byte.
+enum class MetaRecordKind : uint8_t {
+  kInterval = 1,    // IntervalMeta, record v3
+  kTransition = 2,  // level u8 | reason u8 | interval ordinal varint
+  kTotals = 3,      // events, bytes, accesses, degraded dropped (varints)
+  kSealed = 4,      // signo u8
+};
+
+/// SWM7 interval records use the record-v3 layout: no elision field.
+constexpr uint8_t kSwm7RecordVersion = 3;
+
+/// Frames one SWM7 record: its kind byte, then what `fill` writes.
+template <typename Fill>
+void FrameSwm7Record(MetaRecordKind kind, ByteWriter& out, Fill fill) {
+  ByteWriter payload;
+  payload.PutU8(static_cast<uint8_t>(kind));
+  fill(payload);
+  FrameRecord(kMetaRecordMagic, payload.buffer(), out);
+}
+
+/// Applies one SWM7 record to `out`, all or nothing: each kind parses into
+/// a local and commits only once the whole payload parsed exactly.
+Status ApplySwm7Record(const Bytes& payload, MetaFile* out) {
+  ByteReader r(payload);
+  uint8_t kind;
+  SWORD_RETURN_IF_ERROR(r.GetU8(&kind));
+  const auto exact = [&r] {
+    return r.AtEnd() ? Status::Ok() : Status::Corrupt("trailing bytes in meta record");
+  };
+  switch (static_cast<MetaRecordKind>(kind)) {
+    case MetaRecordKind::kInterval: {
+      IntervalMeta m;
+      SWORD_RETURN_IF_ERROR(IntervalMeta::Deserialize(r, &m, kSwm7RecordVersion));
+      SWORD_RETURN_IF_ERROR(exact());
+      out->intervals.push_back(std::move(m));
+      return Status::Ok();
+    }
+    case MetaRecordKind::kTransition: {
+      DegradationTransition t;
+      SWORD_RETURN_IF_ERROR(r.GetU8(&t.level));
+      SWORD_RETURN_IF_ERROR(r.GetU8(&t.reason));
+      SWORD_RETURN_IF_ERROR(r.GetVarU64(&t.interval));
+      SWORD_RETURN_IF_ERROR(exact());
+      out->transitions.push_back(t);
+      return Status::Ok();
+    }
+    case MetaRecordKind::kTotals: {
+      // Totals records are cumulative: the last one wins.
+      uint64_t v[4];
+      for (uint64_t& x : v) SWORD_RETURN_IF_ERROR(r.GetVarU64(&x));
+      SWORD_RETURN_IF_ERROR(exact());
+      out->events_dropped = v[0];
+      out->bytes_dropped = v[1];
+      out->accesses_dropped = v[2];
+      out->degraded_dropped = v[3];
+      return Status::Ok();
+    }
+    case MetaRecordKind::kSealed: {
+      uint8_t signo;
+      SWORD_RETURN_IF_ERROR(r.GetU8(&signo));
+      SWORD_RETURN_IF_ERROR(exact());
+      out->crash_sealed = true;
+      out->seal_signo = signo;
+      return Status::Ok();
+    }
+  }
+  return Status::Corrupt("unknown meta record kind");
+}
+
+Status DecodeSwm7(const Bytes& data, MetaFile* out, bool salvage,
+                  uint64_t* records_dropped) {
+  *out = MetaFile{};
+  const auto header = [out](const Bytes& payload) -> Status {
+    ByteReader r(payload);
+    SWORD_RETURN_IF_ERROR(GetVarU32(r, &out->thread_id, "thread id"));
+    SWORD_RETURN_IF_ERROR(GetLogFormat(r, &out->log_format));
+    if (!r.AtEnd()) return Status::Corrupt("trailing bytes in meta header");
+    return Status::Ok();
+  };
+  const auto record = [out](const Bytes& payload) {
+    return ApplySwm7Record(payload, out);
+  };
+  const auto walk = WalkRecordLog(data, kMetaLogFormat, header, record);
+  if (!walk.ok()) return walk.status();
+  const uint64_t dropped = walk.value().records_dropped;
+  if (dropped != 0 && !salvage) {
+    return Status::Corrupt("torn or damaged record in meta file");
+  }
+  if (records_dropped) *records_dropped = dropped;
   return Status::Ok();
 }
 
@@ -90,55 +194,65 @@ std::string IntervalMeta::ToString() const {
   return out;
 }
 
-void EncodeMetaHeader(ByteWriter& w, const MetaHeaderInfo& info) {
-  w.PutU32(kMetaMagicV6);
-  // v5+: flags + seal signo as FIXED-offset bytes right after the magic
-  // (kMetaFlagsOffset / kMetaSealSignoOffset) so the fatal-signal handler
-  // can patch them in a pre-serialized image without running any encoder.
-  w.PutU8(info.crash_sealed ? kMetaFlagCrashSealed : 0);
-  w.PutU8(info.seal_signo);
-  w.PutVarU64(info.thread_id);
-  w.PutU8(info.log_format);
-  // v3 additions: record-time drop totals, before the interval records so a
-  // torn tail cannot hide them. v4 adds the outside-segment access drops,
-  // v5 the degradation-governor sheds and the transition history, v6 the
-  // pre-filter elision totals (0 from the current writer, kept so the
-  // layout stays SWM6).
-  w.PutVarU64(info.events_dropped);
-  w.PutVarU64(info.bytes_dropped);
-  w.PutVarU64(info.accesses_dropped);
-  w.PutVarU64(info.degraded_dropped);
-  w.PutVarU64(info.elided_accesses);
-  w.PutVarU64(info.elided_lost);
-  const size_t n_transitions = info.transitions ? info.transitions->size() : 0;
-  w.PutVarU64(n_transitions);
-  for (size_t i = 0; i < n_transitions; ++i) {
-    const DegradationTransition& t = (*info.transitions)[i];
-    w.PutU8(t.level);
-    w.PutU8(t.reason);
-    w.PutVarU64(t.interval);
+void FrameMetaHeader(uint32_t thread_id, uint8_t log_format, ByteWriter& out) {
+  ByteWriter payload;
+  payload.PutVarU64(thread_id);
+  payload.PutU8(log_format);
+  FrameRecord(kMetaMagicV7, payload.buffer(), out);
+}
+
+void FrameIntervalRecord(const IntervalMeta& m, ByteWriter& out) {
+  FrameSwm7Record(MetaRecordKind::kInterval, out,
+                  [&m](ByteWriter& p) { m.Serialize(p, kSwm7RecordVersion); });
+}
+
+void FrameTransitionRecord(const DegradationTransition& t, ByteWriter& out) {
+  FrameSwm7Record(MetaRecordKind::kTransition, out, [&t](ByteWriter& p) {
+    p.PutU8(t.level);
+    p.PutU8(t.reason);
+    p.PutVarU64(t.interval);
+  });
+}
+
+void FrameTotalsRecord(const MetaTotals& t, ByteWriter& out) {
+  FrameSwm7Record(MetaRecordKind::kTotals, out, [&t](ByteWriter& p) {
+    for (uint64_t v : {t.events_dropped, t.bytes_dropped, t.accesses_dropped,
+                       t.degraded_dropped}) {
+      p.PutVarU64(v);
+    }
+  });
+}
+
+void EncodeSealRecord(uint8_t signo, uint8_t out[kSealRecordBytes]) {
+  // FrameRecord's layout, spelled out byte by byte: magic (u32 LE) |
+  // payload size (one varint byte) | fnv1a64(payload) (u64 LE) | payload.
+  const uint8_t payload[2] = {static_cast<uint8_t>(MetaRecordKind::kSealed),
+                              signo};
+  for (int i = 0; i < 4; ++i) {
+    out[i] = static_cast<uint8_t>(kMetaRecordMagic >> (8 * i));
   }
-  w.PutVarU64(info.record_count);
+  out[4] = sizeof(payload);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (uint8_t b : payload) h = (h ^ b) * 0x100000001b3ULL;
+  for (int i = 0; i < 8; ++i) out[5 + i] = static_cast<uint8_t>(h >> (8 * i));
+  out[13] = payload[0];
+  out[14] = payload[1];
 }
 
 Bytes MetaFile::Encode() const {
   ByteWriter w;
-  MetaHeaderInfo info;
-  info.thread_id = thread_id;
-  info.log_format = log_format;
-  info.crash_sealed = crash_sealed;
-  info.seal_signo = seal_signo;
-  info.events_dropped = events_dropped;
-  info.bytes_dropped = bytes_dropped;
-  info.accesses_dropped = accesses_dropped;
-  info.degraded_dropped = degraded_dropped;
-  info.elided_accesses = elided_accesses;
-  info.elided_lost = elided_lost;
-  info.transitions = &transitions;
-  info.record_count = intervals.size();
-  EncodeMetaHeader(w, info);
-  for (const auto& m : intervals) m.Serialize(w, /*version=*/4);
-  return w.buffer();
+  FrameMetaHeader(thread_id, log_format, w);
+  for (const auto& m : intervals) FrameIntervalRecord(m, w);
+  for (const auto& t : transitions) FrameTransitionRecord(t, w);
+  const MetaTotals totals{events_dropped, bytes_dropped, accesses_dropped,
+                          degraded_dropped};
+  if (!(totals == MetaTotals{})) FrameTotalsRecord(totals, w);
+  if (crash_sealed) {
+    uint8_t sealed[kSealRecordBytes];
+    EncodeSealRecord(seal_signo, sealed);
+    w.PutRaw(sealed, sizeof(sealed));
+  }
+  return std::move(w.buffer());
 }
 
 Status MetaFile::Decode(const Bytes& data, MetaFile* out, bool salvage,
@@ -147,6 +261,7 @@ Status MetaFile::Decode(const Bytes& data, MetaFile* out, bool salvage,
   ByteReader r(data);
   uint32_t magic;
   SWORD_RETURN_IF_ERROR(r.GetU32(&magic));
+  if (magic == kMetaMagicV7) return DecodeSwm7(data, out, salvage, records_dropped);
   uint8_t version;
   if (magic == kMetaMagic) {
     version = 1;
@@ -178,10 +293,7 @@ Status MetaFile::Decode(const Bytes& data, MetaFile* out, bool salvage,
   uint64_t n;
   SWORD_RETURN_IF_ERROR(GetVarU32(r, &out->thread_id, "thread id"));
   if (version >= 2) {
-    SWORD_RETURN_IF_ERROR(r.GetU8(&out->log_format));
-    if (out->log_format < kTraceFormatV1 || out->log_format > kTraceFormatV3) {
-      return Status::Corrupt("unknown log format in meta file");
-    }
+    SWORD_RETURN_IF_ERROR(GetLogFormat(r, &out->log_format));
   } else {
     out->log_format = kTraceFormatV1;  // v1 metas only ever paired v1 logs
   }
@@ -202,7 +314,7 @@ Status MetaFile::Decode(const Bytes& data, MetaFile* out, bool salvage,
   if (version >= 5) {
     SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->degraded_dropped));
     // v6 inserts the pre-filter counters between the governor's shed count
-    // and the transition history (mirrors EncodeMetaHeader's field order).
+    // and the transition history.
     if (version >= 6) {
       SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->elided_accesses));
       SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->elided_lost));

@@ -9,6 +9,13 @@
 // self-contained) and the lockset held when the segment opened (so lock
 // ownership that spans a buffer flush or barrier is never lost).
 //
+// The current format, SWM7, is an append-only record log
+// (common/record_log.h): a header record with the thread id and the log
+// format, then one record per closed segment, per governor transition, per
+// change of the drop totals, and the fatal-signal sealer's sealed(signo)
+// record. SWMF-SWM6 files (one header, then a counted record list) still
+// decode.
+//
 // "Segment" vs "interval": with nested parallelism, lane 0 of an inner team
 // runs on the same OS thread as its parent, so a parent's barrier interval
 // can be split around the nested region into multiple segments. Segments of
@@ -46,10 +53,10 @@ struct IntervalMeta {
   /// (sampling / summary-only), record v3. Exact count, so offline
   /// accounting can reconcile observed + dropped totals.
   uint64_t degraded_dropped = 0;
-  /// Accesses a static pre-filter elided from THIS segment (record v4).
-  /// Traces written by earlier versions covered each elided access with an
-  /// exact footprint receipt in the segment's event data, so this is not
-  /// loss. The current writer has no pre-filter and always writes 0.
+  /// Accesses a static pre-filter elided from THIS segment (record v4,
+  /// SWM6 only). Traces written by earlier versions covered each elided
+  /// access with an exact footprint receipt in the segment's event data, so
+  /// this is not loss. SWM7 interval records are record v3, without it.
   uint64_t elided = 0;
   std::vector<uint32_t> lockset;  // mutexes held when the segment opened
 
@@ -94,10 +101,10 @@ struct MetaFile {
   /// Event-encoding format of the companion .log file (kTraceFormatV*).
   /// Informational: the log's frames are self-tagging; tools print this.
   uint8_t log_format = kTraceFormatV2;
-  /// v5 metas: this checkpoint was written by the fatal-signal sealer while
-  /// the process was dying of `seal_signo`. The trace ends at the last
-  /// sealed barrier interval; everything recorded is trustworthy, nothing
-  /// after it exists.
+  /// SWM5+ metas: the fatal-signal sealer marked this trace while the
+  /// process was dying of `seal_signo`. The trace ends at the last closed
+  /// barrier interval; everything recorded is trustworthy, nothing after it
+  /// exists.
   bool crash_sealed = false;
   uint8_t seal_signo = 0;
   /// Record-time loss (v3 metas): events/logical bytes the flusher had to
@@ -113,53 +120,53 @@ struct MetaFile {
   /// (v5 metas). Sum over intervals[i].degraded_dropped plus any shed while
   /// no segment was open.
   uint64_t degraded_dropped = 0;
-  /// Accesses a static pre-filter elided (v6 metas). Sum over
+  /// Accesses a static pre-filter elided (SWM6 metas only). Sum over
   /// intervals[i].elided. Informational, not loss: each elided access has
   /// an exact footprint receipt in the log. Read for traces from earlier
-  /// versions; the current writer always writes 0.
+  /// versions; SWM7 has no such field.
   uint64_t elided_accesses = 0;
-  /// Elided accesses whose receipt could not be emitted (v6 metas). This IS
-  /// potential loss and is accounted like degradation for soundness. Always
-  /// 0 from the current writer.
+  /// Elided accesses whose receipt could not be emitted (SWM6 metas only).
+  /// This IS potential loss and is accounted like degradation for soundness.
   uint64_t elided_lost = 0;
   /// Governor level changes, in order (v5 metas).
   std::vector<DegradationTransition> transitions;
   std::vector<IntervalMeta> intervals;
 
-  /// Always writes the current (v6) meta format.
+  /// Writes the current (SWM7) meta format. It has no elision fields:
+  /// elided_accesses, elided_lost and IntervalMeta::elided are not written.
   Bytes Encode() const;
-  /// Decodes v1 ("SWMF") through v6 ("SWM6") meta files.
+  /// Decodes v1 ("SWMF") through v7 ("SWM7") meta files.
   ///
   /// With `salvage`, a record-level parse failure keeps the cleanly-decoded
-  /// prefix instead of failing the whole file (a crashed run's checkpoint
-  /// can be torn mid-record despite the atomic rename if the filesystem
-  /// itself was damaged); `*records_dropped` receives how many of the
-  /// header's claimed records could not be recovered.
+  /// prefix instead of failing the whole file (a run killed mid-append
+  /// leaves a torn SWM7 tail); `*records_dropped` receives the records lost:
+  /// the header's claimed remainder up to SWM6, 1 for a torn SWM7 tail.
   static Status Decode(const Bytes& data, MetaFile* out, bool salvage = false,
                        uint64_t* records_dropped = nullptr);
 };
 
-/// Everything EncodeMetaHeader needs. Kept as a struct so the writer's
-/// incremental checkpoints and MetaFile::Encode share one serializer.
-struct MetaHeaderInfo {
-  uint32_t thread_id = 0;
-  uint8_t log_format = kTraceFormatV2;
-  bool crash_sealed = false;
-  uint8_t seal_signo = 0;
+/// The drop totals an SWM7 totals record carries (MetaFile's fields).
+struct MetaTotals {
   uint64_t events_dropped = 0;
   uint64_t bytes_dropped = 0;
   uint64_t accesses_dropped = 0;
   uint64_t degraded_dropped = 0;
-  uint64_t elided_accesses = 0;
-  uint64_t elided_lost = 0;
-  const std::vector<DegradationTransition>* transitions = nullptr;
-  uint64_t record_count = 0;
+
+  bool operator==(const MetaTotals&) const = default;
 };
 
-/// Serializes the v5 meta header (everything before the interval records).
-/// Shared by MetaFile::Encode and the writer's incremental checkpoints,
-/// which append pre-serialized records after it.
-void EncodeMetaHeader(ByteWriter& w, const MetaHeaderInfo& info);
+// SWM7 writers: each appends one framed record (common/record_log.h) to
+// `out`. MetaFile::Encode and the trace writer build the file from these.
+void FrameMetaHeader(uint32_t thread_id, uint8_t log_format, ByteWriter& out);
+void FrameIntervalRecord(const IntervalMeta& m, ByteWriter& out);
+void FrameTransitionRecord(const DegradationTransition& t, ByteWriter& out);
+void FrameTotalsRecord(const MetaTotals& t, ByteWriter& out);
+
+/// Size of the framed sealed(signo) record.
+constexpr size_t kSealRecordBytes = 15;
+/// Writes the framed sealed(signo) record into `out` without allocating or
+/// calling anything: the fatal-signal handler appends it to the meta.
+void EncodeSealRecord(uint8_t signo, uint8_t out[kSealRecordBytes]);
 
 constexpr uint32_t kMetaMagic = 0x53574d46;    // "SWMF" (meta format v1)
 constexpr uint32_t kMetaMagicV2 = 0x53574d32;  // "SWM2" (meta format v2)
@@ -167,16 +174,11 @@ constexpr uint32_t kMetaMagicV3 = 0x53574d33;  // "SWM3" (meta format v3)
 constexpr uint32_t kMetaMagicV4 = 0x53574d34;  // "SWM4" (meta format v4)
 constexpr uint32_t kMetaMagicV5 = 0x53574d35;  // "SWM5" (meta format v5)
 constexpr uint32_t kMetaMagicV6 = 0x53574d36;  // "SWM6" (meta format v6)
+/// SWM7's header record magic, so the file still starts with it.
+constexpr uint32_t kMetaMagicV7 = 0x53574d37;      // "SWM7" (meta format v7)
+constexpr uint32_t kMetaRecordMagic = 0x53574d52;  // "SWMR" (SWM7 records)
 
-/// v5 header flag bits (the byte at kMetaFlagsOffset).
+/// SWM5/SWM6 header flag bits.
 constexpr uint8_t kMetaFlagCrashSealed = 0x01;
-
-/// Fixed byte offsets of the v5 flags and seal-signo bytes. The fatal-signal
-/// sealer publishes a pre-serialized meta image built with
-/// crash_sealed=true / signo=0 and, inside the handler, only needs to patch
-/// the one signo byte at kMetaSealSignoOffset — no serialization runs in
-/// signal context. Keep these in sync with EncodeMetaHeader.
-constexpr size_t kMetaFlagsOffset = 4;
-constexpr size_t kMetaSealSignoOffset = 5;
 
 }  // namespace sword::trace

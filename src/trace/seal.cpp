@@ -31,6 +31,14 @@ bool WriteAllRaw(int fd, const uint8_t* data, size_t n) {
   return true;
 }
 
+/// Appends `n` bytes to an existing file and fsyncs it. Async-signal-safe.
+void AppendRaw(const char* path, const uint8_t* data, size_t n) {
+  const int fd = ::open(path, O_WRONLY | O_APPEND | O_CLOEXEC);
+  if (fd < 0) return;
+  if (WriteAllRaw(fd, data, n)) (void)::fsync(fd);
+  (void)::close(fd);
+}
+
 }  // namespace
 
 SealRegistry& SealRegistry::Instance() {
@@ -43,9 +51,7 @@ SealRegistry& SealRegistry::Instance() {
 
 int SealRegistry::Register(const std::string& log_path,
                            const std::string& meta_path) {
-  const std::string tmp_path = meta_path + ".seal.tmp";
-  if (log_path.size() >= kMaxPath || meta_path.size() >= kMaxPath ||
-      tmp_path.size() >= kMaxPath) {
+  if (log_path.size() >= kMaxPath || meta_path.size() >= kMaxPath) {
     SWORD_WARN() << "seal registry: path too long, trace not crash-sealable: "
                  << log_path;
     return kNoSlot;
@@ -59,12 +65,8 @@ int SealRegistry::Register(const std::string& log_path,
     }
     std::memset(s.log_path, 0, kMaxPath);
     std::memset(s.meta_path, 0, kMaxPath);
-    std::memset(s.tmp_path, 0, kMaxPath);
     std::memcpy(s.log_path, log_path.data(), log_path.size());
     std::memcpy(s.meta_path, meta_path.data(), meta_path.size());
-    std::memcpy(s.tmp_path, tmp_path.data(), tmp_path.size());
-    s.active.store(0, std::memory_order_relaxed);
-    for (Image& img : s.image) img.size.store(0, std::memory_order_relaxed);
     s.state.store(2, std::memory_order_release);
     return static_cast<int>(i);
   }
@@ -76,52 +78,11 @@ int SealRegistry::Register(const std::string& log_path,
   return kNoSlot;
 }
 
-void SealRegistry::Publish(int slot, const Bytes& image) {
-  if (slot < 0 || static_cast<size_t>(slot) >= kMaxSlots) return;
-  Slot& s = slots_[static_cast<size_t>(slot)];
-  if (s.state.load(std::memory_order_acquire) != 2) return;
-  // Double buffer: write the INACTIVE image, then flip `active`. A handler
-  // that interrupts the memcpy sees either the odd seqlock (and falls back
-  // to the other image) or the previous `active` value.
-  const uint32_t idx = 1 - s.active.load(std::memory_order_relaxed);
-  Image& img = s.image[idx];
-  if (img.capacity < image.size()) {
-    size_t cap = img.capacity ? img.capacity : 4096;
-    while (cap < image.size()) cap *= 2;
-    uint8_t* fresh = new uint8_t[cap];
-    uint8_t* old = img.data.load(std::memory_order_relaxed);
-    if (old) {
-      // Never freed while a handler could hold the pointer; see retired_.
-      std::lock_guard<std::mutex> lock(retired_mu_);
-      retired_.push_back(old);
-    }
-    img.data.store(fresh, std::memory_order_release);
-    img.capacity = cap;
-  }
-  img.seq.fetch_add(1, std::memory_order_acq_rel);  // odd: in progress
-  std::memcpy(img.data.load(std::memory_order_relaxed), image.data(),
-              image.size());
-  img.size.store(image.size(), std::memory_order_relaxed);
-  img.seq.fetch_add(1, std::memory_order_release);  // even: stable
-  s.active.store(idx, std::memory_order_release);
-}
-
 void SealRegistry::Unregister(int slot) {
   if (slot < 0 || static_cast<size_t>(slot) >= kMaxSlots) return;
   Slot& s = slots_[static_cast<size_t>(slot)];
   uint32_t expected = 2;
-  if (!s.state.compare_exchange_strong(expected, 1,
-                                       std::memory_order_acq_rel)) {
-    return;
-  }
-  // Image buffers stay attached to the slot (capacity is reused by the next
-  // owner); only the published size is cleared.
-  for (Image& img : s.image) {
-    img.seq.fetch_add(1, std::memory_order_acq_rel);
-    img.size.store(0, std::memory_order_relaxed);
-    img.seq.fetch_add(1, std::memory_order_release);
-  }
-  s.state.store(0, std::memory_order_release);
+  (void)s.state.compare_exchange_strong(expected, 0, std::memory_order_acq_rel);
 }
 
 size_t SealRegistry::live_slots() const {
@@ -133,49 +94,21 @@ size_t SealRegistry::live_slots() const {
 }
 
 void SealRegistry::SealSlot(Slot& s, int signo) {
-  // 1. In-band crash marker into the log, then fsync. O_APPEND keeps the
-  // marker atomic w.r.t. a concurrent flusher append's file offset; if that
-  // append was itself torn by the crash, the marker lands mid-frame and the
-  // salvage reader's resync finds it (a case the corruption matrix covers).
+  // 1. In-band crash marker into the log. O_APPEND keeps the marker atomic
+  // w.r.t. a concurrent flusher append's file offset; if that append was
+  // itself torn by the crash, the marker lands mid-frame and the salvage
+  // reader's resync finds it (a case the corruption matrix covers).
   uint8_t marker[kCrashMarkerBytes];
   EncodeCrashMarker(static_cast<uint8_t>(signo), marker);
-  int fd = ::open(s.log_path, O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd >= 0) {
-    if (WriteAllRaw(fd, marker, kCrashMarkerBytes)) (void)::fsync(fd);
-    (void)::close(fd);
-  }
-
-  // 2. Atomic crash-tagged meta checkpoint from the published image. Try
-  // the active image, then the other one if a publish was caught mid-copy.
-  const uint32_t first = s.active.load(std::memory_order_acquire);
-  for (uint32_t attempt = 0; attempt < 2; ++attempt) {
-    const Image& img = s.image[(first + attempt) & 1];
-    const uint64_t seq_before = img.seq.load(std::memory_order_acquire);
-    if (seq_before & 1) continue;  // publish in progress; torn by the crash
-    const uint8_t* data = img.data.load(std::memory_order_acquire);
-    const size_t size = img.size.load(std::memory_order_acquire);
-    if (!data || size <= kMetaSealSignoOffset) continue;  // never published
-    fd = ::open(s.tmp_path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0) return;
-    // Stream the image, patching the signo placeholder byte in place.
-    const uint8_t signo_byte = static_cast<uint8_t>(signo);
-    bool ok = WriteAllRaw(fd, data, kMetaSealSignoOffset) &&
-              WriteAllRaw(fd, &signo_byte, 1) &&
-              WriteAllRaw(fd, data + kMetaSealSignoOffset + 1,
-                          size - kMetaSealSignoOffset - 1);
-    if (ok) ok = ::fsync(fd) == 0;
-    (void)::close(fd);
-    // Publish-tear check: if the image changed under us, the bytes we wrote
-    // may mix two checkpoints. Skip the rename — the previous (complete)
-    // meta survives, which is strictly better than a torn one.
-    if (!ok || img.seq.load(std::memory_order_acquire) != seq_before) continue;
-    (void)::rename(s.tmp_path, s.meta_path);
-    return;
-  }
+  AppendRaw(s.log_path, marker, kCrashMarkerBytes);
+  // 2. The sealed record, appended to the meta's record log. No O_CREAT: a
+  // meta whose header never landed has nothing to seal.
+  uint8_t sealed[kSealRecordBytes];
+  EncodeSealRecord(static_cast<uint8_t>(signo), sealed);
+  AppendRaw(s.meta_path, sealed, kSealRecordBytes);
 }
 
 void SealRegistry::SealFromSignal(int signo) {
-  seal_passes_.fetch_add(1, std::memory_order_relaxed);
   for (Slot& s : slots_) {
     if (s.state.load(std::memory_order_acquire) != 2) continue;
     SealSlot(s, signo);

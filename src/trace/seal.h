@@ -6,22 +6,19 @@
 // no C++ serialization, no iostreams. The design splits the work so that
 // NOTHING interesting happens in signal context:
 //
-//  - Normal context (the trace writer, at construction and at every meta
-//    checkpoint) registers its file paths in a fixed-slot SealRegistry and
-//    publishes a fully pre-serialized meta image — the exact bytes of a v5
-//    meta checkpoint with the crash_sealed flag already set and a zero
-//    signo placeholder at a fixed byte offset. Images live in a per-slot
-//    seqlock-protected double buffer, so publication never blocks and the
-//    handler can always find a consistent image.
+//  - Normal context (the trace writer, at construction) registers its two
+//    file paths in a fixed-slot SealRegistry. Nothing else is published:
+//    the meta is an append-only record log (trace/meta.h, SWM7), so sealing
+//    it is one more append.
 //
-//  - Signal context walks the live slots and, per slot, (1) appends a
-//    fixed-layout crash-marker frame ("SWCR") to the log and fsyncs it,
-//    (2) writes the published image to `<meta>.seal.tmp`, patching the one
-//    signo byte while streaming, fsyncs, and renames it over the meta file
-//    — the same atomic-replace discipline as a normal checkpoint, skipped
-//    entirely if the seqlock shows the image was torn mid-publish (the
-//    previous checkpoint then survives untouched). Only open/write/fsync/
-//    close/rename/sigaction/raise run in the handler.
+//  - Signal context walks the live slots and, per slot, appends (1) a
+//    fixed-layout crash-marker frame ("SWCR") to the log and (2) a
+//    fixed-size sealed(signo) record to the meta, fsyncing each. Both are
+//    built into stack buffers by allocation-free encoders. A meta record
+//    torn by the crash itself hides the sealed record behind it (the
+//    record log stops at the tear), but the log's crash marker still
+//    reports the crash. Only open/write/fsync/close/sigaction/raise run in
+//    the handler.
 //
 // Handlers chain: the pre-existing disposition is saved at install, restored
 // after sealing, and the signal re-raised, so an application's own crash
@@ -31,11 +28,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
-
-#include "common/bytes.h"
 
 namespace sword::trace {
 
@@ -54,55 +47,29 @@ class SealRegistry {
   /// still works; it just cannot be crash-sealed). Thread-safe.
   int Register(const std::string& log_path, const std::string& meta_path);
 
-  /// Publishes `image` (a pre-serialized crash-tagged meta checkpoint) for
-  /// `slot`. Called by the owning writer thread only; never blocks the
-  /// handler. No-op for kNoSlot.
-  void Publish(int slot, const Bytes& image);
-
   /// Frees the slot (writer Finish). No-op for kNoSlot.
   void Unregister(int slot);
 
   /// The async-signal-safe sealing pass: walks live slots, appends a crash
-  /// marker to each log, and atomically replaces each meta with its
-  /// published image patched with `signo`. Public so tests can drive it
-  /// without dying.
+  /// marker to each log and a sealed(signo) record to each meta. Public so
+  /// tests can drive it without dying.
   void SealFromSignal(int signo);
 
   /// Slots currently live (testing/stats).
   size_t live_slots() const;
-  /// How many times SealFromSignal ran (testing).
-  uint64_t seal_passes() const {
-    return seal_passes_.load(std::memory_order_relaxed);
-  }
 
  private:
   SealRegistry() = default;
 
-  struct Image {
-    std::atomic<uint64_t> seq{0};       // seqlock: odd = publish in progress
-    std::atomic<uint8_t*> data{nullptr};
-    std::atomic<size_t> size{0};
-    size_t capacity = 0;                // owner-thread only
-  };
-
   struct Slot {
-    std::atomic<uint32_t> state{0};  // 0 free, 1 claimed/teardown, 2 live
-    std::atomic<uint32_t> active{0};  // which image the handler should read
-    Image image[2];
+    std::atomic<uint32_t> state{0};  // 0 free, 1 claimed, 2 live
     char log_path[kMaxPath] = {0};
     char meta_path[kMaxPath] = {0};
-    char tmp_path[kMaxPath] = {0};
   };
 
   void SealSlot(Slot& slot, int signo);
 
   Slot slots_[kMaxSlots];
-  std::atomic<uint64_t> seal_passes_{0};
-  // Image buffers replaced during growth are retired here instead of freed:
-  // a handler interrupted mid-publish may still hold the old pointer.
-  // Growth is geometric, so the retained total is bounded by the final size.
-  std::mutex retired_mu_;
-  std::vector<uint8_t*> retired_;
 };
 
 /// Installs the sealing handler for SIGSEGV/SIGBUS/SIGABRT/SIGFPE/SIGILL,

@@ -60,20 +60,16 @@ ThreadTraceWriter::ThreadTraceWriter(uint32_t thread_id, const WriterConfig& con
   // The bounded charge: one fixed buffer, owned by the flusher's pool so the
   // accounting follows the buffer through the flush pipeline.
   buffer_ = config_.flusher->pool().Acquire(capacity_bytes_);
-  meta_.thread_id = thread_id;
-  meta_.log_format = config_.format;
   // Start the log file empty so appends from a previous run never leak in,
-  // and drop an empty meta checkpoint so a process killed before the first
-  // barrier interval still leaves a well-formed (if empty) trace.
+  // and create the meta with its header record so a process killed before
+  // the first barrier interval still leaves a well-formed (if empty) trace.
   (void)config_.backend->WriteWhole(config_.log_path, Bytes{});
-  Bytes snapshot = EncodeMetaSnapshot();
-  (void)WriteFileAtomic(config_.meta_path, snapshot, config_.backend);
+  ByteWriter header(&meta_queue_);
+  FrameMetaHeader(thread_id, config_.format, header);
+  (void)WriteMetaQueue();
   if (config_.crash_seal) {
     seal_slot_ =
         SealRegistry::Instance().Register(config_.log_path, config_.meta_path);
-    // An image exists from the very first event on: a crash before the first
-    // checkpoint still seals to a well-formed (empty) crash-tagged meta.
-    PublishSealImage(std::move(snapshot));
   }
 }
 
@@ -226,9 +222,14 @@ void ThreadTraceWriter::PollGovernor() {
   const uint64_t seq = DegradationGovernor::PackedSeq(packed);
   if (seq != governor_seq_) {
     governor_seq_ = seq;
-    meta_.transitions.push_back(DegradationTransition{
-        current_level_, DegradationGovernor::PackedReason(packed),
-        serialized_count_});
+    // Queued only: the next checkpoint writes it, so no I/O runs on the
+    // per-access path.
+    ByteWriter w(&meta_queue_);
+    FrameTransitionRecord(
+        DegradationTransition{current_level_,
+                              DegradationGovernor::PackedReason(packed),
+                              records_kept_},
+        w);
   }
   if (open_segment_ && current_level_ > segment_max_level_) {
     segment_max_level_ = current_level_;
@@ -391,38 +392,41 @@ void ThreadTraceWriter::FlushEvents() {
   FlushBuffer(/*reacquire=*/false);
 }
 
-Bytes ThreadTraceWriter::EncodeMetaSnapshot() const {
+void ThreadTraceWriter::QueueTotalsIfChanged() {
   const DropRecord dropped = config_.flusher->DroppedFor(config_.log_path);
-  MetaHeaderInfo info;
-  info.thread_id = thread_id_;
-  info.log_format = config_.format;
-  info.events_dropped = dropped.events;
-  info.bytes_dropped = dropped.raw_bytes;
-  info.accesses_dropped = accesses_dropped_.Get();
-  info.degraded_dropped = degraded_dropped_.Get();
-  info.transitions = &meta_.transitions;
-  info.record_count = serialized_count_;
-  ByteWriter w;
-  EncodeMetaHeader(w, info);
-  w.PutRaw(serialized_records_.data(), serialized_records_.size());
-  return std::move(w.buffer());
+  const MetaTotals totals{dropped.events, dropped.raw_bytes,
+                          accesses_dropped_.Get(), degraded_dropped_.Get()};
+  if (totals == totals_queued_) return;
+  totals_queued_ = totals;
+  ByteWriter w(&meta_queue_);
+  FrameTotalsRecord(totals, w);
 }
 
-void ThreadTraceWriter::PublishSealImage(Bytes snapshot) {
-  if (seal_slot_ == SealRegistry::kNoSlot) return;
-  // The sealed image is the checkpoint with the crash-sealed flag set; its
-  // signo byte stays 0 for the signal handler to patch in place.
-  snapshot[kMetaFlagsOffset] |= kMetaFlagCrashSealed;
-  SealRegistry::Instance().Publish(seal_slot_, snapshot);
+Status ThreadTraceWriter::WriteMetaQueue() {
+  if (meta_queue_.empty()) return Status::Ok();
+  // Until the header lands the file is created whole, replacing any meta a
+  // previous run left at the path; after that every write is an append,
+  // which rolls itself back if it fails partway.
+  const Status status =
+      meta_created_
+          ? AppendWithRetry(*config_.backend, config_.meta_path,
+                            meta_queue_.data(), meta_queue_.size())
+                .status
+          : WriteFileAtomic(config_.meta_path, meta_queue_, config_.backend);
+  if (status.ok()) {
+    meta_created_ = true;
+    meta_queue_.clear();
+  }
+  return status;
 }
 
 void ThreadTraceWriter::BeginSegment(const IntervalMeta& meta) {
   assert(!open_segment_ && "close the previous segment first");
   assert(live_count_ == 0 && "coalescer pending outside a segment");
-  meta_.intervals.push_back(meta);
-  meta_.intervals.back().data_begin = logical_offset_;
-  meta_.intervals.back().data_size = 0;
-  meta_.intervals.back().event_count = 0;
+  segment_ = meta;
+  segment_.data_begin = logical_offset_;
+  segment_.data_size = 0;
+  segment_.event_count = 0;
   segment_begin_events_ = events_logged_.Get();
   open_segment_ = true;
   segment_degraded_ = 0;
@@ -440,7 +444,7 @@ void ThreadTraceWriter::EndSegment() {
   assert(open_segment_);
   MaterializeAll();  // the runs belong to this segment's byte span
   if (config_.governor) PollGovernor();  // capture a mid-segment transition
-  IntervalMeta& m = meta_.intervals.back();
+  IntervalMeta& m = segment_;
   m.data_size = logical_offset_ - m.data_begin;
   m.event_count = events_logged_.Get() - segment_begin_events_;
   m.degradation_level = segment_max_level_;
@@ -451,26 +455,17 @@ void ThreadTraceWriter::EndSegment() {
   // dropping them keeps meta files proportional to useful data. A segment
   // whose events were ALL shed by degradation is kept: its record is the
   // only per-interval evidence of the loss.
-  if (m.data_size == 0 && m.degraded_dropped == 0) {
-    meta_.intervals.pop_back();
-    return;
-  }
-  ByteWriter w(&serialized_records_);
-  m.Serialize(w, /*version=*/4);
-  serialized_count_++;
-  // Crash-consistency: checkpoint the meta at every closed segment, so a
-  // killed process leaves its trace analyzable up to the last barrier
-  // interval. The atomic replace means a reader (or the offline analyzer
-  // after a kill -9) sees a complete previous checkpoint, never a torn
-  // file. The write is best-effort - a failing checkpoint must not take
-  // down the traced application; Finish() surfaces persistent meta-write
-  // errors.
-  Bytes snapshot = EncodeMetaSnapshot();
-  (void)WriteFileAtomic(config_.meta_path, snapshot, config_.backend);
-  // The crash-seal image tracks checkpoint cadence: publish AFTER the
-  // record was serialized so a seal at any instant covers every closed
-  // segment up to here.
-  PublishSealImage(std::move(snapshot));
+  if (m.data_size == 0 && m.degraded_dropped == 0) return;
+  ByteWriter w(&meta_queue_);
+  FrameIntervalRecord(m, w);
+  records_kept_++;
+  QueueTotalsIfChanged();
+  // Crash-consistency: checkpoint at every closed segment, so a killed
+  // process leaves its trace analyzable up to the last barrier interval (a
+  // death mid-append leaves a torn tail readers drop and count). Best-effort:
+  // a failed checkpoint stays queued for the next one, and Finish() reports
+  // records that never land.
+  (void)WriteMetaQueue();
 }
 
 Status ThreadTraceWriter::Finish() {
@@ -481,14 +476,14 @@ Status ThreadTraceWriter::Finish() {
   // Return the (possibly never-flushed) buffer to the pool so its memory
   // charge is dropped or recycled.
   if (buffer_.capacity() != 0) config_.flusher->pool().Release(std::move(buffer_));
-  // The final meta folds in the flusher's drop totals for this log. They are
-  // only complete once the flusher has drained; SwordTool::Finalize orders
-  // FlushEvents -> Drain -> Finish for exactly that reason (a sync flusher
-  // is always complete here).
-  Status status = WriteFileAtomic(config_.meta_path, EncodeMetaSnapshot(),
-                                  config_.backend);
-  // The trace is complete: a crash from here on must NOT replace the final
-  // meta with a crash-tagged image.
+  // The final totals fold in the flusher's drop totals for this log. They
+  // are only complete once the flusher has drained; SwordTool::Finalize
+  // orders FlushEvents -> Drain -> Finish for exactly that reason (a sync
+  // flusher is always complete here).
+  QueueTotalsIfChanged();
+  const Status status = WriteMetaQueue();
+  // The trace is complete: a crash from here on must NOT append a sealed
+  // record to it.
   if (seal_slot_ != SealRegistry::kNoSlot) {
     SealRegistry::Instance().Unregister(seal_slot_);
     seal_slot_ = SealRegistry::kNoSlot;

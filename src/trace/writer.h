@@ -7,7 +7,9 @@
 //    the Flusher's BufferPool (which charges it to the tool's MemoryScope);
 //    on flush the full buffer is swapped into the pipeline and a recycled
 //    one is taken back, so steady-state tracing allocates nothing;
-//  - the accumulating meta records (one per barrier-interval segment);
+//  - the meta file, an append-only record log (trace/meta.h, SWM7) that
+//    gets one record per closed barrier-interval segment. Only the open
+//    segment's record and records not yet written stay in memory;
 //  - the logical write offset, which is independent of compression and gives
 //    every interval its (data_begin, size) coordinates up front.
 //
@@ -71,8 +73,8 @@ struct WriterConfig {
   /// Event encoding (kTraceFormatV*). v3 coalesces per-site runs and drops
   /// repeats; v1/v2 log every access as it comes.
   uint8_t format = kTraceFormatV3;
-  /// Write layer for meta checkpoints and log-file initialization; null =
-  /// the real filesystem (the flusher has its own backend knob).
+  /// Write layer for the meta file and log-file initialization; null = the
+  /// real filesystem (the flusher has its own backend knob).
   FileBackend* backend = nullptr;
   /// Adaptive degradation governor (not owned; usually the one the tool
   /// also wires into the flusher). When set, AppendAccess/AppendRange poll
@@ -80,9 +82,9 @@ struct WriterConfig {
   /// shed access counted per segment and in the meta totals, every level
   /// change recorded as a meta transition. Null = full fidelity always.
   DegradationGovernor* governor = nullptr;
-  /// Register the trace with the fatal-signal SealRegistry and publish a
-  /// crash-taggable pre-serialized meta image at construction and at every
-  /// checkpoint. sword-run / SwordTool enable this for production runs.
+  /// Register the trace's paths with the fatal-signal SealRegistry, whose
+  /// handler appends a crash marker to the log and a sealed record to the
+  /// meta. sword-run / SwordTool enable this for production runs.
   bool crash_seal = false;
 };
 
@@ -136,7 +138,9 @@ class ThreadTraceWriter {
   /// the complete drop totals for events that failed to hit the disk.
   void FlushEvents();
 
-  /// Flushes remaining events and writes the meta file. Idempotent.
+  /// Flushes remaining events and appends the final drop totals to the meta.
+  /// Fails when a meta record is still queued (could not be written).
+  /// Idempotent.
   Status Finish();
 
   // Statistics for the overhead benches and the tool's aggregated stats.
@@ -169,21 +173,20 @@ class ThreadTraceWriter {
   struct PendingRun;
 
   void FlushBuffer(bool reacquire);
-  /// Current meta file image: v5 header (with the flusher's drop totals for
-  /// this log so far) + the incrementally serialized interval records.
-  Bytes EncodeMetaSnapshot() const;
-  /// Re-reads the governor's packed state: records a meta transition when
-  /// the sequence advanced, and tracks the open segment's max level.
+  /// Queues a totals record when a drop total (the flusher's for this log
+  /// included) moved since the last one.
+  void QueueTotalsIfChanged();
+  /// Writes the queued meta records: creates the file while its header has
+  /// not landed, appends after that. A failed write keeps the queue, so the
+  /// records go out again, in order, ahead of the next one.
+  Status WriteMetaQueue();
+  /// Re-reads the governor's packed state: queues a meta transition record
+  /// when the sequence advanced, and tracks the open segment's max level.
   void PollGovernor();
   /// True when the current degradation level says to shed this access of
   /// site `key`. Counts per-site events in a direct-mapped table reset per
   /// segment.
   bool ShedAccess(uint64_t key);
-  /// Publishes `snapshot` (an EncodeMetaSnapshot image) to the SealRegistry
-  /// as the crash-seal variant: crash_sealed flag set, signo placeholder
-  /// zero for the handler to patch. No-op without a slot. Called at
-  /// construction and at every checkpoint, with the checkpoint's own bytes.
-  void PublishSealImage(Bytes snapshot);
   /// Books one event shed because the buffer pool returned no memory.
   void PoolExhaustedShed();
   /// Encodes one event into the buffer (flushing first if full) and bumps
@@ -220,12 +223,12 @@ class ThreadTraceWriter {
   uint64_t buffer_events_ = 0;    // events currently in buffer_
   EventCodecState codec_state_;   // v2/v3 delta state; reset at each flush
   uint64_t logical_offset_ = 0;   // total event bytes ever appended
-  MetaFile meta_;
-  // Each kept record is serialized once, when its segment closes; a meta
-  // checkpoint is then header + this byte blob, not an O(records)
-  // re-serialization per barrier interval.
-  Bytes serialized_records_;
-  uint64_t serialized_count_ = 0;
+  IntervalMeta segment_;          // the open segment's record
+  uint64_t records_kept_ = 0;     // interval records written or queued
+  // Framed meta records not on disk yet; empty after every successful write.
+  Bytes meta_queue_;
+  bool meta_created_ = false;     // the header record has landed
+  MetaTotals totals_queued_;      // the totals of the last totals record
   bool open_segment_ = false;
   uint64_t segment_begin_events_ = 0;
   bool finished_ = false;

@@ -24,10 +24,10 @@ DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 
 # 1. Start a long tracing run with small buffers (frequent flushes +
-#    per-segment meta checkpoints publishing sealable images), then deliver
-#    SIGSEGV once trace files exist. The sealing handler runs, seals, and
-#    re-raises, so the process still dies of SIGSEGV. The trace is in the
-#    default format (v3), whose coalescer folds HPCCG's sweeps into runs:
+#    per-segment meta records appended), then deliver SIGSEGV once trace
+#    files exist. The sealing handler runs, seals, and re-raises, so the
+#    process still dies of SIGSEGV. The trace is in the default format
+#    (v3), whose coalescer folds HPCCG's sweeps into runs:
 #    the large --size keeps the run going for seconds, and 1 KB buffers
 #    (64 events) make the first flush land well before the signal.
 "$RUN" --suite hpc --name HPCCG --size 800000 --tool sword --threads 4 \

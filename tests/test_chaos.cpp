@@ -201,7 +201,7 @@ TEST(Governor, PressureResetsTheCalmStreak) {
   EXPECT_EQ(gov.level_ordinal(), 1u);
 }
 
-// --- meta v5 round-trip ----------------------------------------------------
+// --- meta seal and governor fields round-trip -------------------------------
 
 TEST(MetaV5, CrashSealAndTransitionsRoundTrip) {
   trace::MetaFile m;
@@ -228,17 +228,17 @@ TEST(MetaV5, CrashSealAndTransitionsRoundTrip) {
   rec.degraded_dropped = 42;
   m.intervals.push_back(rec);
 
+  // The crash seal, the transitions and the totals are SWM7 records of
+  // their own; each must round-trip.
   const Bytes encoded = m.Encode();
-  // The fixed offsets the signal handler patches must match the layout.
-  EXPECT_EQ(encoded[trace::kMetaFlagsOffset] & trace::kMetaFlagCrashSealed,
-            trace::kMetaFlagCrashSealed);
-  EXPECT_EQ(encoded[trace::kMetaSealSignoOffset], SIGBUS);
-
   trace::MetaFile out;
   ASSERT_TRUE(trace::MetaFile::Decode(encoded, &out).ok());
   EXPECT_EQ(out.thread_id, 7u);
   EXPECT_TRUE(out.crash_sealed);
   EXPECT_EQ(out.seal_signo, SIGBUS);
+  EXPECT_EQ(out.events_dropped, 11u);
+  EXPECT_EQ(out.bytes_dropped, 176u);
+  EXPECT_EQ(out.accesses_dropped, 3u);
   EXPECT_EQ(out.degraded_dropped, 42u);
   ASSERT_EQ(out.transitions.size(), 3u);
   EXPECT_EQ(out.transitions[0], m.transitions[0]);
@@ -389,7 +389,7 @@ TEST(Seal, SealFromSignalWritesMarkerAndSealedMeta) {
   for (int i = 0; i < 32; i++) {
     writer->AppendAccess(0x1000 + i * 8, 8, i % 2, /*pc=*/uint32_t(i));
   }
-  writer->EndSegment();  // checkpoint publishes a sealable image
+  writer->EndSegment();  // the segment's record is on disk
   writer->FlushEvents();
 
   // The handler path, driven without dying. Everything it does is visible
@@ -407,7 +407,7 @@ TEST(Seal, SealFromSignalWritesMarkerAndSealedMeta) {
   EXPECT_TRUE(stats.clean());  // a seal is evidence, not damage
   EXPECT_GE(stats.frames_ok, 1u);
 
-  // Meta: the sealed image, crash-tagged with the signal.
+  // Meta: the segment's record, then the appended sealed record.
   auto meta_bytes = ReadFileBytes(wc.meta_path);
   ASSERT_TRUE(meta_bytes.ok());
   trace::MetaFile meta;
@@ -421,7 +421,7 @@ TEST(Seal, SealFromSignalWritesMarkerAndSealedMeta) {
   auto strict = trace::LogReader::Open(wc.log_path);
   EXPECT_TRUE(strict.ok()) << strict.status().ToString();
 
-  // Finish() unregisters the slot and rewrites the final (unsealed) meta.
+  // Finish() unregisters the slot: no later crash can seal the trace again.
   ASSERT_TRUE(writer->Finish().ok());
   EXPECT_EQ(writer->seal_slot(), trace::SealRegistry::kNoSlot);
   EXPECT_EQ(trace::SealRegistry::Instance().live_slots(), live_before - 1);
@@ -465,8 +465,8 @@ TEST(Seal, SealedStoreAnalyzesAndReportsCrash) {
             std::string::npos)
       << json;
 
-  // The writer is abandoned (the "process died" shape): unregister without
-  // rewriting the meta so later tests see a clean registry.
+  // The writer is abandoned (the "process died" shape): unregister so later
+  // tests see a clean registry.
   ASSERT_TRUE(writer->Finish().ok());
 }
 
@@ -873,9 +873,10 @@ TEST_P(ChaosMatrix, TracerSurvivesAndAccountingReconciles) {
   offline::AnalysisResult analysis = offline::Analyze(store.value());
   EXPECT_TRUE(analysis.status.ok()) << analysis.status.ToString();
 
-  // Invariant 3: exact accounting. The metas are checkpointed atomically
-  // through a path the byte-stream faults do not reach, so unless a meta
-  // was lost wholesale the three ledgers must agree to the event.
+  // Invariant 3: exact accounting. The byte-stream and call-numbered faults
+  // do not reach meta appends (only the transient knob does, and the retry
+  // absorbs it), so unless a meta was lost wholesale the three ledgers must
+  // agree to the event.
   const offline::TraceIntegrity& integ = store.value().integrity();
   if (integ.threads_missing_meta == 0 && integ.meta_records_rejected == 0) {
     uint64_t meta_events = 0;

@@ -397,6 +397,129 @@ TEST(WriterFault, DropTotalsLandInMetaV3Header) {
   EXPECT_EQ(m.intervals[2].data_begin, 320u);
 }
 
+/// Closes one single-access segment at phase `phase`.
+void CloseSegment(ThreadTraceWriter& writer, uint64_t phase) {
+  IntervalMeta seg;
+  osl::Label label = osl::Label::Initial().Fork(0, 2);
+  for (uint64_t p = 0; p < phase; p++) label = label.AfterBarrier();
+  seg.phase = phase;
+  seg.label = label;
+  writer.BeginSegment(seg);
+  writer.Append(RawEvent::Access(0x1000 + phase * 16, 8, 1, 11));
+  writer.EndSegment();
+}
+
+MetaFile DecodeMetaAt(const std::string& path) {
+  MetaFile m;
+  auto bytes = ReadFileBytes(path);
+  EXPECT_TRUE(bytes.ok());
+  if (bytes.ok()) {
+    EXPECT_TRUE(MetaFile::Decode(bytes.value(), &m).ok());
+  }
+  return m;
+}
+
+TEST(WriterFault, FailedMetaWritesStayQueuedAndHealAtTheNextCheckpoint) {
+  TempDir dir;
+  testing::FaultFile ff;
+  Flusher flusher(/*async=*/false);
+  WriterConfig wc;
+  wc.log_path = dir.File("t0.log");
+  wc.meta_path = dir.File("t0.meta");
+  wc.flusher = &flusher;
+  wc.format = kTraceFormatV1;
+  wc.backend = &ff;
+
+  // The log's truncation and the meta's creation both fail: the header
+  // record stays queued and no meta exists yet.
+  ff.TransientErrors(2);
+  ThreadTraceWriter writer(0, wc);
+  EXPECT_FALSE(FileExists(wc.meta_path));
+
+  // The first checkpoint creates the meta with the header and the record.
+  CloseSegment(writer, 0);
+  EXPECT_EQ(DecodeMetaAt(wc.meta_path).intervals.size(), 1u);
+
+  // Transient errors past the retry budget (5 attempts): the record stays
+  // queued, and the file keeps its last clean state.
+  ff.TransientErrors(RetryPolicy{}.max_attempts);
+  CloseSegment(writer, 1);
+  EXPECT_EQ(DecodeMetaAt(wc.meta_path).intervals.size(), 1u);
+
+  // The next successful checkpoint writes the queued record ahead of its
+  // own, in order.
+  CloseSegment(writer, 2);
+  const MetaFile healed = DecodeMetaAt(wc.meta_path);
+  ASSERT_EQ(healed.intervals.size(), 3u);
+  for (uint64_t k = 0; k < 3; k++) {
+    EXPECT_EQ(healed.intervals[k].phase, k);
+    EXPECT_EQ(healed.intervals[k].data_begin, k * kEventBytes);
+  }
+
+  // A record that is still queued when the trace finishes is Finish's
+  // error.
+  ff.TransientErrors(1000);
+  CloseSegment(writer, 3);
+  EXPECT_EQ(writer.Finish().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(DecodeMetaAt(wc.meta_path).intervals.size(), 3u);
+}
+
+/// Counts the meta file's whole-file creations and appends.
+class CountingBackend final : public FileBackend {
+ public:
+  explicit CountingBackend(std::string meta_path) : meta_(std::move(meta_path)) {}
+
+  Status Append(const std::string& path, const uint8_t* data, size_t n,
+                size_t* written) override {
+    if (path == meta_) appends++;
+    return RealFileBackend().Append(path, data, n, written);
+  }
+  Status WriteWhole(const std::string& path, const Bytes& data) override {
+    return RealFileBackend().WriteWhole(path, data);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    if (to == meta_) renames++;
+    return RealFileBackend().Rename(from, to);
+  }
+  Status Truncate(const std::string& path, uint64_t size) override {
+    return RealFileBackend().Truncate(path, size);
+  }
+  Status Sync(const std::string& path) override { return RealFileBackend().Sync(path); }
+  Result<Bytes> ReadWhole(const std::string& path) override {
+    return RealFileBackend().ReadWhole(path);
+  }
+  Result<uint64_t> Size(const std::string& path) override {
+    return RealFileBackend().Size(path);
+  }
+  bool Exists(const std::string& path) override { return RealFileBackend().Exists(path); }
+
+  uint64_t appends = 0;
+  uint64_t renames = 0;
+
+ private:
+  const std::string meta_;
+};
+
+TEST(WriterFault, MetaIsCreatedOnceThenOnlyAppended) {
+  TempDir dir;
+  CountingBackend backend(dir.File("t0.meta"));
+  Flusher flusher(/*async=*/false);
+  WriterConfig wc;
+  wc.log_path = dir.File("t0.log");
+  wc.meta_path = dir.File("t0.meta");
+  wc.flusher = &flusher;
+  wc.format = kTraceFormatV1;
+  wc.backend = &backend;
+  ThreadTraceWriter writer(0, wc);
+  for (uint64_t k = 0; k < 5; k++) CloseSegment(writer, k);
+  ASSERT_TRUE(writer.Finish().ok());
+  // One atomic creation for the header, then one append per closed
+  // segment; the unchanged (zero) drop totals add no record.
+  EXPECT_EQ(backend.renames, 1u);
+  EXPECT_EQ(backend.appends, 5u);
+  EXPECT_EQ(DecodeMetaAt(wc.meta_path).intervals.size(), 5u);
+}
+
 // --- the shared record log: journal and ledger bytes ----------------------
 
 RaceReport PinnedRace(uint32_t pc1, uint32_t pc2) {

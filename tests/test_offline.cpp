@@ -23,6 +23,7 @@
 #include "oracle/brute_force_check.h"
 #include "oracle/interval_tree.h"
 #include "oracle/journal_legacy.h"
+#include "oracle/meta_legacy.h"
 #include "trace/writer.h"
 
 namespace sword::offline {
@@ -1487,7 +1488,7 @@ TEST(TraceStoreTest, ElisionCountersOfOlderTracesAreReadAndReported) {
       }
       meta.elided_lost = lost_per_thread;
       ASSERT_TRUE(WriteFile(t.dir.path() + "/sword_t" + std::to_string(tid) + ".meta",
-                            meta.Encode())
+                            oracle::EncodeMetaV6(meta))
                       .ok());
     }
   };

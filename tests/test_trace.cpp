@@ -3,7 +3,9 @@
 // bounded writer (flush-on-full, fixed memory), and the streaming reader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <span>
 #include <thread>
 
@@ -12,6 +14,7 @@
 #include "compress/compressor.h"
 #include "compress/frame.h"
 #include "oracle/delta_decoder.h"
+#include "oracle/meta_legacy.h"
 #include "trace/event.h"
 #include "trace/flusher.h"
 #include "trace/meta.h"
@@ -198,12 +201,13 @@ TEST(Meta, WideThirtyTwoBitFieldsAreCorrupt) {
   }
 }
 
-// Fixed-seed fuzz target for the meta parser, SWMF (v1) through SWM6. Seeds
-// are a fully populated SWM6 file from MetaFile::Encode and v1/v2 files
+// Fixed-seed fuzz target for the meta parser, SWMF (v1) through SWM7. Seeds
+// are a fully populated meta as SWM6 (the legacy writer in
+// oracle/meta_legacy.h) and as SWM7 (MetaFile::Encode), and v1/v2 files
 // built from the records of the two tests above; mutants are bit flips,
 // truncations and spliced varints. Strict and salvage decoding must either
 // fail cleanly or yield a MetaFile that survives Encode -> Decode unchanged
-// (compared through its encoding, which covers every field).
+// (compared through its encoding, which covers every field SWM7 carries).
 Bytes LegacyMetaFile(uint8_t version, const std::vector<IntervalMeta>& records) {
   ByteWriter w;
   w.PutU32(version == 1 ? kMetaMagic : kMetaMagicV2);
@@ -272,7 +276,7 @@ TEST(Meta, FuzzedMetasFailCleanlyOrRoundTrip) {
     v6.intervals.push_back(m);
   }
 
-  const std::vector<Bytes> seeds = {v6.Encode(),
+  const std::vector<Bytes> seeds = {oracle::EncodeMetaV6(v6), v6.Encode(),
                                     LegacyMetaFile(1, {v1_record, v1_record}),
                                     LegacyMetaFile(2, {v2_record, v1_record})};
   for (const Bytes& seed : seeds) {
@@ -318,6 +322,144 @@ TEST(Meta, FuzzedMetasFailCleanlyOrRoundTrip) {
   // The corpus exercises both outcomes.
   EXPECT_GT(decoded, 100u);
   EXPECT_GT(rejected, 100u);
+}
+
+/// A populated SWM7 meta as its framed records, header first.
+std::vector<Bytes> Swm7Records() {
+  std::vector<Bytes> records;
+  auto frame = [&records](auto&& write) {
+    ByteWriter w;
+    write(w);
+    records.push_back(std::move(w.buffer()));
+  };
+  frame([](ByteWriter& w) { FrameMetaHeader(4, kTraceFormatV3, w); });
+  for (uint64_t i = 0; i < 3; i++) {
+    IntervalMeta m;
+    m.region = i;
+    m.parent_region = i == 0 ? IntervalMeta::kNoParent : 0;
+    m.phase = i;
+    m.label = osl::Label::Initial().Fork(1, 4).AfterBarrier();
+    m.level = 1;
+    m.lane = 1;
+    m.data_begin = 100 * i;
+    m.data_size = 100;
+    m.event_count = 9;
+    m.lockset = {2, 700};
+    m.degradation_level = static_cast<uint32_t>(i);
+    m.degraded_dropped = 3 * i;
+    frame([&m](ByteWriter& w) { FrameIntervalRecord(m, w); });
+    if (i == 1) {
+      frame([](ByteWriter& w) { FrameTransitionRecord({2, 1, 1}, w); });
+      frame([](ByteWriter& w) { FrameTotalsRecord({1, 16, 0, 3}, w); });
+    }
+  }
+  frame([](ByteWriter& w) { FrameTotalsRecord({5, 80, 2, 9}, w); });
+  Bytes sealed(kSealRecordBytes);
+  EncodeSealRecord(SIGBUS, sealed.data());
+  records.push_back(sealed);
+  return records;
+}
+
+TEST(Meta, Swm7RoundTripsWhatTheRecordsSay) {
+  Bytes file;
+  for (const Bytes& r : Swm7Records()) file.insert(file.end(), r.begin(), r.end());
+  MetaFile out;
+  ASSERT_TRUE(MetaFile::Decode(file, &out).ok());
+  EXPECT_EQ(out.thread_id, 4u);
+  EXPECT_EQ(out.log_format, kTraceFormatV3);
+  ASSERT_EQ(out.intervals.size(), 3u);
+  EXPECT_EQ(out.intervals[2].degraded_dropped, 6u);
+  EXPECT_EQ(out.intervals[1].lockset, (std::vector<uint32_t>{2, 700}));
+  ASSERT_EQ(out.transitions.size(), 1u);
+  EXPECT_EQ(out.transitions[0], (DegradationTransition{2, 1, 1}));
+  // The last totals record wins.
+  EXPECT_EQ(out.events_dropped, 5u);
+  EXPECT_EQ(out.bytes_dropped, 80u);
+  EXPECT_EQ(out.accesses_dropped, 2u);
+  EXPECT_EQ(out.degraded_dropped, 9u);
+  // The hand-framed sealed record passes the record log's checksum.
+  EXPECT_TRUE(out.crash_sealed);
+  EXPECT_EQ(out.seal_signo, SIGBUS);
+  // MetaFile::Encode writes the same fields back.
+  MetaFile again;
+  ASSERT_TRUE(MetaFile::Decode(out.Encode(), &again).ok());
+  EXPECT_EQ(again.Encode(), out.Encode());
+  EXPECT_TRUE(again.crash_sealed);
+  EXPECT_EQ(again.degraded_dropped, 9u);
+  ASSERT_EQ(again.intervals.size(), 3u);
+}
+
+// Every cut and seeded single-bit flips of an SWM7 meta. A file cut on a
+// record boundary is a shorter valid log; any other cut, and any flip,
+// fails strict decoding, while salvage keeps every record before the
+// damaged one and counts one dropped record. Damage inside the header
+// record fails both modes.
+TEST(Meta, Swm7CutsAndFlipsFailStrictAndKeepThePrefix) {
+  const std::vector<Bytes> records = Swm7Records();
+  Bytes file;
+  std::vector<size_t> ends;  // end offset of each record
+  for (const Bytes& r : records) {
+    file.insert(file.end(), r.begin(), r.end());
+    ends.push_back(file.size());
+  }
+  // The decode of the first `k` records, as an encoding to compare against.
+  auto prefix_encoding = [&](size_t k) {
+    MetaFile m;
+    const Bytes prefix(file.begin(), file.begin() + static_cast<ptrdiff_t>(ends[k - 1]));
+    EXPECT_TRUE(MetaFile::Decode(prefix, &m).ok());
+    return m.Encode();
+  };
+  // Records wholly inside the first `n` bytes.
+  auto whole_records = [&](size_t n) {
+    return static_cast<size_t>(std::upper_bound(ends.begin(), ends.end(), n) - ends.begin());
+  };
+  auto check = [&](const Bytes& mutant, size_t intact, bool clean, const std::string& what) {
+    MetaFile strict, salvaged;
+    uint64_t dropped = 99;
+    const Status st = MetaFile::Decode(mutant, &strict);
+    const Status ss = MetaFile::Decode(mutant, &salvaged, /*salvage=*/true, &dropped);
+    if (intact == 0) {  // the header itself is damaged
+      EXPECT_EQ(st.code(), ErrorCode::kCorruptData) << what;
+      EXPECT_EQ(ss.code(), ErrorCode::kCorruptData) << what;
+      return;
+    }
+    ASSERT_TRUE(ss.ok()) << what << ": " << ss.ToString();
+    EXPECT_EQ(dropped, clean ? 0u : 1u) << what;
+    EXPECT_EQ(salvaged.Encode(), prefix_encoding(intact)) << what;
+    if (clean) {
+      ASSERT_TRUE(st.ok()) << what;
+      EXPECT_EQ(strict.Encode(), salvaged.Encode()) << what;
+    } else {
+      EXPECT_EQ(st.code(), ErrorCode::kCorruptData) << what;
+    }
+  };
+
+  for (size_t cut = 0; cut < file.size(); cut++) {
+    const Bytes mutant(file.begin(), file.begin() + static_cast<ptrdiff_t>(cut));
+    const size_t intact = whole_records(cut);
+    const bool on_boundary = intact > 0 && ends[intact - 1] == cut;
+    check(mutant, intact, on_boundary, "cut at " + std::to_string(cut));
+  }
+  Rng rng(20261021);
+  for (int trial = 0; trial < 2000; trial++) {
+    Bytes mutant = file;
+    const size_t at = rng.Below(file.size());
+    mutant[at] ^= static_cast<uint8_t>(1u << rng.Below(8));
+    check(mutant, whole_records(at), /*clean=*/false, "flip at " + std::to_string(at));
+  }
+
+  // A sealed record appended after a torn one is hidden by the tear: the
+  // meta loses its sealed flag (the log's crash marker still reports the
+  // crash).
+  Bytes torn(file.begin(), file.begin() + static_cast<ptrdiff_t>(ends[1] - 3));
+  Bytes sealed(kSealRecordBytes);
+  EncodeSealRecord(SIGSEGV, sealed.data());
+  torn.insert(torn.end(), sealed.begin(), sealed.end());
+  MetaFile out;
+  uint64_t dropped = 0;
+  ASSERT_TRUE(MetaFile::Decode(torn, &out, /*salvage=*/true, &dropped).ok());
+  EXPECT_EQ(dropped, 1u);
+  EXPECT_FALSE(out.crash_sealed);
 }
 
 // ---------------------------------------------------------------- format v2
