@@ -37,6 +37,7 @@
 #include "common/rng.h"
 #include "compress/compressor.h"
 #include "compress/frame.h"
+#include "core/sword_tool.h"
 #include "hb/shadow.h"
 #include "hb/vectorclock.h"
 #include "ilp/diophantine.h"
@@ -599,9 +600,12 @@ BENCHMARK(BM_VectorClockJoin);
 //                   site logs count-2 runs and singles, so this is the
 //                   encoder-bound shape; v3 only, floor-gated.
 // Besides the writer shapes it times the pc-interning hit path
-// (InternSrcLoc on four cached sites), which every access pays first, and
-// the two byte-level costs of reading a trace back: DecodeDeltaBlock on a
-// graphsearch-shaped v3 payload and the word-hash frame checksum.
+// (InternSrcLoc on four cached sites), which every access pays first; the
+// whole shim path (an instr:: load+store sweep under a real SwordTool, and
+// under no tool - shim_traced/untraced_ns_per_access, floor-gated as
+// shim_accesses_per_sec); and the two byte-level costs of reading a trace
+// back: DecodeDeltaBlock on a graphsearch-shaped v3 payload and the
+// word-hash frame checksum.
 // Each shape runs under format v3 and v2 (the plain writer), so the JSON
 // carries both the speedup ratio (machine-independent) and absolute
 // accesses/sec (floor-gated with tolerance).
@@ -687,6 +691,44 @@ SweepMetrics MeasureSweep(SweepShape shape, uint8_t format, uint64_t sweeps,
   auto size = FileSize(wc.log_path);
   m.log_bytes = size.ok() ? size.value() : 0;
   return m;
+}
+
+/// The whole instrumentation path per access: `instr::load` then
+/// `instr::store` of each element of a 4096-double array, `sweeps` times,
+/// inside a one-thread region, either under a real SwordTool (shim, TLS
+/// sink, pc cache and v3 writer; each sweep folds into one run per site) or
+/// under no tool (shim only). The best of `reps` regions.
+double ShimNsPerAccess(bool traced, uint64_t sweeps, int reps) {
+  TempDir dir("bm-shim");
+  std::unique_ptr<core::SwordTool> tool;
+  if (traced) {
+    core::SwordConfig cfg;
+    cfg.out_dir = dir.path();
+    cfg.crash_seal = false;
+    tool = std::make_unique<core::SwordTool>(cfg);
+  }
+  somp::RuntimeConfig rc;
+  rc.tool = tool.get();
+  somp::Runtime::Get().ResetIds();
+  somp::Runtime::Get().Configure(rc);
+  std::vector<double> a(4096, 1.0);
+  const double seconds = sword::bench::BestOfReps(
+      reps,
+      [&] {
+        double s = 0;
+        somp::Parallel(1, [&](somp::Ctx&) {
+          Timer t;
+          for (uint64_t sweep = 0; sweep < sweeps; sweep++) {
+            for (double& x : a) instr::store(x, instr::load(x) + 1.0);
+          }
+          s = t.ElapsedSeconds();
+        });
+        return s;
+      },
+      [](double s) { return s; });
+  if (tool && !tool->Finalize().ok()) std::abort();
+  somp::Runtime::Get().Configure(somp::RuntimeConfig{});
+  return seconds * 1e9 / static_cast<double>(2 * sweeps * a.size());
 }
 
 int RunFastPathQuick(const ArgParser& args) {
@@ -780,6 +822,10 @@ int RunFastPathQuick(const ArgParser& args) {
     intern_ns = t.ElapsedSeconds() * 1e9 / static_cast<double>(calls);
     benchmark::DoNotOptimize(sum);
   }
+  // The same loop body through the whole shim, traced and untraced.
+  const uint64_t shim_sweeps = quick ? 64 : 640;
+  const double shim_traced_ns = ShimNsPerAccess(true, shim_sweeps, 25);
+  const double shim_untraced_ns = ShimNsPerAccess(false, shim_sweeps, 25);
   // The offline read path's two byte-level costs: the block decoder on the
   // graphsearch payload, and the "SW3H" frame checksum over 1.7 MB (the
   // size of graphsearch-ranged's whole trace), each the best of 9 reps.
@@ -828,6 +874,12 @@ int RunFastPathQuick(const ArgParser& args) {
                   std::to_string(random_pairs.logged), std::to_string(random_pairs.runs),
                   std::to_string(random_pairs.log_bytes)});
     table.AddRow({"InternSrcLoc hit", Fmt(intern_ns), "-", "-", "-", "-"});
+    table.AddRow({"instr:: load+store, traced (SwordTool)", Fmt(shim_traced_ns),
+                  std::to_string(static_cast<uint64_t>(1e9 / shim_traced_ns)), "-",
+                  "-", "-"});
+    table.AddRow({"instr:: load+store, untraced (no tool)", Fmt(shim_untraced_ns),
+                  std::to_string(static_cast<uint64_t>(1e9 / shim_untraced_ns)),
+                  "-", "-", "-"});
     table.Print();
     std::printf("\n");
   }
@@ -888,6 +940,9 @@ int RunFastPathQuick(const ArgParser& args) {
         << ",\"random_pairs_ns\":" << random_pairs.ns_per_access
         << ",\"random_pairs_accesses_per_sec\":" << random_pairs.accesses_per_sec
         << ",\"intern_hit_ns\":" << intern_ns
+        << ",\"shim_traced_ns_per_access\":" << shim_traced_ns
+        << ",\"shim_untraced_ns_per_access\":" << shim_untraced_ns
+        << ",\"shim_accesses_per_sec\":" << 1e9 / shim_traced_ns
         << ",\"block_decode_ns_per_event\":" << block_decode_ns
         << ",\"block_decode_events_per_sec\":" << 1e9 / block_decode_ns
         << ",\"frame_checksum_bytes_per_sec\":" << checksum_bytes_per_sec

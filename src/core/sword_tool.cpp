@@ -81,7 +81,9 @@ std::atomic<uint64_t> g_next_instance_id{1};
 
 /// Sink trampolines: the instrumentation shim calls these through plain
 /// function pointers with the thread's own ThreadTraceWriter as state -
-/// no Runtime lookup, no virtual dispatch, no TLS handle re-check.
+/// no Runtime lookup, no virtual dispatch, no TLS handle re-check. Each
+/// inlines its writer entry point, so folding an access (or a range shorter
+/// than one chunk) into its site's pending run makes no further call.
 void SinkAccessThunk(void* state, uint64_t addr, uint8_t size, uint8_t flags,
                      somp::PcId pc) {
   static_cast<trace::ThreadTraceWriter*>(state)->AppendAccess(addr, size, flags, pc);

@@ -39,7 +39,7 @@ inline void Record(const T& location, uint8_t flags, const std::source_location&
   // virtual dispatch + the tool's own TLS re-check.
   somp::ThreadEventSink& sink = somp::tls_event_sink;
   if (sink.on_access && sink.ctx == ctx &&
-      sink.epoch == somp::SinkEpoch().load(std::memory_order_relaxed)) {
+      sink.epoch == somp::sink_epoch.load(std::memory_order_relaxed)) {
     sink.on_access(sink.state, reinterpret_cast<uint64_t>(&location),
                    static_cast<uint8_t>(sizeof(T)), flags,
                    somp::InternSrcLoc(loc));
@@ -60,7 +60,7 @@ inline void RecordRange(const void* ptr, size_t bytes, uint8_t flags,
   const uint64_t addr = reinterpret_cast<uint64_t>(ptr);
   somp::ThreadEventSink& sink = somp::tls_event_sink;
   if (sink.on_range && sink.ctx == ctx &&
-      sink.epoch == somp::SinkEpoch().load(std::memory_order_relaxed)) {
+      sink.epoch == somp::sink_epoch.load(std::memory_order_relaxed)) {
     sink.on_range(sink.state, addr, bytes, flags, somp::InternSrcLoc(loc));
     return;
   }

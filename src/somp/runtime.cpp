@@ -14,14 +14,11 @@
 
 namespace sword::somp {
 
-// Fast-path sink storage (somp/sink.h). The epoch lives behind an accessor
-// so every translation unit shares one instance regardless of link order.
-thread_local ThreadEventSink tls_event_sink;
-
-std::atomic<uint64_t>& SinkEpoch() {
-  static std::atomic<uint64_t> epoch{1};
-  return epoch;
-}
+// What the instrumentation shim reads inline (somp/sink.h, runtime.h),
+// constant-initialized.
+constinit thread_local ThreadEventSink tls_event_sink;
+constinit std::atomic<uint64_t> sink_epoch{1};
+constinit thread_local Ctx* tls_ctx = nullptr;
 
 void InstallThreadSink(ThreadEventSink sink) {
   sink.epoch = CurrentSinkEpoch();
@@ -30,13 +27,11 @@ void InstallThreadSink(ThreadEventSink sink) {
 
 void ClearThreadSink() { tls_event_sink = ThreadEventSink{}; }
 
-void RetireSinks() { SinkEpoch().fetch_add(1, std::memory_order_acq_rel); }
+void RetireSinks() { sink_epoch.fetch_add(1, std::memory_order_acq_rel); }
 
 namespace {
 
 constexpr RegionId kNoRegion = ~0ULL;
-
-thread_local Ctx* tls_ctx = nullptr;
 
 /// Offset-span label of the sequential (root) program point on this thread.
 /// Advances past each top-level region so consecutive regions are ordered.
@@ -263,8 +258,6 @@ void ParallelFor(uint32_t span, int64_t begin, int64_t end,
     ctx.For(begin, end, [&](int64_t i) { body(ctx, i); });
   });
 }
-
-Ctx* CurrentCtx() { return tls_ctx; }
 
 // ---------------------------------------------------------------------------
 // Ctx.

@@ -147,7 +147,6 @@ class Ctx {
   friend class Team;
   friend void ParallelImpl(Ctx* parent, uint32_t span,
                            const std::function<void(Ctx&)>& body);
-  friend Ctx* CurrentCtx();
 
   Ctx(Team* team, uint32_t lane, osl::Label label, Ctx* parent)
       : team_(team), lane_(lane), label_(std::move(label)), parent_(parent) {}
@@ -175,8 +174,13 @@ void Parallel(uint32_t span, const std::function<void(Ctx&)>& body);
 void ParallelFor(uint32_t span, int64_t begin, int64_t end,
                  const std::function<void(Ctx&, int64_t)>& body);
 
+/// The calling thread's innermost context; written only by the region entry
+/// and exit in runtime.cpp. Constant-initialized, so the instrumentation
+/// shim reads it with no TLS-init wrapper call.
+extern constinit thread_local Ctx* tls_ctx;
+
 /// The calling thread's innermost context, or null outside parallel regions.
-Ctx* CurrentCtx();
+inline Ctx* CurrentCtx() { return tls_ctx; }
 
 /// RAII lock bound to a fresh runtime mutex id (omp_init_lock analogue).
 class Lock {

@@ -26,6 +26,13 @@
 // contract (Configure and Finalize happen outside parallel regions); the
 // epoch only needs to become visible by the next region's install, which
 // the runtime's own region synchronization orders.
+//
+// Everything the shim reads before the sink's one indirect call is inline:
+// `tls_event_sink`, the runtime's `tls_ctx` and `sink_epoch` are
+// constant-initialized (constinit), so a read is a plain TLS or global load
+// with no TLS-init wrapper call and no function-local-static guard, and no
+// translation unit can observe them before their initialization whatever
+// the link order.
 #pragma once
 
 #include <atomic>
@@ -50,13 +57,13 @@ struct ThreadEventSink {
   uint64_t epoch = 0;        // CurrentSinkEpoch() at install time
 };
 
-extern thread_local ThreadEventSink tls_event_sink;
+extern constinit thread_local ThreadEventSink tls_event_sink;
 
 /// The global sink-invalidation epoch (monotone, starts at 1).
-std::atomic<uint64_t>& SinkEpoch();
+extern constinit std::atomic<uint64_t> sink_epoch;
 
 inline uint64_t CurrentSinkEpoch() {
-  return SinkEpoch().load(std::memory_order_acquire);
+  return sink_epoch.load(std::memory_order_acquire);
 }
 
 /// Installs `sink` as the calling thread's fast-path sink, stamped with the

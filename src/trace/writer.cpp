@@ -10,32 +10,6 @@
 #include "trace/seal.h"
 
 namespace sword::trace {
-namespace {
-
-/// A site's (pc, flags, size) packed into one word, so a slot's site is
-/// checked with one compare.
-uint64_t SiteKey(uint32_t pc, uint8_t flags, uint8_t size) {
-  return (static_cast<uint64_t>(pc) << 16) |
-         (static_cast<uint64_t>(flags) << 8) | size;
-}
-
-size_t SlotOfKey(uint64_t key) {
-  // The address is left out on purpose: one site always maps to one slot, so
-  // a site never has two pending runs, and a live run of the site holds its
-  // most recent access - which is what makes dropping a repeat sound.
-  uint64_t h = key * 0x9e3779b97f4a7c15ull;  // splitmix64 finalizer
-  h ^= h >> 29;
-  h *= 0xbf58476d1ce4e5b9ull;
-  h ^= h >> 32;
-  return static_cast<size_t>(h) & (ThreadTraceWriter::kSiteSlots - 1);
-}
-
-}  // namespace
-
-size_t ThreadTraceWriter::SiteSlot(uint32_t pc, uint8_t flags, uint8_t size) {
-  return SlotOfKey(SiteKey(pc, flags, size));
-}
-
 ThreadTraceWriter::ThreadTraceWriter(uint32_t thread_id, const WriterConfig& config)
     : thread_id_(thread_id),
       config_(config),
@@ -173,19 +147,7 @@ void ThreadTraceWriter::CoalesceRun(size_t slot, uint64_t key, uint64_t base,
   PendingRun& run = runs_[slot];
   const uint64_t last = base + stride * (count - 1);
   if (run.count != 0) {
-    if (run.key == key && base > run.last) {
-      // The elements continue the run when the step into `base` is the
-      // run's stride (a single adopts it) and, for several elements, the
-      // elements keep stepping by it.
-      const uint64_t step = base - run.last;
-      if ((run.count == 1 || step == run.stride) &&
-          (count == 1 || stride == step)) {
-        run.stride = step;
-        run.count += count;
-        run.last = last;
-        return;
-      }
-    }
+    if (run.key == key && TryExtend(run, base, stride, count, last)) return;
     // Another site, or a step the run cannot take: the resident run is
     // final. Emit it and let the new elements take the slot.
     const PendingRun resident = run;
@@ -259,8 +221,13 @@ bool ThreadTraceWriter::ShedAccess(uint64_t key) {
   return false;
 }
 
-void ThreadTraceWriter::AppendAccess(uint64_t addr, uint8_t size, uint8_t flags,
-                                     uint32_t pc) {
+void ThreadTraceWriter::AppendAccessSlow(size_t slot, uint64_t key,
+                                         uint64_t addr) {
+  if (fast_segment_) {
+    // AppendAccess's fold missed: a new site, a broken run or an eviction.
+    CoalesceRun(slot, key, addr, 0, 1);
+    return;
+  }
   if (!open_segment_) {
     // An access with no segment has no (data_begin, size) home; appending it
     // anyway would silently skew the NEXT segment's accounting. Count and
@@ -268,7 +235,6 @@ void ThreadTraceWriter::AppendAccess(uint64_t addr, uint8_t size, uint8_t flags,
     accesses_dropped_.Add(1);
     return;
   }
-  const uint64_t key = SiteKey(pc, flags, size);
   if (config_.governor) {
     PollGovernor();
     if (current_level_ != 0 && ShedAccess(key)) {
@@ -281,47 +247,22 @@ void ThreadTraceWriter::AppendAccess(uint64_t addr, uint8_t size, uint8_t flags,
     }
   }
   if (!fastpath_) {
-    EncodeToBuffer(RawEvent::Access(addr, size, flags, pc));
+    EncodeToBuffer(RawEvent::Access(addr, static_cast<uint8_t>(key),
+                                    static_cast<uint8_t>(key >> 8),
+                                    static_cast<uint32_t>(key >> 16)));
     return;
   }
-  // Strided-run coalescer, extend check inline. The extension rules mirror
-  // the interval tree's continuation logic: a fresh single adopts the first
-  // ascending step as its stride; an established run extends only on an
-  // exact stride match. A new site, a broken run or an eviction goes out of
-  // line.
-  const size_t index = SlotOfKey(key);
-  PendingRun& run = runs_[index];
-  if (run.count != 0 && run.key == key) {
-    if (addr == run.last) {
-      // A live run holds its site's most recent access, with no fence since:
-      // the summarizer folds a repeat of it into the run's node as a hit
-      // (no structural change), so dropping it cannot change any report.
-      events_suppressed_.Add(1);
-      return;
-    }
-    if (addr > run.last) {
-      if (run.count == 1) {
-        run.stride = addr - run.last;
-        run.count = 2;
-        run.last = addr;
-        return;
-      }
-      if (addr - run.last == run.stride) {
-        run.count++;
-        run.last = addr;
-        return;
-      }
-    }
-  }
-  CoalesceRun(index, key, addr, 0, 1);
+  // A v3 segment under a governor: the fold AppendAccess skipped, then the
+  // coalescer.
+  if (FoldAccess(runs_[slot], key, addr)) return;
+  CoalesceRun(slot, key, addr, 0, 1);
 }
 
-void ThreadTraceWriter::AppendRange(uint64_t addr, uint64_t bytes,
-                                    uint8_t flags, uint32_t pc) {
-  constexpr uint64_t kChunk = 128;  // the historical per-event range chunk
+void ThreadTraceWriter::AppendRangeSlow(uint64_t addr, uint64_t bytes,
+                                        uint8_t flags, uint32_t pc) {
   if (bytes == 0) return;
-  const uint64_t chunks = bytes / kChunk;
-  const uint64_t tail = bytes % kChunk;
+  const uint64_t chunks = bytes / kRangeChunk;
+  const uint64_t tail = bytes % kRangeChunk;
   if (!open_segment_) {
     accesses_dropped_.Add(chunks + (tail ? 1 : 0));
     return;
@@ -331,7 +272,7 @@ void ThreadTraceWriter::AppendRange(uint64_t addr, uint64_t bytes,
     // One shed decision for the whole range (it is one site); the count
     // shed matches what the v1/v2 chunk loop would have appended.
     if (current_level_ != 0 &&
-        ShedAccess(SiteKey(pc, flags, static_cast<uint8_t>(kChunk)))) {
+        ShedAccess(SiteKey(pc, flags, static_cast<uint8_t>(kRangeChunk)))) {
       const uint64_t shed = chunks + (tail ? 1 : 0);
       segment_degraded_ += shed;
       degraded_dropped_.Add(shed);
@@ -342,7 +283,7 @@ void ThreadTraceWriter::AppendRange(uint64_t addr, uint64_t bytes,
     // v1/v2: the historical loop, one event per <= 128-byte piece.
     uint64_t a = addr;
     for (uint64_t left = bytes; left > 0;) {
-      const uint8_t c = left > kChunk ? kChunk : static_cast<uint8_t>(left);
+      const uint8_t c = left > kRangeChunk ? kRangeChunk : static_cast<uint8_t>(left);
       EncodeToBuffer(RawEvent::Access(a, c, flags, pc));
       a += c;
       left -= c;
@@ -352,12 +293,12 @@ void ThreadTraceWriter::AppendRange(uint64_t addr, uint64_t bytes,
   // The chunk run and the tail are two sites; each joins its own pending
   // run, so a loop of small ranges folds like a loop of accesses.
   if (chunks != 0) {
-    const uint64_t key = SiteKey(pc, flags, kChunk);
-    CoalesceRun(SlotOfKey(key), key, addr, kChunk, chunks);
+    const uint64_t key = SiteKey(pc, flags, kRangeChunk);
+    CoalesceRun(SlotOfKey(key), key, addr, kRangeChunk, chunks);
   }
   if (tail) {
     const uint64_t key = SiteKey(pc, flags, static_cast<uint8_t>(tail));
-    CoalesceRun(SlotOfKey(key), key, addr + chunks * kChunk, 0, 1);
+    CoalesceRun(SlotOfKey(key), key, addr + chunks * kRangeChunk, 0, 1);
   }
 }
 
@@ -429,6 +370,7 @@ void ThreadTraceWriter::BeginSegment(const IntervalMeta& meta) {
   segment_.event_count = 0;
   segment_begin_events_ = events_logged_.Get();
   open_segment_ = true;
+  fast_segment_ = fastpath_ && !config_.governor;
   segment_degraded_ = 0;
   segment_max_level_ = 0;
   if (config_.governor) {
@@ -450,6 +392,7 @@ void ThreadTraceWriter::EndSegment() {
   m.degradation_level = segment_max_level_;
   m.degraded_dropped = segment_degraded_;
   open_segment_ = false;
+  fast_segment_ = false;
   segment_degraded_ = 0;
   // Empty segments carry no accesses and cannot participate in a race;
   // dropping them keeps meta files proportional to useful data. A segment

@@ -28,6 +28,12 @@
 // inside a fence-free stretch changes, and the offline summarizer only ever
 // looks within a site.
 //
+// AppendAccess is inline and, on its common path, a leaf: the TLS sink's
+// thunk folds a repeat or a continuation of the site's pending run into the
+// table with no call. The suppress check and the run extension rule are
+// each written once (FoldAccess, TryExtend); everything else goes to one
+// out-of-line function.
+//
 // Thread-compatibility: a writer is driven by exactly one OS thread; only
 // the Flusher is shared.
 #pragma once
@@ -95,11 +101,16 @@ class ThreadTraceWriter {
   ThreadTraceWriter(const ThreadTraceWriter&) = delete;
   ThreadTraceWriter& operator=(const ThreadTraceWriter&) = delete;
 
+  /// The historical per-event range chunk: a range is a run of whole chunks
+  /// plus a tail.
+  static constexpr uint64_t kRangeChunk = 128;
   /// Slots in each per-site table (coalescer, shed counters).
   static constexpr size_t kSiteSlots = 256;
   /// The direct-mapped slot of an access site (pc, flags, size) in every
   /// per-site table.
-  static size_t SiteSlot(uint32_t pc, uint8_t flags, uint8_t size);
+  static size_t SiteSlot(uint32_t pc, uint8_t flags, uint8_t size) {
+    return SlotOfKey(SiteKey(pc, flags, size));
+  }
 
   uint32_t thread_id() const { return thread_id_; }
   uint8_t format() const { return config_.format; }
@@ -115,13 +126,37 @@ class ThreadTraceWriter {
   /// site's pending run, dropping a repeat of the run's most recent address
   /// (format v3; plain Append otherwise). Outside a segment the access is
   /// counted and dropped - see accesses_dropped().
-  void AppendAccess(uint64_t addr, uint8_t size, uint8_t flags, uint32_t pc);
+  ///
+  /// Inline, and a leaf up to its one out-of-line call: while a v3 segment
+  /// with no governor is open (`fast_segment_`), a repeat or a continuation
+  /// of the site's pending run - almost every access of a loop - is a hash,
+  /// a few compares and the stores, with no call. Everything else (no
+  /// segment, a governor, v1/v2, a new site, a broken run, an eviction) is
+  /// AppendAccessSlow.
+  void AppendAccess(uint64_t addr, uint8_t size, uint8_t flags, uint32_t pc) {
+    const uint64_t key = SiteKey(pc, flags, size);
+    const size_t slot = SlotOfKey(key);
+    if (fast_segment_ && FoldAccess(runs_[slot], key, addr)) return;
+    AppendAccessSlow(slot, key, addr);
+  }
 
   /// Appends a bulk access over [addr, addr+bytes): a run of 128-byte
   /// chunks plus a tail access, each folded into its own site's pending
   /// run (format v3), or the historical per-chunk event loop (v1/v2).
   /// Equivalent to the chunk loop by construction.
-  void AppendRange(uint64_t addr, uint64_t bytes, uint8_t flags, uint32_t pc);
+  ///
+  /// A range shorter than one chunk is one access of `bytes` bytes; while a
+  /// v3 segment with no governor is open, a continuation of its site's
+  /// pending run folds inline, as in AppendAccess. Ranges are never
+  /// suppressed.
+  void AppendRange(uint64_t addr, uint64_t bytes, uint8_t flags, uint32_t pc) {
+    if (fast_segment_ && bytes - 1 < kRangeChunk - 1) {
+      const uint64_t key = SiteKey(pc, flags, static_cast<uint8_t>(bytes));
+      PendingRun& run = runs_[SlotOfKey(key)];
+      if (run.count != 0 && run.key == key && TryExtend(run, addr, 0, 1, addr)) return;
+    }
+    AppendRangeSlow(addr, bytes, flags, pc);
+  }
 
   /// Opens a new barrier-interval segment; data_begin is captured from the
   /// current logical offset. Any open segment must be closed first.
@@ -172,6 +207,45 @@ class ThreadTraceWriter {
  private:
   struct PendingRun;
 
+  /// A site's (pc, flags, size) packed into one word, so a slot's site is
+  /// checked with one compare.
+  static uint64_t SiteKey(uint32_t pc, uint8_t flags, uint8_t size) {
+    return (static_cast<uint64_t>(pc) << 16) |
+           (static_cast<uint64_t>(flags) << 8) | size;
+  }
+  static size_t SlotOfKey(uint64_t key) {
+    // The address is left out on purpose: one site always maps to one slot,
+    // so a site never has two pending runs, and a live run of the site
+    // holds its most recent access - which is what makes dropping a repeat
+    // sound.
+    uint64_t h = key * 0x9e3779b97f4a7c15ull;  // splitmix64 finalizer
+    h ^= h >> 29;
+    h *= 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 32;
+    return static_cast<size_t>(h) & (kSiteSlots - 1);
+  }
+
+  /// Folds one access of site `key` into `run`, the site's slot, when the
+  /// slot holds the site's pending run and the access repeats its most
+  /// recent address (dropped) or continues it. False when it does neither:
+  /// the caller takes CoalesceRun.
+  bool FoldAccess(PendingRun& run, uint64_t key, uint64_t addr);
+  /// The run extension rule, the one place it is written. The elements
+  /// base, base+stride, ... (`count` of them, the last at `last`) continue
+  /// `run`, a pending run of their site, when they ascend from its most
+  /// recent address by its stride (a single adopts the first step) and, for
+  /// several elements, keep stepping by it. This mirrors the interval
+  /// tree's continuation logic. Extends the run and returns true when they
+  /// do.
+  static bool TryExtend(PendingRun& run, uint64_t base, uint64_t stride,
+                        uint64_t count, uint64_t last);
+  /// AppendAccess for everything but a fold into a pending run of an open
+  /// v3 segment with no governor: the access of site `key` (in `slot`) at
+  /// `addr`.
+  void AppendAccessSlow(size_t slot, uint64_t key, uint64_t addr);
+  /// AppendRange for everything but the inline fold of a short range.
+  void AppendRangeSlow(uint64_t addr, uint64_t bytes, uint8_t flags, uint32_t pc);
+
   void FlushBuffer(bool reacquire);
   /// Queues a totals record when a drop total (the flusher's for this log
   /// included) moved since the last one.
@@ -198,8 +272,8 @@ class ThreadTraceWriter {
   bool MakeRoom();
   /// Folds `count` accesses of site `key` at base, base+stride, ... into
   /// the pending run of slot `slot`: extends it when the elements continue
-  /// it, otherwise materializes the resident run (any site) and starts a
-  /// new one.
+  /// it (TryExtend), otherwise materializes the resident run (any site) and
+  /// starts a new one.
   void CoalesceRun(size_t slot, uint64_t key, uint64_t base, uint64_t stride,
                    uint64_t count);
   /// Encodes one pending run as a kAccessRun (count >= 2) or a plain
@@ -230,6 +304,8 @@ class ThreadTraceWriter {
   bool meta_created_ = false;     // the header record has landed
   MetaTotals totals_queued_;      // the totals of the last totals record
   bool open_segment_ = false;
+  // open_segment_ && fastpath_ && no governor: AppendAccess may fold inline.
+  bool fast_segment_ = false;
   uint64_t segment_begin_events_ = 0;
   bool finished_ = false;
 
@@ -290,5 +366,32 @@ class ThreadTraceWriter {
   OwnerCounter degraded_dropped_;
   OwnerCounter pool_shed_;
 };
+
+inline bool ThreadTraceWriter::TryExtend(PendingRun& run, uint64_t base,
+                                         uint64_t stride, uint64_t count,
+                                         uint64_t last) {
+  if (base <= run.last) return false;
+  const uint64_t step = base - run.last;
+  if ((run.count != 1 && step != run.stride) || (count != 1 && stride != step)) {
+    return false;
+  }
+  run.stride = step;
+  run.count += count;
+  run.last = last;
+  return true;
+}
+
+inline bool ThreadTraceWriter::FoldAccess(PendingRun& run, uint64_t key,
+                                          uint64_t addr) {
+  if (run.count == 0 || run.key != key) return false;
+  if (addr == run.last) {
+    // A live run holds its site's most recent access, with no fence since:
+    // the summarizer folds a repeat of it into the run's node as a hit (no
+    // structural change), so dropping it cannot change any report.
+    events_suppressed_.Add(1);
+    return true;
+  }
+  return TryExtend(run, addr, 0, 1, addr);
+}
 
 }  // namespace sword::trace

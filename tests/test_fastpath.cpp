@@ -146,13 +146,15 @@ struct WriterRig {
   TempDir dir{"fastpath"};
   std::unique_ptr<trace::ThreadTraceWriter> writer;
 
-  explicit WriterRig(uint8_t format = trace::kTraceFormatV3) {
+  explicit WriterRig(uint8_t format = trace::kTraceFormatV3,
+                     uint64_t buffer_bytes = 2 * 1024 * 1024) {
     trace::WriterConfig wc;
     wc.log_path = dir.File("t0.log");
     wc.meta_path = dir.File("t0.meta");
     wc.flusher = &flusher;
     wc.format = format;
     wc.codec = FindCompressor("raw");
+    wc.buffer_bytes = buffer_bytes;
     writer = std::make_unique<trace::ThreadTraceWriter>(0, wc);
   }
 
@@ -385,6 +387,141 @@ TEST(WriterFastPath, RepeatAfterFenceIsKept) {
               w.Append(trace::RawEvent::MutexRelease(1));
             }),
             0u);
+}
+
+/// Writes a seeded stream of AppendAccess/AppendRange calls through a
+/// writer of `format` (raw codec, a 4 KB buffer so it flushes often) and
+/// returns the FNV-1a digest of the log's bytes followed by the meta's.
+/// The stream spans 60 segments over 400 sites (8-byte and 4-byte, read and
+/// write) plus 12 triples of sites that share one coalescer slot; it mixes
+/// loop bodies of 1-4 interleaved strided sites (accesses or short ranges),
+/// repeats, random singles, ranges, backward steps and mutex fences.
+struct StreamDigest {
+  uint64_t calls = 0;
+  uint64_t log_bytes = 0;
+  uint64_t meta_bytes = 0;
+  uint64_t digest = 0;
+};
+
+StreamDigest DigestSeededStream(uint8_t format) {
+  struct Site {
+    uint32_t pc;
+    uint8_t flags;
+    uint8_t size;
+  };
+  std::vector<Site> sites;
+  for (uint32_t pc = 1; pc <= 400; pc++) {
+    sites.push_back({pc, static_cast<uint8_t>(pc % 2), static_cast<uint8_t>(pc % 3 ? 8 : 4)});
+  }
+  // Triples of sites in one slot: each evicts the others' pending runs.
+  for (uint32_t pc = 1000, triples = 0; triples < 12; pc += 3, triples++) {
+    const size_t slot = trace::ThreadTraceWriter::SiteSlot(pc, 1, 8);
+    sites.push_back({pc, 1, 8});
+    for (uint32_t other = pc + 1, found = 0; found < 2; other++) {
+      if (trace::ThreadTraceWriter::SiteSlot(other, 0, 8) == slot) {
+        sites.push_back({other, 0, 8});
+        found++;
+      }
+    }
+  }
+  const std::vector<Site> colliding(sites.end() - 36, sites.end());
+
+  WriterRig rig(format, /*buffer_bytes=*/4096);
+  trace::ThreadTraceWriter& w = *rig.writer;
+  Rng rng(31);
+  StreamDigest out;
+  const auto access = [&](const Site& site, uint64_t addr) {
+    w.AppendAccess(addr, site.size, site.flags, site.pc);
+    out.calls++;
+  };
+  for (uint64_t seg = 0; seg < 60; seg++) {
+    trace::IntervalMeta meta = SegMeta(0);
+    meta.phase = seg;
+    w.BeginSegment(meta);
+    for (int op = 0; op < 250; op++) {
+      const uint64_t pick = rng.Below(100);
+      if (pick < 45) {
+        // A loop body: 1-4 sites (sometimes ones sharing a slot), each
+        // sweeping its own array by its own stride.
+        // A body member may be a short range (a read_range of a row).
+        const size_t k = 1 + rng.Below(4);
+        const bool collide = rng.Chance(0.3);
+        std::vector<Site> body;
+        std::vector<uint64_t> base, stride, width;
+        for (size_t j = 0; j < k; j++) {
+          body.push_back(collide ? colliding[rng.Below(colliding.size())]
+                                 : sites[rng.Below(sites.size())]);
+          base.push_back(0x100000 * (1 + rng.Below(64)) + 8 * rng.Below(512));
+          width.push_back(rng.Chance(0.2) ? 8 * (1 + rng.Below(20)) : 0);
+          stride.push_back(rng.Chance(0.8) ? std::max<uint64_t>(width.back(), body.back().size)
+                                           : 8 * (1 + rng.Below(4)));
+        }
+        const uint64_t iterations = 1 + rng.Below(40);
+        for (uint64_t i = 0; i < iterations; i++) {
+          for (size_t j = 0; j < k; j++) {
+            if (width[j] == 0) {
+              access(body[j], base[j] + i * stride[j]);
+            } else {
+              w.AppendRange(base[j] + i * stride[j], width[j], body[j].flags, body[j].pc);
+              out.calls++;
+            }
+          }
+        }
+      } else if (pick < 60) {
+        // Repeats of one address, the accumulator of a reduction.
+        const Site& site = sites[rng.Below(sites.size())];
+        const uint64_t addr = 0x80000 + 8 * rng.Below(16);
+        for (uint64_t r = 1 + rng.Below(6); r > 0; r--) access(site, addr);
+      } else if (pick < 75) {
+        // Random singles, some stepping backwards.
+        for (int r = 0; r < 8; r++) {
+          access(sites[rng.Below(sites.size())], 0x200000 + 8 * rng.Below(4096));
+        }
+      } else if (pick < 90) {
+        const Site& site = sites[rng.Below(sites.size())];
+        w.AppendRange(0x400000 + 8 * rng.Below(4096), 1 + rng.Below(1000),
+                      site.flags, site.pc);
+        out.calls++;
+      } else {
+        w.Append(rng.Chance(0.5) ? trace::RawEvent::MutexAcquire(1 + rng.Below(3))
+                                 : trace::RawEvent::MutexRelease(1 + rng.Below(3)));
+      }
+    }
+    w.EndSegment();
+  }
+  EXPECT_TRUE(w.Finish().ok());
+  auto log = ReadFileBytes(rig.dir.File("t0.log"));
+  auto meta = ReadFileBytes(rig.dir.File("t0.meta"));
+  EXPECT_TRUE(log.ok() && meta.ok());
+  if (!log.ok() || !meta.ok()) return out;
+  out.log_bytes = log.value().size();
+  out.meta_bytes = meta.value().size();
+  out.digest = Fnv1a64(meta.value().data(), meta.value().size(),
+                       Fnv1a64(log.value().data(), log.value().size()));
+  return out;
+}
+
+TEST(WriterFastPath, SeededStreamBytesArePinned) {
+  // The inline fold and the out-of-line path split one set of rules; this
+  // pins that the split changes no byte of the log or the meta. The pins
+  // were taken with the single out-of-line AppendAccess the split replaced.
+  struct Pin {
+    uint8_t format;
+    uint64_t log_bytes;
+    uint64_t meta_bytes;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {trace::kTraceFormatV3, 401361, 2711, 2788807947942777784ULL},
+      {trace::kTraceFormatV2, 2555614, 2783, 10160093153325477996ULL},
+  };
+  for (const Pin& pin : pins) {
+    const StreamDigest got = DigestSeededStream(pin.format);
+    EXPECT_GT(got.calls, 200000u) << got.calls;
+    EXPECT_EQ(got.log_bytes, pin.log_bytes) << "format " << int{pin.format};
+    EXPECT_EQ(got.meta_bytes, pin.meta_bytes) << "format " << int{pin.format};
+    EXPECT_EQ(got.digest, pin.digest) << "format " << int{pin.format};
+  }
 }
 
 // --- per-site run coalescer --------------------------------------------------

@@ -5,11 +5,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <map>
 #include <mutex>
 #include <set>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -434,11 +436,11 @@ TEST(SrcLoc, SameSiteSameId) {
   EXPECT_EQ(first, second);
 }
 
-TEST(SrcLoc, IdsAgreeAcrossThreadsPastTheCacheSize) {
-  // Far more sites than the per-thread pc cache has slots, interned by
-  // several threads in different orders, so slots collide and evict on
-  // every thread. The ids must still be the shared table's: one per site,
-  // the same on every thread, dense, and reversible.
+TEST(SrcLoc, TableIdsAgreeAcrossThreads) {
+  // The shared table alone: hundreds of (file, line, column) keys, many
+  // differing in one field only, interned by several threads in different
+  // orders. The ids must be one per site, the same on every thread, dense,
+  // and reversible.
   static const char* const kFiles[] = {"synthetic/alpha.cpp", "synthetic/beta.cpp",
                                        "synthetic/gamma.cpp"};
   struct Key {
@@ -519,6 +521,82 @@ TEST(SrcLoc, IdsAgreeAcrossThreadsPastTheCacheSize) {
   ASSERT_EQ(distinct.size(), keys.size());
   EXPECT_EQ(*distinct.rbegin() - *distinct.begin() + 1, keys.size()) << "ids are dense";
   EXPECT_EQ(SrcLocCount(), std::max<size_t>(before, *distinct.rbegin() + size_t{1}));
+}
+
+// Call sites whose source_location objects are distinct but share a (file,
+// line, column): each instantiation has its own record, because the
+// function name it carries names N.
+template <size_t N>
+std::source_location SiteA() { return std::source_location::current(); }
+template <size_t N>
+std::source_location SiteB() { return std::source_location::current(); }
+template <size_t N>
+std::source_location SiteC() { return std::source_location::current(); }
+
+template <size_t... N>
+std::vector<std::source_location> InstantiatedSites(std::index_sequence<N...>) {
+  return {SiteA<N>()..., SiteB<N>()..., SiteC<N>()...};
+}
+
+TEST(SrcLoc, CallSiteCacheAgreesWithTheTable) {
+  // 300 source_location objects, more than the per-thread pc cache has
+  // slots, on three (file, line, column) sites. Several threads intern them
+  // in different orders, so cache slots collide and evict on every thread.
+  // Each id must be the shared table's id of the object's (file, line,
+  // column) - the same for every instantiation of one line - and must not
+  // change on a second pass.
+  const std::vector<std::source_location> sites =
+      InstantiatedSites(std::make_index_sequence<100>());
+  std::set<uintptr_t> records;
+  std::set<std::tuple<std::string, uint32_t, uint32_t>> keys;
+  for (const std::source_location& loc : sites) {
+    records.insert(std::bit_cast<uintptr_t>(loc));
+    keys.emplace(loc.file_name(), loc.line(), loc.column());
+  }
+  ASSERT_EQ(records.size(), sites.size()) << "instantiations share a record";
+  ASSERT_EQ(keys.size(), 3u);
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<PcId>> ids(kThreads, std::vector<PcId>(sites.size()));
+  std::atomic<int> unstable{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      std::vector<size_t> order(sites.size());
+      for (size_t i = 0; i < order.size(); i++) order[i] = i;
+      // Thread 0 meets the instantiations of one line back to back, thread
+      // 1 the same in reverse, thread 2 the three lines of one
+      // instantiation, and thread 3 a shuffle.
+      if (t == 1) std::reverse(order.begin(), order.end());
+      if (t == 2) {
+        std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+          return a % (sites.size() / 3) < b % (sites.size() / 3);
+        });
+      }
+      Rng shuffle(300 + static_cast<uint64_t>(t));
+      for (size_t i = order.size(); t == 3 && i > 1; i--) {
+        std::swap(order[i - 1], order[shuffle.Below(i)]);
+      }
+      for (const size_t k : order) ids[t][k] = InternSrcLoc(sites[k]);
+      // A second pass meets both cached and evicted objects.
+      for (const size_t k : order) {
+        if (InternSrcLoc(sites[k]) != ids[t][k]) unstable.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(unstable.load(), 0) << "an object's id changed between passes";
+
+  std::set<PcId> distinct;
+  for (size_t k = 0; k < sites.size(); k++) {
+    const std::source_location& loc = sites[k];
+    const PcId table_id =
+        InternSite(loc.file_name(), loc.line(), loc.column(), loc.function_name());
+    for (int t = 0; t < kThreads; t++) ASSERT_EQ(ids[t][k], table_id) << "object " << k;
+    distinct.insert(table_id);
+    EXPECT_EQ(LookupSrcLoc(table_id).line, loc.line());
+  }
+  EXPECT_EQ(distinct.size(), keys.size());
 }
 
 }  // namespace
